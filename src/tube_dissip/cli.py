@@ -171,6 +171,8 @@ def _cmd_rci(run: RunConfig, args) -> int:
 
 
 def _cmd_eval_v(run: RunConfig, args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     result = eval_v(run.spec, _parse_box(args.a), _parse_box(args.b), args.n, run.settings)
     _write_output(json.dumps(result.to_json_dict()), args.output or run.output_path)
     return 0 if result.feasible else 1

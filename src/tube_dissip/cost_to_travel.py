@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .interval_sets import IntervalBox
-from .problem import ProblemSpec, build_g_block, stage_cost
+from .problem import ProblemSpec, build_g_block, stage_cost, transition_witness
 from .qp_solver import (
     DEFAULT_SETTINGS,
     QpBuilder,
@@ -86,11 +86,19 @@ def eval_v(
 ) -> CostToTravelResult:
     """Minimal cost of an ``n_steps``-step tube from ``a`` to ``b``.
 
-    Solves one stacked QP over the free intermediate boxes and the per-step
-    edge controls, with the endpoint boxes fixed.
+    One step costs ``L(a)`` whenever b is reachable from a, so ``n_steps == 1``
+    is decided in closed form by :func:`transition_witness`, whose edge
+    controls are the result's ``aux_controls``.  Longer tubes solve one
+    stacked QP over the free intermediate boxes and the per-step edge
+    controls, with the endpoint boxes fixed.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if n_steps == 1:
+        witness = transition_witness(spec, a, b, settings)
+        if witness is None:
+            return CostToTravelResult(value=_INF)
+        return CostToTravelResult(value=stage_cost(spec, a), tube=(a, b), aux_controls=(witness,))
     builder = QpBuilder()
     corner_slots: list[Sequence] = [a.corners()]
     for _ in range(n_steps - 1):
@@ -117,7 +125,8 @@ def eval_v(
 
     tube = [a]
     for k in range(1, n_steps):
-        tube.append(IntervalBox.from_corners([sol.x[ix] for ix in corner_slots[k]], snap_tol=1e-9))
+        # the solver accepts rows violated by up to feas_tol, corner order included
+        tube.append(IntervalBox.from_corners([sol.x[ix] for ix in corner_slots[k]], snap_tol=settings.feas_tol))
     tube.append(b)
     aux = tuple((float(sol.x[v[0]]), float(sol.x[v[1]])) for v in v_slots)
     return CostToTravelResult(value=float(sol.objective), tube=tuple(tube), aux_controls=aux)
@@ -158,7 +167,7 @@ def _optimal_rci_impl(spec: ProblemSpec, settings: SolverSettings) -> tuple[Inte
         )
     if sol.status is not QpStatus.OPTIMAL:
         raise SolverFailure(f"invariant-box solve did not converge: {sol.status}")
-    box = IntervalBox.from_corners([sol.x[ix] for ix in a], snap_tol=1e-9)
+    box = IntervalBox.from_corners([sol.x[ix] for ix in a], snap_tol=settings.feas_tol)
     return box, float(sol.objective)
 
 

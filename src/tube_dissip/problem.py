@@ -8,6 +8,11 @@ controls ``v1`` (applied on the lower x2-edge of A) and ``v2`` (upper edge)
 such that the rows of :func:`build_g_block` hold; intermediate states use the
 control interpolated linearly in x2.  That description is adopted here as the
 defining encoding of the transition relation for this family.
+
+With A and B both fixed those rows leave two intervals for the edge controls
+and one coupling row between them, so a single step is decided in closed form
+by :func:`transition_witness`, with no solver; the rows serve as QP
+constraints only where boxes are decision variables.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .interval_sets import IntervalBox, subset
-from .qp_solver import (
-    DEFAULT_SETTINGS,
-    QpBuilder,
-    QpStatus,
-    SolverFailure,
-    SolverSettings,
-    solve,
-)
+from .qp_solver import DEFAULT_SETTINGS, QpBuilder, SolverSettings
 
 __all__ = [
     "ProblemSpec",
@@ -36,6 +34,7 @@ __all__ = [
     "ConfigError",
     "build_g_block",
     "install_slot_row",
+    "transition_witness",
     "transition_feasible",
     "stage_cost",
     "is_rci",
@@ -79,6 +78,12 @@ class ProblemSpec:
             # the edge-control encoding interpolates controls monotonically in
             # x2, which requires a positive dynamics coefficient
             raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
+        # NaN passes every ordered comparison below, and max/min drop it
+        for name in ("u_bounds", "w_bounds", "cost_linear", "cost_quad"):
+            if any(math.isnan(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} must not contain NaN, got {getattr(self, name)}")
+        if not all(math.isfinite(v) for v in self.w_bounds):
+            raise ConfigError(f"w_bounds must be finite, got {self.w_bounds}")
         if len(self.u_bounds) != 2 or self.u_bounds[0] > self.u_bounds[1]:
             raise ConfigError(f"u_bounds must be a nonempty interval, got {self.u_bounds}")
         if len(self.w_bounds) != 2 or self.w_bounds[0] > self.w_bounds[1]:
@@ -289,27 +294,63 @@ def build_g_block(
     return GConstraintBlock(rows=rows)
 
 
+def transition_witness(
+    spec: ProblemSpec,
+    a: IntervalBox,
+    b: IntervalBox,
+    settings: SolverSettings = DEFAULT_SETTINGS,
+) -> tuple[float, float] | None:
+    """Edge controls ``(v1, v2)`` taking a into b in one step, or None if b is unreachable.
+
+    With a and b fixed, the rows of :func:`build_g_block` leave
+
+        v1 in [max(b1, u_lo, b3 - alpha*a3 - w_lo), min(b2, u_hi)]
+        v2 in [max(b1, u_lo), min(b2, u_hi, b4 - alpha*a4 - w_hi)]
+        (v1 - v2)/alpha + a3 - a4 <= 0
+
+    plus the state-bound rows of a.  A step is accepted as the QP solver
+    accepts a point: when every row, relaxed by ``settings.feas_tol`` in its
+    own coefficients, holds.  ``slack`` is the least relaxation of all rows
+    that admits edge controls, so the rule is ``slack <= feas_tol``.  The
+    witness is the low end of v1's interval and the high end of v2's, the
+    pair that leaves the most room in the coupling row, each moved by
+    ``slack`` so that it meets every row within that relaxation.
+    """
+    al = spec.alpha
+    xb = spec.x_bounds
+    a1, a2, a3, a4 = a.corners()
+    b1, b2, b3, b4 = b.corners()
+    v1_lo = max(b1, spec.u_lo, b3 - al * a3 - spec.w_lo)
+    v1_hi = min(b2, spec.u_hi)
+    v2_lo = max(b1, spec.u_lo)
+    v2_hi = min(b2, spec.u_hi, b4 - al * a4 - spec.w_hi)
+    slack = max(
+        0.0,
+        0.5 * (v1_lo - v1_hi),
+        0.5 * (v2_lo - v2_hi),
+        # (v1_lo - s) - (v2_hi + s) <= alpha*(a4 - a3 + s)
+        (v1_lo - v2_hi - al * (a4 - a3)) / (2.0 + al),
+        xb.lo[0] - a1,
+        a2 - xb.hi[0],
+        xb.lo[1] - a3,
+        a4 - xb.hi[1],
+    )
+    if slack > settings.feas_tol:
+        return None
+    return (v1_lo - slack, v2_hi + slack)
+
+
 def transition_feasible(
     spec: ProblemSpec,
     a: IntervalBox,
     b: IntervalBox,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> bool:
-    """Decide whether b is a one-step successor of a, via a feasibility QP.
+    """Decide whether b is a one-step successor of a, in closed form.
 
-    Solver non-convergence raises :class:`SolverFailure` rather than being
-    reported as infeasibility.
+    See :func:`transition_witness` for the rule and its tolerance.
     """
-    builder = QpBuilder()
-    v = builder.new_vars(2)
-    block = build_g_block(spec, a.corners(), b.corners(), v)
-    block.install(builder)
-    sol = solve(builder.build(), settings)
-    if sol.status is QpStatus.OPTIMAL:
-        return True
-    if sol.status is QpStatus.INFEASIBLE:
-        return False
-    raise SolverFailure(f"transition feasibility check did not converge: {sol.status}")
+    return transition_witness(spec, a, b, settings) is not None
 
 
 def is_rci(spec: ProblemSpec, a: IntervalBox, settings: SolverSettings = DEFAULT_SETTINGS) -> bool:

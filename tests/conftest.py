@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tube_dissip.dissipativity import StorageFunction
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec
 from tube_dissip.tube_mpc import TubeMpcConfig
+
+# the same examples on every run, no example database on disk, and no
+# per-example deadline: timings on a loaded host say nothing about correctness
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=150)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

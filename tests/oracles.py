@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: the Hausdorff oracle
 samples one box densely and measures exact point-to-box distances, the
-transition oracle eliminates the control pointwise in the x2 coordinate, and
-the invariant-box oracle is a coarse-to-fine grid search over corner vectors.
+transition oracle eliminates the control pointwise in the x2 coordinate, the
+transition QP oracle hands the edge-control rows to the QP solver, and the
+invariant-box oracle is a coarse-to-fine grid search over corner vectors.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from tube_dissip.interval_sets import IntervalBox
-from tube_dissip.problem import ProblemSpec
+from tube_dissip.problem import ProblemSpec, build_g_block
+from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpBuilder, QpStatus, SolverSettings, solve
 
 
 def _axis_grid(lo: float, hi: float, res: float) -> np.ndarray:
@@ -69,6 +71,67 @@ def transition_margin(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_grid:
 
 def transition_feasible_oracle(spec: ProblemSpec, a: IntervalBox, b: IntervalBox) -> bool:
     return transition_margin(spec, a, b) >= 0.0
+
+
+def transition_feasible_qp(
+    spec: ProblemSpec,
+    a: IntervalBox,
+    b: IntervalBox,
+    settings: SolverSettings = DEFAULT_SETTINGS,
+) -> bool:
+    """Decide "b reachable from a" as a feasibility QP in the two edge controls.
+
+    The rows of ``build_g_block`` with a and b fixed go to the QP solver;
+    a solve that neither finds a point nor certifies infeasibility fails
+    the calling test.
+    """
+    builder = QpBuilder()
+    v = builder.new_vars(2)
+    build_g_block(spec, a.corners(), b.corners(), v).install(builder)
+    sol = solve(builder.build(), settings)
+    assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE), sol.status
+    return sol.status is QpStatus.OPTIMAL
+
+
+def row_violations(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, v) -> list[float]:
+    """How far edge controls v violate each row of ``build_g_block``, in the row's own coefficients."""
+    out = []
+    for row in build_g_block(spec, a.corners(), b.corners(), v).rows:
+        s = sum(coef * float(slot) for slot, coef in row.coeffs)
+        out.append(max(row.lo - s, s - row.hi, 0.0))
+    return out
+
+
+def transition_feasible_rows(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, tol: float) -> bool:
+    """True iff some edge controls violate no row of ``build_g_block`` by more than tol.
+
+    This is the QP solver's acceptance rule, applied row by row.  The rows
+    are read off the block with the edge controls as variable slots 0 and 1:
+    rows in one control bound it, the one row in both couples them, and rows
+    in neither are checked as constants.
+    """
+    lo, hi = [-np.inf, -np.inf], [np.inf, np.inf]
+    coupling = []
+    for row in build_g_block(spec, a.corners(), b.corners(), (0, 1)).rows:
+        const = sum(coef * slot for slot, coef in row.coeffs if isinstance(slot, float))
+        terms = {slot: coef for slot, coef in row.coeffs if isinstance(slot, int)}
+        r_lo, r_hi = row.lo - const - tol, row.hi - const + tol
+        if not terms:
+            if r_lo > 0.0 or r_hi < 0.0:
+                return False
+        elif len(terms) == 1:
+            ((i, coef),) = terms.items()
+            lo[i] = max(lo[i], (r_lo if coef > 0 else r_hi) / coef)
+            hi[i] = min(hi[i], (r_hi if coef > 0 else r_lo) / coef)
+        else:
+            coupling.append((terms, r_lo, r_hi))
+    if lo[0] > hi[0] or lo[1] > hi[1]:
+        return False
+    assert len(coupling) == 1, "the decision below holds for one coupling row"
+    terms, r_lo, r_hi = coupling[0]
+    least = sum(coef * (lo[i] if coef > 0 else hi[i]) for i, coef in terms.items())
+    most = sum(coef * (hi[i] if coef > 0 else lo[i]) for i, coef in terms.items())
+    return least <= r_hi and most >= r_lo
 
 
 def _self_transition_mask(spec: ProblemSpec, A1, A2, A3, A4):

@@ -42,6 +42,14 @@ class TestEvalV:
         res = CostToTravelResult.from_json_dict(json.loads(out))
         assert not res.feasible
 
+    def test_zero_steps_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval-v", "--a", "[[0,1],[0,1]]", "--b", "[[0,1],[0,1]]", "--n", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == ["error: --n must be >= 1, got 0"]
+
     def test_malformed_box_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval-v", "--a", "oops", "--b", "[[0,1],[0,1]]")
         assert code == 2

@@ -70,6 +70,20 @@ class TestEvalV:
             for boxed in res.tube[:-1]:
                 assert subset(boxed, spec.x_bounds, tol=1e-8)
 
+    def test_two_step_middle_box_within_solver_tolerance(self, spec):
+        # the solver returns this middle box with its x1-corners inverted by
+        # about 1.1e-9, inside its row tolerance; the box is kept, not refused
+        a = IntervalBox.from_corners(
+            (-3.8193903205287283, -2.501587804116486, -4.106228439663089, 0.15799104003540165)
+        )
+        c = IntervalBox.from_corners(
+            (-2.504035359172815, 2.3453200389678854, -3.0036097069222825, 4.176992151035579)
+        )
+        res = eval_v(spec, a, c, 2)
+        assert res.value == pytest.approx(-1.45046, abs=1e-5)
+        assert len(res.tube) == 3 and res.tube[0] == a and res.tube[2] == c
+        assert transition_feasible(spec, a, res.tube[1]) and transition_feasible(spec, res.tube[1], c)
+
     def test_zero_steps_rejected(self, spec, x_star):
         with pytest.raises(ValueError):
             eval_v(spec, x_star, x_star, 0)

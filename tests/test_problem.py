@@ -1,9 +1,16 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from tube_dissip.cost_to_travel import eval_v
+import tube_dissip
+from tube_dissip import qp_solver
+from tube_dissip.closed_loop import rotated_cost
+from tube_dissip.cost_to_travel import eval_v, optimal_rci
 from tube_dissip.interval_sets import IntervalBox, subset
 from tube_dissip.problem import (
     ConfigError,
@@ -14,12 +21,24 @@ from tube_dissip.problem import (
     is_rci,
     stage_cost,
     transition_feasible,
+    transition_witness,
 )
+from tube_dissip.qp_solver import DEFAULT_SETTINGS
 from tube_dissip.sampling import feasible_pair, monotone_cone_box, random_box_within
+from tube_dissip.tube_mpc import _resolved
 
-from .oracles import transition_feasible_oracle, transition_margin
+from .oracles import (
+    row_violations,
+    transition_feasible_oracle,
+    transition_feasible_qp,
+    transition_feasible_rows,
+    transition_margin,
+)
 
 INF = float("inf")
+NAN = float("nan")
+SPEC = ProblemSpec.default()
+FEAS_TOL = DEFAULT_SETTINGS.feas_tol
 
 
 def box(ix, iy):
@@ -53,6 +72,22 @@ class TestProblemSpec:
     def test_empty_control_interval_rejected(self):
         with pytest.raises(ConfigError):
             ProblemSpec(u_bounds=(1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"u_bounds": (NAN, 1.0)},
+            {"u_bounds": (-1.0, NAN)},
+            {"w_bounds": (NAN, 1.0)},
+            {"w_bounds": (-INF, 1.0)},
+            {"w_bounds": (-1.0, INF)},
+            {"cost_linear": (0.0, NAN, 0.0, 0.0)},
+            {"cost_quad": (0.15, NAN, 0.1, 0.05)},
+        ],
+    )
+    def test_nan_and_unbounded_disturbance_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ProblemSpec(**kwargs)
 
 
 class TestStageCost:
@@ -197,3 +232,120 @@ class TestIsRci:
     def test_full_state_box_matches_oracle(self, spec):
         full = spec.x_bounds
         assert is_rci(spec, full) == transition_feasible_oracle(spec, full, full)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form one-step decision against the QP and the pointwise oracle
+
+coords = st.floats(-6.0, 6.0)
+
+
+@st.composite
+def boxes(draw):
+    x = sorted(draw(st.tuples(coords, coords)))
+    y = sorted(draw(st.tuples(coords, coords)))
+    return IntervalBox.from_intervals(x, y)
+
+
+@st.composite
+def transition_pairs(draw):
+    """Unrelated boxes, partly outside the state bounds, or sampled transitions with a jittered target."""
+    if draw(st.booleans()):
+        return draw(boxes()), draw(boxes())
+    a, b = feasible_pair(SPEC, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    jitter = draw(st.tuples(*[st.floats(-0.5, 0.5)] * 4))
+    c = [x + d for x, d in zip(b.corners(), jitter)]
+    assume(c[0] <= c[1] and c[2] <= c[3])
+    return a, IntervalBox.from_corners(c)
+
+
+def _moved(a: IntervalBox, b: IntervalBox, direction: str, s: float):
+    """The pair with one corner moved by s, each way making the step harder."""
+    a1, a2, a3, a4 = a.corners()
+    b1, b2, b3, b4 = b.corners()
+    if direction == "a1-":
+        return IntervalBox.from_corners((a1 - s, a2, a3, a4)), b
+    if direction == "a2+":
+        return IntervalBox.from_corners((a1, a2 + s, a3, a4)), b
+    if direction == "b1+":
+        return a, IntervalBox.from_corners((min(b1 + s, b2), b2, b3, b4))
+    if direction == "b2-":
+        return a, IntervalBox.from_corners((b1, max(b2 - s, b1), b3, b4))
+    if direction == "b3+":
+        return a, IntervalBox.from_corners((b1, b2, min(b3 + s, b4), b4))
+    return a, IntervalBox.from_corners((b1, b2, b3, max(b4 - s, b3)))
+
+
+@st.composite
+def boundary_pairs(draw):
+    """Sampled transitions moved to within 1e-9 of the exact or of the relaxed boundary.
+
+    A corner moves until the row-by-row rule at level ``tol`` flips (found by
+    bisection), then by ``eps`` more.  Moves under 1e-12 are left out: float
+    rounding, not the rule, decides pairs within about 1e-15 of the boundary.
+    """
+    a, b = feasible_pair(SPEC, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    direction = draw(st.sampled_from(["a1-", "a2+", "b1+", "b2-", "b3+", "b4-"]))
+    tol = draw(st.sampled_from([0.0, FEAS_TOL]))
+    eps = draw(st.floats(1e-12, 1e-9)) * draw(st.sampled_from([-1.0, 1.0]))
+    lo, hi = 0.0, 12.0
+    assume(transition_feasible_rows(SPEC, *_moved(a, b, direction, lo), tol))
+    assume(not transition_feasible_rows(SPEC, *_moved(a, b, direction, hi), tol))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if transition_feasible_rows(SPEC, *_moved(a, b, direction, mid), tol):
+            lo = mid
+        else:
+            hi = mid
+    return _moved(a, b, direction, max(lo + eps, 0.0))
+
+
+class TestClosedFormDecision:
+    @given(transition_pairs())
+    def test_agrees_with_qp_and_pointwise_oracle_off_the_boundary(self, pair):
+        a, b = pair
+        margin = transition_margin(SPEC, a, b)
+        assume(abs(margin) > 1e-7)
+        assert transition_feasible(SPEC, a, b) == (margin > 0.0)
+        assert transition_feasible_qp(SPEC, a, b) == (margin > 0.0)
+
+    @given(boundary_pairs())
+    def test_follows_the_row_rule_at_the_boundary(self, pair):
+        a, b = pair
+        witness = transition_witness(SPEC, a, b)
+        assert (witness is not None) == transition_feasible_rows(SPEC, a, b, FEAS_TOL)
+        if witness is not None:
+            # the row sums themselves round at about 1e-15
+            assert max(row_violations(SPEC, a, b, witness)) <= FEAS_TOL + 1e-13
+
+    def test_witness_is_exact_on_feasible_pairs(self, rng):
+        for _ in range(200):
+            a, b = feasible_pair(SPEC, rng)
+            witness = transition_witness(SPEC, a, b)
+            assert witness is not None
+            assert max(row_violations(SPEC, a, b, witness)) <= 1e-12
+
+    def test_one_step_paths_call_no_solver(self, spec, cfg_ic, x_star, monkeypatch):
+        optimal_rci(spec)
+        _resolved(spec, cfg_ic)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-step path called the QP solver")
+
+        solve = qp_solver.solve
+        modules = [tube_dissip] + [
+            importlib.import_module(f"tube_dissip.{info.name}")
+            for info in pkgutil.iter_modules(tube_dissip.__path__)
+        ]
+        patched = [m.__name__ for m in modules if getattr(m, "solve", None) is solve]
+        for name in patched:
+            monkeypatch.setattr(importlib.import_module(name), "solve", forbidden)
+        assert {"tube_dissip.qp_solver", "tube_dissip.cost_to_travel"} <= set(patched)
+        unreachable = box((0, 1), (0, 1))
+        assert transition_feasible(spec, x_star, x_star)
+        assert not transition_feasible(spec, unreachable, unreachable)
+        assert is_rci(spec, x_star) and not is_rci(spec, unreachable)
+        assert eval_v(spec, x_star, x_star, 1).value == pytest.approx(-0.2, abs=1e-12)
+        assert eval_v(spec, unreachable, unreachable, 1).value == INF
+        assert rotated_cost(spec, cfg_ic, x_star, x_star) == pytest.approx(0.0, abs=1e-12)
+        assert rotated_cost(spec, cfg_ic, unreachable, unreachable) == INF
