@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -122,9 +123,13 @@ class RunConfig:
 
 def _parse_point(text: str) -> tuple[float, float]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected 'x1,x2', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    try:
+        point = tuple(float(p) for p in parts)
+    except ValueError:
+        point = ()
+    if len(point) != 2 or not all(math.isfinite(v) for v in point):
+        raise ConfigError(f"expected two finite numbers 'x1,x2', got {text!r}")
+    return point
 
 
 def _parse_box(text: str) -> IntervalBox:
@@ -220,10 +225,6 @@ def _cmd_sweep(run: RunConfig, args) -> int:
     ]
     _write_output(_csv(rows, ["z1", "z2", "u0", "objective", "status"]), args.output or run.output_path)
     return 0
-
-
-def _trace_csv_rows(trace) -> list[dict]:
-    return trace.csv_rows()
 
 
 def _cmd_simulate(run: RunConfig, args) -> int:

@@ -12,6 +12,14 @@ the active rows are identified, the equality-constrained KKT system is solved
 by least squares, and multipliers are recovered by nonnegative least squares.
 A polished solution is accepted only if the full KKT residual passes the
 solver tolerance, so an ``OPTIMAL`` status always carries a certificate.
+The polish depends on the problem and the active set only, so each active set
+is polished at most once per solve; a repeat would fail again.
+
+The ADMM system matrix is LU-factored once per rho value (and cached across
+solves of the same structure); each iteration is one LAPACK ``getrs`` solve.
+All data must be finite: :class:`QpProblem` rejects NaN anywhere and every
+infinity except the vacuous ones (``-inf`` in ``lb``, ``+inf`` in ``ub`` and
+``bin``).
 
 Primal infeasibility and unboundedness are detected from the divergence
 certificates of the ADMM iterates (the standard operator-splitting tests on
@@ -30,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrs
 from scipy.optimize import nnls
 
 __all__ = [
@@ -98,6 +107,8 @@ class QpProblem:
         n = g.size
         if H.shape != (n, n):
             raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
+        if not np.all(np.isfinite(H)):
+            raise ValueError("H must be finite")
         if np.max(np.abs(H - H.T), initial=0.0) > 1e-12:
             raise ValueError("H must be symmetric within 1e-12")
         object.__setattr__(self, "H", H)
@@ -121,6 +132,18 @@ class QpProblem:
                 if v.size != n:
                     raise ValueError(f"{name} has length {v.size}, expected {n}")
                 object.__setattr__(self, name, v)
+        # non-finite data is rejected here, so the solver never sees it:
+        # only the vacuous infinities (-inf in lb, +inf in ub and bin) pass
+        if not np.isfinite(self.c0):
+            raise ValueError("c0 must be finite")
+        for name in ("g", "Aeq", "beq", "Ain"):
+            v = getattr(self, name)
+            if v is not None and not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
+        for name, bad in (("lb", _INF), ("ub", -_INF), ("bin", -_INF)):
+            v = getattr(self, name)
+            if v is not None and (np.any(np.isnan(v)) or np.any(v == bad)):
+                raise ValueError(f"{name} must not contain NaN or {bad}")
         if self.lb is not None and self.ub is not None and np.any(self.lb > self.ub):
             raise ValueError("lb must be <= ub componentwise")
 
@@ -206,6 +229,12 @@ class _RowForm:
         self.m = self.A.shape[0]
         self.eq_mask = np.zeros(self.m, dtype=bool)
         self.eq_mask[: self.n_eq] = True
+        # the polish's view of the rows, fixed for the whole solve
+        self.pinned = (self.u - self.l) < 1e-14
+        self.l_finite = np.isfinite(self.l)
+        self.u_finite = np.isfinite(self.u)
+        self.l_scale = 1.0 + np.where(self.l_finite, np.abs(self.l), 0.0)
+        self.u_scale = 1.0 + np.where(self.u_finite, np.abs(self.u), 0.0)
 
     def split_multipliers(self, y: np.ndarray, n: int):
         """Map row duals to (eq, ineq, lb, ub) block multipliers."""
@@ -241,8 +270,10 @@ def _kkt_residual(qp: QpProblem, x, lam, mu, mu_lb, mu_ub) -> float:
         slack = qp.bin - qp.Ain @ x
         res = max(res, float(np.max(-slack, initial=0.0)))
         if mu is not None:
+            fin = np.isfinite(qp.bin)
             res = max(res, float(np.max(-mu, initial=0.0)))
-            res = max(res, float(np.max(np.abs(mu * slack), initial=0.0)))
+            res = max(res, float(np.max(np.abs(mu[fin] * slack[fin]), initial=0.0)))
+            res = max(res, float(np.max(mu[~fin], initial=0.0)))
     if qp.ub is not None and mu_ub is not None:
         s = qp.ub - x
         fin = np.isfinite(qp.ub)
@@ -279,17 +310,26 @@ def verify_kkt(qp: QpProblem, sol: QpSolution, tol: float) -> bool:
 # polish
 
 
-def _try_polish(H, g, A, l, u, z, y, slack_tol, dual_tol, feas_tol):
-    n = H.shape[0]
-    m = A.shape[0]
-    eq = (u - l) < 1e-14
-    labs = np.where(np.isfinite(l), np.abs(l), 0.0)
-    uabs = np.where(np.isfinite(u), np.abs(u), 0.0)
-    low = (~eq) & ((y < -dual_tol) | (z - l < slack_tol * (1.0 + labs))) & np.isfinite(l)
-    upp = (~eq) & ((y > dual_tol) | (u - z < slack_tol * (1.0 + uabs))) & np.isfinite(u)
+def _active_masks(rows: _RowForm, z, y, slack_tol, dual_tol):
+    """Rows the polish treats as active at their lower / upper bound."""
+    free = ~rows.pinned
+    low = free & ((y < -dual_tol) | (z - rows.l < slack_tol * rows.l_scale)) & rows.l_finite
+    upp = free & ((y > dual_tol) | (rows.u - z < slack_tol * rows.u_scale)) & rows.u_finite
     both = low & upp
     low &= ~(both & (y >= 0))
     upp &= ~(both & (y < 0))
+    return low, upp
+
+
+def _try_polish(H, g, rows: _RowForm, low, upp, feas_tol):
+    """Solve the KKT system of one active set; None if it does not verify.
+
+    The result depends on the problem and the masks only, so a solve never
+    needs to try the same ``(low, upp)`` pair twice.
+    """
+    A, l, u, eq = rows.A, rows.l, rows.u, rows.pinned
+    n = H.shape[0]
+    m = A.shape[0]
     act = np.where(low | upp | eq)[0]
     k = act.size
     b_act = np.where(eq[act] | upp[act], u[act], l[act])
@@ -400,25 +440,35 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS,
             )
 
     rho = np.where(rows.eq_mask, settings.rho_eq_scale * settings.rho, settings.rho)
-    lu = _initial_factor(qp.H, A, settings.sigma, rho)
+    lu, piv = _initial_factor(qp.H, A, settings.sigma, rho)
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if x0 is None:
+        x = np.zeros(n)
+    else:
+        x = np.asarray(x0, dtype=float).copy()
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x0 must be finite")
     z = np.clip(A @ x, l, u)
     y = np.zeros(m)
     rhs = np.empty(n + m)
     check_every = min(settings.check_every, 10) if n + m < 40 else settings.check_every
     sig, alph = settings.sigma, settings.alpha
+    # (low, upp) signatures already polished in this solve; each one failed
+    tried_sets = set()
 
     for it in range(1, settings.max_iter + 1):
+        y_rho = y / rho
         rhs[:n] = sig * x - qp.g
-        rhs[n:] = z - y / rho
-        sol_vec = sla.lu_solve(lu, rhs)
+        rhs[n:] = z - y_rho
+        # LAPACK getrs on the cached factors: lu_solve would only add input
+        # checks, and QpProblem and x0 are checked finite up front
+        sol_vec, _ = dgetrs(lu, piv, rhs)
         x_t = sol_vec[:n]
         nu = sol_vec[n:]
         z_t = z + (nu - y) / rho
         x_new = alph * x_t + (1.0 - alph) * x
         z_rel = alph * z_t + (1.0 - alph) * z
-        z_new = np.clip(z_rel + y / rho, l, u)
+        z_new = np.minimum(np.maximum(z_rel + y_rho, l), u)
         y_new = y + rho * (z_rel - z_new)
         dx = x_new - x
         dy = y_new - y
@@ -432,7 +482,12 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS,
 
         if r_prim < settings.polish_gate_prim and r_dual < settings.polish_gate_dual:
             for st, dt in ((1e-6, 1e-6), (1e-5, 1e-7), (1e-4, 1e-5)):
-                pol = _try_polish(qp.H, qp.g, A, l, u, z, y, st, dt, settings.feas_tol)
+                low, upp = _active_masks(rows, z, y, st, dt)
+                signature = low.tobytes() + upp.tobytes()
+                if signature in tried_sets:
+                    continue
+                tried_sets.add(signature)
+                pol = _try_polish(qp.H, qp.g, rows, low, upp, settings.feas_tol)
                 if pol is None:
                     continue
                 xp, yp = pol
@@ -486,7 +541,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS,
             if ratio > 5.0 or ratio < 0.2:
                 scale = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
                 rho = np.where(rows.eq_mask, rho, np.clip(rho * scale, 1e-4, 1e4))
-                lu = _factor(qp.H, A, settings.sigma, rho)
+                lu, piv = _factor(qp.H, A, settings.sigma, rho)
 
     return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=settings.max_iter)
 

@@ -17,7 +17,6 @@ from .problem import ProblemSpec
 
 __all__ = [
     "random_box_within",
-    "random_subbox",
     "random_superbox",
     "monotone_cone_box",
     "monotone_cone_superbox",
@@ -36,10 +35,6 @@ def random_box_within(rng: np.random.Generator, outer: IntervalBox) -> IntervalB
     i1 = _sorted_pair(rng, outer.lo[0], outer.hi[0])
     i2 = _sorted_pair(rng, outer.lo[1], outer.hi[1])
     return IntervalBox.from_intervals(i1, i2)
-
-
-def random_subbox(rng: np.random.Generator, box: IntervalBox) -> IntervalBox:
-    return random_box_within(rng, box)
 
 
 def random_superbox(rng: np.random.Generator, box: IntervalBox, outer: IntervalBox) -> IntervalBox:

@@ -4,15 +4,17 @@ Each solve optimizes a horizon of boxes chained by the transition rows, the
 measured state pinned into the first box and the last box tied to a terminal
 invariant box (corner equality by default).  The applied control ``u0`` is a
 decision variable constrained to drive the measured state into the second box
-for every disturbance; since the cost does not depend on it, the reported
-``u0`` is selected in a second stage as the minimum-magnitude feasible value
-for the already-optimal tube.  This two-stage rule keeps the tube exact and
-the control deterministic; the feasible control window is reported alongside
-so callers can tell forced values from tie-broken ones.
+for every disturbance.  The cost does not depend on it, so its value in the
+QP solution is arbitrary; the reported ``u0`` is recomputed in closed form
+from the optimal tube instead: the window ``[lo, hi]`` of controls that drive
+the state into the second box, clamped towards zero as
+``min(max(0, lo), hi)``.  The window is reported alongside so callers can
+tell forced values from tie-broken ones.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,9 +61,7 @@ class TubeMpcConfig:
     """Controller options.
 
     ``terminal_set`` and ``storage`` default to the optimal invariant box and
-    the reference storage candidate when left as None.  ``tie_break_epsilon``
-    is the weight of the control-magnitude regularization; the two-stage
-    solve makes the selected control independent of its exact positive value.
+    the reference storage candidate when left as None.
     """
 
     horizon: int = 2
@@ -69,13 +69,10 @@ class TubeMpcConfig:
     terminal_set: Optional[IntervalBox] = None
     storage: Optional[StorageFunction] = None
     terminal_equality: bool = True
-    tie_break_epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.tie_break_epsilon <= 0:
-            raise ConfigError("tie_break_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,9 @@ def solve_tmpc(
     """Solve the horizon problem at measured state z and extract the control."""
     terminal, storage = _resolved(spec, cfg)
     n = cfg.horizon
-    xb = spec.x_bounds
     z1, z2 = float(z[0]), float(z[1])
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        raise ConfigError(f"state must be finite, got {tuple(z)}")
 
     builder = QpBuilder()
     corner_slots: list[Sequence] = []
@@ -213,7 +211,8 @@ def solve_tmpc(
     tube = []
     for slots in corner_slots:
         corners = [sol.x[s] if isinstance(s, int) else s for s in slots]
-        tube.append(IntervalBox.from_corners(corners, snap_tol=1e-9))
+        # the solver accepts rows violated by up to feas_tol, corner order included
+        tube.append(IntervalBox.from_corners(corners, snap_tol=settings.feas_tol))
 
     b_box = tube[1].corners()
     lo = max(b_box[0], b_box[2] - spec.alpha * z2 - spec.w_lo, spec.u_lo)

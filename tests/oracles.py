@@ -3,17 +3,31 @@
 These deliberately avoid the code paths they check: the Hausdorff oracle
 samples one box densely and measures exact point-to-box distances, the
 transition oracle eliminates the control pointwise in the x2 coordinate, the
-transition QP oracle hands the edge-control rows to the QP solver, and the
-invariant-box oracle is a coarse-to-fine grid search over corner vectors.
+transition QP oracle hands the edge-control rows to the QP solver, the
+invariant-box oracle is a coarse-to-fine grid search over corner vectors, and
+the ADMM reference is the QP solver's iteration written out the plain way.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Optional
 
+import numpy as np
+import scipy.linalg as sla
+from scipy.optimize import nnls
+
+from tube_dissip import qp_solver
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec, build_g_block
-from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpBuilder, QpStatus, SolverSettings, solve
+from tube_dissip.qp_solver import (
+    DEFAULT_SETTINGS,
+    QpBuilder,
+    QpProblem,
+    QpSolution,
+    QpStatus,
+    SolverSettings,
+    solve,
+)
 
 
 def _axis_grid(lo: float, hi: float, res: float) -> np.ndarray:
@@ -215,3 +229,165 @@ def relaxed_certificate_grid_min(spec: ProblemSpec, linear_coeffs, step: float =
     a4 = a_axis
     f4 = (q[3] + ell[3]) * a4 + d[3] * a4**2
     return best_tail + best12 + float(np.min(f4))
+
+
+def _reference_polish(H, g, A, l, u, z, y, slack_tol, dual_tol, feas_tol):
+    """One polish attempt: active set from (z, y), KKT solve, NNLS multipliers."""
+    n = H.shape[0]
+    m = A.shape[0]
+    eq = (u - l) < 1e-14
+    labs = np.where(np.isfinite(l), np.abs(l), 0.0)
+    uabs = np.where(np.isfinite(u), np.abs(u), 0.0)
+    low = (~eq) & ((y < -dual_tol) | (z - l < slack_tol * (1.0 + labs))) & np.isfinite(l)
+    upp = (~eq) & ((y > dual_tol) | (u - z < slack_tol * (1.0 + uabs))) & np.isfinite(u)
+    both = low & upp
+    low &= ~(both & (y >= 0))
+    upp &= ~(both & (y < 0))
+    act = np.where(low | upp | eq)[0]
+    k = act.size
+    b_act = np.where(eq[act] | upp[act], u[act], l[act])
+    Aa = A[act]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = H
+    kkt[:n, n:] = Aa.T
+    kkt[n:, :n] = Aa
+    sol_vec, *_ = np.linalg.lstsq(kkt, np.concatenate([-g, b_act]), rcond=None)
+    xp = sol_vec[:n]
+    if not np.all(np.isfinite(xp)):
+        return None
+    Ax = A @ xp
+    if max(np.max(Ax - u, initial=0.0), np.max(l - Ax, initial=0.0)) > feas_tol:
+        return None
+    if k and np.max(np.abs(Aa @ xp - b_act)) > 10 * feas_tol:
+        return None
+    if k:
+        sign = np.where(upp[act], 1.0, np.where(eq[act], 1.0, -1.0))
+        cols = Aa.T * sign
+        eq_act = eq[act]
+        if np.any(eq_act):
+            cols = np.hstack([cols, -Aa.T[:, eq_act]])
+        mu_nn, _ = nnls(cols, -(H @ xp + g))
+        y_act = sign * mu_nn[:k]
+        if np.any(eq_act):
+            y_act[eq_act] -= mu_nn[k:]
+        stat = float(np.max(np.abs(H @ xp + g + Aa.T @ y_act), initial=0.0))
+    else:
+        y_act = np.zeros(0)
+        stat = float(np.max(np.abs(H @ xp + g), initial=0.0))
+    if stat > feas_tol:
+        return None
+    y_full = np.zeros(m)
+    y_full[act] = y_act
+    return xp, y_full
+
+
+def admm_reference(
+    qp: QpProblem,
+    settings: SolverSettings = DEFAULT_SETTINGS,
+    x0: Optional[np.ndarray] = None,
+) -> QpSolution:
+    """The solver's ADMM loop without its shortcuts, as an exactness oracle.
+
+    Same iteration, check cadence, polish tiers and rho updates as
+    ``qp_solver.solve``, but every step is spelled out: ``scipy.linalg.lu_solve``
+    with its input checks, ``np.clip``, a fresh factorization instead of the
+    factor cache, and every polish tier attempted at every check, even on an
+    active set that already failed.  ``solve`` must match it bitwise.
+    """
+    rows = qp_solver._RowForm(qp)
+    n, m = qp.n, rows.m
+    A, l, u = rows.A, rows.l, rows.u
+    if m == 0:
+        return qp_solver._solve_unconstrained(qp, settings)
+    zero_rows = ~np.any(A != 0.0, axis=1)
+    bad = zero_rows & ((l > settings.feas_tol) | (u < -settings.feas_tol))
+    if np.any(bad):
+        i = int(np.where(bad)[0][0])
+        ray = np.zeros(m)
+        ray[i] = 1.0 if u[i] < 0 else -1.0
+        lam, mu, mu_lb, mu_ub = rows.split_multipliers(ray, n)
+        return QpSolution(
+            status=QpStatus.INFEASIBLE,
+            infeasibility_certificate={"eq": lam, "ineq": mu, "lb": mu_lb, "ub": mu_ub},
+        )
+
+    def factor(rho):
+        kkt = np.zeros((n + m, n + m))
+        kkt[:n, :n] = qp.H + settings.sigma * np.eye(n)
+        kkt[:n, n:] = A.T
+        kkt[n:, :n] = A
+        kkt[n:, n:] = -np.diag(1.0 / rho)
+        return sla.lu_factor(kkt)
+
+    rho = np.where(rows.eq_mask, settings.rho_eq_scale * settings.rho, settings.rho)
+    lu = factor(rho)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    z = np.clip(A @ x, l, u)
+    y = np.zeros(m)
+    check_every = min(settings.check_every, 10) if n + m < 40 else settings.check_every
+    sig, alph = settings.sigma, settings.alpha
+
+    for it in range(1, settings.max_iter + 1):
+        sol_vec = sla.lu_solve(lu, np.concatenate([sig * x - qp.g, z - y / rho]))
+        x_t = sol_vec[:n]
+        nu = sol_vec[n:]
+        z_t = z + (nu - y) / rho
+        x_new = alph * x_t + (1.0 - alph) * x
+        z_rel = alph * z_t + (1.0 - alph) * z
+        z_new = np.clip(z_rel + y / rho, l, u)
+        y_new = y + rho * (z_rel - z_new)
+        dx = x_new - x
+        dy = y_new - y
+        x, z, y = x_new, z_new, y_new
+
+        if it % check_every and it != settings.max_iter:
+            continue
+
+        r_prim = float(np.max(np.abs(A @ x - z), initial=0.0))
+        r_dual = float(np.max(np.abs(qp.H @ x + qp.g + A.T @ y), initial=0.0))
+
+        if r_prim < settings.polish_gate_prim and r_dual < settings.polish_gate_dual:
+            for st, dt in ((1e-6, 1e-6), (1e-5, 1e-7), (1e-4, 1e-5)):
+                pol = _reference_polish(qp.H, qp.g, A, l, u, z, y, st, dt, settings.feas_tol)
+                if pol is None:
+                    continue
+                xp, yp = pol
+                lam, mu, mu_lb, mu_ub = rows.split_multipliers(yp, n)
+                res = qp_solver._kkt_residual(qp, xp, lam, mu, mu_lb, mu_ub)
+                if res <= settings.kkt_tol:
+                    return QpSolution(
+                        status=QpStatus.OPTIMAL, x=xp, objective=qp.objective_value(xp),
+                        eq_multipliers=lam, ineq_multipliers=mu, lb_multipliers=mu_lb,
+                        ub_multipliers=mu_ub, kkt_residual=res, iterations=it, polished=True,
+                    )
+
+        if r_prim < settings.feas_tol and r_dual < settings.kkt_tol:
+            lam, mu, mu_lb, mu_ub = rows.split_multipliers(y, n)
+            res = qp_solver._kkt_residual(qp, x, lam, mu, mu_lb, mu_ub)
+            if res <= 10 * settings.kkt_tol:
+                return QpSolution(
+                    status=QpStatus.OPTIMAL, x=x.copy(), objective=qp.objective_value(x),
+                    eq_multipliers=lam, ineq_multipliers=mu, lb_multipliers=mu_lb,
+                    ub_multipliers=mu_ub, kkt_residual=res, iterations=it,
+                )
+
+        cert = qp_solver._primal_infeasibility_cert(A, l, u, dy, settings.cert_tol, settings.feas_tol)
+        if cert is not None:
+            lam, mu, mu_lb, mu_ub = rows.split_multipliers(cert, n)
+            return QpSolution(
+                status=QpStatus.INFEASIBLE,
+                iterations=it,
+                infeasibility_certificate={"eq": lam, "ineq": mu, "lb": mu_lb, "ub": mu_ub},
+            )
+        ray = qp_solver._dual_infeasibility_cert(qp.H, qp.g, A, l, u, dx, settings.cert_tol)
+        if ray is not None:
+            return QpSolution(status=QpStatus.UNBOUNDED, iterations=it, unbounded_ray=ray)
+
+        if it % 100 == 0 and it < settings.max_iter // 2:
+            ratio = r_prim / max(r_dual, 1e-12)
+            if ratio > 5.0 or ratio < 0.2:
+                scale = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
+                rho = np.where(rows.eq_mask, rho, np.clip(rho * scale, 1e-4, 1e4))
+                lu = factor(rho)
+
+    return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=settings.max_iter)

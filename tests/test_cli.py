@@ -99,6 +99,14 @@ class TestControl:
         assert code == 1
         assert json.loads(out)["status"] == "infeasible"
 
+    @pytest.mark.parametrize("z", ["nan,0", "inf,0", "0,-inf", "a,0", "1,2,3"])
+    def test_bad_state_usage_error(self, capsys, z):
+        code, out, err = run_cli(capsys, "control", f"--z={z}")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+        assert "'x1,x2'" in err  # rejected while parsing, before any solve
+
 
 class TestSweep:
     def test_csv_schema_and_values(self, capsys):

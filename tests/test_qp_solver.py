@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from tube_dissip import cost_to_travel, dissipativity, qp_solver, tube_mpc
+from tube_dissip.dissipativity import StorageFunction
+from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.qp_solver import (
     QpBuilder,
     QpProblem,
@@ -13,6 +16,11 @@ from tube_dissip.qp_solver import (
     solve,
     verify_kkt,
 )
+from tube_dissip.sampling import feasible_chain, random_box_within
+from tube_dissip.tube_mpc import TubeMpcConfig, solve_tmpc
+
+from . import oracles
+from .oracles import admm_reference
 
 INF = float("inf")
 
@@ -92,6 +100,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             QpProblem(H=np.eye(1), g=[0.0], Aeq=[[1.0]])
 
+    @pytest.mark.parametrize("name", ["H", "g", "Aeq", "beq", "Ain", "bin", "lb", "ub"])
+    def test_nan_rejected_in_every_array(self, name):
+        data = dict(H=np.eye(1), g=[0.0], Aeq=[[1.0]], beq=[0.0], Ain=[[1.0]], bin=[1.0],
+                    lb=[-1.0], ub=[1.0])
+        data[name] = np.full_like(np.asarray(data[name], dtype=float), np.nan)
+        with pytest.raises(ValueError, match=name):
+            QpProblem(**data)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("H", INF), ("g", -INF), ("Aeq", INF), ("beq", INF), ("Ain", -INF),
+         ("bin", -INF), ("lb", INF), ("ub", -INF), ("c0", INF)],
+    )
+    def test_non_vacuous_infinity_rejected(self, name, value):
+        data = dict(H=np.eye(1), g=[0.0], Aeq=[[1.0]], beq=[0.0], Ain=[[1.0]], bin=[1.0])
+        data[name] = value if name == "c0" else np.full_like(
+            np.asarray(data.get(name, [0.0]), dtype=float), value
+        )
+        with pytest.raises(ValueError, match=name):
+            QpProblem(**data)
+
+    @pytest.mark.filterwarnings("error")
+    def test_vacuous_infinities_accepted(self):
+        qp = QpProblem(H=[[2.0]], g=[0.0], Ain=[[1.0], [-1.0]], bin=[INF, 1.0],
+                       lb=[-INF], ub=[INF])
+        sol = solve(qp)
+        assert sol.status is QpStatus.OPTIMAL
+        assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_non_finite_start_rejected(self):
+        with pytest.raises(ValueError, match="x0"):
+            solve(qp_1d_bound(), x0=[np.nan])
+
 
 class TestCertificates:
     def test_verify_kkt_on_solution(self):
@@ -126,6 +167,14 @@ def random_qp(rng, n=6, m=8, strictly_convex=True) -> QpProblem:
     return QpProblem(H=H, g=g, Ain=Ain, bin=bin_, lb=np.full(n, -10.0), ub=np.full(n, 10.0))
 
 
+def random_lp(rng, n=4, m=7) -> QpProblem:
+    g = rng.normal(size=n)
+    Ain = rng.normal(size=(m, n))
+    bin_ = Ain @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=m)  # feasible
+    return QpProblem(H=np.zeros((n, n)), g=g, Ain=Ain, bin=bin_,
+                     lb=np.full(n, -5.0), ub=np.full(n, 5.0))
+
+
 class TestRandomProblems:
     def test_random_strictly_convex_soundness(self, rng):
         for _ in range(40):
@@ -137,13 +186,8 @@ class TestRandomProblems:
 
     def test_random_lps_match_reference_solver(self, rng):
         for _ in range(30):
-            n, m = 4, 7
-            g = rng.normal(size=n)
-            Ain = rng.normal(size=(m, n))
-            bin_ = Ain @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=m)
-            qp = QpProblem(H=np.zeros((n, n)), g=g, Ain=Ain, bin=bin_,
-                           lb=np.full(n, -5.0), ub=np.full(n, 5.0))
-            ref = linprog(g, A_ub=Ain, b_ub=bin_, bounds=[(-5, 5)] * n, method="highs")
+            qp = random_lp(rng)
+            ref = linprog(qp.g, A_ub=qp.Ain, b_ub=qp.bin, bounds=[(-5, 5)] * qp.n, method="highs")
             sol = solve(qp)
             assert ref.status == 0 and sol.status is QpStatus.OPTIMAL
             assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
@@ -249,3 +293,126 @@ def test_debug_dump_round_trips_matrices(rng):
     np.testing.assert_allclose(np.array(obj["Ain"]), qp.Ain)
     np.testing.assert_allclose(np.array(obj["g"]), qp.g)
     assert obj["Aeq"] is None
+
+
+def captured_qps(monkeypatch, module, run) -> list[QpProblem]:
+    """The QPs that ``run()`` hands to ``module.solve``."""
+    seen = []
+
+    def recording_solve(qp, settings=qp_solver.DEFAULT_SETTINGS, x0=None):
+        seen.append(qp)
+        return solve(qp, settings, x0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "solve", recording_solve)
+        run()
+    return seen
+
+
+def tube_qps(monkeypatch, spec):
+    # a 7x7 grid over the state bounds and two infeasible states beyond them
+    grid = [(z1, z2) for z1 in np.linspace(-5, 5, 7) for z2 in np.linspace(-5, 5, 7)]
+
+    def run():
+        for cfg in (TubeMpcConfig(use_initial_cost=True), TubeMpcConfig(use_initial_cost=False)):
+            for z in grid + [(-5.5, 0.0), (0.0, 5.5)]:
+                solve_tmpc(spec, cfg, z)
+
+    return captured_qps(monkeypatch, tube_mpc, run)
+
+
+def eval_v2_qps(monkeypatch, spec, rng, count=25):
+    def run():
+        for _ in range(count):
+            chain = feasible_chain(spec, rng, 2)
+            cost_to_travel.eval_v(spec, chain[0], chain[2], 2)
+            a = random_box_within(rng, spec.x_bounds)
+            b = random_box_within(rng, spec.x_bounds)
+            cost_to_travel.eval_v(spec, a, b, 2)
+
+    return captured_qps(monkeypatch, cost_to_travel, run)
+
+
+def separability_qps(monkeypatch, spec, rng, count=20):
+    def run():
+        dissipativity.verify_separability(spec, StorageFunction.reference())
+        for _ in range(count):
+            coeffs = tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=4))
+            dissipativity.verify_separability(spec, StorageFunction(offset=0.0, linear_coeffs=coeffs))
+
+    return captured_qps(monkeypatch, dissipativity, run)
+
+
+def assert_matches_reference(qp: QpProblem, x0=None):
+    got = solve(qp, x0=x0)
+    want = admm_reference(qp, x0=x0)
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert got.polished == want.polished
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.objective == want.objective
+
+
+class TestExactness:
+    """``solve`` follows the plain ADMM iteration bit for bit."""
+
+    def test_random_qps_and_lps(self, rng):
+        for _ in range(30):
+            assert_matches_reference(random_qp(rng))
+            assert_matches_reference(random_lp(rng))
+            assert_matches_reference(random_qp(rng, strictly_convex=False))
+        for _ in range(5):
+            qp = random_qp(rng)
+            assert_matches_reference(qp, x0=rng.normal(size=qp.n) * 5)
+
+    def test_tube_qps_on_a_state_grid(self, spec, monkeypatch):
+        qps = tube_qps(monkeypatch, spec)
+        assert len(qps) == 102
+        assert {sol.status for sol in map(solve, qps)} == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
+        for qp in qps:
+            assert_matches_reference(qp)
+
+    def test_separability_qps(self, spec, rng, monkeypatch):
+        qps = separability_qps(monkeypatch, spec, rng)
+        assert {sol.status for sol in map(solve, qps)} == {QpStatus.OPTIMAL, QpStatus.UNBOUNDED}
+        for qp in qps:
+            assert_matches_reference(qp)
+
+    def test_two_step_cost_to_travel_qps(self, spec, rng, monkeypatch):
+        qps = eval_v2_qps(monkeypatch, spec, rng)
+        assert len(qps) == 50
+        for qp in qps:
+            assert_matches_reference(qp)
+
+
+def test_each_active_set_polished_at_most_once_per_solve(spec, rng, monkeypatch):
+    qps = eval_v2_qps(monkeypatch, spec, rng) + tube_qps(monkeypatch, spec)
+    real_polish = qp_solver._try_polish
+    signatures = []
+
+    def counting_polish(H, g, rows, low, upp, feas_tol):
+        signatures.append(low.tobytes() + upp.tobytes())
+        return real_polish(H, g, rows, low, upp, feas_tol)
+
+    real_reference_polish = oracles._reference_polish
+    reference_attempts = 0
+
+    def counting_reference_polish(*args):
+        nonlocal reference_attempts
+        reference_attempts += 1
+        return real_reference_polish(*args)
+
+    monkeypatch.setattr(qp_solver, "_try_polish", counting_polish)
+    monkeypatch.setattr(oracles, "_reference_polish", counting_reference_polish)
+    attempts = 0
+    for qp in qps:
+        signatures.clear()
+        solve(qp)
+        assert len(signatures) == len(set(signatures))
+        attempts += len(signatures)
+        admm_reference(qp)
+    # the memo is exercised: without it the same solves polish more often
+    assert 0 < attempts < reference_attempts

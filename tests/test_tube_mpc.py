@@ -1,14 +1,16 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tube_dissip import tube_mpc
 from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
 from tube_dissip.problem import ConfigError, dynamics, transition_feasible
-from tube_dissip.qp_solver import QpStatus
+from tube_dissip.qp_solver import QpStatus, verify_kkt
 from tube_dissip.tube_mpc import (
     ControllerInfeasible,
     TubeMpcConfig,
@@ -109,6 +111,34 @@ class TestSolveTmpc:
         assert sol.feasible
         assert len(sol.tube) == 2
         assert sol.u0 == pytest.approx(-1.0, abs=1e-8)
+
+    def test_snaps_corners_inverted_within_feas_tol(self, spec, cfg_noic, monkeypatch):
+        # the solver accepts rows violated by up to feas_tol, the corner
+        # order b1 <= b2 included; such an inversion reads back as a
+        # degenerate interval, not as an empty one
+        real_solve = tube_mpc.solve
+        seen = []
+
+        def inverted_solve(qp, settings):
+            sol = real_solve(qp, settings)
+            x = sol.x.copy()
+            x[4] = x[5] + 5e-9  # second box's corners (b1, b2) are x[4], x[5]
+            sol = replace(sol, x=x)
+            assert verify_kkt(qp, sol, settings.feas_tol)
+            seen.append(sol)
+            return sol
+
+        monkeypatch.setattr(tube_mpc, "solve", inverted_solve)
+        sol = solve_tmpc(spec, cfg_noic, (-1.0, -2.0))
+        assert seen and sol.status is QpStatus.OPTIMAL
+        lo1, hi1 = sol.tube[1].lo[0], sol.tube[1].hi[0]
+        assert lo1 == hi1 == pytest.approx(-2.0, abs=1e-8)
+        assert sol.u0_interval[0] == sol.u0_interval[1] == pytest.approx(-2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("z", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
+    def test_non_finite_state_rejected(self, spec, cfg_ic, z):
+        with pytest.raises(ConfigError, match="finite"):
+            solve_tmpc(spec, cfg_ic, z)
 
     def test_json_round_trip(self, spec, cfg_ic):
         sol = solve_tmpc(spec, cfg_ic, (1.0, 1.0))
