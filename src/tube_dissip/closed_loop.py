@@ -24,7 +24,7 @@ from .dissipativity import eval_storage
 from .interval_sets import IntervalBox, contains, hausdorff, subset
 from .problem import ProblemSpec, dynamics
 from .qp_solver import DEFAULT_SETTINGS, SolverSettings
-from .tube_mpc import TubeMpcConfig, solve_tmpc, _resolved
+from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _resolved
 
 __all__ = [
     "ExtremePolicy",
@@ -73,6 +73,7 @@ class AdversarialPolicy:
 
     One-step lookahead: both extreme candidates are simulated and the next
     controller problem solved for each; ties resolve to the lower extreme.
+    The chosen candidate's solution serves as the next step's.
     The restriction to extremes is a documented assumption for this
     scalar-disturbance affine family.
     """
@@ -186,9 +187,12 @@ def simulate(
     y = (float(y0[0]), float(y0[1]))
     records: list[TraceStep] = []
     failure = None
+    # the adversarial lookahead has already solved at the state it picks
+    sol = None
 
     for k in range(steps + 1):
-        sol = solve_tmpc(spec, cfg, y, settings)
+        if sol is None:
+            sol = solve_tmpc(spec, cfg, y, settings)
         if not sol.feasible:
             failure = k
             break
@@ -203,12 +207,13 @@ def simulate(
             )
             break
         u = sol.u0
-        w = _draw_disturbance(spec, cfg, policy, rng, k, y, u, settings)
+        w, next_sol = _draw_disturbance(spec, cfg, policy, rng, k, y, u, settings)
         records.append(
             TraceStep(k=k, y=y, tube=sol.tube, enclosure=enclosure,
                       dist_to_terminal=dist, lyapunov=lyap, rotated_legs=legs, u=u, w=w)
         )
         y = dynamics(spec, y, u, w)
+        sol = next_sol
 
     return SimulationTrace(
         y0=(float(y0[0]), float(y0[1])),
@@ -218,23 +223,24 @@ def simulate(
     )
 
 
-def _draw_disturbance(spec, cfg, policy, rng, k, y, u, settings) -> float:
+def _draw_disturbance(spec, cfg, policy, rng, k, y, u, settings) -> tuple[float, Optional[TubeSolution]]:
+    """The disturbance of step k, and the controller's solution at the next state if solved."""
     if isinstance(policy, ExtremePolicy):
         sign = policy.signs[k % len(policy.signs)]
-        return spec.w_hi if sign > 0 else spec.w_lo
+        return (spec.w_hi if sign > 0 else spec.w_lo), None
     if isinstance(policy, UniformRandomPolicy):
-        return float(rng.uniform(spec.w_lo, spec.w_hi))
+        return float(rng.uniform(spec.w_lo, spec.w_hi)), None
     if isinstance(policy, AdversarialPolicy):
         x_star, _ = optimal_rci(spec, settings)
-        best_w = spec.w_lo
+        best_w, best_sol = spec.w_lo, None
         best_d = -_INF
         for w in (spec.w_lo, spec.w_hi):
             y_next = dynamics(spec, y, u, w)
             nxt = solve_tmpc(spec, cfg, y_next, settings)
             d = hausdorff(nxt.tube[0], x_star) if nxt.feasible else _INF
             if d > best_d:
-                best_d, best_w = d, w
-        return best_w
+                best_d, best_w, best_sol = d, w, nxt
+        return best_w, best_sol
     raise TypeError(f"unknown policy {policy!r}")
 
 

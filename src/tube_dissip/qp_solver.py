@@ -470,12 +470,15 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS,
         z_rel = alph * z_t + (1.0 - alph) * z
         z_new = np.minimum(np.maximum(z_rel + y_rho, l), u)
         y_new = y + rho * (z_rel - z_new)
+
+        if it % check_every and it != settings.max_iter:
+            x, z, y = x_new, z_new, y_new
+            continue
+
+        # the step differences are read only by the divergence certificates
         dx = x_new - x
         dy = y_new - y
         x, z, y = x_new, z_new, y_new
-
-        if it % check_every and it != settings.max_iter:
-            continue
 
         r_prim = float(np.max(np.abs(A @ x - z), initial=0.0))
         r_dual = float(np.max(np.abs(qp.H @ x + qp.g + A.T @ y), initial=0.0))

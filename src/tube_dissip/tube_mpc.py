@@ -10,23 +10,36 @@ from the optimal tube instead: the window ``[lo, hi]`` of controls that drive
 the state into the second box, clamped towards zero as
 ``min(max(0, lo), hi)``.  The window is reported alongside so callers can
 tell forced values from tie-broken ones.
+
+The program is assembled once per controller (problem, options and solver
+settings), at the centre of the terminal box, and solved there.  The state
+enters it only through the bounds of the first box's corners and the
+right-hand sides of the two control-window rows it appears in; each solve
+copies those, writes the state in, and starts from the centre's solution, so
+the result depends on the controller and the state alone.  Only states
+within the state bounds keep that structure: one beyond them by more than
+``feas_tol`` has no tube and is reported infeasible without a solve, and one
+within ``feas_tol`` of them is solved as the nearest state on them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .cost_to_travel import optimal_rci
 from .dissipativity import StorageFunction
 from .interval_sets import IntervalBox, contains, subset
-from .problem import ConfigError, ProblemSpec, build_g_block, install_slot_row, is_rci
+from .problem import ConfigError, ProblemSpec, build_g_block, is_rci
 from .qp_solver import (
     DEFAULT_SETTINGS,
     QpBuilder,
+    QpProblem,
     QpStatus,
     SolverFailure,
     SolverSettings,
@@ -142,18 +155,21 @@ def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optio
     return terminal, storage
 
 
-def solve_tmpc(
-    spec: ProblemSpec,
-    cfg: TubeMpcConfig,
-    z: Sequence[float],
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> TubeSolution:
-    """Solve the horizon problem at measured state z and extract the control."""
+def _window_bounds(spec: ProblemSpec, z2: float) -> tuple[float, float]:
+    """Right-hand sides of the two control-window rows the state enters."""
+    return spec.alpha * z2 + spec.w_lo, -spec.alpha * z2 - spec.w_hi
+
+
+def _assemble(spec: ProblemSpec, cfg: TubeMpcConfig, z: Sequence[float]):
+    """The tube program at a state z within the state bounds, through QpBuilder.
+
+    Returns the QP, the corner slots of every box (variable indices, or the
+    terminal corners when they are fixed), the edge-control variables of
+    every step, and the variable of the applied control.
+    """
     terminal, storage = _resolved(spec, cfg)
     n = cfg.horizon
     z1, z2 = float(z[0]), float(z[1])
-    if not (math.isfinite(z1) and math.isfinite(z2)):
-        raise ConfigError(f"state must be finite, got {tuple(z)}")
 
     builder = QpBuilder()
     corner_slots: list[Sequence] = []
@@ -185,13 +201,18 @@ def solve_tmpc(
     builder.bound(a0[2], -_INF, z2)
     builder.bound(a0[3], z2, _INF)
 
-    # applied-control window against the second box
+    # applied-control window against the second box: sign * (b[k] - u0) <= hi.
+    # These stay rows even where the second box is the fixed terminal box, so
+    # the applied control's only bounds are U and every state enters the same
+    # two entries of bin.
     u0 = builder.new_var(spec.u_lo, spec.u_hi)
     b = corner_slots[1]
-    install_slot_row(builder, ((b[0], 1.0), (u0, -1.0)), -_INF, 0.0)
-    install_slot_row(builder, ((u0, 1.0), (b[1], -1.0)), -_INF, 0.0)
-    install_slot_row(builder, ((b[2], 1.0), (u0, -1.0)), -_INF, spec.alpha * z2 + spec.w_lo)
-    install_slot_row(builder, ((u0, 1.0), (b[3], -1.0)), -_INF, -spec.alpha * z2 - spec.w_hi)
+    hi_lo, hi_hi = _window_bounds(spec, z2)
+    for k, sign, hi in ((0, 1.0, 0.0), (1, -1.0, 0.0), (2, 1.0, hi_lo), (3, -1.0, hi_hi)):
+        if isinstance(b[k], int):
+            builder.add_row({b[k]: sign, u0: -sign}, -_INF, hi)
+        else:
+            builder.add_row({u0: -sign}, -_INF, hi - sign * b[k])
 
     for k in range(n):
         for i, ix in enumerate(corner_slots[k]):
@@ -202,14 +223,82 @@ def solve_tmpc(
         for i, ix in enumerate(corner_slots[0]):
             builder.add_lin(ix, storage.linear_coeffs[i])
 
-    sol = solve(builder.build(), settings)
+    return builder.build(), tuple(corner_slots), tuple(v_slots), u0
+
+
+class _Template(NamedTuple):
+    """One controller's tube program, assembled once; the state writes six entries."""
+
+    qp: QpProblem
+    corner_slots: tuple[Sequence, ...]
+    v_slots: tuple[Sequence[int], ...]
+    window_rows: tuple[int, int]
+    # what the fixed second-box corner folds out of each window row's bin
+    window_shift: tuple[float, float]
+    x_nom: Optional[np.ndarray]
+
+
+@lru_cache(maxsize=32)
+def _template(spec: ProblemSpec, cfg: TubeMpcConfig, settings: SolverSettings) -> _Template:
+    """The tube program at the centre of the terminal box, and its solution there.
+
+    The state enters the program only through the bounds of the first box's
+    corners and the ``bin`` of the two control-window rows it appears in, so
+    within the state bounds every state shares the rest of the data.  The
+    centre's solution, when there is one, is the start point of every solve.
+    """
+    terminal, _ = _resolved(spec, cfg)
+    centre = tuple(0.5 * (lo + hi) for lo, hi in zip(terminal.lo, terminal.hi))
+    qp, corner_slots, v_slots, u0 = _assemble(spec, cfg, centre)
+    # u0's rows are the four window rows, in the order they were added; its
+    # bounds are U, never in conflict, so the builder adds no bound rows for it
+    window_rows = tuple(int(i) for i in np.flatnonzero(qp.Ain[:, u0])[2:])
+    b = corner_slots[1]
+    window_shift = tuple(0.0 if isinstance(b[k], int) else s * b[k] for k, s in ((2, 1.0), (3, -1.0)))
+    sol = solve(qp, settings)
+    x_nom = sol.x if sol.status is QpStatus.OPTIMAL else None
+    return _Template(qp, corner_slots, v_slots, window_rows, window_shift, x_nom)
+
+
+def _state_qp(spec: ProblemSpec, tmpl: _Template, z1: float, z2: float) -> QpProblem:
+    """The template's program at a state within the state bounds."""
+    qp = tmpl.qp
+    lb, ub, bin_ = qp.lb.copy(), qp.ub.copy(), qp.bin.copy()
+    a1, a2, a3, a4 = tmpl.corner_slots[0]
+    ub[a1], lb[a2], ub[a3], lb[a4] = z1, z1, z2, z2
+    for row, shift, hi in zip(tmpl.window_rows, tmpl.window_shift, _window_bounds(spec, z2)):
+        bin_[row] = hi - shift
+    return replace(qp, lb=lb, ub=ub, bin=bin_)
+
+
+def solve_tmpc(
+    spec: ProblemSpec,
+    cfg: TubeMpcConfig,
+    z: Sequence[float],
+    settings: SolverSettings = DEFAULT_SETTINGS,
+) -> TubeSolution:
+    """Solve the horizon problem at measured state z and extract the control."""
+    z1, z2 = float(z[0]), float(z[1])
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        raise ConfigError(f"state must be finite, got {tuple(z)}")
+    tmpl = _template(spec, cfg, settings)
+
+    # the first box lies within the state bounds, so no tube holds a state
+    # beyond them; one within feas_tol of them is read as on them
+    xb = spec.x_bounds
+    if max(xb.lo[0] - z1, z1 - xb.hi[0], xb.lo[1] - z2, z2 - xb.hi[1]) > settings.feas_tol:
+        return TubeSolution(status=QpStatus.INFEASIBLE)
+    z1 = min(max(z1, xb.lo[0]), xb.hi[0])
+    z2 = min(max(z2, xb.lo[1]), xb.hi[1])
+
+    sol = solve(_state_qp(spec, tmpl, z1, z2), settings, x0=tmpl.x_nom)
     if sol.status is QpStatus.INFEASIBLE:
         return TubeSolution(status=QpStatus.INFEASIBLE)
     if sol.status is not QpStatus.OPTIMAL:
         raise SolverFailure(f"tube solve did not converge: {sol.status}")
 
     tube = []
-    for slots in corner_slots:
+    for slots in tmpl.corner_slots:
         corners = [sol.x[s] if isinstance(s, int) else s for s in slots]
         # the solver accepts rows violated by up to feas_tol, corner order included
         tube.append(IntervalBox.from_corners(corners, snap_tol=settings.feas_tol))
@@ -229,7 +318,7 @@ def solve_tmpc(
         u0=float(u0_val),
         objective=float(sol.objective),
         u0_interval=(float(lo), float(hi)),
-        edge_controls=tuple((float(sol.x[v[0]]), float(sol.x[v[1]])) for v in v_slots),
+        edge_controls=tuple((float(sol.x[v[0]]), float(sol.x[v[1]])) for v in tmpl.v_slots),
     )
 
 

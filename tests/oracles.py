@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: the Hausdorff oracle
 samples one box densely and measures exact point-to-box distances, the
 transition oracle eliminates the control pointwise in the x2 coordinate, the
 transition QP oracle hands the edge-control rows to the QP solver, the
-invariant-box oracle is a coarse-to-fine grid search over corner vectors, and
-the ADMM reference is the QP solver's iteration written out the plain way.
+invariant-box oracle is a coarse-to-fine grid search over corner vectors, the
+ADMM reference is the QP solver's iteration written out the plain way, and the
+tube QP reference assembles the controller's program from scratch at a state.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.optimize import nnls
 
 from tube_dissip import qp_solver
 from tube_dissip.interval_sets import IntervalBox
-from tube_dissip.problem import ProblemSpec, build_g_block
+from tube_dissip.problem import ProblemSpec, build_g_block, install_slot_row
 from tube_dissip.qp_solver import (
     DEFAULT_SETTINGS,
     QpBuilder,
@@ -391,3 +392,53 @@ def admm_reference(
                 lu = factor(rho)
 
     return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=settings.max_iter)
+
+
+def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z) -> QpProblem:
+    """The tube controller's QP at state z, assembled afresh through QpBuilder.
+
+    Every row goes through ``install_slot_row``, so a row left with one
+    variable becomes a bound.  Where the second box is a decision variable
+    (horizon >= 2, or terminal containment) this is the controller's program
+    exactly; the controller keeps the control-window rows as rows in every
+    case.
+    """
+    inf = float("inf")
+    z1, z2 = float(z[0]), float(z[1])
+    builder = QpBuilder()
+    corner_slots = [builder.new_vars(4) for _ in range(cfg.horizon)]
+    if cfg.terminal_equality:
+        corner_slots.append(terminal.corners())
+    else:
+        tail = builder.new_vars(4)
+        corner_slots.append(tail)
+        t1, t2, t3, t4 = terminal.corners()
+        builder.bound(tail[0], t1, inf)
+        builder.bound(tail[1], -inf, t2)
+        builder.bound(tail[2], t3, inf)
+        builder.bound(tail[3], -inf, t4)
+        builder.add_row({tail[0]: 1.0, tail[1]: -1.0}, -inf, 0.0)
+        builder.add_row({tail[2]: 1.0, tail[3]: -1.0}, -inf, 0.0)
+    for k in range(cfg.horizon):
+        v = builder.new_vars(2)
+        build_g_block(spec, corner_slots[k], corner_slots[k + 1], v).install(builder)
+    a0 = corner_slots[0]
+    builder.bound(a0[0], -inf, z1)
+    builder.bound(a0[1], z1, inf)
+    builder.bound(a0[2], -inf, z2)
+    builder.bound(a0[3], z2, inf)
+    u0 = builder.new_var(spec.u_lo, spec.u_hi)
+    b = corner_slots[1]
+    install_slot_row(builder, ((b[0], 1.0), (u0, -1.0)), -inf, 0.0)
+    install_slot_row(builder, ((u0, 1.0), (b[1], -1.0)), -inf, 0.0)
+    install_slot_row(builder, ((b[2], 1.0), (u0, -1.0)), -inf, spec.alpha * z2 + spec.w_lo)
+    install_slot_row(builder, ((u0, 1.0), (b[3], -1.0)), -inf, -spec.alpha * z2 - spec.w_hi)
+    for k in range(cfg.horizon):
+        for i, ix in enumerate(corner_slots[k]):
+            builder.add_lin(ix, spec.cost_linear[i])
+            builder.add_quad(ix, spec.cost_quad[i])
+    if storage is not None:
+        builder.add_const(storage.offset)
+        for i, ix in enumerate(corner_slots[0]):
+            builder.add_lin(ix, storage.linear_coeffs[i])
+    return builder.build()

@@ -6,6 +6,7 @@ from tube_dissip.cli import main
 from tube_dissip.cost_to_travel import CostToTravelResult
 from tube_dissip.dissipativity import SeparabilityReport
 from tube_dissip.interval_sets import IntervalBox
+from tube_dissip.qp_solver import QpStatus
 from tube_dissip.tube_mpc import TubeSolution
 
 
@@ -98,6 +99,13 @@ class TestControl:
         code, out, _ = run_cli(capsys, "control", "--z=-6,0")
         assert code == 1
         assert json.loads(out)["status"] == "infeasible"
+
+    def test_state_just_beyond_bounds_exits_one(self, capsys):
+        # beyond the state bounds by twice feas_tol: decided without a solve
+        code, out, err = run_cli(capsys, "control", "--z=-5.00000002,0")
+        assert code == 1
+        assert json.loads(out) == TubeSolution(status=QpStatus.INFEASIBLE).to_json_dict()
+        assert err == ""
 
     @pytest.mark.parametrize("z", ["nan,0", "inf,0", "0,-inf", "a,0", "1,2,3"])
     def test_bad_state_usage_error(self, capsys, z):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tube_dissip import closed_loop
 from tube_dissip.closed_loop import (
     AdversarialPolicy,
     ExtremePolicy,
@@ -35,6 +36,25 @@ class TestPolicies:
 
 
 class TestSimulate:
+    def test_adversarial_lookahead_solve_reused(self, spec, cfg_ic, monkeypatch):
+        # two lookahead solves per step and one at the start; the chosen
+        # lookahead solution is the next step's tube
+        solve_tmpc(spec, cfg_ic, (0.0, 0.0))
+        calls = []
+        real_solve = closed_loop.solve_tmpc
+
+        def counting_solve_tmpc(*args):
+            calls.append(args[2])
+            return real_solve(*args)
+
+        monkeypatch.setattr(closed_loop, "solve_tmpc", counting_solve_tmpc)
+        steps = 6
+        trace = simulate(spec, cfg_ic, (5.0, -5.0), steps, AdversarialPolicy())
+        assert trace.failure_step is None and len(trace.steps) == steps + 1
+        assert len(calls) == 2 * steps + 1
+        for s in trace.steps:
+            assert s.tube == solve_tmpc(spec, cfg_ic, s.y).tube
+
     def test_dynamics_recorded_exactly(self, spec, cfg_ic):
         trace = simulate(spec, cfg_ic, (2.0, 3.0), 4, ExtremePolicy(signs=(1, -1)))
         for a, b in zip(trace.steps[:-1], trace.steps[1:]):

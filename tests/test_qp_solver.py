@@ -310,13 +310,22 @@ def captured_qps(monkeypatch, module, run) -> list[QpProblem]:
 
 
 def tube_qps(monkeypatch, spec):
-    # a 7x7 grid over the state bounds and two infeasible states beyond them
+    # a 7x7 grid over the state bounds for both controllers, and two states
+    # within them from which one step cannot reach the invariant box; states
+    # beyond the bounds are decided without a solve
     grid = [(z1, z2) for z1 in np.linspace(-5, 5, 7) for z2 in np.linspace(-5, 5, 7)]
+    cfgs = (TubeMpcConfig(use_initial_cost=True), TubeMpcConfig(use_initial_cost=False))
+    cfg_one_step = TubeMpcConfig(horizon=1)
+    for cfg in cfgs + (cfg_one_step,):
+        # each controller's one-time set-up solve stays out of the capture
+        solve_tmpc(spec, cfg, (0.0, 0.0))
 
     def run():
-        for cfg in (TubeMpcConfig(use_initial_cost=True), TubeMpcConfig(use_initial_cost=False)):
-            for z in grid + [(-5.5, 0.0), (0.0, 5.5)]:
+        for cfg in cfgs:
+            for z in grid:
                 solve_tmpc(spec, cfg, z)
+        for z in ((0.0, 4.0), (-2.0, -4.5)):
+            solve_tmpc(spec, cfg_one_step, z)
 
     return captured_qps(monkeypatch, tube_mpc, run)
 
@@ -370,7 +379,7 @@ class TestExactness:
 
     def test_tube_qps_on_a_state_grid(self, spec, monkeypatch):
         qps = tube_qps(monkeypatch, spec)
-        assert len(qps) == 102
+        assert len(qps) == 100
         assert {sol.status for sol in map(solve, qps)} == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
         for qp in qps:
             assert_matches_reference(qp)

@@ -10,7 +10,7 @@ from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
 from tube_dissip.problem import ConfigError, dynamics, transition_feasible
-from tube_dissip.qp_solver import QpStatus, verify_kkt
+from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, verify_kkt
 from tube_dissip.tube_mpc import (
     ControllerInfeasible,
     TubeMpcConfig,
@@ -21,6 +21,8 @@ from tube_dissip.tube_mpc import (
     solve_tmpc,
     sweep_feedback,
 )
+
+from .oracles import tube_qp_reference
 
 INF = float("inf")
 
@@ -119,8 +121,8 @@ class TestSolveTmpc:
         real_solve = tube_mpc.solve
         seen = []
 
-        def inverted_solve(qp, settings):
-            sol = real_solve(qp, settings)
+        def inverted_solve(qp, settings, x0=None):
+            sol = real_solve(qp, settings, x0)
             x = sol.x.copy()
             x[4] = x[5] + 5e-9  # second box's corners (b1, b2) are x[4], x[5]
             sol = replace(sol, x=x)
@@ -128,6 +130,7 @@ class TestSolveTmpc:
             seen.append(sol)
             return sol
 
+        solve_tmpc(spec, cfg_noic, (-1.0, -2.0))  # the controller's set-up solve runs unaltered
         monkeypatch.setattr(tube_mpc, "solve", inverted_solve)
         sol = solve_tmpc(spec, cfg_noic, (-1.0, -2.0))
         assert seen and sol.status is QpStatus.OPTIMAL
@@ -146,6 +149,128 @@ class TestSolveTmpc:
         assert back.status is sol.status
         assert back.u0 == sol.u0
         assert back.tube == sol.tube
+
+
+def record_starts(monkeypatch):
+    """Patch the controller's solver; the returned list gets each solve's start point."""
+    real_solve = tube_mpc.solve
+    starts = []
+
+    def recording_solve(qp, settings, x0=None):
+        starts.append(x0)
+        return real_solve(qp, settings, x0)
+
+    monkeypatch.setattr(tube_mpc, "solve", recording_solve)
+    return starts
+
+
+class TestStateBounds:
+    """A state beyond X by more than feas_tol has no tube; one within it is read as on X."""
+
+    @pytest.mark.parametrize("z", [(-5.00000002, 0.0), (5.00000002, 0.0), (0.0, -5.00000002),
+                                   (1.0, 5.00000002), (-6.0, 0.0), (0.0, 5.5), (1e300, -1e300)])
+    def test_beyond_the_band_infeasible_without_a_solve(self, spec, cfg_ic, monkeypatch, z):
+        solve_tmpc(spec, cfg_ic, (0.0, 0.0))
+        starts = record_starts(monkeypatch)
+        sol = solve_tmpc(spec, cfg_ic, z)
+        assert sol.status is QpStatus.INFEASIBLE and sol.tube is None
+        assert starts == []
+
+    @pytest.mark.parametrize("z, on_x", [
+        ((-5.0 - 5e-9, 0.0), (-5.0, 0.0)),
+        ((-5.0 - 1e-8, 0.0), (-5.0, 0.0)),
+        ((5.0 + 1e-8, 0.0), (5.0, 0.0)),
+        ((2.0, -5.0 - 1e-8), (2.0, -5.0)),
+        ((5.0 + 9e-9, 5.0 + 9e-9), (5.0, 5.0)),
+    ])
+    def test_within_the_band_solved_on_the_bounds(self, spec, cfg_ic, z, on_x):
+        sol = solve_tmpc(spec, cfg_ic, z)
+        assert sol.status is QpStatus.OPTIMAL
+        assert sol == solve_tmpc(spec, cfg_ic, on_x)
+
+
+CONFIGS = {
+    "default": TubeMpcConfig(),
+    "no_initial_cost": TubeMpcConfig(use_initial_cost=False),
+    "horizon_3": TubeMpcConfig(horizon=3),
+    "containment": TubeMpcConfig(terminal_equality=False),
+    "horizon_1": TubeMpcConfig(horizon=1),
+    "horizon_1_containment": TubeMpcConfig(horizon=1, terminal_equality=False),
+}
+STATE_GRID = [(z1, z2) for z1 in np.linspace(-5, 5, 9) for z2 in np.linspace(-5, 5, 9)]
+
+
+def state_qp(spec, cfg, z):
+    return tube_mpc._state_qp(spec, tube_mpc._template(spec, cfg, DEFAULT_SETTINGS), *z)
+
+
+def assert_same_qp(got, want):
+    for name in ("H", "g", "c0", "Aeq", "beq", "Ain", "bin", "lb", "ub"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestTemplate:
+    """One assembly per controller; the state writes six entries of it."""
+
+    @pytest.mark.parametrize("name", ["default", "no_initial_cost", "horizon_3", "containment"])
+    def test_equals_a_fresh_assembly_bit_for_bit(self, spec, name):
+        cfg = CONFIGS[name]
+        terminal, storage = tube_mpc._resolved(spec, cfg)
+        for z in STATE_GRID + [(-1.0, -2.0), (0.3, -4.7), (4.99, 0.01)]:
+            assert_same_qp(state_qp(spec, cfg, z), tube_qp_reference(spec, terminal, storage, cfg, z))
+
+    @pytest.mark.parametrize("name", ["horizon_1", "horizon_1_containment"])
+    def test_one_step_equals_the_assembly_at_each_state(self, spec, name):
+        # with a fixed second box the window rows stay rows, so this is the
+        # controller's own assembly, not the reference one
+        cfg = CONFIGS[name]
+        for z in STATE_GRID:
+            assert_same_qp(state_qp(spec, cfg, z), tube_mpc._assemble(spec, cfg, z)[0])
+
+    def test_assembled_once_per_controller(self, spec, cfg_ic, monkeypatch):
+        tube_mpc._template.cache_clear()
+        builds = []
+        real_build = tube_mpc.QpBuilder.build
+
+        def counting_build(self):
+            builds.append(1)
+            return real_build(self)
+
+        monkeypatch.setattr(tube_mpc.QpBuilder, "build", counting_build)
+        sweep_feedback(spec, cfg_ic, STATE_GRID)
+        solve_tmpc(spec, cfg_ic, (1.0, 1.0))
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_nominal_start_agrees_with_a_cold_solve(self, spec, monkeypatch, name):
+        cfg = CONFIGS[name]
+        x_nom = tube_mpc._template(spec, cfg, DEFAULT_SETTINGS).x_nom
+        assert x_nom is not None
+        real_solve = tube_mpc.solve
+        starts = record_starts(monkeypatch)
+        warm = [solve_tmpc(spec, cfg, z) for z in STATE_GRID]
+        assert len(starts) == len(STATE_GRID) and all(x0 is x_nom for x0 in starts)
+        monkeypatch.setattr(tube_mpc, "solve", lambda qp, settings, x0=None: real_solve(qp, settings))
+        cold = [solve_tmpc(spec, cfg, z) for z in STATE_GRID]
+        for a, b in zip(warm, cold):
+            assert a.status is b.status
+            if not a.feasible:
+                continue
+            for box_a, box_b in zip(a.tube, b.tube):
+                assert_corners(box_a, box_b.corners(), tol=1e-9)
+            assert a.u0 == pytest.approx(b.u0, abs=1e-9)
+            assert a.objective == pytest.approx(b.objective, abs=1e-9)
+            assert np.allclose(a.edge_controls, b.edge_controls, rtol=0.0, atol=1e-9)
+
+    def test_each_solve_independent_of_earlier_calls(self, spec, cfg_ic):
+        z = (2.5, -3.5)
+        first = solve_tmpc(spec, cfg_ic, z)
+        sweep_feedback(spec, cfg_ic, STATE_GRID)
+        assert solve_tmpc(spec, cfg_ic, z) == first
 
 
 class TestHatchedRegionStructure:
