@@ -105,7 +105,9 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown output config keys: {sorted(unknown)}")
         self.output_path = out.get("path")
-        self.output_format = out.get("format", "json")
+        # each command has one fixed output format, so only the default is accepted
+        if out.get("format", "json") != "json":
+            raise ConfigError(f"unsupported output format {out['format']!r} (only \"json\")")
         env_seed = os.environ.get("TUBE_DISSIP_SEED")
         self.seed = int(obj.get("seed", env_seed if env_seed is not None else DEFAULT_SEED))
 

@@ -6,6 +6,12 @@ state bounds; an infeasible pair evaluates to ``+inf``.  The terminal box is
 deliberately not state-constrained, matching the constraint indexing of the
 underlying tube problem (the receding-horizon layer constrains its terminal
 set separately).
+
+One step is decided in closed form.  Longer tubes and the optimal invariant
+box minimise stage costs over the one-step rows with the edge controls
+eliminated (:func:`~tube_dissip.problem.transition_rows`), a strictly convex
+QP in box corners alone that the dual active-set kernel of ``qp_solver``
+solves exactly.
 """
 
 from __future__ import annotations
@@ -13,18 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .interval_sets import IntervalBox
-from .problem import ProblemSpec, build_g_block, stage_cost, transition_witness
-from .qp_solver import (
-    DEFAULT_SETTINGS,
-    QpBuilder,
-    QpStatus,
-    SolverFailure,
-    SolverSettings,
-    solve,
-)
+from .problem import ProblemSpec, stage_cost, transition_rows, transition_witness
+from .qp_solver import DEFAULT_SETTINGS, SolverFailure, SolverSettings, _dual_active_set
 
 __all__ = [
     "CostToTravelResult",
@@ -46,8 +47,9 @@ class CostToTravelResult:
     """Value and minimizing tube of one cost-to-travel evaluation.
 
     ``value`` is ``+inf`` exactly when ``tube`` is ``None``; otherwise the
-    tube runs from A to B and ``aux_controls`` holds the per-step edge
-    controls ``(v1, v2)`` of the minimizer.
+    tube runs from A to B and ``aux_controls`` holds, for each step, the edge
+    controls ``(v1, v2)`` that :func:`~tube_dissip.problem.transition_witness`
+    returns for it.
     """
 
     value: float
@@ -87,10 +89,13 @@ def eval_v(
     """Minimal cost of an ``n_steps``-step tube from ``a`` to ``b``.
 
     One step costs ``L(a)`` whenever b is reachable from a, so ``n_steps == 1``
-    is decided in closed form by :func:`transition_witness`, whose edge
-    controls are the result's ``aux_controls``.  Longer tubes solve one
-    stacked QP over the free intermediate boxes and the per-step edge
-    controls, with the endpoint boxes fixed.
+    is decided in closed form by :func:`transition_witness`.  Longer tubes
+    minimise the stage costs of the free intermediate boxes over the rows of
+    :func:`transition_rows`, one copy per step, in which the edge controls
+    are already eliminated.  Rows on the fixed end boxes only are checked
+    against ``settings.feas_tol``; the rest form a small strictly convex QP,
+    solved exactly by a dual active-set method.  A tube's ``aux_controls``
+    are the :func:`transition_witness` pairs of its steps.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -99,37 +104,89 @@ def eval_v(
         if witness is None:
             return CostToTravelResult(value=_INF)
         return CostToTravelResult(value=stage_cost(spec, a), tube=(a, b), aux_controls=(witness,))
-    builder = QpBuilder()
-    corner_slots: list[Sequence] = [a.corners()]
-    for _ in range(n_steps - 1):
-        corner_slots.append(builder.new_vars(4))
-    corner_slots.append(b.corners())
-
-    v_slots = []
-    for k in range(n_steps):
-        v = builder.new_vars(2)
-        v_slots.append(v)
-        build_g_block(spec, corner_slots[k], corner_slots[k + 1], v).install(builder)
-
-    builder.add_const(stage_cost(spec, a))
-    for k in range(1, n_steps):
-        for i, ix in enumerate(corner_slots[k]):
-            builder.add_lin(ix, spec.cost_linear[i])
-            builder.add_quad(ix, spec.cost_quad[i])
-
-    sol = solve(builder.build(), settings)
-    if sol.status is QpStatus.INFEASIBLE:
+    stack = _chain_stack(spec, n_steps)
+    _, x, _ = _solve_chain(stack, a, b, settings)
+    if x is None:
         return CostToTravelResult(value=_INF)
-    if sol.status is not QpStatus.OPTIMAL:
-        raise SolverFailure(f"cost-to-travel solve did not converge: {sol.status}")
-
     tube = [a]
-    for k in range(1, n_steps):
-        # the solver accepts rows violated by up to feas_tol, corner order included
-        tube.append(IntervalBox.from_corners([sol.x[ix] for ix in corner_slots[k]], snap_tol=settings.feas_tol))
+    for k in range(n_steps - 1):
+        # corner order is met to within the kernel's rounding guard
+        tube.append(IntervalBox.from_corners(x[4 * k : 4 * k + 4], snap_tol=settings.feas_tol))
     tube.append(b)
-    aux = tuple((float(sol.x[v[0]]), float(sol.x[v[1]])) for v in v_slots)
-    return CostToTravelResult(value=float(sol.objective), tube=tuple(tube), aux_controls=aux)
+    aux = []
+    for src, dst in zip(tube[:-1], tube[1:]):
+        witness = transition_witness(spec, src, dst, settings)
+        if witness is None:
+            raise SolverFailure("a step of the cost-to-travel minimiser is not a transition")
+        aux.append(witness)
+    value = stage_cost(spec, a) + float(stack.d @ (x * x) + stack.q @ x)
+    return CostToTravelResult(value=value, tube=tuple(tube), aux_controls=tuple(aux))
+
+
+class _ChainStack(NamedTuple):
+    """The rows of an N-step tube over its 4(N-1) free intermediate corners.
+
+    Row i reads ``G[i] @ x <= h0[i] - P[i] @ (a, b)`` for the free corners x
+    and the end boxes' corner vectors; ``fixed`` marks the rows with no free
+    coefficient, and ``G_free`` holds the others.  The objective is
+    ``sum(d*x**2 + q*x)``.
+    """
+
+    d: np.ndarray
+    q: np.ndarray
+    G: np.ndarray
+    P: np.ndarray
+    h0: np.ndarray
+    fixed: np.ndarray
+    G_free: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _chain_stack(spec: ProblemSpec, n_steps: int) -> _ChainStack:
+    src, tgt, const = transition_rows(spec)
+    m = const.size
+    rows = np.zeros((n_steps * m, 4 * (n_steps + 1)))
+    for k in range(n_steps):
+        rows[k * m : (k + 1) * m, 4 * k : 4 * k + 4] = src
+        rows[k * m : (k + 1) * m, 4 * k + 4 : 4 * k + 8] = tgt
+    h0 = np.tile(const, n_steps)
+    # an infinite constant (an unbounded U) leaves a row that always holds
+    rows, h0 = rows[np.isfinite(h0)], h0[np.isfinite(h0)]
+    G = rows[:, 4:-4]
+    fixed = ~np.any(G != 0.0, axis=1)
+    n_free = n_steps - 1
+    return _ChainStack(
+        d=np.tile(spec.cost_quad, n_free),
+        q=np.tile(spec.cost_linear, n_free),
+        G=G,
+        P=np.hstack([rows[:, :4], rows[:, -4:]]),
+        h0=h0,
+        fixed=fixed,
+        G_free=G[~fixed],
+    )
+
+
+def _solve_chain(stack: _ChainStack, a: IntervalBox, b: IntervalBox, settings: SolverSettings):
+    """The right-hand sides ``h`` of a tube from a to b over ``stack.G``, and its answer.
+
+    Returns ``(h, x, y)``: the minimiser x and its multipliers ``y >= 0``, or
+    x None and a Farkas ray ``y >= 0`` with ``G'y = 0`` and ``h'y < 0``.  A
+    fixed row violated by more than ``settings.feas_tol`` is its own ray.
+    """
+    h = stack.h0 - stack.P @ np.array(a.corners() + b.corners())
+    y = np.zeros(h.size)
+    worst = int(np.argmin(np.where(stack.fixed, h, _INF)))
+    if h[worst] < -settings.feas_tol:
+        y[worst] = 1.0
+        return h, None, y
+    x, y[~stack.fixed] = _corner_qp(stack.d, stack.q, stack.G_free, h[~stack.fixed], settings)
+    return h, x, y
+
+
+def _corner_qp(d, q, G, h, settings: SolverSettings):
+    # rows count as holding within a rounding guard far inside feas_tol, so
+    # each step of a minimiser still passes the one-step rule after the snap
+    return _dual_active_set(d, q, G, h, 1e-3 * settings.feas_tol, settings.max_iter)
 
 
 def optimal_rci(
@@ -138,8 +195,10 @@ def optimal_rci(
 ) -> tuple[IntervalBox, float]:
     """The self-transition box of minimal stage cost, and that cost.
 
-    Solves the strictly convex QP obtained by tying the source and target
-    corners of one transition block together.
+    A box a is its own successor when the rows of :func:`transition_rows`
+    hold with a as source and target, that is ``(src + tgt) @ a <= const``.
+    Minimising the stage cost over them is a strictly convex QP, solved by
+    the same dual active-set method as :func:`eval_v`.
     """
     if settings is DEFAULT_SETTINGS:
         return _optimal_rci_default(spec)
@@ -152,23 +211,18 @@ def _optimal_rci_default(spec: ProblemSpec) -> tuple[IntervalBox, float]:
 
 
 def _optimal_rci_impl(spec: ProblemSpec, settings: SolverSettings) -> tuple[IntervalBox, float]:
-    builder = QpBuilder()
-    a = builder.new_vars(4)
-    v = builder.new_vars(2)
-    build_g_block(spec, a, a, v).install(builder)
-    for i, ix in enumerate(a):
-        builder.add_lin(ix, spec.cost_linear[i])
-        builder.add_quad(ix, spec.cost_quad[i])
-    sol = solve(builder.build(), settings)
-    if sol.status is QpStatus.INFEASIBLE:
+    src, tgt, const = transition_rows(spec)
+    finite = np.isfinite(const)
+    d = np.array(spec.cost_quad)
+    q = np.array(spec.cost_linear)
+    x, _ = _corner_qp(d, q, (src + tgt)[finite], const[finite], settings)
+    if x is None:
         raise RciNotFound(
             "no robust control invariant interval box exists within the state "
             "bounds (the self-transition problem is infeasible)"
         )
-    if sol.status is not QpStatus.OPTIMAL:
-        raise SolverFailure(f"invariant-box solve did not converge: {sol.status}")
-    box = IntervalBox.from_corners([sol.x[ix] for ix in a], snap_tol=settings.feas_tol)
-    return box, float(sol.objective)
+    box = IntervalBox.from_corners(x, snap_tol=settings.feas_tol)
+    return box, float(d @ (x * x) + q @ x)
 
 
 def bellman_gap(

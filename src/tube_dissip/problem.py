@@ -11,8 +11,11 @@ defining encoding of the transition relation for this family.
 
 With A and B both fixed those rows leave two intervals for the edge controls
 and one coupling row between them, so a single step is decided in closed form
-by :func:`transition_witness`, with no solver; the rows serve as QP
-constraints only where boxes are decision variables.
+by :func:`transition_witness`, with no solver.  Eliminating the edge controls
+from those intervals leaves linear rows on the corners of A and B alone
+(:func:`transition_rows`), the constraints of the multi-step cost-to-travel
+and invariant-box programs; the tube MPC program keeps the edge controls as
+variables of its QP.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "ConfigError",
     "build_g_block",
     "install_slot_row",
+    "transition_rows",
     "transition_witness",
     "transition_feasible",
     "stage_cost",
@@ -84,7 +88,12 @@ class ProblemSpec:
                 raise ConfigError(f"{name} must not contain NaN, got {getattr(self, name)}")
         if not all(math.isfinite(v) for v in self.w_bounds):
             raise ConfigError(f"w_bounds must be finite, got {self.w_bounds}")
-        if len(self.u_bounds) != 2 or self.u_bounds[0] > self.u_bounds[1]:
+        if (
+            len(self.u_bounds) != 2
+            or self.u_bounds[0] > self.u_bounds[1]
+            or self.u_bounds[0] == _INF
+            or self.u_bounds[1] == -_INF
+        ):
             raise ConfigError(f"u_bounds must be a nonempty interval, got {self.u_bounds}")
         if len(self.w_bounds) != 2 or self.w_bounds[0] > self.w_bounds[1]:
             raise ConfigError(f"w_bounds must be a nonempty interval, got {self.w_bounds}")
@@ -292,6 +301,58 @@ def build_g_block(
         GRow(((a4, 1.0),), -_INF, xb.hi[1]),
     )
     return GConstraintBlock(rows=rows)
+
+
+def transition_rows(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of :func:`build_g_block` with the edge controls eliminated.
+
+    Returns ``(src, tgt, const)``: box b is a one-step successor of box a
+    exactly when ``src @ a + tgt @ b <= const`` row by row, for the corner
+    vectors a and b.  Each edge control lies between lower and upper affine
+    forms in the corners (the intervals of :func:`transition_witness`), and
+    ``v1 - v2 <= alpha*(a4 - a3)`` couples them.  So edge controls exist
+    exactly when every lower form of v1 is at most every upper form of v1,
+    the same holds for v2, and every lower form of v1 minus every upper form
+    of v2 is at most ``alpha*(a4 - a3)``.  The state-bound rows of a follow.
+    Repeated rows and rows without coefficients (``u_lo <= u_hi``) are left
+    out; an unbounded U leaves rows whose constant is ``+inf``.
+    """
+    al = spec.alpha
+    xb = spec.x_bounds
+    e = np.eye(4)
+    o = np.zeros(4)
+    # affine forms (src coefficients, tgt coefficients, constant)
+    b1, b2 = (o, e[0], 0.0), (o, e[1], 0.0)
+    u_lo, u_hi = (o, o, spec.u_lo), (o, o, spec.u_hi)
+    v1_low = (b1, u_lo, (-al * e[2], e[2], -spec.w_lo))
+    v1_up = (b2, u_hi)
+    v2_low = (b1, u_lo)
+    v2_up = (b2, u_hi, (-al * e[3], e[3], -spec.w_hi))
+    rows = []
+    for lows, ups, shift in (
+        (v1_low, v1_up, o),
+        (v2_low, v2_up, o),
+        (v1_low, v2_up, al * (e[2] - e[3])),
+    ):
+        for s_lo, t_lo, k_lo in lows:
+            for s_up, t_up, k_up in ups:
+                rows.append((s_lo - s_up + shift, t_lo - t_up, k_up - k_lo))
+    for src, bound in (
+        (-e[0], -xb.lo[0]),
+        (e[0] - e[1], 0.0),
+        (e[1], xb.hi[0]),
+        (-e[2], -xb.lo[1]),
+        (e[2] - e[3], 0.0),
+        (e[3], xb.hi[1]),
+    ):
+        rows.append((src, o, bound))
+    unique = {}
+    for src, tgt, const in rows:
+        key = (tuple(src), tuple(tgt), const)
+        if (np.any(src) or np.any(tgt)) and key not in unique:
+            unique[key] = (src, tgt, const)
+    src, tgt, const = zip(*unique.values())
+    return np.array(src), np.array(tgt), np.array(const)
 
 
 def transition_witness(

@@ -26,7 +26,12 @@ certificates of the ADMM iterates (the standard operator-splitting tests on
 the successive dual / primal differences).
 
 The contract of this module is the returned KKT certificate, not the
-algorithm; every optimization in this package goes through :func:`solve`.
+algorithm.  :func:`solve` serves the storage certificate, the storage minimum
+and the tube MPC program.  The corner QPs of multi-step cost-to-travel values
+and of the optimal invariant box have a positive diagonal Hessian and
+inequality rows only; they go to the private dense dual active-set kernel
+:func:`_dual_active_set`, which is exact, ends in finitely many steps and
+returns either multipliers or a Farkas ray.
 """
 
 from __future__ import annotations
@@ -63,7 +68,14 @@ class QpStatus(Enum):
 
 
 class SolverFailure(RuntimeError):
-    """Raised by callers when a solve does not terminate with a usable status."""
+    """Raised when a solve does not terminate with a usable status.
+
+    ``problem`` holds the data of the failed program when the raiser has it.
+    """
+
+    def __init__(self, message: str, problem: Optional[dict] = None):
+        super().__init__(message)
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -597,6 +609,81 @@ def _dual_infeasibility_cert(H, g, A, l, u, dx, tol):
     if np.all(Aw[np.isfinite(u)] < tol) and np.all(Aw[np.isfinite(l)] > -tol):
         return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# dual active-set kernel for separable strictly convex QPs
+
+
+def _dual_active_set(d, q, G, h, tol, max_iter):
+    """Minimise ``sum(d*x**2 + q*x)`` subject to ``G x <= h``, for ``d > 0``.
+
+    The dual active-set method of Goldfarb and Idnani (Math. Prog. 1983).  In
+    the variables ``w = sqrt(2d)*x`` the Hessian is the identity.  The iterate
+    starts at the unconstrained minimiser ``-q/(2d)`` and stays optimal on its
+    active rows, whose normals stay linearly independent.  Each step takes the
+    most violated row p and raises its multiplier until p holds (p joins the
+    active set), or until an active multiplier reaches zero (that row leaves
+    it).  The dual value grows at every join, so the method ends in finitely
+    many steps.  If p lies in the span of active rows that can only gain
+    weight, the rows are inconsistent.  Rows violated by at most ``tol``
+    count as holding.
+
+    Returns ``(x, y)``: the minimiser and its multipliers ``y >= 0``, or
+    ``(None, y)`` with a Farkas ray ``y >= 0``, ``G'y = 0`` and ``h'y < 0``.
+    Raises :class:`SolverFailure`, carrying the data, after ``max_iter`` steps.
+    """
+    s = 1.0 / np.sqrt(2.0 * d)
+    Gs = G * s
+    w = -q * s
+    y = np.zeros(h.size)
+    active: list[int] = []
+    steps = 0
+    while h.size:
+        viol = Gs @ w - h
+        p = int(np.argmax(viol))
+        gap = viol[p]
+        if gap <= tol:
+            break
+        n_p = Gs[p]
+        while True:
+            steps += 1
+            if steps > max_iter:
+                raise SolverFailure(
+                    f"dual active-set kernel exceeded {max_iter} steps",
+                    problem={"d": d.tolist(), "q": q.tolist(), "G": G.tolist(), "h": h.tolist()},
+                )
+            if active:
+                # p's normal as active normals times r, plus the part z orthogonal to them
+                N = Gs[active].T
+                r = np.linalg.lstsq(N, n_p, rcond=None)[0]
+                z = n_p - N @ r
+            else:
+                r = np.zeros(0)
+                z = n_p
+            zz = z @ z
+            # the primal step closes p's gap; z = 0 when p is in the active span
+            full = gap / zz if zz > 1e-18 * (n_p @ n_p) else _INF
+            partial, leave = _INF, -1
+            for i in np.flatnonzero(r > 0.0):
+                t = y[active[i]] / r[i]
+                if t < partial:
+                    partial, leave = t, i
+            if full == _INF and leave < 0:
+                ray = np.zeros(h.size)
+                ray[p] = 1.0
+                ray[active] = -r
+                return None, ray
+            t = min(full, partial)
+            w = w - t * z
+            y[active] -= t * r
+            y[p] += t
+            if full <= partial:
+                active.append(p)
+                break
+            y[active.pop(leave)] = 0.0
+            gap = n_p @ w - h[p]
+    return w * s, y
 
 
 # ---------------------------------------------------------------------------

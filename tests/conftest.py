@@ -1,7 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import tube_dissip
+from tube_dissip import qp_solver
 from tube_dissip.dissipativity import StorageFunction
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec
@@ -42,3 +47,28 @@ def cfg_noic() -> TubeMpcConfig:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def forbid_solver(monkeypatch):
+    """A call that makes ``qp_solver.solve`` fail the test wherever the package looks it up.
+
+    Package modules import ``solve`` by name, so it is replaced in every
+    module that holds it; the call returns the names of those modules.
+    """
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the QP solver was called")
+
+    def install() -> list[str]:
+        solve = qp_solver.solve
+        modules = [tube_dissip] + [
+            importlib.import_module(f"tube_dissip.{info.name}")
+            for info in pkgutil.iter_modules(tube_dissip.__path__)
+        ]
+        patched = [m.__name__ for m in modules if getattr(m, "solve", None) is solve]
+        for name in patched:
+            monkeypatch.setattr(importlib.import_module(name), "solve", forbidden)
+        return patched
+
+    return install

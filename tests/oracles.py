@@ -5,8 +5,10 @@ samples one box densely and measures exact point-to-box distances, the
 transition oracle eliminates the control pointwise in the x2 coordinate, the
 transition QP oracle hands the edge-control rows to the QP solver, the
 invariant-box oracle is a coarse-to-fine grid search over corner vectors, the
-ADMM reference is the QP solver's iteration written out the plain way, and the
-tube QP reference assembles the controller's program from scratch at a state.
+ADMM reference is the QP solver's iteration written out the plain way, the
+cost-to-travel QP reference hands the stacked N-step rows, edge controls
+included, to that solver, and the tube QP reference assembles the
+controller's program from scratch at a state.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from tube_dissip import qp_solver
 from tube_dissip.interval_sets import IntervalBox
-from tube_dissip.problem import ProblemSpec, build_g_block, install_slot_row
+from tube_dissip.problem import ProblemSpec, build_g_block, install_slot_row, stage_cost
 from tube_dissip.qp_solver import (
     DEFAULT_SETTINGS,
     QpBuilder,
@@ -442,3 +444,86 @@ def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z)
         for i, ix in enumerate(corner_slots[0]):
             builder.add_lin(ix, storage.linear_coeffs[i])
     return builder.build()
+
+
+def eval_v_qp_reference(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_steps: int) -> QpProblem:
+    """The N-step cost-to-travel program with its edge controls, assembled through QpBuilder.
+
+    Variables are the corners of the n_steps - 1 intermediate boxes and each
+    step's edge controls (v1, v2); every step installs the rows of
+    ``build_g_block``, with a and b fixed.  The objective is ``L(a)`` plus the
+    stage costs of the intermediate boxes.
+    """
+    builder = QpBuilder()
+    corner_slots = [a.corners()]
+    for _ in range(n_steps - 1):
+        corner_slots.append(builder.new_vars(4))
+    corner_slots.append(b.corners())
+    for k in range(n_steps):
+        v = builder.new_vars(2)
+        build_g_block(spec, corner_slots[k], corner_slots[k + 1], v).install(builder)
+    builder.add_const(stage_cost(spec, a))
+    for k in range(1, n_steps):
+        for i, ix in enumerate(corner_slots[k]):
+            builder.add_lin(ix, spec.cost_linear[i])
+            builder.add_quad(ix, spec.cost_quad[i])
+    return builder.build()
+
+
+def chain_margin(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_steps: int) -> float:
+    """Signed feasibility margin of the N-step program of ``eval_v_qp_reference``, by LP.
+
+    The largest t such that every row and bound of that program, edge
+    controls included, holds with room t in its own coefficients (t is capped
+    at 1).  Positive means an N-step tube exists, negative that none does, by
+    that much; magnitudes near zero are boundary cases.
+    """
+    qp = eval_v_qp_reference(spec, a, b, n_steps)
+    rows, rhs = [], []
+    for mat, vec, signs in ((qp.Ain, qp.bin, (1.0,)), (qp.Aeq, qp.beq, (1.0, -1.0))):
+        if mat is not None:
+            for sign in signs:
+                rows.append(sign * mat)
+                rhs.append(sign * vec)
+    eye = np.eye(qp.n)
+    for vec, sign in ((qp.ub, 1.0), (qp.lb, -1.0)):
+        if vec is not None:
+            rows.append(sign * eye)
+            rhs.append(sign * vec)
+    A = np.vstack(rows)
+    h = np.concatenate(rhs)
+    keep = np.isfinite(h)
+    # variables (x, t): maximise t subject to A x + t <= h
+    A_t = np.hstack([A[keep], np.ones((int(keep.sum()), 1))])
+    c = np.zeros(qp.n + 1)
+    c[-1] = -1.0
+    bounds = [(None, None)] * qp.n + [(None, 1.0)]
+    res = linprog(c, A_ub=A_t, b_ub=h[keep], bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[-1])
+
+
+def farkas_ray_ok(G: np.ndarray, h: np.ndarray, y: np.ndarray) -> bool:
+    """True iff y certifies that ``G x <= h`` has no solution.
+
+    A ray ``y >= 0`` with ``G'y = 0`` (to 1e-9 of its weight) and ``h'y < 0``
+    combines the rows into ``0 <= h'y``, which fails.
+    """
+    weight = float(np.sum(np.abs(y)))
+    return (
+        bool(np.all(y >= 0.0))
+        and weight > 0.0
+        and float(np.max(np.abs(G.T @ y), initial=0.0)) <= 1e-9 * weight
+        and float(h @ y) < 0.0
+    )
+
+
+def separable_kkt_residual(d, q, G, h, x, y) -> float:
+    """KKT residual of x and multipliers y for ``min sum(d*x**2 + q*x)`` s.t. ``G x <= h``."""
+    slack = h - G @ x
+    return max(
+        float(np.max(np.abs(2.0 * d * x + q + G.T @ y), initial=0.0)),
+        float(np.max(-slack, initial=0.0)),
+        float(np.max(-y, initial=0.0)),
+        float(np.max(np.abs(y * slack), initial=0.0)),
+    )

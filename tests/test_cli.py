@@ -198,6 +198,22 @@ class TestConfig:
         assert out == ""
         assert json.loads(target.read_text())["v_star"] == pytest.approx(-0.2, abs=1e-8)
 
+    @pytest.mark.parametrize("fmt", ["csv", "JSON", None])
+    def test_unsupported_output_format_rejected(self, capsys, tmp_path, fmt):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"output": {"format": fmt}}))
+        code, out, err = run_cli(capsys, "--config", str(path), "rci")
+        assert code == 2
+        assert out == ""
+        assert "output format" in err
+
+    def test_json_output_format_accepted(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"output": {"format": "json"}}))
+        code, out, _ = run_cli(capsys, "--config", str(path), "rci")
+        assert code == 0
+        assert json.loads(out)["v_star"] == pytest.approx(-0.2, abs=1e-8)
+
 
 class TestVerifyAll:
     def test_table_and_exit_code(self, capsys):

@@ -1,8 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from tube_dissip import cost_to_travel, qp_solver
 from tube_dissip.cost_to_travel import (
     CostToTravelResult,
     RciNotFound,
@@ -11,9 +15,11 @@ from tube_dissip.cost_to_travel import (
     optimal_rci,
 )
 from tube_dissip.interval_sets import IntervalBox
-from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible
+from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_witness
+from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, SolverSettings, solve
 from tube_dissip.sampling import feasible_chain, random_box_within
 
+from . import oracles
 from .oracles import grid_rci_search, transition_feasible_oracle
 
 INF = float("inf")
@@ -179,3 +185,166 @@ class TestMonotonicityOfValues:
                 bigger = random_superbox(rng, target, spec.x_bounds)
                 assert eval_v(spec, inner, bigger, 1).value <= val + 1e-6
         assert finite >= 20
+
+
+# ---------------------------------------------------------------------------
+# multi-step values: the reduced program and its dual active-set solve
+
+SPECS = {"bounded U": ProblemSpec.default(), "unbounded U": ProblemSpec(u_bounds=(-INF, INF))}
+OUTER = IntervalBox(lo=(-6.0, -6.0), hi=(6.0, 6.0))
+
+
+@st.composite
+def chain_ends(draw, spec, n_steps):
+    """The ends of a sampled n-step chain, with the target as drawn, jittered or moved, or two unrelated boxes.
+
+    A moved target is kept at least as tall as the disturbance interval, so
+    that mostly the free rows decide it; unrelated boxes may stick out of
+    the state bounds.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["chain", "jittered", "moved", "unrelated"]))
+    if kind == "unrelated":
+        return random_box_within(rng, OUTER), random_box_within(rng, OUTER)
+    chain = feasible_chain(spec, rng, n_steps)
+    if kind == "chain":
+        return chain[0], chain[-1]
+    reach = 0.5 if kind == "jittered" else 6.0
+    jitter = draw(st.tuples(*[st.floats(-reach, reach)] * 4))
+    c1, c2, c3, c4 = (x + d for x, d in zip(chain[-1].corners(), jitter))
+    if kind == "jittered":
+        assume(c1 <= c2 and c3 <= c4)
+    else:
+        c1, c2 = sorted((c1, c2))
+        c3, c4 = sorted((c3, c4))
+        c4 = max(c4, c3 + spec.w_hi - spec.w_lo)
+    return chain[0], IntervalBox.from_corners((c1, c2, c3, c4))
+
+
+def solved_chain(spec, a, c, n_steps):
+    stack = cost_to_travel._chain_stack(spec, n_steps)
+    return stack, cost_to_travel._solve_chain(stack, a, c, DEFAULT_SETTINGS)
+
+
+@pytest.mark.parametrize("n_steps", [2, 3])
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+class TestMultiStepKernel:
+    @given(data=st.data())
+    def test_agrees_with_admm_on_the_edge_control_program(self, spec_name, n_steps, data):
+        spec = SPECS[spec_name]
+        a, c = data.draw(chain_ends(spec, n_steps))
+        res = eval_v(spec, a, c, n_steps)
+        sol = solve(oracles.eval_v_qp_reference(spec, a, c, n_steps))
+        assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
+        if res.feasible != (sol.status is QpStatus.OPTIMAL):
+            # the verdicts may differ only within the boundary band
+            assert abs(oracles.chain_margin(spec, a, c, n_steps)) <= 1e-7
+        elif res.feasible:
+            assert res.value == pytest.approx(sol.objective, abs=1e-6)
+
+    @given(data=st.data())
+    def test_every_step_is_a_transition(self, spec_name, n_steps, data):
+        spec = SPECS[spec_name]
+        a, c = data.draw(chain_ends(spec, n_steps))
+        res = eval_v(spec, a, c, n_steps)
+        if not res.feasible:
+            return
+        assert len(res.tube) == n_steps + 1 and res.tube[0] == a and res.tube[-1] == c
+        steps = list(zip(res.tube[:-1], res.tube[1:]))
+        assert all(transition_feasible(spec, src, dst) for src, dst in steps)
+        assert res.aux_controls == tuple(transition_witness(spec, src, dst) for src, dst in steps)
+        assert res.value == pytest.approx(sum(stage_cost(spec, box) for box in res.tube[:-1]), abs=1e-9)
+
+    @given(data=st.data())
+    def test_every_verdict_carries_a_certificate(self, spec_name, n_steps, data):
+        spec = SPECS[spec_name]
+        a, c = data.draw(chain_ends(spec, n_steps))
+        stack, (h, x, y) = solved_chain(spec, a, c, n_steps)
+        G = stack.G
+        res = eval_v(spec, a, c, n_steps)
+        assert res.feasible == (x is not None)
+        if x is not None:
+            residual = oracles.separable_kkt_residual(stack.d, stack.q, G, h, x, y)
+            assert residual <= DEFAULT_SETTINGS.kkt_tol
+            assert res.value == pytest.approx(
+                stage_cost(spec, a) + float(stack.d @ (x * x) + stack.q @ x), abs=1e-12
+            )
+            return
+        assert oracles.farkas_ray_ok(G, h, y)
+        weight = float(np.sum(y))
+        for i in np.flatnonzero(y):
+            flipped = y.copy()
+            flipped[i] = -flipped[i]
+            assert not oracles.farkas_ray_ok(G, h, flipped)
+            if y[i] >= 1e-6 * weight:
+                dropped = y.copy()
+                dropped[i] = 0.0
+                assert not oracles.farkas_ray_ok(G, h, dropped)
+
+
+class TestMultiStepValues:
+    def test_fixed_rows_are_checked_at_feas_tol(self, spec, x_star):
+        # the source's lower x1-corner below the state bound by 0.5 and by
+        # 2 feas_tol is refused, by 0.5 feas_tol accepted
+        a1, a2, a3, a4 = x_star.corners()
+        lo = spec.x_bounds.lo[0]
+        for below, feasible in ((0.5, False), (2e-8, False), (5e-9, True)):
+            a = IntervalBox.from_corners((lo - below, a2, a3, a4))
+            assert eval_v(spec, a, x_star, 2).feasible == feasible
+
+    def test_vacuous_rows_are_dropped(self):
+        free = cost_to_travel._chain_stack(SPECS["unbounded U"], 2)
+        bounded = cost_to_travel._chain_stack(SPECS["bounded U"], 2)
+        assert np.all(np.isfinite(free.h0)) and free.h0.size < bounded.h0.size
+
+    def test_iteration_cap_raises_with_the_reduced_program(self, spec, rng):
+        chain = feasible_chain(spec, rng, 3)
+        settings = SolverSettings(max_iter=1)
+        with pytest.raises(SolverFailure) as info:
+            eval_v(spec, chain[0], chain[3], 3, settings)
+        data = {k: np.array(v) for k, v in info.value.problem.items()}
+        assert set(data) == {"d", "q", "G", "h"}
+        # the dumped program is the one that was being solved
+        x, _ = qp_solver._dual_active_set(
+            data["d"], data["q"], data["G"], data["h"], 1e-11, DEFAULT_SETTINGS.max_iter
+        )
+        _, (_, x_ref, _) = solved_chain(spec, chain[0], chain[3], 3)
+        assert np.array_equal(x, x_ref)
+
+    def test_rays_of_both_kinds_verify(self, spec, rng):
+        # unrelated boxes are refused both by a fixed row (a ray on that row
+        # alone) and by the free rows (a ray from the kernel)
+        kinds = {"fixed": 0, "free": 0}
+        for _ in range(200):
+            a, c = random_box_within(rng, OUTER), random_box_within(rng, OUTER)
+            stack, (h, x, y) = solved_chain(spec, a, c, 2)
+            if x is None:
+                assert oracles.farkas_ray_ok(stack.G, h, y)
+                kinds["fixed" if not np.any(stack.G[y > 0]) else "free"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_a_step_refused_by_the_one_step_rule_raises(self, spec, x_star, monkeypatch):
+        # the kernel's minimiser meets every row, so this needs a broken rule
+        monkeypatch.setattr(cost_to_travel, "transition_witness", lambda *args: None)
+        with pytest.raises(SolverFailure, match="not a transition"):
+            eval_v(spec, x_star, x_star, 2)
+
+    def test_cost_to_travel_holds_no_qp_machinery(self):
+        for name in ("solve", "QpBuilder", "build_g_block"):
+            assert not hasattr(cost_to_travel, name)
+
+    def test_multi_step_paths_call_no_solver(self, spec, x_star, rng, forbid_solver):
+        chains = {n: feasible_chain(spec, rng, n) for n in (2, 3)}
+        patched = forbid_solver()
+        assert {"tube_dissip.qp_solver", "tube_dissip.tube_mpc", "tube_dissip.dissipativity"} <= set(patched)
+        unreachable = box((0, 1), (0, 1))
+        settings = SolverSettings(feas_tol=2e-8, kkt_tol=2e-8)
+        for n, chain in chains.items():
+            assert eval_v(spec, chain[0], chain[n], n).feasible
+            assert eval_v(spec, chain[0], chain[n], n, settings).feasible
+            assert not eval_v(spec, x_star, unreachable, n).feasible
+        found, v_star = optimal_rci(spec, settings)
+        assert max(abs(u - v) for u, v in zip(found.corners(), x_star.corners())) <= 1e-9
+        assert v_star == pytest.approx(-0.2, abs=1e-12)
+        with pytest.raises(RciNotFound):
+            optimal_rci(ProblemSpec(x_bounds=IntervalBox(lo=(-5.0, 0.0), hi=(5.0, 0.5))), settings)

@@ -1,14 +1,10 @@
-import importlib
 import json
-import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import tube_dissip
-from tube_dissip import qp_solver
 from tube_dissip.closed_loop import rotated_cost
 from tube_dissip.cost_to_travel import eval_v, optimal_rci
 from tube_dissip.interval_sets import IntervalBox, subset
@@ -21,6 +17,7 @@ from tube_dissip.problem import (
     is_rci,
     stage_cost,
     transition_feasible,
+    transition_rows,
     transition_witness,
 )
 from tube_dissip.qp_solver import DEFAULT_SETTINGS
@@ -72,6 +69,15 @@ class TestProblemSpec:
     def test_empty_control_interval_rejected(self):
         with pytest.raises(ConfigError):
             ProblemSpec(u_bounds=(1.0, -1.0))
+
+    @pytest.mark.parametrize("u_bounds", [(INF, INF), (-INF, -INF)])
+    def test_control_interval_without_a_real_point_rejected(self, u_bounds):
+        # ordered, yet it holds no real number; its rows would read inf - inf
+        with pytest.raises(ConfigError):
+            ProblemSpec(u_bounds=u_bounds)
+
+    def test_unbounded_control_interval_accepted(self):
+        assert ProblemSpec(u_bounds=(-INF, INF)).u_bounds == (-INF, INF)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -248,11 +254,11 @@ def boxes(draw):
 
 
 @st.composite
-def transition_pairs(draw):
+def transition_pairs(draw, spec=SPEC):
     """Unrelated boxes, partly outside the state bounds, or sampled transitions with a jittered target."""
     if draw(st.booleans()):
         return draw(boxes()), draw(boxes())
-    a, b = feasible_pair(SPEC, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    a, b = feasible_pair(spec, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     jitter = draw(st.tuples(*[st.floats(-0.5, 0.5)] * 4))
     c = [x + d for x, d in zip(b.corners(), jitter)]
     assume(c[0] <= c[1] and c[2] <= c[3])
@@ -318,6 +324,15 @@ class TestClosedFormDecision:
             # the row sums themselves round at about 1e-15
             assert max(row_violations(SPEC, a, b, witness)) <= FEAS_TOL + 1e-13
 
+    @pytest.mark.parametrize("spec", [SPEC, ProblemSpec(u_bounds=(-INF, INF))], ids=["bounded U", "unbounded U"])
+    @given(data=st.data())
+    def test_eliminated_rows_agree_off_the_boundary(self, spec, data):
+        a, b = data.draw(transition_pairs(spec))
+        assume(abs(transition_margin(spec, a, b)) > 1e-7)
+        src, tgt, const = transition_rows(spec)
+        holds = bool(np.all(src @ a.corners() + tgt @ b.corners() <= const))
+        assert holds == (transition_witness(spec, a, b) is not None)
+
     def test_witness_is_exact_on_feasible_pairs(self, rng):
         for _ in range(200):
             a, b = feasible_pair(SPEC, rng)
@@ -325,22 +340,11 @@ class TestClosedFormDecision:
             assert witness is not None
             assert max(row_violations(SPEC, a, b, witness)) <= 1e-12
 
-    def test_one_step_paths_call_no_solver(self, spec, cfg_ic, x_star, monkeypatch):
+    def test_one_step_paths_call_no_solver(self, spec, cfg_ic, x_star, forbid_solver):
         optimal_rci(spec)
         _resolved(spec, cfg_ic)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a one-step path called the QP solver")
-
-        solve = qp_solver.solve
-        modules = [tube_dissip] + [
-            importlib.import_module(f"tube_dissip.{info.name}")
-            for info in pkgutil.iter_modules(tube_dissip.__path__)
-        ]
-        patched = [m.__name__ for m in modules if getattr(m, "solve", None) is solve]
-        for name in patched:
-            monkeypatch.setattr(importlib.import_module(name), "solve", forbidden)
-        assert {"tube_dissip.qp_solver", "tube_dissip.cost_to_travel"} <= set(patched)
+        patched = forbid_solver()
+        assert {"tube_dissip.qp_solver", "tube_dissip.tube_mpc"} <= set(patched)
         unreachable = box((0, 1), (0, 1))
         assert transition_feasible(spec, x_star, x_star)
         assert not transition_feasible(spec, unreachable, unreachable)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tube_dissip import cost_to_travel, dissipativity, qp_solver, tube_mpc
+from tube_dissip import dissipativity, qp_solver, tube_mpc
 from tube_dissip.dissipativity import StorageFunction
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.qp_solver import (
@@ -13,6 +13,7 @@ from tube_dissip.qp_solver import (
     QpProblem,
     QpSolution,
     QpStatus,
+    SolverFailure,
     solve,
     verify_kkt,
 )
@@ -175,6 +176,81 @@ def random_lp(rng, n=4, m=7) -> QpProblem:
                      lb=np.full(n, -5.0), ub=np.full(n, 5.0))
 
 
+def separable_problem(rng, n=5, m=12, infeasible=False):
+    """Random data for ``min sum(d*x**2 + q*x)`` s.t. ``G x <= h``.
+
+    The rows hold with room at a random point, unless ``infeasible``: then
+    one more row is minus a positive combination of the others, with a
+    right-hand side that the combination cannot meet.
+    """
+    d = rng.uniform(0.05, 2.0, size=n)
+    q = 3.0 * rng.normal(size=n)
+    G = rng.normal(size=(m, n))
+    h = G @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=m)
+    if infeasible:
+        lam = rng.uniform(0.1, 1.0, size=m)
+        G = np.vstack([G, -lam @ G])
+        h = np.append(h, -lam @ h - rng.uniform(0.1, 1.0))
+    return d, q, G, h
+
+
+def dual_active_set(d, q, G, h, max_iter=1000):
+    return qp_solver._dual_active_set(
+        np.asarray(d, float), np.asarray(q, float), np.asarray(G, float), np.asarray(h, float), 1e-12, max_iter
+    )
+
+
+class TestDualActiveSet:
+    def test_scalar_bound(self):
+        # min x^2 s.t. x >= 1: x = 1 with multiplier 2
+        x, y = dual_active_set([1.0], [0.0], [[-1.0]], [-1.0])
+        assert x[0] == pytest.approx(1.0, abs=1e-15) and y[0] == pytest.approx(2.0, abs=1e-15)
+
+    def test_no_rows_gives_the_unconstrained_minimiser(self):
+        x, y = dual_active_set([0.5, 2.0], [1.0, -4.0], np.zeros((0, 2)), np.zeros(0))
+        np.testing.assert_allclose(x, [-1.0, 1.0], atol=1e-15)
+        assert y.size == 0
+
+    def test_contradictory_rows_give_a_farkas_ray(self):
+        G, h = np.array([[1.0], [-1.0]]), np.array([0.0, -1.0])
+        x, y = dual_active_set([1.0], [0.0], G, h)
+        assert x is None
+        assert oracles.farkas_ray_ok(G, h, y)
+
+    def test_repeated_and_dependent_active_rows(self):
+        # min (x1-1)^2 + (x2-1)^2 s.t. x1 <= 0 (twice), x1 + x2 <= 0, x2 <= 0:
+        # four rows hold with equality at the origin, three of them distinct
+        G = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        h = np.zeros(4)
+        d, q = np.ones(2), np.array([-2.0, -2.0])
+        x, y = dual_active_set(d, q, G, h)
+        np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-14)
+        assert oracles.separable_kkt_residual(d, q, G, h, x, y) <= 1e-14
+
+    def test_random_problems_agree_with_admm(self, rng):
+        verdicts = set()
+        for k in range(40):
+            d, q, G, h = separable_problem(rng, infeasible=k % 2 == 1)
+            x, y = dual_active_set(d, q, G, h)
+            ref = solve(QpProblem(H=np.diag(2.0 * d), g=q, Ain=G, bin=h))
+            verdicts.add(ref.status)
+            if ref.status is QpStatus.INFEASIBLE:
+                assert x is None and oracles.farkas_ray_ok(G, h, y)
+            else:
+                assert ref.status is QpStatus.OPTIMAL
+                np.testing.assert_allclose(x, ref.x, atol=1e-6)
+                assert oracles.separable_kkt_residual(d, q, G, h, x, y) <= 1e-12
+        assert verdicts == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
+
+    def test_iteration_cap_raises_with_the_data(self, rng):
+        d, q, G, h = separable_problem(rng)
+        with pytest.raises(SolverFailure) as info:
+            dual_active_set(d, q, G, h, max_iter=1)
+        dump = info.value.problem
+        for name, value in (("d", d), ("q", q), ("G", G), ("h", h)):
+            assert np.array_equal(np.array(dump[name]), value)
+
+
 class TestRandomProblems:
     def test_random_strictly_convex_soundness(self, rng):
         for _ in range(40):
@@ -330,16 +406,16 @@ def tube_qps(monkeypatch, spec):
     return captured_qps(monkeypatch, tube_mpc, run)
 
 
-def eval_v2_qps(monkeypatch, spec, rng, count=25):
-    def run():
-        for _ in range(count):
-            chain = feasible_chain(spec, rng, 2)
-            cost_to_travel.eval_v(spec, chain[0], chain[2], 2)
-            a = random_box_within(rng, spec.x_bounds)
-            b = random_box_within(rng, spec.x_bounds)
-            cost_to_travel.eval_v(spec, a, b, 2)
-
-    return captured_qps(monkeypatch, cost_to_travel, run)
+def eval_v2_qps(spec, rng, count=25):
+    # the two-step programs of feasible chains and of random pairs
+    qps = []
+    for _ in range(count):
+        chain = feasible_chain(spec, rng, 2)
+        qps.append(oracles.eval_v_qp_reference(spec, chain[0], chain[2], 2))
+        a = random_box_within(rng, spec.x_bounds)
+        b = random_box_within(rng, spec.x_bounds)
+        qps.append(oracles.eval_v_qp_reference(spec, a, b, 2))
+    return qps
 
 
 def separability_qps(monkeypatch, spec, rng, count=20):
@@ -390,15 +466,15 @@ class TestExactness:
         for qp in qps:
             assert_matches_reference(qp)
 
-    def test_two_step_cost_to_travel_qps(self, spec, rng, monkeypatch):
-        qps = eval_v2_qps(monkeypatch, spec, rng)
+    def test_two_step_cost_to_travel_qps(self, spec, rng):
+        qps = eval_v2_qps(spec, rng)
         assert len(qps) == 50
         for qp in qps:
             assert_matches_reference(qp)
 
 
 def test_each_active_set_polished_at_most_once_per_solve(spec, rng, monkeypatch):
-    qps = eval_v2_qps(monkeypatch, spec, rng) + tube_qps(monkeypatch, spec)
+    qps = eval_v2_qps(spec, rng) + tube_qps(monkeypatch, spec)
     real_polish = qp_solver._try_polish
     signatures = []
 
