@@ -160,10 +160,16 @@ class ProblemSpec:
 
 def stage_cost(spec: ProblemSpec, a: IntervalBox) -> float:
     """Stage cost of a box, evaluated on its corner vector."""
-    c = a.corners()
-    q = spec.cost_linear
-    d = spec.cost_quad
-    return sum(q[i] * c[i] + d[i] * c[i] * c[i] for i in range(4))
+    (c1, c3), (c2, c4) = a.lo, a.hi
+    q1, q2, q3, q4 = spec.cost_linear
+    d1, d2, d3, d4 = spec.cost_quad
+    # the corners' terms, summed in corner order
+    return (
+        (q1 * c1 + d1 * c1 * c1)
+        + (q2 * c2 + d2 * c2 * c2)
+        + (q3 * c3 + d3 * c3 * c3)
+        + (q4 * c4 + d4 * c4 * c4)
+    )
 
 
 def dynamics(spec: ProblemSpec, x: Sequence[float], u: float, w: float) -> tuple[float, float]:
@@ -377,24 +383,28 @@ def transition_witness(
     pair that leaves the most room in the coupling row, each moved by
     ``slack`` so that it meets every row within that relaxation.
     """
+    # every eval_v(N=1) runs this, so fields are unpacked directly rather
+    # than through corners() and the u/w properties
     al = spec.alpha
-    xb = spec.x_bounds
-    a1, a2, a3, a4 = a.corners()
-    b1, b2, b3, b4 = b.corners()
-    v1_lo = max(b1, spec.u_lo, b3 - al * a3 - spec.w_lo)
-    v1_hi = min(b2, spec.u_hi)
-    v2_lo = max(b1, spec.u_lo)
-    v2_hi = min(b2, spec.u_hi, b4 - al * a4 - spec.w_hi)
+    u_lo, u_hi = spec.u_bounds
+    w_lo, w_hi = spec.w_bounds
+    (x1_lo, x2_lo), (x1_hi, x2_hi) = spec.x_bounds.lo, spec.x_bounds.hi
+    (a1, a3), (a2, a4) = a.lo, a.hi
+    (b1, b3), (b2, b4) = b.lo, b.hi
+    v1_lo = max(b1, u_lo, b3 - al * a3 - w_lo)
+    v1_hi = min(b2, u_hi)
+    v2_lo = max(b1, u_lo)
+    v2_hi = min(b2, u_hi, b4 - al * a4 - w_hi)
     slack = max(
         0.0,
         0.5 * (v1_lo - v1_hi),
         0.5 * (v2_lo - v2_hi),
         # (v1_lo - s) - (v2_hi + s) <= alpha*(a4 - a3 + s)
         (v1_lo - v2_hi - al * (a4 - a3)) / (2.0 + al),
-        xb.lo[0] - a1,
-        a2 - xb.hi[0],
-        xb.lo[1] - a3,
-        a4 - xb.hi[1],
+        x1_lo - a1,
+        a2 - x1_hi,
+        x2_lo - a3,
+        a4 - x2_hi,
     )
     if slack > settings.feas_tol:
         return None

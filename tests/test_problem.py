@@ -107,6 +107,16 @@ class TestStageCost:
         # 2*(-1) + (3 + 1 + 18 + 0)/20
         assert stage_cost(spec, box((-1, -1), (-3, 0))) == pytest.approx(-0.9, abs=1e-12)
 
+    def test_each_corner_takes_its_own_coefficients(self, rng):
+        # distinct coefficients per corner, so a corner read from the wrong
+        # place in (lo, hi) changes the value
+        spec = ProblemSpec(cost_linear=(0.3, -1.1, 0.7, 2.3), cost_quad=(0.15, 0.05, 0.1, 0.4))
+        for _ in range(200):
+            a = random_box_within(rng, spec.x_bounds)
+            c = a.corners()
+            terms = [spec.cost_linear[i] * c[i] + spec.cost_quad[i] * c[i] * c[i] for i in range(4)]
+            assert stage_cost(spec, a) == ((terms[0] + terms[1]) + terms[2]) + terms[3]
+
     def test_grows_with_inclusion_on_the_cone(self, spec, rng):
         from tube_dissip.sampling import monotone_cone_superbox
 
