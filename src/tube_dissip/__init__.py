@@ -1,26 +1,8 @@
 """Set-valued cost-to-travel analysis, storage certificates, and tube MPC on interval boxes."""
 
 from .interval_sets import IntervalBox, boxes_intersect, contains, hausdorff, subset
-from .problem import (
-    ConfigError,
-    GConstraintBlock,
-    ProblemSpec,
-    build_g_block,
-    dynamics,
-    is_rci,
-    stage_cost,
-    transition_feasible,
-)
-from .qp_solver import (
-    QpBuilder,
-    QpProblem,
-    QpSolution,
-    QpStatus,
-    SolverFailure,
-    SolverSettings,
-    solve,
-    verify_kkt,
-)
+from .problem import ConfigError, ProblemSpec, dynamics, is_rci, stage_cost, transition_feasible
+from .qp_solver import QpStatus, SolverFailure, SolverSettings
 from .cost_to_travel import CostToTravelResult, RciNotFound, bellman_gap, eval_v, optimal_rci
 from .dissipativity import (
     SeparabilityReport,

@@ -64,6 +64,14 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class RunConfig:
     """Problem, controller, tolerance, and seed settings shared by commands."""
 
@@ -99,6 +107,11 @@ class RunConfig:
         unknown = set(tols) - self.TOLERANCE_KEYS
         if unknown:
             raise ConfigError(f"unknown tolerance config keys: {sorted(unknown)}")
+        for key in ("kkt_tol", "feas_tol"):
+            if key in tols and not (_is_real(tols[key]) and math.isfinite(tols[key]) and tols[key] > 0.0):
+                raise ConfigError(f"tolerances.{key} must be a finite number > 0, got {tols[key]!r}")
+        if "max_iter" in tols and not (_is_int(tols["max_iter"]) and tols["max_iter"] >= 1):
+            raise ConfigError(f"tolerances.max_iter must be an integer >= 1, got {tols['max_iter']!r}")
         self.settings = replace(SolverSettings(), **tols)
         out = obj.get("output", {})
         unknown = set(out) - self.OUTPUT_KEYS
@@ -109,7 +122,17 @@ class RunConfig:
         if out.get("format", "json") != "json":
             raise ConfigError(f"unsupported output format {out['format']!r} (only \"json\")")
         env_seed = os.environ.get("TUBE_DISSIP_SEED")
-        self.seed = int(obj.get("seed", env_seed if env_seed is not None else DEFAULT_SEED))
+        if "seed" in obj:
+            if not _is_int(obj["seed"]):
+                raise ConfigError(f"seed must be an integer, got {obj['seed']!r}")
+            self.seed = obj["seed"]
+        elif env_seed is not None:
+            try:
+                self.seed = int(env_seed)
+            except ValueError:
+                raise ConfigError(f"TUBE_DISSIP_SEED must be an integer, got {env_seed!r}") from None
+        else:
+            self.seed = DEFAULT_SEED
 
     @classmethod
     def load(cls, path: Optional[str]) -> "RunConfig":
@@ -159,7 +182,7 @@ def _controller_config(run: RunConfig, args) -> TubeMpcConfig:
     cfg = run.controller
     if getattr(args, "no_initial_cost", False):
         cfg = replace(cfg, use_initial_cost=False)
-    if getattr(args, "horizon", None):
+    if getattr(args, "horizon", None) is not None:
         cfg = replace(cfg, horizon=args.horizon)
     return cfg
 
@@ -186,6 +209,8 @@ def _cmd_eval_v(run: RunConfig, args) -> int:
 
 
 def _cmd_check_storage(run: RunConfig, args) -> int:
+    if args.strictness < 0:
+        raise ConfigError(f"--strictness must be >= 0, got {args.strictness}")
     if args.storage == "default":
         sf = StorageFunction.reference()
     else:
@@ -207,6 +232,8 @@ def _cmd_control(run: RunConfig, args) -> int:
 
 
 def _cmd_sweep(run: RunConfig, args) -> int:
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
     cfg = _controller_config(run, args)
     xb = run.spec.x_bounds
     grid = [
@@ -230,6 +257,8 @@ def _cmd_sweep(run: RunConfig, args) -> int:
 
 
 def _cmd_simulate(run: RunConfig, args) -> int:
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     cfg = _controller_config(run, args)
     columns = ["k", "y1", "y2", "u", "w", "Y_a1", "Y_a2", "Y_a3", "Y_a4", "dH", "lyapunov"]
     if args.fig2:

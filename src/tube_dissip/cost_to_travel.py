@@ -105,9 +105,10 @@ def eval_v(
             return CostToTravelResult(value=_INF)
         return CostToTravelResult(value=stage_cost(spec, a), tube=(a, b), aux_controls=(witness,))
     stack = _chain_stack(spec, n_steps)
-    _, x, _ = _solve_chain(stack, a, b, settings)
+    _, x, _ = _solve_program(stack, np.array(a.corners() + b.corners()), settings)
     if x is None:
         return CostToTravelResult(value=_INF)
+    x = _within_state_bounds(spec, x)
     tube = [a]
     for k in range(n_steps - 1):
         # corner order is met to within the kernel's rounding guard
@@ -123,13 +124,12 @@ def eval_v(
     return CostToTravelResult(value=value, tube=tuple(tube), aux_controls=tuple(aux))
 
 
-class _ChainStack(NamedTuple):
-    """The rows of an N-step tube over its 4(N-1) free intermediate corners.
+class _CornerProgram(NamedTuple):
+    """``min sum(d*x**2 + q*x)`` over free box corners x, subject to ``G x <= h0 - P @ p``.
 
-    Row i reads ``G[i] @ x <= h0[i] - P[i] @ (a, b)`` for the free corners x
-    and the end boxes' corner vectors; ``fixed`` marks the rows with no free
-    coefficient, and ``G_free`` holds the others.  The objective is
-    ``sum(d*x**2 + q*x)``.
+    p is the program's parameter: the end boxes' corner vectors of a chain,
+    the measured state of a tube.  ``fixed`` marks the rows with no free
+    coefficient, and ``G_free`` holds the others.
     """
 
     d: np.ndarray
@@ -141,8 +141,16 @@ class _ChainStack(NamedTuple):
     G_free: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _chain_stack(spec: ProblemSpec, n_steps: int) -> _ChainStack:
+def _corner_program(d, q, G, P, h0) -> _CornerProgram:
+    fixed = ~np.any(G != 0.0, axis=1)
+    return _CornerProgram(d, q, G, P, h0, fixed, G[~fixed])
+
+
+def _stacked_steps(spec: ProblemSpec, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``rows @ c <= h0`` of n_steps chained transitions, c the corners of their n_steps + 1 boxes.
+
+    Rows with an infinite constant (an unbounded U) always hold and are left out.
+    """
     src, tgt, const = transition_rows(spec)
     m = const.size
     rows = np.zeros((n_steps * m, 4 * (n_steps + 1)))
@@ -150,37 +158,54 @@ def _chain_stack(spec: ProblemSpec, n_steps: int) -> _ChainStack:
         rows[k * m : (k + 1) * m, 4 * k : 4 * k + 4] = src
         rows[k * m : (k + 1) * m, 4 * k + 4 : 4 * k + 8] = tgt
     h0 = np.tile(const, n_steps)
-    # an infinite constant (an unbounded U) leaves a row that always holds
-    rows, h0 = rows[np.isfinite(h0)], h0[np.isfinite(h0)]
-    G = rows[:, 4:-4]
-    fixed = ~np.any(G != 0.0, axis=1)
+    finite = np.isfinite(h0)
+    return rows[finite], h0[finite]
+
+
+@lru_cache(maxsize=64)
+def _chain_stack(spec: ProblemSpec, n_steps: int) -> _CornerProgram:
+    """The N-step tube program over its 4(N-1) free intermediate corners; p is the end boxes' corners."""
+    rows, h0 = _stacked_steps(spec, n_steps)
     n_free = n_steps - 1
-    return _ChainStack(
+    return _corner_program(
         d=np.tile(spec.cost_quad, n_free),
         q=np.tile(spec.cost_linear, n_free),
-        G=G,
+        G=rows[:, 4:-4],
         P=np.hstack([rows[:, :4], rows[:, -4:]]),
         h0=h0,
-        fixed=fixed,
-        G_free=G[~fixed],
     )
 
 
-def _solve_chain(stack: _ChainStack, a: IntervalBox, b: IntervalBox, settings: SolverSettings):
-    """The right-hand sides ``h`` of a tube from a to b over ``stack.G``, and its answer.
+def _solve_program(prog: _CornerProgram, p: np.ndarray, settings: SolverSettings):
+    """The right-hand sides ``h`` of a corner program at parameter p, and its answer.
 
     Returns ``(h, x, y)``: the minimiser x and its multipliers ``y >= 0``, or
     x None and a Farkas ray ``y >= 0`` with ``G'y = 0`` and ``h'y < 0``.  A
     fixed row violated by more than ``settings.feas_tol`` is its own ray.
     """
-    h = stack.h0 - stack.P @ np.array(a.corners() + b.corners())
+    h = prog.h0 - prog.P @ p
     y = np.zeros(h.size)
-    worst = int(np.argmin(np.where(stack.fixed, h, _INF)))
-    if h[worst] < -settings.feas_tol:
+    fixed_h = np.where(prog.fixed, h, _INF)
+    worst = int(np.argmin(fixed_h))
+    if fixed_h[worst] < -settings.feas_tol:
         y[worst] = 1.0
         return h, None, y
-    x, y[~stack.fixed] = _corner_qp(stack.d, stack.q, stack.G_free, h[~stack.fixed], settings)
+    x, y[~prog.fixed] = _corner_qp(prog.d, prog.q, prog.G_free, h[~prog.fixed], settings)
     return h, x, y
+
+
+def _within_state_bounds(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
+    """Free corners x clipped onto the state bounds.
+
+    Every free box is the source of a step, so its rows keep it within the
+    state bounds, but only to within the kernel's rounding guard; clipped,
+    it passes exact inclusion tests such as the storage form's domain.
+    """
+    xb = spec.x_bounds
+    n_boxes = x.size // 4
+    lo = np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_boxes)
+    hi = np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_boxes)
+    return np.clip(x, lo, hi)
 
 
 def _corner_qp(d, q, G, h, settings: SolverSettings):

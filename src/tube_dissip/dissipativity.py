@@ -8,9 +8,10 @@ function with respect to such a candidate W means
 
 which is certified here by minimizing ``L(a) + W(a) - W(b)`` over a relaxed
 superset of the one-step transition constraints: if even the relaxed minimum
-reaches V*, the inequality holds on the full domain.  Strictness (uniqueness
-of the minimizing pair) is probed by seeded sampling, not certified; the
-relaxed program is degenerate in several target coordinates.
+reaches V*, the inequality holds on the full domain.  The relaxed program and
+the storage minimum over the domain both have closed forms.  Strictness
+(uniqueness of the minimizing pair) is probed by seeded sampling, not
+certified; the relaxed program is degenerate in several target coordinates.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ import numpy as np
 from .cost_to_travel import eval_v, optimal_rci
 from .interval_sets import IntervalBox, hausdorff, subset
 from .problem import ProblemSpec
-from .qp_solver import (
-    DEFAULT_SETTINGS,
-    QpBuilder,
-    QpStatus,
-    SolverFailure,
-    SolverSettings,
-    solve,
-)
+from .qp_solver import DEFAULT_SETTINGS, SolverSettings
 from .sampling import feasible_pair
 
 __all__ = [
@@ -102,33 +96,22 @@ def eval_storage(sf: StorageFunction, spec: ProblemSpec, a: IntervalBox) -> floa
     return sf.offset + sum(sf.linear_coeffs[i] * c[i] for i in range(4))
 
 
-def storage_min_on_domain(
-    spec: ProblemSpec,
-    sf: StorageFunction,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
+def storage_min_on_domain(spec: ProblemSpec, sf: StorageFunction) -> float:
     """Minimum of the affine storage form over all boxes within the bounds.
 
-    A linear program over the corner polytope; nonnegativity of the storage
-    candidate on its domain is ``min >= 0`` together with a nonnegative
-    outside value.
+    In each dimension the corners ``lo <= a <= b <= hi`` of a box within the
+    bounds' interval ``[lo, hi]`` form a triangle, and a linear form takes
+    its minimum at one of its vertices ``(lo, lo)``, ``(lo, hi)``,
+    ``(hi, hi)``.  Nonnegativity of the storage candidate on its domain is
+    ``min >= 0`` together with a nonnegative outside value.
     """
-    builder = QpBuilder()
-    a = builder.new_vars(4)
     xb = spec.x_bounds
-    builder.bound(a[0], xb.lo[0], xb.hi[0])
-    builder.bound(a[1], xb.lo[0], xb.hi[0])
-    builder.bound(a[2], xb.lo[1], xb.hi[1])
-    builder.bound(a[3], xb.lo[1], xb.hi[1])
-    builder.add_row({a[0]: 1.0, a[1]: -1.0}, -_INF, 0.0)
-    builder.add_row({a[2]: 1.0, a[3]: -1.0}, -_INF, 0.0)
-    for i in range(4):
-        builder.add_lin(a[i], sf.linear_coeffs[i])
-    builder.add_const(sf.offset)
-    sol = solve(builder.build(), settings)
-    if sol.status is not QpStatus.OPTIMAL:
-        raise SolverFailure(f"storage minimization did not converge: {sol.status}")
-    return float(sol.objective)
+    total = sf.offset
+    for dim in range(2):
+        lo, hi = xb.lo[dim], xb.hi[dim]
+        ca, cb = sf.linear_coeffs[2 * dim], sf.linear_coeffs[2 * dim + 1]
+        total += min(ca * lo + cb * lo, ca * lo + cb * hi, ca * hi + cb * hi)
+    return total
 
 
 @dataclass(frozen=True)
@@ -210,34 +193,44 @@ def verify_separability(
     tol: float = 1e-6,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> SeparabilityReport:
-    """Certify the separability inequality by one relaxed convex QP.
+    """Certify the separability inequality by one relaxed convex program.
 
-    The program minimizes ``L(a) + coeffs.a - coeffs.b`` over source corners
-    a, target corners b, and one edge control, keeping only the relaxed rows
+    The program minimizes ``L(a) + ell.a - ell.b`` over source corners a,
+    target corners b and one edge control v1, for the storage coefficients
+    ell, keeping only the relaxed rows
 
         b3 <= alpha*a3 + v1 + w_lo,   v1 <= b2,   a1 <= a2,   v1 in U.
 
     The relaxed feasible set contains every true transition pair, so a
-    minimum of at least V* proves the inequality everywhere.  An unbounded
-    relaxation rejects the candidate and reports the certified ray.
+    minimum of at least V* proves the inequality everywhere.  Its solution
+    is in closed form.  The targets enter linearly: b1 and b4 are free, b2
+    only bounded below and b3 only above, so the program is unbounded when
+    ``ell1 != 0``, ``ell4 != 0``, ``ell2 > 0`` or ``ell3 < 0``, and such a
+    candidate is rejected with a ray along those targets.  Otherwise the
+    targets sit on their rows, ``b2 = v1`` and ``b3 = alpha*a3 + v1 + w_lo``,
+    leaving a separable quadratic in the source corners (``a1 <= a2`` their
+    one coupling) plus ``-(ell2 + ell3)*v1``, which an infinite end of U
+    can also make unbounded.  The free targets are reported as ``b1 = b2``
+    and ``b4 = b3``.  A ray is given in the variables ``(a, b, v1)``.
     """
     _, v_star = optimal_rci(spec, settings)
     ell = sf.linear_coeffs
+    u_lo, u_hi = spec.u_bounds
+    c_v = -ell[1] - ell[2]
 
-    builder = QpBuilder()
-    a = builder.new_vars(4)
-    b = builder.new_vars(4)
-    v1 = builder.new_var(spec.u_lo, spec.u_hi)
-    builder.add_row({b[2]: 1.0, a[2]: -spec.alpha, v1: -1.0}, -_INF, spec.w_lo)
-    builder.add_row({v1: 1.0, b[1]: -1.0}, -_INF, 0.0)
-    builder.add_row({a[0]: 1.0, a[1]: -1.0}, -_INF, 0.0)
-    for i in range(4):
-        builder.add_lin(a[i], spec.cost_linear[i] + ell[i])
-        builder.add_quad(a[i], spec.cost_quad[i])
-        builder.add_lin(b[i], -ell[i])
-
-    sol = solve(builder.build(), settings)
-    if sol.status is QpStatus.UNBOUNDED:
+    ray = np.zeros(9)
+    ray[4], ray[7] = np.sign(ell[0]), np.sign(ell[3])
+    if ell[1] > 0.0:
+        ray[5] = 1.0
+    if ell[2] < 0.0:
+        ray[6] = -1.0
+    if not ray.any():
+        # v1 carries b2 and b3 along its rows
+        if c_v > 0.0 and u_lo == -_INF:
+            ray[5:7] = ray[8] = -1.0
+        elif c_v < 0.0 and u_hi == _INF:
+            ray[5:7] = ray[8] = 1.0
+    if ray.any():
         return SeparabilityReport(
             qp_min_value=-_INF,
             minimizer_a=None,
@@ -246,18 +239,30 @@ def verify_separability(
             v_star=v_star,
             gap=-_INF,
             passed=False,
-            unbounded_ray=tuple(float(v) for v in sol.unbounded_ray),
+            unbounded_ray=tuple(float(r) for r in ray),
         )
-    if sol.status is not QpStatus.OPTIMAL:
-        raise SolverFailure(f"separability certificate solve did not converge: {sol.status}")
 
-    qp_min = float(sol.objective)
+    q, d = spec.cost_linear, spec.cost_quad
+    # linear coefficients of the source corners once the targets are on their rows
+    k = (q[0], q[1] + ell[1], q[2] + ell[2] * (1.0 - spec.alpha), q[3])
+    a = [-k[i] / (2.0 * d[i]) for i in range(4)]
+    if a[0] > a[1]:
+        a[0] = a[1] = -(k[0] + k[1]) / (2.0 * (d[0] + d[1]))
+    if c_v > 0.0:
+        v1 = u_lo
+    elif c_v < 0.0:
+        v1 = u_hi
+    else:
+        v1 = min(max(0.0, u_lo), u_hi)
+    b3 = spec.alpha * a[2] + v1 + spec.w_lo
+    b = (v1, v1, b3, b3)
+    qp_min = sum(d[i] * a[i] * a[i] + (q[i] + ell[i]) * a[i] - ell[i] * b[i] for i in range(4))
     gap = qp_min - v_star
     return SeparabilityReport(
         qp_min_value=qp_min,
-        minimizer_a=tuple(float(sol.x[i]) for i in a),
-        minimizer_b=tuple(float(sol.x[i]) for i in b),
-        minimizer_v=float(sol.x[v1]),
+        minimizer_a=tuple(a),
+        minimizer_b=b,
+        minimizer_v=v1,
         v_star=v_star,
         gap=gap,
         passed=bool(gap >= -tol),

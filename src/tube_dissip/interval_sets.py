@@ -73,10 +73,6 @@ class IntervalBox:
         ix, iy = obj
         return cls.from_intervals(ix, iy)
 
-    def csv_fields(self) -> tuple[float, float, float, float]:
-        """The four CSV columns a1,a2,a3,a4."""
-        return self.corners()
-
     def __repr__(self) -> str:
         a1, a2, a3, a4 = self.corners()
         return f"IntervalBox([{a1}, {a2}] x [{a3}, {a4}])"

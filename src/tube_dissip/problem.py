@@ -5,17 +5,23 @@ interval control set U, and an interval disturbance set W.  On the domain of
 interval boxes, reachability of a target box B from a source box A ("B is a
 one-step successor of A") has an exact linear description: there exist edge
 controls ``v1`` (applied on the lower x2-edge of A) and ``v2`` (upper edge)
-such that the rows of :func:`build_g_block` hold; intermediate states use the
-control interpolated linearly in x2.  That description is adopted here as the
-defining encoding of the transition relation for this family.
+such that, with a and b the corner vectors of A and B,
+
+    b3 <= alpha*a3 + v1 + w_lo,   b4 >= alpha*a4 + v2 + w_hi,
+    (v1 - v2)/alpha + a3 - a4 <= 0,
+    b1 <= v1 <= b2,   b1 <= v2 <= b2,   v1, v2 in U,
+
+and A lies within the state bounds (``a1 <= a2`` and ``a3 <= a4`` included);
+intermediate states use the control interpolated linearly in x2.  That
+description is adopted here as the defining encoding of the transition
+relation for this family.
 
 With A and B both fixed those rows leave two intervals for the edge controls
 and one coupling row between them, so a single step is decided in closed form
 by :func:`transition_witness`, with no solver.  Eliminating the edge controls
 from those intervals leaves linear rows on the corners of A and B alone
-(:func:`transition_rows`), the constraints of the multi-step cost-to-travel
-and invariant-box programs; the tube MPC program keeps the edge controls as
-variables of its QP.
+(:func:`transition_rows`), the constraints of the multi-step cost-to-travel,
+invariant-box and tube MPC programs.
 """
 
 from __future__ import annotations
@@ -23,20 +29,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .interval_sets import IntervalBox, subset
-from .qp_solver import DEFAULT_SETTINGS, QpBuilder, SolverSettings
+from .qp_solver import DEFAULT_SETTINGS, SolverSettings
 
 __all__ = [
     "ProblemSpec",
-    "GConstraintBlock",
-    "GRow",
     "ConfigError",
-    "build_g_block",
-    "install_slot_row",
     "transition_rows",
     "transition_witness",
     "transition_feasible",
@@ -47,9 +49,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-# a slot is either a builder variable index (int) or a fixed numeric value
-Slot = Union[int, float]
 
 
 class ConfigError(ValueError):
@@ -194,123 +193,8 @@ def interpolated_control(spec: ProblemSpec, a: IntervalBox, v1: float, v2: float
 # transition-feasibility rows
 
 
-def install_slot_row(builder: QpBuilder, coeffs, lo: float, hi: float) -> None:
-    """Install one two-sided row whose terms reference variable or fixed slots.
-
-    Fixed slots fold into the bounds; single-variable rows become box bounds;
-    rows with no variables remain as constant feasibility assertions.
-    """
-    const = 0.0
-    terms: dict[int, float] = {}
-    for slot, coef in coeffs:
-        if isinstance(slot, (int, np.integer)) and not isinstance(slot, bool):
-            terms[int(slot)] = terms.get(int(slot), 0.0) + coef
-        else:
-            const += coef * float(slot)
-    lo, hi = lo - const, hi - const
-    if not terms:
-        builder.add_row({}, lo, hi)
-    elif len(terms) == 1:
-        ((ix, coef),) = terms.items()
-        if coef > 0:
-            builder.bound(ix, lo / coef, hi / coef)
-        else:
-            builder.bound(ix, hi / coef, lo / coef)
-    else:
-        builder.add_row(terms, lo, hi)
-
-
-@dataclass(frozen=True)
-class GRow:
-    """One two-sided row ``lo <= sum(coef * slot) <= hi`` over a/b/v slots."""
-
-    coeffs: tuple[tuple[Slot, float], ...]
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class GConstraintBlock:
-    """The linear rows encoding "B is reachable from A" with edge controls v.
-
-    Rows reference slots, each of which is either a builder variable index or
-    a fixed value; :meth:`install` resolves fixed slots into constants.  The
-    block also carries the source-box state-bound rows, matching the
-    convention that the transition constraint set restricts A to the state
-    bounds while leaving B free.
-    """
-
-    rows: tuple[GRow, ...]
-
-    def install(self, builder: QpBuilder) -> None:
-        for row in self.rows:
-            install_slot_row(builder, row.coeffs, row.lo, row.hi)
-
-    def has_row(self, coeffs: dict[Slot, float], lo: float, hi: float, tol: float = 1e-12) -> bool:
-        """True iff some row equals the given coefficients and bounds."""
-        want = {k: v for k, v in coeffs.items() if v != 0.0}
-        for row in self.rows:
-            got: dict[Slot, float] = {}
-            for slot, coef in row.coeffs:
-                got[slot] = got.get(slot, 0.0) + coef
-            got = {k: v for k, v in got.items() if v != 0.0}
-            if set(got) != set(want):
-                continue
-            if any(abs(got[k] - want[k]) > tol for k in want):
-                continue
-            lo_ok = (math.isinf(lo) and math.isinf(row.lo)) or abs(row.lo - lo) <= tol
-            hi_ok = (math.isinf(hi) and math.isinf(row.hi)) or abs(row.hi - hi) <= tol
-            if lo_ok and hi_ok:
-                return True
-        return False
-
-
-def build_g_block(
-    spec: ProblemSpec,
-    a_vars: Sequence[Slot],
-    b_vars: Sequence[Slot],
-    v_vars: Sequence[Slot],
-) -> GConstraintBlock:
-    """Rows stating that box b is a one-step successor of box a.
-
-    ``a_vars``/``b_vars`` are the four corner slots of each box, ``v_vars``
-    the two edge-control slots.  With w the disturbance bounds and alpha the
-    dynamics coefficient the rows are
-
-        b3 <= alpha*a3 + v1 + w_lo
-        b4 >= alpha*a4 + v2 + w_hi
-        a4 >= (1/alpha)*(v1 - v2) + a3
-        b1 <= v1 <= b2,  b1 <= v2 <= b2
-        v1, v2 in U
-        a within the state bounds (including a1 <= a2, a3 <= a4)
-    """
-    a1, a2, a3, a4 = a_vars
-    b1, b2, b3, b4 = b_vars
-    v1, v2 = v_vars
-    al = spec.alpha
-    xb = spec.x_bounds
-    rows = (
-        GRow(((b3, 1.0), (a3, -al), (v1, -1.0)), -_INF, spec.w_lo),
-        GRow(((a4, al), (v2, 1.0), (b4, -1.0)), -_INF, -spec.w_hi),
-        GRow(((v1, 1.0 / al), (v2, -1.0 / al), (a3, 1.0), (a4, -1.0)), -_INF, 0.0),
-        GRow(((b1, 1.0), (v1, -1.0)), -_INF, 0.0),
-        GRow(((v1, 1.0), (b2, -1.0)), -_INF, 0.0),
-        GRow(((b1, 1.0), (v2, -1.0)), -_INF, 0.0),
-        GRow(((v2, 1.0), (b2, -1.0)), -_INF, 0.0),
-        GRow(((v1, 1.0),), spec.u_lo, spec.u_hi),
-        GRow(((v2, 1.0),), spec.u_lo, spec.u_hi),
-        GRow(((a1, 1.0),), xb.lo[0], _INF),
-        GRow(((a1, 1.0), (a2, -1.0)), -_INF, 0.0),
-        GRow(((a2, 1.0),), -_INF, xb.hi[0]),
-        GRow(((a3, 1.0),), xb.lo[1], _INF),
-        GRow(((a3, 1.0), (a4, -1.0)), -_INF, 0.0),
-        GRow(((a4, 1.0),), -_INF, xb.hi[1]),
-    )
-    return GConstraintBlock(rows=rows)
-
-
 def transition_rows(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of :func:`build_g_block` with the edge controls eliminated.
+    """The transition rows of this module's docstring with the edge controls eliminated.
 
     Returns ``(src, tgt, const)``: box b is a one-step successor of box a
     exactly when ``src @ a + tgt @ b <= const`` row by row, for the corner
@@ -369,7 +253,7 @@ def transition_witness(
 ) -> tuple[float, float] | None:
     """Edge controls ``(v1, v2)`` taking a into b in one step, or None if b is unreachable.
 
-    With a and b fixed, the rows of :func:`build_g_block` leave
+    With a and b fixed, the transition rows of this module's docstring leave
 
         v1 in [max(b1, u_lo, b3 - alpha*a3 - w_lo), min(b2, u_hi)]
         v2 in [max(b1, u_lo), min(b2, u_hi, b4 - alpha*a4 - w_hi)]

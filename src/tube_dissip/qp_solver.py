@@ -25,13 +25,14 @@ Primal infeasibility and unboundedness are detected from the divergence
 certificates of the ADMM iterates (the standard operator-splitting tests on
 the successive dual / primal differences).
 
-The contract of this module is the returned KKT certificate, not the
-algorithm.  :func:`solve` serves the storage certificate, the storage minimum
-and the tube MPC program.  The corner QPs of multi-step cost-to-travel values
-and of the optimal invariant box have a positive diagonal Hessian and
-inequality rows only; they go to the private dense dual active-set kernel
+The library's own programs do not go through :func:`solve`.  Every one of
+them that needs a solver (multi-step cost-to-travel values, the optimal
+invariant box and the tube MPC program) has a positive diagonal Hessian and
+inequality rows only, and goes to the private dense dual active-set kernel
 :func:`_dual_active_set`, which is exact, ends in finitely many steps and
-returns either multipliers or a Farkas ray.
+returns either multipliers or a Farkas ray.  :func:`solve` and
+:class:`QpBuilder` remain as an independent reference solver: the tests
+assemble the original programs, edge controls included, through them.
 """
 
 from __future__ import annotations
@@ -423,13 +424,8 @@ def _factor(H, A, sigma, rho):
 # main solve
 
 
-def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS,
-          x0: Optional[np.ndarray] = None) -> QpSolution:
-    """Solve a dense convex QP, returning a KKT-certified solution.
-
-    ``x0`` is an optional internal starting point; it affects the iteration
-    path, never the reported optimum of a strictly convex problem.
-    """
+def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolution:
+    """Solve a dense convex QP, returning a KKT-certified solution."""
     rows = _RowForm(qp)
     n, m = qp.n, rows.m
     A, l, u = rows.A, rows.l, rows.u
@@ -454,12 +450,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS,
     rho = np.where(rows.eq_mask, settings.rho_eq_scale * settings.rho, settings.rho)
     lu, piv = _initial_factor(qp.H, A, settings.sigma, rho)
 
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x0 must be finite")
+    x = np.zeros(n)
     z = np.clip(A @ x, l, u)
     y = np.zeros(m)
     rhs = np.empty(n + m)
@@ -473,7 +464,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS,
         rhs[:n] = sig * x - qp.g
         rhs[n:] = z - y_rho
         # LAPACK getrs on the cached factors: lu_solve would only add input
-        # checks, and QpProblem and x0 are checked finite up front
+        # checks, and QpProblem is checked finite up front
         sol_vec, _ = dgetrs(lu, piv, rhs)
         x_t = sol_vec[:n]
         nu = sol_vec[n:]

@@ -1,50 +1,52 @@
 """Receding-horizon controller over box tubes, with feedback extraction.
 
 Each solve optimizes a horizon of boxes chained by the transition rows, the
-measured state pinned into the first box and the last box tied to a terminal
-invariant box (corner equality by default).  The applied control ``u0`` is a
-decision variable constrained to drive the measured state into the second box
-for every disturbance.  The cost does not depend on it, so its value in the
-QP solution is arbitrary; the reported ``u0`` is recomputed in closed form
-from the optimal tube instead: the window ``[lo, hi]`` of controls that drive
-the state into the second box, clamped towards zero as
-``min(max(0, lo), hi)``.  The window is reported alongside so callers can
-tell forced values from tie-broken ones.
+measured state pinned into the first box and the last box fixed to a
+terminal invariant box T.  The applied control ``u0`` must drive the
+measured state into the second box for every disturbance; its window
 
-The program is assembled once per controller (problem, options and solver
-settings), at the centre of the terminal box, and solved there.  The state
-enters it only through the bounds of the first box's corners and the
-right-hand sides of the two control-window rows it appears in; each solve
-copies those, writes the state in, and starts from the centre's solution, so
-the result depends on the controller and the state alone.  Only states
-within the state bounds keep that structure: one beyond them by more than
-``feas_tol`` has no tube and is reported infeasible without a solve, and one
-within ``feas_tol`` of them is solved as the nearest state on them.
+    [max(b1, b3 - alpha*z2 - w_lo, u_lo), min(b2, b4 - alpha*z2 - w_hi, u_hi)]
+
+on the second box b is nonempty exactly when b is a one-step successor of
+the point box ``{z}``, so, like the edge controls of every step, it drops
+out through :func:`~tube_dissip.problem.transition_rows`.  What remains is a
+strictly convex QP in the corners of the first ``horizon`` boxes,
+``min sum(d*x**2 + q*x)`` subject to ``G x <= h0 - P @ z``, built once per
+problem and controller options and solved exactly by the dual active-set
+kernel of ``qp_solver``, as multi-step cost-to-travel values are.  Rows with
+no free coefficient are checked against ``feas_tol``.
+
+The cost does not depend on ``u0``, so it is reported in closed form from
+the optimal tube: the window ``[lo, hi]`` clamped towards zero as
+``min(max(0, lo), hi)``.  The window is reported alongside so callers can
+tell forced values from tie-broken ones.  Only states within the state
+bounds have a tube: one beyond them by more than ``feas_tol`` is reported
+infeasible without a solve, and one within ``feas_tol`` of them is solved
+as the nearest state on them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost_to_travel import optimal_rci
+from .cost_to_travel import (
+    _corner_program,
+    _CornerProgram,
+    _solve_program,
+    _stacked_steps,
+    _within_state_bounds,
+    optimal_rci,
+)
 from .dissipativity import StorageFunction
 from .interval_sets import IntervalBox, contains, subset
-from .problem import ConfigError, ProblemSpec, build_g_block, is_rci
-from .qp_solver import (
-    DEFAULT_SETTINGS,
-    QpBuilder,
-    QpProblem,
-    QpStatus,
-    SolverFailure,
-    SolverSettings,
-    solve,
-)
+from .problem import ConfigError, ProblemSpec, is_rci, transition_rows, transition_witness
+from .qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, SolverSettings
 
 __all__ = [
     "TubeMpcConfig",
@@ -57,8 +59,6 @@ __all__ = [
     "mu_feedback",
     "sweep_feedback",
 ]
-
-_INF = float("inf")
 
 
 class ControllerInfeasible(RuntimeError):
@@ -74,7 +74,12 @@ class TubeMpcConfig:
     """Controller options.
 
     ``terminal_set`` and ``storage`` default to the optimal invariant box and
-    the reference storage candidate when left as None.
+    the reference storage candidate when left as None.  The last box of
+    every tube is the terminal box itself under both ``terminal_equality``
+    settings: the last box carries no cost and reachability only grows with
+    the target box, so a tube ending inside the terminal box exists exactly
+    when one ending on it does, at the same cost.  The flag is kept so that
+    existing configurations still load.
     """
 
     horizon: int = 2
@@ -84,12 +89,25 @@ class TubeMpcConfig:
     terminal_equality: bool = True
 
     def __post_init__(self):
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
+            raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        for name in ("use_initial_cost", "terminal_equality"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
 class TubeSolution:
+    """One controller solve.
+
+    When feasible, ``tube`` runs from the box holding the state to the
+    terminal box, and ``edge_controls`` holds, for each step, the edge
+    controls ``(v1, v2)`` that :func:`~tube_dissip.problem.transition_witness`
+    returns for it.
+    """
+
     status: QpStatus
     tube: Optional[tuple[IntervalBox, ...]] = None
     u0: Optional[float] = None
@@ -155,120 +173,42 @@ def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optio
     return terminal, storage
 
 
-def _window_bounds(spec: ProblemSpec, z2: float) -> tuple[float, float]:
-    """Right-hand sides of the two control-window rows the state enters."""
-    return spec.alpha * z2 + spec.w_lo, -spec.alpha * z2 - spec.w_hi
-
-
-def _assemble(spec: ProblemSpec, cfg: TubeMpcConfig, z: Sequence[float]):
-    """The tube program at a state z within the state bounds, through QpBuilder.
-
-    Returns the QP, the corner slots of every box (variable indices, or the
-    terminal corners when they are fixed), the edge-control variables of
-    every step, and the variable of the applied control.
-    """
-    terminal, storage = _resolved(spec, cfg)
-    n = cfg.horizon
-    z1, z2 = float(z[0]), float(z[1])
-
-    builder = QpBuilder()
-    corner_slots: list[Sequence] = []
-    for _ in range(n):
-        corner_slots.append(builder.new_vars(4))
-    if cfg.terminal_equality:
-        corner_slots.append(terminal.corners())
-    else:
-        tail = builder.new_vars(4)
-        corner_slots.append(tail)
-        t1, t2, t3, t4 = terminal.corners()
-        builder.bound(tail[0], t1, _INF)
-        builder.bound(tail[1], -_INF, t2)
-        builder.bound(tail[2], t3, _INF)
-        builder.bound(tail[3], -_INF, t4)
-        builder.add_row({tail[0]: 1.0, tail[1]: -1.0}, -_INF, 0.0)
-        builder.add_row({tail[2]: 1.0, tail[3]: -1.0}, -_INF, 0.0)
-
-    v_slots = []
-    for k in range(n):
-        v = builder.new_vars(2)
-        v_slots.append(v)
-        build_g_block(spec, corner_slots[k], corner_slots[k + 1], v).install(builder)
-
-    # measured state pinned into the first box
-    a0 = corner_slots[0]
-    builder.bound(a0[0], -_INF, z1)
-    builder.bound(a0[1], z1, _INF)
-    builder.bound(a0[2], -_INF, z2)
-    builder.bound(a0[3], z2, _INF)
-
-    # applied-control window against the second box: sign * (b[k] - u0) <= hi.
-    # These stay rows even where the second box is the fixed terminal box, so
-    # the applied control's only bounds are U and every state enters the same
-    # two entries of bin.
-    u0 = builder.new_var(spec.u_lo, spec.u_hi)
-    b = corner_slots[1]
-    hi_lo, hi_hi = _window_bounds(spec, z2)
-    for k, sign, hi in ((0, 1.0, 0.0), (1, -1.0, 0.0), (2, 1.0, hi_lo), (3, -1.0, hi_hi)):
-        if isinstance(b[k], int):
-            builder.add_row({b[k]: sign, u0: -sign}, -_INF, hi)
-        else:
-            builder.add_row({u0: -sign}, -_INF, hi - sign * b[k])
-
-    for k in range(n):
-        for i, ix in enumerate(corner_slots[k]):
-            builder.add_lin(ix, spec.cost_linear[i])
-            builder.add_quad(ix, spec.cost_quad[i])
-    if storage is not None:
-        builder.add_const(storage.offset)
-        for i, ix in enumerate(corner_slots[0]):
-            builder.add_lin(ix, storage.linear_coeffs[i])
-
-    return builder.build(), tuple(corner_slots), tuple(v_slots), u0
-
-
-class _Template(NamedTuple):
-    """One controller's tube program, assembled once; the state writes six entries."""
-
-    qp: QpProblem
-    corner_slots: tuple[Sequence, ...]
-    v_slots: tuple[Sequence[int], ...]
-    window_rows: tuple[int, int]
-    # what the fixed second-box corner folds out of each window row's bin
-    window_shift: tuple[float, float]
-    x_nom: Optional[np.ndarray]
+# the point box {z} of a state z, as a map from z to its corner vector
+_POINT = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+# a box contains a point when SIGNS * (corners - point corners) <= 0
+_SIGNS = np.diag([1.0, -1.0, 1.0, -1.0])
 
 
 @lru_cache(maxsize=32)
-def _template(spec: ProblemSpec, cfg: TubeMpcConfig, settings: SolverSettings) -> _Template:
-    """The tube program at the centre of the terminal box, and its solution there.
+def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
+    """The controller's corner program over the first ``horizon`` boxes; its parameter is the state.
 
-    The state enters the program only through the bounds of the first box's
-    corners and the ``bin`` of the two control-window rows it appears in, so
-    within the state bounds every state shares the rest of the data.  The
-    centre's solution, when there is one, is the start point of every solve.
+    The rows are the transitions of every step with the last box fixed to
+    the terminal box, the control window (a transition from the point box
+    ``{z}`` into the second box), and the state inside the first box.  The
+    cost is the stage cost of every free box plus the storage form on the
+    first; the storage offset is added by the caller.
     """
-    terminal, _ = _resolved(spec, cfg)
-    centre = tuple(0.5 * (lo + hi) for lo, hi in zip(terminal.lo, terminal.hi))
-    qp, corner_slots, v_slots, u0 = _assemble(spec, cfg, centre)
-    # u0's rows are the four window rows, in the order they were added; its
-    # bounds are U, never in conflict, so the builder adds no bound rows for it
-    window_rows = tuple(int(i) for i in np.flatnonzero(qp.Ain[:, u0])[2:])
-    b = corner_slots[1]
-    window_shift = tuple(0.0 if isinstance(b[k], int) else s * b[k] for k, s in ((2, 1.0), (3, -1.0)))
-    sol = solve(qp, settings)
-    x_nom = sol.x if sol.status is QpStatus.OPTIMAL else None
-    return _Template(qp, corner_slots, v_slots, window_rows, window_shift, x_nom)
-
-
-def _state_qp(spec: ProblemSpec, tmpl: _Template, z1: float, z2: float) -> QpProblem:
-    """The template's program at a state within the state bounds."""
-    qp = tmpl.qp
-    lb, ub, bin_ = qp.lb.copy(), qp.ub.copy(), qp.bin.copy()
-    a1, a2, a3, a4 = tmpl.corner_slots[0]
-    ub[a1], lb[a2], ub[a3], lb[a4] = z1, z1, z2, z2
-    for row, shift, hi in zip(tmpl.window_rows, tmpl.window_shift, _window_bounds(spec, z2)):
-        bin_[row] = hi - shift
-    return replace(qp, lb=lb, ub=ub, bin=bin_)
+    terminal, storage = _resolved(spec, cfg)
+    n = cfg.horizon
+    steps, h_steps = _stacked_steps(spec, n)
+    src, tgt, const = transition_rows(spec)
+    finite = np.isfinite(const)
+    window = np.zeros((int(finite.sum()), 4 * (n + 1)))
+    window[:, 4:8] = tgt[finite]
+    inside = np.zeros((4, 4 * (n + 1)))
+    inside[:, :4] = _SIGNS
+    rows = np.vstack([steps, window, inside])
+    q = np.tile(spec.cost_linear, n)
+    if storage is not None:
+        q[:4] += storage.linear_coeffs
+    return _corner_program(
+        d=np.tile(spec.cost_quad, n),
+        q=q,
+        G=rows[:, :-4],
+        P=np.vstack([np.zeros((h_steps.size, 2)), src[finite] @ _POINT, -_SIGNS @ _POINT]),
+        h0=np.concatenate([h_steps, const[finite], np.zeros(4)]) - rows[:, -4:] @ terminal.corners(),
+    )
 
 
 def solve_tmpc(
@@ -281,7 +221,8 @@ def solve_tmpc(
     z1, z2 = float(z[0]), float(z[1])
     if not (math.isfinite(z1) and math.isfinite(z2)):
         raise ConfigError(f"state must be finite, got {tuple(z)}")
-    tmpl = _template(spec, cfg, settings)
+    terminal, storage = _resolved(spec, cfg)
+    prog = _tube_program(spec, cfg)
 
     # the first box lies within the state bounds, so no tube holds a state
     # beyond them; one within feas_tol of them is read as on them
@@ -291,17 +232,19 @@ def solve_tmpc(
     z1 = min(max(z1, xb.lo[0]), xb.hi[0])
     z2 = min(max(z2, xb.lo[1]), xb.hi[1])
 
-    sol = solve(_state_qp(spec, tmpl, z1, z2), settings, x0=tmpl.x_nom)
-    if sol.status is QpStatus.INFEASIBLE:
+    _, x, _ = _solve_program(prog, np.array((z1, z2)), settings)
+    if x is None:
         return TubeSolution(status=QpStatus.INFEASIBLE)
-    if sol.status is not QpStatus.OPTIMAL:
-        raise SolverFailure(f"tube solve did not converge: {sol.status}")
-
-    tube = []
-    for slots in tmpl.corner_slots:
-        corners = [sol.x[s] if isinstance(s, int) else s for s in slots]
-        # the solver accepts rows violated by up to feas_tol, corner order included
-        tube.append(IntervalBox.from_corners(corners, snap_tol=settings.feas_tol))
+    x = _within_state_bounds(spec, x)
+    # corner order is met to within the kernel's rounding guard
+    tube = [IntervalBox.from_corners(x[4 * k : 4 * k + 4], snap_tol=settings.feas_tol) for k in range(cfg.horizon)]
+    tube.append(terminal)
+    edge_controls = []
+    for src, dst in zip(tube[:-1], tube[1:]):
+        witness = transition_witness(spec, src, dst, settings)
+        if witness is None:
+            raise SolverFailure("a step of the optimal tube is not a transition")
+        edge_controls.append(witness)
 
     b_box = tube[1].corners()
     lo = max(b_box[0], b_box[2] - spec.alpha * z2 - spec.w_lo, spec.u_lo)
@@ -311,14 +254,17 @@ def solve_tmpc(
             raise SolverFailure("empty control window for the optimal tube")
         lo = hi = 0.5 * (lo + hi)
     u0_val = min(max(0.0, lo), hi)
+    objective = float(prog.d @ (x * x) + prog.q @ x)
+    if storage is not None:
+        objective += storage.offset
 
     return TubeSolution(
         status=QpStatus.OPTIMAL,
         tube=tuple(tube),
         u0=float(u0_val),
-        objective=float(sol.objective),
+        objective=objective,
         u0_interval=(float(lo), float(hi)),
-        edge_controls=tuple((float(sol.x[v[0]]), float(sol.x[v[1]])) for v in tmpl.v_slots),
+        edge_controls=tuple(edge_controls),
     )
 
 

@@ -3,17 +3,19 @@
 These deliberately avoid the code paths they check: the Hausdorff oracle
 samples one box densely and measures exact point-to-box distances, the
 transition oracle eliminates the control pointwise in the x2 coordinate, the
-transition QP oracle hands the edge-control rows to the QP solver, the
-invariant-box oracle is a coarse-to-fine grid search over corner vectors, the
-ADMM reference is the QP solver's iteration written out the plain way, the
-cost-to-travel QP reference hands the stacked N-step rows, edge controls
-included, to that solver, and the tube QP reference assembles the
-controller's program from scratch at a state.
+transition QP oracle hands the edge-control rows of ``build_g_block`` to the
+ADMM solver, the invariant-box oracle is a coarse-to-fine grid search over
+corner vectors, the ADMM reference is that solver's iteration written out
+the plain way, and the cost-to-travel, tube and separability QP references
+assemble the original programs, edge controls and applied control included,
+through ``QpBuilder`` for that solver.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -21,7 +23,7 @@ from scipy.optimize import linprog, nnls
 
 from tube_dissip import qp_solver
 from tube_dissip.interval_sets import IntervalBox
-from tube_dissip.problem import ProblemSpec, build_g_block, install_slot_row, stage_cost
+from tube_dissip.problem import ProblemSpec, stage_cost
 from tube_dissip.qp_solver import (
     DEFAULT_SETTINGS,
     QpBuilder,
@@ -31,6 +33,127 @@ from tube_dissip.qp_solver import (
     SolverSettings,
     solve,
 )
+
+
+_INF = float("inf")
+
+# a slot is either a builder variable index (int) or a fixed numeric value
+Slot = Union[int, float]
+
+
+def install_slot_row(builder: QpBuilder, coeffs, lo: float, hi: float) -> None:
+    """Install one two-sided row whose terms reference variable or fixed slots.
+
+    Fixed slots fold into the bounds; single-variable rows become box bounds;
+    rows with no variables remain as constant feasibility assertions.
+    """
+    const = 0.0
+    terms: dict[int, float] = {}
+    for slot, coef in coeffs:
+        if isinstance(slot, (int, np.integer)) and not isinstance(slot, bool):
+            terms[int(slot)] = terms.get(int(slot), 0.0) + coef
+        else:
+            const += coef * float(slot)
+    lo, hi = lo - const, hi - const
+    if not terms:
+        builder.add_row({}, lo, hi)
+    elif len(terms) == 1:
+        ((ix, coef),) = terms.items()
+        if coef > 0:
+            builder.bound(ix, lo / coef, hi / coef)
+        else:
+            builder.bound(ix, hi / coef, lo / coef)
+    else:
+        builder.add_row(terms, lo, hi)
+
+
+@dataclass(frozen=True)
+class GRow:
+    """One two-sided row ``lo <= sum(coef * slot) <= hi`` over a/b/v slots."""
+
+    coeffs: tuple[tuple[Slot, float], ...]
+    lo: float
+    hi: float
+
+
+@dataclass(frozen=True)
+class GConstraintBlock:
+    """The linear rows encoding "B is reachable from A" with edge controls v.
+
+    Rows reference slots, each of which is either a builder variable index or
+    a fixed value; :meth:`install` resolves fixed slots into constants.  The
+    block also carries the source-box state-bound rows, matching the
+    convention that the transition constraint set restricts A to the state
+    bounds while leaving B free.
+    """
+
+    rows: tuple[GRow, ...]
+
+    def install(self, builder: QpBuilder) -> None:
+        for row in self.rows:
+            install_slot_row(builder, row.coeffs, row.lo, row.hi)
+
+    def has_row(self, coeffs: dict[Slot, float], lo: float, hi: float, tol: float = 1e-12) -> bool:
+        """True iff some row equals the given coefficients and bounds."""
+        want = {k: v for k, v in coeffs.items() if v != 0.0}
+        for row in self.rows:
+            got: dict[Slot, float] = {}
+            for slot, coef in row.coeffs:
+                got[slot] = got.get(slot, 0.0) + coef
+            got = {k: v for k, v in got.items() if v != 0.0}
+            if set(got) != set(want):
+                continue
+            if any(abs(got[k] - want[k]) > tol for k in want):
+                continue
+            lo_ok = (math.isinf(lo) and math.isinf(row.lo)) or abs(row.lo - lo) <= tol
+            hi_ok = (math.isinf(hi) and math.isinf(row.hi)) or abs(row.hi - hi) <= tol
+            if lo_ok and hi_ok:
+                return True
+        return False
+
+
+def build_g_block(
+    spec: ProblemSpec,
+    a_vars: Sequence[Slot],
+    b_vars: Sequence[Slot],
+    v_vars: Sequence[Slot],
+) -> GConstraintBlock:
+    """Rows stating that box b is a one-step successor of box a.
+
+    ``a_vars``/``b_vars`` are the four corner slots of each box, ``v_vars``
+    the two edge-control slots.  With w the disturbance bounds and alpha the
+    dynamics coefficient the rows are
+
+        b3 <= alpha*a3 + v1 + w_lo
+        b4 >= alpha*a4 + v2 + w_hi
+        a4 >= (1/alpha)*(v1 - v2) + a3
+        b1 <= v1 <= b2,  b1 <= v2 <= b2
+        v1, v2 in U
+        a within the state bounds (including a1 <= a2, a3 <= a4)
+    """
+    a1, a2, a3, a4 = a_vars
+    b1, b2, b3, b4 = b_vars
+    v1, v2 = v_vars
+    al = spec.alpha
+    xb = spec.x_bounds
+    rows = (
+        GRow(((b3, 1.0), (a3, -al), (v1, -1.0)), -_INF, spec.w_lo),
+        GRow(((a4, al), (v2, 1.0), (b4, -1.0)), -_INF, -spec.w_hi),
+        GRow(((v1, 1.0 / al), (v2, -1.0 / al), (a3, 1.0), (a4, -1.0)), -_INF, 0.0),
+        GRow(((b1, 1.0), (v1, -1.0)), -_INF, 0.0),
+        GRow(((v1, 1.0), (b2, -1.0)), -_INF, 0.0),
+        GRow(((b1, 1.0), (v2, -1.0)), -_INF, 0.0),
+        GRow(((v2, 1.0), (b2, -1.0)), -_INF, 0.0),
+        GRow(((v1, 1.0),), spec.u_lo, spec.u_hi),
+        GRow(((v2, 1.0),), spec.u_lo, spec.u_hi),
+        GRow(((a1, 1.0),), xb.lo[0], _INF),
+        GRow(((a1, 1.0), (a2, -1.0)), -_INF, 0.0),
+        GRow(((a2, 1.0),), -_INF, xb.hi[0]),
+        GRow(((a3, 1.0),), xb.lo[1], _INF),
+        GRow(((a3, 1.0), (a4, -1.0)), -_INF, 0.0),
+        GRow(((a4, 1.0),), -_INF, xb.hi[1]),
+    )
+    return GConstraintBlock(rows=rows)
 
 
 def _axis_grid(lo: float, hi: float, res: float) -> np.ndarray:
@@ -284,11 +407,7 @@ def _reference_polish(H, g, A, l, u, z, y, slack_tol, dual_tol, feas_tol):
     return xp, y_full
 
 
-def admm_reference(
-    qp: QpProblem,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-    x0: Optional[np.ndarray] = None,
-) -> QpSolution:
+def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolution:
     """The solver's ADMM loop without its shortcuts, as an exactness oracle.
 
     Same iteration, check cadence, polish tiers and rho updates as
@@ -324,7 +443,7 @@ def admm_reference(
 
     rho = np.where(rows.eq_mask, settings.rho_eq_scale * settings.rho, settings.rho)
     lu = factor(rho)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     z = np.clip(A @ x, l, u)
     y = np.zeros(m)
     check_every = min(settings.check_every, 10) if n + m < 40 else settings.check_every
@@ -397,13 +516,13 @@ def admm_reference(
 
 
 def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z) -> QpProblem:
-    """The tube controller's QP at state z, assembled afresh through QpBuilder.
+    """The tube controller's QP at state z with its edge controls and applied control, through QpBuilder.
 
-    Every row goes through ``install_slot_row``, so a row left with one
-    variable becomes a bound.  Where the second box is a decision variable
-    (horizon >= 2, or terminal containment) this is the controller's program
-    exactly; the controller keeps the control-window rows as rows in every
-    case.
+    Variables are the corners of the first ``cfg.horizon`` boxes, under
+    terminal containment the corners of a last box inside the terminal box,
+    each step's edge controls (v1, v2) and the applied control u0.  Every
+    row goes through ``install_slot_row``, so a row left with one variable
+    becomes a bound.
     """
     inf = float("inf")
     z1, z2 = float(z[0]), float(z[1])
@@ -527,3 +646,56 @@ def separable_kkt_residual(d, q, G, h, x, y) -> float:
         float(np.max(-y, initial=0.0)),
         float(np.max(np.abs(y * slack), initial=0.0)),
     )
+
+
+def separability_qp_reference(spec: ProblemSpec, linear_coeffs) -> QpProblem:
+    """The relaxed separability program, through QpBuilder.
+
+    Variables ``(a, b, v1)``: minimise ``L(a) + ell.a - ell.b`` subject to
+    ``b3 <= alpha*a3 + v1 + w_lo``, ``v1 <= b2``, ``a1 <= a2`` and v1 in U.
+    """
+    ell = linear_coeffs
+    builder = QpBuilder()
+    a = builder.new_vars(4)
+    b = builder.new_vars(4)
+    v1 = builder.new_var(spec.u_lo, spec.u_hi)
+    builder.add_row({b[2]: 1.0, a[2]: -spec.alpha, v1: -1.0}, -_INF, spec.w_lo)
+    builder.add_row({v1: 1.0, b[1]: -1.0}, -_INF, 0.0)
+    builder.add_row({a[0]: 1.0, a[1]: -1.0}, -_INF, 0.0)
+    for i in range(4):
+        builder.add_lin(a[i], spec.cost_linear[i] + ell[i])
+        builder.add_quad(a[i], spec.cost_quad[i])
+        builder.add_lin(b[i], -ell[i])
+    return builder.build()
+
+
+def inequality_rows(qp: QpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``G x <= h`` of a QP without equality rows: its inequality rows, then its finite bounds."""
+    assert qp.Aeq is None
+    eye = np.eye(qp.n)
+    G = [qp.Ain] if qp.Ain is not None else []
+    h = [qp.bin] if qp.bin is not None else []
+    for bound, sign in ((qp.ub, 1.0), (qp.lb, -1.0)):
+        if bound is not None:
+            finite = np.isfinite(bound)
+            G.append(sign * eye[finite])
+            h.append(sign * bound[finite])
+    return np.vstack(G), np.concatenate(h)
+
+
+def kkt_residual(qp: QpProblem, x, active_tol: float = 1e-9) -> float:
+    """KKT residual of a point x of a QP without equality rows, with multipliers found by NNLS.
+
+    Multipliers ``y >= 0`` go on the rows within ``active_tol`` of holding
+    with equality and minimise the stationarity residual ``H x + g + G'y``;
+    the result is the larger of that residual and the worst row violation.
+    A residual near 0 proves x optimal for a convex QP.
+    """
+    G, h = inequality_rows(qp)
+    slack = h - G @ x
+    grad = qp.H @ x + qp.g
+    active = slack <= active_tol
+    if np.any(active):
+        y, _ = nnls(G[active].T, -grad)
+        grad = grad + G[active].T @ y
+    return max(float(np.max(np.abs(grad), initial=0.0)), float(np.max(-slack, initial=0.0)))

@@ -207,6 +207,47 @@ class TestConfig:
         assert out == ""
         assert "output format" in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("controller", "use_initial_cost", "no"),
+        ("controller", "terminal_equality", 1),
+        ("controller", "horizon", 2.5),
+        ("controller", "horizon", "2"),
+        ("controller", "horizon", True),
+        (None, "seed", "abc"),
+        ("tolerances", "feas_tol", -1),
+        ("tolerances", "feas_tol", float("nan")),
+        ("tolerances", "kkt_tol", 0),
+        ("tolerances", "max_iter", 0),
+        ("tolerances", "max_iter", "x"),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_wrong_config_value_rejected(self, capsys, tmp_path, section, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
+        code, out, err = run_cli(capsys, "--config", str(path), "control", "--z=0,0")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and key in err
+
+    def test_wrong_env_seed_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("TUBE_DISSIP_SEED", "abc")
+        code, out, err = run_cli(capsys, "control", "--z=0,0")
+        assert code == 2
+        assert out == ""
+        assert "TUBE_DISSIP_SEED" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("control", "--z=0,0", "--horizon", "0"),
+        ("sweep", "--grid", "0"),
+        ("sweep", "--grid", "-3"),
+        ("check-storage", "--strictness", "-2"),
+        ("simulate", "--y0=0,0", "--steps", "-1"),
+    ], ids=" ".join)
+    def test_out_of_range_flag_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
     def test_json_output_format_accepted(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"output": {"format": "json"}}))

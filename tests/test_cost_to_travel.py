@@ -1,11 +1,14 @@
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import tube_dissip
 from tube_dissip import cost_to_travel, qp_solver
 from tube_dissip.cost_to_travel import (
     CostToTravelResult,
@@ -14,7 +17,7 @@ from tube_dissip.cost_to_travel import (
     eval_v,
     optimal_rci,
 )
-from tube_dissip.interval_sets import IntervalBox
+from tube_dissip.interval_sets import IntervalBox, subset
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_witness
 from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, SolverSettings, solve
 from tube_dissip.sampling import feasible_chain, random_box_within
@@ -223,7 +226,8 @@ def chain_ends(draw, spec, n_steps):
 
 def solved_chain(spec, a, c, n_steps):
     stack = cost_to_travel._chain_stack(spec, n_steps)
-    return stack, cost_to_travel._solve_chain(stack, a, c, DEFAULT_SETTINGS)
+    ends = np.array(a.corners() + c.corners())
+    return stack, cost_to_travel._solve_program(stack, ends, DEFAULT_SETTINGS)
 
 
 @pytest.mark.parametrize("n_steps", [2, 3])
@@ -250,6 +254,7 @@ class TestMultiStepKernel:
         if not res.feasible:
             return
         assert len(res.tube) == n_steps + 1 and res.tube[0] == a and res.tube[-1] == c
+        assert all(subset(mid, spec.x_bounds) for mid in res.tube[1:-1])
         steps = list(zip(res.tube[:-1], res.tube[1:]))
         assert all(transition_feasible(spec, src, dst) for src, dst in steps)
         assert res.aux_controls == tuple(transition_witness(spec, src, dst) for src, dst in steps)
@@ -330,13 +335,22 @@ class TestMultiStepValues:
             eval_v(spec, x_star, x_star, 2)
 
     def test_cost_to_travel_holds_no_qp_machinery(self):
-        for name in ("solve", "QpBuilder", "build_g_block"):
-            assert not hasattr(cost_to_travel, name)
+        # the ADMM solver and its assembly serve the tests only: no module of
+        # the package but qp_solver binds them, cost_to_travel included
+        names = ("solve", "QpBuilder", "QpProblem", "build_g_block")
+        modules = [tube_dissip] + [
+            importlib.import_module(f"tube_dissip.{info.name}")
+            for info in pkgutil.iter_modules(tube_dissip.__path__)
+        ]
+        assert cost_to_travel in modules
+        for module in modules:
+            if module is not qp_solver:
+                assert [name for name in names if hasattr(module, name)] == [], module.__name__
 
     def test_multi_step_paths_call_no_solver(self, spec, x_star, rng, forbid_solver):
         chains = {n: feasible_chain(spec, rng, n) for n in (2, 3)}
         patched = forbid_solver()
-        assert {"tube_dissip.qp_solver", "tube_dissip.tube_mpc", "tube_dissip.dissipativity"} <= set(patched)
+        assert patched == ["tube_dissip.qp_solver"]
         unreachable = box((0, 1), (0, 1))
         settings = SolverSettings(feas_tol=2e-8, kkt_tol=2e-8)
         for n, chain in chains.items():

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from tube_dissip.cost_to_travel import eval_v, optimal_rci
 from tube_dissip.dissipativity import (
@@ -12,10 +14,11 @@ from tube_dissip.dissipativity import (
     verify_separability,
 )
 from tube_dissip.interval_sets import IntervalBox
-from tube_dissip.problem import stage_cost
+from tube_dissip.problem import ProblemSpec, stage_cost
+from tube_dissip.qp_solver import QpStatus, solve
 from tube_dissip.sampling import feasible_pair
 
-from .oracles import relaxed_certificate_grid_min
+from .oracles import inequality_rows, kkt_residual, relaxed_certificate_grid_min, separability_qp_reference
 
 INF = float("inf")
 
@@ -44,6 +47,17 @@ class TestEvalStorage:
 
     def test_doubled_coefficients_go_negative(self, spec):
         assert storage_min_on_domain(spec, DOUBLED) < -1.0
+
+    def test_equals_the_linear_program_minimum(self, spec, rng):
+        # the corner polytope a1 <= a2, a3 <= a4 within the bounds, by LP
+        xb = spec.x_bounds
+        bounds = [(xb.lo[0], xb.hi[0])] * 2 + [(xb.lo[1], xb.hi[1])] * 2
+        order = [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
+        for _ in range(50):
+            sf = StorageFunction(offset=float(rng.uniform(-5, 5)), linear_coeffs=tuple(rng.uniform(-2, 2, 4)))
+            res = linprog(sf.linear_coeffs, A_ub=order, b_ub=[0.0, 0.0], bounds=bounds, method="highs")
+            assert res.status == 0
+            assert storage_min_on_domain(spec, sf) == pytest.approx(sf.offset + res.fun, abs=1e-9)
 
     def test_json_round_trip(self, reference_storage):
         back = StorageFunction.from_json_dict(json.loads(json.dumps(reference_storage.to_json_dict())))
@@ -105,6 +119,75 @@ class TestVerifySeparability:
         assert back.passed == rep.passed
         assert back.qp_min_value == pytest.approx(rep.qp_min_value, abs=0)
         assert back.v_star == pytest.approx(rep.v_star, abs=0)
+
+
+SEPARABILITY_SPECS = {
+    "bounded U": ProblemSpec.default(),
+    "unbounded U": ProblemSpec(u_bounds=(-INF, INF)),
+    "half-bounded U": ProblemSpec(u_bounds=(-2.0, INF)),
+    "U away from zero": ProblemSpec(u_bounds=(1.0, 3.0)),
+}
+
+
+def random_candidate(rng) -> StorageFunction:
+    """Storage coefficients, each zero or of either sign, so every case of the sign rule occurs."""
+    coeffs = rng.uniform(-2.0, 2.0, 4) * rng.choice([0.0, 1.0], 4, p=[0.5, 0.5])
+    # a bounded relaxation needs ell1 = ell4 = 0, ell2 <= 0 and ell3 >= 0
+    if rng.uniform() < 0.6:
+        coeffs[0] = coeffs[3] = 0.0
+        coeffs[1], coeffs[2] = -abs(coeffs[1]), abs(coeffs[2])
+        if rng.uniform() < 0.5:
+            # no net weight on v1, as in the reference candidate: bounded for any U
+            coeffs[2] = -coeffs[1]
+    return StorageFunction(offset=0.0, linear_coeffs=tuple(float(c) for c in coeffs))
+
+
+@pytest.mark.parametrize("spec_name", sorted(SEPARABILITY_SPECS))
+class TestSeparabilityClosedForm:
+    """The closed form against the relaxed program assembled through QpBuilder and solved by ADMM."""
+
+    def test_agrees_with_the_admm_oracle(self, spec_name, rng):
+        spec = SEPARABILITY_SPECS[spec_name]
+        verdicts = {True: 0, False: 0}
+        for _ in range(150):
+            sf = random_candidate(rng)
+            rep = verify_separability(spec, sf)
+            sol = solve(separability_qp_reference(spec, sf.linear_coeffs))
+            assert sol.status in (QpStatus.OPTIMAL, QpStatus.UNBOUNDED)
+            bounded = sol.status is QpStatus.OPTIMAL
+            assert (rep.unbounded_ray is None) == bounded
+            verdicts[bounded] += 1
+            if bounded:
+                assert rep.qp_min_value == pytest.approx(sol.objective, abs=1e-9)
+                assert rep.gap == pytest.approx(sol.objective - rep.v_star, abs=1e-9)
+        assert min(verdicts.values()) >= 30, verdicts
+
+    def test_minimiser_passes_kkt(self, spec_name, rng):
+        spec = SEPARABILITY_SPECS[spec_name]
+        for _ in range(100):
+            sf = random_candidate(rng)
+            rep = verify_separability(spec, sf)
+            if rep.unbounded_ray is not None:
+                continue
+            qp = separability_qp_reference(spec, sf.linear_coeffs)
+            x = np.array(rep.minimizer_a + rep.minimizer_b + (rep.minimizer_v,))
+            assert kkt_residual(qp, x) <= 1e-12
+            assert qp.objective_value(x) == pytest.approx(rep.qp_min_value, abs=1e-12)
+
+    def test_ray_keeps_every_row_and_lowers_the_objective(self, spec_name, rng):
+        spec = SEPARABILITY_SPECS[spec_name]
+        for _ in range(100):
+            sf = random_candidate(rng)
+            rep = verify_separability(spec, sf)
+            if rep.unbounded_ray is None:
+                continue
+            assert not rep.passed and rep.qp_min_value == -INF
+            qp = separability_qp_reference(spec, sf.linear_coeffs)
+            G, _ = inequality_rows(qp)
+            ray = np.array(rep.unbounded_ray)
+            assert ray.shape == (9,)
+            assert np.all(G @ ray <= 0.0)
+            assert np.all(qp.H @ ray == 0.0) and qp.g @ ray < 0.0
 
 
 class TestStrictness:

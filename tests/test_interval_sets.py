@@ -48,9 +48,6 @@ class TestIntervalBox:
         a = box((-1.5, 2.0), (0.0, 3.25))
         assert IntervalBox.from_json_obj(json.loads(json.dumps(a.to_json_obj()))) == a
 
-    def test_csv_fields_are_corner_vector(self):
-        assert X_STAR.csv_fields() == (-1.0, -1.0, -4.0, 0.0)
-
 
 class TestHausdorff:
     def test_identity(self):

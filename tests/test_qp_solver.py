@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tube_dissip import dissipativity, qp_solver, tube_mpc
+from tube_dissip import qp_solver
 from tube_dissip.dissipativity import StorageFunction
-from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.qp_solver import (
     QpBuilder,
     QpProblem,
@@ -18,7 +17,7 @@ from tube_dissip.qp_solver import (
     verify_kkt,
 )
 from tube_dissip.sampling import feasible_chain, random_box_within
-from tube_dissip.tube_mpc import TubeMpcConfig, solve_tmpc
+from tube_dissip.tube_mpc import TubeMpcConfig, _resolved
 
 from . import oracles
 from .oracles import admm_reference
@@ -129,10 +128,6 @@ class TestValidation:
         sol = solve(qp)
         assert sol.status is QpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_non_finite_start_rejected(self):
-        with pytest.raises(ValueError, match="x0"):
-            solve(qp_1d_bound(), x0=[np.nan])
 
 
 class TestCertificates:
@@ -268,13 +263,6 @@ class TestRandomProblems:
             assert ref.status == 0 and sol.status is QpStatus.OPTIMAL
             assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
 
-    def test_starting_point_independence(self, rng):
-        for _ in range(10):
-            qp = random_qp(rng)
-            a = solve(qp)
-            b = solve(qp, x0=rng.normal(size=qp.n) * 5)
-            assert np.max(np.abs(a.x - b.x)) <= 1e-6
-
     def test_objective_formula(self, rng):
         for _ in range(10):
             qp = random_qp(rng)
@@ -371,39 +359,14 @@ def test_debug_dump_round_trips_matrices(rng):
     assert obj["Aeq"] is None
 
 
-def captured_qps(monkeypatch, module, run) -> list[QpProblem]:
-    """The QPs that ``run()`` hands to ``module.solve``."""
-    seen = []
-
-    def recording_solve(qp, settings=qp_solver.DEFAULT_SETTINGS, x0=None):
-        seen.append(qp)
-        return solve(qp, settings, x0)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(module, "solve", recording_solve)
-        run()
-    return seen
-
-
-def tube_qps(monkeypatch, spec):
+def tube_qps(spec):
     # a 7x7 grid over the state bounds for both controllers, and two states
-    # within them from which one step cannot reach the invariant box; states
-    # beyond the bounds are decided without a solve
+    # within them from which one step cannot reach the invariant box
     grid = [(z1, z2) for z1 in np.linspace(-5, 5, 7) for z2 in np.linspace(-5, 5, 7)]
     cfgs = (TubeMpcConfig(use_initial_cost=True), TubeMpcConfig(use_initial_cost=False))
-    cfg_one_step = TubeMpcConfig(horizon=1)
-    for cfg in cfgs + (cfg_one_step,):
-        # each controller's one-time set-up solve stays out of the capture
-        solve_tmpc(spec, cfg, (0.0, 0.0))
-
-    def run():
-        for cfg in cfgs:
-            for z in grid:
-                solve_tmpc(spec, cfg, z)
-        for z in ((0.0, 4.0), (-2.0, -4.5)):
-            solve_tmpc(spec, cfg_one_step, z)
-
-    return captured_qps(monkeypatch, tube_mpc, run)
+    states = [(cfg, z) for cfg in cfgs for z in grid]
+    states += [(TubeMpcConfig(horizon=1), z) for z in ((0.0, 4.0), (-2.0, -4.5))]
+    return [oracles.tube_qp_reference(spec, *_resolved(spec, cfg), cfg, z) for cfg, z in states]
 
 
 def eval_v2_qps(spec, rng, count=25):
@@ -418,19 +381,15 @@ def eval_v2_qps(spec, rng, count=25):
     return qps
 
 
-def separability_qps(monkeypatch, spec, rng, count=20):
-    def run():
-        dissipativity.verify_separability(spec, StorageFunction.reference())
-        for _ in range(count):
-            coeffs = tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=4))
-            dissipativity.verify_separability(spec, StorageFunction(offset=0.0, linear_coeffs=coeffs))
-
-    return captured_qps(monkeypatch, dissipativity, run)
+def separability_qps(spec, rng, count=20):
+    coeffs = [StorageFunction.reference().linear_coeffs]
+    coeffs += [tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=4)) for _ in range(count)]
+    return [oracles.separability_qp_reference(spec, ell) for ell in coeffs]
 
 
-def assert_matches_reference(qp: QpProblem, x0=None):
-    got = solve(qp, x0=x0)
-    want = admm_reference(qp, x0=x0)
+def assert_matches_reference(qp: QpProblem):
+    got = solve(qp)
+    want = admm_reference(qp)
     assert got.status is want.status
     assert got.iterations == want.iterations
     assert got.polished == want.polished
@@ -449,19 +408,16 @@ class TestExactness:
             assert_matches_reference(random_qp(rng))
             assert_matches_reference(random_lp(rng))
             assert_matches_reference(random_qp(rng, strictly_convex=False))
-        for _ in range(5):
-            qp = random_qp(rng)
-            assert_matches_reference(qp, x0=rng.normal(size=qp.n) * 5)
 
-    def test_tube_qps_on_a_state_grid(self, spec, monkeypatch):
-        qps = tube_qps(monkeypatch, spec)
+    def test_tube_qps_on_a_state_grid(self, spec):
+        qps = tube_qps(spec)
         assert len(qps) == 100
         assert {sol.status for sol in map(solve, qps)} == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
         for qp in qps:
             assert_matches_reference(qp)
 
-    def test_separability_qps(self, spec, rng, monkeypatch):
-        qps = separability_qps(monkeypatch, spec, rng)
+    def test_separability_qps(self, spec, rng):
+        qps = separability_qps(spec, rng)
         assert {sol.status for sol in map(solve, qps)} == {QpStatus.OPTIMAL, QpStatus.UNBOUNDED}
         for qp in qps:
             assert_matches_reference(qp)
@@ -474,7 +430,7 @@ class TestExactness:
 
 
 def test_each_active_set_polished_at_most_once_per_solve(spec, rng, monkeypatch):
-    qps = eval_v2_qps(spec, rng) + tube_qps(monkeypatch, spec)
+    qps = eval_v2_qps(spec, rng) + tube_qps(spec)
     real_polish = qp_solver._try_polish
     signatures = []
 

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from tube_dissip import tube_mpc
 from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
-from tube_dissip.problem import ConfigError, dynamics, transition_feasible
-from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, verify_kkt
+from tube_dissip.problem import ConfigError, ProblemSpec, dynamics, transition_feasible, transition_witness
+from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, solve
 from tube_dissip.tube_mpc import (
     ControllerInfeasible,
     TubeMpcConfig,
@@ -22,7 +23,7 @@ from tube_dissip.tube_mpc import (
     sweep_feedback,
 )
 
-from .oracles import tube_qp_reference
+from .oracles import row_violations, tube_qp_reference
 
 INF = float("inf")
 
@@ -67,13 +68,15 @@ class TestSolveTmpc:
         assert_corners(sol.tube[-1], x_star.corners(), tol=1e-9)
 
     def test_terminal_containment_mode(self, spec, x_star):
+        # containment is the same program as equality: the last box is the
+        # terminal box, and the answer is the same
         cfg = TubeMpcConfig(use_initial_cost=True, terminal_equality=False)
         cfg_eq = TubeMpcConfig(use_initial_cost=True)
         for z in ((2.0, 2.0), (-1.0, -2.0), (4.0, -4.5)):
             sol = solve_tmpc(spec, cfg, z)
             assert sol.feasible
             assert subset(sol.tube[-1], x_star, tol=1e-8)
-            assert sol.objective <= solve_tmpc(spec, cfg_eq, z).objective + 1e-6
+            assert sol == solve_tmpc(spec, cfg_eq, z)
 
     def test_objective_matches_cost_to_travel_form(self, spec, cfg_ic, rng):
         from tube_dissip.dissipativity import StorageFunction
@@ -115,23 +118,21 @@ class TestSolveTmpc:
         assert sol.u0 == pytest.approx(-1.0, abs=1e-8)
 
     def test_snaps_corners_inverted_within_feas_tol(self, spec, cfg_noic, monkeypatch):
-        # the solver accepts rows violated by up to feas_tol, the corner
-        # order b1 <= b2 included; such an inversion reads back as a
-        # degenerate interval, not as an empty one
-        real_solve = tube_mpc.solve
+        # a minimiser may violate rows by up to feas_tol, the corner order
+        # b1 <= b2 included; such an inversion reads back as a degenerate
+        # interval, not as an empty one
+        real_solve = tube_mpc._solve_program
         seen = []
 
-        def inverted_solve(qp, settings, x0=None):
-            sol = real_solve(qp, settings, x0)
-            x = sol.x.copy()
+        def inverted_solve(prog, z, settings):
+            h, x, y = real_solve(prog, z, settings)
+            x = x.copy()
             x[4] = x[5] + 5e-9  # second box's corners (b1, b2) are x[4], x[5]
-            sol = replace(sol, x=x)
-            assert verify_kkt(qp, sol, settings.feas_tol)
-            seen.append(sol)
-            return sol
+            assert np.max(prog.G @ x - h) <= settings.feas_tol
+            seen.append(x)
+            return h, x, y
 
-        solve_tmpc(spec, cfg_noic, (-1.0, -2.0))  # the controller's set-up solve runs unaltered
-        monkeypatch.setattr(tube_mpc, "solve", inverted_solve)
+        monkeypatch.setattr(tube_mpc, "_solve_program", inverted_solve)
         sol = solve_tmpc(spec, cfg_noic, (-1.0, -2.0))
         assert seen and sol.status is QpStatus.OPTIMAL
         lo1, hi1 = sol.tube[1].lo[0], sol.tube[1].hi[0]
@@ -151,17 +152,27 @@ class TestSolveTmpc:
         assert back.tube == sol.tube
 
 
-def record_starts(monkeypatch):
-    """Patch the controller's solver; the returned list gets each solve's start point."""
-    real_solve = tube_mpc.solve
-    starts = []
+def record_solves(monkeypatch):
+    """Patch the controller's solve step; the returned list gets the state of each solve."""
+    real_solve = tube_mpc._solve_program
+    states = []
 
-    def recording_solve(qp, settings, x0=None):
-        starts.append(x0)
-        return real_solve(qp, settings, x0)
+    def recording_solve(prog, z, settings):
+        states.append(tuple(z))
+        return real_solve(prog, z, settings)
 
-    monkeypatch.setattr(tube_mpc, "solve", recording_solve)
-    return starts
+    monkeypatch.setattr(tube_mpc, "_solve_program", recording_solve)
+    return states
+
+
+# states within feas_tol of the state bounds, and the states on them they are read as
+WITHIN_THE_BAND = [
+    ((-5.0 - 5e-9, 0.0), (-5.0, 0.0)),
+    ((-5.0 - 1e-8, 0.0), (-5.0, 0.0)),
+    ((5.0 + 1e-8, 0.0), (5.0, 0.0)),
+    ((2.0, -5.0 - 1e-8), (2.0, -5.0)),
+    ((5.0 + 9e-9, 5.0 + 9e-9), (5.0, 5.0)),
+]
 
 
 class TestStateBounds:
@@ -170,19 +181,13 @@ class TestStateBounds:
     @pytest.mark.parametrize("z", [(-5.00000002, 0.0), (5.00000002, 0.0), (0.0, -5.00000002),
                                    (1.0, 5.00000002), (-6.0, 0.0), (0.0, 5.5), (1e300, -1e300)])
     def test_beyond_the_band_infeasible_without_a_solve(self, spec, cfg_ic, monkeypatch, z):
+        solves = record_solves(monkeypatch)
         solve_tmpc(spec, cfg_ic, (0.0, 0.0))
-        starts = record_starts(monkeypatch)
         sol = solve_tmpc(spec, cfg_ic, z)
         assert sol.status is QpStatus.INFEASIBLE and sol.tube is None
-        assert starts == []
+        assert solves == [(0.0, 0.0)]
 
-    @pytest.mark.parametrize("z, on_x", [
-        ((-5.0 - 5e-9, 0.0), (-5.0, 0.0)),
-        ((-5.0 - 1e-8, 0.0), (-5.0, 0.0)),
-        ((5.0 + 1e-8, 0.0), (5.0, 0.0)),
-        ((2.0, -5.0 - 1e-8), (2.0, -5.0)),
-        ((5.0 + 9e-9, 5.0 + 9e-9), (5.0, 5.0)),
-    ])
+    @pytest.mark.parametrize("z, on_x", WITHIN_THE_BAND)
     def test_within_the_band_solved_on_the_bounds(self, spec, cfg_ic, z, on_x):
         sol = solve_tmpc(spec, cfg_ic, z)
         assert sol.status is QpStatus.OPTIMAL
@@ -198,79 +203,130 @@ CONFIGS = {
     "horizon_1_containment": TubeMpcConfig(horizon=1, terminal_equality=False),
 }
 STATE_GRID = [(z1, z2) for z1 in np.linspace(-5, 5, 9) for z2 in np.linspace(-5, 5, 9)]
+FINE_GRID = [(z1, z2) for z1 in np.linspace(-5, 5, 21) for z2 in np.linspace(-5, 5, 21)]
+# (state, the state on the bounds it is solved as)
+ORACLE_STATES = [(z, z) for z in FINE_GRID] + WITHIN_THE_BAND
 
 
-def state_qp(spec, cfg, z):
-    return tube_mpc._state_qp(spec, tube_mpc._template(spec, cfg, DEFAULT_SETTINGS), *z)
+def point_box(z):
+    return IntervalBox.from_corners((z[0], z[0], z[1], z[1]))
 
 
-def assert_same_qp(got, want):
-    for name in ("H", "g", "c0", "Aeq", "beq", "Ain", "bin", "lb", "ub"):
+def assert_same_program(got, want):
+    for name in got._fields:
         a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            a, b = np.asarray(a), np.asarray(b)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestTemplate:
-    """One assembly per controller; the state writes six entries of it."""
+    """One corner program per controller; the state enters only its right-hand side."""
 
     @pytest.mark.parametrize("name", ["default", "no_initial_cost", "horizon_3", "containment"])
     def test_equals_a_fresh_assembly_bit_for_bit(self, spec, name):
+        # solves leave the cached program as assembled, and containment
+        # assembles the program of terminal equality
         cfg = CONFIGS[name]
-        terminal, storage = tube_mpc._resolved(spec, cfg)
-        for z in STATE_GRID + [(-1.0, -2.0), (0.3, -4.7), (4.99, 0.01)]:
-            assert_same_qp(state_qp(spec, cfg, z), tube_qp_reference(spec, terminal, storage, cfg, z))
+        sweep_feedback(spec, cfg, STATE_GRID)
+        fresh = tube_mpc._tube_program.__wrapped__(spec, cfg)
+        assert_same_program(tube_mpc._tube_program(spec, cfg), fresh)
+        assert_same_program(fresh, tube_mpc._tube_program.__wrapped__(spec, replace(cfg, terminal_equality=True)))
 
     @pytest.mark.parametrize("name", ["horizon_1", "horizon_1_containment"])
     def test_one_step_equals_the_assembly_at_each_state(self, spec, name):
-        # with a fixed second box the window rows stay rows, so this is the
-        # controller's own assembly, not the reference one
+        # with one free box the state's own point box is a first box, so the
+        # program is feasible exactly when that point box reaches the
+        # terminal box in one step, and u0's window is that step's
         cfg = CONFIGS[name]
-        for z in STATE_GRID:
-            assert_same_qp(state_qp(spec, cfg, z), tube_mpc._assemble(spec, cfg, z)[0])
+        terminal, _ = tube_mpc._resolved(spec, cfg)
+        verdicts = set()
+        for z in FINE_GRID:
+            sol = solve_tmpc(spec, cfg, z)
+            verdicts.add(sol.feasible)
+            assert sol.feasible == transition_feasible(spec, point_box(z), terminal)
+            if sol.feasible:
+                v1, v2 = transition_witness(spec, point_box(z), terminal)
+                lo, hi = sol.u0_interval
+                assert lo - 1e-12 <= v1 and v2 <= hi + 1e-12
+        assert verdicts == {True, False}
 
     def test_assembled_once_per_controller(self, spec, cfg_ic, monkeypatch):
-        tube_mpc._template.cache_clear()
+        tube_mpc._tube_program.cache_clear()
         builds = []
-        real_build = tube_mpc.QpBuilder.build
+        real_stack = tube_mpc._stacked_steps
 
-        def counting_build(self):
-            builds.append(1)
-            return real_build(self)
+        def counting_stack(*args):
+            builds.append(args)
+            return real_stack(*args)
 
-        monkeypatch.setattr(tube_mpc.QpBuilder, "build", counting_build)
+        monkeypatch.setattr(tube_mpc, "_stacked_steps", counting_stack)
         sweep_feedback(spec, cfg_ic, STATE_GRID)
         solve_tmpc(spec, cfg_ic, (1.0, 1.0))
         assert len(builds) == 1
-
-    @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_nominal_start_agrees_with_a_cold_solve(self, spec, monkeypatch, name):
-        cfg = CONFIGS[name]
-        x_nom = tube_mpc._template(spec, cfg, DEFAULT_SETTINGS).x_nom
-        assert x_nom is not None
-        real_solve = tube_mpc.solve
-        starts = record_starts(monkeypatch)
-        warm = [solve_tmpc(spec, cfg, z) for z in STATE_GRID]
-        assert len(starts) == len(STATE_GRID) and all(x0 is x_nom for x0 in starts)
-        monkeypatch.setattr(tube_mpc, "solve", lambda qp, settings, x0=None: real_solve(qp, settings))
-        cold = [solve_tmpc(spec, cfg, z) for z in STATE_GRID]
-        for a, b in zip(warm, cold):
-            assert a.status is b.status
-            if not a.feasible:
-                continue
-            for box_a, box_b in zip(a.tube, b.tube):
-                assert_corners(box_a, box_b.corners(), tol=1e-9)
-            assert a.u0 == pytest.approx(b.u0, abs=1e-9)
-            assert a.objective == pytest.approx(b.objective, abs=1e-9)
-            assert np.allclose(a.edge_controls, b.edge_controls, rtol=0.0, atol=1e-9)
 
     def test_each_solve_independent_of_earlier_calls(self, spec, cfg_ic):
         z = (2.5, -3.5)
         first = solve_tmpc(spec, cfg_ic, z)
         sweep_feedback(spec, cfg_ic, STATE_GRID)
         assert solve_tmpc(spec, cfg_ic, z) == first
+
+
+@lru_cache(maxsize=None)
+def admm_tube(horizon: int, use_initial_cost: bool, terminal_equality: bool, z):
+    """The ADMM oracle's answer for a default-instance controller: status, objective and corners."""
+    spec = ProblemSpec.default()
+    cfg = TubeMpcConfig(horizon=horizon, use_initial_cost=use_initial_cost, terminal_equality=terminal_equality)
+    sol = solve(tube_qp_reference(spec, *tube_mpc._resolved(spec, cfg), cfg, z))
+    assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
+    if sol.status is QpStatus.INFEASIBLE:
+        return sol.status, None, None
+    return sol.status, sol.objective, sol.x[: 4 * horizon]
+
+
+class TestAgainstAdmm:
+    """The kernel's tube program against the original one, edge controls and u0 included, solved by ADMM."""
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_agrees_with_the_admm_oracle(self, spec, name):
+        cfg = CONFIGS[name]
+        n = cfg.horizon
+        terminal, _ = tube_mpc._resolved(spec, cfg)
+        statuses = set()
+        for z, on_x in ORACLE_STATES:
+            sol = solve_tmpc(spec, cfg, z)
+            # equality, the program the controller solves under both settings
+            status, objective, corners = admm_tube(n, cfg.use_initial_cost, True, on_x)
+            statuses.add(status)
+            assert sol.status is status
+            if status is QpStatus.INFEASIBLE:
+                continue
+            assert sol.objective == pytest.approx(objective, abs=1e-8)
+            got = np.concatenate([box.corners() for box in sol.tube[:n]])
+            assert np.max(np.abs(got - corners)) <= 1e-8
+            assert sol.tube[-1] == terminal
+            assert all(subset(box, spec.x_bounds) for box in sol.tube[:n])
+            # the window of controls taking z into the oracle's second box
+            b1, b2, b3, b4 = corners[4:8] if n > 1 else terminal.corners()
+            lo = max(b1, b3 - spec.alpha * on_x[1] - spec.w_lo, spec.u_lo)
+            hi = min(b2, b4 - spec.alpha * on_x[1] - spec.w_hi, spec.u_hi)
+            assert np.allclose(sol.u0_interval, (lo, hi), rtol=0.0, atol=1e-8)
+            assert sol.u0 == pytest.approx(min(max(0.0, lo), hi), abs=1e-8)
+            for (src, dst), v in zip(zip(sol.tube[:-1], sol.tube[1:]), sol.edge_controls):
+                assert max(row_violations(spec, src, dst, v)) <= DEFAULT_SETTINGS.feas_tol
+        assert statuses == ({QpStatus.OPTIMAL, QpStatus.INFEASIBLE} if n == 1 else {QpStatus.OPTIMAL})
+
+    @pytest.mark.parametrize("name", ["containment", "horizon_1_containment"])
+    def test_containment_oracle_gives_the_same_answer(self, spec, name):
+        # the original containment program, a last box free inside the
+        # terminal box, has the verdict, value and free boxes of equality
+        cfg = CONFIGS[name]
+        n = cfg.horizon
+        for z in STATE_GRID + [on_x for _, on_x in WITHIN_THE_BAND]:
+            status, objective, corners = admm_tube(n, cfg.use_initial_cost, False, z)
+            want = admm_tube(n, cfg.use_initial_cost, True, z)
+            assert status is want[0]
+            if status is QpStatus.OPTIMAL:
+                assert objective == pytest.approx(want[1], abs=1e-8)
+                assert np.max(np.abs(corners - want[2])) <= 1e-8
 
 
 class TestHatchedRegionStructure:
