@@ -28,7 +28,7 @@ from .closed_loop import (
 )
 from .cost_to_travel import RciNotFound, eval_v, optimal_rci
 from .dissipativity import StorageFunction, check_strictness, verify_separability
-from .interval_sets import IntervalBox
+from .interval_sets import IntervalBox, _is_real
 from .problem import ConfigError, ProblemSpec
 from .qp_solver import SolverSettings
 from .tube_mpc import TubeMpcConfig, solve_tmpc, sweep_feedback
@@ -68,10 +68,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 class RunConfig:
     """Problem, controller, tolerance, and seed settings shared by commands."""
 
@@ -99,9 +95,12 @@ class RunConfig:
             if key in ctrl:
                 kwargs[key] = ctrl[key]
         if "storage" in ctrl and ctrl["storage"] is not None:
-            kwargs["storage"] = StorageFunction.from_json_dict(ctrl["storage"])
+            kwargs["storage"] = _parse_storage(ctrl["storage"], "controller.storage")
         if "terminal_set" in ctrl and ctrl["terminal_set"] is not None:
-            kwargs["terminal_set"] = IntervalBox.from_json_obj(ctrl["terminal_set"])
+            try:
+                kwargs["terminal_set"] = IntervalBox.from_json_obj(ctrl["terminal_set"])
+            except ValueError as exc:
+                raise ConfigError(f"controller.terminal_set: {exc}") from exc
         self.controller = TubeMpcConfig(**kwargs)
         tols = obj.get("tolerances", {})
         unknown = set(tols) - self.TOLERANCE_KEYS
@@ -164,6 +163,13 @@ def _parse_box(text: str) -> IntervalBox:
         raise ConfigError(f"expected a box like [[lo1,hi1],[lo2,hi2]], got {text!r}: {exc}") from exc
 
 
+def _parse_storage(obj, where: str) -> StorageFunction:
+    try:
+        return StorageFunction.from_json_dict(obj)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_policy(text: str, default_seed: int):
     if text == "adversarial":
         return AdversarialPolicy()
@@ -215,7 +221,11 @@ def _cmd_check_storage(run: RunConfig, args) -> int:
         sf = StorageFunction.reference()
     else:
         with open(args.storage) as fh:
-            sf = StorageFunction.from_json_dict(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"invalid JSON in {args.storage}: {exc}") from exc
+        sf = _parse_storage(obj, args.storage)
     report = verify_separability(run.spec, sf, settings=run.settings)
     if args.strictness:
         strict = check_strictness(run.spec, sf, args.strictness, seed=run.seed, settings=run.settings)

@@ -129,7 +129,8 @@ class _CornerProgram(NamedTuple):
 
     p is the program's parameter: the end boxes' corner vectors of a chain,
     the measured state of a tube.  ``fixed`` marks the rows with no free
-    coefficient, and ``G_free`` holds the others.
+    coefficient, and ``G_free`` holds the others.  ``start`` holds the
+    kernel's start on the rows of ``G_free``, or is empty for a cold start.
     """
 
     d: np.ndarray
@@ -139,11 +140,12 @@ class _CornerProgram(NamedTuple):
     h0: np.ndarray
     fixed: np.ndarray
     G_free: np.ndarray
+    start: np.ndarray
 
 
 def _corner_program(d, q, G, P, h0) -> _CornerProgram:
     fixed = ~np.any(G != 0.0, axis=1)
-    return _CornerProgram(d, q, G, P, h0, fixed, G[~fixed])
+    return _CornerProgram(d, q, G, P, h0, fixed, G[~fixed], np.zeros(0))
 
 
 def _stacked_steps(spec: ProblemSpec, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +192,8 @@ def _solve_program(prog: _CornerProgram, p: np.ndarray, settings: SolverSettings
     if fixed_h[worst] < -settings.feas_tol:
         y[worst] = 1.0
         return h, None, y
-    x, y[~prog.fixed] = _corner_qp(prog.d, prog.q, prog.G_free, h[~prog.fixed], settings)
+    start = prog.start if prog.start.size else None
+    x, y[~prog.fixed] = _corner_qp(prog.d, prog.q, prog.G_free, h[~prog.fixed], settings, start)
     return h, x, y
 
 
@@ -208,10 +211,10 @@ def _within_state_bounds(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
-def _corner_qp(d, q, G, h, settings: SolverSettings):
+def _corner_qp(d, q, G, h, settings: SolverSettings, start=None):
     # rows count as holding within a rounding guard far inside feas_tol, so
     # each step of a minimiser still passes the one-step rule after the snap
-    return _dual_active_set(d, q, G, h, 1e-3 * settings.feas_tol, settings.max_iter)
+    return _dual_active_set(d, q, G, h, 1e-3 * settings.feas_tol, settings.max_iter, start)
 
 
 def optimal_rci(

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .cost_to_travel import eval_v, optimal_rci
-from .interval_sets import IntervalBox, hausdorff, subset
+from .interval_sets import IntervalBox, _is_real, hausdorff, subset
 from .problem import ProblemSpec
 from .qp_solver import DEFAULT_SETTINGS, SolverSettings
 from .sampling import feasible_pair
@@ -54,11 +54,17 @@ class StorageFunction:
     outside_value: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "linear_coeffs", tuple(float(c) for c in self.linear_coeffs))
-        object.__setattr__(self, "outside_value", float(self.outside_value))
-        if len(self.linear_coeffs) != 4:
+        # float() would pass strings such as "NaN" through to a plausible report
+        coeffs = tuple(self.linear_coeffs)
+        if len(coeffs) != 4:
             raise ValueError("linear_coeffs must have length 4")
+        if not all(_is_real(v) and math.isfinite(v) for v in (self.offset, *coeffs)):
+            raise ValueError(f"offset and linear_coeffs must be finite numbers, got {self.offset!r}, {coeffs!r}")
+        if not _is_real(self.outside_value) or math.isnan(self.outside_value):
+            raise ValueError(f"outside_value must be a number, got {self.outside_value!r}")
+        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "linear_coeffs", tuple(float(c) for c in coeffs))
+        object.__setattr__(self, "outside_value", float(self.outside_value))
 
     @classmethod
     def reference(cls) -> "StorageFunction":
@@ -78,6 +84,8 @@ class StorageFunction:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StorageFunction":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a storage candidate is a JSON object, got {obj!r}")
         known = {"offset", "linear", "outside_value"}
         unknown = set(obj) - known
         if unknown:

@@ -12,10 +12,10 @@ documented convention of this package; see README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import math
+import numbers
+from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,25 @@ class IntervalBox:
         return [[self.lo[0], self.hi[0]], [self.lo[1], self.hi[1]]]
 
     @classmethod
-    def from_json_obj(cls, obj: Iterable[Sequence[float]]) -> "IntervalBox":
+    def from_json_obj(cls, obj: Sequence[Sequence[float]]) -> "IntervalBox":
+        """Build a box from its JSON form; anything but two intervals of two real numbers raises ValueError."""
+        if not (_is_pair(obj) and all(_is_pair(iv) and all(_is_real(v) for v in iv) for iv in obj)):
+            raise ValueError(f"a box is two intervals [lo, hi] of numbers, got {obj!r}")
         ix, iy = obj
         return cls.from_intervals(ix, iy)
 
     def __repr__(self) -> str:
         a1, a2, a3, a4 = self.corners()
         return f"IntervalBox([{a1}, {a2}] x [{a3}, {a4}])"
+
+
+def _is_real(value) -> bool:
+    """True for a real number, and false for a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2
 
 
 def hausdorff(a: IntervalBox, b: IntervalBox) -> float:

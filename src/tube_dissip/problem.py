@@ -141,7 +141,10 @@ class ProblemSpec:
         if "alpha" in obj:
             kwargs["alpha"] = obj["alpha"]
         if "x_bounds" in obj:
-            kwargs["x_bounds"] = IntervalBox.from_json_obj(obj["x_bounds"])
+            try:
+                kwargs["x_bounds"] = IntervalBox.from_json_obj(obj["x_bounds"])
+            except ValueError as exc:
+                raise ConfigError(f"x_bounds: {exc}") from exc
         for key in ("u_bounds", "w_bounds", "cost_linear", "cost_quad"):
             if key in obj:
                 kwargs[key] = tuple(obj[key])

@@ -30,9 +30,12 @@ them that needs a solver (multi-step cost-to-travel values, the optimal
 invariant box and the tube MPC program) has a positive diagonal Hessian and
 inequality rows only, and goes to the private dense dual active-set kernel
 :func:`_dual_active_set`, which is exact, ends in finitely many steps and
-returns either multipliers or a Farkas ray.  :func:`solve` and
-:class:`QpBuilder` remain as an independent reference solver: the tests
-assemble the original programs, edge controls included, through them.
+returns either multipliers or a Farkas ray.  It starts cold or from a
+dual-feasible start; the tube MPC program starts from the cached optimum of
+its state-free rows.  :func:`solve` and :class:`QpBuilder` remain as an
+independent reference solver: the tests assemble the original programs,
+edge controls included, through them.  Only they need scipy, which they
+import on first use, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dgetrs
-from scipy.optimize import nnls
 
 __all__ = [
     "QpStatus",
@@ -340,6 +340,8 @@ def _try_polish(H, g, rows: _RowForm, low, upp, feas_tol):
     The result depends on the problem and the masks only, so a solve never
     needs to try the same ``(low, upp)`` pair twice.
     """
+    from scipy.optimize import nnls  # only the ADMM reference solver needs scipy
+
     A, l, u, eq = rows.A, rows.l, rows.u, rows.pinned
     n = H.shape[0]
     m = A.shape[0]
@@ -410,6 +412,8 @@ def _initial_factor(H, A, sigma, rho):
 
 
 def _factor(H, A, sigma, rho):
+    import scipy.linalg as sla  # only the ADMM reference solver needs scipy
+
     n = H.shape[0]
     m = A.shape[0]
     kkt = np.zeros((n + m, n + m))
@@ -426,6 +430,8 @@ def _factor(H, A, sigma, rho):
 
 def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolution:
     """Solve a dense convex QP, returning a KKT-certified solution."""
+    from scipy.linalg.lapack import dgetrs  # only the ADMM reference solver needs scipy
+
     rows = _RowForm(qp)
     n, m = qp.n, rows.m
     A, l, u = rows.A, rows.l, rows.u
@@ -606,13 +612,19 @@ def _dual_infeasibility_cert(H, g, A, l, u, dx, tol):
 # dual active-set kernel for separable strictly convex QPs
 
 
-def _dual_active_set(d, q, G, h, tol, max_iter):
+def _dual_active_set(d, q, G, h, tol, max_iter, start=None):
     """Minimise ``sum(d*x**2 + q*x)`` subject to ``G x <= h``, for ``d > 0``.
 
     The dual active-set method of Goldfarb and Idnani (Math. Prog. 1983).  In
     the variables ``w = sqrt(2d)*x`` the Hessian is the identity.  The iterate
     starts at the unconstrained minimiser ``-q/(2d)`` and stays optimal on its
-    active rows, whose normals stay linearly independent.  Each step takes the
+    active rows, whose normals stay linearly independent.  The method may
+    start from any such dual-feasible point instead: ``start`` holds the
+    multipliers ``y0 >= 0`` of the minimiser on a subset of the same rows
+    (whose normals with ``y0 > 0`` are independent, as the kernel's own are),
+    the iterate starts at ``w = -q/sqrt(2d) - (G/sqrt(2d))' y0`` with the
+    rows ``y0 > 0`` active, and the answer is the same.  ``None`` or all
+    zeros is the cold start.  Each step takes the
     most violated row p and raises its multiplier until p holds (p joins the
     active set), or until an active multiplier reaches zero (that row leaves
     it).  The dual value grows at every join, so the method ends in finitely
@@ -622,13 +634,16 @@ def _dual_active_set(d, q, G, h, tol, max_iter):
 
     Returns ``(x, y)``: the minimiser and its multipliers ``y >= 0``, or
     ``(None, y)`` with a Farkas ray ``y >= 0``, ``G'y = 0`` and ``h'y < 0``.
-    Raises :class:`SolverFailure`, carrying the data, after ``max_iter`` steps.
+    Raises :class:`SolverFailure`, carrying the data and any start, after
+    ``max_iter`` steps.
     """
     s = 1.0 / np.sqrt(2.0 * d)
     Gs = G * s
     w = -q * s
-    y = np.zeros(h.size)
-    active: list[int] = []
+    y = np.zeros(h.size) if start is None else np.array(start, dtype=float)
+    active: list[int] = np.flatnonzero(y > 0.0).tolist()
+    if active:
+        w = w - Gs[active].T @ y[active]
     steps = 0
     while h.size:
         viol = Gs @ w - h
@@ -640,10 +655,10 @@ def _dual_active_set(d, q, G, h, tol, max_iter):
         while True:
             steps += 1
             if steps > max_iter:
-                raise SolverFailure(
-                    f"dual active-set kernel exceeded {max_iter} steps",
-                    problem={"d": d.tolist(), "q": q.tolist(), "G": G.tolist(), "h": h.tolist()},
-                )
+                problem = {"d": d.tolist(), "q": q.tolist(), "G": G.tolist(), "h": h.tolist()}
+                if start is not None:
+                    problem["start"] = np.asarray(start).tolist()
+                raise SolverFailure(f"dual active-set kernel exceeded {max_iter} steps", problem=problem)
             if active:
                 # p's normal as active normals times r, plus the part z orthogonal to them
                 N = Gs[active].T

@@ -13,8 +13,9 @@ out through :func:`~tube_dissip.problem.transition_rows`.  What remains is a
 strictly convex QP in the corners of the first ``horizon`` boxes,
 ``min sum(d*x**2 + q*x)`` subject to ``G x <= h0 - P @ z``, built once per
 problem and controller options and solved exactly by the dual active-set
-kernel of ``qp_solver``, as multi-step cost-to-travel values are.  Rows with
-no free coefficient are checked against ``feas_tol``.
+kernel of ``qp_solver``, as multi-step cost-to-travel values are, each solve
+starting from the cached optimum of the rows the state does not enter.
+Rows with no free coefficient are checked against ``feas_tol``.
 
 The cost does not depend on ``u0``, so it is reported in closed form from
 the optimal tube: the window ``[lo, hi]`` clamped towards zero as
@@ -37,6 +38,7 @@ import numpy as np
 
 from .cost_to_travel import (
     _corner_program,
+    _corner_qp,
     _CornerProgram,
     _solve_program,
     _stacked_steps,
@@ -188,6 +190,12 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     ``{z}`` into the second box), and the state inside the first box.  The
     cost is the stage cost of every free box plus the storage form on the
     first; the storage offset is added by the caller.
+
+    Only the window and containment rows depend on the state.  The other
+    rows are solved here, once, by the same kernel at ``DEFAULT_SETTINGS``;
+    their multipliers are dual feasible for the whole program at every
+    state and under every tolerance, so every solve starts from them.  If
+    those rows alone are infeasible, the program keeps the cold start.
     """
     terminal, storage = _resolved(spec, cfg)
     n = cfg.horizon
@@ -202,13 +210,21 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     q = np.tile(spec.cost_linear, n)
     if storage is not None:
         q[:4] += storage.linear_coeffs
-    return _corner_program(
+    prog = _corner_program(
         d=np.tile(spec.cost_quad, n),
         q=q,
         G=rows[:, :-4],
         P=np.vstack([np.zeros((h_steps.size, 2)), src[finite] @ _POINT, -_SIGNS @ _POINT]),
         h0=np.concatenate([h_steps, const[finite], np.zeros(4)]) - rows[:, -4:] @ terminal.corners(),
     )
+    free = ~prog.fixed
+    state_free = ~np.any(prog.P[free] != 0.0, axis=1)
+    x, y = _corner_qp(prog.d, prog.q, prog.G_free[state_free], prog.h0[free][state_free], DEFAULT_SETTINGS)
+    if x is None:
+        return prog
+    start = np.zeros(state_free.size)
+    start[state_free] = y
+    return prog._replace(start=start)
 
 
 def solve_tmpc(

@@ -248,6 +248,32 @@ class TestConfig:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("where, value", [
+        ("storage", {"offset": 1, "linear": [0, 0, 0]}),
+        ("storage", {"offset": 16, "linear": [0, -1.6, 1.6, 0], "mystery": 1}),
+        ("storage", [16, [0, -1.6, 1.6, 0]]),
+        ("storage", {"offset": "NaN", "linear": [0, -1.6, 1.6, 0]}),
+        ("terminal_set", [[0, 1], [0]]),
+        ("terminal_set", [[1, 0], [0, 1]]),
+        ("terminal_set", [[0, 1, 2], [0, 1]]),
+        ("eval-v", [[0, 1, 2], [0, 1]]),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_malformed_storage_or_box_rejected(self, capsys, tmp_path, where, value):
+        # none of these may be read loosely into a plausible answer
+        path = tmp_path / "input.json"
+        if where == "storage":
+            path.write_text(json.dumps(value))
+            argv = ("check-storage", "--storage", str(path))
+        elif where == "terminal_set":
+            path.write_text(json.dumps({"controller": {"terminal_set": value}}))
+            argv = ("--config", str(path), "control", "--z=0,0")
+        else:
+            argv = ("eval-v", "--a", json.dumps(value), "--b", "[[0,1],[0,1]]")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
     def test_json_output_format_accepted(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"output": {"format": "json"}}))

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import tube_dissip
 from tube_dissip import qp_solver
 from tube_dissip.dissipativity import StorageFunction
 from tube_dissip.qp_solver import (
@@ -189,10 +194,22 @@ def separable_problem(rng, n=5, m=12, infeasible=False):
     return d, q, G, h
 
 
-def dual_active_set(d, q, G, h, max_iter=1000):
+def dual_active_set(d, q, G, h, max_iter=1000, start=None):
     return qp_solver._dual_active_set(
-        np.asarray(d, float), np.asarray(q, float), np.asarray(G, float), np.asarray(h, float), 1e-12, max_iter
+        np.asarray(d, float), np.asarray(q, float), np.asarray(G, float), np.asarray(h, float), 1e-12, max_iter,
+        start,
     )
+
+
+def subset_start(rng, d, q, G, h):
+    """The multipliers of the optimum on a random half of the rows, as a start on all of them; None if infeasible."""
+    rows = rng.uniform(size=h.size) < 0.5
+    x, y = dual_active_set(d, q, G[rows], h[rows])
+    if x is None:
+        return None
+    start = np.zeros(h.size)
+    start[rows] = y
+    return start
 
 
 class TestDualActiveSet:
@@ -242,8 +259,72 @@ class TestDualActiveSet:
         with pytest.raises(SolverFailure) as info:
             dual_active_set(d, q, G, h, max_iter=1)
         dump = info.value.problem
+        assert set(dump) == {"d", "q", "G", "h"}
         for name, value in (("d", d), ("q", q), ("G", G), ("h", h)):
             assert np.array_equal(np.array(dump[name]), value)
+
+    def test_iteration_cap_dump_carries_the_start(self, rng):
+        d, q, G, h = separable_problem(rng, m=20)
+        start = subset_start(rng, d, q, G, h)
+        assert np.any(start > 0.0)
+        with pytest.raises(SolverFailure) as info:
+            dual_active_set(d, q, G, h, max_iter=1, start=start)
+        dump = {k: np.array(v) for k, v in info.value.problem.items()}
+        for name, value in (("d", d), ("q", q), ("G", G), ("h", h), ("start", start)):
+            assert np.array_equal(dump[name], value)
+        # the dump replays the call that failed
+        replayed = dual_active_set(dump["d"], dump["q"], dump["G"], dump["h"], start=dump["start"])
+        want = dual_active_set(d, q, G, h, start=start)
+        assert np.array_equal(replayed[0], want[0]) and np.array_equal(replayed[1], want[1])
+
+    def test_start_from_a_subset_optimum_gives_the_cold_answer(self, rng):
+        verdicts, warm = set(), 0
+        for k in range(80):
+            d, q, G, h = separable_problem(rng, infeasible=k % 2 == 1)
+            start = subset_start(rng, d, q, G, h)
+            if start is None:
+                continue
+            warm += bool(np.any(start > 0.0))
+            x_cold, _ = dual_active_set(d, q, G, h)
+            x, y = dual_active_set(d, q, G, h, start=start)
+            verdicts.add(x is None)
+            assert (x is None) == (x_cold is None)
+            if x is None:
+                assert oracles.farkas_ray_ok(G, h, y)
+            else:
+                assert np.max(np.abs(x - x_cold)) <= 1e-12
+                assert oracles.separable_kkt_residual(d, q, G, h, x, y) <= 1e-12
+        assert verdicts == {True, False} and warm >= 40
+
+    def test_start_at_the_optimum_takes_no_step(self, rng):
+        d, q, G, h = separable_problem(rng)
+        x, y = dual_active_set(d, q, G, h)
+        assert np.any(y > 0.0)
+        with pytest.raises(SolverFailure):
+            dual_active_set(d, q, G, h, max_iter=0)
+        x0, y0 = dual_active_set(d, q, G, h, max_iter=0, start=y)
+        assert np.max(np.abs(x0 - x)) <= 1e-12 and np.array_equal(y0, y)
+
+    def test_all_zero_start_is_the_cold_solve(self, rng):
+        for k in range(10):
+            d, q, G, h = separable_problem(rng, infeasible=k % 2 == 1)
+            cold = dual_active_set(d, q, G, h)
+            zero = dual_active_set(d, q, G, h, start=np.zeros(h.size))
+            assert (cold[0] is None) == (zero[0] is None)
+            for a, b in zip(cold, zero):
+                assert a is None or a.tobytes() == b.tobytes()
+
+
+def test_importing_the_package_does_not_load_scipy():
+    # only the ADMM reference solver needs scipy, and it imports it on use
+    code = (
+        "import sys, tube_dissip, tube_dissip.cli, tube_dissip.acceptance; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(tube_dissip.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestRandomProblems:

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from tube_dissip import tube_mpc
+from tube_dissip import cost_to_travel, tube_mpc
 from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
@@ -175,11 +175,14 @@ WITHIN_THE_BAND = [
 ]
 
 
+BEYOND_THE_BAND = [(-5.00000002, 0.0), (5.00000002, 0.0), (0.0, -5.00000002),
+                   (1.0, 5.00000002), (-6.0, 0.0), (0.0, 5.5), (1e300, -1e300)]
+
+
 class TestStateBounds:
     """A state beyond X by more than feas_tol has no tube; one within it is read as on X."""
 
-    @pytest.mark.parametrize("z", [(-5.00000002, 0.0), (5.00000002, 0.0), (0.0, -5.00000002),
-                                   (1.0, 5.00000002), (-6.0, 0.0), (0.0, 5.5), (1e300, -1e300)])
+    @pytest.mark.parametrize("z", BEYOND_THE_BAND)
     def test_beyond_the_band_infeasible_without_a_solve(self, spec, cfg_ic, monkeypatch, z):
         solves = record_solves(monkeypatch)
         solve_tmpc(spec, cfg_ic, (0.0, 0.0))
@@ -210,6 +213,13 @@ ORACLE_STATES = [(z, z) for z in FINE_GRID] + WITHIN_THE_BAND
 
 def point_box(z):
     return IntervalBox.from_corners((z[0], z[0], z[1], z[1]))
+
+
+def cold_solves(monkeypatch, spec, cfg, states, settings):
+    """The controller's answers at the states with its program's start removed."""
+    cold_prog = tube_mpc._tube_program(spec, cfg)._replace(start=np.zeros(0))
+    monkeypatch.setattr(tube_mpc, "_tube_program", lambda *args: cold_prog)
+    return [solve_tmpc(spec, cfg, z, settings) for z in states]
 
 
 def assert_same_program(got, want):
@@ -251,17 +261,83 @@ class TestTemplate:
 
     def test_assembled_once_per_controller(self, spec, cfg_ic, monkeypatch):
         tube_mpc._tube_program.cache_clear()
-        builds = []
+        builds, starts = [], []
         real_stack = tube_mpc._stacked_steps
+        real_qp = tube_mpc._corner_qp
 
         def counting_stack(*args):
             builds.append(args)
             return real_stack(*args)
 
+        def counting_qp(*args):
+            starts.append(args)
+            return real_qp(*args)
+
         monkeypatch.setattr(tube_mpc, "_stacked_steps", counting_stack)
+        monkeypatch.setattr(tube_mpc, "_corner_qp", counting_qp)
         sweep_feedback(spec, cfg_ic, STATE_GRID)
         solve_tmpc(spec, cfg_ic, (1.0, 1.0))
         assert len(builds) == 1
+        # the start is solved with the program, not per state
+        assert len(starts) == 1
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_cached_start_is_dual_feasible(self, spec, name):
+        prog = tube_mpc._tube_program(spec, CONFIGS[name])
+        free = ~prog.fixed
+        state_free = ~np.any(prog.P[free] != 0.0, axis=1)
+        y0 = prog.start
+        assert y0.shape == state_free.shape and np.all(y0 >= 0.0) and np.any(y0 > 0.0)
+        assert np.all(y0[~state_free] == 0.0)
+        # the minimiser of the start's own rows, with y0 > 0 on active rows only
+        x0 = -(prog.q + prog.G_free.T @ y0) / (2.0 * prog.d)
+        slack = prog.h0[free][state_free] - prog.G_free[state_free] @ x0
+        tol = 1e-3 * DEFAULT_SETTINGS.feas_tol
+        assert np.all(slack >= -tol)
+        assert np.all(np.abs(slack[y0[state_free] > 0.0]) <= tol)
+
+    @pytest.mark.filterwarnings("ignore:terminal set is not a self-successor box")
+    def test_no_start_when_the_state_free_rows_are_infeasible(self, spec):
+        # no box reaches a single point against every disturbance
+        cfg = TubeMpcConfig(terminal_set=IntervalBox.from_corners((1.0, 1.0, -1.0, -1.0)))
+        assert tube_mpc._tube_program(spec, cfg).start.size == 0
+        assert solve_tmpc(spec, cfg, (1.0, -1.0)).status is QpStatus.INFEASIBLE
+
+    def test_every_solve_starts_from_the_cached_start(self, spec, cfg_ic, monkeypatch):
+        prog = tube_mpc._tube_program(spec, cfg_ic)
+        real_kernel = cost_to_travel._dual_active_set
+        starts = []
+
+        def recording_kernel(d, q, G, h, tol, max_iter, start=None):
+            starts.append(start)
+            return real_kernel(d, q, G, h, tol, max_iter, start)
+
+        monkeypatch.setattr(cost_to_travel, "_dual_active_set", recording_kernel)
+        sweep_feedback(spec, cfg_ic, STATE_GRID)
+        assert len(starts) == len(STATE_GRID) and all(start is prog.start for start in starts)
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_started_solves_give_the_cold_answers(self, spec, name, monkeypatch, rng):
+        cfg = CONFIGS[name]
+        n = cfg.horizon
+        states = [z for z, _ in ORACLE_STATES] + BEYOND_THE_BAND + [tuple(z) for z in rng.uniform(-5, 5, (200, 2))]
+        warm = [solve_tmpc(spec, cfg, z) for z in states]
+        for z, got, want in zip(states, warm, cold_solves(monkeypatch, spec, cfg, states, DEFAULT_SETTINGS)):
+            assert got.status is want.status, z
+            if not want.feasible:
+                continue
+            pairs = [(got.objective, want.objective), (got.u0, want.u0), *zip(got.u0_interval, want.u0_interval)]
+            pairs += [pair for a, b in zip(got.tube[:n], want.tube[:n]) for pair in zip(a.corners(), b.corners())]
+            assert max(abs(a - b) for a, b in pairs) <= 1e-12, z
+
+    @pytest.mark.parametrize("feas_tol", [1e-11, 1e-6])
+    def test_one_start_serves_every_tolerance(self, spec, cfg_ic, monkeypatch, feas_tol):
+        # the start is dual feasible whatever the tolerance the rows are held to
+        settings = replace(DEFAULT_SETTINGS, feas_tol=feas_tol)
+        warm = [solve_tmpc(spec, cfg_ic, z, settings) for z in STATE_GRID]
+        for got, want in zip(warm, cold_solves(monkeypatch, spec, cfg_ic, STATE_GRID, settings)):
+            assert got.status is want.status
+            assert got.objective == pytest.approx(want.objective, abs=10 * feas_tol)
 
     def test_each_solve_independent_of_earlier_calls(self, spec, cfg_ic):
         z = (2.5, -3.5)
