@@ -72,7 +72,7 @@ class RunConfig:
     """Problem, controller, tolerance, and seed settings shared by commands."""
 
     KNOWN_KEYS = {"problem", "controller", "tolerances", "seed", "output"}
-    CONTROLLER_KEYS = {"horizon", "use_initial_cost", "terminal_equality", "storage", "terminal_set"}
+    CONTROLLER_KEYS = {"horizon", "use_initial_cost", "storage", "terminal_set"}
     TOLERANCE_KEYS = {"kkt_tol", "feas_tol", "max_iter"}
     OUTPUT_KEYS = {"path", "format"}
 
@@ -91,7 +91,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown controller config keys: {sorted(unknown)}")
         kwargs = {}
-        for key in ("horizon", "use_initial_cost", "terminal_equality"):
+        for key in ("horizon", "use_initial_cost"):
             if key in ctrl:
                 kwargs[key] = ctrl[key]
         if "storage" in ctrl and ctrl["storage"] is not None:
@@ -122,14 +122,11 @@ class RunConfig:
             raise ConfigError(f"unsupported output format {out['format']!r} (only \"json\")")
         env_seed = os.environ.get("TUBE_DISSIP_SEED")
         if "seed" in obj:
-            if not _is_int(obj["seed"]):
-                raise ConfigError(f"seed must be an integer, got {obj['seed']!r}")
+            if not (_is_int(obj["seed"]) and obj["seed"] >= 0):
+                raise ConfigError(f"seed must be a non-negative integer, got {obj['seed']!r}")
             self.seed = obj["seed"]
         elif env_seed is not None:
-            try:
-                self.seed = int(env_seed)
-            except ValueError:
-                raise ConfigError(f"TUBE_DISSIP_SEED must be an integer, got {env_seed!r}") from None
+            self.seed = _parse_seed(env_seed, "TUBE_DISSIP_SEED")
         else:
             self.seed = DEFAULT_SEED
 
@@ -170,12 +167,18 @@ def _parse_storage(obj, where: str) -> StorageFunction:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _parse_seed(text: str, where: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ConfigError(f"{where} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_policy(text: str, default_seed: int):
     if text == "adversarial":
         return AdversarialPolicy()
     if text.startswith("random"):
         _, _, seed = text.partition(":")
-        return UniformRandomPolicy(seed=int(seed) if seed else default_seed)
+        return UniformRandomPolicy(seed=_parse_seed(seed, "random policy seed") if seed else default_seed)
     if text.startswith("extreme:"):
         pattern = text.split(":", 1)[1]
         if not pattern or any(c not in "+-" for c in pattern):

@@ -105,9 +105,6 @@ class SimulationTrace:
     steps: tuple[TraceStep, ...]
     failure_step: Optional[int] = None
 
-    def states(self) -> list[tuple[float, float]]:
-        return [s.y for s in self.steps]
-
     def csv_rows(self) -> list[dict]:
         rows = []
         for s in self.steps:
@@ -142,7 +139,7 @@ def rotated_cost(
     if math.isinf(value):
         return _INF
     _, v_star = optimal_rci(spec, settings)
-    _, storage = _resolved(spec, cfg)
+    _, storage, _ = _resolved(spec, cfg)
     e_a = eval_storage(storage, spec, a) if storage is not None else 0.0
     e_b = eval_storage(storage, spec, b) if storage is not None else 0.0
     return e_a - e_b + value - v_star

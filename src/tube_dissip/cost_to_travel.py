@@ -11,7 +11,10 @@ One step is decided in closed form.  Longer tubes and the optimal invariant
 box minimise stage costs over the one-step rows with the edge controls
 eliminated (:func:`~tube_dissip.problem.transition_rows`), a strictly convex
 QP in box corners alone that the dual active-set kernel of ``qp_solver``
-solves exactly.
+solves exactly.  These programs and the tube MPC program of ``tube_mpc``
+are read back into boxes by one helper, :func:`_solve_tube`: free corners
+clipped onto the state bounds and snapped at ``feas_tol``, and every step
+of the tube checked by :func:`~tube_dissip.problem.transition_witness`.
 """
 
 from __future__ import annotations
@@ -104,24 +107,12 @@ def eval_v(
         if witness is None:
             return CostToTravelResult(value=_INF)
         return CostToTravelResult(value=stage_cost(spec, a), tube=(a, b), aux_controls=(witness,))
-    stack = _chain_stack(spec, n_steps)
-    _, x, _ = _solve_program(stack, np.array(a.corners() + b.corners()), settings)
-    if x is None:
+    ends = np.array(a.corners() + b.corners())
+    solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b], settings)
+    if solved is None:
         return CostToTravelResult(value=_INF)
-    x = _within_state_bounds(spec, x)
-    tube = [a]
-    for k in range(n_steps - 1):
-        # corner order is met to within the kernel's rounding guard
-        tube.append(IntervalBox.from_corners(x[4 * k : 4 * k + 4], snap_tol=settings.feas_tol))
-    tube.append(b)
-    aux = []
-    for src, dst in zip(tube[:-1], tube[1:]):
-        witness = transition_witness(spec, src, dst, settings)
-        if witness is None:
-            raise SolverFailure("a step of the cost-to-travel minimiser is not a transition")
-        aux.append(witness)
-    value = stage_cost(spec, a) + float(stack.d @ (x * x) + stack.q @ x)
-    return CostToTravelResult(value=value, tube=tuple(tube), aux_controls=tuple(aux))
+    cost, tube, witnesses = solved
+    return CostToTravelResult(value=stage_cost(spec, a) + cost, tube=tube, aux_controls=witnesses)
 
 
 class _CornerProgram(NamedTuple):
@@ -197,18 +188,32 @@ def _solve_program(prog: _CornerProgram, p: np.ndarray, settings: SolverSettings
     return h, x, y
 
 
-def _within_state_bounds(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    """Free corners x clipped onto the state bounds.
+def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p: np.ndarray, head, tail, settings: SolverSettings):
+    """A corner program's answer at p as ``(cost, head + free boxes + tail, step witnesses)``, or None.
 
     Every free box is the source of a step, so its rows keep it within the
-    state bounds, but only to within the kernel's rounding guard; clipped,
-    it passes exact inclusion tests such as the storage form's domain.
+    state bounds and its corners in order, but only to within the kernel's
+    rounding guard; clipped onto the bounds and snapped at ``feas_tol``, it
+    passes exact inclusion tests such as the storage form's domain.  The
+    cost is taken at the clipped corners.
     """
+    _, x, _ = _solve_program(prog, p, settings)
+    if x is None:
+        return None
     xb = spec.x_bounds
-    n_boxes = x.size // 4
-    lo = np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_boxes)
-    hi = np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_boxes)
-    return np.clip(x, lo, hi)
+    n_free = x.size // 4
+    lo = np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free)
+    hi = np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free)
+    x = np.clip(x, lo, hi)
+    free = (IntervalBox.from_corners(x[4 * k : 4 * k + 4], snap_tol=settings.feas_tol) for k in range(n_free))
+    tube = (*head, *free, *tail)
+    witnesses = []
+    for src, dst in zip(tube[:-1], tube[1:]):
+        witness = transition_witness(spec, src, dst, settings)
+        if witness is None:
+            raise SolverFailure("a step of the minimising tube is not a transition")
+        witnesses.append(witness)
+    return float(prog.d @ (x * x) + prog.q @ x), tube, tuple(witnesses)
 
 
 def _corner_qp(d, q, G, h, settings: SolverSettings, start=None):
@@ -225,32 +230,33 @@ def optimal_rci(
 
     A box a is its own successor when the rows of :func:`transition_rows`
     hold with a as source and target, that is ``(src + tgt) @ a <= const``.
-    Minimising the stage cost over them is a strictly convex QP, solved by
-    the same dual active-set method as :func:`eval_v`.
+    Minimising the stage cost over them is a parameter-free corner program
+    with one free box, solved by the same dual active-set method as
+    :func:`eval_v`.  Answers are cached per problem and settings.
     """
-    if settings is DEFAULT_SETTINGS:
-        return _optimal_rci_default(spec)
-    return _optimal_rci_impl(spec, settings)
+    # one cache key whether or not the caller passes the default settings
+    return _optimal_rci(spec, settings)
 
 
 @lru_cache(maxsize=64)
-def _optimal_rci_default(spec: ProblemSpec) -> tuple[IntervalBox, float]:
-    return _optimal_rci_impl(spec, DEFAULT_SETTINGS)
-
-
-def _optimal_rci_impl(spec: ProblemSpec, settings: SolverSettings) -> tuple[IntervalBox, float]:
+def _optimal_rci(spec: ProblemSpec, settings: SolverSettings) -> tuple[IntervalBox, float]:
     src, tgt, const = transition_rows(spec)
     finite = np.isfinite(const)
-    d = np.array(spec.cost_quad)
-    q = np.array(spec.cost_linear)
-    x, _ = _corner_qp(d, q, (src + tgt)[finite], const[finite], settings)
-    if x is None:
+    prog = _corner_program(
+        d=np.array(spec.cost_quad),
+        q=np.array(spec.cost_linear),
+        G=(src + tgt)[finite],
+        P=np.zeros((int(finite.sum()), 0)),
+        h0=const[finite],
+    )
+    solved = _solve_tube(spec, prog, np.zeros(0), [], [], settings)
+    if solved is None:
         raise RciNotFound(
             "no robust control invariant interval box exists within the state "
             "bounds (the self-transition problem is infeasible)"
         )
-    box = IntervalBox.from_corners(x, snap_tol=settings.feas_tol)
-    return box, float(d @ (x * x) + q @ x)
+    cost, (box,), _ = solved
+    return box, cost
 
 
 def bellman_gap(

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval_sets import IntervalBox, subset
+from .interval_sets import IntervalBox, _is_real, subset
 from .qp_solver import DEFAULT_SETTINGS, SolverSettings
 
 __all__ = [
@@ -72,32 +72,26 @@ class ProblemSpec:
     cost_quad: tuple[float, float, float, float] = (0.15, 0.05, 0.1, 0.05)
 
     def __post_init__(self):
+        if not _is_real(self.alpha):
+            raise ConfigError(f"alpha must be a number, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "u_bounds", tuple(float(v) for v in self.u_bounds))
-        object.__setattr__(self, "w_bounds", tuple(float(v) for v in self.w_bounds))
-        object.__setattr__(self, "cost_linear", tuple(float(v) for v in self.cost_linear))
-        object.__setattr__(self, "cost_quad", tuple(float(v) for v in self.cost_quad))
+        for name, size in (("u_bounds", 2), ("w_bounds", 2), ("cost_linear", 4), ("cost_quad", 4)):
+            value = getattr(self, name)
+            # NaN passes every ordered comparison below, and max/min drop it
+            real = isinstance(value, (list, tuple)) and all(_is_real(v) and not math.isnan(v) for v in value)
+            if not (real and len(value) == size):
+                raise ConfigError(f"{name} must be a list of {size} numbers other than NaN, got {value!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in value))
         if not math.isfinite(self.alpha) or self.alpha <= 0.0:
             # the edge-control encoding interpolates controls monotonically in
             # x2, which requires a positive dynamics coefficient
             raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
-        # NaN passes every ordered comparison below, and max/min drop it
-        for name in ("u_bounds", "w_bounds", "cost_linear", "cost_quad"):
-            if any(math.isnan(v) for v in getattr(self, name)):
-                raise ConfigError(f"{name} must not contain NaN, got {getattr(self, name)}")
         if not all(math.isfinite(v) for v in self.w_bounds):
             raise ConfigError(f"w_bounds must be finite, got {self.w_bounds}")
-        if (
-            len(self.u_bounds) != 2
-            or self.u_bounds[0] > self.u_bounds[1]
-            or self.u_bounds[0] == _INF
-            or self.u_bounds[1] == -_INF
-        ):
+        if self.u_bounds[0] > self.u_bounds[1] or self.u_bounds[0] == _INF or self.u_bounds[1] == -_INF:
             raise ConfigError(f"u_bounds must be a nonempty interval, got {self.u_bounds}")
-        if len(self.w_bounds) != 2 or self.w_bounds[0] > self.w_bounds[1]:
+        if self.w_bounds[0] > self.w_bounds[1]:
             raise ConfigError(f"w_bounds must be a nonempty interval, got {self.w_bounds}")
-        if len(self.cost_linear) != 4 or len(self.cost_quad) != 4:
-            raise ConfigError("cost_linear and cost_quad must have length 4")
         if any(d <= 0.0 for d in self.cost_quad):
             raise ConfigError("cost_quad entries must be positive (strict convexity)")
 
@@ -138,16 +132,14 @@ class ProblemSpec:
         if unknown:
             raise ConfigError(f"unknown problem config keys: {sorted(unknown)}")
         kwargs: dict = {}
-        if "alpha" in obj:
-            kwargs["alpha"] = obj["alpha"]
         if "x_bounds" in obj:
             try:
                 kwargs["x_bounds"] = IntervalBox.from_json_obj(obj["x_bounds"])
             except ValueError as exc:
                 raise ConfigError(f"x_bounds: {exc}") from exc
-        for key in ("u_bounds", "w_bounds", "cost_linear", "cost_quad"):
+        for key in ("alpha", "u_bounds", "w_bounds", "cost_linear", "cost_quad"):
             if key in obj:
-                kwargs[key] = tuple(obj[key])
+                kwargs[key] = obj[key]
         return cls(**kwargs)
 
     @classmethod

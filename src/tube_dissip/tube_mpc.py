@@ -15,7 +15,10 @@ strictly convex QP in the corners of the first ``horizon`` boxes,
 problem and controller options and solved exactly by the dual active-set
 kernel of ``qp_solver``, as multi-step cost-to-travel values are, each solve
 starting from the cached optimum of the rows the state does not enter.
-Rows with no free coefficient are checked against ``feas_tol``.
+Rows with no free coefficient are checked against ``feas_tol``.  The answer
+is read back into boxes and edge controls by the same helper as those
+values (``cost_to_travel._solve_tube``).  A terminal box that is not its
+own successor is accepted, with a warning at every solve.
 
 The cost does not depend on ``u0``, so it is reported in closed form from
 the optimal tube: the window ``[lo, hi]`` clamped towards zero as
@@ -40,14 +43,13 @@ from .cost_to_travel import (
     _corner_program,
     _corner_qp,
     _CornerProgram,
-    _solve_program,
+    _solve_tube,
     _stacked_steps,
-    _within_state_bounds,
     optimal_rci,
 )
 from .dissipativity import StorageFunction
 from .interval_sets import IntervalBox, contains, subset
-from .problem import ConfigError, ProblemSpec, is_rci, transition_rows, transition_witness
+from .problem import ConfigError, ProblemSpec, is_rci, transition_rows
 from .qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, SolverSettings
 
 __all__ = [
@@ -77,27 +79,25 @@ class TubeMpcConfig:
 
     ``terminal_set`` and ``storage`` default to the optimal invariant box and
     the reference storage candidate when left as None.  The last box of
-    every tube is the terminal box itself under both ``terminal_equality``
-    settings: the last box carries no cost and reachability only grows with
-    the target box, so a tube ending inside the terminal box exists exactly
-    when one ending on it does, at the same cost.  The flag is kept so that
-    existing configurations still load.
+    every tube is the terminal box itself.  Requiring it only to lie inside
+    the terminal box gives the same program: the last box carries no cost
+    and reachability only grows with the target box, so a tube ending
+    inside the terminal box exists exactly when one ending on it does, at
+    the same cost.
     """
 
     horizon: int = 2
     use_initial_cost: bool = True
     terminal_set: Optional[IntervalBox] = None
     storage: Optional[StorageFunction] = None
-    terminal_equality: bool = True
 
     def __post_init__(self):
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
             raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        for name in ("use_initial_cost", "terminal_equality"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.use_initial_cost, bool):
+            raise ConfigError(f"use_initial_cost must be true or false, got {self.use_initial_cost!r}")
 
 
 @dataclass(frozen=True)
@@ -157,22 +157,25 @@ class SweepPoint:
 
 
 @lru_cache(maxsize=32)
-def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optional[StorageFunction]]:
+def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optional[StorageFunction], bool]:
+    """The controller's terminal box T, its storage form or None, and whether T is its own successor."""
     terminal = cfg.terminal_set
     if terminal is None:
         terminal, _ = optimal_rci(spec)
     if not subset(terminal, spec.x_bounds):
         raise ConfigError("terminal_set must lie within the state bounds")
-    if not is_rci(spec, terminal):
-        warnings.warn(
-            "terminal set is not a self-successor box; recursive feasibility "
-            "is not guaranteed",
-            stacklevel=3,
-        )
     storage = None
     if cfg.use_initial_cost:
         storage = cfg.storage if cfg.storage is not None else StorageFunction.reference()
-    return terminal, storage
+    return terminal, storage, is_rci(spec, terminal)
+
+
+def _window(spec: ProblemSpec, b: IntervalBox, z2: float) -> tuple[float, float]:
+    """The window ``(lo, hi)`` of the module docstring: controls taking second coordinate z2 into b."""
+    b1, b2, b3, b4 = b.corners()
+    lo = max(b1, b3 - spec.alpha * z2 - spec.w_lo, spec.u_lo)
+    hi = min(b2, b4 - spec.alpha * z2 - spec.w_hi, spec.u_hi)
+    return lo, hi
 
 
 # the point box {z} of a state z, as a map from z to its corner vector
@@ -197,7 +200,7 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     state and under every tolerance, so every solve starts from them.  If
     those rows alone are infeasible, the program keeps the cold start.
     """
-    terminal, storage = _resolved(spec, cfg)
+    terminal, storage, _ = _resolved(spec, cfg)
     n = cfg.horizon
     steps, h_steps = _stacked_steps(spec, n)
     src, tgt, const = transition_rows(spec)
@@ -237,7 +240,13 @@ def solve_tmpc(
     z1, z2 = float(z[0]), float(z[1])
     if not (math.isfinite(z1) and math.isfinite(z2)):
         raise ConfigError(f"state must be finite, got {tuple(z)}")
-    terminal, storage = _resolved(spec, cfg)
+    terminal, storage, self_successor = _resolved(spec, cfg)
+    if not self_successor:
+        warnings.warn(
+            "terminal set is not a self-successor box; recursive feasibility "
+            "is not guaranteed",
+            stacklevel=2,
+        )
     prog = _tube_program(spec, cfg)
 
     # the first box lies within the state bounds, so no tube holds a state
@@ -248,39 +257,27 @@ def solve_tmpc(
     z1 = min(max(z1, xb.lo[0]), xb.hi[0])
     z2 = min(max(z2, xb.lo[1]), xb.hi[1])
 
-    _, x, _ = _solve_program(prog, np.array((z1, z2)), settings)
-    if x is None:
+    solved = _solve_tube(spec, prog, np.array((z1, z2)), [], [terminal], settings)
+    if solved is None:
         return TubeSolution(status=QpStatus.INFEASIBLE)
-    x = _within_state_bounds(spec, x)
-    # corner order is met to within the kernel's rounding guard
-    tube = [IntervalBox.from_corners(x[4 * k : 4 * k + 4], snap_tol=settings.feas_tol) for k in range(cfg.horizon)]
-    tube.append(terminal)
-    edge_controls = []
-    for src, dst in zip(tube[:-1], tube[1:]):
-        witness = transition_witness(spec, src, dst, settings)
-        if witness is None:
-            raise SolverFailure("a step of the optimal tube is not a transition")
-        edge_controls.append(witness)
+    objective, tube, edge_controls = solved
+    if storage is not None:
+        objective += storage.offset
 
-    b_box = tube[1].corners()
-    lo = max(b_box[0], b_box[2] - spec.alpha * z2 - spec.w_lo, spec.u_lo)
-    hi = min(b_box[1], b_box[3] - spec.alpha * z2 - spec.w_hi, spec.u_hi)
+    lo, hi = _window(spec, tube[1], z2)
     if lo > hi:
         if lo - hi > 1e-8:
             raise SolverFailure("empty control window for the optimal tube")
         lo = hi = 0.5 * (lo + hi)
     u0_val = min(max(0.0, lo), hi)
-    objective = float(prog.d @ (x * x) + prog.q @ x)
-    if storage is not None:
-        objective += storage.offset
 
     return TubeSolution(
         status=QpStatus.OPTIMAL,
-        tube=tuple(tube),
+        tube=tube,
         u0=float(u0_val),
         objective=objective,
         u0_interval=(float(lo), float(hi)),
-        edge_controls=tuple(edge_controls),
+        edge_controls=edge_controls,
     )
 
 
@@ -313,10 +310,7 @@ def mu_feedback(
         raise ValueError(f"k={k} out of range for tube of length {len(tube)}")
     if not contains(tube[k], z, tol=1e-9):
         raise ValueError(f"state {tuple(z)} not in tube[{k}]")
-    b1, b2, b3, b4 = tube[k + 1].corners()
-    z2 = float(z[1])
-    lo = max(b1, b3 - spec.alpha * z2 - spec.w_lo, spec.u_lo)
-    hi = min(b2, b4 - spec.alpha * z2 - spec.w_hi, spec.u_hi)
+    lo, hi = _window(spec, tube[k + 1], float(z[1]))
     if lo > hi + 1e-12:
         raise TubeStepInfeasible(
             f"no control drives z={tuple(z)} into tube[{k + 1}] for every disturbance"

@@ -515,11 +515,11 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
     return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=settings.max_iter)
 
 
-def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z) -> QpProblem:
+def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z, containment: bool) -> QpProblem:
     """The tube controller's QP at state z with its edge controls and applied control, through QpBuilder.
 
-    Variables are the corners of the first ``cfg.horizon`` boxes, under
-    terminal containment the corners of a last box inside the terminal box,
+    Variables are the corners of the first ``cfg.horizon`` boxes, with
+    ``containment`` the corners of a last box inside the terminal box,
     each step's edge controls (v1, v2) and the applied control u0.  Every
     row goes through ``install_slot_row``, so a row left with one variable
     becomes a bound.
@@ -528,9 +528,7 @@ def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z)
     z1, z2 = float(z[0]), float(z[1])
     builder = QpBuilder()
     corner_slots = [builder.new_vars(4) for _ in range(cfg.horizon)]
-    if cfg.terminal_equality:
-        corner_slots.append(terminal.corners())
-    else:
+    if containment:
         tail = builder.new_vars(4)
         corner_slots.append(tail)
         t1, t2, t3, t4 = terminal.corners()
@@ -540,6 +538,8 @@ def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z)
         builder.bound(tail[3], -inf, t4)
         builder.add_row({tail[0]: 1.0, tail[1]: -1.0}, -inf, 0.0)
         builder.add_row({tail[2]: 1.0, tail[3]: -1.0}, -inf, 0.0)
+    else:
+        corner_slots.append(terminal.corners())
     for k in range(cfg.horizon):
         v = builder.new_vars(2)
         build_g_block(spec, corner_slots[k], corner_slots[k + 1], v).install(builder)

@@ -214,6 +214,11 @@ class TestConfig:
         ("controller", "horizon", "2"),
         ("controller", "horizon", True),
         (None, "seed", "abc"),
+        (None, "seed", -5),
+        ("problem", "u_bounds", 5),
+        ("problem", "cost_quad", ["a", 1, 1, 1]),
+        ("problem", "alpha", "0.5"),
+        ("problem", "w_bounds", [True, 1]),
         ("tolerances", "feas_tol", -1),
         ("tolerances", "feas_tol", float("nan")),
         ("tolerances", "kkt_tol", 0),
@@ -273,6 +278,20 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("env, argv", [
+        (None, ("simulate", "--y0=0,0", "--policy", "random:abc")),
+        (None, ("simulate", "--y0=0,0", "--policy", "random:-1")),
+        ("-3", ("check-storage", "--strictness", "3")),
+    ], ids=["policy-abc", "policy-negative", "env-negative"])
+    def test_bad_seed_rejected(self, capsys, monkeypatch, env, argv):
+        # seeds are non-negative integers, checked where they enter
+        if env is not None:
+            monkeypatch.setenv("TUBE_DISSIP_SEED", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "non-negative" in err
 
     def test_json_output_format_accepted(self, capsys, tmp_path):
         path = tmp_path / "run.json"

@@ -137,6 +137,14 @@ class TestOptimalRci:
         with pytest.raises(RciNotFound):
             optimal_rci(thin)
 
+    def test_one_cache_entry_per_problem_and_settings(self, spec):
+        # the default settings, passed or not, and an equal copy share one answer
+        first = optimal_rci(spec)
+        assert optimal_rci(spec, DEFAULT_SETTINGS) is first
+        assert optimal_rci(spec, settings=SolverSettings()) is first
+        loose = optimal_rci(spec, SolverSettings(feas_tol=1e-6))
+        assert loose is not first and loose is optimal_rci(spec, SolverSettings(feas_tol=1e-6))
+
 
 class TestBellmanGap:
     def test_stationary_chain(self, spec, x_star):

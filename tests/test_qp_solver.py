@@ -447,7 +447,7 @@ def tube_qps(spec):
     cfgs = (TubeMpcConfig(use_initial_cost=True), TubeMpcConfig(use_initial_cost=False))
     states = [(cfg, z) for cfg in cfgs for z in grid]
     states += [(TubeMpcConfig(horizon=1), z) for z in ((0.0, 4.0), (-2.0, -4.5))]
-    return [oracles.tube_qp_reference(spec, *_resolved(spec, cfg), cfg, z) for cfg, z in states]
+    return [oracles.tube_qp_reference(spec, *_resolved(spec, cfg)[:2], cfg, z, False) for cfg, z in states]
 
 
 def eval_v2_qps(spec, rng, count=25):

@@ -67,17 +67,6 @@ class TestSolveTmpc:
         sol = solve_tmpc(spec, cfg_ic, (2.0, 2.0))
         assert_corners(sol.tube[-1], x_star.corners(), tol=1e-9)
 
-    def test_terminal_containment_mode(self, spec, x_star):
-        # containment is the same program as equality: the last box is the
-        # terminal box, and the answer is the same
-        cfg = TubeMpcConfig(use_initial_cost=True, terminal_equality=False)
-        cfg_eq = TubeMpcConfig(use_initial_cost=True)
-        for z in ((2.0, 2.0), (-1.0, -2.0), (4.0, -4.5)):
-            sol = solve_tmpc(spec, cfg, z)
-            assert sol.feasible
-            assert subset(sol.tube[-1], x_star, tol=1e-8)
-            assert sol == solve_tmpc(spec, cfg_eq, z)
-
     def test_objective_matches_cost_to_travel_form(self, spec, cfg_ic, rng):
         from tube_dissip.dissipativity import StorageFunction
 
@@ -117,27 +106,42 @@ class TestSolveTmpc:
         assert len(sol.tube) == 2
         assert sol.u0 == pytest.approx(-1.0, abs=1e-8)
 
-    def test_snaps_corners_inverted_within_feas_tol(self, spec, cfg_noic, monkeypatch):
+    def test_snaps_corners_inverted_within_feas_tol(self, spec, cfg_noic, x_star, monkeypatch):
         # a minimiser may violate rows by up to feas_tol, the corner order
         # b1 <= b2 included; such an inversion reads back as a degenerate
-        # interval, not as an empty one
-        real_solve = tube_mpc._solve_program
+        # interval, not as an empty one, for every program read back by the
+        # shared helper
+        real_solve = cost_to_travel._solve_program
         seen = []
 
-        def inverted_solve(prog, z, settings):
-            h, x, y = real_solve(prog, z, settings)
+        def inverted_solve(prog, p, settings):
+            h, x, y = real_solve(prog, p, settings)
             x = x.copy()
-            x[4] = x[5] + 5e-9  # second box's corners (b1, b2) are x[4], x[5]
+            # the corners (b1, b2) of the tube's second box, of the chain's
+            # middle box and of the invariant box
+            i = 4 if prog.G.shape[1] > 4 else 0
+            x[i] = x[i + 1] + 5e-9
             assert np.max(prog.G @ x - h) <= settings.feas_tol
             seen.append(x)
             return h, x, y
 
-        monkeypatch.setattr(tube_mpc, "_solve_program", inverted_solve)
+        # the controller's invariant box is solved before the patch
+        tube_mpc._resolved(spec, cfg_noic)
+        monkeypatch.setattr(cost_to_travel, "_solve_program", inverted_solve)
         sol = solve_tmpc(spec, cfg_noic, (-1.0, -2.0))
         assert seen and sol.status is QpStatus.OPTIMAL
         lo1, hi1 = sol.tube[1].lo[0], sol.tube[1].hi[0]
         assert lo1 == hi1 == pytest.approx(-2.0, abs=1e-8)
         assert sol.u0_interval[0] == sol.u0_interval[1] == pytest.approx(-2.0, abs=1e-8)
+
+        # x_star's first interval is the single point -1, so its self-chain
+        # has that middle interval, and so does the invariant box
+        result = eval_v(spec, x_star, x_star, 2)
+        assert len(seen) == 2 and result.feasible
+        assert result.tube[1].lo[0] == result.tube[1].hi[0] == pytest.approx(-1.0, abs=1e-8)
+        box_, _ = cost_to_travel._optimal_rci.__wrapped__(spec, DEFAULT_SETTINGS)
+        assert len(seen) == 3
+        assert box_.lo[0] == box_.hi[0] == pytest.approx(-1.0, abs=1e-8)
 
     @pytest.mark.parametrize("z", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
     def test_non_finite_state_rejected(self, spec, cfg_ic, z):
@@ -152,16 +156,18 @@ class TestSolveTmpc:
         assert back.tube == sol.tube
 
 
-def record_solves(monkeypatch):
-    """Patch the controller's solve step; the returned list gets the state of each solve."""
-    real_solve = tube_mpc._solve_program
+def record_solves(monkeypatch, spec, cfg):
+    """Patch the solve step; the returned list gets the state of each solve of the controller's program."""
+    controller = tube_mpc._tube_program(spec, cfg)
+    real_solve = cost_to_travel._solve_program
     states = []
 
     def recording_solve(prog, z, settings):
-        states.append(tuple(z))
+        if prog is controller:
+            states.append(tuple(z))
         return real_solve(prog, z, settings)
 
-    monkeypatch.setattr(tube_mpc, "_solve_program", recording_solve)
+    monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
     return states
 
 
@@ -184,7 +190,7 @@ class TestStateBounds:
 
     @pytest.mark.parametrize("z", BEYOND_THE_BAND)
     def test_beyond_the_band_infeasible_without_a_solve(self, spec, cfg_ic, monkeypatch, z):
-        solves = record_solves(monkeypatch)
+        solves = record_solves(monkeypatch, spec, cfg_ic)
         solve_tmpc(spec, cfg_ic, (0.0, 0.0))
         sol = solve_tmpc(spec, cfg_ic, z)
         assert sol.status is QpStatus.INFEASIBLE and sol.tube is None
@@ -201,9 +207,7 @@ CONFIGS = {
     "default": TubeMpcConfig(),
     "no_initial_cost": TubeMpcConfig(use_initial_cost=False),
     "horizon_3": TubeMpcConfig(horizon=3),
-    "containment": TubeMpcConfig(terminal_equality=False),
     "horizon_1": TubeMpcConfig(horizon=1),
-    "horizon_1_containment": TubeMpcConfig(horizon=1, terminal_equality=False),
 }
 STATE_GRID = [(z1, z2) for z1 in np.linspace(-5, 5, 9) for z2 in np.linspace(-5, 5, 9)]
 FINE_GRID = [(z1, z2) for z1 in np.linspace(-5, 5, 21) for z2 in np.linspace(-5, 5, 21)]
@@ -231,23 +235,21 @@ def assert_same_program(got, want):
 class TestTemplate:
     """One corner program per controller; the state enters only its right-hand side."""
 
-    @pytest.mark.parametrize("name", ["default", "no_initial_cost", "horizon_3", "containment"])
+    @pytest.mark.parametrize("name", ["default", "no_initial_cost", "horizon_3"])
     def test_equals_a_fresh_assembly_bit_for_bit(self, spec, name):
-        # solves leave the cached program as assembled, and containment
-        # assembles the program of terminal equality
+        # solves leave the cached program as assembled
         cfg = CONFIGS[name]
         sweep_feedback(spec, cfg, STATE_GRID)
         fresh = tube_mpc._tube_program.__wrapped__(spec, cfg)
         assert_same_program(tube_mpc._tube_program(spec, cfg), fresh)
-        assert_same_program(fresh, tube_mpc._tube_program.__wrapped__(spec, replace(cfg, terminal_equality=True)))
 
-    @pytest.mark.parametrize("name", ["horizon_1", "horizon_1_containment"])
+    @pytest.mark.parametrize("name", ["horizon_1"])
     def test_one_step_equals_the_assembly_at_each_state(self, spec, name):
         # with one free box the state's own point box is a first box, so the
         # program is feasible exactly when that point box reaches the
         # terminal box in one step, and u0's window is that step's
         cfg = CONFIGS[name]
-        terminal, _ = tube_mpc._resolved(spec, cfg)
+        terminal, _, _ = tube_mpc._resolved(spec, cfg)
         verdicts = set()
         for z in FINE_GRID:
             sol = solve_tmpc(spec, cfg, z)
@@ -347,11 +349,16 @@ class TestTemplate:
 
 
 @lru_cache(maxsize=None)
-def admm_tube(horizon: int, use_initial_cost: bool, terminal_equality: bool, z):
-    """The ADMM oracle's answer for a default-instance controller: status, objective and corners."""
+def admm_tube(horizon: int, use_initial_cost: bool, containment: bool, z):
+    """The ADMM oracle's answer for a default-instance controller: status, objective and corners.
+
+    With ``containment`` the oracle's last box is free inside the terminal
+    box, otherwise it is the terminal box.
+    """
     spec = ProblemSpec.default()
-    cfg = TubeMpcConfig(horizon=horizon, use_initial_cost=use_initial_cost, terminal_equality=terminal_equality)
-    sol = solve(tube_qp_reference(spec, *tube_mpc._resolved(spec, cfg), cfg, z))
+    cfg = TubeMpcConfig(horizon=horizon, use_initial_cost=use_initial_cost)
+    terminal, storage, _ = tube_mpc._resolved(spec, cfg)
+    sol = solve(tube_qp_reference(spec, terminal, storage, cfg, z, containment))
     assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
     if sol.status is QpStatus.INFEASIBLE:
         return sol.status, None, None
@@ -365,12 +372,11 @@ class TestAgainstAdmm:
     def test_agrees_with_the_admm_oracle(self, spec, name):
         cfg = CONFIGS[name]
         n = cfg.horizon
-        terminal, _ = tube_mpc._resolved(spec, cfg)
+        terminal, _, _ = tube_mpc._resolved(spec, cfg)
         statuses = set()
         for z, on_x in ORACLE_STATES:
             sol = solve_tmpc(spec, cfg, z)
-            # equality, the program the controller solves under both settings
-            status, objective, corners = admm_tube(n, cfg.use_initial_cost, True, on_x)
+            status, objective, corners = admm_tube(n, cfg.use_initial_cost, False, on_x)
             statuses.add(status)
             assert sol.status is status
             if status is QpStatus.INFEASIBLE:
@@ -390,15 +396,16 @@ class TestAgainstAdmm:
                 assert max(row_violations(spec, src, dst, v)) <= DEFAULT_SETTINGS.feas_tol
         assert statuses == ({QpStatus.OPTIMAL, QpStatus.INFEASIBLE} if n == 1 else {QpStatus.OPTIMAL})
 
-    @pytest.mark.parametrize("name", ["containment", "horizon_1_containment"])
+    @pytest.mark.parametrize("name", ["default", "horizon_1"], ids=["containment", "horizon_1_containment"])
     def test_containment_oracle_gives_the_same_answer(self, spec, name):
         # the original containment program, a last box free inside the
-        # terminal box, has the verdict, value and free boxes of equality
+        # terminal box, has the verdict, value and free boxes of the program
+        # whose last box is the terminal box, the one the controller solves
         cfg = CONFIGS[name]
         n = cfg.horizon
         for z in STATE_GRID + [on_x for _, on_x in WITHIN_THE_BAND]:
-            status, objective, corners = admm_tube(n, cfg.use_initial_cost, False, z)
-            want = admm_tube(n, cfg.use_initial_cost, True, z)
+            status, objective, corners = admm_tube(n, cfg.use_initial_cost, True, z)
+            want = admm_tube(n, cfg.use_initial_cost, False, z)
             assert status is want[0]
             if status is QpStatus.OPTIMAL:
                 assert objective == pytest.approx(want[1], abs=1e-8)
@@ -485,9 +492,13 @@ class TestConfig:
             solve_tmpc(spec, cfg, (0.0, 0.0))
 
     def test_non_invariant_terminal_warns(self, spec):
+        # at every solve, not only at the one that resolves the controller,
+        # and at the caller's line; pytest.warns records under "always"
         cfg = TubeMpcConfig(terminal_set=box((0, 0), (0, 0)))
-        with pytest.warns(UserWarning, match="self-successor"):
+        with pytest.warns(UserWarning, match="self-successor") as caught:
             solve_tmpc(spec, cfg, (0.0, 0.0))
+            solve_tmpc(spec, cfg, (1.0, 0.0))
+        assert len(caught) == 2 and all(w.filename == __file__ for w in caught)
 
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ConfigError):
