@@ -176,15 +176,16 @@ def _parse_seed(text: str, where: str) -> int:
 def _parse_policy(text: str, default_seed: int):
     if text == "adversarial":
         return AdversarialPolicy()
-    if text.startswith("random"):
-        _, _, seed = text.partition(":")
-        return UniformRandomPolicy(seed=_parse_seed(seed, "random policy seed") if seed else default_seed)
+    if text == "random":
+        return UniformRandomPolicy(seed=default_seed)
+    if text.startswith("random:"):
+        return UniformRandomPolicy(seed=_parse_seed(text.split(":", 1)[1], "random policy seed"))
     if text.startswith("extreme:"):
         pattern = text.split(":", 1)[1]
         if not pattern or any(c not in "+-" for c in pattern):
             raise ConfigError(f"extreme policy pattern must be +/- signs, got {text!r}")
         return ExtremePolicy(signs=tuple(1 if c == "+" else -1 for c in pattern))
-    raise ConfigError(f"unknown policy {text!r} (adversarial | random:SEED | extreme:+-+)")
+    raise ConfigError(f"unknown policy {text!r} (adversarial | random | random:SEED | extreme:+-+)")
 
 
 def _controller_config(run: RunConfig, args) -> TubeMpcConfig:
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="closed-loop simulation (CSV trace)")
     p.add_argument("--y0", help="initial state 'x1,x2'")
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--policy", default="adversarial", help="adversarial | random:SEED | extreme:+-+")
+    p.add_argument("--policy", default="adversarial", help="adversarial | random | random:SEED | extreme:+-+")
     p.add_argument("--no-initial-cost", action="store_true")
     p.add_argument("--horizon", type=int)
     p.add_argument("--fig2", action="store_true", help="run the two bundled corner-start demonstrations")

@@ -11,8 +11,9 @@ One step is decided in closed form.  Longer tubes and the optimal invariant
 box minimise stage costs over the one-step rows with the edge controls
 eliminated (:func:`~tube_dissip.problem.transition_rows`), a strictly convex
 QP in box corners alone that the dual active-set kernel of ``qp_solver``
-solves exactly.  These programs and the tube MPC program of ``tube_mpc``
-are read back into boxes by one helper, :func:`_solve_tube`: free corners
+solves exactly; the tube MPC program of ``tube_mpc`` is first looked up in
+its table of affine laws (:class:`_LawTable`).  These programs and the tube
+program are read back into boxes by one helper, :func:`_solve_tube`: free corners
 clipped onto the state bounds and snapped at ``feas_tol``, and every step
 of the tube checked by :func:`~tube_dissip.problem.transition_witness`.
 """
@@ -115,6 +116,88 @@ def eval_v(
     return CostToTravelResult(value=stage_cost(spec, a) + cost, tube=tube, aux_controls=witnesses)
 
 
+# at most this many affine laws are kept per program
+_MAX_LAWS = 64
+
+
+class _LawTable:
+    """The affine laws of a parametric corner program, one per active set the kernel returned.
+
+    On an optimal active set A the minimiser and multipliers of a strictly
+    convex QP are affine in its parameter p (Bemporad, Morari, Dua and
+    Pistikopoulos, Automatica 2002).  In the kernel's variables ``w = x/s``,
+    ``s = 1/sqrt(2d)``, with ``Gs = G_free*s`` and ``w0 = -q*s``, the
+    multipliers of A solve the Gram system ``Gs_A Gs_A' y_A = Gs_A w0 - h_A(p)``
+    and ``w = w0 - Gs_A' y_A``.  Each law is kept as affine maps of p: onto
+    the slacks of the free rows and the multipliers (``checks``), and onto w
+    (``points``), all laws stacked so that one pass evaluates every law.  A
+    law whose slacks are at least ``-tol`` and whose multipliers are
+    nonnegative at p gives a KKT point, the answer the kernel would return.
+    At most ``_MAX_LAWS`` are kept; on a full table a new law is still built
+    and answers at the p it was learned at, but is not stored.
+    """
+
+    def __init__(self, prog: "_CornerProgram"):
+        free = ~prog.fixed
+        self.s = 1.0 / np.sqrt(2.0 * prog.d)
+        self.Gs = prog.G_free * self.s
+        self.w0 = -prog.q * self.s
+        # the free rows' right-hand sides are rhs @ (1, p)
+        self.rhs = np.column_stack([prog.h0[free], -prog.P[free]])
+        m, n = self.Gs.shape
+        # times tol, the least value of each check: -tol on slacks, 0 on multipliers
+        self.floor = np.concatenate([np.full(m, -1.0), np.zeros(m)])
+        self.checks = np.zeros((self.rhs.shape[1], 0, 2 * m))
+        self.points = np.zeros((self.rhs.shape[1], 0, n))
+        # the active sets of the stored laws, as index bytes
+        self.stored: set[bytes] = set()
+
+    def __len__(self) -> int:
+        return self.checks.shape[1]
+
+    def lookup(self, p: np.ndarray, tol: float):
+        """``(x, y)`` on the free rows from the first stored law that holds at p, or None."""
+        return self._first_kkt(self.checks, self.points, p, tol)
+
+    def learn(self, y: np.ndarray, p: np.ndarray, tol: float):
+        """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at p or None."""
+        act = np.flatnonzero(y > 0.0)
+        key = act.tobytes()
+        if key in self.stored:
+            # stored, and it did not hold at p
+            return None
+        GsA = self.Gs[act]
+        # the Gram system, one right-hand side for the constant and one per parameter
+        rhs = -self.rhs[act]
+        rhs[:, 0] += GsA @ self.w0
+        y_law = np.linalg.lstsq(GsA @ GsA.T, rhs, rcond=None)[0]
+        w_law = -GsA.T @ y_law
+        w_law[:, 0] += self.w0
+        full_y = np.zeros(self.rhs.shape)
+        full_y[act] = y_law
+        checks = np.vstack([self.rhs - self.Gs @ w_law, full_y]).T[:, None, :]
+        points = w_law.T[:, None, :]
+        if len(self) < _MAX_LAWS:
+            self.stored.add(key)
+            self.checks = np.concatenate([self.checks, checks], axis=1)
+            self.points = np.concatenate([self.points, points], axis=1)
+        return self._first_kkt(checks, points, p, tol)
+
+    def _first_kkt(self, checks: np.ndarray, points: np.ndarray, p: np.ndarray, tol: float):
+        # elementwise, so each law's values do not depend on the others
+        vals = checks[0]
+        for c, p_i in zip(checks[1:], p):
+            vals = vals + c * p_i
+        holds = (vals >= self.floor * tol).all(axis=1)
+        if not holds.any():
+            return None
+        i = int(holds.argmax())
+        w = points[0, i]
+        for c, p_i in zip(points[1:], p):
+            w = w + c[i] * p_i
+        return w * self.s, vals[i, self.Gs.shape[0] :]
+
+
 class _CornerProgram(NamedTuple):
     """``min sum(d*x**2 + q*x)`` over free box corners x, subject to ``G x <= h0 - P @ p``.
 
@@ -122,6 +205,9 @@ class _CornerProgram(NamedTuple):
     the measured state of a tube.  ``fixed`` marks the rows with no free
     coefficient, and ``G_free`` holds the others.  ``start`` holds the
     kernel's start on the rows of ``G_free``, or is empty for a cold start.
+    ``lo`` and ``hi`` are the state bounds at every free corner, onto which
+    the read-back clips.  ``laws`` is the tube program's table of affine
+    laws, filled as it is solved; chains and the invariant box have None.
     """
 
     d: np.ndarray
@@ -132,11 +218,18 @@ class _CornerProgram(NamedTuple):
     fixed: np.ndarray
     G_free: np.ndarray
     start: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    laws: Optional[_LawTable] = None
 
 
-def _corner_program(d, q, G, P, h0) -> _CornerProgram:
+def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
     fixed = ~np.any(G != 0.0, axis=1)
-    return _CornerProgram(d, q, G, P, h0, fixed, G[~fixed], np.zeros(0))
+    xb = spec.x_bounds
+    n_free = d.size // 4
+    lo = np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free)
+    hi = np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free)
+    return _CornerProgram(d, q, G, P, h0, fixed, G[~fixed], np.zeros(0), lo, hi)
 
 
 def _stacked_steps(spec: ProblemSpec, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,6 +254,7 @@ def _chain_stack(spec: ProblemSpec, n_steps: int) -> _CornerProgram:
     rows, h0 = _stacked_steps(spec, n_steps)
     n_free = n_steps - 1
     return _corner_program(
+        spec,
         d=np.tile(spec.cost_quad, n_free),
         q=np.tile(spec.cost_linear, n_free),
         G=rows[:, 4:-4],
@@ -175,6 +269,10 @@ def _solve_program(prog: _CornerProgram, p: np.ndarray, settings: SolverSettings
     Returns ``(h, x, y)``: the minimiser x and its multipliers ``y >= 0``, or
     x None and a Farkas ray ``y >= 0`` with ``G'y = 0`` and ``h'y < 0``.  A
     fixed row violated by more than ``settings.feas_tol`` is its own ray.
+    A program with a law table answers from the first stored law that holds
+    at p; on a miss the kernel runs from ``start``, the law of the active set
+    it returns is learned, and the answer comes from that law if it holds,
+    else from the kernel.
     """
     h = prog.h0 - prog.P @ p
     y = np.zeros(h.size)
@@ -183,8 +281,17 @@ def _solve_program(prog: _CornerProgram, p: np.ndarray, settings: SolverSettings
     if fixed_h[worst] < -settings.feas_tol:
         y[worst] = 1.0
         return h, None, y
-    start = prog.start if prog.start.size else None
-    x, y[~prog.fixed] = _corner_qp(prog.d, prog.q, prog.G_free, h[~prog.fixed], settings, start)
+    free = ~prog.fixed
+    laws, tol = prog.laws, _row_tol(settings)
+    answer = None if laws is None else laws.lookup(p, tol)
+    if answer is None:
+        start = prog.start if prog.start.size else None
+        x, y_free = _corner_qp(prog.d, prog.q, prog.G_free, h[free], settings, start)
+        if x is not None and laws is not None:
+            answer = laws.learn(y_free, p, tol)
+        if answer is None:
+            answer = x, y_free
+    x, y[free] = answer
     return h, x, y
 
 
@@ -200,12 +307,8 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p: np.ndarray, head, ta
     _, x, _ = _solve_program(prog, p, settings)
     if x is None:
         return None
-    xb = spec.x_bounds
-    n_free = x.size // 4
-    lo = np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free)
-    hi = np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free)
-    x = np.clip(x, lo, hi)
-    free = (IntervalBox.from_corners(x[4 * k : 4 * k + 4], snap_tol=settings.feas_tol) for k in range(n_free))
+    x = np.clip(x, prog.lo, prog.hi)
+    free = (IntervalBox.from_corners(x[4 * k : 4 * k + 4], snap_tol=settings.feas_tol) for k in range(x.size // 4))
     tube = (*head, *free, *tail)
     witnesses = []
     for src, dst in zip(tube[:-1], tube[1:]):
@@ -216,10 +319,14 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p: np.ndarray, head, ta
     return float(prog.d @ (x * x) + prog.q @ x), tube, tuple(witnesses)
 
 
-def _corner_qp(d, q, G, h, settings: SolverSettings, start=None):
+def _row_tol(settings: SolverSettings) -> float:
     # rows count as holding within a rounding guard far inside feas_tol, so
     # each step of a minimiser still passes the one-step rule after the snap
-    return _dual_active_set(d, q, G, h, 1e-3 * settings.feas_tol, settings.max_iter, start)
+    return 1e-3 * settings.feas_tol
+
+
+def _corner_qp(d, q, G, h, settings: SolverSettings, start=None):
+    return _dual_active_set(d, q, G, h, _row_tol(settings), settings.max_iter, start)
 
 
 def optimal_rci(
@@ -243,6 +350,7 @@ def _optimal_rci(spec: ProblemSpec, settings: SolverSettings) -> tuple[IntervalB
     src, tgt, const = transition_rows(spec)
     finite = np.isfinite(const)
     prog = _corner_program(
+        spec,
         d=np.array(spec.cost_quad),
         q=np.array(spec.cost_linear),
         G=(src + tgt)[finite],

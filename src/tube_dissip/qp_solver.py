@@ -32,7 +32,8 @@ inequality rows only, and goes to the private dense dual active-set kernel
 :func:`_dual_active_set`, which is exact, ends in finitely many steps and
 returns either multipliers or a Farkas ray.  It starts cold or from a
 dual-feasible start; the tube MPC program starts from the cached optimum of
-its state-free rows.  :func:`solve` and :class:`QpBuilder` remain as an
+its state-free rows, and calls it only when none of the affine laws it has
+kept from earlier answers holds at the state.  :func:`solve` and :class:`QpBuilder` remain as an
 independent reference solver: the tests assemble the original programs,
 edge controls included, through them.  Only they need scipy, which they
 import on first use, so importing the package does not load it.

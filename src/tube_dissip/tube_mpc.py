@@ -14,7 +14,11 @@ strictly convex QP in the corners of the first ``horizon`` boxes,
 ``min sum(d*x**2 + q*x)`` subject to ``G x <= h0 - P @ z``, built once per
 problem and controller options and solved exactly by the dual active-set
 kernel of ``qp_solver``, as multi-step cost-to-travel values are, each solve
-starting from the cached optimum of the rows the state does not enter.
+starting from the cached optimum of the rows the state does not enter.  On
+each optimal active set the answer is affine in z, so the program keeps the
+affine law of every active set the kernel has returned for it (up to 64),
+and a solve runs the kernel only when no stored law gives a KKT point at z
+(``cost_to_travel._LawTable``).
 Rows with no free coefficient are checked against ``feas_tol``.  The answer
 is read back into boxes and edge controls by the same helper as those
 values (``cost_to_travel._solve_tube``).  A terminal box that is not its
@@ -43,6 +47,7 @@ from .cost_to_travel import (
     _corner_program,
     _corner_qp,
     _CornerProgram,
+    _LawTable,
     _solve_tube,
     _stacked_steps,
     optimal_rci,
@@ -197,8 +202,13 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     Only the window and containment rows depend on the state.  The other
     rows are solved here, once, by the same kernel at ``DEFAULT_SETTINGS``;
     their multipliers are dual feasible for the whole program at every
-    state and under every tolerance, so every solve starts from them.  If
-    those rows alone are infeasible, the program keeps the cold start.
+    state and under every tolerance, so every kernel run starts from them.
+    If those rows alone are infeasible, the program keeps the cold start.
+
+    The program carries an empty table of affine laws (``laws``), which its
+    solves fill; it is shared by every solve of the controller, and a solve's
+    answer depends only on the law it is read from, not on the order of
+    earlier solves.
     """
     terminal, storage, _ = _resolved(spec, cfg)
     n = cfg.horizon
@@ -214,6 +224,7 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     if storage is not None:
         q[:4] += storage.linear_coeffs
     prog = _corner_program(
+        spec,
         d=np.tile(spec.cost_quad, n),
         q=q,
         G=rows[:, :-4],
@@ -222,6 +233,7 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     )
     free = ~prog.fixed
     state_free = ~np.any(prog.P[free] != 0.0, axis=1)
+    prog = prog._replace(laws=_LawTable(prog))
     x, y = _corner_qp(prog.d, prog.q, prog.G_free[state_free], prog.h0[free][state_free], DEFAULT_SETTINGS)
     if x is None:
         return prog

@@ -168,6 +168,18 @@ class TestSimulate:
         assert code == 2
         assert "policy" in err
 
+    @pytest.mark.parametrize("policy", ["randomly", "random5", "random:"])
+    def test_only_random_or_random_seed_accepted(self, capsys, policy):
+        # a text that merely starts with "random" is not the random policy
+        code, out, err = run_cli(capsys, "simulate", "--y0", "0,0", "--steps", "1", "--policy", policy)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "policy" in err
+
+    def test_random_policy_without_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--y0", "0,0", "--steps", "1", "--policy", "random")
+        assert code == 0 and out
+
 
 class TestConfig:
     def test_unknown_config_key_rejected(self, capsys, tmp_path):

@@ -220,16 +220,37 @@ def point_box(z):
 
 
 def cold_solves(monkeypatch, spec, cfg, states, settings):
-    """The controller's answers at the states with its program's start removed."""
-    cold_prog = tube_mpc._tube_program(spec, cfg)._replace(start=np.zeros(0))
+    """The controller's answers at the states with its program's start and law table removed."""
+    cold_prog = tube_mpc._tube_program(spec, cfg)._replace(start=np.zeros(0), laws=None)
     monkeypatch.setattr(tube_mpc, "_tube_program", lambda *args: cold_prog)
     return [solve_tmpc(spec, cfg, z, settings) for z in states]
+
+
+def assert_cold_answers(states, warm, cold, horizon):
+    """Status, objective, u0, its window and the free boxes agree within 1e-12 at every state."""
+    for z, got, want in zip(states, warm, cold, strict=True):
+        assert got.status is want.status, z
+        if not want.feasible:
+            continue
+        pairs = [(got.objective, want.objective), (got.u0, want.u0), *zip(got.u0_interval, want.u0_interval)]
+        boxes = zip(got.tube[:horizon], want.tube[:horizon])
+        pairs += [pair for a, b in boxes for pair in zip(a.corners(), b.corners())]
+        assert max(abs(a - b) for a, b in pairs) <= 1e-12, z
+
+
+def assert_same_array(a, b, name):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def assert_same_program(got, want):
     for name in got._fields:
         a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        if name == "laws":
+            # solves add laws to the table and change nothing it was built from
+            for key in ("s", "Gs", "w0", "rhs", "floor"):
+                assert_same_array(getattr(a, key), getattr(b, key), f"laws.{key}")
+        else:
+            assert_same_array(a, b, name)
 
 
 class TestTemplate:
@@ -237,7 +258,7 @@ class TestTemplate:
 
     @pytest.mark.parametrize("name", ["default", "no_initial_cost", "horizon_3"])
     def test_equals_a_fresh_assembly_bit_for_bit(self, spec, name):
-        # solves leave the cached program as assembled
+        # solves leave the cached program as assembled, but for the laws they add
         cfg = CONFIGS[name]
         sweep_feedback(spec, cfg, STATE_GRID)
         fresh = tube_mpc._tube_program.__wrapped__(spec, cfg)
@@ -306,6 +327,9 @@ class TestTemplate:
         assert solve_tmpc(spec, cfg, (1.0, -1.0)).status is QpStatus.INFEASIBLE
 
     def test_every_solve_starts_from_the_cached_start(self, spec, cfg_ic, monkeypatch):
+        # the kernel runs only when no stored law holds at the state, and
+        # then from the cached start
+        tube_mpc._tube_program.cache_clear()
         prog = tube_mpc._tube_program(spec, cfg_ic)
         real_kernel = cost_to_travel._dual_active_set
         starts = []
@@ -316,7 +340,9 @@ class TestTemplate:
 
         monkeypatch.setattr(cost_to_travel, "_dual_active_set", recording_kernel)
         sweep_feedback(spec, cfg_ic, STATE_GRID)
-        assert len(starts) == len(STATE_GRID) and all(start is prog.start for start in starts)
+        assert starts and all(start is prog.start for start in starts)
+        assert len(starts) < len(STATE_GRID)
+        assert len(starts) == len(prog.laws)
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_started_solves_give_the_cold_answers(self, spec, name, monkeypatch, rng):
@@ -324,13 +350,7 @@ class TestTemplate:
         n = cfg.horizon
         states = [z for z, _ in ORACLE_STATES] + BEYOND_THE_BAND + [tuple(z) for z in rng.uniform(-5, 5, (200, 2))]
         warm = [solve_tmpc(spec, cfg, z) for z in states]
-        for z, got, want in zip(states, warm, cold_solves(monkeypatch, spec, cfg, states, DEFAULT_SETTINGS)):
-            assert got.status is want.status, z
-            if not want.feasible:
-                continue
-            pairs = [(got.objective, want.objective), (got.u0, want.u0), *zip(got.u0_interval, want.u0_interval)]
-            pairs += [pair for a, b in zip(got.tube[:n], want.tube[:n]) for pair in zip(a.corners(), b.corners())]
-            assert max(abs(a - b) for a, b in pairs) <= 1e-12, z
+        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states, DEFAULT_SETTINGS), n)
 
     @pytest.mark.parametrize("feas_tol", [1e-11, 1e-6])
     def test_one_start_serves_every_tolerance(self, spec, cfg_ic, monkeypatch, feas_tol):
@@ -346,6 +366,113 @@ class TestTemplate:
         first = solve_tmpc(spec, cfg_ic, z)
         sweep_feedback(spec, cfg_ic, STATE_GRID)
         assert solve_tmpc(spec, cfg_ic, z) == first
+
+
+def install_empty_table(monkeypatch, spec, cfg):
+    """The controller's program with an empty law table, made the controller's program."""
+    prog = tube_mpc._tube_program(spec, cfg)
+    prog = prog._replace(laws=cost_to_travel._LawTable(prog))
+    monkeypatch.setattr(tube_mpc, "_tube_program", lambda *args: prog)
+    return prog
+
+
+def record_answers(monkeypatch, prog):
+    """Patch the solve step; the returned list gets ``(h, x, y, kernel ran)`` of each solve of prog."""
+    real_solve = cost_to_travel._solve_program
+    real_kernel = cost_to_travel._dual_active_set
+    answers, runs = [], []
+
+    def counting_kernel(*args):
+        runs.append(args)
+        return real_kernel(*args)
+
+    def recording_solve(p, z, settings):
+        before = len(runs)
+        h, x, y = real_solve(p, z, settings)
+        if p is prog:
+            answers.append((h, x, y, len(runs) > before))
+        return h, x, y
+
+    monkeypatch.setattr(cost_to_travel, "_dual_active_set", counting_kernel)
+    monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
+    return answers
+
+
+KERNEL_TOL = 1e-3 * DEFAULT_SETTINGS.feas_tol
+
+
+class TestLawTable:
+    """Solves answered from the affine laws of the active sets the kernel has returned."""
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_law_answers_are_kkt_points_and_the_cold_answers(self, spec, name, monkeypatch, rng):
+        cfg = CONFIGS[name]
+        prog = install_empty_table(monkeypatch, spec, cfg)
+        answers = record_answers(monkeypatch, prog)
+        states = FINE_GRID + BEYOND_THE_BAND + [z for z, _ in WITHIN_THE_BAND]
+        states += [tuple(z) for z in rng.uniform(-5, 5, (2000, 2))]
+        warm = [solve_tmpc(spec, cfg, z) for z in states]
+        free = ~prog.fixed
+        for h, x, y, _ in answers:
+            if x is None:
+                continue
+            # a KKT certificate, whether the answer came from a law or the kernel
+            assert np.all(y >= 0.0)
+            assert np.max(np.abs(2.0 * prog.d * x + prog.q + prog.G.T @ y)) <= 1e-12
+            slack = h[free] - prog.G_free @ x
+            assert np.min(slack) >= -KERNEL_TOL
+            assert np.max(np.abs(y[free] * slack)) <= 1e-10
+        assert 0 < len(prog.laws) <= cost_to_travel._MAX_LAWS
+        # most optimal answers come from stored laws, without a kernel run
+        from_laws = sum(x is not None and not kernel_ran for _, x, _, kernel_ran in answers)
+        assert from_laws > sum(x is not None for _, x, _, _ in answers) // 2
+        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states, DEFAULT_SETTINGS), cfg.horizon)
+
+    def test_a_full_table_answers_misses_through_the_kernel(self, spec, cfg_ic, monkeypatch):
+        prog = install_empty_table(monkeypatch, spec, cfg_ic)
+        laws = prog.laws
+        m = prog.G_free.shape[0]
+        # the laws of single rows and of neighbouring pairs overfill the table
+        for i in range(2 * m - 1):
+            y = np.zeros(m)
+            y[i % m : i % m + 1 + i // m] = 1.0
+            laws.learn(y, np.zeros(2), KERNEL_TOL)
+        assert len(laws) == cost_to_travel._MAX_LAWS == 64
+        answers = record_answers(monkeypatch, prog)
+        warm = [solve_tmpc(spec, cfg_ic, z) for z in STATE_GRID]
+        assert len(laws) == 64
+        assert any(kernel_ran for *_, kernel_ran in answers)
+        assert_cold_answers(STATE_GRID, warm, cold_solves(monkeypatch, spec, cfg_ic, STATE_GRID, DEFAULT_SETTINGS), 2)
+
+    def test_a_law_holds_only_where_its_rows_and_multipliers_do(self, spec, cfg_ic, monkeypatch):
+        # one law in the table, and states where only its rows, or only its
+        # multipliers, hold: the law answers at none of them
+        prog = install_empty_table(monkeypatch, spec, cfg_ic)
+        answers = record_answers(monkeypatch, prog)
+        solve_tmpc(spec, cfg_ic, (-3.5, -4.0))
+        (_, _, y, _), = answers
+        assert len(prog.laws) == 1
+        free = ~prog.fixed
+        act = np.flatnonzero(y[free] > 0.0)
+        G_act = prog.G_free[act]
+        # the minimiser with the active set's rows held as equalities, by its own KKT system
+        kkt = np.block([[np.diag(2.0 * prog.d), G_act.T], [G_act, np.zeros((act.size, act.size))]])
+        rows_only, multipliers_only = [], []
+        for z in FINE_GRID:
+            h = (prog.h0 - prog.P @ np.array(z))[free]
+            sol = np.linalg.solve(kkt, np.concatenate([-prog.q, h[act]]))
+            x, y_act = sol[: prog.d.size], sol[prog.d.size :]
+            rows_hold = np.max(prog.G_free @ x - h) <= KERNEL_TOL
+            if rows_hold and np.min(y_act) < -1e-6:
+                rows_only.append(z)
+            if not rows_hold and np.min(y_act) >= 0.0:
+                multipliers_only.append(z)
+        assert rows_only and multipliers_only
+        for z in rows_only + multipliers_only:
+            assert prog.laws.lookup(np.array(z), KERNEL_TOL) is None, z
+        states = rows_only + multipliers_only
+        warm = [solve_tmpc(spec, cfg_ic, z) for z in states]
+        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg_ic, states, DEFAULT_SETTINGS), 2)
 
 
 @lru_cache(maxsize=None)
