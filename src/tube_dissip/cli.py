@@ -3,8 +3,10 @@
 Subcommands: ``rci``, ``eval-v``, ``check-storage``, ``control``, ``sweep``,
 ``simulate``, ``verify-all``.  JSON outputs re-parse into the emitting types;
 CSV uses '.' decimals and 12 significant digits.  Exit codes: 0 on success,
-1 on a domain failure (infeasible problem or failed certificate), 2 on usage
-or configuration errors.
+1 on a domain failure (infeasible problem, failed certificate, or a solver
+that stops without an answer), 2 on usage or configuration errors, unreadable
+input files and unwritable output paths included.  Every failure prints one
+``error:`` line on standard error.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .closed_loop import (
 from .cost_to_travel import RciNotFound, eval_v, optimal_rci
 from .dissipativity import StorageFunction, check_strictness, verify_separability
 from .interval_sets import IntervalBox, _is_real
-from .problem import ConfigError, ProblemSpec
-from .qp_solver import SolverSettings
+from .problem import ConfigError, ProblemSpec, _read_json
+from .qp_solver import SolverFailure, SolverSettings
 from .tube_mpc import TubeMpcConfig, solve_tmpc, sweep_feedback
 from dataclasses import replace
 
@@ -53,8 +55,11 @@ def _write_output(text: str, path: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _csv(rows: list[dict], columns: list[str]) -> str:
@@ -76,8 +81,9 @@ class RunConfig:
     TOLERANCE_KEYS = {"kkt_tol", "feas_tol", "max_iter"}
     OUTPUT_KEYS = {"path", "format"}
 
-    def __init__(self, obj: Optional[dict] = None):
-        obj = obj or {}
+    def __init__(self, obj: dict):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a run configuration is a JSON object, got {obj!r}")
         unknown = set(obj) - self.KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -86,7 +92,7 @@ class RunConfig:
             self.spec = ProblemSpec.from_json_file(problem)
         else:
             self.spec = ProblemSpec.from_json_dict(problem)
-        ctrl = obj.get("controller", {})
+        ctrl = _section(obj, "controller")
         unknown = set(ctrl) - self.CONTROLLER_KEYS
         if unknown:
             raise ConfigError(f"unknown controller config keys: {sorted(unknown)}")
@@ -102,7 +108,7 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"controller.terminal_set: {exc}") from exc
         self.controller = TubeMpcConfig(**kwargs)
-        tols = obj.get("tolerances", {})
+        tols = _section(obj, "tolerances")
         unknown = set(tols) - self.TOLERANCE_KEYS
         if unknown:
             raise ConfigError(f"unknown tolerance config keys: {sorted(unknown)}")
@@ -112,11 +118,13 @@ class RunConfig:
         if "max_iter" in tols and not (_is_int(tols["max_iter"]) and tols["max_iter"] >= 1):
             raise ConfigError(f"tolerances.max_iter must be an integer >= 1, got {tols['max_iter']!r}")
         self.settings = replace(SolverSettings(), **tols)
-        out = obj.get("output", {})
+        out = _section(obj, "output")
         unknown = set(out) - self.OUTPUT_KEYS
         if unknown:
             raise ConfigError(f"unknown output config keys: {sorted(unknown)}")
         self.output_path = out.get("path")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output.path must be a string, got {self.output_path!r}")
         # each command has one fixed output format, so only the default is accepted
         if out.get("format", "json") != "json":
             raise ConfigError(f"unsupported output format {out['format']!r} (only \"json\")")
@@ -132,14 +140,15 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: Optional[str]) -> "RunConfig":
-        if path is None:
-            return cls()
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        return cls(obj)
+        return cls({} if path is None else _read_json(path))
+
+
+def _section(obj: dict, key: str) -> dict:
+    """``obj[key]``, an empty dict when absent; anything but a JSON object raises ConfigError."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _parse_point(text: str) -> tuple[float, float]:
@@ -224,12 +233,7 @@ def _cmd_check_storage(run: RunConfig, args) -> int:
     if args.storage == "default":
         sf = StorageFunction.reference()
     else:
-        with open(args.storage) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {args.storage}: {exc}") from exc
-        sf = _parse_storage(obj, args.storage)
+        sf = _parse_storage(_read_json(args.storage), args.storage)
     report = verify_separability(run.spec, sf, settings=run.settings)
     if args.strictness:
         strict = check_strictness(run.spec, sf, args.strictness, seed=run.seed, settings=run.settings)
@@ -376,9 +380,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

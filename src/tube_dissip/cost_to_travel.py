@@ -120,8 +120,25 @@ def eval_v(
 _MAX_LAWS = 64
 
 
+class _Law(NamedTuple):
+    """One affine law of a :class:`_LawTable`, as maps ``a + b1*z1 + b2*z2`` of the state z.
+
+    ``check`` holds the rows ``(a, b1, b2)`` of the maps onto the free-row
+    slacks and then the multipliers, ``point`` those of the map onto the
+    kernel's variables.  ``screen`` lists, as plain floats ``(a, b1, b2,
+    floor)``, each distinct check column whose least value over the state
+    box is below its floor at the tolerance the law was learned at: the
+    slacks of the rows the box does not keep, and the multipliers it can
+    drive below zero.
+    """
+
+    check: tuple[np.ndarray, np.ndarray, np.ndarray]
+    point: tuple[np.ndarray, np.ndarray, np.ndarray]
+    screen: tuple[tuple[float, float, float, float], ...]
+
+
 class _LawTable:
-    """The affine laws of a parametric corner program, one per active set the kernel returned.
+    """The affine laws of a corner program whose parameter is a state in X, one per active set the kernel returned.
 
     On an optimal active set A the minimiser and multipliers of a strictly
     convex QP are affine in its parameter p (Bemporad, Morari, Dua and
@@ -129,35 +146,55 @@ class _LawTable:
     ``s = 1/sqrt(2d)``, with ``Gs = G_free*s`` and ``w0 = -q*s``, the
     multipliers of A solve the Gram system ``Gs_A Gs_A' y_A = Gs_A w0 - h_A(p)``
     and ``w = w0 - Gs_A' y_A``.  Each law is kept as affine maps of p: onto
-    the slacks of the free rows and the multipliers (``checks``), and onto w
-    (``points``), all laws stacked so that one pass evaluates every law.  A
-    law whose slacks are at least ``-tol`` and whose multipliers are
-    nonnegative at p gives a KKT point, the answer the kernel would return.
-    At most ``_MAX_LAWS`` are kept; on a full table a new law is still built
-    and answers at the p it was learned at, but is not stored.
+    the slacks of the free rows and the multipliers (its check), and onto w
+    (its point).  A law whose slacks are at least ``-tol`` and whose
+    multipliers are nonnegative at p gives a KKT point, the answer the kernel
+    would return.  At most ``_MAX_LAWS`` are kept; on a full table a new law
+    is still built and answers at the p it was learned at, but is not stored.
+
+    A lookup walks the laws in the order they were learned and answers from
+    the first whose full check holds.  Most check columns hold at every state
+    in X, so each law is first screened, in plain floats, on the few columns
+    that can fail there (point location in explicit MPC, Tøndel, Johansen
+    and Bemporad, Automatica 2003); only a law that passes its screen has its
+    full check evaluated.  Each screen column is computed by the same float
+    operations, in the same order, as its column of the full check, so a law
+    that fails its screen fails its full check: the screen saves work and
+    never changes which law answers, nor a bit of the answer.
     """
 
-    def __init__(self, prog: "_CornerProgram"):
+    def __init__(self, prog: "_CornerProgram", x_bounds: IntervalBox):
         free = ~prog.fixed
         self.s = 1.0 / np.sqrt(2.0 * prog.d)
         self.Gs = prog.G_free * self.s
         self.w0 = -prog.q * self.s
         # the free rows' right-hand sides are rhs @ (1, p)
         self.rhs = np.column_stack([prog.h0[free], -prog.P[free]])
-        m, n = self.Gs.shape
+        m = self.Gs.shape[0]
         # times tol, the least value of each check: -tol on slacks, 0 on multipliers
         self.floor = np.concatenate([np.full(m, -1.0), np.zeros(m)])
-        self.checks = np.zeros((self.rhs.shape[1], 0, 2 * m))
-        self.points = np.zeros((self.rhs.shape[1], 0, n))
+        # the state box the parameter ranges over, one column per state coordinate
+        self.box = np.array([x_bounds.lo, x_bounds.hi])
+        self.laws: list[_Law] = []
         # the active sets of the stored laws, as index bytes
         self.stored: set[bytes] = set()
 
     def __len__(self) -> int:
-        return self.checks.shape[1]
+        return len(self.laws)
 
     def lookup(self, p: np.ndarray, tol: float):
         """``(x, y)`` on the free rows from the first stored law that holds at p, or None."""
-        return self._first_kkt(self.checks, self.points, p, tol)
+        z1, z2 = p.tolist()
+        for law in self.laws:
+            for a, b1, b2, floor in law.screen:
+                # as the full check computes it: (a + b1*z1) + b2*z2
+                if not a + b1 * z1 + b2 * z2 >= floor * tol:
+                    break
+            else:
+                answer = self._answer(law, z1, z2, tol)
+                if answer is not None:
+                    return answer
+        return None
 
     def learn(self, y: np.ndarray, p: np.ndarray, tol: float):
         """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at p or None."""
@@ -175,27 +212,25 @@ class _LawTable:
         w_law[:, 0] += self.w0
         full_y = np.zeros(self.rhs.shape)
         full_y[act] = y_law
-        checks = np.vstack([self.rhs - self.Gs @ w_law, full_y]).T[:, None, :]
-        points = w_law.T[:, None, :]
+        check = np.ascontiguousarray(np.vstack([self.rhs - self.Gs @ w_law, full_y]).T)
+        # each column's least value over the state box, taken at the box corner that minimises it
+        least = check[0] + np.minimum(check[1:] * self.box[0, :, None], check[1:] * self.box[1, :, None]).sum(axis=0)
+        cols = np.flatnonzero(least < self.floor * tol)
+        screen = tuple(dict.fromkeys(zip(*check[:, cols].tolist(), self.floor[cols].tolist())))
+        law = _Law(tuple(check), tuple(np.ascontiguousarray(w_law.T)), screen)
         if len(self) < _MAX_LAWS:
             self.stored.add(key)
-            self.checks = np.concatenate([self.checks, checks], axis=1)
-            self.points = np.concatenate([self.points, points], axis=1)
-        return self._first_kkt(checks, points, p, tol)
+            self.laws.append(law)
+        return self._answer(law, *p.tolist(), tol)
 
-    def _first_kkt(self, checks: np.ndarray, points: np.ndarray, p: np.ndarray, tol: float):
-        # elementwise, so each law's values do not depend on the others
-        vals = checks[0]
-        for c, p_i in zip(checks[1:], p):
-            vals = vals + c * p_i
-        holds = (vals >= self.floor * tol).all(axis=1)
-        if not holds.any():
+    def _answer(self, law: _Law, z1: float, z2: float, tol: float):
+        """The law's ``(x, y)`` at state z if its full check holds there, else None."""
+        a, b1, b2 = law.check
+        vals = a + b1 * z1 + b2 * z2
+        if not (vals >= self.floor * tol).all():
             return None
-        i = int(holds.argmax())
-        w = points[0, i]
-        for c, p_i in zip(points[1:], p):
-            w = w + c[i] * p_i
-        return w * self.s, vals[i, self.Gs.shape[0] :]
+        a, b1, b2 = law.point
+        return (a + b1 * z1 + b2 * z2) * self.s, vals[self.Gs.shape[0] :]
 
 
 class _CornerProgram(NamedTuple):
@@ -307,8 +342,9 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p: np.ndarray, head, ta
     _, x, _ = _solve_program(prog, p, settings)
     if x is None:
         return None
-    x = np.clip(x, prog.lo, prog.hi)
-    free = (IntervalBox.from_corners(x[4 * k : 4 * k + 4], snap_tol=settings.feas_tol) for k in range(x.size // 4))
+    x = np.minimum(np.maximum(x, prog.lo), prog.hi)
+    corners = x.tolist()
+    free = (IntervalBox.from_corners(corners[k : k + 4], snap_tol=settings.feas_tol) for k in range(0, x.size, 4))
     tube = (*head, *free, *tail)
     witnesses = []
     for src, dst in zip(tube[:-1], tube[1:]):

@@ -55,6 +55,17 @@ class ConfigError(ValueError):
     """Malformed problem or run configuration."""
 
 
+def _read_json(path):
+    """The JSON value in the file at path; a file that cannot be read or parsed raises ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Dynamics coefficient, constraint sets, and stage-cost coefficients.
@@ -127,6 +138,8 @@ class ProblemSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ProblemSpec":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a problem is a JSON object, got {obj!r}")
         known = {"alpha", "x_bounds", "u_bounds", "w_bounds", "cost_linear", "cost_quad"}
         unknown = set(obj) - known
         if unknown:
@@ -144,12 +157,7 @@ class ProblemSpec:
 
     @classmethod
     def from_json_file(cls, path) -> "ProblemSpec":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(_read_json(path))
 
 
 def stage_cost(spec: ProblemSpec, a: IntervalBox) -> float:

@@ -18,7 +18,11 @@ starting from the cached optimum of the rows the state does not enter.  On
 each optimal active set the answer is affine in z, so the program keeps the
 affine law of every active set the kernel has returned for it (up to 64),
 and a solve runs the kernel only when no stored law gives a KKT point at z
-(``cost_to_travel._LawTable``).
+(``cost_to_travel._LawTable``).  A solve screens the laws in the order they
+were learned, each on the few checks that can fail for a state in the state
+bounds, and confirms with the full KKT check only the law its screen
+passes.  The screen's checks are computed exactly as the full check's, so
+the first law whose full check holds answers, bit for bit as without it.
 Rows with no free coefficient are checked against ``feas_tol``.  The answer
 is read back into boxes and edge controls by the same helper as those
 values (``cost_to_travel._solve_tube``).  A terminal box that is not its
@@ -233,7 +237,7 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     )
     free = ~prog.fixed
     state_free = ~np.any(prog.P[free] != 0.0, axis=1)
-    prog = prog._replace(laws=_LawTable(prog))
+    prog = prog._replace(laws=_LawTable(prog, spec.x_bounds))
     x, y = _corner_qp(prog.d, prog.q, prog.G_free[state_free], prog.h0[free][state_free], DEFAULT_SETTINGS)
     if x is None:
         return prog

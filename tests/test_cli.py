@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tube_dissip import tube_mpc
 from tube_dissip.cli import main
 from tube_dissip.cost_to_travel import CostToTravelResult
 from tube_dissip.dissipativity import SeparabilityReport
@@ -304,6 +305,76 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "non-negative" in err
+
+    @pytest.mark.parametrize("config", [
+        5,
+        [],
+        None,
+        {"problem": 5},
+        {"problem": [0.5]},
+        {"problem": None},
+        {"controller": 3},
+        {"controller": None},
+        {"tolerances": []},
+        {"output": "out.json"},
+        {"output": {"path": 3}},
+        {"output": {"path": ["out.json"]}},
+    ], ids=json.dumps)
+    def test_config_of_the_wrong_shape_rejected(self, capsys, tmp_path, config):
+        # an integer output path would be opened as a file descriptor
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "--config", str(path), "control", "--z=0,0")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+    def test_problem_file_of_the_wrong_shape_rejected(self, capsys, tmp_path):
+        problem = tmp_path / "problem.json"
+        problem.write_text("5")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"problem": str(problem)}))
+        code, out, err = run_cli(capsys, "--config", str(path), "rci")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("where", ["config", "problem", "storage", "output"])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_file_rejected(self, capsys, tmp_path, where, kind):
+        bad = str(tmp_path if kind == "directory" else tmp_path / "missing" / "file.json")
+        if where == "config":
+            argv = ("--config", bad, "rci")
+        elif where == "problem":
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"problem": bad}))
+            argv = ("--config", str(path), "rci")
+        elif where == "storage":
+            argv = ("check-storage", "--storage", bad)
+        else:
+            argv = ("rci", "--output", bad)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and bad in err
+
+    def test_file_not_utf8_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\x80\x81")
+        code, out, err = run_cli(capsys, "--config", str(path), "rci")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "invalid JSON" in err
+
+    def test_solver_failure_is_a_domain_failure(self, capsys, tmp_path):
+        # a fresh controller program has no stored laws, so the kernel runs
+        tube_mpc._tube_program.cache_clear()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"tolerances": {"max_iter": 1}}))
+        code, out, err = run_cli(capsys, "--config", str(path), "control", "--z=1,1")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: dual active-set kernel exceeded 1 steps"
 
     def test_json_output_format_accepted(self, capsys, tmp_path):
         path = tmp_path / "run.json"

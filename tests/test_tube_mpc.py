@@ -247,7 +247,7 @@ def assert_same_program(got, want):
         a, b = getattr(got, name), getattr(want, name)
         if name == "laws":
             # solves add laws to the table and change nothing it was built from
-            for key in ("s", "Gs", "w0", "rhs", "floor"):
+            for key in ("s", "Gs", "w0", "rhs", "floor", "box"):
                 assert_same_array(getattr(a, key), getattr(b, key), f"laws.{key}")
         else:
             assert_same_array(a, b, name)
@@ -371,7 +371,7 @@ class TestTemplate:
 def install_empty_table(monkeypatch, spec, cfg):
     """The controller's program with an empty law table, made the controller's program."""
     prog = tube_mpc._tube_program(spec, cfg)
-    prog = prog._replace(laws=cost_to_travel._LawTable(prog))
+    prog = prog._replace(laws=cost_to_travel._LawTable(prog, spec.x_bounds))
     monkeypatch.setattr(tube_mpc, "_tube_program", lambda *args: prog)
     return prog
 
@@ -473,6 +473,87 @@ class TestLawTable:
         states = rows_only + multipliers_only
         warm = [solve_tmpc(spec, cfg_ic, z) for z in states]
         assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg_ic, states, DEFAULT_SETTINGS), 2)
+
+
+SCREEN_STATES = FINE_GRID + [tuple(z) for z in np.random.default_rng(13).uniform(-5, 5, (2000, 2))] + BEYOND_THE_BAND
+
+
+def full_check(laws, law, z):
+    """A law's ``(x, y)`` at z by its full check block, or None: the reference the screen must agree with."""
+    z1, z2 = map(float, z)
+    a, b1, b2 = law.check
+    vals = a + b1 * z1 + b2 * z2
+    if not np.all(vals >= laws.floor * KERNEL_TOL):
+        return None
+    a, b1, b2 = law.point
+    return (a + b1 * z1 + b2 * z2) * laws.s, vals[laws.Gs.shape[0] :]
+
+
+def passes_screen(law, z):
+    z1, z2 = map(float, z)
+    return all(a + b1 * z1 + b2 * z2 >= floor * KERNEL_TOL for a, b1, b2, floor in law.screen)
+
+
+def reference_lookup(laws, z):
+    """The answer of the first stored law, in learn order, whose full check holds at z, and its index."""
+    for i, law in enumerate(laws.laws):
+        answer = full_check(laws, law, z)
+        if answer is not None:
+            return i, answer
+    return None, None
+
+
+def learned_table(monkeypatch, spec, cfg):
+    """A fresh table of the controller's program, filled by solves at every screen state."""
+    prog = install_empty_table(monkeypatch, spec, cfg)
+    for z in SCREEN_STATES:
+        solve_tmpc(spec, cfg, z)
+    return prog.laws
+
+
+class TestLawScreen:
+    """Each law is screened on the few checks that can fail in X; the full check still decides."""
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_screens_are_few_columns_of_the_full_check(self, spec, name, monkeypatch):
+        laws = learned_table(monkeypatch, spec, CONFIGS[name])
+        assert len(laws) > 1
+        for law in laws.laws:
+            columns = set(zip(*np.vstack(law.check).tolist(), laws.floor.tolist()))
+            assert set(law.screen) <= columns
+            assert len(set(law.screen)) == len(law.screen)
+            assert len(law.screen) < laws.floor.size // 4
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_a_law_whose_full_check_holds_passes_its_screen(self, spec, name, monkeypatch):
+        laws = learned_table(monkeypatch, spec, CONFIGS[name])
+        held = 0
+        for z in SCREEN_STATES:
+            for law in laws.laws:
+                if full_check(laws, law, z) is not None:
+                    held += 1
+                    assert passes_screen(law, z), z
+        assert held >= len(FINE_GRID)
+
+    @pytest.mark.parametrize("screens", ["learned", "emptied"])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_lookup_is_the_first_full_check_that_holds(self, spec, name, screens, monkeypatch):
+        # with emptied screens every law passes its screen, so only the full
+        # check keeps a lookup from answering from the wrong law
+        laws = learned_table(monkeypatch, spec, CONFIGS[name])
+        if screens == "emptied":
+            laws.laws[:] = [law._replace(screen=()) for law in laws.laws]
+        firsts = set()
+        for z in SCREEN_STATES:
+            got = laws.lookup(np.array(z), KERNEL_TOL)
+            first, want = reference_lookup(laws, z)
+            firsts.add(first)
+            assert (got is None) == (want is None), z
+            if want is not None:
+                assert_same_array(got[0], want[0], "x")
+                assert_same_array(got[1], want[1], "y")
+        # answers come from several laws, and some states from none
+        assert None in firsts and len(firsts - {None}) > 1
 
 
 @lru_cache(maxsize=None)
