@@ -28,7 +28,7 @@ from .closed_loop import (
     check_enclosure_stability,
     simulate,
 )
-from .cost_to_travel import RciNotFound, eval_v, optimal_rci
+from .cost_to_travel import MAX_STEPS, RciNotFound, eval_v, optimal_rci
 from .dissipativity import StorageFunction, check_strictness, verify_separability
 from .interval_sets import IntervalBox, _is_real
 from .problem import ConfigError, ProblemSpec, _read_json
@@ -222,6 +222,8 @@ def _cmd_rci(run: RunConfig, args) -> int:
 def _cmd_eval_v(run: RunConfig, args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if args.n > MAX_STEPS:
+        raise ConfigError(f"--n must be at most {MAX_STEPS}, got {args.n}")
     result = eval_v(run.spec, _parse_box(args.a), _parse_box(args.b), args.n, run.settings)
     _write_output(json.dumps(result.to_json_dict()), args.output or run.output_path)
     return 0 if result.feasible else 1

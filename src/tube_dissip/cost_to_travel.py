@@ -32,6 +32,7 @@ from .problem import ProblemSpec, stage_cost, transition_rows, transition_witnes
 from .qp_solver import DEFAULT_SETTINGS, SolverFailure, SolverSettings, _dual_active_set
 
 __all__ = [
+    "MAX_STEPS",
     "CostToTravelResult",
     "RciNotFound",
     "eval_v",
@@ -40,6 +41,11 @@ __all__ = [
 ]
 
 _INF = float("inf")
+
+# the most steps of a chain, and the longest tube MPC horizon: the stacked
+# rows of N steps are a dense 22N x 4(N+1) array, so a count in the
+# thousands would allocate gigabytes before any solve
+MAX_STEPS = 64
 
 
 class RciNotFound(RuntimeError):
@@ -99,10 +105,11 @@ def eval_v(
     are already eliminated.  Rows on the fixed end boxes only are checked
     against ``settings.feas_tol``; the rest form a small strictly convex QP,
     solved exactly by a dual active-set method.  A tube's ``aux_controls``
-    are the :func:`transition_witness` pairs of its steps.
+    are the :func:`transition_witness` pairs of its steps.  ``n_steps``
+    runs from 1 to :data:`MAX_STEPS`.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_steps <= MAX_STEPS:
+        raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
     if n_steps == 1:
         witness = transition_witness(spec, a, b, settings)
         if witness is None:
@@ -123,17 +130,16 @@ _MAX_LAWS = 64
 class _Law(NamedTuple):
     """One affine law of a :class:`_LawTable`, as maps ``a + b1*z1 + b2*z2`` of the state z.
 
-    ``check`` holds the rows ``(a, b1, b2)`` of the maps onto the free-row
-    slacks and then the multipliers, ``point`` those of the map onto the
-    kernel's variables.  ``screen`` lists, as plain floats ``(a, b1, b2,
-    floor)``, each distinct check column whose least value over the state
-    box is below its floor at the tolerance the law was learned at: the
-    slacks of the rows the box does not keep, and the multipliers it can
-    drive below zero.
+    ``block`` holds the rows ``(a, b1, b2)`` of one stacked map: onto the
+    free-row slacks, then the multipliers, then the kernel's variables.
+    ``screen`` lists, as plain floats ``(a, b1, b2, floor)``, each distinct
+    check column (slack or multiplier) whose least value over the state box
+    is below its floor at the tolerance the law was learned at: the slacks
+    of the rows the box does not keep, and the multipliers it can drive
+    below zero.
     """
 
-    check: tuple[np.ndarray, np.ndarray, np.ndarray]
-    point: tuple[np.ndarray, np.ndarray, np.ndarray]
+    block: tuple[np.ndarray, np.ndarray, np.ndarray]
     screen: tuple[tuple[float, float, float, float], ...]
 
 
@@ -145,22 +151,24 @@ class _LawTable:
     Pistikopoulos, Automatica 2002).  In the kernel's variables ``w = x/s``,
     ``s = 1/sqrt(2d)``, with ``Gs = G_free*s`` and ``w0 = -q*s``, the
     multipliers of A solve the Gram system ``Gs_A Gs_A' y_A = Gs_A w0 - h_A(p)``
-    and ``w = w0 - Gs_A' y_A``.  Each law is kept as affine maps of p: onto
-    the slacks of the free rows and the multipliers (its check), and onto w
-    (its point).  A law whose slacks are at least ``-tol`` and whose
-    multipliers are nonnegative at p gives a KKT point, the answer the kernel
-    would return.  At most ``_MAX_LAWS`` are kept; on a full table a new law
-    is still built and answers at the p it was learned at, but is not stored.
+    and ``w = w0 - Gs_A' y_A``.  Each law is kept as one stacked affine map
+    of p onto the slacks of the free rows, the multipliers (together its
+    check) and w (its point).  A law whose slacks are at least ``-tol`` and
+    whose multipliers are nonnegative at p gives a KKT point, the answer the
+    kernel would return.  At most ``_MAX_LAWS`` are kept; on a full table a
+    new law is still built and answers at the p it was learned at, but is
+    not stored.
 
     A lookup walks the laws in the order they were learned and answers from
     the first whose full check holds.  Most check columns hold at every state
     in X, so each law is first screened, in plain floats, on the few columns
     that can fail there (point location in explicit MPC, Tøndel, Johansen
     and Bemporad, Automatica 2003); only a law that passes its screen has its
-    full check evaluated.  Each screen column is computed by the same float
-    operations, in the same order, as its column of the full check, so a law
-    that fails its screen fails its full check: the screen saves work and
-    never changes which law answers, nor a bit of the answer.
+    block evaluated, in one elementwise pass that gives the check and the
+    point together.  Each screen column is computed by the same float
+    operations, in the same order, as its column of the block, so a law that
+    fails its screen fails its full check: the screen saves work and never
+    changes which law answers, nor a bit of the answer.
     """
 
     def __init__(self, prog: "_CornerProgram", x_bounds: IntervalBox):
@@ -173,6 +181,8 @@ class _LawTable:
         m = self.Gs.shape[0]
         # times tol, the least value of each check: -tol on slacks, 0 on multipliers
         self.floor = np.concatenate([np.full(m, -1.0), np.zeros(m)])
+        # floor * tol for the last tol a check was made at
+        self._tol = self._floor_tol = None
         # the state box the parameter ranges over, one column per state coordinate
         self.box = np.array([x_bounds.lo, x_bounds.hi])
         self.laws: list[_Law] = []
@@ -182,12 +192,11 @@ class _LawTable:
     def __len__(self) -> int:
         return len(self.laws)
 
-    def lookup(self, p: np.ndarray, tol: float):
-        """``(x, y)`` on the free rows from the first stored law that holds at p, or None."""
-        z1, z2 = p.tolist()
+    def lookup(self, z1: float, z2: float, tol: float):
+        """``(x, y)`` on the free rows from the first stored law that holds at state z, or None."""
         for law in self.laws:
             for a, b1, b2, floor in law.screen:
-                # as the full check computes it: (a + b1*z1) + b2*z2
+                # as the block computes it: (a + b1*z1) + b2*z2
                 if not a + b1 * z1 + b2 * z2 >= floor * tol:
                     break
             else:
@@ -196,12 +205,12 @@ class _LawTable:
                     return answer
         return None
 
-    def learn(self, y: np.ndarray, p: np.ndarray, tol: float):
-        """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at p or None."""
+    def learn(self, y: np.ndarray, z1: float, z2: float, tol: float):
+        """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at z or None."""
         act = np.flatnonzero(y > 0.0)
         key = act.tobytes()
         if key in self.stored:
-            # stored, and it did not hold at p
+            # stored, and it did not hold at z
             return None
         GsA = self.Gs[act]
         # the Gram system, one right-hand side for the constant and one per parameter
@@ -212,25 +221,28 @@ class _LawTable:
         w_law[:, 0] += self.w0
         full_y = np.zeros(self.rhs.shape)
         full_y[act] = y_law
-        check = np.ascontiguousarray(np.vstack([self.rhs - self.Gs @ w_law, full_y]).T)
+        block = np.ascontiguousarray(np.vstack([self.rhs - self.Gs @ w_law, full_y, w_law]).T)
+        check = block[:, : self.floor.size]
         # each column's least value over the state box, taken at the box corner that minimises it
         least = check[0] + np.minimum(check[1:] * self.box[0, :, None], check[1:] * self.box[1, :, None]).sum(axis=0)
         cols = np.flatnonzero(least < self.floor * tol)
         screen = tuple(dict.fromkeys(zip(*check[:, cols].tolist(), self.floor[cols].tolist())))
-        law = _Law(tuple(check), tuple(np.ascontiguousarray(w_law.T)), screen)
+        law = _Law(tuple(block), screen)
         if len(self) < _MAX_LAWS:
             self.stored.add(key)
             self.laws.append(law)
-        return self._answer(law, *p.tolist(), tol)
+        return self._answer(law, z1, z2, tol)
 
     def _answer(self, law: _Law, z1: float, z2: float, tol: float):
         """The law's ``(x, y)`` at state z if its full check holds there, else None."""
-        a, b1, b2 = law.check
+        if tol != self._tol:
+            self._tol, self._floor_tol = tol, self.floor * tol
+        a, b1, b2 = law.block
         vals = a + b1 * z1 + b2 * z2
-        if not (vals >= self.floor * tol).all():
+        m, n_checks = self.Gs.shape[0], self.floor.size
+        if not (vals[:n_checks] >= self._floor_tol).all():
             return None
-        a, b1, b2 = law.point
-        return (a + b1 * z1 + b2 * z2) * self.s, vals[self.Gs.shape[0] :]
+        return vals[n_checks:] * self.s, vals[m:n_checks]
 
 
 class _CornerProgram(NamedTuple):
@@ -238,11 +250,17 @@ class _CornerProgram(NamedTuple):
 
     p is the program's parameter: the end boxes' corner vectors of a chain,
     the measured state of a tube.  ``fixed`` marks the rows with no free
-    coefficient, and ``G_free`` holds the others.  ``start`` holds the
-    kernel's start on the rows of ``G_free``, or is empty for a cold start.
-    ``lo`` and ``hi`` are the state bounds at every free corner, onto which
-    the read-back clips.  ``laws`` is the tube program's table of affine
-    laws, filled as it is solved; chains and the invariant box have None.
+    coefficient, and ``G_free`` holds the others.  The fixed rows are split
+    when the program is built: ``fixed_min`` is the least right-hand side of
+    those p does not enter (``+inf`` if none), and ``fixed_p`` indexes the
+    others; when p is a state, ``fixed_z`` holds those same rows as plain
+    floats ``(h0, c1, c2)``, the row holding at z when
+    ``h0 - (c1*z1 + c2*z2) >= -feas_tol``, and is empty otherwise.
+    ``start`` holds the kernel's start on the rows of ``G_free``, or is
+    empty for a cold start.  ``lo`` and ``hi`` are the state bounds at every
+    free corner, onto which the read-back clips.  ``laws`` is the tube
+    program's table of affine laws, filled as it is solved; chains and the
+    invariant box have None.
     """
 
     d: np.ndarray
@@ -252,6 +270,9 @@ class _CornerProgram(NamedTuple):
     h0: np.ndarray
     fixed: np.ndarray
     G_free: np.ndarray
+    fixed_min: float
+    fixed_p: np.ndarray
+    fixed_z: tuple[tuple[float, float, float], ...]
     start: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -260,11 +281,19 @@ class _CornerProgram(NamedTuple):
 
 def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
     fixed = ~np.any(G != 0.0, axis=1)
+    enters = np.any(P != 0.0, axis=1)
+    fixed_p = np.flatnonzero(fixed & enters)
     xb = spec.x_bounds
     n_free = d.size // 4
-    lo = np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free)
-    hi = np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free)
-    return _CornerProgram(d, q, G, P, h0, fixed, G[~fixed], np.zeros(0), lo, hi)
+    return _CornerProgram(
+        d, q, G, P, h0, fixed, G[~fixed],
+        fixed_min=float(np.min(h0[fixed & ~enters], initial=_INF)),
+        fixed_p=fixed_p,
+        fixed_z=tuple(zip(h0[fixed_p].tolist(), *P[fixed_p].T.tolist())) if P.shape[1] == 2 else (),
+        start=np.zeros(0),
+        lo=np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free),
+        hi=np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free),
+    )
 
 
 def _stacked_steps(spec: ProblemSpec, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,39 +327,66 @@ def _chain_stack(spec: ProblemSpec, n_steps: int) -> _CornerProgram:
     )
 
 
-def _solve_program(prog: _CornerProgram, p: np.ndarray, settings: SolverSettings):
-    """The right-hand sides ``h`` of a corner program at parameter p, and its answer.
+def _solve_program(prog: _CornerProgram, p, settings: SolverSettings):
+    """A corner program's answer ``(x, y)`` at parameter p.
 
-    Returns ``(h, x, y)``: the minimiser x and its multipliers ``y >= 0``, or
-    x None and a Farkas ray ``y >= 0`` with ``G'y = 0`` and ``h'y < 0``.  A
-    fixed row violated by more than ``settings.feas_tol`` is its own ray.
-    A program with a law table answers from the first stored law that holds
-    at p; on a miss the kernel runs from ``start``, the law of the active set
-    it returns is learned, and the answer comes from that law if it holds,
-    else from the kernel.
+    x is the minimiser and y its multipliers ``y >= 0`` on the free rows, the
+    rows of ``G_free``.  When the program is infeasible x is None, and y is
+    either the index of the most violated fixed row, one violated by more
+    than ``settings.feas_tol`` and so its own Farkas ray, or a Farkas ray on
+    the free rows, ``y >= 0`` with ``G_free'y = 0`` and ``h'y < 0`` for their
+    right-hand sides ``h = h0 - P @ p``.
+
+    The fixed rows are checked first, as split when the program was built:
+    one comparison for the rows p does not enter, and only the rows it
+    enters evaluated at p.  A program with a law table, whose parameter is a
+    state ``(z1, z2)``, evaluates those in plain floats and answers from the
+    first stored law that holds at z; only on a miss does it form h and run
+    the kernel from ``start``, learn the law of the active set the kernel
+    returns, and answer from that law if it holds, else from the kernel.
+    Other programs run the kernel at every solve, so they form h first and
+    check their fixed rows on it.
     """
-    h = prog.h0 - prog.P @ p
-    y = np.zeros(h.size)
-    fixed_h = np.where(prog.fixed, h, _INF)
-    worst = int(np.argmin(fixed_h))
-    if fixed_h[worst] < -settings.feas_tol:
-        y[worst] = 1.0
-        return h, None, y
-    free = ~prog.fixed
-    laws, tol = prog.laws, _row_tol(settings)
-    answer = None if laws is None else laws.lookup(p, tol)
+    feas_tol = settings.feas_tol
+    laws = prog.laws
+    if laws is None:
+        h = prog.h0 - prog.P @ p
+        if prog.fixed_min < -feas_tol or min(h[prog.fixed_p].tolist(), default=_INF) < -feas_tol:
+            return None, _worst_fixed_row(prog, h)
+        return _run_kernel(prog, h, settings)
+    z1, z2 = p
+    if prog.fixed_min < -feas_tol or _state_rows_fail(prog.fixed_z, z1, z2, feas_tol):
+        return None, _worst_fixed_row(prog, prog.h0 - prog.P @ p)
+    tol = _row_tol(settings)
+    answer = laws.lookup(z1, z2, tol)
     if answer is None:
-        start = prog.start if prog.start.size else None
-        x, y_free = _corner_qp(prog.d, prog.q, prog.G_free, h[free], settings, start)
-        if x is not None and laws is not None:
-            answer = laws.learn(y_free, p, tol)
+        x, y = _run_kernel(prog, prog.h0 - prog.P @ p, settings)
+        if x is not None:
+            answer = laws.learn(y, z1, z2, tol)
         if answer is None:
-            answer = x, y_free
-    x, y[free] = answer
-    return h, x, y
+            answer = x, y
+    return answer
 
 
-def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p: np.ndarray, head, tail, settings: SolverSettings):
+def _state_rows_fail(rows, z1: float, z2: float, feas_tol: float) -> bool:
+    """Whether a plain-float row ``(h0, c1, c2)`` of rows is violated at state z by more than feas_tol."""
+    for h0, c1, c2 in rows:
+        if h0 - (c1 * z1 + c2 * z2) < -feas_tol:
+            return True
+    return False
+
+
+def _worst_fixed_row(prog: _CornerProgram, h: np.ndarray) -> int:
+    """The index of the fixed row with the least right-hand side in h, the first of ties."""
+    return int(np.where(prog.fixed, h, _INF).argmin())
+
+
+def _run_kernel(prog: _CornerProgram, h: np.ndarray, settings: SolverSettings):
+    start = prog.start if prog.start.size else None
+    return _corner_qp(prog.d, prog.q, prog.G_free, h[~prog.fixed], settings, start)
+
+
+def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, settings: SolverSettings):
     """A corner program's answer at p as ``(cost, head + free boxes + tail, step witnesses)``, or None.
 
     Every free box is the source of a step, so its rows keep it within the
@@ -339,7 +395,7 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p: np.ndarray, head, ta
     passes exact inclusion tests such as the storage form's domain.  The
     cost is taken at the clipped corners.
     """
-    _, x, _ = _solve_program(prog, p, settings)
+    x, _ = _solve_program(prog, p, settings)
     if x is None:
         return None
     x = np.minimum(np.maximum(x, prog.lo), prog.hi)

@@ -18,14 +18,19 @@ starting from the cached optimum of the rows the state does not enter.  On
 each optimal active set the answer is affine in z, so the program keeps the
 affine law of every active set the kernel has returned for it (up to 64),
 and a solve runs the kernel only when no stored law gives a KKT point at z
-(``cost_to_travel._LawTable``).  A solve screens the laws in the order they
-were learned, each on the few checks that can fail for a state in the state
-bounds, and confirms with the full KKT check only the law its screen
-passes.  The screen's checks are computed exactly as the full check's, so
-the first law whose full check holds answers, bit for bit as without it.
-Rows with no free coefficient are checked against ``feas_tol``.  The answer
-is read back into boxes and edge controls by the same helper as those
-values (``cost_to_travel._solve_tube``).  A terminal box that is not its
+(``cost_to_travel._LawTable``).  A solve that a law answers does only the
+arithmetic that depends on z, in plain floats where it can.  It checks the
+rows with no free coefficient against ``feas_tol``: one comparison for
+those z does not enter, split off when the program is built, and the few it
+enters evaluated at z.  It screens the laws in the order they were learned,
+each on the few checks that can fail for a state in the state bounds, and
+evaluates only the law its screen passes: one stacked block, whose single
+elementwise pass gives the full KKT check and the point.  The screen's
+checks are computed exactly as the block's, so the first law whose full
+check holds answers, bit for bit as without the screen.  The right-hand
+side ``h0 - P @ z`` is formed only when the kernel runs.  The answer is
+read back into boxes and edge controls by the same helper as those values
+(``cost_to_travel._solve_tube``).  A terminal box that is not its
 own successor is accepted, with a warning at every solve.
 
 The cost does not depend on ``u0``, so it is reported in closed form from
@@ -43,11 +48,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .cost_to_travel import (
+    MAX_STEPS,
     _corner_program,
     _corner_qp,
     _CornerProgram,
@@ -92,7 +98,8 @@ class TubeMpcConfig:
     the terminal box gives the same program: the last box carries no cost
     and reachability only grows with the target box, so a tube ending
     inside the terminal box exists exactly when one ending on it does, at
-    the same cost.
+    the same cost.  ``horizon`` is an integer from 1 to
+    :data:`~tube_dissip.cost_to_travel.MAX_STEPS`.
     """
 
     horizon: int = 2
@@ -103,8 +110,8 @@ class TubeMpcConfig:
     def __post_init__(self):
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
             raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if not 1 <= self.horizon <= MAX_STEPS:
+            raise ConfigError(f"horizon must be between 1 and {MAX_STEPS}, got {self.horizon}")
         if not isinstance(self.use_initial_cost, bool):
             raise ConfigError(f"use_initial_cost must be true or false, got {self.use_initial_cost!r}")
 
@@ -193,7 +200,6 @@ _POINT = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 _SIGNS = np.diag([1.0, -1.0, 1.0, -1.0])
 
 
-@lru_cache(maxsize=32)
 def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     """The controller's corner program over the first ``horizon`` boxes; its parameter is the state.
 
@@ -210,9 +216,14 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     If those rows alone are infeasible, the program keeps the cold start.
 
     The program carries an empty table of affine laws (``laws``), which its
-    solves fill; it is shared by every solve of the controller, and a solve's
-    answer depends only on the law it is read from, not on the order of
-    earlier solves.
+    solves fill; :func:`_controller` builds it once per controller, and it
+    is shared by every solve of the controller.  A solve's
+    answer does not depend on the order of earlier solves, but whether it
+    runs the kernel does: ``settings.max_iter`` bounds only the kernel's own
+    steps, and a state answered by a stored law runs no kernel.  So a
+    ``max_iter`` too small for the kernel at z raises ``SolverFailure`` there
+    until an earlier solve has stored a law that holds at z, and then the
+    same call returns the answer of that law.
     """
     terminal, storage, _ = _resolved(spec, cfg)
     n = cfg.horizon
@@ -246,6 +257,21 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     return prog._replace(start=start)
 
 
+class _Controller(NamedTuple):
+    """What a solve reads of a controller: :func:`_resolved`'s answers and its :func:`_tube_program`."""
+
+    terminal: IntervalBox
+    storage: Optional[StorageFunction]
+    self_successor: bool
+    prog: _CornerProgram
+
+
+@lru_cache(maxsize=32)
+def _controller(spec: ProblemSpec, cfg: TubeMpcConfig) -> _Controller:
+    # one cache lookup per solve, which hashes spec and cfg once
+    return _Controller(*_resolved(spec, cfg), _tube_program(spec, cfg))
+
+
 def solve_tmpc(
     spec: ProblemSpec,
     cfg: TubeMpcConfig,
@@ -256,14 +282,13 @@ def solve_tmpc(
     z1, z2 = float(z[0]), float(z[1])
     if not (math.isfinite(z1) and math.isfinite(z2)):
         raise ConfigError(f"state must be finite, got {tuple(z)}")
-    terminal, storage, self_successor = _resolved(spec, cfg)
+    terminal, storage, self_successor, prog = _controller(spec, cfg)
     if not self_successor:
         warnings.warn(
             "terminal set is not a self-successor box; recursive feasibility "
             "is not guaranteed",
             stacklevel=2,
         )
-    prog = _tube_program(spec, cfg)
 
     # the first box lies within the state bounds, so no tube holds a state
     # beyond them; one within feas_tol of them is read as on them
@@ -273,7 +298,7 @@ def solve_tmpc(
     z1 = min(max(z1, xb.lo[0]), xb.hi[0])
     z2 = min(max(z2, xb.lo[1]), xb.hi[1])
 
-    solved = _solve_tube(spec, prog, np.array((z1, z2)), [], [terminal], settings)
+    solved = _solve_tube(spec, prog, (z1, z2), [], [terminal], settings)
     if solved is None:
         return TubeSolution(status=QpStatus.INFEASIBLE)
     objective, tube, edge_controls = solved

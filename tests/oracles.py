@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -620,6 +620,24 @@ def chain_margin(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_steps: int
     res = linprog(c, A_ub=A_t, b_ub=h[keep], bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return float(res.x[-1])
+
+
+def program_answer(prog, p, answer) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """A corner program's answer ``(x, y)`` at parameter p, over all its rows: ``(h, x, y)``.
+
+    ``h = h0 - P @ p`` holds every right-hand side.  The answer's y is
+    scattered onto the free rows, or, when it is the index of a violated
+    fixed row, becomes the unit ray on that row; either way ``(h, x, y)`` is
+    checked against the whole of ``G``.
+    """
+    x, y_answer = answer
+    h = prog.h0 - prog.P @ np.asarray(p, dtype=float)
+    y = np.zeros(h.size)
+    if isinstance(y_answer, int):
+        y[y_answer] = 1.0
+    else:
+        y[~prog.fixed] = y_answer
+    return h, x, y
 
 
 def farkas_ray_ok(G: np.ndarray, h: np.ndarray, y: np.ndarray) -> bool:

@@ -52,6 +52,14 @@ class TestEvalV:
         assert out == ""
         assert err.strip().splitlines() == ["error: --n must be >= 1, got 0"]
 
+    def test_step_count_beyond_the_cap_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval-v", "--a", "[[0,1],[0,1]]", "--b", "[[0,1],[0,1]]", "--n", "100000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == ["error: --n must be at most 64, got 100000"]
+
     def test_malformed_box_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval-v", "--a", "oops", "--b", "[[0,1],[0,1]]")
         assert code == 2
@@ -226,6 +234,7 @@ class TestConfig:
         ("controller", "horizon", 2.5),
         ("controller", "horizon", "2"),
         ("controller", "horizon", True),
+        ("controller", "horizon", 100000),
         (None, "seed", "abc"),
         (None, "seed", -5),
         ("problem", "u_bounds", 5),
@@ -255,6 +264,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("argv", [
         ("control", "--z=0,0", "--horizon", "0"),
+        ("control", "--z=0,0", "--horizon", "100000"),
+        ("sweep", "--horizon", "100000"),
         ("sweep", "--grid", "0"),
         ("sweep", "--grid", "-3"),
         ("check-storage", "--strictness", "-2"),
@@ -368,7 +379,7 @@ class TestConfig:
 
     def test_solver_failure_is_a_domain_failure(self, capsys, tmp_path):
         # a fresh controller program has no stored laws, so the kernel runs
-        tube_mpc._tube_program.cache_clear()
+        tube_mpc._controller.cache_clear()
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"tolerances": {"max_iter": 1}}))
         code, out, err = run_cli(capsys, "--config", str(path), "control", "--z=1,1")

@@ -97,6 +97,12 @@ class TestEvalV:
         with pytest.raises(ValueError):
             eval_v(spec, x_star, x_star, 0)
 
+    @pytest.mark.parametrize("n_steps", [cost_to_travel.MAX_STEPS + 1, 100_000])
+    def test_step_count_beyond_the_cap_rejected(self, spec, x_star, n_steps):
+        # rejected before the stacked rows, 22N x 4(N+1) floats, are allocated
+        with pytest.raises(ValueError, match=f"between 1 and {cost_to_travel.MAX_STEPS}"):
+            eval_v(spec, x_star, x_star, n_steps)
+
     def test_json_round_trip(self, spec, x_star):
         res = eval_v(spec, x_star, x_star, 2)
         back = CostToTravelResult.from_json_dict(json.loads(json.dumps(res.to_json_dict())))
@@ -235,7 +241,7 @@ def chain_ends(draw, spec, n_steps):
 def solved_chain(spec, a, c, n_steps):
     stack = cost_to_travel._chain_stack(spec, n_steps)
     ends = np.array(a.corners() + c.corners())
-    return stack, cost_to_travel._solve_program(stack, ends, DEFAULT_SETTINGS)
+    return stack, oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends, DEFAULT_SETTINGS))
 
 
 @pytest.mark.parametrize("n_steps", [2, 3])

@@ -11,7 +11,7 @@ from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
 from tube_dissip.problem import ConfigError, ProblemSpec, dynamics, transition_feasible, transition_witness
-from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, solve
+from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, solve
 from tube_dissip.tube_mpc import (
     ControllerInfeasible,
     TubeMpcConfig,
@@ -23,7 +23,7 @@ from tube_dissip.tube_mpc import (
     sweep_feedback,
 )
 
-from .oracles import row_violations, tube_qp_reference
+from .oracles import program_answer, row_violations, tube_qp_reference
 
 INF = float("inf")
 
@@ -115,7 +115,8 @@ class TestSolveTmpc:
         seen = []
 
         def inverted_solve(prog, p, settings):
-            h, x, y = real_solve(prog, p, settings)
+            answer = real_solve(prog, p, settings)
+            h, x, _ = program_answer(prog, p, answer)
             x = x.copy()
             # the corners (b1, b2) of the tube's second box, of the chain's
             # middle box and of the invariant box
@@ -123,7 +124,7 @@ class TestSolveTmpc:
             x[i] = x[i + 1] + 5e-9
             assert np.max(prog.G @ x - h) <= settings.feas_tol
             seen.append(x)
-            return h, x, y
+            return x, answer[1]
 
         # the controller's invariant box is solved before the patch
         tube_mpc._resolved(spec, cfg_noic)
@@ -158,7 +159,7 @@ class TestSolveTmpc:
 
 def record_solves(monkeypatch, spec, cfg):
     """Patch the solve step; the returned list gets the state of each solve of the controller's program."""
-    controller = tube_mpc._tube_program(spec, cfg)
+    controller = tube_mpc._controller(spec, cfg).prog
     real_solve = cost_to_travel._solve_program
     states = []
 
@@ -221,8 +222,9 @@ def point_box(z):
 
 def cold_solves(monkeypatch, spec, cfg, states, settings):
     """The controller's answers at the states with its program's start and law table removed."""
-    cold_prog = tube_mpc._tube_program(spec, cfg)._replace(start=np.zeros(0), laws=None)
-    monkeypatch.setattr(tube_mpc, "_tube_program", lambda *args: cold_prog)
+    controller = tube_mpc._controller(spec, cfg)
+    cold = controller._replace(prog=controller.prog._replace(start=np.zeros(0), laws=None))
+    monkeypatch.setattr(tube_mpc, "_controller", lambda *args: cold)
     return [solve_tmpc(spec, cfg, z, settings) for z in states]
 
 
@@ -249,8 +251,11 @@ def assert_same_program(got, want):
             # solves add laws to the table and change nothing it was built from
             for key in ("s", "Gs", "w0", "rhs", "floor", "box"):
                 assert_same_array(getattr(a, key), getattr(b, key), f"laws.{key}")
-        else:
+        elif isinstance(a, np.ndarray):
             assert_same_array(a, b, name)
+        else:
+            # the split fixed rows, as plain floats: the same float objects' values, bit for bit
+            assert type(a) is type(b) and repr(a) == repr(b), name
 
 
 class TestTemplate:
@@ -261,8 +266,8 @@ class TestTemplate:
         # solves leave the cached program as assembled, but for the laws they add
         cfg = CONFIGS[name]
         sweep_feedback(spec, cfg, STATE_GRID)
-        fresh = tube_mpc._tube_program.__wrapped__(spec, cfg)
-        assert_same_program(tube_mpc._tube_program(spec, cfg), fresh)
+        fresh = tube_mpc._tube_program(spec, cfg)
+        assert_same_program(tube_mpc._controller(spec, cfg).prog, fresh)
 
     @pytest.mark.parametrize("name", ["horizon_1"])
     def test_one_step_equals_the_assembly_at_each_state(self, spec, name):
@@ -283,7 +288,7 @@ class TestTemplate:
         assert verdicts == {True, False}
 
     def test_assembled_once_per_controller(self, spec, cfg_ic, monkeypatch):
-        tube_mpc._tube_program.cache_clear()
+        tube_mpc._controller.cache_clear()
         builds, starts = [], []
         real_stack = tube_mpc._stacked_steps
         real_qp = tube_mpc._corner_qp
@@ -306,7 +311,7 @@ class TestTemplate:
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_cached_start_is_dual_feasible(self, spec, name):
-        prog = tube_mpc._tube_program(spec, CONFIGS[name])
+        prog = tube_mpc._controller(spec, CONFIGS[name]).prog
         free = ~prog.fixed
         state_free = ~np.any(prog.P[free] != 0.0, axis=1)
         y0 = prog.start
@@ -323,14 +328,14 @@ class TestTemplate:
     def test_no_start_when_the_state_free_rows_are_infeasible(self, spec):
         # no box reaches a single point against every disturbance
         cfg = TubeMpcConfig(terminal_set=IntervalBox.from_corners((1.0, 1.0, -1.0, -1.0)))
-        assert tube_mpc._tube_program(spec, cfg).start.size == 0
+        assert tube_mpc._controller(spec, cfg).prog.start.size == 0
         assert solve_tmpc(spec, cfg, (1.0, -1.0)).status is QpStatus.INFEASIBLE
 
     def test_every_solve_starts_from_the_cached_start(self, spec, cfg_ic, monkeypatch):
         # the kernel runs only when no stored law holds at the state, and
         # then from the cached start
-        tube_mpc._tube_program.cache_clear()
-        prog = tube_mpc._tube_program(spec, cfg_ic)
+        tube_mpc._controller.cache_clear()
+        prog = tube_mpc._controller(spec, cfg_ic).prog
         real_kernel = cost_to_travel._dual_active_set
         starts = []
 
@@ -367,17 +372,68 @@ class TestTemplate:
         sweep_feedback(spec, cfg_ic, STATE_GRID)
         assert solve_tmpc(spec, cfg_ic, z) == first
 
+    def test_max_iter_bounds_only_kernel_runs(self, spec, cfg_ic):
+        # a fresh program has no laws, so the kernel runs and meets its step
+        # limit; once a default solve has stored the law that holds at z, the
+        # same call runs no kernel and returns the default answer, bit for bit
+        tube_mpc._controller.cache_clear()
+        z, capped = (1.0, 1.0), replace(DEFAULT_SETTINGS, max_iter=1)
+        with pytest.raises(SolverFailure, match="exceeded 1 steps"):
+            solve_tmpc(spec, cfg_ic, z, capped)
+        want = solve_tmpc(spec, cfg_ic, z)
+        assert want.feasible
+        assert repr(solve_tmpc(spec, cfg_ic, z, capped)) == repr(want)
+
+
+FIXED_ROW_STATES = (
+    FINE_GRID
+    + [tuple(z) for z in np.random.default_rng(17).uniform(-5, 5, (2000, 2))]
+    + [state for pair in WITHIN_THE_BAND for state in pair]
+    + BEYOND_THE_BAND
+)
+
+
+class TestFixedRows:
+    """The rows with no free coefficient, split when the program is built, decide as all of them together."""
+
+    @pytest.mark.parametrize("table", ["laws", "no laws"])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_split_check_is_the_check_of_every_fixed_row(self, spec, name, table):
+        # with a law table the rows the state enters are evaluated in plain
+        # floats, without one on the right-hand sides formed for the kernel
+        prog = tube_mpc._controller(spec, CONFIGS[name]).prog
+        if table == "no laws":
+            prog = prog._replace(laws=None)
+        feas_tol = DEFAULT_SETTINGS.feas_tol
+        violated, violated_in_x = 0, 0
+        for z in FIXED_ROW_STATES:
+            h = prog.h0 - prog.P @ np.array(z)
+            want = np.min(prog.h0[prog.fixed] - prog.P[prog.fixed] @ np.array(z)) < -feas_tol
+            x, y = cost_to_travel._solve_program(prog, z, DEFAULT_SETTINGS)
+            assert isinstance(y, int) == want, z
+            if want:
+                # the most violated fixed row, the first of ties
+                assert x is None and y == int(np.argmin(np.where(prog.fixed, h, np.inf))), z
+                violated += 1
+                violated_in_x += contains(spec.x_bounds, z)
+        # states beyond the band fail the rows that keep z in X
+        assert violated > violated_in_x
+        if name == "horizon_1":
+            # the window rows on T depend on z2 and fail inside X
+            assert violated_in_x > 0
+        assert prog.fixed_p.size > 0 and np.isfinite(prog.fixed_min)
+
 
 def install_empty_table(monkeypatch, spec, cfg):
     """The controller's program with an empty law table, made the controller's program."""
-    prog = tube_mpc._tube_program(spec, cfg)
-    prog = prog._replace(laws=cost_to_travel._LawTable(prog, spec.x_bounds))
-    monkeypatch.setattr(tube_mpc, "_tube_program", lambda *args: prog)
+    controller = tube_mpc._controller(spec, cfg)
+    prog = controller.prog._replace(laws=cost_to_travel._LawTable(controller.prog, spec.x_bounds))
+    monkeypatch.setattr(tube_mpc, "_controller", lambda *args: controller._replace(prog=prog))
     return prog
 
 
 def record_answers(monkeypatch, prog):
-    """Patch the solve step; the returned list gets ``(h, x, y, kernel ran)`` of each solve of prog."""
+    """Patch the solve step; the returned list gets ``(h, x, y, kernel ran)`` of each solve of prog, over all its rows."""
     real_solve = cost_to_travel._solve_program
     real_kernel = cost_to_travel._dual_active_set
     answers, runs = [], []
@@ -388,10 +444,10 @@ def record_answers(monkeypatch, prog):
 
     def recording_solve(p, z, settings):
         before = len(runs)
-        h, x, y = real_solve(p, z, settings)
+        answer = real_solve(p, z, settings)
         if p is prog:
-            answers.append((h, x, y, len(runs) > before))
-        return h, x, y
+            answers.append((*program_answer(p, z, answer), len(runs) > before))
+        return answer
 
     monkeypatch.setattr(cost_to_travel, "_dual_active_set", counting_kernel)
     monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
@@ -436,7 +492,7 @@ class TestLawTable:
         for i in range(2 * m - 1):
             y = np.zeros(m)
             y[i % m : i % m + 1 + i // m] = 1.0
-            laws.learn(y, np.zeros(2), KERNEL_TOL)
+            laws.learn(y, 0.0, 0.0, KERNEL_TOL)
         assert len(laws) == cost_to_travel._MAX_LAWS == 64
         answers = record_answers(monkeypatch, prog)
         warm = [solve_tmpc(spec, cfg_ic, z) for z in STATE_GRID]
@@ -469,7 +525,7 @@ class TestLawTable:
                 multipliers_only.append(z)
         assert rows_only and multipliers_only
         for z in rows_only + multipliers_only:
-            assert prog.laws.lookup(np.array(z), KERNEL_TOL) is None, z
+            assert prog.laws.lookup(*z, KERNEL_TOL) is None, z
         states = rows_only + multipliers_only
         warm = [solve_tmpc(spec, cfg_ic, z) for z in states]
         assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg_ic, states, DEFAULT_SETTINGS), 2)
@@ -479,14 +535,19 @@ SCREEN_STATES = FINE_GRID + [tuple(z) for z in np.random.default_rng(13).uniform
 
 
 def full_check(laws, law, z):
-    """A law's ``(x, y)`` at z by its full check block, or None: the reference the screen must agree with."""
+    """A law's ``(x, y)`` at z by its full check, or None: the reference the screen must agree with.
+
+    The check and the point are evaluated apart, each column of the block by
+    itself, so the stacked pass must give them bit for bit.
+    """
     z1, z2 = map(float, z)
-    a, b1, b2 = law.check
+    m, n_checks = laws.Gs.shape[0], laws.floor.size
+    a, b1, b2 = (row[:n_checks].copy() for row in law.block)
     vals = a + b1 * z1 + b2 * z2
     if not np.all(vals >= laws.floor * KERNEL_TOL):
         return None
-    a, b1, b2 = law.point
-    return (a + b1 * z1 + b2 * z2) * laws.s, vals[laws.Gs.shape[0] :]
+    a, b1, b2 = (row[n_checks:].copy() for row in law.block)
+    return (a + b1 * z1 + b2 * z2) * laws.s, vals[m:]
 
 
 def passes_screen(law, z):
@@ -519,7 +580,7 @@ class TestLawScreen:
         laws = learned_table(monkeypatch, spec, CONFIGS[name])
         assert len(laws) > 1
         for law in laws.laws:
-            columns = set(zip(*np.vstack(law.check).tolist(), laws.floor.tolist()))
+            columns = set(zip(*np.vstack(law.block)[:, : laws.floor.size].tolist(), laws.floor.tolist()))
             assert set(law.screen) <= columns
             assert len(set(law.screen)) == len(law.screen)
             assert len(law.screen) < laws.floor.size // 4
@@ -545,7 +606,7 @@ class TestLawScreen:
             laws.laws[:] = [law._replace(screen=()) for law in laws.laws]
         firsts = set()
         for z in SCREEN_STATES:
-            got = laws.lookup(np.array(z), KERNEL_TOL)
+            got = laws.lookup(*map(float, z), KERNEL_TOL)
             first, want = reference_lookup(laws, z)
             firsts.add(first)
             assert (got is None) == (want is None), z
@@ -711,3 +772,8 @@ class TestConfig:
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ConfigError):
             TubeMpcConfig(horizon=0)
+
+    @pytest.mark.parametrize("horizon", [cost_to_travel.MAX_STEPS + 1, 100_000])
+    def test_horizon_beyond_the_cap_rejected(self, horizon):
+        with pytest.raises(ConfigError, match=f"between 1 and {cost_to_travel.MAX_STEPS}"):
+            TubeMpcConfig(horizon=horizon)
