@@ -207,11 +207,7 @@ def _controller_config(run: RunConfig, args) -> TubeMpcConfig:
 
 
 def _cmd_rci(run: RunConfig, args) -> int:
-    try:
-        box, v_star = optimal_rci(run.spec, run.settings)
-    except RciNotFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    box, v_star = optimal_rci(run.spec, run.settings)
     _write_output(
         json.dumps({"corners": list(box.corners()), "box": box.to_json_obj(), "v_star": v_star}),
         args.output or run.output_path,
@@ -382,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverFailure as exc:
+    except (RciNotFound, SolverFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

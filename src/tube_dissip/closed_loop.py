@@ -24,7 +24,7 @@ from .dissipativity import eval_storage
 from .interval_sets import IntervalBox, contains, hausdorff, subset
 from .problem import ProblemSpec, dynamics
 from .qp_solver import DEFAULT_SETTINGS, SolverSettings
-from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _resolved
+from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
 
 __all__ = [
     "ExtremePolicy",
@@ -139,7 +139,7 @@ def rotated_cost(
     if math.isinf(value):
         return _INF
     _, v_star = optimal_rci(spec, settings)
-    _, storage, _ = _resolved(spec, cfg)
+    storage = _controller(spec, cfg).storage
     e_a = eval_storage(storage, spec, a) if storage is not None else 0.0
     e_b = eval_storage(storage, spec, b) if storage is not None else 0.0
     return e_a - e_b + value - v_star

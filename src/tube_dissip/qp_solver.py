@@ -12,11 +12,9 @@ the active rows are identified, the equality-constrained KKT system is solved
 by least squares, and multipliers are recovered by nonnegative least squares.
 A polished solution is accepted only if the full KKT residual passes the
 solver tolerance, so an ``OPTIMAL`` status always carries a certificate.
-The polish depends on the problem and the active set only, so each active set
-is polished at most once per solve; a repeat would fail again.
 
-The ADMM system matrix is LU-factored once per rho value (and cached across
-solves of the same structure); each iteration is one LAPACK ``getrs`` solve.
+The ADMM system matrix is LU-factored once per rho value; each iteration is
+one LAPACK ``getrs`` solve.
 All data must be finite: :class:`QpProblem` rejects NaN anywhere and every
 infinity except the vacuous ones (``-inf`` in ``lb``, ``+inf`` in ``ub`` and
 ``bin``).
@@ -41,7 +39,6 @@ import on first use, so importing the package does not load it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -85,17 +82,22 @@ class SolverSettings:
     kkt_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 10000
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    rho: float = 1.0
-    rho_eq_scale: float = 1e3
-    check_every: int = 25
-    cert_tol: float = 1e-10
-    # residual levels at which an active-set polish is attempted; the polish
-    # self-verifies against kkt_tol, so these only trade attempt frequency
-    # against iteration count
-    polish_gate_prim: float = 1e-1
-    polish_gate_dual: float = 1e0
+
+
+# ADMM's fixed parameters: proximal weight, relaxation, initial step (scaled
+# up on equality rows), residual check cadence and divergence-certificate
+# tolerance
+_SIGMA = 1e-6
+_ALPHA = 1.6
+_RHO = 1.0
+_RHO_EQ_SCALE = 1e3
+_CHECK_EVERY = 25
+_CERT_TOL = 1e-10
+# residual levels at which an active-set polish is attempted; the polish
+# self-verifies against kkt_tol, so these only trade attempt frequency
+# against iteration count
+_POLISH_GATE_PRIM = 1e-1
+_POLISH_GATE_DUAL = 1e0
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -167,24 +169,6 @@ class QpProblem:
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.g @ x + self.c0)
-
-    def to_json_dict(self) -> dict:
-        """Debug dump: dense matrices in row-major nested lists."""
-
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-
-        return {
-            "H": arr(self.H),
-            "g": arr(self.g),
-            "c0": self.c0,
-            "Aeq": arr(self.Aeq),
-            "beq": arr(self.beq),
-            "Ain": arr(self.Ain),
-            "bin": arr(self.bin),
-            "lb": arr(self.lb),
-            "ub": arr(self.ub),
-        }
 
 
 @dataclass(frozen=True)
@@ -336,11 +320,7 @@ def _active_masks(rows: _RowForm, z, y, slack_tol, dual_tol):
 
 
 def _try_polish(H, g, rows: _RowForm, low, upp, feas_tol):
-    """Solve the KKT system of one active set; None if it does not verify.
-
-    The result depends on the problem and the masks only, so a solve never
-    needs to try the same ``(low, upp)`` pair twice.
-    """
+    """Solve the KKT system of one active set; None if it does not verify."""
     from scipy.optimize import nnls  # only the ADMM reference solver needs scipy
 
     A, l, u, eq = rows.A, rows.l, rows.u, rows.pinned
@@ -389,44 +369,20 @@ def _try_polish(H, g, rows: _RowForm, low, upp, feas_tol):
 
 
 # ---------------------------------------------------------------------------
-# factorization cache (keyed by problem structure; bounds/rhs may vary freely)
-
-_FACTOR_CACHE: dict[bytes, tuple] = {}
-_FACTOR_CACHE_MAX = 64
+# main solve
 
 
-def _initial_factor(H, A, sigma, rho):
-    key = hashlib.sha1()
-    key.update(H.tobytes())
-    key.update(A.tobytes())
-    key.update(np.asarray([sigma]).tobytes())
-    key.update(rho.tobytes())
-    digest = key.digest()
-    hit = _FACTOR_CACHE.get(digest)
-    if hit is not None:
-        return hit
-    lu = _factor(H, A, sigma, rho)
-    if len(_FACTOR_CACHE) >= _FACTOR_CACHE_MAX:
-        _FACTOR_CACHE.clear()
-    _FACTOR_CACHE[digest] = lu
-    return lu
-
-
-def _factor(H, A, sigma, rho):
+def _factor(H, A, rho):
     import scipy.linalg as sla  # only the ADMM reference solver needs scipy
 
     n = H.shape[0]
     m = A.shape[0]
     kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = H + sigma * np.eye(n)
+    kkt[:n, :n] = H + _SIGMA * np.eye(n)
     kkt[:n, n:] = A.T
     kkt[n:, :n] = A
     kkt[n:, n:] = -np.diag(1.0 / rho)
     return sla.lu_factor(kkt)
-
-
-# ---------------------------------------------------------------------------
-# main solve
 
 
 def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolution:
@@ -454,30 +410,25 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
                 infeasibility_certificate={"eq": lam, "ineq": mu, "lb": mu_lb, "ub": mu_ub},
             )
 
-    rho = np.where(rows.eq_mask, settings.rho_eq_scale * settings.rho, settings.rho)
-    lu, piv = _initial_factor(qp.H, A, settings.sigma, rho)
+    rho = np.where(rows.eq_mask, _RHO_EQ_SCALE * _RHO, _RHO)
+    lu, piv = _factor(qp.H, A, rho)
 
     x = np.zeros(n)
     z = np.clip(A @ x, l, u)
     y = np.zeros(m)
-    rhs = np.empty(n + m)
-    check_every = min(settings.check_every, 10) if n + m < 40 else settings.check_every
-    sig, alph = settings.sigma, settings.alpha
-    # (low, upp) signatures already polished in this solve; each one failed
-    tried_sets = set()
+    check_every = min(_CHECK_EVERY, 10) if n + m < 40 else _CHECK_EVERY
 
     for it in range(1, settings.max_iter + 1):
         y_rho = y / rho
-        rhs[:n] = sig * x - qp.g
-        rhs[n:] = z - y_rho
-        # LAPACK getrs on the cached factors: lu_solve would only add input
-        # checks, and QpProblem is checked finite up front
+        # LAPACK getrs on the factors: lu_solve would only add input checks,
+        # and QpProblem is checked finite up front
+        rhs = np.concatenate([_SIGMA * x - qp.g, z - y_rho])
         sol_vec, _ = dgetrs(lu, piv, rhs)
         x_t = sol_vec[:n]
         nu = sol_vec[n:]
         z_t = z + (nu - y) / rho
-        x_new = alph * x_t + (1.0 - alph) * x
-        z_rel = alph * z_t + (1.0 - alph) * z
+        x_new = _ALPHA * x_t + (1.0 - _ALPHA) * x
+        z_rel = _ALPHA * z_t + (1.0 - _ALPHA) * z
         z_new = np.minimum(np.maximum(z_rel + y_rho, l), u)
         y_new = y + rho * (z_rel - z_new)
 
@@ -493,13 +444,9 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
         r_prim = float(np.max(np.abs(A @ x - z), initial=0.0))
         r_dual = float(np.max(np.abs(qp.H @ x + qp.g + A.T @ y), initial=0.0))
 
-        if r_prim < settings.polish_gate_prim and r_dual < settings.polish_gate_dual:
+        if r_prim < _POLISH_GATE_PRIM and r_dual < _POLISH_GATE_DUAL:
             for st, dt in ((1e-6, 1e-6), (1e-5, 1e-7), (1e-4, 1e-5)):
                 low, upp = _active_masks(rows, z, y, st, dt)
-                signature = low.tobytes() + upp.tobytes()
-                if signature in tried_sets:
-                    continue
-                tried_sets.add(signature)
                 pol = _try_polish(qp.H, qp.g, rows, low, upp, settings.feas_tol)
                 if pol is None:
                     continue
@@ -536,7 +483,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
                     iterations=it,
                 )
 
-        cert = _primal_infeasibility_cert(A, l, u, dy, settings.cert_tol, settings.feas_tol)
+        cert = _primal_infeasibility_cert(A, l, u, dy, _CERT_TOL, settings.feas_tol)
         if cert is not None:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(cert, n)
             return QpSolution(
@@ -544,7 +491,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
                 iterations=it,
                 infeasibility_certificate={"eq": lam, "ineq": mu, "lb": mu_lb, "ub": mu_ub},
             )
-        ray = _dual_infeasibility_cert(qp.H, qp.g, A, l, u, dx, settings.cert_tol)
+        ray = _dual_infeasibility_cert(qp.H, qp.g, A, l, u, dx, _CERT_TOL)
         if ray is not None:
             return QpSolution(status=QpStatus.UNBOUNDED, iterations=it, unbounded_ray=ray)
 
@@ -554,7 +501,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
             if ratio > 5.0 or ratio < 0.2:
                 scale = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
                 rho = np.where(rows.eq_mask, rho, np.clip(rho * scale, 1e-4, 1e4))
-                lu, piv = _factor(qp.H, A, settings.sigma, rho)
+                lu, piv = _factor(qp.H, A, rho)
 
     return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=settings.max_iter)
 

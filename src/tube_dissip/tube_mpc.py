@@ -172,7 +172,6 @@ class SweepPoint:
     u0_interval: Optional[tuple[float, float]]
 
 
-@lru_cache(maxsize=32)
 def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optional[StorageFunction], bool]:
     """The controller's terminal box T, its storage form or None, and whether T is its own successor."""
     terminal = cfg.terminal_set
@@ -200,14 +199,17 @@ _POINT = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 _SIGNS = np.diag([1.0, -1.0, 1.0, -1.0])
 
 
-def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
+def _tube_program(
+    spec: ProblemSpec, cfg: TubeMpcConfig, terminal: IntervalBox, storage: Optional[StorageFunction]
+) -> _CornerProgram:
     """The controller's corner program over the first ``horizon`` boxes; its parameter is the state.
 
-    The rows are the transitions of every step with the last box fixed to
-    the terminal box, the control window (a transition from the point box
-    ``{z}`` into the second box), and the state inside the first box.  The
-    cost is the stage cost of every free box plus the storage form on the
-    first; the storage offset is added by the caller.
+    ``terminal`` and ``storage`` are the first two answers of
+    :func:`_resolved`.  The rows are the transitions of every step with the
+    last box fixed to the terminal box, the control window (a transition
+    from the point box ``{z}`` into the second box), and the state inside
+    the first box.  The cost is the stage cost of every free box plus the
+    storage form on the first; the storage offset is added by the caller.
 
     Only the window and containment rows depend on the state.  The other
     rows are solved here, once, by the same kernel at ``DEFAULT_SETTINGS``;
@@ -225,7 +227,6 @@ def _tube_program(spec: ProblemSpec, cfg: TubeMpcConfig) -> _CornerProgram:
     until an earlier solve has stored a law that holds at z, and then the
     same call returns the answer of that law.
     """
-    terminal, storage, _ = _resolved(spec, cfg)
     n = cfg.horizon
     steps, h_steps = _stacked_steps(spec, n)
     src, tgt, const = transition_rows(spec)
@@ -269,7 +270,8 @@ class _Controller(NamedTuple):
 @lru_cache(maxsize=32)
 def _controller(spec: ProblemSpec, cfg: TubeMpcConfig) -> _Controller:
     # one cache lookup per solve, which hashes spec and cfg once
-    return _Controller(*_resolved(spec, cfg), _tube_program(spec, cfg))
+    terminal, storage, self_successor = _resolved(spec, cfg)
+    return _Controller(terminal, storage, self_successor, _tube_program(spec, cfg, terminal, storage))
 
 
 def solve_tmpc(

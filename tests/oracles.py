@@ -410,11 +410,12 @@ def _reference_polish(H, g, A, l, u, z, y, slack_tol, dual_tol, feas_tol):
 def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolution:
     """The solver's ADMM loop without its shortcuts, as an exactness oracle.
 
-    Same iteration, check cadence, polish tiers and rho updates as
-    ``qp_solver.solve``, but every step is spelled out: ``scipy.linalg.lu_solve``
-    with its input checks, ``np.clip``, a fresh factorization instead of the
-    factor cache, and every polish tier attempted at every check, even on an
-    active set that already failed.  ``solve`` must match it bitwise.
+    Same iteration, fixed parameters, check cadence, polish tiers and rho
+    updates as ``qp_solver.solve``, but every step is spelled out:
+    ``scipy.linalg.lu_solve`` with its input checks in place of LAPACK
+    ``getrs``, ``np.clip`` in place of ``np.minimum(np.maximum(...))``, and
+    the step differences formed at every iteration.  ``solve`` must match it
+    bitwise.
     """
     rows = qp_solver._RowForm(qp)
     n, m = qp.n, rows.m
@@ -435,19 +436,19 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
 
     def factor(rho):
         kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = qp.H + settings.sigma * np.eye(n)
+        kkt[:n, :n] = qp.H + qp_solver._SIGMA * np.eye(n)
         kkt[:n, n:] = A.T
         kkt[n:, :n] = A
         kkt[n:, n:] = -np.diag(1.0 / rho)
         return sla.lu_factor(kkt)
 
-    rho = np.where(rows.eq_mask, settings.rho_eq_scale * settings.rho, settings.rho)
+    rho = np.where(rows.eq_mask, qp_solver._RHO_EQ_SCALE * qp_solver._RHO, qp_solver._RHO)
     lu = factor(rho)
     x = np.zeros(n)
     z = np.clip(A @ x, l, u)
     y = np.zeros(m)
-    check_every = min(settings.check_every, 10) if n + m < 40 else settings.check_every
-    sig, alph = settings.sigma, settings.alpha
+    check_every = min(qp_solver._CHECK_EVERY, 10) if n + m < 40 else qp_solver._CHECK_EVERY
+    sig, alph = qp_solver._SIGMA, qp_solver._ALPHA
 
     for it in range(1, settings.max_iter + 1):
         sol_vec = sla.lu_solve(lu, np.concatenate([sig * x - qp.g, z - y / rho]))
@@ -468,7 +469,7 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
         r_prim = float(np.max(np.abs(A @ x - z), initial=0.0))
         r_dual = float(np.max(np.abs(qp.H @ x + qp.g + A.T @ y), initial=0.0))
 
-        if r_prim < settings.polish_gate_prim and r_dual < settings.polish_gate_dual:
+        if r_prim < qp_solver._POLISH_GATE_PRIM and r_dual < qp_solver._POLISH_GATE_DUAL:
             for st, dt in ((1e-6, 1e-6), (1e-5, 1e-7), (1e-4, 1e-5)):
                 pol = _reference_polish(qp.H, qp.g, A, l, u, z, y, st, dt, settings.feas_tol)
                 if pol is None:
@@ -493,7 +494,7 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
                     ub_multipliers=mu_ub, kkt_residual=res, iterations=it,
                 )
 
-        cert = qp_solver._primal_infeasibility_cert(A, l, u, dy, settings.cert_tol, settings.feas_tol)
+        cert = qp_solver._primal_infeasibility_cert(A, l, u, dy, qp_solver._CERT_TOL, settings.feas_tol)
         if cert is not None:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(cert, n)
             return QpSolution(
@@ -501,7 +502,7 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
                 iterations=it,
                 infeasibility_certificate={"eq": lam, "ineq": mu, "lb": mu_lb, "ub": mu_ub},
             )
-        ray = qp_solver._dual_infeasibility_cert(qp.H, qp.g, A, l, u, dx, settings.cert_tol)
+        ray = qp_solver._dual_infeasibility_cert(qp.H, qp.g, A, l, u, dx, qp_solver._CERT_TOL)
         if ray is not None:
             return QpSolution(status=QpStatus.UNBOUNDED, iterations=it, unbounded_ray=ray)
 

@@ -246,6 +246,8 @@ class TestConfig:
         ("tolerances", "kkt_tol", 0),
         ("tolerances", "max_iter", 0),
         ("tolerances", "max_iter", "x"),
+        ("tolerances", "rho", 1.0),
+        ("tolerances", "polish_gate_prim", 0.1),
     ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
     def test_wrong_config_value_rejected(self, capsys, tmp_path, section, key, value):
         path = tmp_path / "run.json"
@@ -386,6 +388,23 @@ class TestConfig:
         assert code == 1
         assert out == ""
         assert err.strip() == "error: dual active-set kernel exceeded 1 steps"
+
+    @pytest.mark.parametrize("argv", [
+        ("rci",),
+        ("control", "--z=0,0"),
+        ("check-storage",),
+        ("simulate", "--y0=0,0"),
+        ("sweep",),
+        ("verify-all",),
+    ], ids=" ".join)
+    def test_no_invariant_box_is_a_domain_failure(self, capsys, tmp_path, argv):
+        # no box within the state bounds absorbs disturbances this wide
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"problem": {"w_bounds": [-10, 10]}}))
+        code, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: no robust control invariant")
 
     def test_json_output_format_accepted(self, capsys, tmp_path):
         path = tmp_path / "run.json"

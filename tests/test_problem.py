@@ -21,7 +21,7 @@ from tube_dissip.problem import (
 )
 from tube_dissip.qp_solver import DEFAULT_SETTINGS
 from tube_dissip.sampling import feasible_pair, monotone_cone_box, random_box_within
-from tube_dissip.tube_mpc import _resolved
+from tube_dissip.tube_mpc import _controller
 
 from .oracles import (
     build_g_block,
@@ -352,7 +352,7 @@ class TestClosedFormDecision:
 
     def test_one_step_paths_call_no_solver(self, spec, cfg_ic, x_star, forbid_solver):
         optimal_rci(spec)
-        _resolved(spec, cfg_ic)
+        _controller(spec, cfg_ic)
         patched = forbid_solver()
         assert patched == ["tube_dissip.qp_solver"]
         unreachable = box((0, 1), (0, 1))

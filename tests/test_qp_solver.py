@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -22,7 +21,7 @@ from tube_dissip.qp_solver import (
     verify_kkt,
 )
 from tube_dissip.sampling import feasible_chain, random_box_within
-from tube_dissip.tube_mpc import TubeMpcConfig, _resolved
+from tube_dissip.tube_mpc import TubeMpcConfig, _controller
 
 from . import oracles
 from .oracles import admm_reference
@@ -431,15 +430,6 @@ class TestBuilder:
         assert qp.Aeq.shape == (1, 2)
 
 
-def test_debug_dump_round_trips_matrices(rng):
-    qp = random_qp(rng, n=3, m=4)
-    obj = json.loads(json.dumps(qp.to_json_dict()))
-    np.testing.assert_allclose(np.array(obj["H"]), qp.H)
-    np.testing.assert_allclose(np.array(obj["Ain"]), qp.Ain)
-    np.testing.assert_allclose(np.array(obj["g"]), qp.g)
-    assert obj["Aeq"] is None
-
-
 def tube_qps(spec):
     # a 7x7 grid over the state bounds for both controllers, and two states
     # within them from which one step cannot reach the invariant box
@@ -447,7 +437,7 @@ def tube_qps(spec):
     cfgs = (TubeMpcConfig(use_initial_cost=True), TubeMpcConfig(use_initial_cost=False))
     states = [(cfg, z) for cfg in cfgs for z in grid]
     states += [(TubeMpcConfig(horizon=1), z) for z in ((0.0, 4.0), (-2.0, -4.5))]
-    return [oracles.tube_qp_reference(spec, *_resolved(spec, cfg)[:2], cfg, z, False) for cfg, z in states]
+    return [oracles.tube_qp_reference(spec, *_controller(spec, cfg)[:2], cfg, z, False) for cfg, z in states]
 
 
 def eval_v2_qps(spec, rng, count=25):
@@ -509,32 +499,3 @@ class TestExactness:
         for qp in qps:
             assert_matches_reference(qp)
 
-
-def test_each_active_set_polished_at_most_once_per_solve(spec, rng, monkeypatch):
-    qps = eval_v2_qps(spec, rng) + tube_qps(spec)
-    real_polish = qp_solver._try_polish
-    signatures = []
-
-    def counting_polish(H, g, rows, low, upp, feas_tol):
-        signatures.append(low.tobytes() + upp.tobytes())
-        return real_polish(H, g, rows, low, upp, feas_tol)
-
-    real_reference_polish = oracles._reference_polish
-    reference_attempts = 0
-
-    def counting_reference_polish(*args):
-        nonlocal reference_attempts
-        reference_attempts += 1
-        return real_reference_polish(*args)
-
-    monkeypatch.setattr(qp_solver, "_try_polish", counting_polish)
-    monkeypatch.setattr(oracles, "_reference_polish", counting_reference_polish)
-    attempts = 0
-    for qp in qps:
-        signatures.clear()
-        solve(qp)
-        assert len(signatures) == len(set(signatures))
-        attempts += len(signatures)
-        admm_reference(qp)
-    # the memo is exercised: without it the same solves polish more often
-    assert 0 < attempts < reference_attempts

@@ -126,8 +126,8 @@ class TestSolveTmpc:
             seen.append(x)
             return x, answer[1]
 
-        # the controller's invariant box is solved before the patch
-        tube_mpc._resolved(spec, cfg_noic)
+        # the controller, its invariant box included, is built before the patch
+        tube_mpc._controller(spec, cfg_noic)
         monkeypatch.setattr(cost_to_travel, "_solve_program", inverted_solve)
         sol = solve_tmpc(spec, cfg_noic, (-1.0, -2.0))
         assert seen and sol.status is QpStatus.OPTIMAL
@@ -266,8 +266,9 @@ class TestTemplate:
         # solves leave the cached program as assembled, but for the laws they add
         cfg = CONFIGS[name]
         sweep_feedback(spec, cfg, STATE_GRID)
-        fresh = tube_mpc._tube_program(spec, cfg)
-        assert_same_program(tube_mpc._controller(spec, cfg).prog, fresh)
+        controller = tube_mpc._controller(spec, cfg)
+        fresh = tube_mpc._tube_program(spec, cfg, controller.terminal, controller.storage)
+        assert_same_program(controller.prog, fresh)
 
     @pytest.mark.parametrize("name", ["horizon_1"])
     def test_one_step_equals_the_assembly_at_each_state(self, spec, name):
@@ -275,7 +276,7 @@ class TestTemplate:
         # program is feasible exactly when that point box reaches the
         # terminal box in one step, and u0's window is that step's
         cfg = CONFIGS[name]
-        terminal, _, _ = tube_mpc._resolved(spec, cfg)
+        terminal = tube_mpc._controller(spec, cfg).terminal
         verdicts = set()
         for z in FINE_GRID:
             sol = solve_tmpc(spec, cfg, z)
@@ -626,7 +627,7 @@ def admm_tube(horizon: int, use_initial_cost: bool, containment: bool, z):
     """
     spec = ProblemSpec.default()
     cfg = TubeMpcConfig(horizon=horizon, use_initial_cost=use_initial_cost)
-    terminal, storage, _ = tube_mpc._resolved(spec, cfg)
+    terminal, storage, _, _ = tube_mpc._controller(spec, cfg)
     sol = solve(tube_qp_reference(spec, terminal, storage, cfg, z, containment))
     assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
     if sol.status is QpStatus.INFEASIBLE:
@@ -641,7 +642,7 @@ class TestAgainstAdmm:
     def test_agrees_with_the_admm_oracle(self, spec, name):
         cfg = CONFIGS[name]
         n = cfg.horizon
-        terminal, _, _ = tube_mpc._resolved(spec, cfg)
+        terminal = tube_mpc._controller(spec, cfg).terminal
         statuses = set()
         for z, on_x in ORACLE_STATES:
             sol = solve_tmpc(spec, cfg, z)
