@@ -37,6 +37,9 @@ from .tube_mpc import TubeMpcConfig, solve_tmpc, sweep_feedback
 from dataclasses import replace
 
 DEFAULT_SEED = 0
+# the most points per axis of a sweep grid: about a million solves, and the
+# grid is a list of grid**2 states built before the first of them
+MAX_GRID = 1001
 
 
 def _fmt(value) -> str:
@@ -250,6 +253,8 @@ def _cmd_control(run: RunConfig, args) -> int:
 def _cmd_sweep(run: RunConfig, args) -> int:
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
+    if args.grid > MAX_GRID:
+        raise ConfigError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
     cfg = _controller_config(run, args)
     xb = run.spec.x_bounds
     grid = [

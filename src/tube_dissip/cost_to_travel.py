@@ -13,9 +13,14 @@ eliminated (:func:`~tube_dissip.problem.transition_rows`), a strictly convex
 QP in box corners alone that the dual active-set kernel of ``qp_solver``
 solves exactly; the tube MPC program of ``tube_mpc`` is first looked up in
 its table of affine laws (:class:`_LawTable`).  These programs and the tube
-program are read back into boxes by one helper, :func:`_solve_tube`: free corners
-clipped onto the state bounds and snapped at ``feas_tol``, and every step
-of the tube checked by :func:`~tube_dissip.problem.transition_witness`.
+program are read back into boxes by one helper, :func:`_solve_tube`, in one
+plain-float pass over the corners: free corners are clipped onto the state
+bounds; a free box whose corners are in order is built without
+re-validation, any other through ``IntervalBox.from_corners``, which snaps
+an inversion within ``feas_tol``; and every step of the tube is decided by
+the one core of the one-step rule
+(:func:`~tube_dissip.problem.transition_witness`), on constants the
+``ProblemSpec`` computed when it was built.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .interval_sets import IntervalBox
-from .problem import ProblemSpec, stage_cost, transition_rows, transition_witness
+from .problem import ProblemSpec, _step_witness, stage_cost, transition_rows, transition_witness
 from .qp_solver import DEFAULT_SETTINGS, SolverFailure, SolverSettings, _dual_active_set
 
 __all__ = [
@@ -391,24 +396,45 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, settings
 
     Every free box is the source of a step, so its rows keep it within the
     state bounds and its corners in order, but only to within the kernel's
-    rounding guard; clipped onto the bounds and snapped at ``feas_tol``, it
-    passes exact inclusion tests such as the storage form's domain.  The
-    cost is taken at the clipped corners.
+    rounding guard; clipped onto the bounds, it passes exact inclusion tests
+    such as the storage form's domain.  The read-back is one pass over the
+    corner floats.  A free box whose clipped corners are in order is built
+    without re-validation (they are finite after the clip, and a NaN fails
+    the order test); any other goes through
+    :meth:`~tube_dissip.interval_sets.IntervalBox.from_corners`, which snaps
+    an inversion within ``feas_tol`` and raises ValueError beyond it.  Each
+    step is then decided by the one-step rule of
+    :func:`~tube_dissip.problem.transition_witness` on the spec's constants
+    and those corners; a refused step raises SolverFailure.  The cost is
+    taken at the clipped corners.
     """
     x, _ = _solve_program(prog, p, settings)
     if x is None:
         return None
     x = np.minimum(np.maximum(x, prog.lo), prog.hi)
+    feas_tol = settings.feas_tol
     corners = x.tolist()
-    free = (IntervalBox.from_corners(corners[k : k + 4], snap_tol=settings.feas_tol) for k in range(0, x.size, 4))
-    tube = (*head, *free, *tail)
+    boxes = [*head]
+    quads = [*map(IntervalBox.corners, head)]
+    for k in range(0, len(corners), 4):
+        quad = a1, a2, a3, a4 = corners[k : k + 4]
+        if a1 <= a2 and a3 <= a4:
+            box = IntervalBox._trusted((a1, a3), (a2, a4))
+        else:
+            box = IntervalBox.from_corners(quad, snap_tol=feas_tol)
+            quad = box.corners()
+        boxes.append(box)
+        quads.append(quad)
+    boxes += tail
+    quads += map(IntervalBox.corners, tail)
+    step = spec._step
     witnesses = []
-    for src, dst in zip(tube[:-1], tube[1:]):
-        witness = transition_witness(spec, src, dst, settings)
+    for (a1, a2, a3, a4), (b1, b2, b3, b4) in zip(quads, quads[1:]):
+        witness = _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4, feas_tol)
         if witness is None:
             raise SolverFailure("a step of the minimising tube is not a transition")
         witnesses.append(witness)
-    return float(prog.d @ (x * x) + prog.q @ x), tube, tuple(witnesses)
+    return float(prog.d @ (x * x) + prog.q @ x), tuple(boxes), tuple(witnesses)
 
 
 def _row_tol(settings: SolverSettings) -> float:

@@ -53,6 +53,15 @@ class IntervalBox:
         return cls(lo=(a1, a3), hi=(a2, a4))
 
     @classmethod
+    def _trusted(cls, lo: tuple[float, float], hi: tuple[float, float]) -> "IntervalBox":
+        """A box from float corner pairs the caller knows to be finite and in order, built without the checks."""
+        box = object.__new__(cls)
+        fields = box.__dict__
+        fields["lo"] = lo
+        fields["hi"] = hi
+        return box
+
+    @classmethod
     def from_intervals(cls, ix: Sequence[float], iy: Sequence[float]) -> "IntervalBox":
         """Build a box from per-dimension intervals ``[lo, hi]``."""
         return cls(lo=(float(ix[0]), float(iy[0])), hi=(float(ix[1]), float(iy[1])))

@@ -18,10 +18,11 @@ relation for this family.
 
 With A and B both fixed those rows leave two intervals for the edge controls
 and one coupling row between them, so a single step is decided in closed form
-by :func:`transition_witness`, with no solver.  Eliminating the edge controls
-from those intervals leaves linear rows on the corners of A and B alone
-(:func:`transition_rows`), the constraints of the multi-step cost-to-travel,
-invariant-box and tube MPC programs.
+by :func:`transition_witness`, with no solver, on plain-float constants
+each :class:`ProblemSpec` computes once, when it is built.  Eliminating the
+edge controls from those intervals leaves linear rows on the corners of A
+and B alone (:func:`transition_rows`), the constraints of the multi-step
+cost-to-travel, invariant-box and tube MPC programs.
 """
 
 from __future__ import annotations
@@ -105,6 +106,19 @@ class ProblemSpec:
             raise ConfigError(f"w_bounds must be a nonempty interval, got {self.w_bounds}")
         if any(d <= 0.0 for d in self.cost_quad):
             raise ConfigError("cost_quad entries must be positive (strict convexity)")
+        if not isinstance(self.x_bounds, IntervalBox):
+            raise ConfigError(f"x_bounds must be an IntervalBox, got {self.x_bounds!r}")
+        # read by every one-step decision and every cache lookup, so computed
+        # once: the one-step rule's constants, in the order _step_witness
+        # unpacks them, and the hash dataclass would derive from the fields.
+        # Neither is a field, so ==, repr and the JSON form are unchanged.
+        (x1_lo, x2_lo), (x1_hi, x2_hi) = self.x_bounds.lo, self.x_bounds.hi
+        object.__setattr__(self, "_step", (self.alpha, *self.u_bounds, *self.w_bounds, x1_lo, x1_hi, x2_lo, x2_hi))
+        fields = (self.alpha, self.x_bounds, self.u_bounds, self.w_bounds, self.cost_linear, self.cost_quad)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def w_lo(self) -> float:
@@ -270,14 +284,14 @@ def transition_witness(
     pair that leaves the most room in the coupling row, each moved by
     ``slack`` so that it meets every row within that relaxation.
     """
-    # every eval_v(N=1) runs this, so fields are unpacked directly rather
-    # than through corners() and the u/w properties
-    al = spec.alpha
-    u_lo, u_hi = spec.u_bounds
-    w_lo, w_hi = spec.w_bounds
-    (x1_lo, x2_lo), (x1_hi, x2_hi) = spec.x_bounds.lo, spec.x_bounds.hi
     (a1, a3), (a2, a4) = a.lo, a.hi
     (b1, b3), (b2, b4) = b.lo, b.hi
+    return _step_witness(spec._step, a1, a2, a3, a4, b1, b2, b3, b4, settings.feas_tol)
+
+
+def _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4, feas_tol):
+    """:func:`transition_witness` on plain floats: a spec's ``_step`` constants and the corners of a and b."""
+    al, u_lo, u_hi, w_lo, w_hi, x1_lo, x1_hi, x2_lo, x2_hi = step
     v1_lo = max(b1, u_lo, b3 - al * a3 - w_lo)
     v1_hi = min(b2, u_hi)
     v2_lo = max(b1, u_lo)
@@ -293,7 +307,7 @@ def transition_witness(
         x2_lo - a3,
         a4 - x2_hi,
     )
-    if slack > settings.feas_tol:
+    if slack > feas_tol:
         return None
     return (v1_lo - slack, v2_hi + slack)
 

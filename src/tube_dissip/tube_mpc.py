@@ -30,8 +30,13 @@ checks are computed exactly as the block's, so the first law whose full
 check holds answers, bit for bit as without the screen.  The right-hand
 side ``h0 - P @ z`` is formed only when the kernel runs.  The answer is
 read back into boxes and edge controls by the same helper as those values
-(``cost_to_travel._solve_tube``).  A terminal box that is not its
-own successor is accepted, with a warning at every solve.
+(``cost_to_travel._solve_tube``), in one plain-float pass over the clipped
+corners: a box whose corners are in order is built without re-validation,
+any other through ``IntervalBox.from_corners``, and every step is decided
+by the one core of the one-step rule, on the constants the ``ProblemSpec``
+computed when it was built; the control window reads the same constants.
+A terminal box that is not its own successor is accepted, with a warning at
+every solve.
 
 The cost does not depend on ``u0``, so it is reported in closed form from
 the optimal tube: the window ``[lo, hi]`` clamped towards zero as
@@ -187,9 +192,10 @@ def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optio
 
 def _window(spec: ProblemSpec, b: IntervalBox, z2: float) -> tuple[float, float]:
     """The window ``(lo, hi)`` of the module docstring: controls taking second coordinate z2 into b."""
-    b1, b2, b3, b4 = b.corners()
-    lo = max(b1, b3 - spec.alpha * z2 - spec.w_lo, spec.u_lo)
-    hi = min(b2, b4 - spec.alpha * z2 - spec.w_hi, spec.u_hi)
+    al, u_lo, u_hi, w_lo, w_hi, _, _, _, _ = spec._step
+    (b1, b3), (b2, b4) = b.lo, b.hi
+    lo = max(b1, b3 - al * z2 - w_lo, u_lo)
+    hi = min(b2, b4 - al * z2 - w_hi, u_hi)
     return lo, hi
 
 

@@ -23,7 +23,7 @@ from scipy.optimize import linprog, nnls
 
 from tube_dissip import qp_solver
 from tube_dissip.interval_sets import IntervalBox
-from tube_dissip.problem import ProblemSpec, stage_cost
+from tube_dissip.problem import ProblemSpec, stage_cost, transition_witness
 from tube_dissip.qp_solver import (
     DEFAULT_SETTINGS,
     QpBuilder,
@@ -718,3 +718,19 @@ def kkt_residual(qp: QpProblem, x, active_tol: float = 1e-9) -> float:
         y, _ = nnls(G[active].T, -grad)
         grad = grad + G[active].T @ y
     return max(float(np.max(np.abs(grad), initial=0.0)), float(np.max(-slack, initial=0.0)))
+
+
+def assert_validated_read_back(spec: ProblemSpec, tube, witnesses, settings: SolverSettings = DEFAULT_SETTINGS) -> None:
+    """A read-back tube and its step witnesses are what the validating path gives.
+
+    Every box must equal, field for field and with float corners, the box
+    ``IntervalBox.from_corners`` builds from its corners with the snap at
+    ``feas_tol``, and every witness must be ``transition_witness`` of its step.
+    """
+    for b in tube:
+        want = IntervalBox.from_corners(b.corners(), snap_tol=settings.feas_tol)
+        assert type(b) is IntervalBox and vars(b).keys() == {"lo", "hi"}
+        assert all(type(c) is float for c in b.corners()), b
+        assert repr((b.lo, b.hi)) == repr((want.lo, want.hi)), b
+    steps = zip(tube[:-1], tube[1:])
+    assert tuple(witnesses) == tuple(transition_witness(spec, a, b, settings) for a, b in steps)

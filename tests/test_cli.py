@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from tube_dissip import tube_mpc
-from tube_dissip.cli import main
+from tube_dissip.cli import MAX_GRID, main
 from tube_dissip.cost_to_travel import CostToTravelResult
 from tube_dissip.dissipativity import SeparabilityReport
 from tube_dissip.interval_sets import IntervalBox
@@ -134,6 +135,18 @@ class TestSweep:
         assert len(lines) == 10
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["status"] == "optimal"
+
+    @pytest.mark.parametrize("grid", [MAX_GRID + 1, 100_000_000])
+    def test_grid_beyond_the_cap_rejected_before_it_is_built(self, capsys, monkeypatch, grid):
+        # a 10**8-point axis would be a 10**16-state list before the first solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "linspace", forbidden)
+        code, out, err = run_cli(capsys, "sweep", "--grid", str(grid))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --grid must be at most {MAX_GRID}, got {grid}\n"
 
 
 class TestSimulate:

@@ -344,7 +344,7 @@ class TestMultiStepValues:
 
     def test_a_step_refused_by_the_one_step_rule_raises(self, spec, x_star, monkeypatch):
         # the kernel's minimiser meets every row, so this needs a broken rule
-        monkeypatch.setattr(cost_to_travel, "transition_witness", lambda *args: None)
+        monkeypatch.setattr(cost_to_travel, "_step_witness", lambda *args: None)
         with pytest.raises(SolverFailure, match="not a transition"):
             eval_v(spec, x_star, x_star, 2)
 
@@ -376,3 +376,95 @@ class TestMultiStepValues:
         assert v_star == pytest.approx(-0.2, abs=1e-12)
         with pytest.raises(RciNotFound):
             optimal_rci(ProblemSpec(x_bounds=IntervalBox(lo=(-5.0, 0.0), hi=(5.0, 0.5))), settings)
+
+
+# ---------------------------------------------------------------------------
+# the read-back: one plain-float pass, equal to the validating path
+
+
+class TestReadBack:
+    @pytest.mark.parametrize("n_steps", [2, 3])
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    def test_chains_read_back_as_validated(self, spec_name, n_steps):
+        spec = SPECS[spec_name]
+        rng = np.random.default_rng(n_steps)
+        feasible = 0
+        for _ in range(150):
+            chain = feasible_chain(spec, rng, n_steps)
+            res = eval_v(spec, chain[0], chain[-1], n_steps)
+            if res.feasible:
+                feasible += 1
+                assert res.tube[0] is chain[0] and res.tube[-1] is chain[-1]
+                oracles.assert_validated_read_back(spec, res.tube, res.aux_controls)
+        assert feasible >= 140
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    def test_invariant_box_reads_back_as_validated(self, spec_name):
+        spec = SPECS[spec_name]
+        found, _ = cost_to_travel._optimal_rci.__wrapped__(spec, DEFAULT_SETTINGS)
+        oracles.assert_validated_read_back(spec, (found,), ())
+
+    @staticmethod
+    def read_back(monkeypatch, spec, x, ends=()):
+        """``_solve_tube`` of the 2-step chain program answering x, between the boxes ends or alone, with box builds counted."""
+        built = {"trusted": 0, "from_corners": 0}
+        real_trusted, real_from_corners = IntervalBox._trusted, IntervalBox.from_corners
+
+        def trusted(cls, lo, hi):
+            built["trusted"] += 1
+            return real_trusted(lo, hi)
+
+        def from_corners(cls, a, snap_tol=0.0):
+            built["from_corners"] += 1
+            assert snap_tol == DEFAULT_SETTINGS.feas_tol
+            return real_from_corners(a, snap_tol)
+
+        monkeypatch.setattr(IntervalBox, "_trusted", classmethod(trusted))
+        monkeypatch.setattr(IntervalBox, "from_corners", classmethod(from_corners))
+        monkeypatch.setattr(cost_to_travel, "_solve_program", lambda prog, p, settings: (np.array(x), None))
+        prog = cost_to_travel._chain_stack(spec, 2)
+        try:
+            solved = cost_to_travel._solve_tube(spec, prog, None, ends[:1], ends[1:], DEFAULT_SETTINGS)
+        except ValueError:
+            assert built == {"trusted": 0, "from_corners": 1}
+            raise
+        finally:
+            monkeypatch.undo()
+        return solved, built
+
+    def test_ordered_corners_give_a_trusted_box(self, spec, x_star, monkeypatch):
+        # x_star's only one-step successor of its shape is x_star itself
+        x = list(x_star.corners())
+        (cost, tube, witnesses), built = self.read_back(monkeypatch, spec, x, (x_star, x_star))
+        assert built == {"trusted": 1, "from_corners": 0}
+        assert tube == (x_star, x_star, x_star) and tube[1] is not x_star
+        assert cost == pytest.approx(stage_cost(spec, x_star), abs=1e-12)
+        oracles.assert_validated_read_back(spec, tube, witnesses)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_corners_inverted_within_feas_tol_snapped_as_from_corners(self, spec, monkeypatch, dim):
+        x = [-1.0, -1.0, -4.0, -1.5]
+        x[2 * dim] = x[2 * dim + 1] + 0.5 * DEFAULT_SETTINGS.feas_tol
+        (_, (got,), ()), built = self.read_back(monkeypatch, spec, x)
+        assert built == {"trusted": 0, "from_corners": 1}
+        want = IntervalBox.from_corners(x, snap_tol=DEFAULT_SETTINGS.feas_tol)
+        assert repr((got.lo, got.hi)) == repr((want.lo, want.hi))
+        assert got.lo[dim] == got.hi[dim]
+        oracles.assert_validated_read_back(spec, (got,), ())
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_corners_inverted_beyond_feas_tol_raise_as_from_corners(self, spec, monkeypatch, dim):
+        x = [-1.0, -1.0, -4.0, -1.5]
+        x[2 * dim] = x[2 * dim + 1] + 2.0 * DEFAULT_SETTINGS.feas_tol
+        with pytest.raises(ValueError) as want:
+            IntervalBox.from_corners(x, snap_tol=DEFAULT_SETTINGS.feas_tol)
+        with pytest.raises(ValueError) as got:
+            self.read_back(monkeypatch, spec, x)
+        assert str(got.value) == str(want.value) and "empty interval" in str(got.value)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_a_nan_corner_raises(self, spec, monkeypatch, index):
+        x = [-1.0, -1.0, -4.0, -1.5]
+        x[index] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            self.read_back(monkeypatch, spec, x)

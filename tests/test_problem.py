@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -94,6 +97,85 @@ class TestProblemSpec:
     def test_nan_and_unbounded_disturbance_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ProblemSpec(**kwargs)
+
+
+class TestPerSpecValues:
+    """The one-step constants and the hash a spec computes once, when it is built."""
+
+    CHANGED = {"alpha": 0.8, "w_bounds": (-0.5, 0.5)}
+
+    @staticmethod
+    def pairs(spec, seed=5):
+        rng = np.random.default_rng(seed)
+        feasible = [feasible_pair(spec, rng) for _ in range(100)]
+        unrelated = [(random_box_within(rng, spec.x_bounds), random_box_within(rng, spec.x_bounds)) for _ in range(100)]
+        return feasible + unrelated
+
+    def test_equal_specs_hash_equal(self):
+        specs = [
+            ProblemSpec(),
+            ProblemSpec.default(),
+            ProblemSpec.from_json_dict(json.loads(json.dumps(SPEC.to_json_dict()))),
+            ProblemSpec(x_bounds=IntervalBox((-5, -5), (5, 5)), u_bounds=[-5, 5], cost_linear=[0, 2, 0, 0]),
+        ]
+        assert all(s == SPEC for s in specs)
+        assert {hash(s) for s in specs} == {hash(SPEC)}
+        # the hash the dataclass would derive from the fields, and no other
+        fields = tuple(getattr(SPEC, f.name) for f in dataclasses.fields(SPEC))
+        assert hash(SPEC) == hash(fields)
+        assert hash(ProblemSpec(**self.CHANGED)) != hash(SPEC)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [CHANGED, {"u_bounds": (-3.0, 4.0), "x_bounds": IntervalBox((-4.0, -6.0), (6.0, 4.0))}],
+        ids=["alpha and W", "U and X"],
+    )
+    def test_replace_recomputes_the_constants(self, changes):
+        changed = dataclasses.replace(SPEC, **changes)
+        fresh = ProblemSpec(**changes)
+        assert changed == fresh and hash(changed) == hash(fresh) and hash(changed) != hash(SPEC)
+        pairs = self.pairs(fresh)
+        witnesses = [transition_witness(changed, a, b) for a, b in pairs]
+        assert witnesses == [transition_witness(fresh, a, b) for a, b in pairs]
+        # the constants are the new spec's, not the old one's: the verdicts
+        # are the row rule's on the new fields
+        assert witnesses != [transition_witness(SPEC, a, b) for a, b in pairs]
+        for (a, b), w in zip(pairs, witnesses):
+            assert (w is not None) == transition_feasible_rows(fresh, a, b, FEAS_TOL), (a, b)
+
+    @pytest.mark.parametrize(
+        "copy_spec", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    @pytest.mark.parametrize("kwargs", [{}, CHANGED, {"u_bounds": (-INF, INF)}], ids=["default", "changed", "unbounded U"])
+    def test_copies_are_equal_and_usable(self, copy_spec, kwargs):
+        spec = ProblemSpec(**kwargs)
+        back = copy_spec(spec)
+        assert back == spec and hash(back) == hash(spec) and repr(back) == repr(spec)
+        pairs = self.pairs(spec)
+        assert [transition_witness(back, a, b) for a, b in pairs] == [transition_witness(spec, a, b) for a, b in pairs]
+        a, c = pairs[0][0], pairs[1][1]
+        assert repr(eval_v(back, a, c, 2)) == repr(eval_v(spec, a, c, 2))
+
+    def test_repr_and_json_show_only_the_fields(self):
+        assert [f.name for f in dataclasses.fields(SPEC)] == [
+            "alpha", "x_bounds", "u_bounds", "w_bounds", "cost_linear", "cost_quad",
+        ]
+        assert repr(SPEC) == (
+            "ProblemSpec(alpha=0.5, x_bounds=IntervalBox([-5.0, 5.0] x [-5.0, 5.0]), u_bounds=(-5.0, 5.0), "
+            "w_bounds=(-1.0, 1.0), cost_linear=(0.0, 2.0, 0.0, 0.0), cost_quad=(0.15, 0.05, 0.1, 0.05))"
+        )
+        assert SPEC.to_json_dict() == {
+            "alpha": 0.5,
+            "x_bounds": [[-5.0, 5.0], [-5.0, 5.0]],
+            "u_bounds": [-5.0, 5.0],
+            "w_bounds": [-1.0, 1.0],
+            "cost_linear": [0.0, 2.0, 0.0, 0.0],
+            "cost_quad": [0.15, 0.05, 0.1, 0.05],
+        }
+
+    def test_state_bounds_that_are_not_a_box_rejected(self):
+        with pytest.raises(ConfigError, match="x_bounds"):
+            ProblemSpec(x_bounds=[[-5.0, 5.0], [-5.0, 5.0]])
 
 
 class TestStageCost:

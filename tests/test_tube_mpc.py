@@ -23,7 +23,7 @@ from tube_dissip.tube_mpc import (
     sweep_feedback,
 )
 
-from .oracles import program_answer, row_violations, tube_qp_reference
+from .oracles import assert_validated_read_back, program_answer, row_violations, tube_qp_reference
 
 INF = float("inf")
 
@@ -392,6 +392,25 @@ FIXED_ROW_STATES = (
     + [state for pair in WITHIN_THE_BAND for state in pair]
     + BEYOND_THE_BAND
 )
+
+
+class TestReadBack:
+    """Every tube the plain-float read-back gives is the one the validating path gives."""
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_tubes_read_back_as_validated(self, spec, name):
+        cfg = CONFIGS[name]
+        terminal = tube_mpc._controller(spec, cfg).terminal
+        states = FINE_GRID + [tuple(z) for z in np.random.default_rng(16).uniform(-5, 5, (500, 2))]
+        feasible = 0
+        for z in states:
+            sol = solve_tmpc(spec, cfg, z)
+            if sol.feasible:
+                feasible += 1
+                assert len(sol.tube) == cfg.horizon + 1 and sol.tube[-1] is terminal
+                assert_validated_read_back(spec, sol.tube, sol.edge_controls)
+        # every state for horizons 2 and 3; at horizon 1 about two in five
+        assert feasible >= len(states) // 3
 
 
 class TestFixedRows:
