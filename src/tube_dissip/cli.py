@@ -81,7 +81,7 @@ class RunConfig:
 
     KNOWN_KEYS = {"problem", "controller", "tolerances", "seed", "output"}
     CONTROLLER_KEYS = {"horizon", "use_initial_cost", "storage", "terminal_set"}
-    TOLERANCE_KEYS = {"kkt_tol", "feas_tol", "max_iter"}
+    TOLERANCE_KEYS = {"feas_tol", "max_iter"}
     OUTPUT_KEYS = {"path", "format"}
 
     def __init__(self, obj: dict):
@@ -115,9 +115,9 @@ class RunConfig:
         unknown = set(tols) - self.TOLERANCE_KEYS
         if unknown:
             raise ConfigError(f"unknown tolerance config keys: {sorted(unknown)}")
-        for key in ("kkt_tol", "feas_tol"):
-            if key in tols and not (_is_real(tols[key]) and math.isfinite(tols[key]) and tols[key] > 0.0):
-                raise ConfigError(f"tolerances.{key} must be a finite number > 0, got {tols[key]!r}")
+        feas_tol = tols.get("feas_tol", SolverSettings.feas_tol)
+        if not (_is_real(feas_tol) and math.isfinite(feas_tol) and feas_tol > 0.0):
+            raise ConfigError(f"tolerances.feas_tol must be a finite number > 0, got {feas_tol!r}")
         if "max_iter" in tols and not (_is_int(tols["max_iter"]) and tols["max_iter"] >= 1):
             raise ConfigError(f"tolerances.max_iter must be an integer >= 1, got {tols['max_iter']!r}")
         self.settings = replace(SolverSettings(), **tols)

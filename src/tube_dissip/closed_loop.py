@@ -152,16 +152,11 @@ def lyapunov_value(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Sum of rotated costs along consecutive tube boxes; +inf propagates."""
-    total = 0.0
-    for a, b in zip(tube[:-1], tube[1:]):
-        leg = rotated_cost(spec, cfg, a, b, settings)
-        if math.isinf(leg):
-            return _INF
-        total += leg
-    return total
+    return sum(_rotated_legs(spec, cfg, tube, settings), 0.0)
 
 
 def _rotated_legs(spec, cfg, tube, settings) -> tuple[float, ...]:
+    """The rotated cost of each step of the tube; each is finite or +inf, so their float sum propagates +inf."""
     return tuple(rotated_cost(spec, cfg, a, b, settings) for a, b in zip(tube[:-1], tube[1:]))
 
 
@@ -195,7 +190,7 @@ def simulate(
             break
         enclosure = sol.tube[0]
         legs = _rotated_legs(spec, cfg, sol.tube, settings)
-        lyap = _INF if any(math.isinf(v) for v in legs) else sum(legs)
+        lyap = sum(legs, 0.0)
         dist = hausdorff(enclosure, x_star)
         if k == steps:
             records.append(

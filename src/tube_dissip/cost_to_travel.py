@@ -260,12 +260,10 @@ class _CornerProgram(NamedTuple):
     those p does not enter (``+inf`` if none), and ``fixed_p`` indexes the
     others; when p is a state, ``fixed_z`` holds those same rows as plain
     floats ``(h0, c1, c2)``, the row holding at z when
-    ``h0 - (c1*z1 + c2*z2) >= -feas_tol``, and is empty otherwise.
-    ``start`` holds the kernel's start on the rows of ``G_free``, or is
-    empty for a cold start.  ``lo`` and ``hi`` are the state bounds at every
-    free corner, onto which the read-back clips.  ``laws`` is the tube
-    program's table of affine laws, filled as it is solved; chains and the
-    invariant box have None.
+    ``h0 - (c1*z1 + c2*z2) >= -feas_tol``, and is empty otherwise.  ``lo``
+    and ``hi`` are the state bounds at every free corner, onto which the
+    read-back clips.  ``laws`` is the tube program's table of affine laws,
+    filled as it is solved; chains and the invariant box have None.
     """
 
     d: np.ndarray
@@ -278,7 +276,6 @@ class _CornerProgram(NamedTuple):
     fixed_min: float
     fixed_p: np.ndarray
     fixed_z: tuple[tuple[float, float, float], ...]
-    start: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     laws: Optional[_LawTable] = None
@@ -295,7 +292,6 @@ def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
         fixed_min=float(np.min(h0[fixed & ~enters], initial=_INF)),
         fixed_p=fixed_p,
         fixed_z=tuple(zip(h0[fixed_p].tolist(), *P[fixed_p].T.tolist())) if P.shape[1] == 2 else (),
-        start=np.zeros(0),
         lo=np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free),
         hi=np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free),
     )
@@ -346,11 +342,11 @@ def _solve_program(prog: _CornerProgram, p, settings: SolverSettings):
     one comparison for the rows p does not enter, and only the rows it
     enters evaluated at p.  A program with a law table, whose parameter is a
     state ``(z1, z2)``, evaluates those in plain floats and answers from the
-    first stored law that holds at z; only on a miss does it form h and run
-    the kernel from ``start``, learn the law of the active set the kernel
-    returns, and answer from that law if it holds, else from the kernel.
-    Other programs run the kernel at every solve, so they form h first and
-    check their fixed rows on it.
+    first stored law that holds at z; only on a miss does it form h, run the
+    kernel cold, learn the law of the active set the kernel returns, and
+    answer from that law if it holds, else from the kernel.  Other programs
+    run the kernel at every solve, so they form h first and check their
+    fixed rows on it.
     """
     feas_tol = settings.feas_tol
     laws = prog.laws
@@ -387,8 +383,7 @@ def _worst_fixed_row(prog: _CornerProgram, h: np.ndarray) -> int:
 
 
 def _run_kernel(prog: _CornerProgram, h: np.ndarray, settings: SolverSettings):
-    start = prog.start if prog.start.size else None
-    return _corner_qp(prog.d, prog.q, prog.G_free, h[~prog.fixed], settings, start)
+    return _dual_active_set(prog.d, prog.q, prog.G_free, h[~prog.fixed], _row_tol(settings), settings.max_iter)
 
 
 def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, settings: SolverSettings):
@@ -441,10 +436,6 @@ def _row_tol(settings: SolverSettings) -> float:
     # rows count as holding within a rounding guard far inside feas_tol, so
     # each step of a minimiser still passes the one-step rule after the snap
     return 1e-3 * settings.feas_tol
-
-
-def _corner_qp(d, q, G, h, settings: SolverSettings, start=None):
-    return _dual_active_set(d, q, G, h, _row_tol(settings), settings.max_iter, start)
 
 
 def optimal_rci(

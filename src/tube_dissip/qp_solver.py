@@ -28,13 +28,13 @@ them that needs a solver (multi-step cost-to-travel values, the optimal
 invariant box and the tube MPC program) has a positive diagonal Hessian and
 inequality rows only, and goes to the private dense dual active-set kernel
 :func:`_dual_active_set`, which is exact, ends in finitely many steps and
-returns either multipliers or a Farkas ray.  It starts cold or from a
-dual-feasible start; the tube MPC program starts from the cached optimum of
-its state-free rows, and calls it only when none of the affine laws it has
-kept from earlier answers holds at the state.  :func:`solve` and :class:`QpBuilder` remain as an
-independent reference solver: the tests assemble the original programs,
-edge controls included, through them.  Only they need scipy, which they
-import on first use, so importing the package does not load it.
+returns either multipliers or a Farkas ray.  It always starts cold, at the
+unconstrained minimiser; the tube MPC program calls it only when none of the
+affine laws it has kept from earlier answers holds at the state.
+:func:`solve` and :class:`QpBuilder` remain as an independent reference
+solver: the tests assemble the original programs, edge controls included,
+through them.  Only they need scipy, which they import on first use, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -79,22 +79,22 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    kkt_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 10000
 
 
 # ADMM's fixed parameters: proximal weight, relaxation, initial step (scaled
-# up on equality rows), residual check cadence and divergence-certificate
-# tolerance
+# up on equality rows), residual check cadence, divergence-certificate
+# tolerance and the KKT residual an OPTIMAL answer must meet
 _SIGMA = 1e-6
 _ALPHA = 1.6
 _RHO = 1.0
 _RHO_EQ_SCALE = 1e3
 _CHECK_EVERY = 25
 _CERT_TOL = 1e-10
+_KKT_TOL = 1e-8
 # residual levels at which an active-set polish is attempted; the polish
-# self-verifies against kkt_tol, so these only trade attempt frequency
+# self-verifies against _KKT_TOL, so these only trade attempt frequency
 # against iteration count
 _POLISH_GATE_PRIM = 1e-1
 _POLISH_GATE_DUAL = 1e0
@@ -453,7 +453,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
                 xp, yp = pol
                 lam, mu, mu_lb, mu_ub = rows.split_multipliers(yp, n)
                 res = _kkt_residual(qp, xp, lam, mu, mu_lb, mu_ub)
-                if res <= settings.kkt_tol:
+                if res <= _KKT_TOL:
                     return QpSolution(
                         status=QpStatus.OPTIMAL,
                         x=xp,
@@ -467,10 +467,10 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
                         polished=True,
                     )
 
-        if r_prim < settings.feas_tol and r_dual < settings.kkt_tol:
+        if r_prim < settings.feas_tol and r_dual < _KKT_TOL:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(y, n)
             res = _kkt_residual(qp, x, lam, mu, mu_lb, mu_ub)
-            if res <= 10 * settings.kkt_tol:
+            if res <= 10 * _KKT_TOL:
                 return QpSolution(
                     status=QpStatus.OPTIMAL,
                     x=x.copy(),
@@ -509,7 +509,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
 def _solve_unconstrained(qp: QpProblem, settings: SolverSettings) -> QpSolution:
     x, *_ = np.linalg.lstsq(qp.H, -qp.g, rcond=None)
     grad = qp.H @ x + qp.g
-    if np.max(np.abs(grad), initial=0.0) > settings.kkt_tol:
+    if np.max(np.abs(grad), initial=0.0) > _KKT_TOL:
         # residual of the least-squares solve lies in the null space of H
         return QpSolution(status=QpStatus.UNBOUNDED, unbounded_ray=-grad)
     return QpSolution(
@@ -560,38 +560,30 @@ def _dual_infeasibility_cert(H, g, A, l, u, dx, tol):
 # dual active-set kernel for separable strictly convex QPs
 
 
-def _dual_active_set(d, q, G, h, tol, max_iter, start=None):
+def _dual_active_set(d, q, G, h, tol, max_iter):
     """Minimise ``sum(d*x**2 + q*x)`` subject to ``G x <= h``, for ``d > 0``.
 
     The dual active-set method of Goldfarb and Idnani (Math. Prog. 1983).  In
     the variables ``w = sqrt(2d)*x`` the Hessian is the identity.  The iterate
-    starts at the unconstrained minimiser ``-q/(2d)`` and stays optimal on its
-    active rows, whose normals stay linearly independent.  The method may
-    start from any such dual-feasible point instead: ``start`` holds the
-    multipliers ``y0 >= 0`` of the minimiser on a subset of the same rows
-    (whose normals with ``y0 > 0`` are independent, as the kernel's own are),
-    the iterate starts at ``w = -q/sqrt(2d) - (G/sqrt(2d))' y0`` with the
-    rows ``y0 > 0`` active, and the answer is the same.  ``None`` or all
-    zeros is the cold start.  Each step takes the
-    most violated row p and raises its multiplier until p holds (p joins the
-    active set), or until an active multiplier reaches zero (that row leaves
-    it).  The dual value grows at every join, so the method ends in finitely
-    many steps.  If p lies in the span of active rows that can only gain
-    weight, the rows are inconsistent.  Rows violated by at most ``tol``
-    count as holding.
+    starts at the unconstrained minimiser ``-q/(2d)`` with no row active and
+    stays optimal on its active rows, whose normals stay linearly
+    independent.  Each step takes the most violated row p and raises its
+    multiplier until p holds (p joins the active set), or until an active
+    multiplier reaches zero (that row leaves it).  The dual value grows at
+    every join, so the method ends in finitely many steps.  If p lies in the
+    span of active rows that can only gain weight, the rows are
+    inconsistent.  Rows violated by at most ``tol`` count as holding.
 
     Returns ``(x, y)``: the minimiser and its multipliers ``y >= 0``, or
     ``(None, y)`` with a Farkas ray ``y >= 0``, ``G'y = 0`` and ``h'y < 0``.
-    Raises :class:`SolverFailure`, carrying the data and any start, after
-    ``max_iter`` steps.
+    Raises :class:`SolverFailure`, carrying ``d``, ``q``, ``G`` and ``h``,
+    after ``max_iter`` steps.
     """
     s = 1.0 / np.sqrt(2.0 * d)
     Gs = G * s
     w = -q * s
-    y = np.zeros(h.size) if start is None else np.array(start, dtype=float)
-    active: list[int] = np.flatnonzero(y > 0.0).tolist()
-    if active:
-        w = w - Gs[active].T @ y[active]
+    y = np.zeros(h.size)
+    active: list[int] = []
     steps = 0
     while h.size:
         viol = Gs @ w - h
@@ -604,8 +596,6 @@ def _dual_active_set(d, q, G, h, tol, max_iter, start=None):
             steps += 1
             if steps > max_iter:
                 problem = {"d": d.tolist(), "q": q.tolist(), "G": G.tolist(), "h": h.tolist()}
-                if start is not None:
-                    problem["start"] = np.asarray(start).tolist()
                 raise SolverFailure(f"dual active-set kernel exceeded {max_iter} steps", problem=problem)
             if active:
                 # p's normal as active normals times r, plus the part z orthogonal to them

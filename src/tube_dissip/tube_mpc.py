@@ -13,16 +13,15 @@ out through :func:`~tube_dissip.problem.transition_rows`.  What remains is a
 strictly convex QP in the corners of the first ``horizon`` boxes,
 ``min sum(d*x**2 + q*x)`` subject to ``G x <= h0 - P @ z``, built once per
 problem and controller options and solved exactly by the dual active-set
-kernel of ``qp_solver``, as multi-step cost-to-travel values are, each solve
-starting from the cached optimum of the rows the state does not enter.  On
-each optimal active set the answer is affine in z, so the program keeps the
-affine law of every active set the kernel has returned for it (up to 64),
-and a solve runs the kernel only when no stored law gives a KKT point at z
-(``cost_to_travel._LawTable``).  A solve that a law answers does only the
-arithmetic that depends on z, in plain floats where it can.  It checks the
-rows with no free coefficient against ``feas_tol``: one comparison for
-those z does not enter, split off when the program is built, and the few it
-enters evaluated at z.  It screens the laws in the order they were learned,
+kernel of ``qp_solver``, from a cold start, as multi-step cost-to-travel
+values are.  On each optimal active set the answer is affine in z, so the
+program keeps the affine law of every active set the kernel has returned
+for it (up to 64), and a solve runs the kernel only when no stored law
+gives a KKT point at z (``cost_to_travel._LawTable``).  A solve that a law
+answers does only the arithmetic that depends on z, in plain floats where
+it can.  It checks the rows with no free coefficient against ``feas_tol``:
+one comparison for those z does not enter, split off when the program is
+built, and the few it enters evaluated at z.  It screens the laws in the order they were learned,
 each on the few checks that can fail for a state in the state bounds, and
 evaluates only the law its screen passes: one stacked block, whose single
 elementwise pass gives the full KKT check and the point.  The screen's
@@ -60,7 +59,6 @@ import numpy as np
 from .cost_to_travel import (
     MAX_STEPS,
     _corner_program,
-    _corner_qp,
     _CornerProgram,
     _LawTable,
     _solve_tube,
@@ -216,19 +214,15 @@ def _tube_program(
     from the point box ``{z}`` into the second box), and the state inside
     the first box.  The cost is the stage cost of every free box plus the
     storage form on the first; the storage offset is added by the caller.
-
-    Only the window and containment rows depend on the state.  The other
-    rows are solved here, once, by the same kernel at ``DEFAULT_SETTINGS``;
-    their multipliers are dual feasible for the whole program at every
-    state and under every tolerance, so every kernel run starts from them.
-    If those rows alone are infeasible, the program keeps the cold start.
+    Only the window and containment rows depend on the state.  Building the
+    program runs no solve.
 
     The program carries an empty table of affine laws (``laws``), which its
     solves fill; :func:`_controller` builds it once per controller, and it
-    is shared by every solve of the controller.  A solve's
-    answer does not depend on the order of earlier solves, but whether it
-    runs the kernel does: ``settings.max_iter`` bounds only the kernel's own
-    steps, and a state answered by a stored law runs no kernel.  So a
+    is shared by every solve of the controller.  A solve's answer does not
+    depend on the order of earlier solves, but whether it runs the kernel
+    does: ``settings.max_iter`` bounds only the kernel's own steps, and a
+    state answered by a stored law runs no kernel.  So a
     ``max_iter`` too small for the kernel at z raises ``SolverFailure`` there
     until an earlier solve has stored a law that holds at z, and then the
     same call returns the answer of that law.
@@ -253,15 +247,7 @@ def _tube_program(
         P=np.vstack([np.zeros((h_steps.size, 2)), src[finite] @ _POINT, -_SIGNS @ _POINT]),
         h0=np.concatenate([h_steps, const[finite], np.zeros(4)]) - rows[:, -4:] @ terminal.corners(),
     )
-    free = ~prog.fixed
-    state_free = ~np.any(prog.P[free] != 0.0, axis=1)
-    prog = prog._replace(laws=_LawTable(prog, spec.x_bounds))
-    x, y = _corner_qp(prog.d, prog.q, prog.G_free[state_free], prog.h0[free][state_free], DEFAULT_SETTINGS)
-    if x is None:
-        return prog
-    start = np.zeros(state_free.size)
-    start[state_free] = y
-    return prog._replace(start=start)
+    return prog._replace(laws=_LawTable(prog, spec.x_bounds))
 
 
 class _Controller(NamedTuple):

@@ -477,17 +477,17 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
                 xp, yp = pol
                 lam, mu, mu_lb, mu_ub = rows.split_multipliers(yp, n)
                 res = qp_solver._kkt_residual(qp, xp, lam, mu, mu_lb, mu_ub)
-                if res <= settings.kkt_tol:
+                if res <= qp_solver._KKT_TOL:
                     return QpSolution(
                         status=QpStatus.OPTIMAL, x=xp, objective=qp.objective_value(xp),
                         eq_multipliers=lam, ineq_multipliers=mu, lb_multipliers=mu_lb,
                         ub_multipliers=mu_ub, kkt_residual=res, iterations=it, polished=True,
                     )
 
-        if r_prim < settings.feas_tol and r_dual < settings.kkt_tol:
+        if r_prim < settings.feas_tol and r_dual < qp_solver._KKT_TOL:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(y, n)
             res = qp_solver._kkt_residual(qp, x, lam, mu, mu_lb, mu_ub)
-            if res <= 10 * settings.kkt_tol:
+            if res <= 10 * qp_solver._KKT_TOL:
                 return QpSolution(
                     status=QpStatus.OPTIMAL, x=x.copy(), objective=qp.objective_value(x),
                     eq_multipliers=lam, ineq_multipliers=mu, lb_multipliers=mu_lb,

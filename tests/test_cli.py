@@ -256,7 +256,9 @@ class TestConfig:
         ("problem", "w_bounds", [True, 1]),
         ("tolerances", "feas_tol", -1),
         ("tolerances", "feas_tol", float("nan")),
+        # kkt_tol is not a setting: any value is an unknown key
         ("tolerances", "kkt_tol", 0),
+        ("tolerances", "kkt_tol", 1e-8),
         ("tolerances", "max_iter", 0),
         ("tolerances", "max_iter", "x"),
         ("tolerances", "rho", 1.0),

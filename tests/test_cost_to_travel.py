@@ -284,7 +284,7 @@ class TestMultiStepKernel:
         assert res.feasible == (x is not None)
         if x is not None:
             residual = oracles.separable_kkt_residual(stack.d, stack.q, G, h, x, y)
-            assert residual <= DEFAULT_SETTINGS.kkt_tol
+            assert residual <= 1e-8
             assert res.value == pytest.approx(
                 stage_cost(spec, a) + float(stack.d @ (x * x) + stack.q @ x), abs=1e-12
             )
@@ -366,7 +366,7 @@ class TestMultiStepValues:
         patched = forbid_solver()
         assert patched == ["tube_dissip.qp_solver"]
         unreachable = box((0, 1), (0, 1))
-        settings = SolverSettings(feas_tol=2e-8, kkt_tol=2e-8)
+        settings = SolverSettings(feas_tol=2e-8)
         for n, chain in chains.items():
             assert eval_v(spec, chain[0], chain[n], n).feasible
             assert eval_v(spec, chain[0], chain[n], n, settings).feasible

@@ -221,11 +221,24 @@ def point_box(z):
 
 
 def cold_solves(monkeypatch, spec, cfg, states, settings):
-    """The controller's answers at the states with its program's start and law table removed."""
+    """The controller's answers at the states with its program's law table removed."""
     controller = tube_mpc._controller(spec, cfg)
-    cold = controller._replace(prog=controller.prog._replace(start=np.zeros(0), laws=None))
+    cold = controller._replace(prog=controller.prog._replace(laws=None))
     monkeypatch.setattr(tube_mpc, "_controller", lambda *args: cold)
     return [solve_tmpc(spec, cfg, z, settings) for z in states]
+
+
+def count_kernel_runs(monkeypatch):
+    """Patch the kernel; the returned list gets the arguments of each run."""
+    real_kernel = cost_to_travel._dual_active_set
+    runs = []
+
+    def counting_kernel(*args):
+        runs.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(cost_to_travel, "_dual_active_set", counting_kernel)
+    return runs
 
 
 def assert_cold_answers(states, warm, cold, horizon):
@@ -289,78 +302,39 @@ class TestTemplate:
         assert verdicts == {True, False}
 
     def test_assembled_once_per_controller(self, spec, cfg_ic, monkeypatch):
+        # the terminal box comes from optimal_rci's cache, not from a kernel run here
+        cost_to_travel.optimal_rci(spec)
         tube_mpc._controller.cache_clear()
-        builds, starts = [], []
+        builds = []
         real_stack = tube_mpc._stacked_steps
-        real_qp = tube_mpc._corner_qp
 
         def counting_stack(*args):
             builds.append(args)
             return real_stack(*args)
 
-        def counting_qp(*args):
-            starts.append(args)
-            return real_qp(*args)
-
         monkeypatch.setattr(tube_mpc, "_stacked_steps", counting_stack)
-        monkeypatch.setattr(tube_mpc, "_corner_qp", counting_qp)
+        runs = count_kernel_runs(monkeypatch)
+        tube_mpc._controller(spec, cfg_ic)
+        # building the program runs no kernel
+        assert len(builds) == 1 and runs == []
         sweep_feedback(spec, cfg_ic, STATE_GRID)
         solve_tmpc(spec, cfg_ic, (1.0, 1.0))
         assert len(builds) == 1
-        # the start is solved with the program, not per state
-        assert len(starts) == 1
 
-    @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_cached_start_is_dual_feasible(self, spec, name):
-        prog = tube_mpc._controller(spec, CONFIGS[name]).prog
-        free = ~prog.fixed
-        state_free = ~np.any(prog.P[free] != 0.0, axis=1)
-        y0 = prog.start
-        assert y0.shape == state_free.shape and np.all(y0 >= 0.0) and np.any(y0 > 0.0)
-        assert np.all(y0[~state_free] == 0.0)
-        # the minimiser of the start's own rows, with y0 > 0 on active rows only
-        x0 = -(prog.q + prog.G_free.T @ y0) / (2.0 * prog.d)
-        slack = prog.h0[free][state_free] - prog.G_free[state_free] @ x0
-        tol = 1e-3 * DEFAULT_SETTINGS.feas_tol
-        assert np.all(slack >= -tol)
-        assert np.all(np.abs(slack[y0[state_free] > 0.0]) <= tol)
-
-    @pytest.mark.filterwarnings("ignore:terminal set is not a self-successor box")
-    def test_no_start_when_the_state_free_rows_are_infeasible(self, spec):
-        # no box reaches a single point against every disturbance
-        cfg = TubeMpcConfig(terminal_set=IntervalBox.from_corners((1.0, 1.0, -1.0, -1.0)))
-        assert tube_mpc._controller(spec, cfg).prog.start.size == 0
-        assert solve_tmpc(spec, cfg, (1.0, -1.0)).status is QpStatus.INFEASIBLE
-
-    def test_every_solve_starts_from_the_cached_start(self, spec, cfg_ic, monkeypatch):
+    def test_the_kernel_runs_once_per_stored_law(self, spec, cfg_ic, monkeypatch):
         # the kernel runs only when no stored law holds at the state, and
-        # then from the cached start
+        # each run stores the law of the active set it returns
         tube_mpc._controller.cache_clear()
         prog = tube_mpc._controller(spec, cfg_ic).prog
-        real_kernel = cost_to_travel._dual_active_set
-        starts = []
-
-        def recording_kernel(d, q, G, h, tol, max_iter, start=None):
-            starts.append(start)
-            return real_kernel(d, q, G, h, tol, max_iter, start)
-
-        monkeypatch.setattr(cost_to_travel, "_dual_active_set", recording_kernel)
+        runs = count_kernel_runs(monkeypatch)
         sweep_feedback(spec, cfg_ic, STATE_GRID)
-        assert starts and all(start is prog.start for start in starts)
-        assert len(starts) < len(STATE_GRID)
-        assert len(starts) == len(prog.laws)
-
-    @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_started_solves_give_the_cold_answers(self, spec, name, monkeypatch, rng):
-        cfg = CONFIGS[name]
-        n = cfg.horizon
-        states = [z for z, _ in ORACLE_STATES] + BEYOND_THE_BAND + [tuple(z) for z in rng.uniform(-5, 5, (200, 2))]
-        warm = [solve_tmpc(spec, cfg, z) for z in states]
-        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states, DEFAULT_SETTINGS), n)
+        assert 0 < len(runs) < len(STATE_GRID)
+        assert len(runs) == len(prog.laws)
 
     @pytest.mark.parametrize("feas_tol", [1e-11, 1e-6])
-    def test_one_start_serves_every_tolerance(self, spec, cfg_ic, monkeypatch, feas_tol):
-        # the start is dual feasible whatever the tolerance the rows are held to
+    def test_the_law_table_serves_every_tolerance(self, spec, cfg_ic, monkeypatch, feas_tol):
+        # a law answers at a tolerance only where its check holds at that
+        # tolerance, whatever the tolerance it was learned at
         settings = replace(DEFAULT_SETTINGS, feas_tol=feas_tol)
         warm = [solve_tmpc(spec, cfg_ic, z, settings) for z in STATE_GRID]
         for got, want in zip(warm, cold_solves(monkeypatch, spec, cfg_ic, STATE_GRID, settings)):
@@ -384,6 +358,25 @@ class TestTemplate:
         want = solve_tmpc(spec, cfg_ic, z)
         assert want.feasible
         assert repr(solve_tmpc(spec, cfg_ic, z, capped)) == repr(want)
+
+    def test_a_capped_miss_dumps_the_program_it_replays(self, spec, cfg_ic, monkeypatch):
+        # the dump holds the kernel's data and nothing else, and a cold
+        # kernel run on it gives the answer of the same miss uncapped
+        tube_mpc._controller.cache_clear()
+        z, capped = (1.0, 1.0), replace(DEFAULT_SETTINGS, max_iter=1)
+        with pytest.raises(SolverFailure) as info:
+            solve_tmpc(spec, cfg_ic, z, capped)
+        dump = {name: np.array(value) for name, value in info.value.problem.items()}
+        assert set(dump) == {"d", "q", "G", "h"}
+        kernel = cost_to_travel._dual_active_set
+        runs = count_kernel_runs(monkeypatch)
+        tube_mpc._controller.cache_clear()
+        assert solve_tmpc(spec, cfg_ic, z).feasible
+        (uncapped,) = runs
+        got = kernel(dump["d"], dump["q"], dump["G"], dump["h"], KERNEL_TOL, DEFAULT_SETTINGS.max_iter)
+        want = kernel(*uncapped)
+        assert_same_array(got[0], want[0], "x")
+        assert_same_array(got[1], want[1], "y")
 
 
 FIXED_ROW_STATES = (
@@ -455,12 +448,8 @@ def install_empty_table(monkeypatch, spec, cfg):
 def record_answers(monkeypatch, prog):
     """Patch the solve step; the returned list gets ``(h, x, y, kernel ran)`` of each solve of prog, over all its rows."""
     real_solve = cost_to_travel._solve_program
-    real_kernel = cost_to_travel._dual_active_set
-    answers, runs = [], []
-
-    def counting_kernel(*args):
-        runs.append(args)
-        return real_kernel(*args)
+    runs = count_kernel_runs(monkeypatch)
+    answers = []
 
     def recording_solve(p, z, settings):
         before = len(runs)
@@ -469,7 +458,6 @@ def record_answers(monkeypatch, prog):
             answers.append((*program_answer(p, z, answer), len(runs) > before))
         return answer
 
-    monkeypatch.setattr(cost_to_travel, "_dual_active_set", counting_kernel)
     monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
     return answers
 
