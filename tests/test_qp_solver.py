@@ -250,6 +250,46 @@ class TestDualActiveSet:
         for name, value in (("d", d), ("q", q), ("G", G), ("h", h)):
             assert np.array_equal(np.array(dump[name]), value)
 
+    def test_iteration_cap_dump_replays_the_cold_solve(self, rng):
+        # whatever step the cap stops at, the dump gives the uncapped answer bit for bit
+        verdicts = set()
+        for k in range(10):
+            d, q, G, h = separable_problem(rng, infeasible=k % 2 == 1)
+            want = dual_active_set(d, q, G, h)
+            verdicts.add(want[0] is None)
+            cap = 0
+            while True:
+                try:
+                    capped = dual_active_set(d, q, G, h, max_iter=cap)
+                except SolverFailure as failure:
+                    dump = {name: np.array(value) for name, value in failure.problem.items()}
+                    got = dual_active_set(dump["d"], dump["q"], dump["G"], dump["h"])
+                    assert (got[0] is None) == (want[0] is None)
+                    for a, b in zip(got, want):
+                        assert a is None or a.tobytes() == b.tobytes()
+                    cap += 1
+                    continue
+                # the least cap that is enough gives the same answer
+                for a, b in zip(capped, want):
+                    assert a is None or a.tobytes() == b.tobytes()
+                break
+            assert cap > 0
+        assert verdicts == {True, False}
+
+    def test_start_at_the_optimum_takes_no_step(self, rng):
+        # the kernel starts at the unconstrained minimiser with no row active:
+        # where that point holds every row it is the answer, found in no step
+        d, q, _, _ = separable_problem(rng)
+        x_free = -q / (2.0 * d)
+        G = rng.normal(size=(12, d.size))
+        slack = rng.uniform(0.1, 1.0, size=12)
+        x, y = dual_active_set(d, q, G, G @ x_free + slack, max_iter=0)
+        assert np.max(np.abs(x - x_free)) <= 1e-12 and not np.any(y)
+        # one violated row needs a step, which a cap of 0 refuses
+        slack[3] = -0.5
+        with pytest.raises(SolverFailure):
+            dual_active_set(d, q, G, G @ x_free + slack, max_iter=0)
+
 
 def test_importing_the_package_does_not_load_scipy():
     # only the ADMM reference solver needs scipy, and it imports it on use

@@ -321,6 +321,33 @@ class TestTemplate:
         solve_tmpc(spec, cfg_ic, (1.0, 1.0))
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_a_build_runs_no_kernel(self, spec, name, monkeypatch):
+        # the table starts empty: the first solve at a state runs the kernel
+        # once and stores its law, and the same solve again runs none
+        cfg = CONFIGS[name]
+        cost_to_travel.optimal_rci(spec)
+        tube_mpc._controller.cache_clear()
+        runs = count_kernel_runs(monkeypatch)
+        prog = tube_mpc._controller(spec, cfg).prog
+        assert runs == [] and len(prog.laws) == 0
+        z = (-3.5, -4.0)
+        first = solve_tmpc(spec, cfg, z)
+        assert first.feasible and len(runs) == 1 and len(prog.laws) == 1
+        assert repr(solve_tmpc(spec, cfg, z)) == repr(first) and len(runs) == 1
+
+    @pytest.mark.filterwarnings("ignore:terminal set is not a self-successor box")
+    def test_no_start_when_the_state_free_rows_are_infeasible(self, spec, monkeypatch):
+        # no box reaches a single point against every disturbance: the build
+        # solves nothing, and a fixed row gives the verdict without a kernel run
+        cfg = TubeMpcConfig(terminal_set=IntervalBox.from_corners((1.0, 1.0, -1.0, -1.0)))
+        cost_to_travel.optimal_rci(spec)
+        runs = count_kernel_runs(monkeypatch)
+        prog = tube_mpc._controller(spec, cfg).prog
+        assert runs == [] and len(prog.laws) == 0
+        assert solve_tmpc(spec, cfg, (1.0, -1.0)).status is QpStatus.INFEASIBLE
+        assert runs == []
+
     def test_the_kernel_runs_once_per_stored_law(self, spec, cfg_ic, monkeypatch):
         # the kernel runs only when no stored law holds at the state, and
         # each run stores the law of the active set it returns
@@ -330,6 +357,17 @@ class TestTemplate:
         sweep_feedback(spec, cfg_ic, STATE_GRID)
         assert 0 < len(runs) < len(STATE_GRID)
         assert len(runs) == len(prog.laws)
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_started_solves_give_the_cold_answers(self, spec, name, monkeypatch, rng):
+        # each solve runs the kernel cold or is answered by a law that the
+        # shared table stored in earlier calls; either way it gives the
+        # answer of a solve without the table
+        cfg = CONFIGS[name]
+        n = cfg.horizon
+        states = [z for z, _ in ORACLE_STATES] + BEYOND_THE_BAND + [tuple(z) for z in rng.uniform(-5, 5, (200, 2))]
+        warm = [solve_tmpc(spec, cfg, z) for z in states]
+        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states, DEFAULT_SETTINGS), n)
 
     @pytest.mark.parametrize("feas_tol", [1e-11, 1e-6])
     def test_the_law_table_serves_every_tolerance(self, spec, cfg_ic, monkeypatch, feas_tol):
@@ -359,19 +397,21 @@ class TestTemplate:
         assert want.feasible
         assert repr(solve_tmpc(spec, cfg_ic, z, capped)) == repr(want)
 
-    def test_a_capped_miss_dumps_the_program_it_replays(self, spec, cfg_ic, monkeypatch):
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_a_capped_miss_dumps_the_program_it_replays(self, spec, name, monkeypatch):
         # the dump holds the kernel's data and nothing else, and a cold
         # kernel run on it gives the answer of the same miss uncapped
+        cfg = CONFIGS[name]
         tube_mpc._controller.cache_clear()
-        z, capped = (1.0, 1.0), replace(DEFAULT_SETTINGS, max_iter=1)
+        z, capped = (-3.5, -4.0), replace(DEFAULT_SETTINGS, max_iter=1)
         with pytest.raises(SolverFailure) as info:
-            solve_tmpc(spec, cfg_ic, z, capped)
-        dump = {name: np.array(value) for name, value in info.value.problem.items()}
+            solve_tmpc(spec, cfg, z, capped)
+        dump = {key: np.array(value) for key, value in info.value.problem.items()}
         assert set(dump) == {"d", "q", "G", "h"}
         kernel = cost_to_travel._dual_active_set
         runs = count_kernel_runs(monkeypatch)
         tube_mpc._controller.cache_clear()
-        assert solve_tmpc(spec, cfg_ic, z).feasible
+        assert solve_tmpc(spec, cfg, z).feasible
         (uncapped,) = runs
         got = kernel(dump["d"], dump["q"], dump["G"], dump["h"], KERNEL_TOL, DEFAULT_SETTINGS.max_iter)
         want = kernel(*uncapped)
