@@ -3,7 +3,7 @@
 from .interval_sets import IntervalBox, boxes_intersect, contains, hausdorff, subset
 from .problem import ConfigError, ProblemSpec, dynamics, is_rci, stage_cost, transition_feasible
 from .qp_solver import QpStatus, SolverFailure, SolverSettings
-from .cost_to_travel import CostToTravelResult, RciNotFound, bellman_gap, eval_v, optimal_rci
+from .cost_to_travel import CostToTravelResult, RciNotFound, eval_v, optimal_rci
 from .dissipativity import (
     SeparabilityReport,
     StorageFunction,
@@ -13,16 +13,7 @@ from .dissipativity import (
     storage_min_on_domain,
     verify_separability,
 )
-from .tube_mpc import (
-    ControllerInfeasible,
-    TubeMpcConfig,
-    TubeSolution,
-    TubeStepInfeasible,
-    feedback,
-    mu_feedback,
-    solve_tmpc,
-    sweep_feedback,
-)
+from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, sweep_feedback
 from .closed_loop import (
     AdversarialPolicy,
     EnclosureStabilityReport,
@@ -31,7 +22,6 @@ from .closed_loop import (
     TraceStep,
     UniformRandomPolicy,
     check_enclosure_stability,
-    lyapunov_value,
     rotated_cost,
     simulate,
 )

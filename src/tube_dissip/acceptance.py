@@ -132,6 +132,13 @@ def check_feedback_laws(spec: ProblemSpec) -> CriterionResult:
 def check_instability_witness(spec: ProblemSpec) -> CriterionResult:
     cfg0 = TubeMpcConfig(use_initial_cost=False)
     trace = simulate(spec, cfg0, (-1.0, -2.0), 2, ExtremePolicy(signs=(-1,)))
+    if len(trace.steps) < 2:
+        return CriterionResult(
+            key="instability-witness",
+            title="enclosure escape without the initial cost",
+            passed=False,
+            detail=f"trace from (-1, -2) ends at step {trace.failure_step}: controller infeasible",
+        )
     x_star, _ = optimal_rci(spec)
     y1 = trace.steps[1].enclosure
     err = max(abs(a - b) for a, b in zip(y1.corners(), (-2.0, -2.0, -4.0, 0.0)))

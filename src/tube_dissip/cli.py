@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``rci``, ``eval-v``, ``check-storage``, ``control``, ``sweep``,
-``simulate``, ``verify-all``.  JSON outputs re-parse into the emitting types;
-CSV uses '.' decimals and 12 significant digits.  Exit codes: 0 on success,
+``simulate``, ``verify-all``.  JSON outputs are the ``to_json_dict`` forms of
+the result types, with boxes as ``[[lo1, hi1], [lo2, hi2]]``; CSV uses '.'
+decimals and 12 significant digits.  ``verify-all`` runs the acceptance
+battery on the configured problem and seed, at its own pinned tolerances and
+with its own controllers, so a config with a ``tolerances`` or ``controller``
+section is a configuration error there.  Exit codes: 0 on success,
 1 on a domain failure (infeasible problem, failed certificate, or a solver
 that stops without an answer), 2 on usage or configuration errors, unreadable
 input files and unwritable output paths included.  Every failure prints one
@@ -87,7 +91,8 @@ class RunConfig:
     def __init__(self, obj: dict):
         if not isinstance(obj, dict):
             raise ConfigError(f"a run configuration is a JSON object, got {obj!r}")
-        unknown = set(obj) - self.KNOWN_KEYS
+        self.sections = set(obj)
+        unknown = self.sections - self.KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         problem = obj.get("problem", {})
@@ -306,6 +311,11 @@ def _cmd_simulate(run: RunConfig, args) -> int:
 
 
 def _cmd_verify_all(run: RunConfig, args) -> int:
+    unread = sorted(run.sections & {"controller", "tolerances"})
+    if unread:
+        raise ConfigError(
+            f"verify-all runs at pinned tolerances with its own controllers; remove {unread} from the config"
+        )
     results = run_acceptance(seed=run.seed, spec=run.spec)
     width = max(len(r.key) for r in results)
     lines = []

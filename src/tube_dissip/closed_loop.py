@@ -21,7 +21,7 @@ import numpy as np
 
 from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import eval_storage
-from .interval_sets import IntervalBox, contains, hausdorff, subset
+from .interval_sets import IntervalBox, boxes_intersect, contains, hausdorff, subset
 from .problem import ProblemSpec, dynamics
 from .qp_solver import DEFAULT_SETTINGS, SolverSettings
 from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
@@ -37,7 +37,6 @@ __all__ = [
     "simulate",
     "check_enclosure_stability",
     "rotated_cost",
-    "lyapunov_value",
 ]
 
 _INF = float("inf")
@@ -145,16 +144,6 @@ def rotated_cost(
     return e_a - e_b + value - v_star
 
 
-def lyapunov_value(
-    spec: ProblemSpec,
-    cfg: TubeMpcConfig,
-    tube: Sequence[IntervalBox],
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Sum of rotated costs along consecutive tube boxes; +inf propagates."""
-    return sum(_rotated_legs(spec, cfg, tube, settings), 0.0)
-
-
 def _rotated_legs(spec, cfg, tube, settings) -> tuple[float, ...]:
     """The rotated cost of each step of the tube; each is finite or +inf, so their float sum propagates +inf."""
     return tuple(rotated_cost(spec, cfg, a, b, settings) for a, b in zip(tube[:-1], tube[1:]))
@@ -252,29 +241,6 @@ class EnclosureStabilityReport:
     def stable(self) -> bool:
         return self.absorbed and self.containment_ok and not self.escaped_terminal
 
-    def to_json_dict(self) -> dict:
-        return {
-            "containment_ok": self.containment_ok,
-            "containment_violation_step": self.containment_violation_step,
-            "absorbed": self.absorbed,
-            "absorption_step": self.absorption_step,
-            "verdict": self.verdict,
-            "violation_step": self.violation_step,
-            "disjoint_steps": list(self.disjoint_steps),
-            "escaped_terminal": self.escaped_terminal,
-            "max_distance": self.max_distance,
-        }
-
-
-def _separated(a: IntervalBox, b: IntervalBox, tol: float) -> bool:
-    """True iff the boxes are disjoint with a gap larger than ``tol``."""
-    return (
-        a.lo[0] > b.hi[0] + tol
-        or b.lo[0] > a.hi[0] + tol
-        or a.lo[1] > b.hi[1] + tol
-        or b.lo[1] > a.hi[1] + tol
-    )
-
 
 def check_enclosure_stability(
     trace: SimulationTrace,
@@ -304,7 +270,7 @@ def check_enclosure_stability(
             break
 
     dists = [s.dist_to_terminal for s in trace.steps]
-    disjoint = tuple(s.k for s in trace.steps if _separated(s.enclosure, x_star, tol))
+    disjoint = tuple(s.k for s in trace.steps if not boxes_intersect(s.enclosure, x_star, tol))
     started_inside = subset(trace.steps[0].enclosure, x_star, tol=tol)
     escaped = started_inside and any(k > trace.steps[0].k for k in disjoint)
 

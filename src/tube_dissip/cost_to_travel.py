@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "RciNotFound",
     "eval_v",
     "optimal_rci",
-    "bellman_gap",
 ]
 
 _INF = float("inf")
@@ -82,16 +81,6 @@ class CostToTravelResult:
             "tube": None if self.tube is None else [b.to_json_obj() for b in self.tube],
             "aux_controls": None if self.aux_controls is None else [list(v) for v in self.aux_controls],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CostToTravelResult":
-        if not obj["feasible"]:
-            return cls(value=_INF)
-        return cls(
-            value=float(obj["value"]),
-            tube=tuple(IntervalBox.from_json_obj(b) for b in obj["tube"]),
-            aux_controls=tuple((float(v[0]), float(v[1])) for v in obj["aux_controls"]),
-        )
 
 
 def eval_v(
@@ -474,34 +463,3 @@ def _optimal_rci(spec: ProblemSpec, settings: SolverSettings) -> tuple[IntervalB
         )
     cost, (box,), _ = solved
     return box, cost
-
-
-def bellman_gap(
-    spec: ProblemSpec,
-    a: IntervalBox,
-    c: IntervalBox,
-    m_steps: int,
-    n_steps: int,
-    candidates: Sequence[IntervalBox],
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Two-leg relaxation gap of the chain functional equation.
-
-    Returns ``min_B [V(a,B,m) + V(B,c,n)] - V(a,c,m+n)`` over the candidate
-    intermediate boxes.  The gap is nonnegative for any candidate set and
-    zero when the candidates contain a true intermediate minimizer.  Infinite
-    values propagate; if both sides are infinite the gap is zero.
-    """
-    direct = eval_v(spec, a, c, m_steps + n_steps, settings).value
-    best = _INF
-    for mid in candidates:
-        first = eval_v(spec, a, mid, m_steps, settings).value
-        if math.isinf(first):
-            continue
-        second = eval_v(spec, mid, c, n_steps, settings).value
-        best = min(best, first + second)
-    if math.isinf(best) and math.isinf(direct):
-        return 0.0
-    if math.isinf(best):
-        return _INF
-    return best - direct

@@ -71,10 +71,6 @@ class StorageFunction:
         """The reference storage candidate: 16 + 1.6*(a3 - a2) inside the bounds."""
         return cls(offset=16.0, linear_coeffs=(0.0, -1.6, 1.6, 0.0))
 
-    @classmethod
-    def zero(cls) -> "StorageFunction":
-        return cls(offset=0.0, linear_coeffs=(0.0, 0.0, 0.0, 0.0))
-
     def to_json_dict(self) -> dict:
         return {
             "offset": self.offset,
@@ -166,33 +162,6 @@ class SeparabilityReport:
             "unbounded": self.unbounded_ray is not None,
             "strictness": None if self.strictness is None else self.strictness.to_json_dict(),
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SeparabilityReport":
-        strict = obj.get("strictness")
-        return cls(
-            qp_min_value=-_INF if obj["qp_min_value"] is None else float(obj["qp_min_value"]),
-            minimizer_a=None if obj["minimizer_a"] is None else tuple(obj["minimizer_a"]),
-            minimizer_b=None if obj["minimizer_b"] is None else tuple(obj["minimizer_b"]),
-            minimizer_v=obj["minimizer_v"],
-            v_star=float(obj["v_star"]),
-            gap=-_INF if obj["gap"] is None else float(obj["gap"]),
-            passed=bool(obj["passed"]),
-            unbounded_ray=None,
-            strictness=None
-            if strict is None
-            else StrictnessSummary(
-                n_samples=strict["n_samples"],
-                min_margin=strict["min_margin"],
-                n_nonpositive=strict["n_nonpositive"],
-                worst_pair=None
-                if strict["worst_pair"] is None
-                else (
-                    IntervalBox.from_json_obj(strict["worst_pair"][0]),
-                    IntervalBox.from_json_obj(strict["worst_pair"][1]),
-                ),
-            ),
-        )
 
 
 def verify_separability(

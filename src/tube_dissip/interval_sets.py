@@ -70,9 +70,6 @@ class IntervalBox:
         """Corner vector ``(a1, a2, a3, a4) = (lo1, hi1, lo2, hi2)``."""
         return (self.lo[0], self.hi[0], self.lo[1], self.hi[1])
 
-    def widths(self) -> tuple[float, float]:
-        return (self.hi[0] - self.lo[0], self.hi[1] - self.lo[1])
-
     def to_json_obj(self) -> list[list[float]]:
         """JSON form ``[[lo1, hi1], [lo2, hi2]]``."""
         return [[self.lo[0], self.hi[0]], [self.lo[1], self.hi[1]]]
@@ -131,11 +128,11 @@ def contains(a: IntervalBox, z: Sequence[float], tol: float = 0.0) -> bool:
     )
 
 
-def boxes_intersect(a: IntervalBox, b: IntervalBox) -> bool:
-    """Exact interval-disjointness test: True iff the boxes share a point."""
+def boxes_intersect(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
+    """True iff the boxes share a point (within ``tol``): no gap between them is wider than ``tol``."""
     return (
-        a.lo[0] <= b.hi[0]
-        and b.lo[0] <= a.hi[0]
-        and a.lo[1] <= b.hi[1]
-        and b.lo[1] <= a.hi[1]
+        a.lo[0] <= b.hi[0] + tol
+        and b.lo[0] <= a.hi[0] + tol
+        and a.lo[1] <= b.hi[1] + tol
+        and b.lo[1] <= a.hi[1] + tol
     )

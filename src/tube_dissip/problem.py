@@ -46,7 +46,6 @@ __all__ = [
     "stage_cost",
     "is_rci",
     "dynamics",
-    "interpolated_control",
 ]
 
 _INF = float("inf")
@@ -108,11 +107,15 @@ class ProblemSpec:
             raise ConfigError("cost_quad entries must be positive (strict convexity)")
         if not isinstance(self.x_bounds, IntervalBox):
             raise ConfigError(f"x_bounds must be an IntervalBox, got {self.x_bounds!r}")
+        (x1_lo, x2_lo), (x1_hi, x2_hi) = self.x_bounds.lo, self.x_bounds.hi
+        # draws across the bounds and the transition rows take hi - lo, so
+        # no width may overflow to inf
+        if not all(math.isfinite(w) for w in (x1_hi - x1_lo, x2_hi - x2_lo, self.w_hi - self.w_lo)):
+            raise ConfigError(f"x_bounds and w_bounds must have finite widths, got {self.x_bounds} and {self.w_bounds}")
         # read by every one-step decision and every cache lookup, so computed
         # once: the one-step rule's constants, in the order _step_witness
         # unpacks them, and the hash dataclass would derive from the fields.
         # Neither is a field, so ==, repr and the JSON form are unchanged.
-        (x1_lo, x2_lo), (x1_hi, x2_hi) = self.x_bounds.lo, self.x_bounds.hi
         object.__setattr__(self, "_step", (self.alpha, *self.u_bounds, *self.w_bounds, x1_lo, x1_hi, x2_lo, x2_hi))
         fields = (self.alpha, self.x_bounds, self.u_bounds, self.w_bounds, self.cost_linear, self.cost_quad)
         object.__setattr__(self, "_hash", hash(fields))
@@ -191,19 +194,6 @@ def stage_cost(spec: ProblemSpec, a: IntervalBox) -> float:
 def dynamics(spec: ProblemSpec, x: Sequence[float], u: float, w: float) -> tuple[float, float]:
     """One step of the underlying point dynamics."""
     return (u, spec.alpha * x[1] + u + w)
-
-
-def interpolated_control(spec: ProblemSpec, a: IntervalBox, v1: float, v2: float, x2: float) -> float:
-    """Edge-control interpolation: v1 at the lower x2-edge of A, v2 at the upper.
-
-    This is the constructive witness for "every state of A admits a control":
-    states in between the edges use the linear interpolant.
-    """
-    lo, hi = a.lo[1], a.hi[1]
-    if hi <= lo:
-        return v1
-    t = (x2 - lo) / (hi - lo)
-    return v1 + (v2 - v1) * t
 
 
 # ---------------------------------------------------------------------------

@@ -575,9 +575,12 @@ def _dual_active_set(d, q, G, h, tol, max_iter):
     inconsistent.  Rows violated by at most ``tol`` count as holding.
 
     Returns ``(x, y)``: the minimiser and its multipliers ``y >= 0``, or
-    ``(None, y)`` with a Farkas ray ``y >= 0``, ``G'y = 0`` and ``h'y < 0``.
-    Raises :class:`SolverFailure`, carrying ``d``, ``q``, ``G`` and ``h``,
-    after ``max_iter`` steps.
+    ``(None, y)`` with a Farkas ray ``y >= 0``, ``G'y = 0`` and
+    ``h'y < -tol*sum(y)``, which certifies that the rows stay inconsistent
+    when each is relaxed by ``tol``.  Raises :class:`SolverFailure`, carrying
+    ``d``, ``q``, ``G``, ``h`` and ``tol``, after ``max_iter`` steps, and
+    when the rows it finds inconsistent have a ray that certifies nothing,
+    as rounding can leave on two opposite rows.
     """
     s = 1.0 / np.sqrt(2.0 * d)
     Gs = G * s
@@ -595,8 +598,7 @@ def _dual_active_set(d, q, G, h, tol, max_iter):
         while True:
             steps += 1
             if steps > max_iter:
-                problem = {"d": d.tolist(), "q": q.tolist(), "G": G.tolist(), "h": h.tolist()}
-                raise SolverFailure(f"dual active-set kernel exceeded {max_iter} steps", problem=problem)
+                raise _kernel_failure(f"dual active-set kernel exceeded {max_iter} steps", d, q, G, h, tol)
             if active:
                 # p's normal as active normals times r, plus the part z orthogonal to them
                 N = Gs[active].T
@@ -617,7 +619,10 @@ def _dual_active_set(d, q, G, h, tol, max_iter):
                 ray = np.zeros(h.size)
                 ray[p] = 1.0
                 ray[active] = -r
-                return None, ray
+                if h @ ray < -tol * ray.sum():
+                    return None, ray
+                message = "dual active-set kernel found inconsistent rows without a Farkas ray"
+                raise _kernel_failure(message, d, q, G, h, tol)
             t = min(full, partial)
             w = w - t * z
             y[active] -= t * r
@@ -628,6 +633,12 @@ def _dual_active_set(d, q, G, h, tol, max_iter):
             y[active.pop(leave)] = 0.0
             gap = n_p @ w - h[p]
     return w * s, y
+
+
+def _kernel_failure(message: str, d, q, G, h, tol) -> SolverFailure:
+    """A failure of :func:`_dual_active_set` carrying its program, which a cold run on the same data replays."""
+    problem = {"d": d.tolist(), "q": q.tolist(), "G": G.tolist(), "h": h.tolist(), "tol": tol}
+    return SolverFailure(message, problem=problem)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ __all__ = [
     "random_box_within",
     "random_superbox",
     "monotone_cone_box",
-    "monotone_cone_superbox",
     "successor_box",
     "feasible_pair",
     "feasible_chain",
@@ -59,15 +58,6 @@ def monotone_cone_box(rng: np.random.Generator, spec: ProblemSpec) -> IntervalBo
     a3 = rng.uniform(xb.lo[1], min(0.0, xb.hi[1]))
     a4 = rng.uniform(max(0.0, xb.lo[1]), xb.hi[1])
     return IntervalBox.from_corners((a1, a2, a3, a4))
-
-
-def monotone_cone_superbox(rng: np.random.Generator, spec: ProblemSpec, box: IntervalBox) -> IntervalBox:
-    xb = spec.x_bounds
-    lo1 = rng.uniform(xb.lo[0], box.lo[0])
-    lo2 = rng.uniform(xb.lo[1], box.lo[1])
-    hi1 = rng.uniform(box.hi[0], xb.hi[0])
-    hi2 = rng.uniform(box.hi[1], xb.hi[1])
-    return IntervalBox(lo=(lo1, lo2), hi=(hi1, hi2))
 
 
 def successor_box(

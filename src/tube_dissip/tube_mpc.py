@@ -1,4 +1,4 @@
-"""Receding-horizon controller over box tubes, with feedback extraction.
+"""Receding-horizon controller over box tubes, and the control it applies.
 
 Each solve optimizes a horizon of boxes chained by the transition rows, the
 measured state pinned into the first box and the last box fixed to a
@@ -66,7 +66,7 @@ from .cost_to_travel import (
     optimal_rci,
 )
 from .dissipativity import StorageFunction
-from .interval_sets import IntervalBox, contains, subset
+from .interval_sets import IntervalBox, subset
 from .problem import ConfigError, ProblemSpec, is_rci, transition_rows
 from .qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, SolverSettings
 
@@ -74,21 +74,9 @@ __all__ = [
     "TubeMpcConfig",
     "TubeSolution",
     "SweepPoint",
-    "ControllerInfeasible",
-    "TubeStepInfeasible",
     "solve_tmpc",
-    "feedback",
-    "mu_feedback",
     "sweep_feedback",
 ]
-
-
-class ControllerInfeasible(RuntimeError):
-    """The controller problem has no feasible tube at the queried state."""
-
-
-class TubeStepInfeasible(RuntimeError):
-    """No admissible control drives the state into the next tube box."""
 
 
 @dataclass(frozen=True)
@@ -151,19 +139,6 @@ class TubeSolution:
             if self.edge_controls is None
             else [list(v) for v in self.edge_controls],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TubeSolution":
-        return cls(
-            status=QpStatus(obj["status"]),
-            tube=None if obj["tube"] is None else tuple(IntervalBox.from_json_obj(b) for b in obj["tube"]),
-            u0=obj["u0"],
-            objective=obj["objective"],
-            u0_interval=None if obj["u0_interval"] is None else tuple(obj["u0_interval"]),
-            edge_controls=None
-            if obj["edge_controls"] is None
-            else tuple((float(v[0]), float(v[1])) for v in obj["edge_controls"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -314,44 +289,6 @@ def solve_tmpc(
         u0_interval=(float(lo), float(hi)),
         edge_controls=edge_controls,
     )
-
-
-def feedback(
-    spec: ProblemSpec,
-    cfg: TubeMpcConfig,
-    z: Sequence[float],
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
-    """The applied control at state z; raises if the controller is infeasible there."""
-    sol = solve_tmpc(spec, cfg, z, settings)
-    if not sol.feasible:
-        raise ControllerInfeasible(f"controller infeasible at z={tuple(z)}")
-    return sol.u0
-
-
-def mu_feedback(
-    spec: ProblemSpec,
-    tube: Sequence[IntervalBox],
-    k: int,
-    z: Sequence[float],
-) -> float:
-    """Tube-following control: drive z from tube[k] into tube[k+1] for all w.
-
-    The robust feasibility problem reduces to one interval for the control;
-    the midpoint is returned.  The admissible-control bounds are intersected
-    in as well.
-    """
-    if not 0 <= k < len(tube) - 1:
-        raise ValueError(f"k={k} out of range for tube of length {len(tube)}")
-    if not contains(tube[k], z, tol=1e-9):
-        raise ValueError(f"state {tuple(z)} not in tube[{k}]")
-    lo, hi = _window(spec, tube[k + 1], float(z[1]))
-    if lo > hi + 1e-12:
-        raise TubeStepInfeasible(
-            f"no control drives z={tuple(z)} into tube[{k + 1}] for every disturbance"
-        )
-    hi = max(hi, lo)
-    return 0.5 * (lo + hi)
 
 
 def sweep_feedback(

@@ -8,7 +8,8 @@ ADMM solver, the invariant-box oracle is a coarse-to-fine grid search over
 corner vectors, the ADMM reference is that solver's iteration written out
 the plain way, and the cost-to-travel, tube and separability QP references
 assemble the original programs, edge controls and applied control included,
-through ``QpBuilder`` for that solver.
+through ``QpBuilder`` for that solver.  ``interpolated_control`` turns a
+step's two edge controls into a control for every state of its source box.
 """
 
 from __future__ import annotations
@@ -207,6 +208,19 @@ def transition_margin(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_grid:
         0.0,
     )
     return margin if bound_violation == 0.0 else min(margin, -bound_violation)
+
+
+def interpolated_control(a: IntervalBox, v1: float, v2: float, x2: float) -> float:
+    """Edge-control interpolation: v1 at the lower x2-edge of A, v2 at the upper.
+
+    This is the constructive witness for "every state of A admits a control":
+    states in between the edges use the linear interpolant.
+    """
+    lo, hi = a.lo[1], a.hi[1]
+    if hi <= lo:
+        return v1
+    t = (x2 - lo) / (hi - lo)
+    return v1 + (v2 - v1) * t
 
 
 def transition_feasible_oracle(spec: ProblemSpec, a: IntervalBox, b: IntervalBox) -> bool:

@@ -19,6 +19,7 @@ from tube_dissip.acceptance import (
     check_region_enumeration_substituted,
     check_storage_certificate,
 )
+from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec
 
 SEED = int(os.environ.get("TUBE_DISSIP_SEED", "0"))
@@ -77,3 +78,12 @@ def test_battery_is_seed_deterministic(accept_spec):
     c = check_chain_inequality(accept_spec, seed=17, n_pairs=5)
     d = check_chain_inequality(accept_spec, seed=17, n_pairs=5)
     assert c == d
+
+
+def test_instability_witness_on_a_truncated_trace_fails():
+    # with x1 in [0, 5] the start (-1, -2) lies outside the state bounds, so
+    # the controller is infeasible there and the trace ends at step 0
+    spec = ProblemSpec(x_bounds=IntervalBox(lo=(0.0, -5.0), hi=(5.0, 5.0)))
+    result = check_instability_witness(spec)
+    assert not result.passed
+    assert result.detail == "trace from (-1, -2) ends at step 0: controller infeasible"

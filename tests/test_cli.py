@@ -5,8 +5,6 @@ import pytest
 
 from tube_dissip import tube_mpc
 from tube_dissip.cli import MAX_GRID, main
-from tube_dissip.cost_to_travel import CostToTravelResult
-from tube_dissip.dissipativity import SeparabilityReport
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.qp_solver import QpStatus
 from tube_dissip.tube_mpc import TubeSolution
@@ -34,16 +32,18 @@ class TestEvalV:
             capsys, "eval-v", "--a", "[[-1,-1],[-4,0]]", "--b", "[[-1,-1],[-4,0]]", "--n", "1"
         )
         assert code == 0
-        res = CostToTravelResult.from_json_dict(json.loads(out))
-        assert res.value == pytest.approx(-0.2, abs=1e-8)
+        obj = json.loads(out)
+        assert obj["feasible"] is True
+        assert obj["value"] == pytest.approx(-0.2, abs=1e-8)
+        a, b = (IntervalBox.from_json_obj(box) for box in obj["tube"])
+        assert a == b == IntervalBox.from_json_obj([[-1, -1], [-4, 0]])
 
     def test_infeasible_pair_exits_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval-v", "--a", "[[0,1],[0,1]]", "--b", "[[0,1],[0,1]]"
         )
         assert code == 1
-        res = CostToTravelResult.from_json_dict(json.loads(out))
-        assert not res.feasible
+        assert json.loads(out) == {"feasible": False, "value": None, "tube": None, "aux_controls": None}
 
     def test_zero_steps_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -71,16 +71,17 @@ class TestCheckStorage:
     def test_default_storage_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check-storage")
         assert code == 0
-        rep = SeparabilityReport.from_json_dict(json.loads(out))
-        assert rep.passed and abs(rep.gap) <= 1e-8
+        rep = json.loads(out)
+        assert rep["passed"] is True and abs(rep["gap"]) <= 1e-8
+        assert rep["qp_min_value"] == pytest.approx(-0.2, abs=1e-8) and rep["strictness"] is None
 
     def test_bad_storage_fails_with_exit_one(self, capsys, tmp_path):
         path = tmp_path / "storage.json"
         path.write_text(json.dumps({"offset": 16.0, "linear": [0, -3.2, 3.2, 0]}))
         code, out, _ = run_cli(capsys, "check-storage", "--storage", str(path))
         assert code == 1
-        rep = SeparabilityReport.from_json_dict(json.loads(out))
-        assert not rep.passed
+        rep = json.loads(out)
+        assert rep["passed"] is False and rep["gap"] == pytest.approx(-10.2, abs=1e-8)
 
     def test_strictness_uses_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("TUBE_DISSIP_SEED", "123")
@@ -97,8 +98,11 @@ class TestControl:
     def test_solution_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "control", "--z=-1,-2")
         assert code == 0
-        sol = TubeSolution.from_json_dict(json.loads(out))
-        assert sol.u0 == pytest.approx(-1.0, abs=1e-8)
+        sol = json.loads(out)
+        assert sol["status"] == "optimal"
+        assert sol["u0"] == pytest.approx(-1.0, abs=1e-8)
+        tube = [IntervalBox.from_json_obj(box) for box in sol["tube"]]
+        assert len(tube) == 3 and len(sol["edge_controls"]) == 2
 
     def test_no_initial_cost_flag(self, capsys):
         code, out, _ = run_cli(capsys, "control", "--z=-1,-2", "--no-initial-cost")
@@ -421,6 +425,26 @@ class TestConfig:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: no robust control invariant")
 
+    @pytest.mark.parametrize("argv", [
+        ("rci",),
+        ("verify-all",),
+        ("control", "--z=0,0"),
+        ("simulate", "--y0=0,0", "--policy", "random"),
+    ], ids=" ".join)
+    @pytest.mark.parametrize("problem", [
+        {"x_bounds": [[-1e308, 1e308], [-5, 5]]},
+        {"w_bounds": [-1e308, 1e308]},
+    ], ids=["x_bounds", "w_bounds"])
+    def test_bounds_whose_width_overflows_rejected(self, capsys, tmp_path, problem, argv):
+        # finite corners whose difference is inf: rejected with the config,
+        # before any draw or solve spans them
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"problem": problem}))
+        code, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "finite widths" in err
+
     def test_json_output_format_accepted(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"output": {"format": "json"}}))
@@ -436,3 +460,32 @@ class TestVerifyAll:
         lines = out.strip().splitlines()
         assert all(line.startswith("[PASS]") for line in lines[:-1])
         assert lines[-1] == "9/9 criteria passed"
+
+    @pytest.mark.parametrize("config", [
+        {"tolerances": {"max_iter": 1}},
+        {"tolerances": {"feas_tol": 1e10}},
+        {"controller": {}},
+        {"controller": {"use_initial_cost": False}, "tolerances": {}},
+    ], ids=json.dumps)
+    def test_sections_the_battery_does_not_read_rejected(self, capsys, tmp_path, config):
+        # the battery runs at pinned tolerances with its own controllers, so
+        # these would otherwise be ignored behind a 9/9 table
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "--config", str(path), "verify-all")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: verify-all runs at pinned tolerances")
+
+    def test_truncated_witness_trace_fails(self, capsys, tmp_path):
+        # the witness starts at (-1, -2), outside x1 in [0, 5]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"problem": {"x_bounds": [[0, 5], [-5, 5]]}}))
+        code, out, err = run_cli(capsys, "--config", str(path), "verify-all")
+        assert code == 1
+        assert err == ""
+        lines = out.strip().splitlines()
+        (witness,) = [line for line in lines if "instability-witness" in line]
+        assert witness.startswith("[FAIL]")
+        assert witness.endswith("trace from (-1, -2) ends at step 0: controller infeasible")
+        assert lines[-1].endswith("/9 criteria passed")

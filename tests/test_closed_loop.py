@@ -9,12 +9,12 @@ from tube_dissip.closed_loop import (
     ExtremePolicy,
     UniformRandomPolicy,
     check_enclosure_stability,
-    lyapunov_value,
     rotated_cost,
     simulate,
 )
-from tube_dissip.interval_sets import IntervalBox, boxes_intersect, contains
+from tube_dissip.interval_sets import IntervalBox, boxes_intersect, contains, hausdorff
 from tube_dissip.problem import dynamics
+from tube_dissip.qp_solver import DEFAULT_SETTINGS
 from tube_dissip.tube_mpc import solve_tmpc
 
 
@@ -121,17 +121,26 @@ class TestRotatedCost:
 
 
 class TestLyapunovValue:
+    """The decrease certificate ``TraceStep.lyapunov``: the rotated costs of the tube's steps, summed."""
+
     def test_zero_on_stationary_tube(self, spec, cfg_ic, x_star):
-        assert lyapunov_value(spec, cfg_ic, (x_star, x_star, x_star)) == pytest.approx(0.0, abs=1e-8)
+        assert rotated_cost(spec, cfg_ic, x_star, x_star) == pytest.approx(0.0, abs=1e-8)
+        # at a state inside X* the optimal tube stays on X*
+        (step,) = simulate(spec, cfg_ic, (-1.0, -2.0), 0, AdversarialPolicy()).steps
+        assert len(step.tube) == 3 and max(hausdorff(b, x_star) for b in step.tube) <= 1e-8
+        assert step.lyapunov == pytest.approx(0.0, abs=1e-8)
 
     def test_positive_on_optimal_tube_away_from_box(self, spec, cfg_ic):
-        sol = solve_tmpc(spec, cfg_ic, (5.0, -5.0))
-        value = lyapunov_value(spec, cfg_ic, sol.tube)
-        assert value == pytest.approx(3.648214285714, abs=1e-6)  # regression baseline
-        assert value > 0
+        (step,) = simulate(spec, cfg_ic, (5.0, -5.0), 0, AdversarialPolicy()).steps
+        assert step.tube == solve_tmpc(spec, cfg_ic, (5.0, -5.0)).tube
+        assert step.lyapunov == sum(step.rotated_legs)
+        assert step.lyapunov == pytest.approx(3.648214285714, abs=1e-6)  # regression baseline
+        assert step.lyapunov > 0
 
     def test_infinite_on_broken_tube(self, spec, cfg_ic, x_star):
-        assert lyapunov_value(spec, cfg_ic, (x_star, box((0, 1), (0, 1)))) == math.inf
+        legs = closed_loop._rotated_legs(spec, cfg_ic, (x_star, x_star, box((0, 1), (0, 1))), DEFAULT_SETTINGS)
+        assert legs[1] == math.inf
+        assert sum(legs, 0.0) == math.inf
 
     def test_strict_decrease_along_stable_traces(self, spec, cfg_ic):
         for y0 in ((5.0, -5.0), (-5.0, 5.0)):
@@ -144,12 +153,10 @@ class TestLyapunovValue:
 
 class TestInvarianceUnderFeedback:
     def test_invariant_box_traps_the_closed_loop(self, spec, cfg_ic, x_star, rng):
-        from tube_dissip.tube_mpc import feedback
-
         states = [(-1.0, x2) for x2 in np.linspace(-4, 0, 5)]
         ws = [spec.w_lo, spec.w_hi] + list(rng.uniform(spec.w_lo, spec.w_hi, 100))
         for y in states:
-            u = feedback(spec, cfg_ic, y)
+            u = solve_tmpc(spec, cfg_ic, y).u0
             for w in ws:
                 nxt = dynamics(spec, y, u, w)
                 assert contains(x_star, nxt, tol=1e-9)

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 import tube_dissip
 from tube_dissip import cost_to_travel, qp_solver
 from tube_dissip.cost_to_travel import (
-    CostToTravelResult,
     RciNotFound,
-    bellman_gap,
     eval_v,
     optimal_rci,
 )
@@ -105,12 +103,13 @@ class TestEvalV:
 
     def test_json_round_trip(self, spec, x_star):
         res = eval_v(spec, x_star, x_star, 2)
-        back = CostToTravelResult.from_json_dict(json.loads(json.dumps(res.to_json_dict())))
-        assert back.value == pytest.approx(res.value, abs=0)
-        assert back.tube == res.tube
+        obj = json.loads(json.dumps(res.to_json_dict()))
+        assert obj["feasible"] is True and obj["value"] == res.value
+        assert tuple(IntervalBox.from_json_obj(b) for b in obj["tube"]) == res.tube
+        assert tuple(map(tuple, obj["aux_controls"])) == res.aux_controls
         infeasible = eval_v(spec, box((0, 1), (0, 1)), box((0, 1), (0, 1)), 1)
-        back = CostToTravelResult.from_json_dict(json.loads(json.dumps(infeasible.to_json_dict())))
-        assert back.value == INF
+        obj = json.loads(json.dumps(infeasible.to_json_dict()))
+        assert obj == {"feasible": False, "value": None, "tube": None, "aux_controls": None}
 
 
 class TestOptimalRci:
@@ -152,10 +151,17 @@ class TestOptimalRci:
         assert loose is not first and loose is optimal_rci(spec, SolverSettings(feas_tol=1e-6))
 
 
+def two_legs(spec, a, mid, c):
+    """``V(a, mid, 1) + V(mid, c, 1)``, the cost of the two-step tubes from a to c through mid."""
+    return eval_v(spec, a, mid, 1).value + eval_v(spec, mid, c, 1).value
+
+
 class TestBellmanGap:
+    """The chain equation ``V(A, C, 2) = min_B [V(A, B, 1) + V(B, C, 1)]``."""
+
     def test_stationary_chain(self, spec, x_star):
-        gap = bellman_gap(spec, x_star, x_star, 1, 1, [x_star])
-        assert gap == pytest.approx(0.0, abs=1e-6)
+        direct = eval_v(spec, x_star, x_star, 2).value
+        assert two_legs(spec, x_star, x_star, x_star) - direct == pytest.approx(0.0, abs=1e-6)
 
     def test_gap_nonnegative_for_random_candidates(self, spec, rng):
         candidates = [
@@ -165,23 +171,25 @@ class TestBellmanGap:
         ]
         for _ in range(25):
             chain = feasible_chain(spec, rng, 2)
-            gap = bellman_gap(spec, chain[0], chain[2], 1, 1, candidates)
-            assert gap >= -1e-6
+            direct = eval_v(spec, chain[0], chain[2], 2).value
+            for mid in candidates:
+                assert two_legs(spec, chain[0], mid, chain[2]) - direct >= -1e-6
 
     def test_extracted_middle_closes_the_gap(self, spec, rng):
         for _ in range(25):
             chain = feasible_chain(spec, rng, 2)
             direct = eval_v(spec, chain[0], chain[2], 2)
             assert direct.feasible
-            gap = bellman_gap(spec, chain[0], chain[2], 1, 1, [direct.tube[1]])
-            assert abs(gap) <= 1e-6
+            assert abs(two_legs(spec, chain[0], direct.tube[1], chain[2]) - direct.value) <= 1e-6
 
     def test_infinite_cases(self, spec, x_star):
         unreachable = box((0, 1), (0, 1))  # too narrow to be any successor
-        gap = bellman_gap(spec, x_star, unreachable, 1, 1, [x_star])
-        assert gap == 0.0  # both sides infinite
-        gap = bellman_gap(spec, x_star, x_star, 1, 1, [unreachable])
-        assert gap == INF  # candidate legs infinite, direct value finite
+        # no two-step tube reaches it, whatever the middle box
+        assert eval_v(spec, x_star, unreachable, 2).value == INF
+        assert two_legs(spec, x_star, x_star, unreachable) == INF
+        # through it, the legs are infinite while the direct value is finite
+        assert two_legs(spec, x_star, unreachable, x_star) == INF
+        assert eval_v(spec, x_star, x_star, 2).feasible
 
 
 class TestMonotonicityOfValues:
@@ -322,10 +330,10 @@ class TestMultiStepValues:
         with pytest.raises(SolverFailure) as info:
             eval_v(spec, chain[0], chain[3], 3, settings)
         data = {k: np.array(v) for k, v in info.value.problem.items()}
-        assert set(data) == {"d", "q", "G", "h"}
+        assert set(data) == {"d", "q", "G", "h", "tol"}
         # the dumped program is the one that was being solved
         x, _ = qp_solver._dual_active_set(
-            data["d"], data["q"], data["G"], data["h"], 1e-11, DEFAULT_SETTINGS.max_iter
+            data["d"], data["q"], data["G"], data["h"], data["tol"], DEFAULT_SETTINGS.max_iter
         )
         _, (_, x_ref, _) = solved_chain(spec, chain[0], chain[3], 3)
         assert np.array_equal(x, x_ref)

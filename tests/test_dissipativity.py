@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.optimize import linprog
 
 from tube_dissip.cost_to_travel import eval_v, optimal_rci
 from tube_dissip.dissipativity import (
-    SeparabilityReport,
     StorageFunction,
     check_strictness,
     eval_storage,
@@ -89,7 +89,7 @@ class TestVerifySeparability:
     def test_zero_storage_fails(self, spec):
         # minimizing the stage cost alone over the relaxed rows reaches -5 at
         # (-5, -5, 0, 0), far below the optimal self-transition value
-        rep = verify_separability(spec, StorageFunction.zero())
+        rep = verify_separability(spec, StorageFunction(offset=0.0, linear_coeffs=(0.0, 0.0, 0.0, 0.0)))
         assert rep.qp_min_value == pytest.approx(-5.0, abs=1e-8)
         assert rep.gap == pytest.approx(-4.8, abs=1e-8)
         assert not rep.passed
@@ -115,10 +115,18 @@ class TestVerifySeparability:
 
     def test_report_json_round_trip(self, spec, reference_storage):
         rep = verify_separability(spec, reference_storage)
-        back = SeparabilityReport.from_json_dict(json.loads(json.dumps(rep.to_json_dict())))
-        assert back.passed == rep.passed
-        assert back.qp_min_value == pytest.approx(rep.qp_min_value, abs=0)
-        assert back.v_star == pytest.approx(rep.v_star, abs=0)
+        strict = check_strictness(spec, reference_storage, n_samples=5, seed=0)
+        obj = json.loads(json.dumps(replace(rep, strictness=strict).to_json_dict()))
+        assert obj["passed"] is rep.passed is True and obj["unbounded"] is False
+        assert obj["qp_min_value"] == rep.qp_min_value and obj["v_star"] == rep.v_star and obj["gap"] == rep.gap
+        assert tuple(obj["minimizer_a"]) == rep.minimizer_a and tuple(obj["minimizer_b"]) == rep.minimizer_b
+        assert obj["minimizer_v"] == rep.minimizer_v
+        worst = tuple(IntervalBox.from_json_obj(b) for b in obj["strictness"]["worst_pair"])
+        assert worst == strict.worst_pair and obj["strictness"]["min_margin"] == strict.min_margin
+        # an unbounded candidate's infinite minimum and gap are written as null
+        unbounded = StorageFunction(offset=0.0, linear_coeffs=(0.0, 0.0, 0.0, 1.0))
+        obj = json.loads(json.dumps(verify_separability(spec, unbounded).to_json_dict()))
+        assert obj["qp_min_value"] is None and obj["gap"] is None and obj["unbounded"] is True
 
 
 SEPARABILITY_SPECS = {

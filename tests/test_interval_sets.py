@@ -28,7 +28,8 @@ class TestIntervalBox:
         assert IntervalBox.from_corners(a.corners()) == a
 
     def test_degenerate_dimensions_allowed(self):
-        assert X_STAR.widths() == (0.0, 4.0)
+        assert X_STAR.corners() == (-1.0, -1.0, -4.0, 0.0)
+        assert X_STAR.hi[0] - X_STAR.lo[0] == 0.0 and X_STAR.hi[1] - X_STAR.lo[1] == 4.0
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -138,3 +139,16 @@ class TestIntersection:
 
     def test_nested_boxes_intersect(self):
         assert boxes_intersect(X_STAR, X_FULL)
+
+    @pytest.mark.parametrize("other", [
+        box((1 + 1e-9, 2), (0, 1)),
+        box((-1, -1e-9), (0, 1)),
+        box((0, 1), (1 + 1e-9, 2)),
+        box((0, 1), (-1, -1e-9)),
+    ], ids=["right", "left", "above", "below"])
+    def test_gap_within_tol_counts_as_shared(self, other):
+        # a gap of about 1e-9 along one axis: within 2e-9, not within 5e-10
+        a = box((0, 1), (0, 1))
+        for x, y in ((a, other), (other, a)):
+            assert not boxes_intersect(x, y) and not boxes_intersect(x, y, tol=5e-10)
+            assert boxes_intersect(x, y, tol=2e-9)

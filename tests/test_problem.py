@@ -15,7 +15,6 @@ from tube_dissip.problem import (
     ConfigError,
     ProblemSpec,
     dynamics,
-    interpolated_control,
     is_rci,
     stage_cost,
     transition_feasible,
@@ -23,11 +22,12 @@ from tube_dissip.problem import (
     transition_witness,
 )
 from tube_dissip.qp_solver import DEFAULT_SETTINGS
-from tube_dissip.sampling import feasible_pair, monotone_cone_box, random_box_within
+from tube_dissip.sampling import feasible_pair, monotone_cone_box, random_box_within, random_superbox
 from tube_dissip.tube_mpc import _controller
 
 from .oracles import (
     build_g_block,
+    interpolated_control,
     row_violations,
     transition_feasible_oracle,
     transition_feasible_qp,
@@ -97,6 +97,24 @@ class TestProblemSpec:
     def test_nan_and_unbounded_disturbance_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ProblemSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"x_bounds": IntervalBox(lo=(-1e308, -5.0), hi=(1e308, 5.0))},
+            {"x_bounds": IntervalBox(lo=(-5.0, -1.7e308), hi=(5.0, 1.7e308))},
+            {"w_bounds": (-1e308, 1e308)},
+        ],
+        ids=["x1", "x2", "w"],
+    )
+    def test_bounds_whose_width_overflows_rejected(self, kwargs):
+        # every corner is finite, but hi - lo is inf
+        with pytest.raises(ConfigError, match="finite widths"):
+            ProblemSpec(**kwargs)
+
+    def test_widest_finite_bounds_accepted(self):
+        spec = ProblemSpec(x_bounds=IntervalBox(lo=(-8e307, -5.0), hi=(8e307, 5.0)), w_bounds=(-8e307, 8e307))
+        assert spec.x_bounds.hi[0] - spec.x_bounds.lo[0] == 1.6e308
 
 
 class TestPerSpecValues:
@@ -200,11 +218,9 @@ class TestStageCost:
             assert stage_cost(spec, a) == ((terms[0] + terms[1]) + terms[2]) + terms[3]
 
     def test_grows_with_inclusion_on_the_cone(self, spec, rng):
-        from tube_dissip.sampling import monotone_cone_superbox
-
         for _ in range(300):
             inner = monotone_cone_box(rng, spec)
-            outer = monotone_cone_superbox(rng, spec, inner)
+            outer = random_superbox(rng, inner, spec.x_bounds)
             assert stage_cost(spec, inner) <= stage_cost(spec, outer) + 1e-12
 
     def test_not_monotone_everywhere_inside_bounds(self, spec):
@@ -286,7 +302,7 @@ class TestTransitionFeasible:
             res = eval_v(spec, a, b, 1)
             v1, v2 = res.aux_controls[0]
             for x2 in np.linspace(a.lo[1], a.hi[1], 21):
-                u = interpolated_control(spec, a, v1, v2, x2)
+                u = interpolated_control(a, v1, v2, x2)
                 for w in (spec.w_lo, spec.w_hi):
                     nxt = dynamics(spec, (a.lo[0], x2), u, w)
                     assert b.lo[0] - 1e-7 <= nxt[0] <= b.hi[0] + 1e-7

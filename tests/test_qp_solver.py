@@ -246,9 +246,10 @@ class TestDualActiveSet:
         with pytest.raises(SolverFailure) as info:
             dual_active_set(d, q, G, h, max_iter=1)
         dump = info.value.problem
-        assert set(dump) == {"d", "q", "G", "h"}
+        assert set(dump) == {"d", "q", "G", "h", "tol"}
         for name, value in (("d", d), ("q", q), ("G", G), ("h", h)):
             assert np.array_equal(np.array(dump[name]), value)
+        assert dump["tol"] == 1e-12
 
     def test_iteration_cap_dump_replays_the_cold_solve(self, rng):
         # whatever step the cap stops at, the dump gives the uncapped answer bit for bit
@@ -263,7 +264,9 @@ class TestDualActiveSet:
                     capped = dual_active_set(d, q, G, h, max_iter=cap)
                 except SolverFailure as failure:
                     dump = {name: np.array(value) for name, value in failure.problem.items()}
-                    got = dual_active_set(dump["d"], dump["q"], dump["G"], dump["h"])
+                    got = qp_solver._dual_active_set(
+                        dump["d"], dump["q"], dump["G"], dump["h"], dump["tol"], 1000
+                    )
                     assert (got[0] is None) == (want[0] is None)
                     for a, b in zip(got, want):
                         assert a is None or a.tobytes() == b.tobytes()
@@ -275,6 +278,17 @@ class TestDualActiveSet:
                 break
             assert cap > 0
         assert verdicts == {True, False}
+
+    def test_inconsistent_rows_without_a_certifying_ray_raise(self):
+        # x = -2 as two opposite rows, which linprog finds feasible.  At
+        # d = 1e-12 the cold start -q/(2d) is -5e11, and the step onto one
+        # row leaves the other violated by rounding alone; their ray
+        # e_p + e_q has h'y = 0, which certifies nothing
+        d, q, G, h = [1e-12], [1.0], [[1.0], [-1.0]], [-2.0, 2.0]
+        assert linprog([0.0], A_ub=G, b_ub=h, bounds=[(None, None)], method="highs").status == 0
+        with pytest.raises(SolverFailure, match="without a Farkas ray") as info:
+            dual_active_set(d, q, G, h)
+        assert info.value.problem == {"d": d, "q": q, "G": G, "h": h, "tol": 1e-12}
 
     def test_start_at_the_optimum_takes_no_step(self, rng):
         # the kernel starts at the unconstrained minimiser with no row active:

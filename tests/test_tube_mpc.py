@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from tube_dissip import cost_to_travel, tube_mpc
 from tube_dissip.cost_to_travel import eval_v
@@ -12,16 +13,7 @@ from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
 from tube_dissip.problem import ConfigError, ProblemSpec, dynamics, transition_feasible, transition_witness
 from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, solve
-from tube_dissip.tube_mpc import (
-    ControllerInfeasible,
-    TubeMpcConfig,
-    TubeSolution,
-    TubeStepInfeasible,
-    feedback,
-    mu_feedback,
-    solve_tmpc,
-    sweep_feedback,
-)
+from tube_dissip.tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, sweep_feedback
 
 from .oracles import assert_validated_read_back, program_answer, row_violations, tube_qp_reference
 
@@ -151,10 +143,39 @@ class TestSolveTmpc:
 
     def test_json_round_trip(self, spec, cfg_ic):
         sol = solve_tmpc(spec, cfg_ic, (1.0, 1.0))
-        back = TubeSolution.from_json_dict(json.loads(json.dumps(sol.to_json_dict())))
-        assert back.status is sol.status
-        assert back.u0 == sol.u0
-        assert back.tube == sol.tube
+        obj = json.loads(json.dumps(sol.to_json_dict()))
+        assert QpStatus(obj["status"]) is sol.status
+        assert obj["u0"] == sol.u0 and obj["objective"] == sol.objective
+        assert tuple(obj["u0_interval"]) == sol.u0_interval
+        assert tuple(IntervalBox.from_json_obj(b) for b in obj["tube"]) == sol.tube
+        assert tuple(map(tuple, obj["edge_controls"])) == sol.edge_controls
+        assert json.loads(json.dumps(TubeSolution(status=QpStatus.INFEASIBLE).to_json_dict())) == {
+            "status": "infeasible", "tube": None, "u0": None, "objective": None,
+            "u0_interval": None, "edge_controls": None,
+        }
+
+    @pytest.mark.parametrize("use_initial_cost", [False, True])
+    @pytest.mark.parametrize("cost", [1e-6, 1e-7, 1e-8])
+    def test_badly_scaled_cost_is_never_read_as_infeasible(self, cost, use_initial_cost):
+        # the program is feasible at z = (5, -5), yet from the far-off cold
+        # start -q/(2d) the kernel can meet two opposite rows that rounding
+        # alone leaves inconsistent; their ray certifies nothing, so the
+        # solve answers or raises, and never reports INFEASIBLE
+        spec = ProblemSpec(cost_quad=(cost,) * 4)
+        cfg = TubeMpcConfig(use_initial_cost=use_initial_cost)
+        z = (5.0, -5.0)
+        prog = tube_mpc._controller(spec, cfg).prog
+        n = prog.G.shape[1]
+        h = prog.h0 - prog.P @ z
+        feasible = linprog(np.zeros(n), A_ub=prog.G, b_ub=h, bounds=[(None, None)] * n, method="highs")
+        assert feasible.status == 0
+        try:
+            sol = solve_tmpc(spec, cfg, z)
+        except SolverFailure as failure:
+            assert "without a Farkas ray" in str(failure)
+            assert set(failure.problem) == {"d", "q", "G", "h", "tol"}
+        else:
+            assert sol.status is QpStatus.OPTIMAL
 
 
 def record_solves(monkeypatch, spec, cfg):
@@ -407,13 +428,13 @@ class TestTemplate:
         with pytest.raises(SolverFailure) as info:
             solve_tmpc(spec, cfg, z, capped)
         dump = {key: np.array(value) for key, value in info.value.problem.items()}
-        assert set(dump) == {"d", "q", "G", "h"}
+        assert set(dump) == {"d", "q", "G", "h", "tol"}
         kernel = cost_to_travel._dual_active_set
         runs = count_kernel_runs(monkeypatch)
         tube_mpc._controller.cache_clear()
         assert solve_tmpc(spec, cfg, z).feasible
         (uncapped,) = runs
-        got = kernel(dump["d"], dump["q"], dump["G"], dump["h"], KERNEL_TOL, DEFAULT_SETTINGS.max_iter)
+        got = kernel(dump["d"], dump["q"], dump["G"], dump["h"], dump["tol"], DEFAULT_SETTINGS.max_iter)
         want = kernel(*uncapped)
         assert_same_array(got[0], want[0], "x")
         assert_same_array(got[1], want[1], "y")
@@ -749,43 +770,36 @@ class TestHatchedRegionStructure:
 
 class TestFeedback:
     def test_law_above_band(self, spec, cfg_ic):
-        assert feedback(spec, cfg_ic, (0.0, 2.0)) == pytest.approx(-2.0, abs=1e-8)
+        assert solve_tmpc(spec, cfg_ic, (0.0, 2.0)).u0 == pytest.approx(-2.0, abs=1e-8)
 
     def test_law_inside_band(self, spec, cfg_ic):
-        assert feedback(spec, cfg_ic, (5.0, 0.0)) == pytest.approx(-1.0, abs=1e-8)
+        assert solve_tmpc(spec, cfg_ic, (5.0, 0.0)).u0 == pytest.approx(-1.0, abs=1e-8)
 
     def test_law_without_initial_cost(self, spec, cfg_noic):
-        assert feedback(spec, cfg_noic, (-3.0, -1.0)) == pytest.approx(-2.5, abs=1e-8)
+        assert solve_tmpc(spec, cfg_noic, (-3.0, -1.0)).u0 == pytest.approx(-2.5, abs=1e-8)
 
     def test_raises_outside_feasible_region(self, spec, cfg_ic):
-        with pytest.raises(ControllerInfeasible):
-            feedback(spec, cfg_ic, (5.5, 0.0))
+        sol = solve_tmpc(spec, cfg_ic, (5.5, 0.0))
+        assert not sol.feasible and sol.u0 is None
 
 
 class TestMuFeedback:
-    def test_forced_singleton(self, spec, x_star):
-        u = mu_feedback(spec, (x_star, x_star), 0, (-1.0, -2.0))
-        assert u == pytest.approx(-1.0, abs=1e-12)
+    """The applied control mu(z), ``solve_tmpc(...).u0``, and the window on the second box it is taken from."""
 
-    def test_widened_next_box_midpoint(self, spec, x_star):
+    def test_forced_singleton(self, spec, cfg_ic, x_star):
+        # from z2 = -2 into X*, the window holds the one control -1
+        assert tube_mpc._window(spec, x_star, -2.0) == (-1.0, -1.0)
+        sol = solve_tmpc(spec, cfg_ic, (-1.0, -2.0))
+        assert sol.u0_interval == pytest.approx((-1.0, -1.0), abs=1e-12)
+        assert sol.u0 == pytest.approx(-1.0, abs=1e-12)
+
+    def test_control_window(self, spec, x_star):
         # x1-window [-2, 0]; x2 requires u - 1 + w in [-4, 0] for |w| <= 1,
-        # so u in [-2, 0]; the midpoint of the intersection is -1
-        tube = (x_star, box((-2, 0), (-4, 0)))
-        u = mu_feedback(spec, tube, 0, (-1.0, -2.0))
-        assert u == pytest.approx(-1.0, abs=1e-12)
-
-    def test_infeasible_step_raises(self, spec, x_star):
-        tube = (box((-5, 5), (-5, 5)), x_star)
-        with pytest.raises(TubeStepInfeasible):
-            mu_feedback(spec, tube, 0, (3.0, 4.0))
-
-    def test_state_outside_tube_rejected(self, spec, x_star):
-        with pytest.raises(ValueError):
-            mu_feedback(spec, (x_star, x_star), 0, (0.0, 0.0))
-
-    def test_index_out_of_range_rejected(self, spec, x_star):
-        with pytest.raises(ValueError):
-            mu_feedback(spec, (x_star, x_star), 1, (-1.0, -2.0))
+        # so u in [-2, 0]
+        assert tube_mpc._window(spec, box((-2, 0), (-4, 0)), -2.0) == (-2.0, 0.0)
+        # from z2 = 4 no control reaches X* for every disturbance
+        lo, hi = tube_mpc._window(spec, x_star, 4.0)
+        assert lo > hi
 
 
 class TestSweep:
