@@ -793,13 +793,23 @@ class TestMuFeedback:
         assert sol.u0_interval == pytest.approx((-1.0, -1.0), abs=1e-12)
         assert sol.u0 == pytest.approx(-1.0, abs=1e-12)
 
-    def test_control_window(self, spec, x_star):
+    def test_widened_next_box_midpoint(self, spec, x_star):
         # x1-window [-2, 0]; x2 requires u - 1 + w in [-4, 0] for |w| <= 1,
-        # so u in [-2, 0]
-        assert tube_mpc._window(spec, box((-2, 0), (-4, 0)), -2.0) == (-2.0, 0.0)
-        # from z2 = 4 no control reaches X* for every disturbance
+        # so u in [-2, 0], whose midpoint is -1
+        lo, hi = tube_mpc._window(spec, box((-2, 0), (-4, 0)), -2.0)
+        assert (lo, hi) == (-2.0, 0.0)
+        assert 0.5 * (lo + hi) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_infeasible_step_raises(self, spec, cfg_ic, x_star, monkeypatch):
+        # from z2 = 4 no control reaches X* for every disturbance, so a tube
+        # whose second box is X* has an empty window at (3, 4), and solve_tmpc
+        # raises rather than apply a control
         lo, hi = tube_mpc._window(spec, x_star, 4.0)
-        assert lo > hi
+        assert lo - hi > 1e-8
+        tube = (box((-5, 5), (-5, 5)), x_star)
+        monkeypatch.setattr(tube_mpc, "_solve_tube", lambda *args: (0.0, tube, ((0.0, 0.0),)))
+        with pytest.raises(SolverFailure, match="empty control window"):
+            solve_tmpc(spec, cfg_ic, (3.0, 4.0))
 
 
 class TestSweep:
