@@ -2,7 +2,7 @@
 
 from .interval_sets import IntervalBox, boxes_intersect, contains, hausdorff, subset
 from .problem import ConfigError, ProblemSpec, dynamics, is_rci, stage_cost, transition_feasible
-from .qp_solver import QpStatus, SolverFailure, SolverSettings
+from .qp_solver import QpStatus, SolverFailure
 from .cost_to_travel import CostToTravelResult, RciNotFound, eval_v, optimal_rci
 from .dissipativity import (
     SeparabilityReport,

@@ -36,7 +36,7 @@ from .cost_to_travel import MAX_STEPS, RciNotFound, eval_v, optimal_rci
 from .dissipativity import StorageFunction, check_strictness, verify_separability
 from .interval_sets import IntervalBox, _is_real
 from .problem import ConfigError, ProblemSpec, _read_json
-from .qp_solver import SolverFailure, SolverSettings
+from .qp_solver import _FEAS_TOL, SolverFailure
 from .tube_mpc import TubeMpcConfig, solve_tmpc, sweep_feedback
 from dataclasses import replace
 
@@ -44,6 +44,9 @@ DEFAULT_SEED = 0
 # the most points per axis of a sweep grid: about a million solves, and the
 # grid is a list of grid**2 states built before the first of them
 MAX_GRID = 1001
+# the largest feas_tol a config may set, a decade below the first change
+# measured on the default instance (README, "Run configuration")
+_MAX_FEAS_TOL = 1e-3
 
 
 def _fmt(value) -> str:
@@ -85,8 +88,8 @@ class RunConfig:
 
     KNOWN_KEYS = {"problem", "controller", "tolerances", "seed", "output"}
     CONTROLLER_KEYS = {"horizon", "use_initial_cost", "storage", "terminal_set"}
-    TOLERANCE_KEYS = {"feas_tol", "max_iter"}
-    OUTPUT_KEYS = {"path", "format"}
+    TOLERANCE_KEYS = {"feas_tol"}
+    OUTPUT_KEYS = {"path"}
 
     def __init__(self, obj: dict):
         if not isinstance(obj, dict):
@@ -120,12 +123,11 @@ class RunConfig:
         unknown = set(tols) - self.TOLERANCE_KEYS
         if unknown:
             raise ConfigError(f"unknown tolerance config keys: {sorted(unknown)}")
-        feas_tol = tols.get("feas_tol", SolverSettings.feas_tol)
-        if not (_is_real(feas_tol) and math.isfinite(feas_tol) and feas_tol > 0.0):
-            raise ConfigError(f"tolerances.feas_tol must be a finite number > 0, got {feas_tol!r}")
-        if "max_iter" in tols and not (_is_int(tols["max_iter"]) and tols["max_iter"] >= 1):
-            raise ConfigError(f"tolerances.max_iter must be an integer >= 1, got {tols['max_iter']!r}")
-        self.settings = replace(SolverSettings(), **tols)
+        self.feas_tol = tols.get("feas_tol", _FEAS_TOL)
+        if not (_is_real(self.feas_tol) and 0.0 < self.feas_tol <= _MAX_FEAS_TOL):
+            raise ConfigError(
+                f"tolerances.feas_tol must be a number > 0 and <= {_MAX_FEAS_TOL:g}, got {self.feas_tol!r}"
+            )
         out = _section(obj, "output")
         unknown = set(out) - self.OUTPUT_KEYS
         if unknown:
@@ -133,9 +135,6 @@ class RunConfig:
         self.output_path = out.get("path")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError(f"output.path must be a string, got {self.output_path!r}")
-        # each command has one fixed output format, so only the default is accepted
-        if out.get("format", "json") != "json":
-            raise ConfigError(f"unsupported output format {out['format']!r} (only \"json\")")
         env_seed = os.environ.get("TUBE_DISSIP_SEED")
         if "seed" in obj:
             if not (_is_int(obj["seed"]) and obj["seed"] >= 0):
@@ -215,7 +214,7 @@ def _controller_config(run: RunConfig, args) -> TubeMpcConfig:
 
 
 def _cmd_rci(run: RunConfig, args) -> int:
-    box, v_star = optimal_rci(run.spec, run.settings)
+    box, v_star = optimal_rci(run.spec, feas_tol=run.feas_tol)
     _write_output(
         json.dumps({"corners": list(box.corners()), "box": box.to_json_obj(), "v_star": v_star}),
         args.output or run.output_path,
@@ -228,7 +227,7 @@ def _cmd_eval_v(run: RunConfig, args) -> int:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.n > MAX_STEPS:
         raise ConfigError(f"--n must be at most {MAX_STEPS}, got {args.n}")
-    result = eval_v(run.spec, _parse_box(args.a), _parse_box(args.b), args.n, run.settings)
+    result = eval_v(run.spec, _parse_box(args.a), _parse_box(args.b), args.n, feas_tol=run.feas_tol)
     _write_output(json.dumps(result.to_json_dict()), args.output or run.output_path)
     return 0 if result.feasible else 1
 
@@ -240,9 +239,9 @@ def _cmd_check_storage(run: RunConfig, args) -> int:
         sf = StorageFunction.reference()
     else:
         sf = _parse_storage(_read_json(args.storage), args.storage)
-    report = verify_separability(run.spec, sf, settings=run.settings)
+    report = verify_separability(run.spec, sf, feas_tol=run.feas_tol)
     if args.strictness:
-        strict = check_strictness(run.spec, sf, args.strictness, seed=run.seed, settings=run.settings)
+        strict = check_strictness(run.spec, sf, args.strictness, seed=run.seed, feas_tol=run.feas_tol)
         report = replace(report, strictness=strict)
     _write_output(json.dumps(report.to_json_dict()), args.output or run.output_path)
     return 0 if report.passed else 1
@@ -250,7 +249,7 @@ def _cmd_check_storage(run: RunConfig, args) -> int:
 
 def _cmd_control(run: RunConfig, args) -> int:
     cfg = _controller_config(run, args)
-    sol = solve_tmpc(run.spec, cfg, _parse_point(args.z), run.settings)
+    sol = solve_tmpc(run.spec, cfg, _parse_point(args.z), feas_tol=run.feas_tol)
     _write_output(json.dumps(sol.to_json_dict()), args.output or run.output_path)
     return 0 if sol.feasible else 1
 
@@ -267,7 +266,7 @@ def _cmd_sweep(run: RunConfig, args) -> int:
         for z1 in np.linspace(xb.lo[0], xb.hi[0], args.grid)
         for z2 in np.linspace(xb.lo[1], xb.hi[1], args.grid)
     ]
-    points = sweep_feedback(run.spec, cfg, grid, run.settings)
+    points = sweep_feedback(run.spec, cfg, grid, feas_tol=run.feas_tol)
     rows = [
         {
             "z1": p.z[0],
@@ -293,7 +292,7 @@ def _cmd_simulate(run: RunConfig, args) -> int:
         rows = []
         ok = True
         for y0 in ((5.0, -5.0), (-5.0, 5.0)):
-            trace = simulate(run.spec, cfg, y0, args.steps, AdversarialPolicy(), run.settings)
+            trace = simulate(run.spec, cfg, y0, args.steps, AdversarialPolicy(), feas_tol=run.feas_tol)
             report = check_enclosure_stability(trace, run.spec)
             ok = ok and report.stable
             for row in trace.csv_rows():
@@ -305,7 +304,7 @@ def _cmd_simulate(run: RunConfig, args) -> int:
         print("error: --y0 is required without --fig2", file=sys.stderr)
         return 2
     policy = _parse_policy(args.policy, run.seed)
-    trace = simulate(run.spec, cfg, _parse_point(args.y0), args.steps, policy, run.settings)
+    trace = simulate(run.spec, cfg, _parse_point(args.y0), args.steps, policy, feas_tol=run.feas_tol)
     _write_output(_csv(trace.csv_rows(), columns), args.output or run.output_path)
     return 0 if trace.failure_step is None else 1
 

@@ -23,7 +23,7 @@ from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import eval_storage
 from .interval_sets import IntervalBox, boxes_intersect, contains, hausdorff, subset
 from .problem import ProblemSpec, dynamics
-from .qp_solver import DEFAULT_SETTINGS, SolverSettings
+from .qp_solver import _FEAS_TOL
 from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
 
 __all__ = [
@@ -131,22 +131,23 @@ def rotated_cost(
     cfg: TubeMpcConfig,
     a: IntervalBox,
     b: IntervalBox,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> float:
     """One-step rotated cost ``E(A) - E(B) + V(A,B,1) - V*``; +inf if infeasible."""
-    value = eval_v(spec, a, b, 1, settings).value
+    value = eval_v(spec, a, b, 1, feas_tol=feas_tol).value
     if math.isinf(value):
         return _INF
-    _, v_star = optimal_rci(spec, settings)
+    _, v_star = optimal_rci(spec, feas_tol=feas_tol)
     storage = _controller(spec, cfg).storage
     e_a = eval_storage(storage, spec, a) if storage is not None else 0.0
     e_b = eval_storage(storage, spec, b) if storage is not None else 0.0
     return e_a - e_b + value - v_star
 
 
-def _rotated_legs(spec, cfg, tube, settings) -> tuple[float, ...]:
+def _rotated_legs(spec, cfg, tube, feas_tol) -> tuple[float, ...]:
     """The rotated cost of each step of the tube; each is finite or +inf, so their float sum propagates +inf."""
-    return tuple(rotated_cost(spec, cfg, a, b, settings) for a, b in zip(tube[:-1], tube[1:]))
+    return tuple(rotated_cost(spec, cfg, a, b, feas_tol=feas_tol) for a, b in zip(tube[:-1], tube[1:]))
 
 
 def simulate(
@@ -155,7 +156,8 @@ def simulate(
     y0: Sequence[float],
     steps: int,
     policy: DisturbancePolicy,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> SimulationTrace:
     """Run the receding-horizon loop for ``steps`` transitions.
 
@@ -163,7 +165,7 @@ def simulate(
     (which carries no action).  Controller infeasibility at any state
     truncates the trace with an explicit failure marker.
     """
-    x_star, _ = optimal_rci(spec, settings)
+    x_star, _ = optimal_rci(spec, feas_tol=feas_tol)
     rng = np.random.default_rng(policy.seed) if isinstance(policy, UniformRandomPolicy) else None
     y = (float(y0[0]), float(y0[1]))
     records: list[TraceStep] = []
@@ -173,12 +175,12 @@ def simulate(
 
     for k in range(steps + 1):
         if sol is None:
-            sol = solve_tmpc(spec, cfg, y, settings)
+            sol = solve_tmpc(spec, cfg, y, feas_tol=feas_tol)
         if not sol.feasible:
             failure = k
             break
         enclosure = sol.tube[0]
-        legs = _rotated_legs(spec, cfg, sol.tube, settings)
+        legs = _rotated_legs(spec, cfg, sol.tube, feas_tol)
         lyap = sum(legs, 0.0)
         dist = hausdorff(enclosure, x_star)
         if k == steps:
@@ -188,7 +190,7 @@ def simulate(
             )
             break
         u = sol.u0
-        w, next_sol = _draw_disturbance(spec, cfg, policy, rng, k, y, u, settings)
+        w, next_sol = _draw_disturbance(spec, cfg, policy, rng, k, y, u, feas_tol)
         records.append(
             TraceStep(k=k, y=y, tube=sol.tube, enclosure=enclosure,
                       dist_to_terminal=dist, lyapunov=lyap, rotated_legs=legs, u=u, w=w)
@@ -204,7 +206,7 @@ def simulate(
     )
 
 
-def _draw_disturbance(spec, cfg, policy, rng, k, y, u, settings) -> tuple[float, Optional[TubeSolution]]:
+def _draw_disturbance(spec, cfg, policy, rng, k, y, u, feas_tol) -> tuple[float, Optional[TubeSolution]]:
     """The disturbance of step k, and the controller's solution at the next state if solved."""
     if isinstance(policy, ExtremePolicy):
         sign = policy.signs[k % len(policy.signs)]
@@ -212,12 +214,12 @@ def _draw_disturbance(spec, cfg, policy, rng, k, y, u, settings) -> tuple[float,
     if isinstance(policy, UniformRandomPolicy):
         return float(rng.uniform(spec.w_lo, spec.w_hi)), None
     if isinstance(policy, AdversarialPolicy):
-        x_star, _ = optimal_rci(spec, settings)
+        x_star, _ = optimal_rci(spec, feas_tol=feas_tol)
         best_w, best_sol = spec.w_lo, None
         best_d = -_INF
         for w in (spec.w_lo, spec.w_hi):
             y_next = dynamics(spec, y, u, w)
-            nxt = solve_tmpc(spec, cfg, y_next, settings)
+            nxt = solve_tmpc(spec, cfg, y_next, feas_tol=feas_tol)
             d = hausdorff(nxt.tube[0], x_star) if nxt.feasible else _INF
             if d > best_d:
                 best_d, best_w, best_sol = d, w, nxt
@@ -228,47 +230,38 @@ def _draw_disturbance(spec, cfg, policy, rng, k, y, u, settings) -> tuple[float,
 @dataclass(frozen=True)
 class EnclosureStabilityReport:
     containment_ok: bool
-    containment_violation_step: Optional[int]
     absorbed: bool
     absorption_step: Optional[int]
     verdict: str  # "absorbed" | "decreasing" | "unstable"
-    violation_step: Optional[int]
     disjoint_steps: tuple[int, ...]
     escaped_terminal: bool
-    max_distance: float
 
     @property
     def stable(self) -> bool:
         return self.absorbed and self.containment_ok and not self.escaped_terminal
 
 
-def check_enclosure_stability(
-    trace: SimulationTrace,
-    spec: ProblemSpec,
-    tol: float = 1e-9,
-) -> EnclosureStabilityReport:
+# containment, intersection and zero distance are judged within this tolerance
+_ENCLOSURE_TOL = 1e-9
+
+
+def check_enclosure_stability(trace: SimulationTrace, spec: ProblemSpec) -> EnclosureStabilityReport:
     """Verify state containment and absorption of the enclosure sequence.
 
     Absorption is the finite-trace surrogate for convergence: the report
     gives the first index after which the enclosure distance stays at zero
-    (within ``tol``).  An enclosure that starts inside the optimal invariant
-    box and later separates from it witnesses instability regardless of the
-    rest of the trace; the disjoint steps are listed in the report.  Without
-    absorption the verdict distinguishes a monotonically decreasing distance
-    from an outright increase.
+    (within ``_ENCLOSURE_TOL``).  An enclosure that starts inside the optimal
+    invariant box and later separates from it witnesses instability
+    regardless of the rest of the trace; the disjoint steps are listed in the
+    report.  Without absorption the verdict distinguishes a monotonically
+    decreasing distance from an outright increase.
     """
     if not trace.steps:
         raise ValueError("empty trace")
     x_star, _ = optimal_rci(spec)
+    tol = _ENCLOSURE_TOL
 
-    containment_ok = True
-    containment_violation = None
-    for s in trace.steps:
-        if not contains(s.enclosure, s.y, tol=tol):
-            containment_ok = False
-            containment_violation = s.k
-            break
-
+    containment_ok = all(contains(s.enclosure, s.y, tol=tol) for s in trace.steps)
     dists = [s.dist_to_terminal for s in trace.steps]
     disjoint = tuple(s.k for s in trace.steps if not boxes_intersect(s.enclosure, x_star, tol))
     started_inside = subset(trace.steps[0].enclosure, x_star, tol=tol)
@@ -281,33 +274,23 @@ def check_enclosure_stability(
             break
 
     if not containment_ok:
-        verdict, violation = "unstable", containment_violation
+        verdict = "unstable"
     elif trace.failure_step is not None:
-        verdict, violation = "unstable", trace.failure_step
-        absorption = None
+        verdict, absorption = "unstable", None
     elif escaped:
         verdict = "unstable"
-        violation = next(k for k in disjoint if k > trace.steps[0].k)
     elif absorption is not None:
-        verdict, violation = "absorbed", None
+        verdict = "absorbed"
+    elif any(dists[i + 1] > dists[i] + tol for i in range(len(dists) - 1)):
+        verdict = "unstable"
     else:
-        increase = next(
-            (trace.steps[i + 1].k for i in range(len(dists) - 1) if dists[i + 1] > dists[i] + tol),
-            None,
-        )
-        if increase is None:
-            verdict, violation = "decreasing", None
-        else:
-            verdict, violation = "unstable", increase
+        verdict = "decreasing"
 
     return EnclosureStabilityReport(
         containment_ok=containment_ok,
-        containment_violation_step=containment_violation,
         absorbed=absorption is not None,
         absorption_step=absorption,
         verdict=verdict,
-        violation_step=violation,
         disjoint_steps=disjoint,
         escaped_terminal=escaped,
-        max_distance=float(max(dists)),
     )

@@ -34,7 +34,7 @@ import numpy as np
 
 from .interval_sets import IntervalBox
 from .problem import ProblemSpec, _step_witness, stage_cost, transition_rows, transition_witness
-from .qp_solver import DEFAULT_SETTINGS, SolverFailure, SolverSettings, _dual_active_set
+from .qp_solver import _FEAS_TOL, SolverFailure, _dual_active_set
 
 __all__ = [
     "MAX_STEPS",
@@ -88,7 +88,8 @@ def eval_v(
     a: IntervalBox,
     b: IntervalBox,
     n_steps: int,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> CostToTravelResult:
     """Minimal cost of an ``n_steps``-step tube from ``a`` to ``b``.
 
@@ -97,7 +98,7 @@ def eval_v(
     minimise the stage costs of the free intermediate boxes over the rows of
     :func:`transition_rows`, one copy per step, in which the edge controls
     are already eliminated.  Rows on the fixed end boxes only are checked
-    against ``settings.feas_tol``; the rest form a small strictly convex QP,
+    against ``feas_tol``; the rest form a small strictly convex QP,
     solved exactly by a dual active-set method.  A tube's ``aux_controls``
     are the :func:`transition_witness` pairs of its steps.  ``n_steps``
     runs from 1 to :data:`MAX_STEPS`.
@@ -105,12 +106,12 @@ def eval_v(
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
     if n_steps == 1:
-        witness = transition_witness(spec, a, b, settings)
+        witness = transition_witness(spec, a, b, feas_tol=feas_tol)
         if witness is None:
             return CostToTravelResult(value=_INF)
         return CostToTravelResult(value=stage_cost(spec, a), tube=(a, b), aux_controls=(witness,))
     ends = np.array(a.corners() + b.corners())
-    solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b], settings)
+    solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b], feas_tol)
     if solved is None:
         return CostToTravelResult(value=_INF)
     cost, tube, witnesses = solved
@@ -317,13 +318,13 @@ def _chain_stack(spec: ProblemSpec, n_steps: int) -> _CornerProgram:
     )
 
 
-def _solve_program(prog: _CornerProgram, p, settings: SolverSettings):
+def _solve_program(prog: _CornerProgram, p, feas_tol: float):
     """A corner program's answer ``(x, y)`` at parameter p.
 
     x is the minimiser and y its multipliers ``y >= 0`` on the free rows, the
     rows of ``G_free``.  When the program is infeasible x is None, and y is
     either the index of the most violated fixed row, one violated by more
-    than ``settings.feas_tol`` and so its own Farkas ray, or a Farkas ray on
+    than ``feas_tol`` and so its own Farkas ray, or a Farkas ray on
     the free rows, ``y >= 0`` with ``G_free'y = 0`` and ``h'y < 0`` for their
     right-hand sides ``h = h0 - P @ p``.
 
@@ -337,20 +338,19 @@ def _solve_program(prog: _CornerProgram, p, settings: SolverSettings):
     run the kernel at every solve, so they form h first and check their
     fixed rows on it.
     """
-    feas_tol = settings.feas_tol
     laws = prog.laws
     if laws is None:
         h = prog.h0 - prog.P @ p
         if prog.fixed_min < -feas_tol or min(h[prog.fixed_p].tolist(), default=_INF) < -feas_tol:
             return None, _worst_fixed_row(prog, h)
-        return _run_kernel(prog, h, settings)
+        return _run_kernel(prog, h, feas_tol)
     z1, z2 = p
     if prog.fixed_min < -feas_tol or _state_rows_fail(prog.fixed_z, z1, z2, feas_tol):
         return None, _worst_fixed_row(prog, prog.h0 - prog.P @ p)
-    tol = _row_tol(settings)
+    tol = _row_tol(feas_tol)
     answer = laws.lookup(z1, z2, tol)
     if answer is None:
-        x, y = _run_kernel(prog, prog.h0 - prog.P @ p, settings)
+        x, y = _run_kernel(prog, prog.h0 - prog.P @ p, feas_tol)
         if x is not None:
             answer = laws.learn(y, z1, z2, tol)
         if answer is None:
@@ -371,11 +371,11 @@ def _worst_fixed_row(prog: _CornerProgram, h: np.ndarray) -> int:
     return int(np.where(prog.fixed, h, _INF).argmin())
 
 
-def _run_kernel(prog: _CornerProgram, h: np.ndarray, settings: SolverSettings):
-    return _dual_active_set(prog.d, prog.q, prog.G_free, h[~prog.fixed], _row_tol(settings), settings.max_iter)
+def _run_kernel(prog: _CornerProgram, h: np.ndarray, feas_tol: float):
+    return _dual_active_set(prog.d, prog.q, prog.G_free, h[~prog.fixed], _row_tol(feas_tol))
 
 
-def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, settings: SolverSettings):
+def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, feas_tol: float):
     """A corner program's answer at p as ``(cost, head + free boxes + tail, step witnesses)``, or None.
 
     Every free box is the source of a step, so its rows keep it within the
@@ -392,11 +392,10 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, settings
     and those corners; a refused step raises SolverFailure.  The cost is
     taken at the clipped corners.
     """
-    x, _ = _solve_program(prog, p, settings)
+    x, _ = _solve_program(prog, p, feas_tol)
     if x is None:
         return None
     x = np.minimum(np.maximum(x, prog.lo), prog.hi)
-    feas_tol = settings.feas_tol
     corners = x.tolist()
     boxes = [*head]
     quads = [*map(IntervalBox.corners, head)]
@@ -421,30 +420,27 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, settings
     return float(prog.d @ (x * x) + prog.q @ x), tuple(boxes), tuple(witnesses)
 
 
-def _row_tol(settings: SolverSettings) -> float:
+def _row_tol(feas_tol: float) -> float:
     # rows count as holding within a rounding guard far inside feas_tol, so
     # each step of a minimiser still passes the one-step rule after the snap
-    return 1e-3 * settings.feas_tol
+    return 1e-3 * feas_tol
 
 
-def optimal_rci(
-    spec: ProblemSpec,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> tuple[IntervalBox, float]:
+def optimal_rci(spec: ProblemSpec, *, feas_tol: float = _FEAS_TOL) -> tuple[IntervalBox, float]:
     """The self-transition box of minimal stage cost, and that cost.
 
     A box a is its own successor when the rows of :func:`transition_rows`
     hold with a as source and target, that is ``(src + tgt) @ a <= const``.
     Minimising the stage cost over them is a parameter-free corner program
     with one free box, solved by the same dual active-set method as
-    :func:`eval_v`.  Answers are cached per problem and settings.
+    :func:`eval_v`.  Answers are cached per problem and ``feas_tol``.
     """
-    # one cache key whether or not the caller passes the default settings
-    return _optimal_rci(spec, settings)
+    # one cache key whether or not the caller passes the default feas_tol
+    return _optimal_rci(spec, feas_tol)
 
 
 @lru_cache(maxsize=64)
-def _optimal_rci(spec: ProblemSpec, settings: SolverSettings) -> tuple[IntervalBox, float]:
+def _optimal_rci(spec: ProblemSpec, feas_tol: float) -> tuple[IntervalBox, float]:
     src, tgt, const = transition_rows(spec)
     finite = np.isfinite(const)
     prog = _corner_program(
@@ -455,7 +451,7 @@ def _optimal_rci(spec: ProblemSpec, settings: SolverSettings) -> tuple[IntervalB
         P=np.zeros((int(finite.sum()), 0)),
         h0=const[finite],
     )
-    solved = _solve_tube(spec, prog, np.zeros(0), [], [], settings)
+    solved = _solve_tube(spec, prog, np.zeros(0), [], [], feas_tol)
     if solved is None:
         raise RciNotFound(
             "no robust control invariant interval box exists within the state "

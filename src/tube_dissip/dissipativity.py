@@ -25,7 +25,7 @@ import numpy as np
 from .cost_to_travel import eval_v, optimal_rci
 from .interval_sets import IntervalBox, _is_real, hausdorff, subset
 from .problem import ProblemSpec
-from .qp_solver import DEFAULT_SETTINGS, SolverSettings
+from .qp_solver import _FEAS_TOL
 from .sampling import feasible_pair
 
 __all__ = [
@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 _INF = float("inf")
+# a certificate passes when its gap to V* is at least -_GAP_TOL
+_GAP_TOL = 1e-6
+# the Hausdorff radius around the stationary pair (X*, X*) that strictness
+# sampling skips, where the margin is zero by definition
+_EXCLUSION_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,8 @@ class SeparabilityReport:
 def verify_separability(
     spec: ProblemSpec,
     sf: StorageFunction,
-    tol: float = 1e-6,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> SeparabilityReport:
     """Certify the separability inequality by one relaxed convex program.
 
@@ -190,7 +195,7 @@ def verify_separability(
     can also make unbounded.  The free targets are reported as ``b1 = b2``
     and ``b4 = b3``.  A ray is given in the variables ``(a, b, v1)``.
     """
-    _, v_star = optimal_rci(spec, settings)
+    _, v_star = optimal_rci(spec, feas_tol=feas_tol)
     ell = sf.linear_coeffs
     u_lo, u_hi = spec.u_bounds
     c_v = -ell[1] - ell[2]
@@ -242,7 +247,7 @@ def verify_separability(
         minimizer_v=v1,
         v_star=v_star,
         gap=gap,
-        passed=bool(gap >= -tol),
+        passed=bool(gap >= -_GAP_TOL),
     )
 
 
@@ -251,18 +256,18 @@ def check_strictness(
     sf: StorageFunction,
     n_samples: int,
     seed: int,
-    exclusion_tol: float = 1e-4,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> StrictnessSummary:
     """Sample feasible transition pairs and report the inequality margins.
 
-    Pairs within ``exclusion_tol`` (Hausdorff) of the stationary pair at the
+    Pairs within ``_EXCLUSION_TOL`` (Hausdorff) of the stationary pair at the
     optimal invariant box are excluded; there the margin is zero by
     definition.  Deterministic for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    x_star, v_star = optimal_rci(spec, settings)
+    x_star, v_star = optimal_rci(spec, feas_tol=feas_tol)
     rng = np.random.default_rng(seed)
     min_margin = _INF
     n_nonpos = 0
@@ -270,9 +275,9 @@ def check_strictness(
     drawn = 0
     while drawn < n_samples:
         a, b = feasible_pair(spec, rng)
-        if hausdorff(a, x_star) <= exclusion_tol and hausdorff(b, x_star) <= exclusion_tol:
+        if hausdorff(a, x_star) <= _EXCLUSION_TOL and hausdorff(b, x_star) <= _EXCLUSION_TOL:
             continue
-        value = eval_v(spec, a, b, 1, settings).value
+        value = eval_v(spec, a, b, 1, feas_tol=feas_tol).value
         margin = value - v_star - eval_storage(sf, spec, b) + eval_storage(sf, spec, a)
         drawn += 1
         if margin < min_margin:

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .interval_sets import IntervalBox, _is_real, subset
-from .qp_solver import DEFAULT_SETTINGS, SolverSettings
+from .qp_solver import _FEAS_TOL
 
 __all__ = [
     "ProblemSpec",
@@ -256,7 +256,8 @@ def transition_witness(
     spec: ProblemSpec,
     a: IntervalBox,
     b: IntervalBox,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> tuple[float, float] | None:
     """Edge controls ``(v1, v2)`` taking a into b in one step, or None if b is unreachable.
 
@@ -267,7 +268,7 @@ def transition_witness(
         (v1 - v2)/alpha + a3 - a4 <= 0
 
     plus the state-bound rows of a.  A step is accepted as the QP solver
-    accepts a point: when every row, relaxed by ``settings.feas_tol`` in its
+    accepts a point: when every row, relaxed by ``feas_tol`` in its
     own coefficients, holds.  ``slack`` is the least relaxation of all rows
     that admits edge controls, so the rule is ``slack <= feas_tol``.  The
     witness is the low end of v1's interval and the high end of v2's, the
@@ -276,7 +277,7 @@ def transition_witness(
     """
     (a1, a3), (a2, a4) = a.lo, a.hi
     (b1, b3), (b2, b4) = b.lo, b.hi
-    return _step_witness(spec._step, a1, a2, a3, a4, b1, b2, b3, b4, settings.feas_tol)
+    return _step_witness(spec._step, a1, a2, a3, a4, b1, b2, b3, b4, feas_tol)
 
 
 def _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4, feas_tol):
@@ -306,15 +307,16 @@ def transition_feasible(
     spec: ProblemSpec,
     a: IntervalBox,
     b: IntervalBox,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> bool:
     """Decide whether b is a one-step successor of a, in closed form.
 
     See :func:`transition_witness` for the rule and its tolerance.
     """
-    return transition_witness(spec, a, b, settings) is not None
+    return transition_witness(spec, a, b, feas_tol=feas_tol) is not None
 
 
-def is_rci(spec: ProblemSpec, a: IntervalBox, settings: SolverSettings = DEFAULT_SETTINGS) -> bool:
+def is_rci(spec: ProblemSpec, a: IntervalBox, *, feas_tol: float = _FEAS_TOL) -> bool:
     """True iff a is a self-successor within the state bounds."""
-    return subset(a, spec.x_bounds) and transition_feasible(spec, a, a, settings)
+    return subset(a, spec.x_bounds) and transition_feasible(spec, a, a, feas_tol=feas_tol)

@@ -35,6 +35,12 @@ affine laws it has kept from earlier answers holds at the state.
 solver: the tests assemble the original programs, edge controls included,
 through them.  Only they need scipy, which they import on first use, so
 importing the package does not load it.
+
+Neither method has settings.  The kernel's callers pass the row tolerance
+they decide at; :func:`solve` uses ``_FEAS_TOL``, the library's default
+``feas_tol``.  ADMM stops after ``_STEP_LIMIT`` iterations with
+``MAX_ITERATIONS``, and the kernel raises :class:`SolverFailure` with its
+program after ``_STEP_LIMIT`` steps.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ __all__ = [
     "QpStatus",
     "QpProblem",
     "QpSolution",
-    "SolverSettings",
     "QpBuilder",
     "SolverFailure",
     "solve",
@@ -77,11 +82,11 @@ class SolverFailure(RuntimeError):
         self.problem = problem
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    feas_tol: float = 1e-8
-    max_iter: int = 10000
-
+# the amount by which a row may be violated and still count as holding,
+# unless a caller passes its own feas_tol
+_FEAS_TOL = 1e-8
+# the most ADMM iterations of a solve and the most steps of a kernel run
+_STEP_LIMIT = 10000
 
 # ADMM's fixed parameters: proximal weight, relaxation, initial step (scaled
 # up on equality rows), residual check cadence, divergence-certificate
@@ -98,9 +103,6 @@ _KKT_TOL = 1e-8
 # against iteration count
 _POLISH_GATE_PRIM = 1e-1
 _POLISH_GATE_DUAL = 1e0
-
-
-DEFAULT_SETTINGS = SolverSettings()
 
 
 @dataclass(frozen=True)
@@ -385,7 +387,7 @@ def _factor(H, A, rho):
     return sla.lu_factor(kkt)
 
 
-def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolution:
+def solve(qp: QpProblem) -> QpSolution:
     """Solve a dense convex QP, returning a KKT-certified solution."""
     from scipy.linalg.lapack import dgetrs  # only the ADMM reference solver needs scipy
 
@@ -394,12 +396,12 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
     A, l, u = rows.A, rows.l, rows.u
 
     if m == 0:
-        return _solve_unconstrained(qp, settings)
+        return _solve_unconstrained(qp)
 
     # constant rows (all-zero coefficients) are decided immediately
     zero_rows = ~np.any(A != 0.0, axis=1)
     if np.any(zero_rows):
-        bad = zero_rows & ((l > settings.feas_tol) | (u < -settings.feas_tol))
+        bad = zero_rows & ((l > _FEAS_TOL) | (u < -_FEAS_TOL))
         if np.any(bad):
             i = int(np.where(bad)[0][0])
             ray = np.zeros(m)
@@ -418,7 +420,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
     y = np.zeros(m)
     check_every = min(_CHECK_EVERY, 10) if n + m < 40 else _CHECK_EVERY
 
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, _STEP_LIMIT + 1):
         y_rho = y / rho
         # LAPACK getrs on the factors: lu_solve would only add input checks,
         # and QpProblem is checked finite up front
@@ -432,7 +434,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
         z_new = np.minimum(np.maximum(z_rel + y_rho, l), u)
         y_new = y + rho * (z_rel - z_new)
 
-        if it % check_every and it != settings.max_iter:
+        if it % check_every and it != _STEP_LIMIT:
             x, z, y = x_new, z_new, y_new
             continue
 
@@ -447,7 +449,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
         if r_prim < _POLISH_GATE_PRIM and r_dual < _POLISH_GATE_DUAL:
             for st, dt in ((1e-6, 1e-6), (1e-5, 1e-7), (1e-4, 1e-5)):
                 low, upp = _active_masks(rows, z, y, st, dt)
-                pol = _try_polish(qp.H, qp.g, rows, low, upp, settings.feas_tol)
+                pol = _try_polish(qp.H, qp.g, rows, low, upp, _FEAS_TOL)
                 if pol is None:
                     continue
                 xp, yp = pol
@@ -467,7 +469,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
                         polished=True,
                     )
 
-        if r_prim < settings.feas_tol and r_dual < _KKT_TOL:
+        if r_prim < _FEAS_TOL and r_dual < _KKT_TOL:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(y, n)
             res = _kkt_residual(qp, x, lam, mu, mu_lb, mu_ub)
             if res <= 10 * _KKT_TOL:
@@ -483,7 +485,7 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
                     iterations=it,
                 )
 
-        cert = _primal_infeasibility_cert(A, l, u, dy, _CERT_TOL, settings.feas_tol)
+        cert = _primal_infeasibility_cert(A, l, u, dy, _CERT_TOL, _FEAS_TOL)
         if cert is not None:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(cert, n)
             return QpSolution(
@@ -496,17 +498,17 @@ def solve(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolut
             return QpSolution(status=QpStatus.UNBOUNDED, iterations=it, unbounded_ray=ray)
 
         # residual-balancing rho update on the inequality rows
-        if it % 100 == 0 and it < settings.max_iter // 2:
+        if it % 100 == 0 and it < _STEP_LIMIT // 2:
             ratio = r_prim / max(r_dual, 1e-12)
             if ratio > 5.0 or ratio < 0.2:
                 scale = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
                 rho = np.where(rows.eq_mask, rho, np.clip(rho * scale, 1e-4, 1e4))
                 lu, piv = _factor(qp.H, A, rho)
 
-    return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=settings.max_iter)
+    return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=_STEP_LIMIT)
 
 
-def _solve_unconstrained(qp: QpProblem, settings: SolverSettings) -> QpSolution:
+def _solve_unconstrained(qp: QpProblem) -> QpSolution:
     x, *_ = np.linalg.lstsq(qp.H, -qp.g, rcond=None)
     grad = qp.H @ x + qp.g
     if np.max(np.abs(grad), initial=0.0) > _KKT_TOL:
@@ -560,7 +562,7 @@ def _dual_infeasibility_cert(H, g, A, l, u, dx, tol):
 # dual active-set kernel for separable strictly convex QPs
 
 
-def _dual_active_set(d, q, G, h, tol, max_iter):
+def _dual_active_set(d, q, G, h, tol):
     """Minimise ``sum(d*x**2 + q*x)`` subject to ``G x <= h``, for ``d > 0``.
 
     The dual active-set method of Goldfarb and Idnani (Math. Prog. 1983).  In
@@ -578,7 +580,7 @@ def _dual_active_set(d, q, G, h, tol, max_iter):
     ``(None, y)`` with a Farkas ray ``y >= 0``, ``G'y = 0`` and
     ``h'y < -tol*sum(y)``, which certifies that the rows stay inconsistent
     when each is relaxed by ``tol``.  Raises :class:`SolverFailure`, carrying
-    ``d``, ``q``, ``G``, ``h`` and ``tol``, after ``max_iter`` steps, and
+    ``d``, ``q``, ``G``, ``h`` and ``tol``, after ``_STEP_LIMIT`` steps, and
     when the rows it finds inconsistent have a ray that certifies nothing,
     as rounding can leave on two opposite rows.
     """
@@ -597,8 +599,8 @@ def _dual_active_set(d, q, G, h, tol, max_iter):
         n_p = Gs[p]
         while True:
             steps += 1
-            if steps > max_iter:
-                raise _kernel_failure(f"dual active-set kernel exceeded {max_iter} steps", d, q, G, h, tol)
+            if steps > _STEP_LIMIT:
+                raise _kernel_failure(f"dual active-set kernel exceeded {_STEP_LIMIT} steps", d, q, G, h, tol)
             if active:
                 # p's normal as active normals times r, plus the part z orthogonal to them
                 N = Gs[active].T

@@ -68,7 +68,7 @@ from .cost_to_travel import (
 from .dissipativity import StorageFunction
 from .interval_sets import IntervalBox, subset
 from .problem import ConfigError, ProblemSpec, is_rci, transition_rows
-from .qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, SolverSettings
+from .qp_solver import _FEAS_TOL, QpStatus, SolverFailure
 
 __all__ = [
     "TubeMpcConfig",
@@ -195,12 +195,7 @@ def _tube_program(
     The program carries an empty table of affine laws (``laws``), which its
     solves fill; :func:`_controller` builds it once per controller, and it
     is shared by every solve of the controller.  A solve's answer does not
-    depend on the order of earlier solves, but whether it runs the kernel
-    does: ``settings.max_iter`` bounds only the kernel's own steps, and a
-    state answered by a stored law runs no kernel.  So a
-    ``max_iter`` too small for the kernel at z raises ``SolverFailure`` there
-    until an earlier solve has stored a law that holds at z, and then the
-    same call returns the answer of that law.
+    depend on the order of earlier solves.
     """
     n = cfg.horizon
     steps, h_steps = _stacked_steps(spec, n)
@@ -245,7 +240,8 @@ def solve_tmpc(
     spec: ProblemSpec,
     cfg: TubeMpcConfig,
     z: Sequence[float],
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> TubeSolution:
     """Solve the horizon problem at measured state z and extract the control."""
     z1, z2 = float(z[0]), float(z[1])
@@ -262,12 +258,12 @@ def solve_tmpc(
     # the first box lies within the state bounds, so no tube holds a state
     # beyond them; one within feas_tol of them is read as on them
     xb = spec.x_bounds
-    if max(xb.lo[0] - z1, z1 - xb.hi[0], xb.lo[1] - z2, z2 - xb.hi[1]) > settings.feas_tol:
+    if max(xb.lo[0] - z1, z1 - xb.hi[0], xb.lo[1] - z2, z2 - xb.hi[1]) > feas_tol:
         return TubeSolution(status=QpStatus.INFEASIBLE)
     z1 = min(max(z1, xb.lo[0]), xb.hi[0])
     z2 = min(max(z2, xb.lo[1]), xb.hi[1])
 
-    solved = _solve_tube(spec, prog, (z1, z2), [], [terminal], settings)
+    solved = _solve_tube(spec, prog, (z1, z2), [], [terminal], feas_tol)
     if solved is None:
         return TubeSolution(status=QpStatus.INFEASIBLE)
     objective, tube, edge_controls = solved
@@ -295,12 +291,13 @@ def sweep_feedback(
     spec: ProblemSpec,
     cfg: TubeMpcConfig,
     grid: Sequence[Sequence[float]],
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    *,
+    feas_tol: float = _FEAS_TOL,
 ) -> list[SweepPoint]:
     """Pointwise controller evaluation over a grid; never aborts on infeasible points."""
     points = []
     for z in grid:
-        sol = solve_tmpc(spec, cfg, z, settings)
+        sol = solve_tmpc(spec, cfg, z, feas_tol=feas_tol)
         points.append(
             SweepPoint(
                 z=(float(z[0]), float(z[1])),

@@ -25,15 +25,7 @@ from scipy.optimize import linprog, nnls
 from tube_dissip import qp_solver
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_witness
-from tube_dissip.qp_solver import (
-    DEFAULT_SETTINGS,
-    QpBuilder,
-    QpProblem,
-    QpSolution,
-    QpStatus,
-    SolverSettings,
-    solve,
-)
+from tube_dissip.qp_solver import QpBuilder, QpProblem, QpSolution, QpStatus, solve
 
 
 _INF = float("inf")
@@ -231,7 +223,6 @@ def transition_feasible_qp(
     spec: ProblemSpec,
     a: IntervalBox,
     b: IntervalBox,
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> bool:
     """Decide "b reachable from a" as a feasibility QP in the two edge controls.
 
@@ -242,7 +233,7 @@ def transition_feasible_qp(
     builder = QpBuilder()
     v = builder.new_vars(2)
     build_g_block(spec, a.corners(), b.corners(), v).install(builder)
-    sol = solve(builder.build(), settings)
+    sol = solve(builder.build())
     assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE), sol.status
     return sol.status is QpStatus.OPTIMAL
 
@@ -421,7 +412,7 @@ def _reference_polish(H, g, A, l, u, z, y, slack_tol, dual_tol, feas_tol):
     return xp, y_full
 
 
-def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> QpSolution:
+def admm_reference(qp: QpProblem) -> QpSolution:
     """The solver's ADMM loop without its shortcuts, as an exactness oracle.
 
     Same iteration, fixed parameters, check cadence, polish tiers and rho
@@ -435,9 +426,9 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
     n, m = qp.n, rows.m
     A, l, u = rows.A, rows.l, rows.u
     if m == 0:
-        return qp_solver._solve_unconstrained(qp, settings)
+        return qp_solver._solve_unconstrained(qp)
     zero_rows = ~np.any(A != 0.0, axis=1)
-    bad = zero_rows & ((l > settings.feas_tol) | (u < -settings.feas_tol))
+    bad = zero_rows & ((l > qp_solver._FEAS_TOL) | (u < -qp_solver._FEAS_TOL))
     if np.any(bad):
         i = int(np.where(bad)[0][0])
         ray = np.zeros(m)
@@ -464,7 +455,7 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
     check_every = min(qp_solver._CHECK_EVERY, 10) if n + m < 40 else qp_solver._CHECK_EVERY
     sig, alph = qp_solver._SIGMA, qp_solver._ALPHA
 
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, qp_solver._STEP_LIMIT + 1):
         sol_vec = sla.lu_solve(lu, np.concatenate([sig * x - qp.g, z - y / rho]))
         x_t = sol_vec[:n]
         nu = sol_vec[n:]
@@ -477,7 +468,7 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
         dy = y_new - y
         x, z, y = x_new, z_new, y_new
 
-        if it % check_every and it != settings.max_iter:
+        if it % check_every and it != qp_solver._STEP_LIMIT:
             continue
 
         r_prim = float(np.max(np.abs(A @ x - z), initial=0.0))
@@ -485,7 +476,7 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
 
         if r_prim < qp_solver._POLISH_GATE_PRIM and r_dual < qp_solver._POLISH_GATE_DUAL:
             for st, dt in ((1e-6, 1e-6), (1e-5, 1e-7), (1e-4, 1e-5)):
-                pol = _reference_polish(qp.H, qp.g, A, l, u, z, y, st, dt, settings.feas_tol)
+                pol = _reference_polish(qp.H, qp.g, A, l, u, z, y, st, dt, qp_solver._FEAS_TOL)
                 if pol is None:
                     continue
                 xp, yp = pol
@@ -498,7 +489,7 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
                         ub_multipliers=mu_ub, kkt_residual=res, iterations=it, polished=True,
                     )
 
-        if r_prim < settings.feas_tol and r_dual < qp_solver._KKT_TOL:
+        if r_prim < qp_solver._FEAS_TOL and r_dual < qp_solver._KKT_TOL:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(y, n)
             res = qp_solver._kkt_residual(qp, x, lam, mu, mu_lb, mu_ub)
             if res <= 10 * qp_solver._KKT_TOL:
@@ -508,7 +499,7 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
                     ub_multipliers=mu_ub, kkt_residual=res, iterations=it,
                 )
 
-        cert = qp_solver._primal_infeasibility_cert(A, l, u, dy, qp_solver._CERT_TOL, settings.feas_tol)
+        cert = qp_solver._primal_infeasibility_cert(A, l, u, dy, qp_solver._CERT_TOL, qp_solver._FEAS_TOL)
         if cert is not None:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(cert, n)
             return QpSolution(
@@ -520,14 +511,14 @@ def admm_reference(qp: QpProblem, settings: SolverSettings = DEFAULT_SETTINGS) -
         if ray is not None:
             return QpSolution(status=QpStatus.UNBOUNDED, iterations=it, unbounded_ray=ray)
 
-        if it % 100 == 0 and it < settings.max_iter // 2:
+        if it % 100 == 0 and it < qp_solver._STEP_LIMIT // 2:
             ratio = r_prim / max(r_dual, 1e-12)
             if ratio > 5.0 or ratio < 0.2:
                 scale = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
                 rho = np.where(rows.eq_mask, rho, np.clip(rho * scale, 1e-4, 1e4))
                 lu = factor(rho)
 
-    return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=settings.max_iter)
+    return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=qp_solver._STEP_LIMIT)
 
 
 def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z, containment: bool) -> QpProblem:
@@ -734,17 +725,18 @@ def kkt_residual(qp: QpProblem, x, active_tol: float = 1e-9) -> float:
     return max(float(np.max(np.abs(grad), initial=0.0)), float(np.max(-slack, initial=0.0)))
 
 
-def assert_validated_read_back(spec: ProblemSpec, tube, witnesses, settings: SolverSettings = DEFAULT_SETTINGS) -> None:
+def assert_validated_read_back(spec: ProblemSpec, tube, witnesses) -> None:
     """A read-back tube and its step witnesses are what the validating path gives.
 
     Every box must equal, field for field and with float corners, the box
     ``IntervalBox.from_corners`` builds from its corners with the snap at
-    ``feas_tol``, and every witness must be ``transition_witness`` of its step.
+    the default ``feas_tol``, and every witness must be ``transition_witness``
+    of its step.
     """
     for b in tube:
-        want = IntervalBox.from_corners(b.corners(), snap_tol=settings.feas_tol)
+        want = IntervalBox.from_corners(b.corners(), snap_tol=qp_solver._FEAS_TOL)
         assert type(b) is IntervalBox and vars(b).keys() == {"lo", "hi"}
         assert all(type(c) is float for c in b.corners()), b
         assert repr((b.lo, b.hi)) == repr((want.lo, want.hi)), b
     steps = zip(tube[:-1], tube[1:])
-    assert tuple(witnesses) == tuple(transition_witness(spec, a, b, settings) for a, b in steps)
+    assert tuple(witnesses) == tuple(transition_witness(spec, a, b) for a, b in steps)

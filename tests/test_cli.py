@@ -1,11 +1,17 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tube_dissip import tube_mpc
+from tube_dissip import cli, qp_solver, tube_mpc
+from tube_dissip.acceptance import CriterionResult
 from tube_dissip.cli import MAX_GRID, main
 from tube_dissip.interval_sets import IntervalBox
+from tube_dissip.problem import ProblemSpec, is_rci, transition_feasible
 from tube_dissip.qp_solver import QpStatus
 from tube_dissip.tube_mpc import TubeSolution
 
@@ -207,6 +213,14 @@ class TestSimulate:
         assert code == 0 and out
 
 
+# the commands that read tolerances.feas_tol, one fast call of each
+FEAS_TOL_COMMANDS = [
+    ("rci",),
+    ("eval-v", "--a", "[[-1,-1],[-4,0]]", "--b", "[[-1,-1],[-4,0]]", "--n", "2"),
+    ("control", "--z=5,-5"),
+]
+
+
 class TestConfig:
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "run.json"
@@ -236,14 +250,16 @@ class TestConfig:
         assert out == ""
         assert json.loads(target.read_text())["v_star"] == pytest.approx(-0.2, abs=1e-8)
 
-    @pytest.mark.parametrize("fmt", ["csv", "JSON", None])
+    @pytest.mark.parametrize("fmt", ["csv", "JSON", None, "json"])
     def test_unsupported_output_format_rejected(self, capsys, tmp_path, fmt):
+        # every command has one fixed format, so there is no format key,
+        # not even for the format that every command writes
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"output": {"format": fmt}}))
         code, out, err = run_cli(capsys, "--config", str(path), "rci")
         assert code == 2
         assert out == ""
-        assert "output format" in err
+        assert err == "error: unknown output config keys: ['format']\n"
 
     @pytest.mark.parametrize("section, key, value", [
         ("controller", "use_initial_cost", "no"),
@@ -260,7 +276,7 @@ class TestConfig:
         ("problem", "w_bounds", [True, 1]),
         ("tolerances", "feas_tol", -1),
         ("tolerances", "feas_tol", float("nan")),
-        # kkt_tol is not a setting: any value is an unknown key
+        # kkt_tol and max_iter are not settings: any value is an unknown key
         ("tolerances", "kkt_tol", 0),
         ("tolerances", "kkt_tol", 1e-8),
         ("tolerances", "max_iter", 0),
@@ -398,12 +414,12 @@ class TestConfig:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "invalid JSON" in err
 
-    def test_solver_failure_is_a_domain_failure(self, capsys, tmp_path):
+    def test_solver_failure_is_a_domain_failure(self, capsys, monkeypatch):
         # a fresh controller program has no stored laws, so the kernel runs
+        # and meets the step limit
         tube_mpc._controller.cache_clear()
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"tolerances": {"max_iter": 1}}))
-        code, out, err = run_cli(capsys, "--config", str(path), "control", "--z=1,1")
+        monkeypatch.setattr(qp_solver, "_STEP_LIMIT", 1)
+        code, out, err = run_cli(capsys, "control", "--z=1,1")
         assert code == 1
         assert out == ""
         assert err.strip() == "error: dual active-set kernel exceeded 1 steps"
@@ -445,12 +461,25 @@ class TestConfig:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "finite widths" in err
 
-    def test_json_output_format_accepted(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", FEAS_TOL_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("feas_tol", [1e10, 1.1e-3, float("inf")])
+    def test_feas_tol_above_the_bound_rejected(self, capsys, tmp_path, argv, feas_tol):
+        # a tolerance this loose would turn boxes is_rci rejects into answers
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"output": {"format": "json"}}))
-        code, out, _ = run_cli(capsys, "--config", str(path), "rci")
-        assert code == 0
-        assert json.loads(out)["v_star"] == pytest.approx(-0.2, abs=1e-8)
+        path.write_text(json.dumps({"tolerances": {"feas_tol": feas_tol}}))
+        code, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: tolerances.feas_tol") and "<= 0.001" in err
+
+    @pytest.mark.parametrize("argv", FEAS_TOL_COMMANDS, ids=" ".join)
+    def test_feas_tol_at_the_bound_accepted(self, capsys, tmp_path, argv):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"tolerances": {"feas_tol": 1e-3}}))
+        code, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv) == (0, out, "")
 
 
 class TestVerifyAll:
@@ -462,8 +491,8 @@ class TestVerifyAll:
         assert lines[-1] == "9/9 criteria passed"
 
     @pytest.mark.parametrize("config", [
-        {"tolerances": {"max_iter": 1}},
-        {"tolerances": {"feas_tol": 1e10}},
+        {"tolerances": {"feas_tol": 1e-6}},
+        {"tolerances": {"feas_tol": 1e-3}},
         {"controller": {}},
         {"controller": {"use_initial_cost": False}, "tolerances": {}},
     ], ids=json.dumps)
@@ -489,3 +518,70 @@ class TestVerifyAll:
         assert witness.startswith("[FAIL]")
         assert witness.endswith("trace from (-1, -2) ends at step 0: controller infeasible")
         assert lines[-1].endswith("/9 criteria passed")
+
+
+# every command, each with flags that keep one call short
+BOUNDARY_COMMANDS = [
+    ("rci",),
+    ("eval-v", "--a", "[[-1,-1],[-4,0]]", "--b", "[[-1,-1],[-4,0]]", "--n", "2"),
+    ("check-storage", "--strictness", "2"),
+    ("control", "--z=5,-5"),
+    ("sweep", "--grid", "2"),
+    ("simulate", "--y0=5,-5", "--steps", "1"),
+    ("verify-all",),
+]
+FEAS_TOLS = st.one_of(
+    # in range
+    st.floats(min_value=1e-12, max_value=1e-3),
+    # extreme: above the bound up to inf, zero and below, subnormal, NaN
+    st.floats(min_value=1e-3, exclude_min=True),
+    st.floats(max_value=0.0),
+    st.sampled_from([5e-324, 1e-300, float("nan")]),
+    # wrongly typed
+    st.sampled_from(["1e-8", None, True, [1e-8], {}]),
+)
+BOUNDARY_CONFIGS = st.one_of(
+    st.sampled_from([{}, {"tolerances": {}}, {"output": {"path": None}}]),
+    st.builds(lambda feas_tol: {"tolerances": {"feas_tol": feas_tol}}, FEAS_TOLS),
+    # the removed keys
+    st.sampled_from([
+        {"tolerances": {"max_iter": 1}},
+        {"tolerances": {"feas_tol": 1e-8, "max_iter": 10000}},
+        {"output": {"format": "json"}},
+        {"output": {"path": None, "format": "csv"}},
+    ]),
+    # sections of the wrong kind
+    st.sampled_from([{"tolerances": None}, {"tolerances": [1e-8]}, {"output": "out.json"}, {"output": {"path": 3}}]),
+)
+
+
+def stub_battery(seed, spec):
+    return [CriterionResult("stub", "the battery is covered by TestVerifyAll", True, "")]
+
+
+class TestConfigBoundary:
+    @given(config=BOUNDARY_CONFIGS, argv=st.sampled_from(BOUNDARY_COMMANDS))
+    def test_every_config_gets_an_exit_code_and_one_error_line(self, tmp_path_factory, config, argv):
+        # configs in range, extreme, wrongly typed or with the removed keys
+        # max_iter and format; the battery itself is stubbed, since its
+        # config checks run before it and its run is covered by TestVerifyAll
+        path = tmp_path_factory.mktemp("config") / "run.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+            patch.setattr(cli, "run_acceptance", stub_battery)
+            # an exception out of main, a traceback at the boundary, fails the test
+            code = main(["--config", str(path), *argv])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, config)
+        assert "Traceback" not in err
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, config, err)
+            return
+        # an answer holds at the default tolerance, whatever the config's
+        spec = ProblemSpec.default()
+        if argv[0] == "rci":
+            assert is_rci(spec, IntervalBox.from_json_obj(json.loads(out)["box"])), config
+        elif argv[0] in ("eval-v", "control"):
+            tube = [IntervalBox.from_json_obj(b) for b in json.loads(out)["tube"]]
+            assert all(transition_feasible(spec, a, b) for a, b in zip(tube, tube[1:])), (argv, config)

@@ -14,7 +14,7 @@ from tube_dissip.closed_loop import (
 )
 from tube_dissip.interval_sets import IntervalBox, boxes_intersect, contains, hausdorff
 from tube_dissip.problem import dynamics
-from tube_dissip.qp_solver import DEFAULT_SETTINGS
+from tube_dissip.qp_solver import _FEAS_TOL
 from tube_dissip.tube_mpc import solve_tmpc
 
 
@@ -43,9 +43,9 @@ class TestSimulate:
         calls = []
         real_solve = closed_loop.solve_tmpc
 
-        def counting_solve_tmpc(*args):
+        def counting_solve_tmpc(*args, **kwargs):
             calls.append(args[2])
-            return real_solve(*args)
+            return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(closed_loop, "solve_tmpc", counting_solve_tmpc)
         steps = 6
@@ -138,7 +138,7 @@ class TestLyapunovValue:
         assert step.lyapunov > 0
 
     def test_infinite_on_broken_tube(self, spec, cfg_ic, x_star):
-        legs = closed_loop._rotated_legs(spec, cfg_ic, (x_star, x_star, box((0, 1), (0, 1))), DEFAULT_SETTINGS)
+        legs = closed_loop._rotated_legs(spec, cfg_ic, (x_star, x_star, box((0, 1), (0, 1))), _FEAS_TOL)
         assert legs[1] == math.inf
         assert sum(legs, 0.0) == math.inf
 

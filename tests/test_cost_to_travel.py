@@ -17,7 +17,7 @@ from tube_dissip.cost_to_travel import (
 )
 from tube_dissip.interval_sets import IntervalBox, subset
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_witness
-from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, SolverSettings, solve
+from tube_dissip.qp_solver import _FEAS_TOL, QpStatus, SolverFailure, solve
 from tube_dissip.sampling import feasible_chain, random_box_within
 
 from . import oracles
@@ -143,12 +143,12 @@ class TestOptimalRci:
             optimal_rci(thin)
 
     def test_one_cache_entry_per_problem_and_settings(self, spec):
-        # the default settings, passed or not, and an equal copy share one answer
+        # the default feas_tol, passed or not, shares one answer
         first = optimal_rci(spec)
-        assert optimal_rci(spec, DEFAULT_SETTINGS) is first
-        assert optimal_rci(spec, settings=SolverSettings()) is first
-        loose = optimal_rci(spec, SolverSettings(feas_tol=1e-6))
-        assert loose is not first and loose is optimal_rci(spec, SolverSettings(feas_tol=1e-6))
+        assert optimal_rci(spec, feas_tol=_FEAS_TOL) is first
+        assert optimal_rci(spec, feas_tol=1e-8) is first
+        loose = optimal_rci(spec, feas_tol=1e-6)
+        assert loose is not first and loose is optimal_rci(spec, feas_tol=1e-6)
 
 
 def two_legs(spec, a, mid, c):
@@ -249,7 +249,7 @@ def chain_ends(draw, spec, n_steps):
 def solved_chain(spec, a, c, n_steps):
     stack = cost_to_travel._chain_stack(spec, n_steps)
     ends = np.array(a.corners() + c.corners())
-    return stack, oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends, DEFAULT_SETTINGS))
+    return stack, oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends, _FEAS_TOL))
 
 
 @pytest.mark.parametrize("n_steps", [2, 3])
@@ -324,17 +324,16 @@ class TestMultiStepValues:
         bounded = cost_to_travel._chain_stack(SPECS["bounded U"], 2)
         assert np.all(np.isfinite(free.h0)) and free.h0.size < bounded.h0.size
 
-    def test_iteration_cap_raises_with_the_reduced_program(self, spec, rng):
+    def test_iteration_cap_raises_with_the_reduced_program(self, spec, rng, monkeypatch):
         chain = feasible_chain(spec, rng, 3)
-        settings = SolverSettings(max_iter=1)
-        with pytest.raises(SolverFailure) as info:
-            eval_v(spec, chain[0], chain[3], 3, settings)
+        with monkeypatch.context() as patch:
+            patch.setattr(qp_solver, "_STEP_LIMIT", 1)
+            with pytest.raises(SolverFailure) as info:
+                eval_v(spec, chain[0], chain[3], 3)
         data = {k: np.array(v) for k, v in info.value.problem.items()}
         assert set(data) == {"d", "q", "G", "h", "tol"}
         # the dumped program is the one that was being solved
-        x, _ = qp_solver._dual_active_set(
-            data["d"], data["q"], data["G"], data["h"], data["tol"], DEFAULT_SETTINGS.max_iter
-        )
+        x, _ = qp_solver._dual_active_set(data["d"], data["q"], data["G"], data["h"], data["tol"])
         _, (_, x_ref, _) = solved_chain(spec, chain[0], chain[3], 3)
         assert np.array_equal(x, x_ref)
 
@@ -374,16 +373,15 @@ class TestMultiStepValues:
         patched = forbid_solver()
         assert patched == ["tube_dissip.qp_solver"]
         unreachable = box((0, 1), (0, 1))
-        settings = SolverSettings(feas_tol=2e-8)
         for n, chain in chains.items():
             assert eval_v(spec, chain[0], chain[n], n).feasible
-            assert eval_v(spec, chain[0], chain[n], n, settings).feasible
+            assert eval_v(spec, chain[0], chain[n], n, feas_tol=2e-8).feasible
             assert not eval_v(spec, x_star, unreachable, n).feasible
-        found, v_star = optimal_rci(spec, settings)
+        found, v_star = optimal_rci(spec, feas_tol=2e-8)
         assert max(abs(u - v) for u, v in zip(found.corners(), x_star.corners())) <= 1e-9
         assert v_star == pytest.approx(-0.2, abs=1e-12)
         with pytest.raises(RciNotFound):
-            optimal_rci(ProblemSpec(x_bounds=IntervalBox(lo=(-5.0, 0.0), hi=(5.0, 0.5))), settings)
+            optimal_rci(ProblemSpec(x_bounds=IntervalBox(lo=(-5.0, 0.0), hi=(5.0, 0.5))), feas_tol=2e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +407,7 @@ class TestReadBack:
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
     def test_invariant_box_reads_back_as_validated(self, spec_name):
         spec = SPECS[spec_name]
-        found, _ = cost_to_travel._optimal_rci.__wrapped__(spec, DEFAULT_SETTINGS)
+        found, _ = cost_to_travel._optimal_rci.__wrapped__(spec, _FEAS_TOL)
         oracles.assert_validated_read_back(spec, (found,), ())
 
     @staticmethod
@@ -424,15 +422,15 @@ class TestReadBack:
 
         def from_corners(cls, a, snap_tol=0.0):
             built["from_corners"] += 1
-            assert snap_tol == DEFAULT_SETTINGS.feas_tol
+            assert snap_tol == _FEAS_TOL
             return real_from_corners(a, snap_tol)
 
         monkeypatch.setattr(IntervalBox, "_trusted", classmethod(trusted))
         monkeypatch.setattr(IntervalBox, "from_corners", classmethod(from_corners))
-        monkeypatch.setattr(cost_to_travel, "_solve_program", lambda prog, p, settings: (np.array(x), None))
+        monkeypatch.setattr(cost_to_travel, "_solve_program", lambda prog, p, feas_tol: (np.array(x), None))
         prog = cost_to_travel._chain_stack(spec, 2)
         try:
-            solved = cost_to_travel._solve_tube(spec, prog, None, ends[:1], ends[1:], DEFAULT_SETTINGS)
+            solved = cost_to_travel._solve_tube(spec, prog, None, ends[:1], ends[1:], _FEAS_TOL)
         except ValueError:
             assert built == {"trusted": 0, "from_corners": 1}
             raise
@@ -452,10 +450,10 @@ class TestReadBack:
     @pytest.mark.parametrize("dim", [0, 1])
     def test_corners_inverted_within_feas_tol_snapped_as_from_corners(self, spec, monkeypatch, dim):
         x = [-1.0, -1.0, -4.0, -1.5]
-        x[2 * dim] = x[2 * dim + 1] + 0.5 * DEFAULT_SETTINGS.feas_tol
+        x[2 * dim] = x[2 * dim + 1] + 0.5 * _FEAS_TOL
         (_, (got,), ()), built = self.read_back(monkeypatch, spec, x)
         assert built == {"trusted": 0, "from_corners": 1}
-        want = IntervalBox.from_corners(x, snap_tol=DEFAULT_SETTINGS.feas_tol)
+        want = IntervalBox.from_corners(x, snap_tol=_FEAS_TOL)
         assert repr((got.lo, got.hi)) == repr((want.lo, want.hi))
         assert got.lo[dim] == got.hi[dim]
         oracles.assert_validated_read_back(spec, (got,), ())
@@ -463,9 +461,9 @@ class TestReadBack:
     @pytest.mark.parametrize("dim", [0, 1])
     def test_corners_inverted_beyond_feas_tol_raise_as_from_corners(self, spec, monkeypatch, dim):
         x = [-1.0, -1.0, -4.0, -1.5]
-        x[2 * dim] = x[2 * dim + 1] + 2.0 * DEFAULT_SETTINGS.feas_tol
+        x[2 * dim] = x[2 * dim + 1] + 2.0 * _FEAS_TOL
         with pytest.raises(ValueError) as want:
-            IntervalBox.from_corners(x, snap_tol=DEFAULT_SETTINGS.feas_tol)
+            IntervalBox.from_corners(x, snap_tol=_FEAS_TOL)
         with pytest.raises(ValueError) as got:
             self.read_back(monkeypatch, spec, x)
         assert str(got.value) == str(want.value) and "empty interval" in str(got.value)

@@ -21,7 +21,7 @@ from tube_dissip.problem import (
     transition_rows,
     transition_witness,
 )
-from tube_dissip.qp_solver import DEFAULT_SETTINGS
+from tube_dissip.qp_solver import _FEAS_TOL
 from tube_dissip.sampling import feasible_pair, monotone_cone_box, random_box_within, random_superbox
 from tube_dissip.tube_mpc import _controller
 
@@ -38,7 +38,7 @@ from .oracles import (
 INF = float("inf")
 NAN = float("nan")
 SPEC = ProblemSpec.default()
-FEAS_TOL = DEFAULT_SETTINGS.feas_tol
+FEAS_TOL = _FEAS_TOL
 
 
 def box(ix, iy):

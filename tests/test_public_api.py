@@ -5,6 +5,7 @@ file too, so the public API only moves on purpose.
 """
 
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -29,7 +30,6 @@ PACKAGE_NAMES = {
     "SeparabilityReport",
     "SimulationTrace",
     "SolverFailure",
-    "SolverSettings",
     "StorageFunction",
     "StrictnessSummary",
     "TraceStep",
@@ -103,7 +103,6 @@ MODULE_ALL = {
         "QpStatus",
         "QpProblem",
         "QpSolution",
-        "SolverSettings",
         "QpBuilder",
         "SolverFailure",
         "solve",
@@ -128,7 +127,7 @@ def test_package_public_names():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert set(json.loads(out.stdout)) == PACKAGE_NAMES
-    assert len(PACKAGE_NAMES) == 46
+    assert len(PACKAGE_NAMES) == 45
 
 
 def test_module_all_entries():
@@ -139,4 +138,33 @@ def test_module_all_entries():
             got[info.name] = list(module.__all__)
             assert [name for name in module.__all__ if not hasattr(module, name)] == [], info.name
     assert got == MODULE_ALL
-    assert sum(map(len, MODULE_ALL.values())) == 52
+    assert sum(map(len, MODULE_ALL.values())) == 51
+
+
+# the public checks that test a relation at a tolerance their caller names:
+# set inclusion and intersection, and the ADMM reference's KKT residual
+TOLERANCE_CHECKS = {"boxes_intersect", "contains", "subset", "verify_kkt"}
+
+
+def test_feas_tol_is_the_only_solver_setting():
+    # no public function takes settings or another tolerance, and every
+    # feas_tol is a keyword with the one default the solver uses
+    seen = set()
+    for info in pkgutil.iter_modules(tube_dissip.__path__):
+        module = importlib.import_module(f"tube_dissip.{info.name}")
+        for name in getattr(module, "__all__", []):
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            params = inspect.signature(fn).parameters
+            if name not in TOLERANCE_CHECKS:
+                assert not {"settings", "tol", "exclusion_tol", "max_iter"} & set(params), name
+            if "feas_tol" in params:
+                assert params["feas_tol"].kind is inspect.Parameter.KEYWORD_ONLY, name
+                assert params["feas_tol"].default == 1e-8, name
+                seen.add(name)
+    assert seen == {
+        "eval_v", "optimal_rci", "transition_witness", "transition_feasible", "is_rci",
+        "verify_separability", "check_strictness", "solve_tmpc", "sweep_feedback", "simulate",
+        "rotated_cost",
+    }

@@ -193,10 +193,17 @@ def separable_problem(rng, n=5, m=12, infeasible=False):
     return d, q, G, h
 
 
-def dual_active_set(d, q, G, h, max_iter=1000):
+def dual_active_set(d, q, G, h):
     return qp_solver._dual_active_set(
-        np.asarray(d, float), np.asarray(q, float), np.asarray(G, float), np.asarray(h, float), 1e-12, max_iter
+        np.asarray(d, float), np.asarray(q, float), np.asarray(G, float), np.asarray(h, float), 1e-12
     )
+
+
+def capped_dual_active_set(monkeypatch, cap, d, q, G, h):
+    """:func:`dual_active_set` with the kernel's step limit set to cap for this one run."""
+    with monkeypatch.context() as patch:
+        patch.setattr(qp_solver, "_STEP_LIMIT", cap)
+        return dual_active_set(d, q, G, h)
 
 
 class TestDualActiveSet:
@@ -241,17 +248,17 @@ class TestDualActiveSet:
                 assert oracles.separable_kkt_residual(d, q, G, h, x, y) <= 1e-12
         assert verdicts == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
 
-    def test_iteration_cap_raises_with_the_data(self, rng):
+    def test_iteration_cap_raises_with_the_data(self, rng, monkeypatch):
         d, q, G, h = separable_problem(rng)
         with pytest.raises(SolverFailure) as info:
-            dual_active_set(d, q, G, h, max_iter=1)
+            capped_dual_active_set(monkeypatch, 1, d, q, G, h)
         dump = info.value.problem
         assert set(dump) == {"d", "q", "G", "h", "tol"}
         for name, value in (("d", d), ("q", q), ("G", G), ("h", h)):
             assert np.array_equal(np.array(dump[name]), value)
         assert dump["tol"] == 1e-12
 
-    def test_iteration_cap_dump_replays_the_cold_solve(self, rng):
+    def test_iteration_cap_dump_replays_the_cold_solve(self, rng, monkeypatch):
         # whatever step the cap stops at, the dump gives the uncapped answer bit for bit
         verdicts = set()
         for k in range(10):
@@ -261,12 +268,10 @@ class TestDualActiveSet:
             cap = 0
             while True:
                 try:
-                    capped = dual_active_set(d, q, G, h, max_iter=cap)
+                    capped = capped_dual_active_set(monkeypatch, cap, d, q, G, h)
                 except SolverFailure as failure:
                     dump = {name: np.array(value) for name, value in failure.problem.items()}
-                    got = qp_solver._dual_active_set(
-                        dump["d"], dump["q"], dump["G"], dump["h"], dump["tol"], 1000
-                    )
+                    got = qp_solver._dual_active_set(dump["d"], dump["q"], dump["G"], dump["h"], dump["tol"])
                     assert (got[0] is None) == (want[0] is None)
                     for a, b in zip(got, want):
                         assert a is None or a.tobytes() == b.tobytes()
@@ -290,19 +295,19 @@ class TestDualActiveSet:
             dual_active_set(d, q, G, h)
         assert info.value.problem == {"d": d, "q": q, "G": G, "h": h, "tol": 1e-12}
 
-    def test_start_at_the_optimum_takes_no_step(self, rng):
+    def test_start_at_the_optimum_takes_no_step(self, rng, monkeypatch):
         # the kernel starts at the unconstrained minimiser with no row active:
         # where that point holds every row it is the answer, found in no step
         d, q, _, _ = separable_problem(rng)
         x_free = -q / (2.0 * d)
         G = rng.normal(size=(12, d.size))
         slack = rng.uniform(0.1, 1.0, size=12)
-        x, y = dual_active_set(d, q, G, G @ x_free + slack, max_iter=0)
+        x, y = capped_dual_active_set(monkeypatch, 0, d, q, G, G @ x_free + slack)
         assert np.max(np.abs(x - x_free)) <= 1e-12 and not np.any(y)
         # one violated row needs a step, which a cap of 0 refuses
         slack[3] = -0.5
         with pytest.raises(SolverFailure):
-            dual_active_set(d, q, G, G @ x_free + slack, max_iter=0)
+            capped_dual_active_set(monkeypatch, 0, d, q, G, G @ x_free + slack)
 
 
 def test_importing_the_package_does_not_load_scipy():

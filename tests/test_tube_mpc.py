@@ -1,18 +1,17 @@
 import json
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tube_dissip import cost_to_travel, tube_mpc
+from tube_dissip import cost_to_travel, qp_solver, tube_mpc
 from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
 from tube_dissip.problem import ConfigError, ProblemSpec, dynamics, transition_feasible, transition_witness
-from tube_dissip.qp_solver import DEFAULT_SETTINGS, QpStatus, SolverFailure, solve
+from tube_dissip.qp_solver import _FEAS_TOL, QpStatus, SolverFailure, solve
 from tube_dissip.tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, sweep_feedback
 
 from .oracles import assert_validated_read_back, program_answer, row_violations, tube_qp_reference
@@ -106,15 +105,15 @@ class TestSolveTmpc:
         real_solve = cost_to_travel._solve_program
         seen = []
 
-        def inverted_solve(prog, p, settings):
-            answer = real_solve(prog, p, settings)
+        def inverted_solve(prog, p, feas_tol):
+            answer = real_solve(prog, p, feas_tol)
             h, x, _ = program_answer(prog, p, answer)
             x = x.copy()
             # the corners (b1, b2) of the tube's second box, of the chain's
             # middle box and of the invariant box
             i = 4 if prog.G.shape[1] > 4 else 0
             x[i] = x[i + 1] + 5e-9
-            assert np.max(prog.G @ x - h) <= settings.feas_tol
+            assert np.max(prog.G @ x - h) <= feas_tol
             seen.append(x)
             return x, answer[1]
 
@@ -132,7 +131,7 @@ class TestSolveTmpc:
         result = eval_v(spec, x_star, x_star, 2)
         assert len(seen) == 2 and result.feasible
         assert result.tube[1].lo[0] == result.tube[1].hi[0] == pytest.approx(-1.0, abs=1e-8)
-        box_, _ = cost_to_travel._optimal_rci.__wrapped__(spec, DEFAULT_SETTINGS)
+        box_, _ = cost_to_travel._optimal_rci.__wrapped__(spec, _FEAS_TOL)
         assert len(seen) == 3
         assert box_.lo[0] == box_.hi[0] == pytest.approx(-1.0, abs=1e-8)
 
@@ -184,10 +183,10 @@ def record_solves(monkeypatch, spec, cfg):
     real_solve = cost_to_travel._solve_program
     states = []
 
-    def recording_solve(prog, z, settings):
+    def recording_solve(prog, z, feas_tol):
         if prog is controller:
             states.append(tuple(z))
-        return real_solve(prog, z, settings)
+        return real_solve(prog, z, feas_tol)
 
     monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
     return states
@@ -241,12 +240,12 @@ def point_box(z):
     return IntervalBox.from_corners((z[0], z[0], z[1], z[1]))
 
 
-def cold_solves(monkeypatch, spec, cfg, states, settings):
+def cold_solves(monkeypatch, spec, cfg, states, feas_tol=_FEAS_TOL):
     """The controller's answers at the states with its program's law table removed."""
     controller = tube_mpc._controller(spec, cfg)
     cold = controller._replace(prog=controller.prog._replace(laws=None))
     monkeypatch.setattr(tube_mpc, "_controller", lambda *args: cold)
-    return [solve_tmpc(spec, cfg, z, settings) for z in states]
+    return [solve_tmpc(spec, cfg, z, feas_tol=feas_tol) for z in states]
 
 
 def count_kernel_runs(monkeypatch):
@@ -388,15 +387,14 @@ class TestTemplate:
         n = cfg.horizon
         states = [z for z, _ in ORACLE_STATES] + BEYOND_THE_BAND + [tuple(z) for z in rng.uniform(-5, 5, (200, 2))]
         warm = [solve_tmpc(spec, cfg, z) for z in states]
-        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states, DEFAULT_SETTINGS), n)
+        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states), n)
 
     @pytest.mark.parametrize("feas_tol", [1e-11, 1e-6])
     def test_the_law_table_serves_every_tolerance(self, spec, cfg_ic, monkeypatch, feas_tol):
         # a law answers at a tolerance only where its check holds at that
         # tolerance, whatever the tolerance it was learned at
-        settings = replace(DEFAULT_SETTINGS, feas_tol=feas_tol)
-        warm = [solve_tmpc(spec, cfg_ic, z, settings) for z in STATE_GRID]
-        for got, want in zip(warm, cold_solves(monkeypatch, spec, cfg_ic, STATE_GRID, settings)):
+        warm = [solve_tmpc(spec, cfg_ic, z, feas_tol=feas_tol) for z in STATE_GRID]
+        for got, want in zip(warm, cold_solves(monkeypatch, spec, cfg_ic, STATE_GRID, feas_tol)):
             assert got.status is want.status
             assert got.objective == pytest.approx(want.objective, abs=10 * feas_tol)
 
@@ -406,17 +404,21 @@ class TestTemplate:
         sweep_feedback(spec, cfg_ic, STATE_GRID)
         assert solve_tmpc(spec, cfg_ic, z) == first
 
-    def test_max_iter_bounds_only_kernel_runs(self, spec, cfg_ic):
-        # a fresh program has no laws, so the kernel runs and meets its step
-        # limit; once a default solve has stored the law that holds at z, the
-        # same call runs no kernel and returns the default answer, bit for bit
+    def test_max_iter_bounds_only_kernel_runs(self, spec, cfg_ic, monkeypatch):
+        # a fresh program has no laws, so the kernel runs and meets a step
+        # limit of 1; once a solve under the real limit has stored the law
+        # that holds at z, the same call runs no kernel and returns that
+        # solve's answer, bit for bit
         tube_mpc._controller.cache_clear()
-        z, capped = (1.0, 1.0), replace(DEFAULT_SETTINGS, max_iter=1)
-        with pytest.raises(SolverFailure, match="exceeded 1 steps"):
-            solve_tmpc(spec, cfg_ic, z, capped)
+        z = (1.0, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(qp_solver, "_STEP_LIMIT", 1)
+            with pytest.raises(SolverFailure, match="exceeded 1 steps"):
+                solve_tmpc(spec, cfg_ic, z)
         want = solve_tmpc(spec, cfg_ic, z)
         assert want.feasible
-        assert repr(solve_tmpc(spec, cfg_ic, z, capped)) == repr(want)
+        monkeypatch.setattr(qp_solver, "_STEP_LIMIT", 1)
+        assert repr(solve_tmpc(spec, cfg_ic, z)) == repr(want)
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_a_capped_miss_dumps_the_program_it_replays(self, spec, name, monkeypatch):
@@ -424,9 +426,11 @@ class TestTemplate:
         # kernel run on it gives the answer of the same miss uncapped
         cfg = CONFIGS[name]
         tube_mpc._controller.cache_clear()
-        z, capped = (-3.5, -4.0), replace(DEFAULT_SETTINGS, max_iter=1)
-        with pytest.raises(SolverFailure) as info:
-            solve_tmpc(spec, cfg, z, capped)
+        z = (-3.5, -4.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(qp_solver, "_STEP_LIMIT", 1)
+            with pytest.raises(SolverFailure) as info:
+                solve_tmpc(spec, cfg, z)
         dump = {key: np.array(value) for key, value in info.value.problem.items()}
         assert set(dump) == {"d", "q", "G", "h", "tol"}
         kernel = cost_to_travel._dual_active_set
@@ -434,7 +438,7 @@ class TestTemplate:
         tube_mpc._controller.cache_clear()
         assert solve_tmpc(spec, cfg, z).feasible
         (uncapped,) = runs
-        got = kernel(dump["d"], dump["q"], dump["G"], dump["h"], dump["tol"], DEFAULT_SETTINGS.max_iter)
+        got = kernel(dump["d"], dump["q"], dump["G"], dump["h"], dump["tol"])
         want = kernel(*uncapped)
         assert_same_array(got[0], want[0], "x")
         assert_same_array(got[1], want[1], "y")
@@ -478,12 +482,12 @@ class TestFixedRows:
         prog = tube_mpc._controller(spec, CONFIGS[name]).prog
         if table == "no laws":
             prog = prog._replace(laws=None)
-        feas_tol = DEFAULT_SETTINGS.feas_tol
+        feas_tol = _FEAS_TOL
         violated, violated_in_x = 0, 0
         for z in FIXED_ROW_STATES:
             h = prog.h0 - prog.P @ np.array(z)
             want = np.min(prog.h0[prog.fixed] - prog.P[prog.fixed] @ np.array(z)) < -feas_tol
-            x, y = cost_to_travel._solve_program(prog, z, DEFAULT_SETTINGS)
+            x, y = cost_to_travel._solve_program(prog, z, _FEAS_TOL)
             assert isinstance(y, int) == want, z
             if want:
                 # the most violated fixed row, the first of ties
@@ -512,9 +516,9 @@ def record_answers(monkeypatch, prog):
     runs = count_kernel_runs(monkeypatch)
     answers = []
 
-    def recording_solve(p, z, settings):
+    def recording_solve(p, z, feas_tol):
         before = len(runs)
-        answer = real_solve(p, z, settings)
+        answer = real_solve(p, z, feas_tol)
         if p is prog:
             answers.append((*program_answer(p, z, answer), len(runs) > before))
         return answer
@@ -523,7 +527,7 @@ def record_answers(monkeypatch, prog):
     return answers
 
 
-KERNEL_TOL = 1e-3 * DEFAULT_SETTINGS.feas_tol
+KERNEL_TOL = 1e-3 * _FEAS_TOL
 
 
 class TestLawTable:
@@ -551,7 +555,7 @@ class TestLawTable:
         # most optimal answers come from stored laws, without a kernel run
         from_laws = sum(x is not None and not kernel_ran for _, x, _, kernel_ran in answers)
         assert from_laws > sum(x is not None for _, x, _, _ in answers) // 2
-        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states, DEFAULT_SETTINGS), cfg.horizon)
+        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states), cfg.horizon)
 
     def test_a_full_table_answers_misses_through_the_kernel(self, spec, cfg_ic, monkeypatch):
         prog = install_empty_table(monkeypatch, spec, cfg_ic)
@@ -567,7 +571,7 @@ class TestLawTable:
         warm = [solve_tmpc(spec, cfg_ic, z) for z in STATE_GRID]
         assert len(laws) == 64
         assert any(kernel_ran for *_, kernel_ran in answers)
-        assert_cold_answers(STATE_GRID, warm, cold_solves(monkeypatch, spec, cfg_ic, STATE_GRID, DEFAULT_SETTINGS), 2)
+        assert_cold_answers(STATE_GRID, warm, cold_solves(monkeypatch, spec, cfg_ic, STATE_GRID), 2)
 
     def test_a_law_holds_only_where_its_rows_and_multipliers_do(self, spec, cfg_ic, monkeypatch):
         # one law in the table, and states where only its rows, or only its
@@ -597,7 +601,7 @@ class TestLawTable:
             assert prog.laws.lookup(*z, KERNEL_TOL) is None, z
         states = rows_only + multipliers_only
         warm = [solve_tmpc(spec, cfg_ic, z) for z in states]
-        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg_ic, states, DEFAULT_SETTINGS), 2)
+        assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg_ic, states), 2)
 
 
 SCREEN_STATES = FINE_GRID + [tuple(z) for z in np.random.default_rng(13).uniform(-5, 5, (2000, 2))] + BEYOND_THE_BAND
@@ -731,7 +735,7 @@ class TestAgainstAdmm:
             assert np.allclose(sol.u0_interval, (lo, hi), rtol=0.0, atol=1e-8)
             assert sol.u0 == pytest.approx(min(max(0.0, lo), hi), abs=1e-8)
             for (src, dst), v in zip(zip(sol.tube[:-1], sol.tube[1:]), sol.edge_controls):
-                assert max(row_violations(spec, src, dst, v)) <= DEFAULT_SETTINGS.feas_tol
+                assert max(row_violations(spec, src, dst, v)) <= _FEAS_TOL
         assert statuses == ({QpStatus.OPTIMAL, QpStatus.INFEASIBLE} if n == 1 else {QpStatus.OPTIMAL})
 
     @pytest.mark.parametrize("name", ["default", "horizon_1"], ids=["containment", "horizon_1_containment"])
