@@ -491,7 +491,7 @@ class TestVerifyAll:
         assert lines[-1] == "9/9 criteria passed"
 
     @pytest.mark.parametrize("config", [
-        {"tolerances": {"feas_tol": 1e-6}},
+        {"tolerances": {}},
         {"tolerances": {"feas_tol": 1e-3}},
         {"controller": {}},
         {"controller": {"use_initial_cost": False}, "tolerances": {}},
