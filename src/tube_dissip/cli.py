@@ -4,13 +4,18 @@ Subcommands: ``rci``, ``eval-v``, ``check-storage``, ``control``, ``sweep``,
 ``simulate``, ``verify-all``.  JSON outputs are the ``to_json_dict`` forms of
 the result types, with boxes as ``[[lo1, hi1], [lo2, hi2]]``; CSV uses '.'
 decimals and 12 significant digits.  ``verify-all`` runs the acceptance
-battery on the configured problem and seed, at its own pinned tolerances and
-with its own controllers, so a config with a ``tolerances`` or ``controller``
-section is a configuration error there.  Exit codes: 0 on success,
-1 on a domain failure (infeasible problem, failed certificate, or a solver
-that stops without an answer), 2 on usage or configuration errors, unreadable
-input files and unwritable output paths included.  Every failure prints one
-``error:`` line on standard error.
+battery on the configured problem and seed with its own controllers, so a
+config with a ``controller`` section is a configuration error there.  Exit
+codes: 0 on success; 2 on usage or configuration errors, unreadable input
+files and unwritable output paths included, with one ``error:`` line on
+standard error and no output; 1 on a domain failure.  That is either a
+negative verdict (an infeasible ``eval-v`` or ``control``, a failed
+``check-storage``, a truncated or unstable ``simulate``, a failing
+``verify-all``), written in full as the output with nothing on standard
+error, or a command that stops without an answer (no invariant box, or a
+solver that stops without one), with one ``error:`` line and no output.
+The controller also warns on standard error of a terminal box that is not
+its own successor.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from .closed_loop import (
 )
 from .cost_to_travel import MAX_STEPS, RciNotFound, eval_v, optimal_rci
 from .dissipativity import StorageFunction, check_strictness, verify_separability
-from .interval_sets import IntervalBox, _is_real
+from .interval_sets import IntervalBox
 from .problem import ConfigError, ProblemSpec, _read_json
-from .qp_solver import _FEAS_TOL, SolverFailure
+from .qp_solver import SolverFailure
 from .tube_mpc import TubeMpcConfig, solve_tmpc, sweep_feedback
 from dataclasses import replace
 
@@ -44,9 +49,6 @@ DEFAULT_SEED = 0
 # the most points per axis of a sweep grid: about a million solves, and the
 # grid is a list of grid**2 states built before the first of them
 MAX_GRID = 1001
-# the largest feas_tol a config may set, a decade below the first change
-# measured on the default instance (README, "Run configuration")
-_MAX_FEAS_TOL = 1e-3
 
 
 def _fmt(value) -> str:
@@ -84,11 +86,10 @@ def _is_int(value) -> bool:
 
 
 class RunConfig:
-    """Problem, controller, tolerance, and seed settings shared by commands."""
+    """Problem, controller, seed and output settings shared by commands."""
 
-    KNOWN_KEYS = {"problem", "controller", "tolerances", "seed", "output"}
+    KNOWN_KEYS = {"problem", "controller", "seed", "output"}
     CONTROLLER_KEYS = {"horizon", "use_initial_cost", "storage", "terminal_set"}
-    TOLERANCE_KEYS = {"feas_tol"}
     OUTPUT_KEYS = {"path"}
 
     def __init__(self, obj: dict):
@@ -119,15 +120,6 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"controller.terminal_set: {exc}") from exc
         self.controller = TubeMpcConfig(**kwargs)
-        tols = _section(obj, "tolerances")
-        unknown = set(tols) - self.TOLERANCE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown tolerance config keys: {sorted(unknown)}")
-        self.feas_tol = tols.get("feas_tol", _FEAS_TOL)
-        if not (_is_real(self.feas_tol) and 0.0 < self.feas_tol <= _MAX_FEAS_TOL):
-            raise ConfigError(
-                f"tolerances.feas_tol must be a number > 0 and <= {_MAX_FEAS_TOL:g}, got {self.feas_tol!r}"
-            )
         out = _section(obj, "output")
         unknown = set(out) - self.OUTPUT_KEYS
         if unknown:
@@ -214,7 +206,7 @@ def _controller_config(run: RunConfig, args) -> TubeMpcConfig:
 
 
 def _cmd_rci(run: RunConfig, args) -> int:
-    box, v_star = optimal_rci(run.spec, feas_tol=run.feas_tol)
+    box, v_star = optimal_rci(run.spec)
     _write_output(
         json.dumps({"corners": list(box.corners()), "box": box.to_json_obj(), "v_star": v_star}),
         args.output or run.output_path,
@@ -227,7 +219,7 @@ def _cmd_eval_v(run: RunConfig, args) -> int:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.n > MAX_STEPS:
         raise ConfigError(f"--n must be at most {MAX_STEPS}, got {args.n}")
-    result = eval_v(run.spec, _parse_box(args.a), _parse_box(args.b), args.n, feas_tol=run.feas_tol)
+    result = eval_v(run.spec, _parse_box(args.a), _parse_box(args.b), args.n)
     _write_output(json.dumps(result.to_json_dict()), args.output or run.output_path)
     return 0 if result.feasible else 1
 
@@ -239,9 +231,9 @@ def _cmd_check_storage(run: RunConfig, args) -> int:
         sf = StorageFunction.reference()
     else:
         sf = _parse_storage(_read_json(args.storage), args.storage)
-    report = verify_separability(run.spec, sf, feas_tol=run.feas_tol)
+    report = verify_separability(run.spec, sf)
     if args.strictness:
-        strict = check_strictness(run.spec, sf, args.strictness, seed=run.seed, feas_tol=run.feas_tol)
+        strict = check_strictness(run.spec, sf, args.strictness, seed=run.seed)
         report = replace(report, strictness=strict)
     _write_output(json.dumps(report.to_json_dict()), args.output or run.output_path)
     return 0 if report.passed else 1
@@ -249,7 +241,7 @@ def _cmd_check_storage(run: RunConfig, args) -> int:
 
 def _cmd_control(run: RunConfig, args) -> int:
     cfg = _controller_config(run, args)
-    sol = solve_tmpc(run.spec, cfg, _parse_point(args.z), feas_tol=run.feas_tol)
+    sol = solve_tmpc(run.spec, cfg, _parse_point(args.z))
     _write_output(json.dumps(sol.to_json_dict()), args.output or run.output_path)
     return 0 if sol.feasible else 1
 
@@ -266,7 +258,7 @@ def _cmd_sweep(run: RunConfig, args) -> int:
         for z1 in np.linspace(xb.lo[0], xb.hi[0], args.grid)
         for z2 in np.linspace(xb.lo[1], xb.hi[1], args.grid)
     ]
-    points = sweep_feedback(run.spec, cfg, grid, feas_tol=run.feas_tol)
+    points = sweep_feedback(run.spec, cfg, grid)
     rows = [
         {
             "z1": p.z[0],
@@ -292,7 +284,7 @@ def _cmd_simulate(run: RunConfig, args) -> int:
         rows = []
         ok = True
         for y0 in ((5.0, -5.0), (-5.0, 5.0)):
-            trace = simulate(run.spec, cfg, y0, args.steps, AdversarialPolicy(), feas_tol=run.feas_tol)
+            trace = simulate(run.spec, cfg, y0, args.steps, AdversarialPolicy())
             report = check_enclosure_stability(trace, run.spec)
             ok = ok and report.stable
             for row in trace.csv_rows():
@@ -304,17 +296,14 @@ def _cmd_simulate(run: RunConfig, args) -> int:
         print("error: --y0 is required without --fig2", file=sys.stderr)
         return 2
     policy = _parse_policy(args.policy, run.seed)
-    trace = simulate(run.spec, cfg, _parse_point(args.y0), args.steps, policy, feas_tol=run.feas_tol)
+    trace = simulate(run.spec, cfg, _parse_point(args.y0), args.steps, policy)
     _write_output(_csv(trace.csv_rows(), columns), args.output or run.output_path)
     return 0 if trace.failure_step is None else 1
 
 
 def _cmd_verify_all(run: RunConfig, args) -> int:
-    unread = sorted(run.sections & {"controller", "tolerances"})
-    if unread:
-        raise ConfigError(
-            f"verify-all runs at pinned tolerances with its own controllers; remove {unread} from the config"
-        )
+    if "controller" in run.sections:
+        raise ConfigError("verify-all runs its own controllers; remove ['controller'] from the config")
     results = run_acceptance(seed=run.seed, spec=run.spec)
     width = max(len(r.key) for r in results)
     lines = []
@@ -346,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_eval_v)
 
-    p = sub.add_parser("check-storage", help="certify a storage candidate by the relaxed QP")
+    p = sub.add_parser("check-storage", help="certify a storage candidate by its closed-form relaxed minimum")
     p.add_argument("--storage", default="default", help="'default' or a JSON file {offset, linear}")
     p.add_argument("--strictness", type=int, default=0, help="also sample N strictness margins")
     p.add_argument("--output")

@@ -23,7 +23,6 @@ from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import eval_storage
 from .interval_sets import IntervalBox, boxes_intersect, contains, hausdorff, subset
 from .problem import ProblemSpec, dynamics
-from .qp_solver import _FEAS_TOL
 from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
 
 __all__ = [
@@ -131,23 +130,21 @@ def rotated_cost(
     cfg: TubeMpcConfig,
     a: IntervalBox,
     b: IntervalBox,
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> float:
     """One-step rotated cost ``E(A) - E(B) + V(A,B,1) - V*``; +inf if infeasible."""
-    value = eval_v(spec, a, b, 1, feas_tol=feas_tol).value
+    value = eval_v(spec, a, b, 1).value
     if math.isinf(value):
         return _INF
-    _, v_star = optimal_rci(spec, feas_tol=feas_tol)
+    _, v_star = optimal_rci(spec)
     storage = _controller(spec, cfg).storage
     e_a = eval_storage(storage, spec, a) if storage is not None else 0.0
     e_b = eval_storage(storage, spec, b) if storage is not None else 0.0
     return e_a - e_b + value - v_star
 
 
-def _rotated_legs(spec, cfg, tube, feas_tol) -> tuple[float, ...]:
+def _rotated_legs(spec, cfg, tube) -> tuple[float, ...]:
     """The rotated cost of each step of the tube; each is finite or +inf, so their float sum propagates +inf."""
-    return tuple(rotated_cost(spec, cfg, a, b, feas_tol=feas_tol) for a, b in zip(tube[:-1], tube[1:]))
+    return tuple(rotated_cost(spec, cfg, a, b) for a, b in zip(tube[:-1], tube[1:]))
 
 
 def simulate(
@@ -156,8 +153,6 @@ def simulate(
     y0: Sequence[float],
     steps: int,
     policy: DisturbancePolicy,
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> SimulationTrace:
     """Run the receding-horizon loop for ``steps`` transitions.
 
@@ -165,7 +160,7 @@ def simulate(
     (which carries no action).  Controller infeasibility at any state
     truncates the trace with an explicit failure marker.
     """
-    x_star, _ = optimal_rci(spec, feas_tol=feas_tol)
+    x_star, _ = optimal_rci(spec)
     rng = np.random.default_rng(policy.seed) if isinstance(policy, UniformRandomPolicy) else None
     y = (float(y0[0]), float(y0[1]))
     records: list[TraceStep] = []
@@ -175,12 +170,12 @@ def simulate(
 
     for k in range(steps + 1):
         if sol is None:
-            sol = solve_tmpc(spec, cfg, y, feas_tol=feas_tol)
+            sol = solve_tmpc(spec, cfg, y)
         if not sol.feasible:
             failure = k
             break
         enclosure = sol.tube[0]
-        legs = _rotated_legs(spec, cfg, sol.tube, feas_tol)
+        legs = _rotated_legs(spec, cfg, sol.tube)
         lyap = sum(legs, 0.0)
         dist = hausdorff(enclosure, x_star)
         if k == steps:
@@ -190,7 +185,7 @@ def simulate(
             )
             break
         u = sol.u0
-        w, next_sol = _draw_disturbance(spec, cfg, policy, rng, k, y, u, feas_tol)
+        w, next_sol = _draw_disturbance(spec, cfg, policy, rng, k, y, u)
         records.append(
             TraceStep(k=k, y=y, tube=sol.tube, enclosure=enclosure,
                       dist_to_terminal=dist, lyapunov=lyap, rotated_legs=legs, u=u, w=w)
@@ -206,7 +201,7 @@ def simulate(
     )
 
 
-def _draw_disturbance(spec, cfg, policy, rng, k, y, u, feas_tol) -> tuple[float, Optional[TubeSolution]]:
+def _draw_disturbance(spec, cfg, policy, rng, k, y, u) -> tuple[float, Optional[TubeSolution]]:
     """The disturbance of step k, and the controller's solution at the next state if solved."""
     if isinstance(policy, ExtremePolicy):
         sign = policy.signs[k % len(policy.signs)]
@@ -214,12 +209,12 @@ def _draw_disturbance(spec, cfg, policy, rng, k, y, u, feas_tol) -> tuple[float,
     if isinstance(policy, UniformRandomPolicy):
         return float(rng.uniform(spec.w_lo, spec.w_hi)), None
     if isinstance(policy, AdversarialPolicy):
-        x_star, _ = optimal_rci(spec, feas_tol=feas_tol)
+        x_star, _ = optimal_rci(spec)
         best_w, best_sol = spec.w_lo, None
         best_d = -_INF
         for w in (spec.w_lo, spec.w_hi):
             y_next = dynamics(spec, y, u, w)
-            nxt = solve_tmpc(spec, cfg, y_next, feas_tol=feas_tol)
+            nxt = solve_tmpc(spec, cfg, y_next)
             d = hausdorff(nxt.tube[0], x_star) if nxt.feasible else _INF
             if d > best_d:
                 best_d, best_w, best_sol = d, w, nxt

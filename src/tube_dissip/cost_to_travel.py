@@ -17,8 +17,8 @@ program are read back into boxes by one helper, :func:`_solve_tube`, in one
 plain-float pass over the corners: free corners are clipped onto the state
 bounds; a free box whose corners are in order is built without
 re-validation, any other through ``IntervalBox.from_corners``, which snaps
-an inversion within ``feas_tol``; and every step of the tube is decided by
-the one core of the one-step rule
+an inversion within the feasibility tolerance ``qp_solver._FEAS_TOL``; and
+every step of the tube is decided by the one core of the one-step rule
 (:func:`~tube_dissip.problem.transition_witness`), on constants the
 ``ProblemSpec`` computed when it was built.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from .interval_sets import IntervalBox
 from .problem import ProblemSpec, _step_witness, stage_cost, transition_rows, transition_witness
-from .qp_solver import _FEAS_TOL, SolverFailure, _dual_active_set
+from .qp_solver import _FEAS_TOL, _ROW_TOL, SolverFailure, _dual_active_set
 
 __all__ = [
     "MAX_STEPS",
@@ -88,8 +88,6 @@ def eval_v(
     a: IntervalBox,
     b: IntervalBox,
     n_steps: int,
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> CostToTravelResult:
     """Minimal cost of an ``n_steps``-step tube from ``a`` to ``b``.
 
@@ -98,20 +96,20 @@ def eval_v(
     minimise the stage costs of the free intermediate boxes over the rows of
     :func:`transition_rows`, one copy per step, in which the edge controls
     are already eliminated.  Rows on the fixed end boxes only are checked
-    against ``feas_tol``; the rest form a small strictly convex QP,
-    solved exactly by a dual active-set method.  A tube's ``aux_controls``
-    are the :func:`transition_witness` pairs of its steps.  ``n_steps``
-    runs from 1 to :data:`MAX_STEPS`.
+    against the feasibility tolerance; the rest form a small strictly
+    convex QP, solved exactly by a dual active-set method.  A tube's
+    ``aux_controls`` are the :func:`transition_witness` pairs of its steps.
+    ``n_steps`` runs from 1 to :data:`MAX_STEPS`.
     """
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
     if n_steps == 1:
-        witness = transition_witness(spec, a, b, feas_tol=feas_tol)
+        witness = transition_witness(spec, a, b)
         if witness is None:
             return CostToTravelResult(value=_INF)
         return CostToTravelResult(value=stage_cost(spec, a), tube=(a, b), aux_controls=(witness,))
     ends = np.array(a.corners() + b.corners())
-    solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b], feas_tol)
+    solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b])
     if solved is None:
         return CostToTravelResult(value=_INF)
     cost, tube, witnesses = solved
@@ -129,9 +127,8 @@ class _Law(NamedTuple):
     free-row slacks, then the multipliers, then the kernel's variables.
     ``screen`` lists, as plain floats ``(a, b1, b2, floor)``, each distinct
     check column (slack or multiplier) whose least value over the state box
-    is below its floor at the tolerance the law was learned at: the slacks
-    of the rows the box does not keep, and the multipliers it can drive
-    below zero.
+    is below its floor: the slacks of the rows the box does not keep, and
+    the multipliers it can drive below zero.
     """
 
     block: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -148,9 +145,9 @@ class _LawTable:
     multipliers of A solve the Gram system ``Gs_A Gs_A' y_A = Gs_A w0 - h_A(p)``
     and ``w = w0 - Gs_A' y_A``.  Each law is kept as one stacked affine map
     of p onto the slacks of the free rows, the multipliers (together its
-    check) and w (its point).  A law whose slacks are at least ``-tol`` and
-    whose multipliers are nonnegative at p gives a KKT point, the answer the
-    kernel would return.  At most ``_MAX_LAWS`` are kept; on a full table a
+    check) and w (its point).  A law whose slacks are at least ``-_ROW_TOL``
+    and whose multipliers are nonnegative at p gives a KKT point, the answer
+    the kernel would return.  At most ``_MAX_LAWS`` are kept; on a full table a
     new law is still built and answers at the p it was learned at, but is
     not stored.
 
@@ -168,16 +165,16 @@ class _LawTable:
 
     def __init__(self, prog: "_CornerProgram", x_bounds: IntervalBox):
         free = ~prog.fixed
-        self.s = 1.0 / np.sqrt(2.0 * prog.d)
-        self.Gs = prog.G_free * self.s
-        self.w0 = -prog.q * self.s
+        # data that overflows here is the kernel's to report, at its first run
+        with np.errstate(over="ignore"):
+            self.s = 1.0 / np.sqrt(2.0 * prog.d)
+            self.Gs = prog.G_free * self.s
+            self.w0 = -prog.q * self.s
         # the free rows' right-hand sides are rhs @ (1, p)
         self.rhs = np.column_stack([prog.h0[free], -prog.P[free]])
         m = self.Gs.shape[0]
-        # times tol, the least value of each check: -tol on slacks, 0 on multipliers
-        self.floor = np.concatenate([np.full(m, -1.0), np.zeros(m)])
-        # floor * tol for the last tol a check was made at
-        self._tol = self._floor_tol = None
+        # the least value of each check: the kernel's -_ROW_TOL on slacks, 0 on multipliers
+        self.floor = np.concatenate([np.full(m, -_ROW_TOL), np.zeros(m)])
         # the state box the parameter ranges over, one column per state coordinate
         self.box = np.array([x_bounds.lo, x_bounds.hi])
         self.laws: list[_Law] = []
@@ -187,20 +184,20 @@ class _LawTable:
     def __len__(self) -> int:
         return len(self.laws)
 
-    def lookup(self, z1: float, z2: float, tol: float):
+    def lookup(self, z1: float, z2: float):
         """``(x, y)`` on the free rows from the first stored law that holds at state z, or None."""
         for law in self.laws:
             for a, b1, b2, floor in law.screen:
                 # as the block computes it: (a + b1*z1) + b2*z2
-                if not a + b1 * z1 + b2 * z2 >= floor * tol:
+                if not a + b1 * z1 + b2 * z2 >= floor:
                     break
             else:
-                answer = self._answer(law, z1, z2, tol)
+                answer = self._answer(law, z1, z2)
                 if answer is not None:
                     return answer
         return None
 
-    def learn(self, y: np.ndarray, z1: float, z2: float, tol: float):
+    def learn(self, y: np.ndarray, z1: float, z2: float):
         """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at z or None."""
         act = np.flatnonzero(y > 0.0)
         key = act.tobytes()
@@ -220,22 +217,20 @@ class _LawTable:
         check = block[:, : self.floor.size]
         # each column's least value over the state box, taken at the box corner that minimises it
         least = check[0] + np.minimum(check[1:] * self.box[0, :, None], check[1:] * self.box[1, :, None]).sum(axis=0)
-        cols = np.flatnonzero(least < self.floor * tol)
+        cols = np.flatnonzero(least < self.floor)
         screen = tuple(dict.fromkeys(zip(*check[:, cols].tolist(), self.floor[cols].tolist())))
         law = _Law(tuple(block), screen)
         if len(self) < _MAX_LAWS:
             self.stored.add(key)
             self.laws.append(law)
-        return self._answer(law, z1, z2, tol)
+        return self._answer(law, z1, z2)
 
-    def _answer(self, law: _Law, z1: float, z2: float, tol: float):
+    def _answer(self, law: _Law, z1: float, z2: float):
         """The law's ``(x, y)`` at state z if its full check holds there, else None."""
-        if tol != self._tol:
-            self._tol, self._floor_tol = tol, self.floor * tol
         a, b1, b2 = law.block
         vals = a + b1 * z1 + b2 * z2
         m, n_checks = self.Gs.shape[0], self.floor.size
-        if not (vals[:n_checks] >= self._floor_tol).all():
+        if not (vals[:n_checks] >= self.floor).all():
             return None
         return vals[n_checks:] * self.s, vals[m:n_checks]
 
@@ -250,7 +245,7 @@ class _CornerProgram(NamedTuple):
     those p does not enter (``+inf`` if none), and ``fixed_p`` indexes the
     others; when p is a state, ``fixed_z`` holds those same rows as plain
     floats ``(h0, c1, c2)``, the row holding at z when
-    ``h0 - (c1*z1 + c2*z2) >= -feas_tol``, and is empty otherwise.  ``lo``
+    ``h0 - (c1*z1 + c2*z2) >= -_FEAS_TOL``, and is empty otherwise.  ``lo``
     and ``hi`` are the state bounds at every free corner, onto which the
     read-back clips.  ``laws`` is the tube program's table of affine laws,
     filled as it is solved; chains and the invariant box have None.
@@ -318,13 +313,13 @@ def _chain_stack(spec: ProblemSpec, n_steps: int) -> _CornerProgram:
     )
 
 
-def _solve_program(prog: _CornerProgram, p, feas_tol: float):
+def _solve_program(prog: _CornerProgram, p):
     """A corner program's answer ``(x, y)`` at parameter p.
 
     x is the minimiser and y its multipliers ``y >= 0`` on the free rows, the
     rows of ``G_free``.  When the program is infeasible x is None, and y is
     either the index of the most violated fixed row, one violated by more
-    than ``feas_tol`` and so its own Farkas ray, or a Farkas ray on
+    than ``_FEAS_TOL`` and so its own Farkas ray, or a Farkas ray on
     the free rows, ``y >= 0`` with ``G_free'y = 0`` and ``h'y < 0`` for their
     right-hand sides ``h = h0 - P @ p``.
 
@@ -341,27 +336,26 @@ def _solve_program(prog: _CornerProgram, p, feas_tol: float):
     laws = prog.laws
     if laws is None:
         h = prog.h0 - prog.P @ p
-        if prog.fixed_min < -feas_tol or min(h[prog.fixed_p].tolist(), default=_INF) < -feas_tol:
+        if prog.fixed_min < -_FEAS_TOL or min(h[prog.fixed_p].tolist(), default=_INF) < -_FEAS_TOL:
             return None, _worst_fixed_row(prog, h)
-        return _run_kernel(prog, h, feas_tol)
+        return _run_kernel(prog, h)
     z1, z2 = p
-    if prog.fixed_min < -feas_tol or _state_rows_fail(prog.fixed_z, z1, z2, feas_tol):
+    if prog.fixed_min < -_FEAS_TOL or _state_rows_fail(prog.fixed_z, z1, z2):
         return None, _worst_fixed_row(prog, prog.h0 - prog.P @ p)
-    tol = _row_tol(feas_tol)
-    answer = laws.lookup(z1, z2, tol)
+    answer = laws.lookup(z1, z2)
     if answer is None:
-        x, y = _run_kernel(prog, prog.h0 - prog.P @ p, feas_tol)
+        x, y = _run_kernel(prog, prog.h0 - prog.P @ p)
         if x is not None:
-            answer = laws.learn(y, z1, z2, tol)
+            answer = laws.learn(y, z1, z2)
         if answer is None:
             answer = x, y
     return answer
 
 
-def _state_rows_fail(rows, z1: float, z2: float, feas_tol: float) -> bool:
-    """Whether a plain-float row ``(h0, c1, c2)`` of rows is violated at state z by more than feas_tol."""
+def _state_rows_fail(rows, z1: float, z2: float) -> bool:
+    """Whether a plain-float row ``(h0, c1, c2)`` of rows is violated at state z by more than ``_FEAS_TOL``."""
     for h0, c1, c2 in rows:
-        if h0 - (c1 * z1 + c2 * z2) < -feas_tol:
+        if h0 - (c1 * z1 + c2 * z2) < -_FEAS_TOL:
             return True
     return False
 
@@ -371,11 +365,11 @@ def _worst_fixed_row(prog: _CornerProgram, h: np.ndarray) -> int:
     return int(np.where(prog.fixed, h, _INF).argmin())
 
 
-def _run_kernel(prog: _CornerProgram, h: np.ndarray, feas_tol: float):
-    return _dual_active_set(prog.d, prog.q, prog.G_free, h[~prog.fixed], _row_tol(feas_tol))
+def _run_kernel(prog: _CornerProgram, h: np.ndarray):
+    return _dual_active_set(prog.d, prog.q, prog.G_free, h[~prog.fixed], _ROW_TOL)
 
 
-def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, feas_tol: float):
+def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
     """A corner program's answer at p as ``(cost, head + free boxes + tail, step witnesses)``, or None.
 
     Every free box is the source of a step, so its rows keep it within the
@@ -386,13 +380,13 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, feas_tol
     without re-validation (they are finite after the clip, and a NaN fails
     the order test); any other goes through
     :meth:`~tube_dissip.interval_sets.IntervalBox.from_corners`, which snaps
-    an inversion within ``feas_tol`` and raises ValueError beyond it.  Each
+    an inversion within ``_FEAS_TOL`` and raises ValueError beyond it.  Each
     step is then decided by the one-step rule of
     :func:`~tube_dissip.problem.transition_witness` on the spec's constants
     and those corners; a refused step raises SolverFailure.  The cost is
     taken at the clipped corners.
     """
-    x, _ = _solve_program(prog, p, feas_tol)
+    x, _ = _solve_program(prog, p)
     if x is None:
         return None
     x = np.minimum(np.maximum(x, prog.lo), prog.hi)
@@ -404,7 +398,7 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, feas_tol
         if a1 <= a2 and a3 <= a4:
             box = IntervalBox._trusted((a1, a3), (a2, a4))
         else:
-            box = IntervalBox.from_corners(quad, snap_tol=feas_tol)
+            box = IntervalBox.from_corners(quad, snap_tol=_FEAS_TOL)
             quad = box.corners()
         boxes.append(box)
         quads.append(quad)
@@ -413,34 +407,23 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail, feas_tol
     step = spec._step
     witnesses = []
     for (a1, a2, a3, a4), (b1, b2, b3, b4) in zip(quads, quads[1:]):
-        witness = _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4, feas_tol)
+        witness = _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4)
         if witness is None:
             raise SolverFailure("a step of the minimising tube is not a transition")
         witnesses.append(witness)
     return float(prog.d @ (x * x) + prog.q @ x), tuple(boxes), tuple(witnesses)
 
 
-def _row_tol(feas_tol: float) -> float:
-    # rows count as holding within a rounding guard far inside feas_tol, so
-    # each step of a minimiser still passes the one-step rule after the snap
-    return 1e-3 * feas_tol
-
-
-def optimal_rci(spec: ProblemSpec, *, feas_tol: float = _FEAS_TOL) -> tuple[IntervalBox, float]:
+@lru_cache(maxsize=64)
+def optimal_rci(spec: ProblemSpec) -> tuple[IntervalBox, float]:
     """The self-transition box of minimal stage cost, and that cost.
 
     A box a is its own successor when the rows of :func:`transition_rows`
     hold with a as source and target, that is ``(src + tgt) @ a <= const``.
     Minimising the stage cost over them is a parameter-free corner program
     with one free box, solved by the same dual active-set method as
-    :func:`eval_v`.  Answers are cached per problem and ``feas_tol``.
+    :func:`eval_v`.  Answers are cached per problem.
     """
-    # one cache key whether or not the caller passes the default feas_tol
-    return _optimal_rci(spec, feas_tol)
-
-
-@lru_cache(maxsize=64)
-def _optimal_rci(spec: ProblemSpec, feas_tol: float) -> tuple[IntervalBox, float]:
     src, tgt, const = transition_rows(spec)
     finite = np.isfinite(const)
     prog = _corner_program(
@@ -451,7 +434,7 @@ def _optimal_rci(spec: ProblemSpec, feas_tol: float) -> tuple[IntervalBox, float
         P=np.zeros((int(finite.sum()), 0)),
         h0=const[finite],
     )
-    solved = _solve_tube(spec, prog, np.zeros(0), [], [], feas_tol)
+    solved = _solve_tube(spec, prog, np.zeros(0), [], [])
     if solved is None:
         raise RciNotFound(
             "no robust control invariant interval box exists within the state "

@@ -25,7 +25,6 @@ import numpy as np
 from .cost_to_travel import eval_v, optimal_rci
 from .interval_sets import IntervalBox, _is_real, hausdorff, subset
 from .problem import ProblemSpec
-from .qp_solver import _FEAS_TOL
 from .sampling import feasible_pair
 
 __all__ = [
@@ -172,8 +171,6 @@ class SeparabilityReport:
 def verify_separability(
     spec: ProblemSpec,
     sf: StorageFunction,
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> SeparabilityReport:
     """Certify the separability inequality by one relaxed convex program.
 
@@ -195,7 +192,7 @@ def verify_separability(
     can also make unbounded.  The free targets are reported as ``b1 = b2``
     and ``b4 = b3``.  A ray is given in the variables ``(a, b, v1)``.
     """
-    _, v_star = optimal_rci(spec, feas_tol=feas_tol)
+    _, v_star = optimal_rci(spec)
     ell = sf.linear_coeffs
     u_lo, u_hi = spec.u_bounds
     c_v = -ell[1] - ell[2]
@@ -256,8 +253,6 @@ def check_strictness(
     sf: StorageFunction,
     n_samples: int,
     seed: int,
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> StrictnessSummary:
     """Sample feasible transition pairs and report the inequality margins.
 
@@ -267,7 +262,7 @@ def check_strictness(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    x_star, v_star = optimal_rci(spec, feas_tol=feas_tol)
+    x_star, v_star = optimal_rci(spec)
     rng = np.random.default_rng(seed)
     min_margin = _INF
     n_nonpos = 0
@@ -277,7 +272,7 @@ def check_strictness(
         a, b = feasible_pair(spec, rng)
         if hausdorff(a, x_star) <= _EXCLUSION_TOL and hausdorff(b, x_star) <= _EXCLUSION_TOL:
             continue
-        value = eval_v(spec, a, b, 1, feas_tol=feas_tol).value
+        value = eval_v(spec, a, b, 1).value
         margin = value - v_star - eval_storage(sf, spec, b) + eval_storage(sf, spec, a)
         drawn += 1
         if margin < min_margin:

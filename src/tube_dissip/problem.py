@@ -105,6 +105,8 @@ class ProblemSpec:
             raise ConfigError(f"w_bounds must be a nonempty interval, got {self.w_bounds}")
         if any(d <= 0.0 for d in self.cost_quad):
             raise ConfigError("cost_quad entries must be positive (strict convexity)")
+        if not all(math.isfinite(c) for c in self.cost_linear + self.cost_quad):
+            raise ConfigError(f"cost_linear and cost_quad must be finite, got {self.cost_linear} and {self.cost_quad}")
         if not isinstance(self.x_bounds, IntervalBox):
             raise ConfigError(f"x_bounds must be an IntervalBox, got {self.x_bounds!r}")
         (x1_lo, x2_lo), (x1_hi, x2_hi) = self.x_bounds.lo, self.x_bounds.hi
@@ -256,8 +258,6 @@ def transition_witness(
     spec: ProblemSpec,
     a: IntervalBox,
     b: IntervalBox,
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> tuple[float, float] | None:
     """Edge controls ``(v1, v2)`` taking a into b in one step, or None if b is unreachable.
 
@@ -267,20 +267,21 @@ def transition_witness(
         v2 in [max(b1, u_lo), min(b2, u_hi, b4 - alpha*a4 - w_hi)]
         (v1 - v2)/alpha + a3 - a4 <= 0
 
-    plus the state-bound rows of a.  A step is accepted as the QP solver
-    accepts a point: when every row, relaxed by ``feas_tol`` in its
-    own coefficients, holds.  ``slack`` is the least relaxation of all rows
-    that admits edge controls, so the rule is ``slack <= feas_tol``.  The
-    witness is the low end of v1's interval and the high end of v2's, the
-    pair that leaves the most room in the coupling row, each moved by
-    ``slack`` so that it meets every row within that relaxation.
+    plus the state-bound rows of a.  A step is accepted when every row,
+    relaxed in its own coefficients by the feasibility tolerance
+    ``qp_solver._FEAS_TOL`` (1e-8), holds.  ``slack`` is the least
+    relaxation of all rows that admits edge controls, so the rule is
+    ``slack <= _FEAS_TOL``.  The witness is the low end of v1's interval and
+    the high end of v2's, the pair that leaves the most room in the coupling
+    row, each moved by ``slack`` so that it meets every row within that
+    relaxation.
     """
     (a1, a3), (a2, a4) = a.lo, a.hi
     (b1, b3), (b2, b4) = b.lo, b.hi
-    return _step_witness(spec._step, a1, a2, a3, a4, b1, b2, b3, b4, feas_tol)
+    return _step_witness(spec._step, a1, a2, a3, a4, b1, b2, b3, b4)
 
 
-def _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4, feas_tol):
+def _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4):
     """:func:`transition_witness` on plain floats: a spec's ``_step`` constants and the corners of a and b."""
     al, u_lo, u_hi, w_lo, w_hi, x1_lo, x1_hi, x2_lo, x2_hi = step
     v1_lo = max(b1, u_lo, b3 - al * a3 - w_lo)
@@ -298,7 +299,7 @@ def _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4, feas_tol):
         x2_lo - a3,
         a4 - x2_hi,
     )
-    if slack > feas_tol:
+    if slack > _FEAS_TOL:
         return None
     return (v1_lo - slack, v2_hi + slack)
 
@@ -307,16 +308,14 @@ def transition_feasible(
     spec: ProblemSpec,
     a: IntervalBox,
     b: IntervalBox,
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> bool:
     """Decide whether b is a one-step successor of a, in closed form.
 
     See :func:`transition_witness` for the rule and its tolerance.
     """
-    return transition_witness(spec, a, b, feas_tol=feas_tol) is not None
+    return transition_witness(spec, a, b) is not None
 
 
-def is_rci(spec: ProblemSpec, a: IntervalBox, *, feas_tol: float = _FEAS_TOL) -> bool:
+def is_rci(spec: ProblemSpec, a: IntervalBox) -> bool:
     """True iff a is a self-successor within the state bounds."""
-    return subset(a, spec.x_bounds) and transition_feasible(spec, a, a, feas_tol=feas_tol)
+    return subset(a, spec.x_bounds) and transition_feasible(spec, a, a)

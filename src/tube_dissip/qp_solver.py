@@ -36,11 +36,11 @@ solver: the tests assemble the original programs, edge controls included,
 through them.  Only they need scipy, which they import on first use, so
 importing the package does not load it.
 
-Neither method has settings.  The kernel's callers pass the row tolerance
-they decide at; :func:`solve` uses ``_FEAS_TOL``, the library's default
-``feas_tol``.  ADMM stops after ``_STEP_LIMIT`` iterations with
-``MAX_ITERATIONS``, and the kernel raises :class:`SolverFailure` with its
-program after ``_STEP_LIMIT`` steps.
+Neither method has settings.  Every row check of the library, :func:`solve`
+included, reads ``_FEAS_TOL``; the library runs the kernel at ``_ROW_TOL``.
+ADMM stops after ``_STEP_LIMIT`` iterations with ``MAX_ITERATIONS``, and the
+kernel raises :class:`SolverFailure` with its program after ``_STEP_LIMIT``
+steps.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ class SolverFailure(RuntimeError):
         self.problem = problem
 
 
-# the amount by which a row may be violated and still count as holding,
-# unless a caller passes its own feas_tol
+# the amount by which a row may be violated and still count as holding
 _FEAS_TOL = 1e-8
+# the kernel's row tolerance, 1e-11: a rounding guard far inside _FEAS_TOL,
+# so each step of a minimiser still passes the one-step rule after the snap
+_ROW_TOL = 1e-3 * _FEAS_TOL
 # the most ADMM iterations of a solve and the most steps of a kernel run
 _STEP_LIMIT = 10000
 
@@ -321,7 +323,7 @@ def _active_masks(rows: _RowForm, z, y, slack_tol, dual_tol):
     return low, upp
 
 
-def _try_polish(H, g, rows: _RowForm, low, upp, feas_tol):
+def _try_polish(H, g, rows: _RowForm, low, upp):
     """Solve the KKT system of one active set; None if it does not verify."""
     from scipy.optimize import nnls  # only the ADMM reference solver needs scipy
 
@@ -343,9 +345,9 @@ def _try_polish(H, g, rows: _RowForm, low, upp, feas_tol):
         return None
     Ax = A @ xp
     viol = max(np.max(Ax - u, initial=0.0), np.max(l - Ax, initial=0.0))
-    if viol > feas_tol:
+    if viol > _FEAS_TOL:
         return None
-    if k and np.max(np.abs(Aa @ xp - b_act)) > 10 * feas_tol:
+    if k and np.max(np.abs(Aa @ xp - b_act)) > 10 * _FEAS_TOL:
         return None
     if k:
         # multipliers via NNLS: flip lower-active columns, split equality
@@ -363,7 +365,7 @@ def _try_polish(H, g, rows: _RowForm, low, upp, feas_tol):
     else:
         y_act = np.zeros(0)
         stat = float(np.max(np.abs(H @ xp + g), initial=0.0))
-    if stat > feas_tol:
+    if stat > _FEAS_TOL:
         return None
     y_full = np.zeros(m)
     y_full[act] = y_act
@@ -449,7 +451,7 @@ def solve(qp: QpProblem) -> QpSolution:
         if r_prim < _POLISH_GATE_PRIM and r_dual < _POLISH_GATE_DUAL:
             for st, dt in ((1e-6, 1e-6), (1e-5, 1e-7), (1e-4, 1e-5)):
                 low, upp = _active_masks(rows, z, y, st, dt)
-                pol = _try_polish(qp.H, qp.g, rows, low, upp, _FEAS_TOL)
+                pol = _try_polish(qp.H, qp.g, rows, low, upp)
                 if pol is None:
                     continue
                 xp, yp = pol
@@ -485,7 +487,7 @@ def solve(qp: QpProblem) -> QpSolution:
                     iterations=it,
                 )
 
-        cert = _primal_infeasibility_cert(A, l, u, dy, _CERT_TOL, _FEAS_TOL)
+        cert = _primal_infeasibility_cert(A, l, u, dy, _CERT_TOL)
         if cert is not None:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(cert, n)
             return QpSolution(
@@ -526,7 +528,7 @@ def _solve_unconstrained(qp: QpProblem) -> QpSolution:
     )
 
 
-def _primal_infeasibility_cert(A, l, u, dy, tol, feas_tol):
+def _primal_infeasibility_cert(A, l, u, dy, tol):
     scale = float(np.max(np.abs(dy), initial=0.0))
     if scale <= 1e-12:
         return None
@@ -540,7 +542,7 @@ def _primal_infeasibility_cert(A, l, u, dy, tol, feas_tol):
     # -support / ||v||_1; only declare infeasibility beyond the feasibility
     # tolerance, so marginal problems resolve as feasible, not infeasible
     l1 = float(np.sum(np.abs(v)))
-    if support < -(feas_tol * l1 + tol) and float(np.max(np.abs(A.T @ v), initial=0.0)) < tol:
+    if support < -(_FEAS_TOL * l1 + tol) and float(np.max(np.abs(A.T @ v), initial=0.0)) < tol:
         return v
     return None
 
@@ -583,58 +585,71 @@ def _dual_active_set(d, q, G, h, tol):
     ``d``, ``q``, ``G``, ``h`` and ``tol``, after ``_STEP_LIMIT`` steps, and
     when the rows it finds inconsistent have a ray that certifies nothing,
     as rounding can leave on two opposite rows.
+
+    Data of extreme scale can take these floats out of range, so the kernel
+    runs without numpy's floating-point warnings and raises SolverFailure,
+    with the same dump, when the rows' violations at the start are not all
+    finite (checked once per run) and when a step turns NaN.
     """
-    s = 1.0 / np.sqrt(2.0 * d)
-    Gs = G * s
-    w = -q * s
-    y = np.zeros(h.size)
-    active: list[int] = []
-    steps = 0
-    while h.size:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = 1.0 / np.sqrt(2.0 * d)
+        Gs = G * s
+        w = -q * s
+        y = np.zeros(h.size)
+        active: list[int] = []
+        steps = 0
         viol = Gs @ w - h
-        p = int(np.argmax(viol))
-        gap = viol[p]
-        if gap <= tol:
-            break
-        n_p = Gs[p]
-        while True:
-            steps += 1
-            if steps > _STEP_LIMIT:
-                raise _kernel_failure(f"dual active-set kernel exceeded {_STEP_LIMIT} steps", d, q, G, h, tol)
-            if active:
-                # p's normal as active normals times r, plus the part z orthogonal to them
-                N = Gs[active].T
-                r = np.linalg.lstsq(N, n_p, rcond=None)[0]
-                z = n_p - N @ r
-            else:
-                r = np.zeros(0)
-                z = n_p
-            zz = z @ z
-            # the primal step closes p's gap; z = 0 when p is in the active span
-            full = gap / zz if zz > 1e-18 * (n_p @ n_p) else _INF
-            partial, leave = _INF, -1
-            for i in np.flatnonzero(r > 0.0):
-                t = y[active[i]] / r[i]
-                if t < partial:
-                    partial, leave = t, i
-            if full == _INF and leave < 0:
-                ray = np.zeros(h.size)
-                ray[p] = 1.0
-                ray[active] = -r
-                if h @ ray < -tol * ray.sum():
-                    return None, ray
-                message = "dual active-set kernel found inconsistent rows without a Farkas ray"
-                raise _kernel_failure(message, d, q, G, h, tol)
-            t = min(full, partial)
-            w = w - t * z
-            y[active] -= t * r
-            y[p] += t
-            if full <= partial:
-                active.append(p)
+        if not np.isfinite(viol).all():
+            raise _kernel_failure("dual active-set kernel was given data whose start is not finite", d, q, G, h, tol)
+        while h.size:
+            p = int(np.argmax(viol))
+            gap = viol[p]
+            if gap <= tol:
                 break
-            y[active.pop(leave)] = 0.0
-            gap = n_p @ w - h[p]
-    return w * s, y
+            n_p = Gs[p]
+            while True:
+                steps += 1
+                if steps > _STEP_LIMIT:
+                    raise _kernel_failure(f"dual active-set kernel exceeded {_STEP_LIMIT} steps", d, q, G, h, tol)
+                if active:
+                    # p's normal as active normals times r, plus the part z orthogonal to them
+                    N = Gs[active].T
+                    r = np.linalg.lstsq(N, n_p, rcond=None)[0]
+                    z = n_p - N @ r
+                else:
+                    r = np.zeros(0)
+                    z = n_p
+                zz = z @ z
+                # the primal step closes p's gap; z = 0 when p is in the active span
+                full = gap / zz if zz > 1e-18 * (n_p @ n_p) else _INF
+                partial, leave = _INF, -1
+                for i in np.flatnonzero(r > 0.0):
+                    t = y[active[i]] / r[i]
+                    if t < partial:
+                        partial, leave = t, i
+                if full == _INF and leave < 0:
+                    ray = np.zeros(h.size)
+                    ray[p] = 1.0
+                    ray[active] = -r
+                    # a scale s of 0 (an overflowing 2d) zeroes the scaled rows, so their ray says nothing
+                    if h @ ray < -tol * ray.sum() and s.all():
+                        return None, ray
+                    message = "dual active-set kernel found inconsistent rows without a Farkas ray"
+                    raise _kernel_failure(message, d, q, G, h, tol)
+                t = min(full, partial)
+                w = w - t * z
+                y[active] -= t * r
+                y[p] += t
+                if full <= partial:
+                    active.append(p)
+                    break
+                if leave < 0:
+                    # full is NaN, so no step compares
+                    raise _kernel_failure("dual active-set kernel took a step that is not a number", d, q, G, h, tol)
+                y[active.pop(leave)] = 0.0
+                gap = n_p @ w - h[p]
+            viol = Gs @ w - h
+        return w * s, y
 
 
 def _kernel_failure(message: str, d, q, G, h, tol) -> SolverFailure:

@@ -2,8 +2,9 @@
 
 The constructive samplers draw the edge controls first and then a compatible
 target window, so acceptance rates stay high; every constructed pair is a
-genuine transition by the row encoding (callers may still re-verify through
-the feasibility QP when the point of the test is the QP itself).
+genuine transition by the row encoding (callers may still re-verify it with
+:func:`~tube_dissip.problem.transition_feasible`, or through the reference
+QP solver when the point of the test is that solver).
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ program keeps the affine law of every active set the kernel has returned
 for it (up to 64), and a solve runs the kernel only when no stored law
 gives a KKT point at z (``cost_to_travel._LawTable``).  A solve that a law
 answers does only the arithmetic that depends on z, in plain floats where
-it can.  It checks the rows with no free coefficient against ``feas_tol``:
-one comparison for those z does not enter, split off when the program is
-built, and the few it enters evaluated at z.  It screens the laws in the order they were learned,
-each on the few checks that can fail for a state in the state bounds, and
+it can.  It checks the rows with no free coefficient against the
+feasibility tolerance ``qp_solver._FEAS_TOL``: one comparison for those z
+does not enter, split off when the program is built, and the few it enters
+evaluated at z.  It screens the laws in the order they were learned, each
+on the few checks that can fail for a state in the state bounds, and
 evaluates only the law its screen passes: one stacked block, whose single
 elementwise pass gives the full KKT check and the point.  The screen's
 checks are computed exactly as the block's, so the first law whose full
@@ -41,8 +42,8 @@ The cost does not depend on ``u0``, so it is reported in closed form from
 the optimal tube: the window ``[lo, hi]`` clamped towards zero as
 ``min(max(0, lo), hi)``.  The window is reported alongside so callers can
 tell forced values from tie-broken ones.  Only states within the state
-bounds have a tube: one beyond them by more than ``feas_tol`` is reported
-infeasible without a solve, and one within ``feas_tol`` of them is solved
+bounds have a tube: one beyond them by more than ``_FEAS_TOL`` is reported
+infeasible without a solve, and one within ``_FEAS_TOL`` of them is solved
 as the nearest state on them.
 """
 
@@ -208,7 +209,9 @@ def _tube_program(
     rows = np.vstack([steps, window, inside])
     q = np.tile(spec.cost_linear, n)
     if storage is not None:
-        q[:4] += storage.linear_coeffs
+        # a sum that overflows is the kernel's to report, at its first run
+        with np.errstate(over="ignore"):
+            q[:4] += storage.linear_coeffs
     prog = _corner_program(
         spec,
         d=np.tile(spec.cost_quad, n),
@@ -240,8 +243,6 @@ def solve_tmpc(
     spec: ProblemSpec,
     cfg: TubeMpcConfig,
     z: Sequence[float],
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> TubeSolution:
     """Solve the horizon problem at measured state z and extract the control."""
     z1, z2 = float(z[0]), float(z[1])
@@ -256,14 +257,14 @@ def solve_tmpc(
         )
 
     # the first box lies within the state bounds, so no tube holds a state
-    # beyond them; one within feas_tol of them is read as on them
+    # beyond them; one within _FEAS_TOL of them is read as on them
     xb = spec.x_bounds
-    if max(xb.lo[0] - z1, z1 - xb.hi[0], xb.lo[1] - z2, z2 - xb.hi[1]) > feas_tol:
+    if max(xb.lo[0] - z1, z1 - xb.hi[0], xb.lo[1] - z2, z2 - xb.hi[1]) > _FEAS_TOL:
         return TubeSolution(status=QpStatus.INFEASIBLE)
     z1 = min(max(z1, xb.lo[0]), xb.hi[0])
     z2 = min(max(z2, xb.lo[1]), xb.hi[1])
 
-    solved = _solve_tube(spec, prog, (z1, z2), [], [terminal], feas_tol)
+    solved = _solve_tube(spec, prog, (z1, z2), [], [terminal])
     if solved is None:
         return TubeSolution(status=QpStatus.INFEASIBLE)
     objective, tube, edge_controls = solved
@@ -272,7 +273,7 @@ def solve_tmpc(
 
     lo, hi = _window(spec, tube[1], z2)
     if lo > hi:
-        if lo - hi > 1e-8:
+        if lo - hi > _FEAS_TOL:
             raise SolverFailure("empty control window for the optimal tube")
         lo = hi = 0.5 * (lo + hi)
     u0_val = min(max(0.0, lo), hi)
@@ -291,13 +292,11 @@ def sweep_feedback(
     spec: ProblemSpec,
     cfg: TubeMpcConfig,
     grid: Sequence[Sequence[float]],
-    *,
-    feas_tol: float = _FEAS_TOL,
 ) -> list[SweepPoint]:
     """Pointwise controller evaluation over a grid; never aborts on infeasible points."""
     points = []
     for z in grid:
-        sol = solve_tmpc(spec, cfg, z, feas_tol=feas_tol)
+        sol = solve_tmpc(spec, cfg, z)
         points.append(
             SweepPoint(
                 z=(float(z[0]), float(z[1])),

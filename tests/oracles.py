@@ -499,7 +499,7 @@ def admm_reference(qp: QpProblem) -> QpSolution:
                     ub_multipliers=mu_ub, kkt_residual=res, iterations=it,
                 )
 
-        cert = qp_solver._primal_infeasibility_cert(A, l, u, dy, qp_solver._CERT_TOL, qp_solver._FEAS_TOL)
+        cert = qp_solver._primal_infeasibility_cert(A, l, u, dy, qp_solver._CERT_TOL)
         if cert is not None:
             lam, mu, mu_lb, mu_ub = rows.split_multipliers(cert, n)
             return QpSolution(
@@ -730,7 +730,7 @@ def assert_validated_read_back(spec: ProblemSpec, tube, witnesses) -> None:
 
     Every box must equal, field for field and with float corners, the box
     ``IntervalBox.from_corners`` builds from its corners with the snap at
-    the default ``feas_tol``, and every witness must be ``transition_witness``
+    ``_FEAS_TOL``, and every witness must be ``transition_witness``
     of its step.
     """
     for b in tube:

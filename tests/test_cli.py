@@ -1,10 +1,12 @@
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tube_dissip import cli, qp_solver, tube_mpc
@@ -121,7 +123,7 @@ class TestControl:
         assert json.loads(out)["status"] == "infeasible"
 
     def test_state_just_beyond_bounds_exits_one(self, capsys):
-        # beyond the state bounds by twice feas_tol: decided without a solve
+        # beyond the state bounds by twice the 1e-8 tolerance: decided without a solve
         code, out, err = run_cli(capsys, "control", "--z=-5.00000002,0")
         assert code == 1
         assert json.loads(out) == TubeSolution(status=QpStatus.INFEASIBLE).to_json_dict()
@@ -213,11 +215,15 @@ class TestSimulate:
         assert code == 0 and out
 
 
-# the commands that read tolerances.feas_tol, one fast call of each
-FEAS_TOL_COMMANDS = [
+# every command, each with flags that keep one call short
+EVERY_COMMAND = [
     ("rci",),
     ("eval-v", "--a", "[[-1,-1],[-4,0]]", "--b", "[[-1,-1],[-4,0]]", "--n", "2"),
+    ("check-storage", "--strictness", "2"),
     ("control", "--z=5,-5"),
+    ("sweep", "--grid", "2"),
+    ("simulate", "--y0=5,-5", "--steps", "1"),
+    ("verify-all",),
 ]
 
 
@@ -274,9 +280,9 @@ class TestConfig:
         ("problem", "cost_quad", ["a", 1, 1, 1]),
         ("problem", "alpha", "0.5"),
         ("problem", "w_bounds", [True, 1]),
+        # no tolerance is a setting: any tolerances section is an unknown key
         ("tolerances", "feas_tol", -1),
         ("tolerances", "feas_tol", float("nan")),
-        # kkt_tol and max_iter are not settings: any value is an unknown key
         ("tolerances", "kkt_tol", 0),
         ("tolerances", "kkt_tol", 1e-8),
         ("tolerances", "max_iter", 0),
@@ -290,7 +296,19 @@ class TestConfig:
         code, out, err = run_cli(capsys, "--config", str(path), "control", "--z=0,0")
         assert code == 2
         assert out == ""
-        assert len(err.strip().splitlines()) == 1 and key in err
+        assert len(err.strip().splitlines()) == 1 and (section if section == "tolerances" else key) in err
+
+    def test_readme_run_configuration_runs(self, capsys, tmp_path):
+        # the README's example config sets every section a config may hold,
+        # each at its default, so rci gives the default box on it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Run configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "run.json"
+        path.write_text(block)
+        code, out, err = run_cli(capsys, "--config", str(path), "rci")
+        assert (code, err) == (0, "")
+        assert set(json.loads(block)) == cli.RunConfig.KNOWN_KEYS
+        assert run_cli(capsys, "rci") == (0, out, "")
 
     def test_wrong_env_seed_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("TUBE_DISSIP_SEED", "abc")
@@ -424,6 +442,24 @@ class TestConfig:
         assert out == ""
         assert err.strip() == "error: dual active-set kernel exceeded 1 steps"
 
+    @pytest.mark.parametrize("config, argv", [
+        ({"problem": {"cost_linear": [1e308, 1e308, 1e308, 1e308]}}, ("rci",)),
+        ({"problem": {"cost_linear": [1e308, 1e308, 1e308, 1e308]}}, ("control", "--z=5,-5")),
+        ({"problem": {"cost_linear": [1e308, 1e308, 1e308, 1e308]}},
+         ("eval-v", "--a", "[[-1,-1],[-4,0]]", "--b", "[[-1,-1],[-4,0]]", "--n", "2")),
+        ({"controller": {"storage": {"offset": 0, "linear": [0, -1e308, 1e308, 0]}}}, ("control", "--z=5,-5")),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else json.dumps(v))
+    def test_data_that_overflows_the_kernel_start_is_a_domain_failure(self, capsys, tmp_path, config, argv):
+        # the start -q/sqrt(2d) of the kernel overflows, from the problem's
+        # cost or from the storage form added to it
+        tube_mpc._controller.cache_clear()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: dual active-set kernel was given data whose start is not finite\n"
+
     @pytest.mark.parametrize("argv", [
         ("rci",),
         ("control", "--z=0,0"),
@@ -461,25 +497,24 @@ class TestConfig:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "finite widths" in err
 
-    @pytest.mark.parametrize("argv", FEAS_TOL_COMMANDS, ids=" ".join)
-    @pytest.mark.parametrize("feas_tol", [1e10, 1.1e-3, float("inf")])
-    def test_feas_tol_above_the_bound_rejected(self, capsys, tmp_path, argv, feas_tol):
-        # a tolerance this loose would turn boxes is_rci rejects into answers
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("tolerances", [
+        {},
+        {"feas_tol": 1e-8},
+        # once a bounded setting, now refused like any other value
+        {"feas_tol": 1e10},
+        {"feas_tol": 1.1e-3},
+        {"feas_tol": float("inf")},
+    ], ids=json.dumps)
+    def test_tolerances_section_rejected(self, capsys, tmp_path, argv, tolerances):
+        # every transition is decided at one fixed tolerance, so a tolerances
+        # section, even an empty one or the old default, is an unknown key
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"tolerances": {"feas_tol": feas_tol}}))
+        path.write_text(json.dumps({"tolerances": tolerances}))
         code, out, err = run_cli(capsys, "--config", str(path), *argv)
         assert code == 2
         assert out == ""
-        assert len(err.strip().splitlines()) == 1
-        assert err.startswith("error: tolerances.feas_tol") and "<= 0.001" in err
-
-    @pytest.mark.parametrize("argv", FEAS_TOL_COMMANDS, ids=" ".join)
-    def test_feas_tol_at_the_bound_accepted(self, capsys, tmp_path, argv):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"tolerances": {"feas_tol": 1e-3}}))
-        code, out, err = run_cli(capsys, "--config", str(path), *argv)
-        assert (code, err) == (0, "")
-        assert run_cli(capsys, *argv) == (0, out, "")
+        assert err == "error: unknown config keys: ['tolerances']\n"
 
 
 class TestVerifyAll:
@@ -497,14 +532,16 @@ class TestVerifyAll:
         {"controller": {"use_initial_cost": False}, "tolerances": {}},
     ], ids=json.dumps)
     def test_sections_the_battery_does_not_read_rejected(self, capsys, tmp_path, config):
-        # the battery runs at pinned tolerances with its own controllers, so
-        # these would otherwise be ignored behind a 9/9 table
+        # the battery runs its own controllers, so a controller section would
+        # otherwise be ignored behind a 9/9 table; a tolerances section is an
+        # unknown key on every command
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, "--config", str(path), "verify-all")
         assert code == 2
         assert out == ""
-        assert len(err.strip().splitlines()) == 1 and err.startswith("error: verify-all runs at pinned tolerances")
+        named = "tolerances" if "tolerances" in config else "controller"
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and f"['{named}']" in err
 
     def test_truncated_witness_trace_fails(self, capsys, tmp_path):
         # the witness starts at (-1, -2), outside x1 in [0, 5]
@@ -520,39 +557,104 @@ class TestVerifyAll:
         assert lines[-1].endswith("/9 criteria passed")
 
 
-# every command, each with flags that keep one call short
-BOUNDARY_COMMANDS = [
-    ("rci",),
-    ("eval-v", "--a", "[[-1,-1],[-4,0]]", "--b", "[[-1,-1],[-4,0]]", "--n", "2"),
-    ("check-storage", "--strictness", "2"),
-    ("control", "--z=5,-5"),
-    ("sweep", "--grid", "2"),
-    ("simulate", "--y0=5,-5", "--steps", "1"),
-    ("verify-all",),
-]
-FEAS_TOLS = st.one_of(
-    # in range
-    st.floats(min_value=1e-12, max_value=1e-3),
-    # extreme: above the bound up to inf, zero and below, subnormal, NaN
-    st.floats(min_value=1e-3, exclude_min=True),
-    st.floats(max_value=0.0),
-    st.sampled_from([5e-324, 1e-300, float("nan")]),
-    # wrongly typed
-    st.sampled_from(["1e-8", None, True, [1e-8], {}]),
-)
-BOUNDARY_CONFIGS = st.one_of(
-    st.sampled_from([{}, {"tolerances": {}}, {"output": {"path": None}}]),
-    st.builds(lambda feas_tol: {"tolerances": {"feas_tol": feas_tol}}, FEAS_TOLS),
-    # the removed keys
-    st.sampled_from([
-        {"tolerances": {"max_iter": 1}},
-        {"tolerances": {"feas_tol": 1e-8, "max_iter": 10000}},
-        {"output": {"format": "json"}},
-        {"output": {"path": None, "format": "csv"}},
-    ]),
-    # sections of the wrong kind
-    st.sampled_from([{"tolerances": None}, {"tolerances": [1e-8]}, {"output": "out.json"}, {"output": {"path": 3}}]),
-)
+INF, NAN = float("inf"), float("nan")
+# values of the wrong type for any field; a string is a path where a path
+# may stand, so those fields are not given one
+WRONG_TYPES = st.sampled_from(["1", None, True, [], {}])
+PATH_FIELDS = {("problem", None), ("output", "path")}
+
+
+def pair(lo, hi):
+    return st.tuples(lo, hi).map(list)
+
+
+def four(values):
+    return st.lists(values, min_size=4, max_size=4)
+
+
+# each field a config may set: (section, key or None for the section's own
+# value) -> (values in range, extreme values); any field may also be wrongly typed
+BOUNDARY_FIELDS = {
+    ("problem", "alpha"): (st.floats(0.1, 0.9), st.sampled_from([1e-300, 1e300, 5e-324, 1.5, 0.0, -0.5, INF, NAN])),
+    ("problem", "x_bounds"): (
+        pair(pair(st.floats(-10, -2), st.floats(2, 10)), pair(st.floats(-10, -2), st.floats(2, 10))),
+        st.sampled_from([
+            [[0, 0], [0, 0]], [[1, 1], [-5, 5]], [[-5, 5], [0, 0]],
+            [[-1e300, 1e300], [-5, 5]], [[-5, 5], [-1e300, 1e300]], [[-1e300, 1e300], [-1e300, 1e300]],
+            [[-1e308, 1e308], [-5, 5]], [[5, -5], [-5, 5]], [[-INF, INF], [-5, 5]],
+        ]),
+    ),
+    ("problem", "u_bounds"): (
+        pair(st.floats(-10, -2), st.floats(2, 10)),
+        st.sampled_from([[-INF, INF], [-5, INF], [-INF, 5], [0, 0], [5, -5], [INF, INF], [-1e308, 1e308]]),
+    ),
+    ("problem", "w_bounds"): (
+        pair(st.floats(-1, 0), st.floats(0, 1)),
+        st.sampled_from([[0, 0], [-10, 10], [1, -1], [-1e308, 1e308], [-INF, 1]]),
+    ),
+    ("problem", "cost_linear"): (
+        four(st.floats(-3, 3)),
+        four(st.sampled_from([0.0, 2.0, 1e308, -1e308, 1e300, -1e300, INF])),
+    ),
+    ("problem", "cost_quad"): (
+        four(st.floats(0.01, 1.0)),
+        four(st.sampled_from([0.05, 1e-300, 5e-324, 1e-16, 1e300, 1e308, INF, 0.0, -1.0])),
+    ),
+    ("controller", "horizon"): (st.integers(1, 4), st.sampled_from([0, 64, 65, -1, 2.5, 10**30])),
+    ("controller", "use_initial_cost"): (st.booleans(), st.nothing()),
+    ("controller", "terminal_set"): (
+        pair(pair(st.floats(-2, 0), st.floats(0, 2)), pair(st.floats(-2, 0), st.floats(0, 2))),
+        # the invariant box, boxes beyond X or partly so, huge and inverted ones
+        st.sampled_from([[[-1, -1], [-4, 0]], [[6, 7], [0, 1]], [[-6, 0], [0, 1]], [[-1e300, 1e300], [0, 1]], [[1, 0], [0, 1]]]),
+    ),
+    ("controller", "storage"): (
+        st.fixed_dictionaries({"offset": st.floats(-20, 20), "linear": four(st.floats(-3, 3))}),
+        st.fixed_dictionaries({
+            "offset": st.sampled_from([0.0, 16.0, 1e308, -1e308, INF]),
+            "linear": four(st.sampled_from([0.0, -1.6, 1.6, 1e300, -1e300, 1e308, -1e308])),
+        }),
+    ),
+    ("seed", None): (st.integers(0, 2**32), st.sampled_from([0, 2**64, -1, 2.5])),
+    ("output", "path"): (st.none(), st.sampled_from([3, ["out.json"]])),
+    ("problem", None): (st.nothing(), st.sampled_from([5, [0.5]])),
+    ("controller", None): (st.nothing(), st.sampled_from([3, [2]])),
+    ("output", None): (st.nothing(), st.sampled_from(["out.json", {"format": "json"}])),
+    ("tolerances", None): (st.nothing(), st.sampled_from([{}, {"feas_tol": 1e-8}])),
+}
+SETTABLE = [field for field, (in_range, _) in BOUNDARY_FIELDS.items() if not in_range.is_empty]
+
+
+def put(config, field, value):
+    section, key = field
+    if key is None:
+        config[section] = value
+    else:
+        config.setdefault(section, {})[key] = value
+
+
+@st.composite
+def boundary_configs(draw):
+    """A config whose fields are in range, with at most one extreme or wrongly typed field."""
+    config = {}
+    for field in draw(st.lists(st.sampled_from(SETTABLE), unique=True)):
+        put(config, field, draw(BOUNDARY_FIELDS[field][0]))
+    kind = draw(st.sampled_from(["in range", "extreme", "wrongly typed"]))
+    if kind != "in range":
+        field = draw(st.sampled_from(list(BOUNDARY_FIELDS)))
+        _, extreme = BOUNDARY_FIELDS[field]
+        wrong = WRONG_TYPES.filter(lambda v: not isinstance(v, str)) if field in PATH_FIELDS else WRONG_TYPES
+        put(config, field, draw(wrong if kind == "wrongly typed" or extreme.is_empty else extreme))
+    return config
+
+
+# the answer of an exit 1 that is a negative verdict, by command
+NEGATIVE_VERDICTS = {
+    "eval-v": lambda out: json.loads(out)["feasible"] is False,
+    "control": lambda out: json.loads(out)["status"] != "optimal",
+    "check-storage": lambda out: json.loads(out)["passed"] is False,
+    "simulate": lambda out: out.startswith("k,"),
+    "verify-all": lambda out: "criteria passed" in out,
+}
 
 
 def stub_battery(seed, spec):
@@ -560,26 +662,37 @@ def stub_battery(seed, spec):
 
 
 class TestConfigBoundary:
-    @given(config=BOUNDARY_CONFIGS, argv=st.sampled_from(BOUNDARY_COMMANDS))
+    @given(config=boundary_configs(), argv=st.sampled_from(EVERY_COMMAND))
+    # a start -q/sqrt(2d) that overflows, from the problem's cost and from the storage form
+    @example(config={"problem": {"cost_linear": [1e308, 1e308, 1e308, 1e308]}}, argv=("rci",))
+    @example(config={"controller": {"storage": {"offset": 0, "linear": [0, -1e308, 1e308, 0]}}}, argv=("control", "--z=5,-5"))
     def test_every_config_gets_an_exit_code_and_one_error_line(self, tmp_path_factory, config, argv):
-        # configs in range, extreme, wrongly typed or with the removed keys
-        # max_iter and format; the battery itself is stubbed, since its
-        # config checks run before it and its run is covered by TestVerifyAll
+        # every field a config may hold, in range, extreme or wrongly typed;
+        # the battery itself is stubbed, since its config
+        # checks run before it and its run is covered by TestVerifyAll
         path = tmp_path_factory.mktemp("config") / "run.json"
         path.write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
-        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
             patch.setattr(cli, "run_acceptance", stub_battery)
-            # an exception out of main, a traceback at the boundary, fails the test
+            # an exception out of main, a traceback at the boundary, fails the
+            # test, and so does any warning, which would print on stderr; the
+            # one exception is the controller's documented terminal-box warning
+            warnings.simplefilter("error")
+            warnings.filterwarnings("always", message="terminal set is not a self-successor box")
             code = main(["--config", str(path), *argv])
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2), (argv, config)
         assert "Traceback" not in err
-        if code:
-            assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, config, err)
+        if code == 2 or (code == 1 and not out):
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), (argv, config, err)
             return
-        # an answer holds at the default tolerance, whatever the config's
-        spec = ProblemSpec.default()
+        if code == 1:
+            assert err == "" and NEGATIVE_VERDICTS[argv[0]](out), (argv, config, out, err)
+            return
+        # an answer holds on the config's own problem
+        spec = ProblemSpec.from_json_dict(config.get("problem", {}))
         if argv[0] == "rci":
             assert is_rci(spec, IntervalBox.from_json_obj(json.loads(out)["box"])), config
         elif argv[0] in ("eval-v", "control"):

@@ -14,7 +14,6 @@ from tube_dissip.closed_loop import (
 )
 from tube_dissip.interval_sets import IntervalBox, boxes_intersect, contains, hausdorff
 from tube_dissip.problem import dynamics
-from tube_dissip.qp_solver import _FEAS_TOL
 from tube_dissip.tube_mpc import solve_tmpc
 
 
@@ -138,7 +137,7 @@ class TestLyapunovValue:
         assert step.lyapunov > 0
 
     def test_infinite_on_broken_tube(self, spec, cfg_ic, x_star):
-        legs = closed_loop._rotated_legs(spec, cfg_ic, (x_star, x_star, box((0, 1), (0, 1))), _FEAS_TOL)
+        legs = closed_loop._rotated_legs(spec, cfg_ic, (x_star, x_star, box((0, 1), (0, 1))))
         assert legs[1] == math.inf
         assert sum(legs, 0.0) == math.inf
 

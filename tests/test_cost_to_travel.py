@@ -142,14 +142,6 @@ class TestOptimalRci:
         with pytest.raises(RciNotFound):
             optimal_rci(thin)
 
-    def test_one_cache_entry_per_problem_and_settings(self, spec):
-        # the default feas_tol, passed or not, shares one answer
-        first = optimal_rci(spec)
-        assert optimal_rci(spec, feas_tol=_FEAS_TOL) is first
-        assert optimal_rci(spec, feas_tol=1e-8) is first
-        loose = optimal_rci(spec, feas_tol=1e-6)
-        assert loose is not first and loose is optimal_rci(spec, feas_tol=1e-6)
-
 
 def two_legs(spec, a, mid, c):
     """``V(a, mid, 1) + V(mid, c, 1)``, the cost of the two-step tubes from a to c through mid."""
@@ -249,7 +241,7 @@ def chain_ends(draw, spec, n_steps):
 def solved_chain(spec, a, c, n_steps):
     stack = cost_to_travel._chain_stack(spec, n_steps)
     ends = np.array(a.corners() + c.corners())
-    return stack, oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends, _FEAS_TOL))
+    return stack, oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends))
 
 
 @pytest.mark.parametrize("n_steps", [2, 3])
@@ -312,7 +304,7 @@ class TestMultiStepKernel:
 class TestMultiStepValues:
     def test_fixed_rows_are_checked_at_feas_tol(self, spec, x_star):
         # the source's lower x1-corner below the state bound by 0.5 and by
-        # 2 feas_tol is refused, by 0.5 feas_tol accepted
+        # 2 _FEAS_TOL is refused, by 0.5 _FEAS_TOL accepted
         a1, a2, a3, a4 = x_star.corners()
         lo = spec.x_bounds.lo[0]
         for below, feasible in ((0.5, False), (2e-8, False), (5e-9, True)):
@@ -375,13 +367,12 @@ class TestMultiStepValues:
         unreachable = box((0, 1), (0, 1))
         for n, chain in chains.items():
             assert eval_v(spec, chain[0], chain[n], n).feasible
-            assert eval_v(spec, chain[0], chain[n], n, feas_tol=2e-8).feasible
             assert not eval_v(spec, x_star, unreachable, n).feasible
-        found, v_star = optimal_rci(spec, feas_tol=2e-8)
+        found, v_star = optimal_rci.__wrapped__(spec)
         assert max(abs(u - v) for u, v in zip(found.corners(), x_star.corners())) <= 1e-9
         assert v_star == pytest.approx(-0.2, abs=1e-12)
         with pytest.raises(RciNotFound):
-            optimal_rci(ProblemSpec(x_bounds=IntervalBox(lo=(-5.0, 0.0), hi=(5.0, 0.5))), feas_tol=2e-8)
+            optimal_rci(ProblemSpec(x_bounds=IntervalBox(lo=(-5.0, 0.0), hi=(5.0, 0.5))))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +398,7 @@ class TestReadBack:
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
     def test_invariant_box_reads_back_as_validated(self, spec_name):
         spec = SPECS[spec_name]
-        found, _ = cost_to_travel._optimal_rci.__wrapped__(spec, _FEAS_TOL)
+        found, _ = optimal_rci.__wrapped__(spec)
         oracles.assert_validated_read_back(spec, (found,), ())
 
     @staticmethod
@@ -427,10 +418,10 @@ class TestReadBack:
 
         monkeypatch.setattr(IntervalBox, "_trusted", classmethod(trusted))
         monkeypatch.setattr(IntervalBox, "from_corners", classmethod(from_corners))
-        monkeypatch.setattr(cost_to_travel, "_solve_program", lambda prog, p, feas_tol: (np.array(x), None))
+        monkeypatch.setattr(cost_to_travel, "_solve_program", lambda prog, p: (np.array(x), None))
         prog = cost_to_travel._chain_stack(spec, 2)
         try:
-            solved = cost_to_travel._solve_tube(spec, prog, None, ends[:1], ends[1:], _FEAS_TOL)
+            solved = cost_to_travel._solve_tube(spec, prog, None, ends[:1], ends[1:])
         except ValueError:
             assert built == {"trusted": 0, "from_corners": 1}
             raise

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -292,6 +293,37 @@ class TestDualActiveSet:
         d, q, G, h = [1e-12], [1.0], [[1.0], [-1.0]], [-2.0, 2.0]
         assert linprog([0.0], A_ub=G, b_ub=h, bounds=[(None, None)], method="highs").status == 0
         with pytest.raises(SolverFailure, match="without a Farkas ray") as info:
+            dual_active_set(d, q, G, h)
+        assert info.value.problem == {"d": d, "q": q, "G": G, "h": h, "tol": 1e-12}
+
+    @pytest.mark.parametrize("q, h", [
+        # -q/sqrt(2d) overflows, a right-hand side is NaN, -inf or +inf, q is inf
+        ([1e308], [-1.0]),
+        ([0.0], [math.nan]),
+        ([0.0], [-math.inf]),
+        ([0.0], [math.inf]),
+        ([math.inf], [1.0]),
+    ], ids=repr)
+    def test_data_whose_start_is_not_finite_raises_with_the_data(self, q, h):
+        # checked once, on the start's row violations, before any step, and
+        # with no floating-point warning on the way
+        with pytest.raises(SolverFailure, match="start is not finite") as info:
+            dual_active_set([0.01], q, [[-1.0]], h)
+        assert repr(info.value.problem) == repr({"d": [0.01], "q": q, "G": [[-1.0]], "h": h, "tol": 1e-12})
+
+    def test_a_step_that_turns_nan_raises_with_the_data(self):
+        # a finite start, but rows of scales 1e-112 to 1e140 take a step out
+        # of range: where it once popped an empty active set, it now raises
+        d = [1.842158963021939e-12, 2.812036927587265e-12]
+        q = [-4.05957404632127e63, 5.147439657139024e63]
+        G = [
+            [7.695195335398827e-70, -5.357633502333074e-70],
+            [-1.42924202643997e140, -8.212376716182639e139],
+            [-1.625819620185557e-112, 2.4558217826854847e-112],
+            [3.2117700213774873e-24, 2.3542115061334955e-22],
+        ]
+        h = [-9.364238108859406e78, 3.235924690731447e78, -1.2437839298972911e79, -7.066115762351785e78]
+        with pytest.raises(SolverFailure, match="not a number") as info:
             dual_active_set(d, q, G, h)
         assert info.value.problem == {"d": d, "q": q, "G": G, "h": h, "tol": 1e-12}
 

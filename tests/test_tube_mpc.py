@@ -98,22 +98,22 @@ class TestSolveTmpc:
         assert sol.u0 == pytest.approx(-1.0, abs=1e-8)
 
     def test_snaps_corners_inverted_within_feas_tol(self, spec, cfg_noic, x_star, monkeypatch):
-        # a minimiser may violate rows by up to feas_tol, the corner order
+        # a minimiser may violate rows by up to _FEAS_TOL, the corner order
         # b1 <= b2 included; such an inversion reads back as a degenerate
         # interval, not as an empty one, for every program read back by the
         # shared helper
         real_solve = cost_to_travel._solve_program
         seen = []
 
-        def inverted_solve(prog, p, feas_tol):
-            answer = real_solve(prog, p, feas_tol)
+        def inverted_solve(prog, p):
+            answer = real_solve(prog, p)
             h, x, _ = program_answer(prog, p, answer)
             x = x.copy()
             # the corners (b1, b2) of the tube's second box, of the chain's
             # middle box and of the invariant box
             i = 4 if prog.G.shape[1] > 4 else 0
             x[i] = x[i + 1] + 5e-9
-            assert np.max(prog.G @ x - h) <= feas_tol
+            assert np.max(prog.G @ x - h) <= _FEAS_TOL
             seen.append(x)
             return x, answer[1]
 
@@ -131,7 +131,7 @@ class TestSolveTmpc:
         result = eval_v(spec, x_star, x_star, 2)
         assert len(seen) == 2 and result.feasible
         assert result.tube[1].lo[0] == result.tube[1].hi[0] == pytest.approx(-1.0, abs=1e-8)
-        box_, _ = cost_to_travel._optimal_rci.__wrapped__(spec, _FEAS_TOL)
+        box_, _ = cost_to_travel.optimal_rci.__wrapped__(spec)
         assert len(seen) == 3
         assert box_.lo[0] == box_.hi[0] == pytest.approx(-1.0, abs=1e-8)
 
@@ -183,16 +183,16 @@ def record_solves(monkeypatch, spec, cfg):
     real_solve = cost_to_travel._solve_program
     states = []
 
-    def recording_solve(prog, z, feas_tol):
+    def recording_solve(prog, z):
         if prog is controller:
             states.append(tuple(z))
-        return real_solve(prog, z, feas_tol)
+        return real_solve(prog, z)
 
     monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
     return states
 
 
-# states within feas_tol of the state bounds, and the states on them they are read as
+# states within _FEAS_TOL of the state bounds, and the states on them they are read as
 WITHIN_THE_BAND = [
     ((-5.0 - 5e-9, 0.0), (-5.0, 0.0)),
     ((-5.0 - 1e-8, 0.0), (-5.0, 0.0)),
@@ -207,7 +207,7 @@ BEYOND_THE_BAND = [(-5.00000002, 0.0), (5.00000002, 0.0), (0.0, -5.00000002),
 
 
 class TestStateBounds:
-    """A state beyond X by more than feas_tol has no tube; one within it is read as on X."""
+    """A state beyond X by more than _FEAS_TOL has no tube; one within it is read as on X."""
 
     @pytest.mark.parametrize("z", BEYOND_THE_BAND)
     def test_beyond_the_band_infeasible_without_a_solve(self, spec, cfg_ic, monkeypatch, z):
@@ -240,12 +240,12 @@ def point_box(z):
     return IntervalBox.from_corners((z[0], z[0], z[1], z[1]))
 
 
-def cold_solves(monkeypatch, spec, cfg, states, feas_tol=_FEAS_TOL):
+def cold_solves(monkeypatch, spec, cfg, states):
     """The controller's answers at the states with its program's law table removed."""
     controller = tube_mpc._controller(spec, cfg)
     cold = controller._replace(prog=controller.prog._replace(laws=None))
     monkeypatch.setattr(tube_mpc, "_controller", lambda *args: cold)
-    return [solve_tmpc(spec, cfg, z, feas_tol=feas_tol) for z in states]
+    return [solve_tmpc(spec, cfg, z) for z in states]
 
 
 def count_kernel_runs(monkeypatch):
@@ -389,15 +389,6 @@ class TestTemplate:
         warm = [solve_tmpc(spec, cfg, z) for z in states]
         assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg, states), n)
 
-    @pytest.mark.parametrize("feas_tol", [1e-11, 1e-6])
-    def test_the_law_table_serves_every_tolerance(self, spec, cfg_ic, monkeypatch, feas_tol):
-        # a law answers at a tolerance only where its check holds at that
-        # tolerance, whatever the tolerance it was learned at
-        warm = [solve_tmpc(spec, cfg_ic, z, feas_tol=feas_tol) for z in STATE_GRID]
-        for got, want in zip(warm, cold_solves(monkeypatch, spec, cfg_ic, STATE_GRID, feas_tol)):
-            assert got.status is want.status
-            assert got.objective == pytest.approx(want.objective, abs=10 * feas_tol)
-
     def test_each_solve_independent_of_earlier_calls(self, spec, cfg_ic):
         z = (2.5, -3.5)
         first = solve_tmpc(spec, cfg_ic, z)
@@ -482,12 +473,11 @@ class TestFixedRows:
         prog = tube_mpc._controller(spec, CONFIGS[name]).prog
         if table == "no laws":
             prog = prog._replace(laws=None)
-        feas_tol = _FEAS_TOL
         violated, violated_in_x = 0, 0
         for z in FIXED_ROW_STATES:
             h = prog.h0 - prog.P @ np.array(z)
-            want = np.min(prog.h0[prog.fixed] - prog.P[prog.fixed] @ np.array(z)) < -feas_tol
-            x, y = cost_to_travel._solve_program(prog, z, _FEAS_TOL)
+            want = np.min(prog.h0[prog.fixed] - prog.P[prog.fixed] @ np.array(z)) < -_FEAS_TOL
+            x, y = cost_to_travel._solve_program(prog, z)
             assert isinstance(y, int) == want, z
             if want:
                 # the most violated fixed row, the first of ties
@@ -516,9 +506,9 @@ def record_answers(monkeypatch, prog):
     runs = count_kernel_runs(monkeypatch)
     answers = []
 
-    def recording_solve(p, z, feas_tol):
+    def recording_solve(p, z):
         before = len(runs)
-        answer = real_solve(p, z, feas_tol)
+        answer = real_solve(p, z)
         if p is prog:
             answers.append((*program_answer(p, z, answer), len(runs) > before))
         return answer
@@ -527,7 +517,7 @@ def record_answers(monkeypatch, prog):
     return answers
 
 
-KERNEL_TOL = 1e-3 * _FEAS_TOL
+KERNEL_TOL = qp_solver._ROW_TOL
 
 
 class TestLawTable:
@@ -565,7 +555,7 @@ class TestLawTable:
         for i in range(2 * m - 1):
             y = np.zeros(m)
             y[i % m : i % m + 1 + i // m] = 1.0
-            laws.learn(y, 0.0, 0.0, KERNEL_TOL)
+            laws.learn(y, 0.0, 0.0)
         assert len(laws) == cost_to_travel._MAX_LAWS == 64
         answers = record_answers(monkeypatch, prog)
         warm = [solve_tmpc(spec, cfg_ic, z) for z in STATE_GRID]
@@ -598,7 +588,7 @@ class TestLawTable:
                 multipliers_only.append(z)
         assert rows_only and multipliers_only
         for z in rows_only + multipliers_only:
-            assert prog.laws.lookup(*z, KERNEL_TOL) is None, z
+            assert prog.laws.lookup(*z) is None, z
         states = rows_only + multipliers_only
         warm = [solve_tmpc(spec, cfg_ic, z) for z in states]
         assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg_ic, states), 2)
@@ -617,7 +607,7 @@ def full_check(laws, law, z):
     m, n_checks = laws.Gs.shape[0], laws.floor.size
     a, b1, b2 = (row[:n_checks].copy() for row in law.block)
     vals = a + b1 * z1 + b2 * z2
-    if not np.all(vals >= laws.floor * KERNEL_TOL):
+    if not np.all(vals >= laws.floor):
         return None
     a, b1, b2 = (row[n_checks:].copy() for row in law.block)
     return (a + b1 * z1 + b2 * z2) * laws.s, vals[m:]
@@ -625,7 +615,7 @@ def full_check(laws, law, z):
 
 def passes_screen(law, z):
     z1, z2 = map(float, z)
-    return all(a + b1 * z1 + b2 * z2 >= floor * KERNEL_TOL for a, b1, b2, floor in law.screen)
+    return all(a + b1 * z1 + b2 * z2 >= floor for a, b1, b2, floor in law.screen)
 
 
 def reference_lookup(laws, z):
@@ -679,7 +669,7 @@ class TestLawScreen:
             laws.laws[:] = [law._replace(screen=()) for law in laws.laws]
         firsts = set()
         for z in SCREEN_STATES:
-            got = laws.lookup(*map(float, z), KERNEL_TOL)
+            got = laws.lookup(*map(float, z))
             first, want = reference_lookup(laws, z)
             firsts.add(first)
             assert (got is None) == (want is None), z
