@@ -306,15 +306,6 @@ def check_dissipation_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 50
     )
 
 
-def check_region_enumeration_substituted(spec: ProblemSpec) -> CriterionResult:
-    return CriterionResult(
-        key="explicit-regions-substituted",
-        title="explicit piecewise-law region enumeration is out of scope",
-        passed=True,
-        detail="validated pointwise by the feedback, witness, and stability checks",
-    )
-
-
 def run_acceptance(seed: int = 0, spec: ProblemSpec | None = None) -> list[CriterionResult]:
     spec = spec if spec is not None else ProblemSpec.default()
     return [
@@ -326,5 +317,4 @@ def run_acceptance(seed: int = 0, spec: ProblemSpec | None = None) -> list[Crite
         check_chain_inequality(spec, seed=seed + 1),
         check_monotonicity(spec, seed=seed + 2),
         check_dissipation_inequality(spec, seed=seed + 3),
-        check_region_enumeration_substituted(spec),
     ]

@@ -3,13 +3,18 @@
 Subcommands: ``rci``, ``eval-v``, ``check-storage``, ``control``, ``sweep``,
 ``simulate``, ``verify-all``.  JSON outputs are the ``to_json_dict`` forms of
 the result types, with boxes as ``[[lo1, hi1], [lo2, hi2]]``; CSV uses '.'
-decimals and 12 significant digits.  ``verify-all`` runs the acceptance
-battery on the configured problem and seed with its own controllers, so a
-config with a ``controller`` section is a configuration error there.  Exit
-codes: 0 on success; 2 on usage or configuration errors, unreadable input
-files and unwritable output paths included, with one ``error:`` line on
-standard error and no output; 1 on a domain failure.  That is either a
-negative verdict (an infeasible ``eval-v`` or ``control``, a failed
+decimals and 12 significant digits.  Each setting has one route: the
+problem, the controller and the seed come from the ``--config`` file, and
+the output path from ``--output``.  ``check-storage`` certifies the
+controller's storage, the initial cost of ``control``, ``sweep`` and
+``simulate``.  ``verify-all`` runs the acceptance battery on the configured
+problem and seed with its own controllers, so a config with a
+``controller`` section is a configuration error there.  Exit codes: 0 on
+success; 2 on usage or configuration errors, an unreadable config file and
+an unwritable output path included, with one ``error:`` line on standard
+error and no output (argparse's own usage errors, such as an unrecognized
+flag, print its usage line first); 1 on a domain failure.  That is either
+a negative verdict (an infeasible ``eval-v`` or ``control``, a failed
 ``check-storage``, a truncated or unstable ``simulate``, a failing
 ``verify-all``), written in full as the output with nothing on standard
 error, or a command that stops without an answer (no invariant box, or a
@@ -23,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -40,7 +44,7 @@ from .closed_loop import (
 from .cost_to_travel import MAX_STEPS, RciNotFound, eval_v, optimal_rci
 from .dissipativity import StorageFunction, check_strictness, verify_separability
 from .interval_sets import IntervalBox
-from .problem import ConfigError, ProblemSpec, _read_json
+from .problem import ConfigError, ProblemSpec
 from .qp_solver import SolverFailure
 from .tube_mpc import TubeMpcConfig, solve_tmpc, sweep_feedback
 from dataclasses import replace
@@ -86,11 +90,10 @@ def _is_int(value) -> bool:
 
 
 class RunConfig:
-    """Problem, controller, seed and output settings shared by commands."""
+    """Problem, controller and seed shared by commands."""
 
-    KNOWN_KEYS = {"problem", "controller", "seed", "output"}
+    KNOWN_KEYS = {"problem", "controller", "seed"}
     CONTROLLER_KEYS = {"horizon", "use_initial_cost", "storage", "terminal_set"}
-    OUTPUT_KEYS = {"path"}
 
     def __init__(self, obj: dict):
         if not isinstance(obj, dict):
@@ -99,12 +102,10 @@ class RunConfig:
         unknown = self.sections - self.KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        problem = obj.get("problem", {})
-        if isinstance(problem, str):
-            self.spec = ProblemSpec.from_json_file(problem)
-        else:
-            self.spec = ProblemSpec.from_json_dict(problem)
-        ctrl = _section(obj, "controller")
+        self.spec = ProblemSpec.from_json_dict(obj.get("problem", {}))
+        ctrl = obj.get("controller", {})
+        if not isinstance(ctrl, dict):
+            raise ConfigError(f"controller must be a JSON object, got {ctrl!r}")
         unknown = set(ctrl) - self.CONTROLLER_KEYS
         if unknown:
             raise ConfigError(f"unknown controller config keys: {sorted(unknown)}")
@@ -113,41 +114,34 @@ class RunConfig:
             if key in ctrl:
                 kwargs[key] = ctrl[key]
         if "storage" in ctrl and ctrl["storage"] is not None:
-            kwargs["storage"] = _parse_storage(ctrl["storage"], "controller.storage")
+            try:
+                kwargs["storage"] = StorageFunction.from_json_dict(ctrl["storage"])
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"controller.storage: {exc}") from exc
         if "terminal_set" in ctrl and ctrl["terminal_set"] is not None:
             try:
                 kwargs["terminal_set"] = IntervalBox.from_json_obj(ctrl["terminal_set"])
             except ValueError as exc:
                 raise ConfigError(f"controller.terminal_set: {exc}") from exc
         self.controller = TubeMpcConfig(**kwargs)
-        out = _section(obj, "output")
-        unknown = set(out) - self.OUTPUT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown output config keys: {sorted(unknown)}")
-        self.output_path = out.get("path")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ConfigError(f"output.path must be a string, got {self.output_path!r}")
-        env_seed = os.environ.get("TUBE_DISSIP_SEED")
-        if "seed" in obj:
-            if not (_is_int(obj["seed"]) and obj["seed"] >= 0):
-                raise ConfigError(f"seed must be a non-negative integer, got {obj['seed']!r}")
-            self.seed = obj["seed"]
-        elif env_seed is not None:
-            self.seed = _parse_seed(env_seed, "TUBE_DISSIP_SEED")
-        else:
-            self.seed = DEFAULT_SEED
+        self.seed = obj.get("seed", DEFAULT_SEED)
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def load(cls, path: Optional[str]) -> "RunConfig":
         return cls({} if path is None else _read_json(path))
 
 
-def _section(obj: dict, key: str) -> dict:
-    """``obj[key]``, an empty dict when absent; anything but a JSON object raises ConfigError."""
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return value
+def _read_json(path):
+    """The JSON value in the file at path; a file that cannot be read or parsed raises ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _parse_point(text: str) -> tuple[float, float]:
@@ -168,48 +162,24 @@ def _parse_box(text: str) -> IntervalBox:
         raise ConfigError(f"expected a box like [[lo1,hi1],[lo2,hi2]], got {text!r}: {exc}") from exc
 
 
-def _parse_storage(obj, where: str) -> StorageFunction:
-    try:
-        return StorageFunction.from_json_dict(obj)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_seed(text: str, where: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise ConfigError(f"{where} must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _parse_policy(text: str, default_seed: int):
+def _parse_policy(text: str, seed: int):
     if text == "adversarial":
         return AdversarialPolicy()
     if text == "random":
-        return UniformRandomPolicy(seed=default_seed)
-    if text.startswith("random:"):
-        return UniformRandomPolicy(seed=_parse_seed(text.split(":", 1)[1], "random policy seed"))
+        return UniformRandomPolicy(seed=seed)
     if text.startswith("extreme:"):
         pattern = text.split(":", 1)[1]
         if not pattern or any(c not in "+-" for c in pattern):
             raise ConfigError(f"extreme policy pattern must be +/- signs, got {text!r}")
         return ExtremePolicy(signs=tuple(1 if c == "+" else -1 for c in pattern))
-    raise ConfigError(f"unknown policy {text!r} (adversarial | random | random:SEED | extreme:+-+)")
-
-
-def _controller_config(run: RunConfig, args) -> TubeMpcConfig:
-    cfg = run.controller
-    if getattr(args, "no_initial_cost", False):
-        cfg = replace(cfg, use_initial_cost=False)
-    if getattr(args, "horizon", None) is not None:
-        cfg = replace(cfg, horizon=args.horizon)
-    return cfg
+    raise ConfigError(f"unknown policy {text!r} (adversarial | random | extreme:+-+)")
 
 
 def _cmd_rci(run: RunConfig, args) -> int:
     box, v_star = optimal_rci(run.spec)
     _write_output(
         json.dumps({"corners": list(box.corners()), "box": box.to_json_obj(), "v_star": v_star}),
-        args.output or run.output_path,
+        args.output,
     )
     return 0
 
@@ -220,29 +190,25 @@ def _cmd_eval_v(run: RunConfig, args) -> int:
     if args.n > MAX_STEPS:
         raise ConfigError(f"--n must be at most {MAX_STEPS}, got {args.n}")
     result = eval_v(run.spec, _parse_box(args.a), _parse_box(args.b), args.n)
-    _write_output(json.dumps(result.to_json_dict()), args.output or run.output_path)
+    _write_output(json.dumps(result.to_json_dict()), args.output)
     return 0 if result.feasible else 1
 
 
 def _cmd_check_storage(run: RunConfig, args) -> int:
     if args.strictness < 0:
         raise ConfigError(f"--strictness must be >= 0, got {args.strictness}")
-    if args.storage == "default":
-        sf = StorageFunction.reference()
-    else:
-        sf = _parse_storage(_read_json(args.storage), args.storage)
+    sf = run.controller.storage if run.controller.storage is not None else StorageFunction.reference()
     report = verify_separability(run.spec, sf)
     if args.strictness:
         strict = check_strictness(run.spec, sf, args.strictness, seed=run.seed)
         report = replace(report, strictness=strict)
-    _write_output(json.dumps(report.to_json_dict()), args.output or run.output_path)
+    _write_output(json.dumps(report.to_json_dict()), args.output)
     return 0 if report.passed else 1
 
 
 def _cmd_control(run: RunConfig, args) -> int:
-    cfg = _controller_config(run, args)
-    sol = solve_tmpc(run.spec, cfg, _parse_point(args.z))
-    _write_output(json.dumps(sol.to_json_dict()), args.output or run.output_path)
+    sol = solve_tmpc(run.spec, run.controller, _parse_point(args.z))
+    _write_output(json.dumps(sol.to_json_dict()), args.output)
     return 0 if sol.feasible else 1
 
 
@@ -251,14 +217,13 @@ def _cmd_sweep(run: RunConfig, args) -> int:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
     if args.grid > MAX_GRID:
         raise ConfigError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
-    cfg = _controller_config(run, args)
     xb = run.spec.x_bounds
     grid = [
         (z1, z2)
         for z1 in np.linspace(xb.lo[0], xb.hi[0], args.grid)
         for z2 in np.linspace(xb.lo[1], xb.hi[1], args.grid)
     ]
-    points = sweep_feedback(run.spec, cfg, grid)
+    points = sweep_feedback(run.spec, run.controller, grid)
     rows = [
         {
             "z1": p.z[0],
@@ -269,14 +234,13 @@ def _cmd_sweep(run: RunConfig, args) -> int:
         }
         for p in points
     ]
-    _write_output(_csv(rows, ["z1", "z2", "u0", "objective", "status"]), args.output or run.output_path)
+    _write_output(_csv(rows, ["z1", "z2", "u0", "objective", "status"]), args.output)
     return 0
 
 
 def _cmd_simulate(run: RunConfig, args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
-    cfg = _controller_config(run, args)
     columns = ["k", "y1", "y2", "u", "w", "Y_a1", "Y_a2", "Y_a3", "Y_a4", "dH", "lyapunov"]
     if args.fig2:
         # bundled demonstration preset: the two corner starts under the
@@ -284,20 +248,20 @@ def _cmd_simulate(run: RunConfig, args) -> int:
         rows = []
         ok = True
         for y0 in ((5.0, -5.0), (-5.0, 5.0)):
-            trace = simulate(run.spec, cfg, y0, args.steps, AdversarialPolicy())
+            trace = simulate(run.spec, run.controller, y0, args.steps, AdversarialPolicy())
             report = check_enclosure_stability(trace, run.spec)
             ok = ok and report.stable
             for row in trace.csv_rows():
                 row = {"y0": _fmt(y0[0]) + ";" + _fmt(y0[1]), **row}
                 rows.append(row)
-        _write_output(_csv(rows, ["y0"] + columns), args.output or run.output_path)
+        _write_output(_csv(rows, ["y0"] + columns), args.output)
         return 0 if ok else 1
     if args.y0 is None:
         print("error: --y0 is required without --fig2", file=sys.stderr)
         return 2
     policy = _parse_policy(args.policy, run.seed)
-    trace = simulate(run.spec, cfg, _parse_point(args.y0), args.steps, policy)
-    _write_output(_csv(trace.csv_rows(), columns), args.output or run.output_path)
+    trace = simulate(run.spec, run.controller, _parse_point(args.y0), args.steps, policy)
+    _write_output(_csv(trace.csv_rows(), columns), args.output)
     return 0 if trace.failure_step is None else 1
 
 
@@ -312,7 +276,7 @@ def _cmd_verify_all(run: RunConfig, args) -> int:
         lines.append(f"[{mark}] {r.key.ljust(width)}  {r.detail}")
     ok = all(r.passed for r in results)
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    _write_output("\n".join(lines) + "\n", args.output or run.output_path)
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0 if ok else 1
 
 
@@ -335,32 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_eval_v)
 
-    p = sub.add_parser("check-storage", help="certify a storage candidate by its closed-form relaxed minimum")
-    p.add_argument("--storage", default="default", help="'default' or a JSON file {offset, linear}")
+    p = sub.add_parser("check-storage", help="certify the controller's storage by its closed-form relaxed minimum")
     p.add_argument("--strictness", type=int, default=0, help="also sample N strictness margins")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_check_storage)
 
     p = sub.add_parser("control", help="solve the controller at one state")
     p.add_argument("--z", required=True, help="state 'x1,x2'")
-    p.add_argument("--no-initial-cost", action="store_true")
-    p.add_argument("--horizon", type=int)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_control)
 
     p = sub.add_parser("sweep", help="controller sweep over an n-by-n state grid (CSV)")
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--no-initial-cost", action="store_true")
-    p.add_argument("--horizon", type=int)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="closed-loop simulation (CSV trace)")
     p.add_argument("--y0", help="initial state 'x1,x2'")
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--policy", default="adversarial", help="adversarial | random | random:SEED | extreme:+-+")
-    p.add_argument("--no-initial-cost", action="store_true")
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--policy", default="adversarial", help="adversarial | random | extreme:+-+")
     p.add_argument("--fig2", action="store_true", help="run the two bundled corner-start demonstrations")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_simulate)

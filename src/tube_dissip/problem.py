@@ -27,7 +27,6 @@ cost-to-travel, invariant-box and tube MPC programs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,17 +52,6 @@ _INF = float("inf")
 
 class ConfigError(ValueError):
     """Malformed problem or run configuration."""
-
-
-def _read_json(path):
-    """The JSON value in the file at path; a file that cannot be read or parsed raises ConfigError."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -173,10 +161,6 @@ class ProblemSpec:
             if key in obj:
                 kwargs[key] = obj[key]
         return cls(**kwargs)
-
-    @classmethod
-    def from_json_file(cls, path) -> "ProblemSpec":
-        return cls.from_json_dict(_read_json(path))
 
 
 def stage_cost(spec: ProblemSpec, a: IntervalBox) -> float:

@@ -583,8 +583,10 @@ def _dual_active_set(d, q, G, h, tol):
     ``h'y < -tol*sum(y)``, which certifies that the rows stay inconsistent
     when each is relaxed by ``tol``.  Raises :class:`SolverFailure`, carrying
     ``d``, ``q``, ``G``, ``h`` and ``tol``, after ``_STEP_LIMIT`` steps, and
-    when the rows it finds inconsistent have a ray that certifies nothing,
-    as rounding can leave on two opposite rows.
+    when the rows it finds inconsistent have a ray that certifies nothing
+    (``G'y`` not zero to ``1e-9`` of ``|G|'y``, or ``h'y`` not below
+    ``-tol*sum(y)``), as rounding can leave on two opposite rows or on rows
+    scaled near the ends of the float range.
 
     Data of extreme scale can take these floats out of range, so the kernel
     runs without numpy's floating-point warnings and raises SolverFailure,
@@ -631,8 +633,10 @@ def _dual_active_set(d, q, G, h, tol):
                     ray = np.zeros(h.size)
                     ray[p] = 1.0
                     ray[active] = -r
-                    # a scale s of 0 (an overflowing 2d) zeroes the scaled rows, so their ray says nothing
-                    if h @ ray < -tol * ray.sum() and s.all():
+                    # the ray was found on the scaled rows, which rounding (or a
+                    # scale s of 0, from an overflowing 2d) can make dependent
+                    # when the rows themselves are not, so G'y = 0 is checked on G
+                    if h @ ray < -tol * ray.sum() and np.abs(G.T @ ray).max() <= 1e-9 * (np.abs(G).T @ ray).max():
                         return None, ray
                     message = "dual active-set kernel found inconsistent rows without a Farkas ray"
                     raise _kernel_failure(message, d, q, G, h, tol)

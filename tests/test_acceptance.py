@@ -16,7 +16,6 @@ from tube_dissip.acceptance import (
     check_instability_witness,
     check_monotonicity,
     check_optimal_rci,
-    check_region_enumeration_substituted,
     check_storage_certificate,
 )
 from tube_dissip.interval_sets import IntervalBox
@@ -65,10 +64,6 @@ def test_criterion_monotonicity(accept_spec):
 
 def test_criterion_dissipation_inequality(accept_spec):
     _report(check_dissipation_inequality(accept_spec, seed=SEED + 3))
-
-
-def test_criterion_region_enumeration_substituted(accept_spec):
-    _report(check_region_enumeration_substituted(accept_spec))
 
 
 def test_battery_is_seed_deterministic(accept_spec):
