@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
+_EPS = float(np.finfo(float).eps)
 
 # the most steps of a chain, and the longest tube MPC horizon: the stacked
 # rows of N steps are a dense 22N x 4(N+1) array, so a count in the
@@ -56,7 +57,7 @@ class RciNotFound(RuntimeError):
     """No robust control invariant box exists within the state bounds."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostToTravelResult:
     """Value and minimizing tube of one cost-to-travel evaluation.
 
@@ -106,14 +107,14 @@ def eval_v(
     if n_steps == 1:
         witness = transition_witness(spec, a, b)
         if witness is None:
-            return CostToTravelResult(value=_INF)
-        return CostToTravelResult(value=stage_cost(spec, a), tube=(a, b), aux_controls=(witness,))
+            return CostToTravelResult(_INF)
+        return CostToTravelResult(stage_cost(spec, a), (a, b), (witness,))
     ends = np.array(a.corners() + b.corners())
     solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b])
     if solved is None:
-        return CostToTravelResult(value=_INF)
+        return CostToTravelResult(_INF)
     cost, tube, witnesses = solved
-    return CostToTravelResult(value=stage_cost(spec, a) + cost, tube=tube, aux_controls=witnesses)
+    return CostToTravelResult(stage_cost(spec, a) + cost, tube, witnesses)
 
 
 # at most this many affine laws are kept per program
@@ -124,15 +125,16 @@ class _Law(NamedTuple):
     """One affine law of a :class:`_LawTable`, as maps ``a + b1*z1 + b2*z2`` of the state z.
 
     ``block`` holds the rows ``(a, b1, b2)`` of one stacked map: onto the
-    free-row slacks, then the multipliers, then the kernel's variables.
-    ``screen`` lists, as plain floats ``(a, b1, b2, floor)``, each distinct
-    check column (slack or multiplier) whose least value over the state box
-    is below its floor: the slacks of the rows the box does not keep, and
-    the multipliers it can drive below zero.
+    free-row slacks, then the multipliers (together the law's full check),
+    then the kernel's variables.  ``screen`` lists, as plain floats
+    ``(a, b1, b2, floor)``, each distinct check column not proven to hold
+    at every state in X, and ``point`` the maps onto the free corners, as
+    plain floats ``(a, b1, b2, s)``, the corner being ``(a + b1*z1 + b2*z2) * s``.
     """
 
     block: tuple[np.ndarray, np.ndarray, np.ndarray]
     screen: tuple[tuple[float, float, float, float], ...]
+    point: tuple[tuple[float, float, float, float], ...]
 
 
 class _LawTable:
@@ -145,22 +147,29 @@ class _LawTable:
     multipliers of A solve the Gram system ``Gs_A Gs_A' y_A = Gs_A w0 - h_A(p)``
     and ``w = w0 - Gs_A' y_A``.  Each law is kept as one stacked affine map
     of p onto the slacks of the free rows, the multipliers (together its
-    check) and w (its point).  A law whose slacks are at least ``-_ROW_TOL``
-    and whose multipliers are nonnegative at p gives a KKT point, the answer
-    the kernel would return.  At most ``_MAX_LAWS`` are kept; on a full table a
-    new law is still built and answers at the p it was learned at, but is
-    not stored.
+    full check) and w (its point).  A law whose slacks are at least
+    ``-_ROW_TOL`` and whose multipliers are nonnegative at p gives a KKT
+    point, the answer the kernel would return.  At most ``_MAX_LAWS`` are
+    kept; on a full table a new law is still built and answers at the p it
+    was learned at, but is not stored.
 
-    A lookup walks the laws in the order they were learned and answers from
-    the first whose full check holds.  Most check columns hold at every state
-    in X, so each law is first screened, in plain floats, on the few columns
-    that can fail there (point location in explicit MPC, Tøndel, Johansen
-    and Bemporad, Automatica 2003); only a law that passes its screen has its
-    block evaluated, in one elementwise pass that gives the check and the
-    point together.  Each screen column is computed by the same float
-    operations, in the same order, as its column of the block, so a law that
-    fails its screen fails its full check: the screen saves work and never
-    changes which law answers, nor a bit of the answer.
+    The screen decides.  A law's screen holds every check column whose least
+    value over X does not clear the column's floor by a rounding margin,
+    ``8*eps*(|a| + |b1|*max|z1| + |b2|*max|z2|)`` over X, which bounds the
+    rounding both of that least value and of the column's evaluation at a
+    state (Higham, Accuracy and Stability of Numerical Algorithms, 2002).
+    Every other column is then at least its floor, in floats, at every state
+    in X, so at a state in X a law's screen holds exactly when its full
+    check does: the screen's half-planes are the law's region (point
+    location in explicit MPC, Tøndel, Johansen and Bemporad, Automatica
+    2003).  A lookup answers from the first law, in the order they were
+    learned, whose screen holds, and computes only that law's corners, in
+    plain floats by the same float operations as a pass over its block, so
+    bit for bit the point of the first law whose full check holds.  The
+    full check is not run; it is the reference the tests hold the screen
+    to.  A law answer carries no multipliers: those come only from a kernel
+    run.  Beyond X the screens prove nothing, so a state outside X is
+    neither looked up nor learned from (:func:`_solve_program`).
     """
 
     def __init__(self, prog: "_CornerProgram", x_bounds: IntervalBox):
@@ -177,6 +186,8 @@ class _LawTable:
         self.floor = np.concatenate([np.full(m, -_ROW_TOL), np.zeros(m)])
         # the state box the parameter ranges over, one column per state coordinate
         self.box = np.array([x_bounds.lo, x_bounds.hi])
+        # the same box as plain floats (lo1, hi1, lo2, hi2)
+        self.bounds = (x_bounds.lo[0], x_bounds.hi[0], x_bounds.lo[1], x_bounds.hi[1])
         self.laws: list[_Law] = []
         # the active sets of the stored laws, as index bytes
         self.stored: set[bytes] = set()
@@ -184,21 +195,17 @@ class _LawTable:
     def __len__(self) -> int:
         return len(self.laws)
 
+    def covers(self, z1: float, z2: float) -> bool:
+        """Whether state z lies in X, where the screens decide."""
+        lo1, hi1, lo2, hi2 = self.bounds
+        return lo1 <= z1 <= hi1 and lo2 <= z2 <= hi2
+
     def lookup(self, z1: float, z2: float):
-        """``(x, y)`` on the free rows from the first stored law that holds at state z, or None."""
-        for law in self.laws:
-            for a, b1, b2, floor in law.screen:
-                # as the block computes it: (a + b1*z1) + b2*z2
-                if not a + b1 * z1 + b2 * z2 >= floor:
-                    break
-            else:
-                answer = self._answer(law, z1, z2)
-                if answer is not None:
-                    return answer
-        return None
+        """``(x, None)`` from the first stored law whose screen holds at state z in X, or None."""
+        return _first_answer(self.laws, z1, z2)
 
     def learn(self, y: np.ndarray, z1: float, z2: float):
-        """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at z or None."""
+        """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at z in X or None."""
         act = np.flatnonzero(y > 0.0)
         key = act.tobytes()
         if key in self.stored:
@@ -214,25 +221,32 @@ class _LawTable:
         full_y = np.zeros(self.rhs.shape)
         full_y[act] = y_law
         block = np.ascontiguousarray(np.vstack([self.rhs - self.Gs @ w_law, full_y, w_law]).T)
-        check = block[:, : self.floor.size]
+        n_checks = self.floor.size
+        a, b = block[0, :n_checks], block[1:, :n_checks]
         # each column's least value over the state box, taken at the box corner that minimises it
-        least = check[0] + np.minimum(check[1:] * self.box[0, :, None], check[1:] * self.box[1, :, None]).sum(axis=0)
-        cols = np.flatnonzero(least < self.floor)
-        screen = tuple(dict.fromkeys(zip(*check[:, cols].tolist(), self.floor[cols].tolist())))
-        law = _Law(tuple(block), screen)
+        least = a + np.minimum(b * self.box[0, :, None], b * self.box[1, :, None]).sum(axis=0)
+        # clear of the floor by the rounding margin, a column holds in floats all over X;
+        # a NaN or infinite column fails the test and is screened
+        margin = 8.0 * _EPS * (np.abs(a) + np.abs(self.box).max(axis=0) @ np.abs(b))
+        cols = np.flatnonzero(~(least >= self.floor + margin))
+        screen = tuple(dict.fromkeys(zip(*block[:, cols].tolist(), self.floor[cols].tolist())))
+        law = _Law(tuple(block), screen, tuple(zip(*block[:, n_checks:].tolist(), self.s.tolist())))
         if len(self) < _MAX_LAWS:
             self.stored.add(key)
             self.laws.append(law)
-        return self._answer(law, z1, z2)
+        return _first_answer((law,), z1, z2)
 
-    def _answer(self, law: _Law, z1: float, z2: float):
-        """The law's ``(x, y)`` at state z if its full check holds there, else None."""
-        a, b1, b2 = law.block
-        vals = a + b1 * z1 + b2 * z2
-        m, n_checks = self.Gs.shape[0], self.floor.size
-        if not (vals[:n_checks] >= self.floor).all():
-            return None
-        return vals[n_checks:] * self.s, vals[m:n_checks]
+
+def _first_answer(laws, z1: float, z2: float):
+    """``(x, None)`` from the first of laws whose screen holds at state z, x its corners as plain floats; or None."""
+    for law in laws:
+        for a, b1, b2, floor in law.screen:
+            # as a pass over the block computes it: (a + b1*z1) + b2*z2
+            if not a + b1 * z1 + b2 * z2 >= floor:
+                break
+        else:
+            return [(a + b1 * z1 + b2 * z2) * s for a, b1, b2, s in law.point], None
+    return None
 
 
 class _CornerProgram(NamedTuple):
@@ -246,9 +260,12 @@ class _CornerProgram(NamedTuple):
     others; when p is a state, ``fixed_z`` holds those same rows as plain
     floats ``(h0, c1, c2)``, the row holding at z when
     ``h0 - (c1*z1 + c2*z2) >= -_FEAS_TOL``, and is empty otherwise.  ``lo``
-    and ``hi`` are the state bounds at every free corner, onto which the
-    read-back clips.  ``laws`` is the tube program's table of affine laws,
-    filled as it is solved; chains and the invariant box have None.
+    and ``hi`` are the state bounds at every free corner, as plain floats,
+    onto which the read-back clips, and ``cost_overflows`` whether the cost
+    of corners so clipped can overflow: whether
+    ``sum(d*max(lo**2, hi**2) + |q|*max(|lo|, |hi|))`` is not finite.
+    ``laws`` is the tube program's table of affine laws, filled as it is
+    solved; chains and the invariant box have None.
     """
 
     d: np.ndarray
@@ -261,8 +278,9 @@ class _CornerProgram(NamedTuple):
     fixed_min: float
     fixed_p: np.ndarray
     fixed_z: tuple[tuple[float, float, float], ...]
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    cost_overflows: bool
     laws: Optional[_LawTable] = None
 
 
@@ -272,13 +290,18 @@ def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
     fixed_p = np.flatnonzero(fixed & enters)
     xb = spec.x_bounds
     n_free = d.size // 4
+    lo = np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free)
+    hi = np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost_bound = np.sum(d * np.maximum(lo * lo, hi * hi) + np.abs(q) * np.maximum(np.abs(lo), np.abs(hi)))
     return _CornerProgram(
         d, q, G, P, h0, fixed, G[~fixed],
         fixed_min=float(np.min(h0[fixed & ~enters], initial=_INF)),
         fixed_p=fixed_p,
         fixed_z=tuple(zip(h0[fixed_p].tolist(), *P[fixed_p].T.tolist())) if P.shape[1] == 2 else (),
-        lo=np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free),
-        hi=np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free),
+        lo=tuple(lo.tolist()),
+        hi=tuple(hi.tolist()),
+        cost_overflows=not math.isfinite(cost_bound),
     )
 
 
@@ -316,22 +339,26 @@ def _chain_stack(spec: ProblemSpec, n_steps: int) -> _CornerProgram:
 def _solve_program(prog: _CornerProgram, p):
     """A corner program's answer ``(x, y)`` at parameter p.
 
-    x is the minimiser and y its multipliers ``y >= 0`` on the free rows, the
-    rows of ``G_free``.  When the program is infeasible x is None, and y is
-    either the index of the most violated fixed row, one violated by more
-    than ``_FEAS_TOL`` and so its own Farkas ray, or a Farkas ray on
-    the free rows, ``y >= 0`` with ``G_free'y = 0`` and ``h'y < 0`` for their
-    right-hand sides ``h = h0 - P @ p``.
+    x is the minimiser: the kernel's array, or a list of plain floats when a
+    stored law answers.  y is its multipliers ``y >= 0`` on the free rows,
+    the rows of ``G_free``, when the kernel ran, and None on a law answer:
+    multipliers come only from a kernel run.  When the program is
+    infeasible x is None, and y is either the index of the most violated
+    fixed row, one violated by more than ``_FEAS_TOL`` and so its own Farkas
+    ray, or a Farkas ray on the free rows, ``y >= 0`` with ``G_free'y = 0``
+    and ``h'y < 0`` for their right-hand sides ``h = h0 - P @ p``.
 
     The fixed rows are checked first, as split when the program was built:
     one comparison for the rows p does not enter, and only the rows it
     enters evaluated at p.  A program with a law table, whose parameter is a
-    state ``(z1, z2)``, evaluates those in plain floats and answers from the
-    first stored law that holds at z; only on a miss does it form h, run the
-    kernel cold, learn the law of the active set the kernel returns, and
-    answer from that law if it holds, else from the kernel.  Other programs
-    run the kernel at every solve, so they form h first and check their
-    fixed rows on it.
+    state ``(z1, z2)``, evaluates those in plain floats.  At a state in X it
+    answers from the first stored law whose screen holds there (see
+    :class:`_LawTable`); only on a miss does it form h, run the kernel cold,
+    learn the law of the active set the kernel returns, and answer from that
+    law if its screen holds, else from the kernel.  A state outside X, where
+    the screens prove nothing, goes to the kernel and is not learned from.
+    Other programs run the kernel at every solve, so they form h first and
+    check their fixed rows on it.
     """
     laws = prog.laws
     if laws is None:
@@ -342,6 +369,9 @@ def _solve_program(prog: _CornerProgram, p):
     z1, z2 = p
     if prog.fixed_min < -_FEAS_TOL or _state_rows_fail(prog.fixed_z, z1, z2):
         return None, _worst_fixed_row(prog, prog.h0 - prog.P @ p)
+    if not laws.covers(z1, z2):
+        # the screens decide only on X
+        return _run_kernel(prog, prog.h0 - prog.P @ p)
     answer = laws.lookup(z1, z2)
     if answer is None:
         x, y = _run_kernel(prog, prog.h0 - prog.P @ p)
@@ -376,21 +406,30 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
     state bounds and its corners in order, but only to within the kernel's
     rounding guard; clipped onto the bounds, it passes exact inclusion tests
     such as the storage form's domain.  The read-back is one pass over the
-    corner floats.  A free box whose clipped corners are in order is built
-    without re-validation (they are finite after the clip, and a NaN fails
-    the order test); any other goes through
+    corners in plain floats, the clip included; it gives the bits of
+    ``np.minimum(np.maximum(x, lo), hi)``, ties and NaN included.  A free
+    box whose clipped corners are in order is built without re-validation
+    (they are finite after the clip, and a NaN fails the order test); any
+    other goes through
     :meth:`~tube_dissip.interval_sets.IntervalBox.from_corners`, which snaps
     an inversion within ``_FEAS_TOL`` and raises ValueError beyond it.  Each
     step is then decided by the one-step rule of
     :func:`~tube_dissip.problem.transition_witness` on the spec's constants
     and those corners; a refused step raises SolverFailure.  The cost is
-    taken at the clipped corners.
+    taken at the clipped corners, in numpy; a cost that is not finite raises
+    SolverFailure, and only a program whose ``cost_overflows`` computes it
+    with numpy's overflow warnings off.
     """
     x, _ = _solve_program(prog, p)
     if x is None:
         return None
-    x = np.minimum(np.maximum(x, prog.lo), prog.hi)
-    corners = x.tolist()
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    corners = []
+    for c, lo, hi in zip(x, prog.lo, prog.hi):
+        # as np.maximum then np.minimum: a tie takes the bound, and a NaN passes
+        c = lo if c <= lo else c
+        corners.append(hi if c >= hi else c)
     boxes = [*head]
     quads = [*map(IntervalBox.corners, head)]
     for k in range(0, len(corners), 4):
@@ -411,7 +450,15 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
         if witness is None:
             raise SolverFailure("a step of the minimising tube is not a transition")
         witnesses.append(witness)
-    return float(prog.d @ (x * x) + prog.q @ x), tuple(boxes), tuple(witnesses)
+    x = np.array(corners)
+    if prog.cost_overflows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = float(prog.d @ (x * x) + prog.q @ x)
+    else:
+        cost = float(prog.d @ (x * x) + prog.q @ x)
+    if not math.isfinite(cost):
+        raise SolverFailure(f"the minimising tube's cost is not finite ({cost})")
+    return cost, tuple(boxes), tuple(witnesses)
 
 
 @lru_cache(maxsize=64)

@@ -18,18 +18,22 @@ values are.  On each optimal active set the answer is affine in z, so the
 program keeps the affine law of every active set the kernel has returned
 for it (up to 64), and a solve runs the kernel only when no stored law
 gives a KKT point at z (``cost_to_travel._LawTable``).  A solve that a law
-answers does only the arithmetic that depends on z, in plain floats where
-it can.  It checks the rows with no free coefficient against the
-feasibility tolerance ``qp_solver._FEAS_TOL``: one comparison for those z
-does not enter, split off when the program is built, and the few it enters
-evaluated at z.  It screens the laws in the order they were learned, each
-on the few checks that can fail for a state in the state bounds, and
-evaluates only the law its screen passes: one stacked block, whose single
-elementwise pass gives the full KKT check and the point.  The screen's
-checks are computed exactly as the block's, so the first law whose full
-check holds answers, bit for bit as without the screen.  The right-hand
-side ``h0 - P @ z`` is formed only when the kernel runs.  The answer is
-read back into boxes and edge controls by the same helper as those values
+answers does only the arithmetic that depends on z, in plain floats.  It
+checks the rows with no free coefficient against the feasibility tolerance
+``qp_solver._FEAS_TOL``: one comparison for those z does not enter, split
+off when the program is built, and the few it enters evaluated at z.  Then
+the screens decide.  A law's screen holds the few checks of its full KKT
+check that a rounding margin does not prove to hold at every state in the
+state bounds X, so at a state in X the screen holds exactly when the full
+check does.  The first law, in the order they were learned, whose screen
+holds answers, and only its corners are computed, bit for bit the point of
+the first law whose full check holds; the full check itself is the tests'
+reference and never runs.  A law answer carries no multipliers: those come
+only from a kernel run.  The screens prove nothing beyond X, so a state
+outside X goes to the kernel and is not learned from; :func:`solve_tmpc`
+passes the program only states in X (see below).  The right-hand side
+``h0 - P @ z`` is formed only when the kernel runs.  The answer is read
+back into boxes and edge controls by the same helper as those values
 (``cost_to_travel._solve_tube``), in one plain-float pass over the clipped
 corners: a box whose corners are in order is built without re-validation,
 any other through ``IntervalBox.from_corners``, and every step is decided
@@ -108,7 +112,7 @@ class TubeMpcConfig:
             raise ConfigError(f"use_initial_cost must be true or false, got {self.use_initial_cost!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TubeSolution:
     """One controller solve.
 
@@ -142,7 +146,7 @@ class TubeSolution:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     z: tuple[float, float]
     status: QpStatus
@@ -260,13 +264,13 @@ def solve_tmpc(
     # beyond them; one within _FEAS_TOL of them is read as on them
     xb = spec.x_bounds
     if max(xb.lo[0] - z1, z1 - xb.hi[0], xb.lo[1] - z2, z2 - xb.hi[1]) > _FEAS_TOL:
-        return TubeSolution(status=QpStatus.INFEASIBLE)
+        return TubeSolution(QpStatus.INFEASIBLE)
     z1 = min(max(z1, xb.lo[0]), xb.hi[0])
     z2 = min(max(z2, xb.lo[1]), xb.hi[1])
 
     solved = _solve_tube(spec, prog, (z1, z2), [], [terminal])
     if solved is None:
-        return TubeSolution(status=QpStatus.INFEASIBLE)
+        return TubeSolution(QpStatus.INFEASIBLE)
     objective, tube, edge_controls = solved
     if storage is not None:
         objective += storage.offset
@@ -278,14 +282,7 @@ def solve_tmpc(
         lo = hi = 0.5 * (lo + hi)
     u0_val = min(max(0.0, lo), hi)
 
-    return TubeSolution(
-        status=QpStatus.OPTIMAL,
-        tube=tube,
-        u0=float(u0_val),
-        objective=objective,
-        u0_interval=(float(lo), float(hi)),
-        edge_controls=edge_controls,
-    )
+    return TubeSolution(QpStatus.OPTIMAL, tube, float(u0_val), objective, (float(lo), float(hi)), edge_controls)
 
 
 def sweep_feedback(
@@ -297,13 +294,5 @@ def sweep_feedback(
     points = []
     for z in grid:
         sol = solve_tmpc(spec, cfg, z)
-        points.append(
-            SweepPoint(
-                z=(float(z[0]), float(z[1])),
-                status=sol.status,
-                u0=sol.u0,
-                objective=sol.objective,
-                u0_interval=sol.u0_interval,
-            )
-        )
+        points.append(SweepPoint((float(z[0]), float(z[1])), sol.status, sol.u0, sol.objective, sol.u0_interval))
     return points

@@ -631,13 +631,18 @@ def chain_margin(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_steps: int
 def program_answer(prog, p, answer) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """A corner program's answer ``(x, y)`` at parameter p, over all its rows: ``(h, x, y)``.
 
-    ``h = h0 - P @ p`` holds every right-hand side.  The answer's y is
-    scattered onto the free rows, or, when it is the index of a violated
-    fixed row, becomes the unit ray on that row; either way ``(h, x, y)`` is
-    checked against the whole of ``G``.
+    ``h = h0 - P @ p`` holds every right-hand side, and x is an array.  The
+    answer's y is scattered onto the free rows, or, when it is the index of
+    a violated fixed row, becomes the unit ray on that row; either way
+    ``(h, x, y)`` is checked against the whole of ``G``.  A law answer has
+    no multipliers, and its y stays None.
     """
     x, y_answer = answer
     h = prog.h0 - prog.P @ np.asarray(p, dtype=float)
+    if x is not None:
+        x = np.asarray(x, dtype=float)
+    if y_answer is None:
+        return h, x, None
     y = np.zeros(h.size)
     if isinstance(y_answer, int):
         y[y_answer] = 1.0

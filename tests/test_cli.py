@@ -494,6 +494,24 @@ class TestConfig:
         assert out == ""
         assert err == "error: dual active-set kernel found inconsistent rows without a Farkas ray\n"
 
+    @pytest.mark.parametrize("quad, argv", [(1e307, ("control", "--z=5,-5")), (8e307, ("rci",))])
+    def test_a_cost_that_overflows_is_a_domain_failure(self, capsys, tmp_path, quad, argv):
+        # the minimising tube's cost at its clamped corners overflows: no
+        # infinite value in the output, and no numpy warning
+        tube_mpc._controller.cache_clear()
+        config = config_file(tmp_path, {"problem": {"cost_quad": [quad] * 4}})
+        code, out, err = run_cli(capsys, "--config", config, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: the minimising tube's cost is not finite (inf)\n"
+
+    def test_a_finite_cost_near_the_float_limit_is_reported(self, capsys, tmp_path):
+        # the cost's bound over the state bounds overflows, the cost does not
+        config = config_file(tmp_path, {"problem": {"cost_quad": [1e307] * 4}})
+        code, out, err = run_cli(capsys, "--config", config, "rci")
+        assert code == 0 and err == ""
+        assert json.loads(out)["v_star"] == 2.5e307
+
     @pytest.mark.parametrize("argv", [
         ("rci",),
         ("control", "--z=0,0"),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -458,6 +459,14 @@ class TestReadBack:
         with pytest.raises(ValueError) as got:
             self.read_back(monkeypatch, spec, x)
         assert str(got.value) == str(want.value) and "empty interval" in str(got.value)
+
+    @pytest.mark.parametrize("x", [[-0.0, 6.0, -7.0, -0.0], [0.0, 5.0, -5.0, 0.0], [-1e-300, 2.0, -3.0, 1e-300]])
+    def test_the_clip_gives_the_bits_of_numpy(self, spec, monkeypatch, x):
+        # bounds of 0.0 meet corners of -0.0: on a tie numpy keeps the bound
+        zero_bounds = dataclasses.replace(spec, x_bounds=IntervalBox.from_intervals((0.0, 5.0), (-5.0, 0.0)))
+        (_, (got,), ()), _ = self.read_back(monkeypatch, zero_bounds, x)
+        want = np.minimum(np.maximum(x, [0.0, 0.0, -5.0, -5.0]), [5.0, 5.0, 0.0, 0.0])
+        assert [c.hex() for c in got.corners()] == [c.hex() for c in want.tolist()]
 
     @pytest.mark.parametrize("index", range(4))
     def test_a_nan_corner_raises(self, spec, monkeypatch, index):

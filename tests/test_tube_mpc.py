@@ -501,18 +501,42 @@ def install_empty_table(monkeypatch, spec, cfg):
 
 
 def record_answers(monkeypatch, prog):
-    """Patch the solve step; the returned list gets ``(h, x, y, kernel ran)`` of each solve of prog, over all its rows."""
+    """Patch the solve step; the returned list gets ``(h, x, y, kernel ran)`` of each solve of prog, over all its rows.
+
+    A law answer carries no multipliers; its y is taken from the block of
+    the law that answered, stored or not, whose full check must hold at the
+    state and give its x bit for bit.
+    """
     real_solve = cost_to_travel._solve_program
+    real_first = cost_to_travel._first_answer
     runs = count_kernel_runs(monkeypatch)
+    answered = []
     answers = []
+
+    def recording_first(laws, z1, z2):
+        for law in laws:
+            answer = real_first((law,), z1, z2)
+            if answer is not None:
+                answered.append(law)
+                return answer
+        return None
 
     def recording_solve(p, z):
         before = len(runs)
         answer = real_solve(p, z)
         if p is prog:
-            answers.append((*program_answer(p, z, answer), len(runs) > before))
+            h, x, y = program_answer(p, z, answer)
+            if x is not None and y is None:
+                law_answer = full_check(p.laws, answered[-1], z)
+                assert law_answer is not None, z
+                x_law, y_law = law_answer
+                assert_same_array(x, x_law, "x")
+                y = np.zeros(h.size)
+                y[~p.fixed] = y_law
+            answers.append((h, x, y, len(runs) > before))
         return answer
 
+    monkeypatch.setattr(cost_to_travel, "_first_answer", recording_first)
     monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
     return answers
 
@@ -595,6 +619,9 @@ class TestLawTable:
 
 
 SCREEN_STATES = FINE_GRID + [tuple(z) for z in np.random.default_rng(13).uniform(-5, 5, (2000, 2))] + BEYOND_THE_BAND
+SCREEN_STATES_IN_X = [z for z in SCREEN_STATES if max(map(abs, z)) <= 5.0]
+# states up to 0.3 beyond X, on every side: the 40 of 400 draws outside X
+NEAR_X = [tuple(z) for z in np.random.default_rng(23).uniform(-5.3, 5.3, (400, 2)) if max(map(abs, z)) > 5.0]
 
 
 def full_check(laws, law, z):
@@ -650,6 +677,7 @@ class TestLawScreen:
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_a_law_whose_full_check_holds_passes_its_screen(self, spec, name, monkeypatch):
+        # the screen's columns are columns of the full check, so this holds beyond X too
         laws = learned_table(monkeypatch, spec, CONFIGS[name])
         held = 0
         for z in SCREEN_STATES:
@@ -659,25 +687,76 @@ class TestLawScreen:
                     assert passes_screen(law, z), z
         assert held >= len(FINE_GRID)
 
-    @pytest.mark.parametrize("screens", ["learned", "emptied"])
     @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_lookup_is_the_first_full_check_that_holds(self, spec, name, screens, monkeypatch):
-        # with emptied screens every law passes its screen, so only the full
-        # check keeps a lookup from answering from the wrong law
+    def test_a_law_passes_its_screen_exactly_when_its_full_check_holds(self, spec, name, monkeypatch):
+        # in X the rounding margin proves every unscreened column, so the
+        # screen alone decides; both verdicts occur
         laws = learned_table(monkeypatch, spec, CONFIGS[name])
-        if screens == "emptied":
-            laws.laws[:] = [law._replace(screen=()) for law in laws.laws]
+        verdicts = set()
+        for z in SCREEN_STATES_IN_X:
+            for law in laws.laws:
+                verdict = passes_screen(law, z)
+                assert verdict == (full_check(laws, law, z) is not None), z
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_lookup_is_the_first_full_check_that_holds(self, spec, name, monkeypatch):
+        # lookup runs no full check: at every state in X it gives the point
+        # of the first law whose full check holds, bit for bit, and no multipliers
+        laws = learned_table(monkeypatch, spec, CONFIGS[name])
         firsts = set()
-        for z in SCREEN_STATES:
+        for z in SCREEN_STATES_IN_X:
             got = laws.lookup(*map(float, z))
             first, want = reference_lookup(laws, z)
             firsts.add(first)
             assert (got is None) == (want is None), z
             if want is not None:
-                assert_same_array(got[0], want[0], "x")
-                assert_same_array(got[1], want[1], "y")
-        # answers come from several laws, and some states from none
-        assert None in firsts and len(firsts - {None}) > 1
+                x, y = got
+                assert type(x) is list and y is None
+                assert_same_array(np.array(x), want[0], "x")
+        # answers come from several laws
+        assert len(firsts - {None}) > 1
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_a_state_outside_x_goes_to_the_kernel(self, spec, name, monkeypatch):
+        # the screens prove nothing beyond X: there a learned table gives the
+        # answer of no table, bit for bit, and learns nothing; a state within
+        # _FEAS_TOL of X passes the fixed rows and runs the kernel, one
+        # farther out fails them
+        laws = learned_table(monkeypatch, spec, CONFIGS[name])
+        prog = tube_mpc._controller(spec, CONFIGS[name]).prog
+        n_laws = len(laws)
+        runs = count_kernel_runs(monkeypatch)
+        kernel_runs = 0
+        for z in [z for z, _ in WITHIN_THE_BAND] + BEYOND_THE_BAND + NEAR_X:
+            assert not contains(spec.x_bounds, z)
+            x, y = cost_to_travel._solve_program(prog, z)
+            want_x, want_y = cost_to_travel._solve_program(prog._replace(laws=None), z)
+            assert y is not None, z
+            if want_x is None:
+                assert x is None and type(y) is type(want_y), z
+            else:
+                assert_same_array(x, want_x, "x")
+            assert_same_array(np.asarray(y), np.asarray(want_y), "y")
+            kernel_runs += not isinstance(y, int)
+        assert len(laws) == n_laws
+        assert kernel_runs > 0 and len(runs) == 2 * kernel_runs
+
+    def test_a_nan_column_is_screened_and_never_answers(self, spec, cfg_ic, monkeypatch):
+        # a NaN in one inactive row's right-hand side makes that row's slack
+        # column NaN: the margin test screens it, and it fails at every state
+        prog = install_empty_table(monkeypatch, spec, cfg_ic)
+        z = (-3.5, -4.0)
+        _, y = cost_to_travel._run_kernel(prog, prog.h0 - prog.P @ np.array(z))
+        assert prog.laws.learn(y, *z) is not None
+        laws = cost_to_travel._LawTable(prog, spec.x_bounds)
+        i = int(np.flatnonzero(y == 0.0)[0])
+        laws.rhs[i, 0] = math.nan
+        assert laws.learn(y, *z) is None
+        (law,) = laws.laws
+        assert any(math.isnan(a) for a, _, _, _ in law.screen)
+        assert all(laws.lookup(*map(float, z)) is None for z in SCREEN_STATES_IN_X)
 
 
 @lru_cache(maxsize=None)
