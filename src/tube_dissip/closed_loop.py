@@ -131,7 +131,11 @@ def rotated_cost(
     a: IntervalBox,
     b: IntervalBox,
 ) -> float:
-    """One-step rotated cost ``E(A) - E(B) + V(A,B,1) - V*``; +inf if infeasible."""
+    """One-step rotated cost ``E(A) - E(B) + V(A,B,1) - V*``; +inf if infeasible.
+
+    ``V(A,B,1)`` and ``V*`` are the stage costs of A and of the invariant box,
+    priced as every value is; one that is not finite raises ``SolverFailure``.
+    """
     value = eval_v(spec, a, b, 1).value
     if math.isinf(value):
         return _INF

@@ -20,7 +20,10 @@ re-validation, any other through ``IntervalBox.from_corners``, which snaps
 an inversion within the feasibility tolerance ``qp_solver._FEAS_TOL``; and
 every step of the tube is decided by the one core of the one-step rule
 (:func:`~tube_dissip.problem.transition_witness`), on constants the
-``ProblemSpec`` computed when it was built.
+``ProblemSpec`` computed when it was built.  The read-back prices nothing:
+at every N, a value is the sum of :func:`~tube_dissip.problem.stage_cost`
+over the returned tube but its last box, by one helper
+(:func:`_tube_cost`), and a sum that is not finite raises ``SolverFailure``.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ class CostToTravelResult:
     """Value and minimizing tube of one cost-to-travel evaluation.
 
     ``value`` is ``+inf`` exactly when ``tube`` is ``None``; otherwise the
-    tube runs from A to B and ``aux_controls`` holds, for each step, the edge
-    controls ``(v1, v2)`` that :func:`~tube_dissip.problem.transition_witness`
-    returns for it.
+    tube runs from A to B, ``value`` is the sum of the stage costs of its
+    boxes but the last (a sum that is not finite raises ``SolverFailure``),
+    and ``aux_controls`` holds, for each step, the edge controls ``(v1, v2)``
+    that :func:`~tube_dissip.problem.transition_witness` returns for it.
     """
 
     value: float
@@ -98,9 +102,10 @@ def eval_v(
     :func:`transition_rows`, one copy per step, in which the edge controls
     are already eliminated.  Rows on the fixed end boxes only are checked
     against the feasibility tolerance; the rest form a small strictly
-    convex QP, solved exactly by a dual active-set method.  A tube's
-    ``aux_controls`` are the :func:`transition_witness` pairs of its steps.
-    ``n_steps`` runs from 1 to :data:`MAX_STEPS`.
+    convex QP, solved exactly by a dual active-set method.  A tube is
+    priced by :func:`_tube_cost`, and its ``aux_controls`` are the
+    :func:`transition_witness` pairs of its steps.  ``n_steps`` runs from 1
+    to :data:`MAX_STEPS`.
     """
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
@@ -108,13 +113,25 @@ def eval_v(
         witness = transition_witness(spec, a, b)
         if witness is None:
             return CostToTravelResult(_INF)
-        return CostToTravelResult(stage_cost(spec, a), (a, b), (witness,))
-    ends = np.array(a.corners() + b.corners())
-    solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b])
-    if solved is None:
-        return CostToTravelResult(_INF)
-    cost, tube, witnesses = solved
-    return CostToTravelResult(stage_cost(spec, a) + cost, tube, witnesses)
+        tube, witnesses = (a, b), (witness,)
+    else:
+        ends = np.array(a.corners() + b.corners())
+        solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b])
+        if solved is None:
+            return CostToTravelResult(_INF)
+        tube, witnesses = solved
+    return CostToTravelResult(_tube_cost(spec, tube[:-1]), tube, witnesses)
+
+
+def _tube_cost(spec: ProblemSpec, boxes, initial: float = 0.0) -> float:
+    """The stage costs of boxes summed left to right from 0.0, plus ``initial``; SolverFailure if not finite."""
+    cost = 0.0
+    for box in boxes:
+        cost += stage_cost(spec, box)
+    cost += initial
+    if not math.isfinite(cost):
+        raise SolverFailure(f"the minimising tube's cost is not finite ({cost})")
+    return cost
 
 
 # at most this many affine laws are kept per program
@@ -261,9 +278,7 @@ class _CornerProgram(NamedTuple):
     floats ``(h0, c1, c2)``, the row holding at z when
     ``h0 - (c1*z1 + c2*z2) >= -_FEAS_TOL``, and is empty otherwise.  ``lo``
     and ``hi`` are the state bounds at every free corner, as plain floats,
-    onto which the read-back clips, and ``cost_overflows`` whether the cost
-    of corners so clipped can overflow: whether
-    ``sum(d*max(lo**2, hi**2) + |q|*max(|lo|, |hi|))`` is not finite.
+    onto which the read-back clips; no value is read from ``d`` and ``q``.
     ``laws`` is the tube program's table of affine laws, filled as it is
     solved; chains and the invariant box have None.
     """
@@ -280,7 +295,6 @@ class _CornerProgram(NamedTuple):
     fixed_z: tuple[tuple[float, float, float], ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    cost_overflows: bool
     laws: Optional[_LawTable] = None
 
 
@@ -288,20 +302,15 @@ def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
     fixed = ~np.any(G != 0.0, axis=1)
     enters = np.any(P != 0.0, axis=1)
     fixed_p = np.flatnonzero(fixed & enters)
-    xb = spec.x_bounds
+    (lo1, lo2), (hi1, hi2) = spec.x_bounds.lo, spec.x_bounds.hi
     n_free = d.size // 4
-    lo = np.tile((xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]), n_free)
-    hi = np.tile((xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]), n_free)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cost_bound = np.sum(d * np.maximum(lo * lo, hi * hi) + np.abs(q) * np.maximum(np.abs(lo), np.abs(hi)))
     return _CornerProgram(
         d, q, G, P, h0, fixed, G[~fixed],
         fixed_min=float(np.min(h0[fixed & ~enters], initial=_INF)),
         fixed_p=fixed_p,
         fixed_z=tuple(zip(h0[fixed_p].tolist(), *P[fixed_p].T.tolist())) if P.shape[1] == 2 else (),
-        lo=tuple(lo.tolist()),
-        hi=tuple(hi.tolist()),
-        cost_overflows=not math.isfinite(cost_bound),
+        lo=(lo1, lo1, lo2, lo2) * n_free,
+        hi=(hi1, hi1, hi2, hi2) * n_free,
     )
 
 
@@ -400,7 +409,7 @@ def _run_kernel(prog: _CornerProgram, h: np.ndarray):
 
 
 def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
-    """A corner program's answer at p as ``(cost, head + free boxes + tail, step witnesses)``, or None.
+    """A corner program's answer at p as ``(head + free boxes + tail, step witnesses)``, or None.
 
     Every free box is the source of a step, so its rows keep it within the
     state bounds and its corners in order, but only to within the kernel's
@@ -415,10 +424,8 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
     an inversion within ``_FEAS_TOL`` and raises ValueError beyond it.  Each
     step is then decided by the one-step rule of
     :func:`~tube_dissip.problem.transition_witness` on the spec's constants
-    and those corners; a refused step raises SolverFailure.  The cost is
-    taken at the clipped corners, in numpy; a cost that is not finite raises
-    SolverFailure, and only a program whose ``cost_overflows`` computes it
-    with numpy's overflow warnings off.
+    and those corners; a refused step raises SolverFailure.  It prices
+    nothing: callers price the boxes by :func:`_tube_cost`.
     """
     x, _ = _solve_program(prog, p)
     if x is None:
@@ -450,15 +457,7 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
         if witness is None:
             raise SolverFailure("a step of the minimising tube is not a transition")
         witnesses.append(witness)
-    x = np.array(corners)
-    if prog.cost_overflows:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cost = float(prog.d @ (x * x) + prog.q @ x)
-    else:
-        cost = float(prog.d @ (x * x) + prog.q @ x)
-    if not math.isfinite(cost):
-        raise SolverFailure(f"the minimising tube's cost is not finite ({cost})")
-    return cost, tuple(boxes), tuple(witnesses)
+    return tuple(boxes), tuple(witnesses)
 
 
 @lru_cache(maxsize=64)
@@ -469,7 +468,8 @@ def optimal_rci(spec: ProblemSpec) -> tuple[IntervalBox, float]:
     hold with a as source and target, that is ``(src + tgt) @ a <= const``.
     Minimising the stage cost over them is a parameter-free corner program
     with one free box, solved by the same dual active-set method as
-    :func:`eval_v`.  Answers are cached per problem.
+    :func:`eval_v`, and priced by :func:`_tube_cost`.  Answers are cached
+    per problem.
     """
     src, tgt, const = transition_rows(spec)
     finite = np.isfinite(const)
@@ -487,5 +487,5 @@ def optimal_rci(spec: ProblemSpec) -> tuple[IntervalBox, float]:
             "no robust control invariant interval box exists within the state "
             "bounds (the self-transition problem is infeasible)"
         )
-    cost, (box,), _ = solved
-    return box, cost
+    (box,), _ = solved
+    return box, _tube_cost(spec, (box,))

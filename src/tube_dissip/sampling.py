@@ -25,6 +25,9 @@ __all__ = [
     "feasible_chain",
 ]
 
+# the draws of source boxes a constructive sampler makes before it gives up
+_MAX_TRIES = 50
+
 
 def _sorted_pair(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
     x, y = rng.uniform(lo, hi, size=2)
@@ -98,13 +101,9 @@ def successor_box(
     return IntervalBox.from_corners((b1, b2, b3, b4))
 
 
-def feasible_pair(
-    spec: ProblemSpec,
-    rng: np.random.Generator,
-    max_tries: int = 50,
-) -> tuple[IntervalBox, IntervalBox]:
+def feasible_pair(spec: ProblemSpec, rng: np.random.Generator) -> tuple[IntervalBox, IntervalBox]:
     """A random transition pair (A, B) with both boxes in the state bounds."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         a = random_box_within(rng, spec.x_bounds)
         b = successor_box(spec, rng, a)
         if b is not None:
@@ -112,14 +111,9 @@ def feasible_pair(
     raise RuntimeError("failed to sample a feasible transition pair")
 
 
-def feasible_chain(
-    spec: ProblemSpec,
-    rng: np.random.Generator,
-    length: int,
-    max_tries: int = 50,
-) -> list[IntervalBox]:
+def feasible_chain(spec: ProblemSpec, rng: np.random.Generator, length: int) -> list[IntervalBox]:
     """A chain A0 -> A1 -> ... of the given length (number of steps)."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         chain = [random_box_within(rng, spec.x_bounds)]
         ok = True
         for _ in range(length):

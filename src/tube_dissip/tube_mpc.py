@@ -33,12 +33,12 @@ only from a kernel run.  The screens prove nothing beyond X, so a state
 outside X goes to the kernel and is not learned from; :func:`solve_tmpc`
 passes the program only states in X (see below).  The right-hand side
 ``h0 - P @ z`` is formed only when the kernel runs.  The answer is read
-back into boxes and edge controls by the same helper as those values
-(``cost_to_travel._solve_tube``), in one plain-float pass over the clipped
-corners: a box whose corners are in order is built without re-validation,
-any other through ``IntervalBox.from_corners``, and every step is decided
-by the one core of the one-step rule, on the constants the ``ProblemSpec``
-computed when it was built; the control window reads the same constants.
+back into boxes and edge controls, and priced, as those values are
+(``cost_to_travel._solve_tube``, which prices nothing, then
+``cost_to_travel._tube_cost``): the objective is the stage costs of the
+first ``horizon`` boxes summed left to right, plus the storage form W(Y_0)
+of the first box when there is an initial cost, and one that is not finite
+raises ``SolverFailure``.  A solve that a law answers makes no numpy call.
 A terminal box that is not its own successor is accepted, with a warning at
 every solve.
 
@@ -68,9 +68,10 @@ from .cost_to_travel import (
     _LawTable,
     _solve_tube,
     _stacked_steps,
+    _tube_cost,
     optimal_rci,
 )
-from .dissipativity import StorageFunction
+from .dissipativity import StorageFunction, eval_storage
 from .interval_sets import IntervalBox, subset
 from .problem import ConfigError, ProblemSpec, is_rci, transition_rows
 from .qp_solver import _FEAS_TOL, QpStatus, SolverFailure
@@ -192,8 +193,8 @@ def _tube_program(
     :func:`_resolved`.  The rows are the transitions of every step with the
     last box fixed to the terminal box, the control window (a transition
     from the point box ``{z}`` into the second box), and the state inside
-    the first box.  The cost is the stage cost of every free box plus the
-    storage form on the first; the storage offset is added by the caller.
+    the first box.  Its cost, the stage cost of every free box plus the
+    storage form's linear part on the first, only steers the solve.
     Only the window and containment rows depend on the state.  Building the
     program runs no solve.
 
@@ -271,9 +272,9 @@ def solve_tmpc(
     solved = _solve_tube(spec, prog, (z1, z2), [], [terminal])
     if solved is None:
         return TubeSolution(QpStatus.INFEASIBLE)
-    objective, tube, edge_controls = solved
-    if storage is not None:
-        objective += storage.offset
+    tube, edge_controls = solved
+    # the read-back clips the first box into X, where W is the storage form's affine value
+    objective = _tube_cost(spec, tube[:-1], 0.0 if storage is None else eval_storage(storage, spec, tube[0]))
 
     lo, hi = _window(spec, tube[1], z2)
     if lo > hi:

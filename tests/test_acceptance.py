@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from tube_dissip import acceptance
 from tube_dissip.acceptance import (
     check_chain_inequality,
     check_closed_loop_stability,
@@ -18,6 +19,7 @@ from tube_dissip.acceptance import (
     check_optimal_rci,
     check_storage_certificate,
 )
+from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec
 
@@ -56,6 +58,26 @@ def test_criterion_closed_loop_stability(accept_spec):
 
 def test_criterion_chain_inequality(accept_spec):
     _report(check_chain_inequality(accept_spec, seed=SEED + 1))
+
+
+def test_chain_inequality_is_tight_at_the_extracted_middle(accept_spec, monkeypatch):
+    # one stage cost prices a two-step value and the one-step values of its
+    # legs, so on the criterion's own chains the split leaves no gap at all
+    directs = []
+
+    def recording_eval_v(spec, a, b, n_steps):
+        res = eval_v(spec, a, b, n_steps)
+        if n_steps == 2:
+            directs.append(res)
+        return res
+
+    monkeypatch.setattr(acceptance, "eval_v", recording_eval_v)
+    _report(check_chain_inequality(accept_spec, seed=SEED + 1))
+    assert len(directs) == 200
+    for direct in directs:
+        a, mid, c = direct.tube
+        split = eval_v(accept_spec, a, mid, 1).value + eval_v(accept_spec, mid, c, 1).value
+        assert split - direct.value == 0.0
 
 
 def test_criterion_monotonicity(accept_spec):

@@ -494,10 +494,14 @@ class TestConfig:
         assert out == ""
         assert err == "error: dual active-set kernel found inconsistent rows without a Farkas ray\n"
 
-    @pytest.mark.parametrize("quad, argv", [(1e307, ("control", "--z=5,-5")), (8e307, ("rci",))])
+    @pytest.mark.parametrize("quad, argv", [
+        (1e307, ("control", "--z=5,-5")),
+        (8e307, ("rci",)),
+        (1e308, ("eval-v", "--a", "[[-1,-1],[-4,0]]", "--b", "[[-1,-1],[-4,0]]", "--n", "1")),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else repr(v))
     def test_a_cost_that_overflows_is_a_domain_failure(self, capsys, tmp_path, quad, argv):
-        # the minimising tube's cost at its clamped corners overflows: no
-        # infinite value in the output, and no numpy warning
+        # the stage costs along the minimising tube sum to inf: no infinite
+        # value and no verdict of infeasibility in the output, at every N
         tube_mpc._controller.cache_clear()
         config = config_file(tmp_path, {"problem": {"cost_quad": [quad] * 4}})
         code, out, err = run_cli(capsys, "--config", config, *argv)
@@ -698,7 +702,7 @@ def boundary_configs(draw):
 
 # the answer of an exit 1 that is a negative verdict, by command
 NEGATIVE_VERDICTS = {
-    "eval-v": lambda out: json.loads(out)["feasible"] is False,
+    "eval-v": lambda out: json.loads(out)["feasible"] is False and json.loads(out)["tube"] is None,
     "control": lambda out: json.loads(out)["status"] != "optimal",
     "check-storage": lambda out: json.loads(out)["passed"] is False,
     "simulate": lambda out: out.startswith("k,"),
@@ -715,6 +719,11 @@ class TestConfigBoundary:
     # a start -q/sqrt(2d) that overflows, from the problem's cost and from the storage form
     @example(config={"problem": {"cost_linear": [1e308, 1e308, 1e308, 1e308]}}, argv=("rci",))
     @example(config={"controller": {"storage": {"offset": 0, "linear": [0, -1e308, 1e308, 0]}}}, argv=("control", "--z=5,-5"))
+    # a feasible step whose stage cost overflows: a domain failure, not a verdict of infeasibility
+    @example(
+        config={"problem": {"cost_quad": [1e308, 1e308, 1e308, 1e308]}},
+        argv=("eval-v", "--a", "[[-1,-1],[-4,0]]", "--b", "[[-1,-1],[-4,0]]", "--n", "1"),
+    )
     def test_every_config_gets_an_exit_code_and_one_error_line(self, tmp_path_factory, config, argv):
         # every field a config may hold, in range, extreme or wrongly typed;
         # the battery itself is stubbed, since its config

@@ -342,6 +342,32 @@ class TestMultiStepValues:
                 kinds["fixed" if not np.any(stack.G[y > 0]) else "free"] += 1
         assert min(kinds.values()) >= 10, kinds
 
+    @pytest.mark.parametrize("n_steps", [2, 3])
+    def test_value_is_the_sum_of_its_one_step_values(self, spec, n_steps):
+        # one stage cost prices every value, so a chain's value is, bit for
+        # bit, the left-to-right sum of the one-step values along its tube
+        rng = np.random.default_rng(n_steps)
+        for _ in range(200):
+            chain = feasible_chain(spec, rng, n_steps)
+            res = eval_v(spec, chain[0], chain[-1], n_steps)
+            assert res.feasible
+            legs = 0.0
+            for src, dst in zip(res.tube[:-1], res.tube[1:]):
+                legs += eval_v(spec, src, dst, 1).value
+            assert res.value.hex() == legs.hex()
+
+    def test_invariant_value_is_its_one_step_value(self, spec):
+        found, v_star = optimal_rci.__wrapped__(spec)
+        assert v_star.hex() == eval_v(spec, found, found, 1).value.hex()
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3])
+    def test_a_value_that_overflows_raises_at_every_n(self, n_steps):
+        # X reaches itself, and its stage cost alone overflows: a feasible
+        # tube is neither a value of +inf nor a verdict of infeasibility
+        huge = ProblemSpec(cost_quad=(1e307,) * 4)
+        with pytest.raises(SolverFailure, match=r"cost is not finite \(inf\)"):
+            eval_v(huge, huge.x_bounds, huge.x_bounds, n_steps)
+
     def test_a_step_refused_by_the_one_step_rule_raises(self, spec, x_star, monkeypatch):
         # the kernel's minimiser meets every row, so this needs a broken rule
         monkeypatch.setattr(cost_to_travel, "_step_witness", lambda *args: None)
@@ -433,17 +459,16 @@ class TestReadBack:
     def test_ordered_corners_give_a_trusted_box(self, spec, x_star, monkeypatch):
         # x_star's only one-step successor of its shape is x_star itself
         x = list(x_star.corners())
-        (cost, tube, witnesses), built = self.read_back(monkeypatch, spec, x, (x_star, x_star))
+        (tube, witnesses), built = self.read_back(monkeypatch, spec, x, (x_star, x_star))
         assert built == {"trusted": 1, "from_corners": 0}
         assert tube == (x_star, x_star, x_star) and tube[1] is not x_star
-        assert cost == pytest.approx(stage_cost(spec, x_star), abs=1e-12)
         oracles.assert_validated_read_back(spec, tube, witnesses)
 
     @pytest.mark.parametrize("dim", [0, 1])
     def test_corners_inverted_within_feas_tol_snapped_as_from_corners(self, spec, monkeypatch, dim):
         x = [-1.0, -1.0, -4.0, -1.5]
         x[2 * dim] = x[2 * dim + 1] + 0.5 * _FEAS_TOL
-        (_, (got,), ()), built = self.read_back(monkeypatch, spec, x)
+        ((got,), ()), built = self.read_back(monkeypatch, spec, x)
         assert built == {"trusted": 0, "from_corners": 1}
         want = IntervalBox.from_corners(x, snap_tol=_FEAS_TOL)
         assert repr((got.lo, got.hi)) == repr((want.lo, want.hi))
@@ -464,7 +489,7 @@ class TestReadBack:
     def test_the_clip_gives_the_bits_of_numpy(self, spec, monkeypatch, x):
         # bounds of 0.0 meet corners of -0.0: on a tie numpy keeps the bound
         zero_bounds = dataclasses.replace(spec, x_bounds=IntervalBox.from_intervals((0.0, 5.0), (-5.0, 0.0)))
-        (_, (got,), ()), _ = self.read_back(monkeypatch, zero_bounds, x)
+        ((got,), ()), _ = self.read_back(monkeypatch, zero_bounds, x)
         want = np.minimum(np.maximum(x, [0.0, 0.0, -5.0, -5.0]), [5.0, 5.0, 0.0, 0.0])
         assert [c.hex() for c in got.corners()] == [c.hex() for c in want.tolist()]
 

@@ -165,6 +165,6 @@ def test_no_public_function_takes_a_setting():
             if name in TOLERANCE_CHECKS:
                 assert "tol" in params, name
             else:
-                assert not {"feas_tol", "settings", "tol", "exclusion_tol", "max_iter"} & params, name
+                assert not {"feas_tol", "settings", "tol", "exclusion_tol", "max_iter", "max_tries"} & params, name
     # optimal_rci is a cache around a function, and is checked as one
     assert TOLERANCE_CHECKS | {"optimal_rci", "eval_v", "solve_tmpc", "simulate"} <= checked

@@ -1,5 +1,8 @@
+import inspect
 import json
 import math
+import os
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -462,6 +465,59 @@ class TestReadBack:
         assert feasible >= len(states) // 3
 
 
+class TestObjective:
+    """One stage cost prices the objective, as it prices every cost-to-travel value."""
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_objective_is_the_one_step_values_plus_the_initial_cost(self, spec, name):
+        # bit for bit: the one-step values along the tube summed left to
+        # right, then W(Y_0) of the first box when there is an initial cost
+        cfg = CONFIGS[name]
+        storage = tube_mpc._controller(spec, cfg).storage
+        feasible = 0
+        for z in SCREEN_STATES:
+            sol = solve_tmpc(spec, cfg, z)
+            if not sol.feasible:
+                continue
+            feasible += 1
+            want = 0.0
+            for a, b in zip(sol.tube[:-1], sol.tube[1:]):
+                want += eval_v(spec, a, b, 1).value
+            if storage is not None:
+                want += eval_storage(storage, spec, sol.tube[0])
+            assert sol.objective.hex() == want.hex(), z
+        assert feasible >= len(SCREEN_STATES) // 3
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_a_law_answered_solve_makes_no_numpy_call(self, spec, name, monkeypatch):
+        # a profiler sees every call into numpy's Python code and every C
+        # function or method that numpy owns
+        cfg = CONFIGS[name]
+        # plain-float states, each solved once so that a stored law answers it
+        states = [(float(z1), float(z2)) for z1, z2 in FINE_GRID[::10]]
+        states = [z for z in states if solve_tmpc(spec, cfg, z).feasible]
+        runs = count_kernel_runs(monkeypatch)
+        numpy_dir = os.path.dirname(np.__file__)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+                calls.append(frame.f_code.co_name)
+            elif event == "c_call":
+                owner = getattr(arg, "__self__", None)
+                owner_module = owner.__name__ if inspect.ismodule(owner) else type(owner).__module__
+                if (getattr(arg, "__module__", None) or owner_module).startswith("numpy"):
+                    calls.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            for z in states:
+                solve_tmpc(spec, cfg, z)
+        finally:
+            sys.setprofile(None)
+        assert states and runs == [] and calls == []
+
+
 class TestFixedRows:
     """The rows with no free coefficient, split when the program is built, decide as all of them together."""
 
@@ -880,7 +936,7 @@ class TestMuFeedback:
         lo, hi = tube_mpc._window(spec, x_star, 4.0)
         assert lo - hi > 1e-8
         tube = (box((-5, 5), (-5, 5)), x_star)
-        monkeypatch.setattr(tube_mpc, "_solve_tube", lambda *args: (0.0, tube, ((0.0, 0.0),)))
+        monkeypatch.setattr(tube_mpc, "_solve_tube", lambda *args: (tube, ((0.0, 0.0),)))
         with pytest.raises(SolverFailure, match="empty control window"):
             solve_tmpc(spec, cfg_ic, (3.0, 4.0))
 
