@@ -100,8 +100,10 @@ class StorageFunction:
 def eval_storage(sf: StorageFunction, spec: ProblemSpec, a: IntervalBox) -> float:
     if not subset(a, spec.x_bounds):
         return sf.outside_value
-    c = a.corners()
-    return sf.offset + sum(sf.linear_coeffs[i] * c[i] for i in range(4))
+    c1, c2, c3, c4 = a.corners()
+    l1, l2, l3, l4 = sf.linear_coeffs
+    # the sum from 0.0, left to right, as sum() over the four terms gives it
+    return sf.offset + ((((0.0 + l1 * c1) + l2 * c2) + l3 * c3) + l4 * c4)
 
 
 def storage_min_on_domain(spec: ProblemSpec, sf: StorageFunction) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import linprog, nnls
 
-from tube_dissip import qp_solver
+from tube_dissip import cost_to_travel, qp_solver
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_witness
 from tube_dissip.qp_solver import QpBuilder, QpProblem, QpSolution, QpStatus, solve
@@ -649,6 +649,42 @@ def program_answer(prog, p, answer) -> tuple[np.ndarray, Optional[np.ndarray], n
     else:
         y[~prog.fixed] = y_answer
     return h, x, y
+
+
+def count_kernel_runs(monkeypatch):
+    """Patch the kernel where the library's programs call it; the returned list gets the arguments of each run."""
+    real_kernel = cost_to_travel._dual_active_set
+    runs = []
+
+    def counting_kernel(*args):
+        runs.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(cost_to_travel, "_dual_active_set", counting_kernel)
+    return runs
+
+
+def law_full_check(laws, block, p) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """A law's ``(x, y)`` at parameter p by its full check, or None: the reference a law table is held to.
+
+    ``block`` is the law's stacked map ``(a, b1, b2, ...)`` of a table
+    ``laws``.  The check and the point are evaluated apart, each column by
+    itself as ``((a + b1*p1) + b2*p2) + ...``, so the table's stacked pass
+    must give them bit for bit.
+    """
+    p = [float(v) for v in p]
+    m, n_checks = laws.Gs.shape[0], laws.floor.size
+
+    def at(cols):
+        vals = block[0, cols].copy()
+        for b, pk in zip(block[1:], p):
+            vals = vals + b[cols] * pk
+        return vals
+
+    vals = at(slice(None, n_checks))
+    if not np.all(vals >= laws.floor):
+        return None
+    return at(slice(n_checks, None)) * laws.s, vals[m:]
 
 
 def farkas_ray_ok(G: np.ndarray, h: np.ndarray, y: np.ndarray) -> bool:

@@ -239,10 +239,35 @@ def chain_ends(draw, spec, n_steps):
     return chain[0], IntervalBox.from_corners((c1, c2, c3, c4))
 
 
-def solved_chain(spec, a, c, n_steps):
-    stack = cost_to_travel._chain_stack(spec, n_steps)
+def solved_chain(spec, a, c, n_steps, stack=None):
+    """A chain's program and its answer ``(h, x, y)`` over all its rows, from the shared table unless given a program.
+
+    A law answer carries no multipliers; its y is taken from the block of
+    the law that answered, stored or not, whose full check must hold at the
+    ends and give its x bit for bit.
+    """
+    if stack is None:
+        stack = cost_to_travel._chain_stack(spec, n_steps)
     ends = np.array(a.corners() + c.corners())
-    return stack, oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends))
+    real_held = cost_to_travel._LawTable._held
+    answered = []
+
+    def recording_held(laws, blocks, p):
+        answer = real_held(laws, blocks, p)
+        if answer is not None:
+            answered.append(next(blocks[:, i] for i in range(blocks.shape[1])
+                                 if oracles.law_full_check(laws, blocks[:, i], p) is not None))
+        return answer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cost_to_travel._LawTable, "_held", recording_held)
+        h, x, y = oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends))
+    if x is not None and y is None:
+        x_law, y_law = oracles.law_full_check(stack.laws, answered[-1], ends)
+        assert x.tobytes() == x_law.tobytes()
+        y = np.zeros(h.size)
+        y[~stack.fixed] = y_law
+    return stack, (h, x, y)
 
 
 @pytest.mark.parametrize("n_steps", [2, 3])
@@ -318,6 +343,9 @@ class TestMultiStepValues:
         assert np.all(np.isfinite(free.h0)) and free.h0.size < bounded.h0.size
 
     def test_iteration_cap_raises_with_the_reduced_program(self, spec, rng, monkeypatch):
+        # without a table the kernel runs at every solve
+        real_stack = cost_to_travel._chain_stack
+        monkeypatch.setattr(cost_to_travel, "_chain_stack", lambda *args: real_stack(*args)._replace(laws=None))
         chain = feasible_chain(spec, rng, 3)
         with monkeypatch.context() as patch:
             patch.setattr(qp_solver, "_STEP_LIMIT", 1)
@@ -400,6 +428,200 @@ class TestMultiStepValues:
         assert v_star == pytest.approx(-0.2, abs=1e-12)
         with pytest.raises(RciNotFound):
             optimal_rci(ProblemSpec(x_bounds=IntervalBox(lo=(-5.0, 0.0), hi=(5.0, 0.5))))
+
+
+# ---------------------------------------------------------------------------
+# the chain programs' table of affine laws and Farkas rays
+
+
+def fresh_chain(spec, n_steps):
+    """The chain program of n_steps with an empty table of its own."""
+    stack = cost_to_travel._chain_stack(spec, n_steps)
+    return stack._replace(laws=cost_to_travel._LawTable(stack))
+
+
+def chain_value(spec, prog, a, c, n_steps):
+    """``eval_v`` with prog as the chain program of n_steps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cost_to_travel, "_chain_stack", lambda *args: prog)
+        return eval_v(spec, a, c, n_steps)
+
+
+def assert_cold_value(got, want):
+    """Status, value and every corner of the tube agree within 1e-12."""
+    assert got.feasible == want.feasible
+    if want.feasible:
+        pairs = [(got.value, want.value)]
+        pairs += [pair for u, v in zip(got.tube, want.tube, strict=True) for pair in zip(u.corners(), v.corners())]
+        assert max(abs(u - v) for u, v in pairs) <= 1e-12
+
+
+def row_patterns(m):
+    """Multipliers on single rows, then on pairs of rows, as the active sets of laws that fill a table."""
+    for gap in range(m):
+        for i in range(m - gap):
+            y = np.zeros(m)
+            y[[i, i + gap]] = 1.0
+            yield y
+
+
+def fill(laws, p, size, accept=lambda y: True):
+    """Learn the laws of row_patterns that accept takes, at p, until the table holds size laws."""
+    patterns = row_patterns(laws.Gs.shape[0])
+    while len(laws) < size:
+        y = next(patterns)
+        if accept(y):
+            laws.learn(y, p)
+
+
+@pytest.mark.parametrize("n_steps", [2, 3])
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+class TestChainLawTable:
+    """Chain values answered from the affine laws and Farkas rays the kernel has returned."""
+
+    def test_law_answers_are_kkt_points_and_the_cold_answers(self, spec_name, n_steps):
+        spec = SPECS[spec_name]
+        prog = fresh_chain(spec, n_steps)
+        free = ~prog.fixed
+        # one entry per optimal answer: whether the kernel ran for it
+        kernel_ran = []
+
+        @given(data=st.data())
+        def check(data):
+            a, c = data.draw(chain_ends(spec, n_steps))
+            with pytest.MonkeyPatch.context() as patch:
+                runs = oracles.count_kernel_runs(patch)
+                _, (h, x, y) = solved_chain(spec, a, c, n_steps, prog)
+            if x is not None:
+                # a KKT certificate, whether the answer came from a law or the kernel
+                assert np.all(y >= 0.0)
+                assert np.max(np.abs(2.0 * prog.d * x + prog.q + prog.G.T @ y)) <= 1e-12
+                slack = h[free] - prog.G_free @ x
+                assert np.min(slack) >= -qp_solver._ROW_TOL
+                assert np.max(np.abs(y[free] * slack)) <= 1e-10
+                kernel_ran.append(bool(runs))
+            warm = chain_value(spec, prog, a, c, n_steps)
+            assert_cold_value(warm, chain_value(spec, prog._replace(laws=None), a, c, n_steps))
+
+        check()
+        assert 0 < len(prog.laws) <= cost_to_travel._MAX_LAWS
+        # most optimal answers come from stored laws, without a kernel run
+        assert kernel_ran.count(False) > len(kernel_ran) // 2
+
+    def test_a_stored_ray_answers_only_where_it_certifies(self, spec_name, n_steps):
+        # unrelated ends that the free rows refuse, solved with the shared
+        # table and with a table that holds one ray: a stored ray answers
+        # only where it certifies the new right-hand side, and ends that no
+        # stored ray certifies go to the kernel
+        spec = SPECS[spec_name]
+        stack = cost_to_travel._chain_stack(spec, n_steps)
+        free = ~stack.fixed
+        rng = np.random.default_rng(n_steps)
+        refused = []
+        for _ in range(300):
+            a, c = random_box_within(rng, OUTER), random_box_within(rng, OUTER)
+            _, (_, x, y) = solved_chain(spec, a, c, n_steps, stack._replace(laws=None))
+            if x is None and np.any(y[free]):
+                refused.append((a, c, y[free]))
+        shared = fresh_chain(spec, n_steps)
+        verdicts = {"stored ray": 0, "no stored ray certifies": 0}
+        for a, c, _ in refused:
+            one_ray = fresh_chain(spec, n_steps)
+            one_ray.laws.keep(refused[0][2])
+            for prog in (shared, one_ray):
+                rays = np.zeros((prog.laws.rays.shape[0], free.size))
+                rays[:, free] = prog.laws.rays
+                with pytest.MonkeyPatch.context() as patch:
+                    runs = oracles.count_kernel_runs(patch)
+                    _, (h, x, y) = solved_chain(spec, a, c, n_steps, prog)
+                assert x is None and oracles.farkas_ray_ok(prog.G, h, y)
+                certified = [oracles.farkas_ray_ok(prog.G, h, ray) for ray in rays]
+                if not runs:
+                    assert any(ray.tobytes() == y.tobytes() and ok for ray, ok in zip(rays, certified))
+                    verdicts["stored ray"] += 1
+                if not any(certified):
+                    assert runs
+                    verdicts["no stored ray certifies"] += 1
+        assert min(verdicts.values()) >= 5, verdicts
+        assert 0 < shared.laws.rays.shape[0] < len(refused)
+
+    def test_a_ray_refutes_only_where_the_kernel_would_accept_it(self, spec_name, n_steps):
+        # a stored ray that certifies the ends refutes nothing once h'y is
+        # within the kernel's tolerance of 0, or one of its rows is -inf or
+        # NaN: the kernel refuses a start that is not finite
+        spec = SPECS[spec_name]
+        prog = fresh_chain(spec, n_steps)
+        free = ~prog.fixed
+        rng = np.random.default_rng(n_steps)
+        for _ in range(300):
+            a, c = random_box_within(rng, OUTER), random_box_within(rng, OUTER)
+            ends = np.array(a.corners() + c.corners())
+            x, y = cost_to_travel._solve_program(prog, ends)
+            if x is None and not isinstance(y, int):
+                break
+        else:
+            pytest.fail("no unrelated ends refused by the free rows")
+        h = prog.h0 - prog.P @ ends
+        assert prog.laws.refute(h[free]).tobytes() == y.tobytes()
+        h_free = h[free]
+        near = h_free + (-0.5 * qp_solver._ROW_TOL * y.sum() - h_free @ y) / (y @ y) * y
+        assert -qp_solver._ROW_TOL * y.sum() < near @ y < 0.0
+        assert prog.laws.refute(near) is None
+        for bad in (-INF, math.nan):
+            broken = h.copy()
+            broken[np.flatnonzero(free)[np.argmax(y)]] = bad
+            assert prog.laws.refute(broken[free]) is None
+            with pytest.raises(SolverFailure, match="start is not finite"):
+                cost_to_travel._learned_answer(prog, broken, ends)
+
+    def test_a_law_answers_alike_alone_and_in_a_table_of_any_size(self, spec_name, n_steps):
+        # a law's point at p is bit for bit its full check's, evaluated by
+        # itself: at learn time, in a table of 1, and first or last in a table of 64
+        spec = SPECS[spec_name]
+        stack = cost_to_travel._chain_stack(spec, n_steps)
+        rng = np.random.default_rng(10 + n_steps)
+        for _ in range(10):
+            chain = feasible_chain(spec, rng, n_steps)
+            ends = np.array(chain[0].corners() + chain[-1].corners())
+            _, y = cost_to_travel._run_kernel(stack, stack.h0 - stack.P @ ends)
+            alone = cost_to_travel._LawTable(stack)
+            at_learn = alone.learn(y, ends)
+            assert at_learn is not None
+            x, _ = oracles.law_full_check(alone, alone.laws[0].block, ends)
+            assert at_learn[0].tobytes() == x.tobytes()
+            assert alone.check(ends)[0].tobytes() == x.tobytes()
+            first = cost_to_travel._LawTable(stack)
+            first.learn(y, ends)
+            fill(first, ends, 64)
+            assert first.check(ends)[0].tobytes() == x.tobytes()
+            last = cost_to_travel._LawTable(stack)
+
+            def fails_at_ends(pattern):
+                # a fresh table's law answers at ends exactly when its full check holds there
+                other = np.any((pattern > 0.0) != (y > 0.0))
+                return other and cost_to_travel._LawTable(stack).learn(pattern, ends) is None
+
+            fill(last, ends, 63, fails_at_ends)
+            last.learn(y, ends)
+            assert len(first) == len(last) == 64
+            assert last.check(ends)[0].tobytes() == x.tobytes()
+
+    def test_a_full_table_answers_misses_through_the_kernel(self, spec_name, n_steps):
+        spec = SPECS[spec_name]
+        prog = fresh_chain(spec, n_steps)
+        rng = np.random.default_rng(20 + n_steps)
+        chains = [feasible_chain(spec, rng, n_steps) for _ in range(100)]
+        ends = [(chain[0], chain[-1]) for chain in chains]
+        ends += [(random_box_within(rng, OUTER), random_box_within(rng, OUTER)) for _ in range(50)]
+        fill(prog.laws, np.array(ends[0][0].corners() + ends[0][1].corners()), 64)
+        assert len(prog.laws) == cost_to_travel._MAX_LAWS == 64
+        with pytest.MonkeyPatch.context() as patch:
+            runs = oracles.count_kernel_runs(patch)
+            warm = [chain_value(spec, prog, a, c, n_steps) for a, c in ends]
+        assert len(prog.laws) == 64 and runs
+        cold = prog._replace(laws=None)
+        for (a, c), got in zip(ends, warm):
+            assert_cold_value(got, chain_value(spec, cold, a, c, n_steps))
 
 
 # ---------------------------------------------------------------------------

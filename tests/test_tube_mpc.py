@@ -17,7 +17,14 @@ from tube_dissip.problem import ConfigError, ProblemSpec, dynamics, transition_f
 from tube_dissip.qp_solver import _FEAS_TOL, QpStatus, SolverFailure, solve
 from tube_dissip.tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, sweep_feedback
 
-from .oracles import assert_validated_read_back, program_answer, row_violations, tube_qp_reference
+from .oracles import (
+    assert_validated_read_back,
+    count_kernel_runs,
+    law_full_check,
+    program_answer,
+    row_violations,
+    tube_qp_reference,
+)
 
 INF = float("inf")
 
@@ -249,19 +256,6 @@ def cold_solves(monkeypatch, spec, cfg, states):
     cold = controller._replace(prog=controller.prog._replace(laws=None))
     monkeypatch.setattr(tube_mpc, "_controller", lambda *args: cold)
     return [solve_tmpc(spec, cfg, z) for z in states]
-
-
-def count_kernel_runs(monkeypatch):
-    """Patch the kernel; the returned list gets the arguments of each run."""
-    real_kernel = cost_to_travel._dual_active_set
-    runs = []
-
-    def counting_kernel(*args):
-        runs.append(args)
-        return real_kernel(*args)
-
-    monkeypatch.setattr(cost_to_travel, "_dual_active_set", counting_kernel)
-    return runs
 
 
 def assert_cold_answers(states, warm, cold, horizon):
@@ -635,7 +629,7 @@ class TestLawTable:
         for i in range(2 * m - 1):
             y = np.zeros(m)
             y[i % m : i % m + 1 + i // m] = 1.0
-            laws.learn(y, 0.0, 0.0)
+            laws.learn(y, (0.0, 0.0))
         assert len(laws) == cost_to_travel._MAX_LAWS == 64
         answers = record_answers(monkeypatch, prog)
         warm = [solve_tmpc(spec, cfg_ic, z) for z in STATE_GRID]
@@ -681,19 +675,8 @@ NEAR_X = [tuple(z) for z in np.random.default_rng(23).uniform(-5.3, 5.3, (400, 2
 
 
 def full_check(laws, law, z):
-    """A law's ``(x, y)`` at z by its full check, or None: the reference the screen must agree with.
-
-    The check and the point are evaluated apart, each column of the block by
-    itself, so the stacked pass must give them bit for bit.
-    """
-    z1, z2 = map(float, z)
-    m, n_checks = laws.Gs.shape[0], laws.floor.size
-    a, b1, b2 = (row[:n_checks].copy() for row in law.block)
-    vals = a + b1 * z1 + b2 * z2
-    if not np.all(vals >= laws.floor):
-        return None
-    a, b1, b2 = (row[n_checks:].copy() for row in law.block)
-    return (a + b1 * z1 + b2 * z2) * laws.s, vals[m:]
+    """A law's ``(x, y)`` at z by its full check, or None: the reference the screen must agree with."""
+    return law_full_check(laws, law.block, z)
 
 
 def passes_screen(law, z):
@@ -805,11 +788,11 @@ class TestLawScreen:
         prog = install_empty_table(monkeypatch, spec, cfg_ic)
         z = (-3.5, -4.0)
         _, y = cost_to_travel._run_kernel(prog, prog.h0 - prog.P @ np.array(z))
-        assert prog.laws.learn(y, *z) is not None
+        assert prog.laws.learn(y, z) is not None
         laws = cost_to_travel._LawTable(prog, spec.x_bounds)
         i = int(np.flatnonzero(y == 0.0)[0])
         laws.rhs[i, 0] = math.nan
-        assert laws.learn(y, *z) is None
+        assert laws.learn(y, z) is None
         (law,) = laws.laws
         assert any(math.isnan(a) for a, _, _, _ in law.screen)
         assert all(laws.lookup(*map(float, z)) is None for z in SCREEN_STATES_IN_X)
