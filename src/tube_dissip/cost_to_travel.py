@@ -12,18 +12,19 @@ box minimise stage costs over the one-step rows with the edge controls
 eliminated (:func:`~tube_dissip.problem.transition_rows`), a strictly convex
 QP in box corners alone that the dual active-set kernel of ``qp_solver``
 solves exactly.  The chain program of each N and the tube MPC program of
-``tube_mpc`` keep a table (:class:`_LawTable`) of the affine laws of the
-active sets the kernel returned for them, and of its Farkas rays, and run
-the kernel only when no stored law and no stored ray answers.  A chain's
-law decides by its full KKT check at the end boxes, the tube's by a screen
-proven on the state bounds X, and a stored ray answers an infeasible
-program where it certifies the new right-hand side.  The invariant box's
-program is solved once per problem and keeps no table.  These programs
-are read back into boxes by one helper, :func:`_solve_tube`, in one
-plain-float pass over the corners: free corners are clipped onto the state
-bounds; a free box whose corners are in order is built without
-re-validation, any other through ``IntervalBox.from_corners``, which snaps
-an inversion within the feasibility tolerance ``qp_solver._FEAS_TOL``; and
+``tube_mpc`` keep a table of the affine laws of the active sets the kernel
+returned for them (:class:`_AffineLaws`) and run the kernel only when no
+stored law answers.  The tube's laws decide by screens proven on the state
+bounds X (:class:`_LawTable`).  A chain's decide by their full KKT check
+at the end boxes, and on a law miss a Farkas ray the kernel returned for
+the chain answers it infeasible where the ray certifies the new
+right-hand side (:class:`_ChainTable`).  The invariant box's program is
+solved once per problem and keeps no table.  These programs are read back
+into boxes by one helper, :func:`_solve_tube`, in one plain-float pass
+over the corners: free corners are clipped onto the state bounds; a free
+box whose corners are in order is built without re-validation, any other
+through ``IntervalBox.from_corners``, which snaps an inversion within the
+feasibility tolerance ``qp_solver._FEAS_TOL``; and
 every step of the tube is decided by the one core of the one-step rule
 (:func:`~tube_dissip.problem.transition_witness`), on constants the
 ``ProblemSpec`` computed when it was built.  The read-back prices nothing:
@@ -35,6 +36,7 @@ over the returned tube but its last box, by one helper
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -110,12 +112,12 @@ def eval_v(
     against the feasibility tolerance; the rest form a small strictly
     convex QP, solved exactly by a dual active-set method.  The program of
     each N is built once per problem and keeps a table of the affine laws
-    and Farkas rays the method returned for it (:class:`_LawTable`): a
+    and Farkas rays the method returned for it (:class:`_ChainTable`): a
     stored law whose full check holds at the end boxes, or a stored ray
     that certifies them infeasible, answers without a solve.  A law's point
     agrees with the method's own minimiser to rounding, not bit for bit, so
     the last bits of a value can depend on the values computed before it
-    for the same problem and N.  A tube is
+    for the same problem and N, in any thread.  A tube is
     priced by :func:`_tube_cost`, and its ``aux_controls`` are the
     :func:`transition_witness` pairs of its steps.  ``n_steps`` runs from 1
     to :data:`MAX_STEPS`.
@@ -147,56 +149,86 @@ def _tube_cost(spec: ProblemSpec, boxes, initial: float = 0.0) -> float:
     return cost
 
 
-# at most this many affine laws, and as many Farkas rays, are kept per program
+# at most this many affine laws are kept per program, and as many Farkas rays per chain program
 _MAX_LAWS = 64
 
-
-class _Law(NamedTuple):
-    """One affine law of a :class:`_LawTable`, as a stacked map ``a + b1*p1 + b2*p2 + ...`` of the parameter p.
-
-    ``block`` holds the rows ``(a, b1, b2, ...)`` of the map: onto the
-    free-row slacks, then the multipliers (together the law's full check),
-    then the kernel's variables.  A tube law, whose parameter is a state z,
-    also has ``screen``, which lists, as plain floats ``(a, b1, b2, floor)``,
-    each distinct check column not proven to hold at every state in X, and
-    ``point``, the maps onto the free corners, as plain floats
-    ``(a, b1, b2, s)``, the corner being ``(a + b1*z1 + b2*z2) * s``.  A
-    chain law has neither.
-    """
-
-    block: np.ndarray
-    screen: Optional[tuple[tuple[float, float, float, float], ...]]
-    point: Optional[tuple[tuple[float, float, float, float], ...]]
+# the most bytes a chain program's table keeps in laws and rays: a full
+# table of _MAX_LAWS laws fits up to N = 5, and one at N = MAX_STEPS holds
+# four laws
+_TABLE_BYTES = 1 << 20
 
 
-class _LawTable:
-    """The affine laws of a corner program, one per active set the kernel returned, and its Farkas rays.
+class _AffineLaws:
+    """The affine law of any active set of a corner program, as one stacked map of its parameter p.
 
     On an optimal active set A the minimiser and multipliers of a strictly
     convex QP are affine in its parameter p (Bemporad, Morari, Dua and
     Pistikopoulos, Automatica 2002).  In the kernel's variables ``w = x/s``,
     ``s = 1/sqrt(2d)``, with ``Gs = G_free*s`` and ``w0 = -q*s``, the
     multipliers of A solve the Gram system ``Gs_A Gs_A' y_A = Gs_A w0 - h_A(p)``
-    and ``w = w0 - Gs_A' y_A``.  Each law is kept as one stacked affine map
-    of p onto the slacks of the free rows, the multipliers (together its
-    full check) and w (its point), for a parameter of any dimension: the
-    tube's state ``(z1, z2)`` or a chain's end-box corners.  A law whose
-    slacks are at least ``-_ROW_TOL`` and whose multipliers are nonnegative
-    at p gives a KKT point, the answer the kernel would return.  At most
-    ``_MAX_LAWS`` are kept; on a full table a new law is still built and
-    answers at the p it was learned at, but is not stored.  A law is
-    evaluated at p in one fixed order, ``((a + b1*p1) + b2*p2) + ...``
-    elementwise, so its check values and point are bit for bit the same
-    at learn time, alone and inside a table of any size.
+    and ``w = w0 - Gs_A' y_A``.  A law is kept as one stacked affine map
+    ``a + b1*p1 + b2*p2 + ...`` of p, its block of rows ``(a, b1, b2, ...)``,
+    onto the slacks of the free rows, the multipliers (together its full
+    check) and w (its point).  A law whose slacks are at least ``-_ROW_TOL``
+    and whose multipliers are nonnegative at p gives a KKT point, the answer
+    the kernel would return.  The tables of the tube program
+    (:class:`_LawTable`) and of the chain programs (:class:`_ChainTable`)
+    build their laws here.
+    """
 
-    A chain's table (built without state bounds) decides by the full check.
-    A lookup evaluates every stored law at p in one pass over their stacked
-    blocks and answers from the first, in the order they were learned,
-    whose full check holds.
+    def __init__(self, prog: "_CornerProgram"):
+        free = ~prog.fixed
+        # data that overflows here is the kernel's to report, at its first run
+        with np.errstate(over="ignore"):
+            self.s = 1.0 / np.sqrt(2.0 * prog.d)
+            self.w0 = -prog.q * self.s
+        # the program's own rows, not a scaled copy: Gs is formed only when a law is built
+        self.G_free = prog.G_free
+        # the free rows' right-hand sides are rhs @ (1, p)
+        self.rhs = np.column_stack([prog.h0[free], -prog.P[free]])
+        m = self.G_free.shape[0]
+        # the least value of each check: the kernel's -_ROW_TOL on slacks, 0 on multipliers
+        self.floor = np.concatenate([np.full(m, -_ROW_TOL), np.zeros(m)])
 
-    The tube's table (built with the state bounds X) decides by screens.  A
-    law's screen holds every check column whose least value over X does not
-    clear the column's floor by a rounding margin,
+    def _block(self, act: np.ndarray) -> np.ndarray:
+        """The block ``(a, b1, b2, ...)`` of the law of active set act, one row per term."""
+        with np.errstate(over="ignore"):
+            Gs = self.G_free * self.s
+        GsA = Gs[act]
+        # the Gram system, one right-hand side for the constant and one per parameter
+        rhs = -self.rhs[act]
+        rhs[:, 0] += GsA @ self.w0
+        y_law = np.linalg.lstsq(GsA @ GsA.T, rhs, rcond=None)[0]
+        w_law = -GsA.T @ y_law
+        w_law[:, 0] += self.w0
+        full_y = np.zeros(self.rhs.shape)
+        full_y[act] = y_law
+        return np.ascontiguousarray(np.vstack([self.rhs - Gs @ w_law, full_y, w_law]).T)
+
+
+class _Law(NamedTuple):
+    """One affine law of a :class:`_LawTable`, as maps ``a + b1*z1 + b2*z2`` of the state z.
+
+    ``block`` holds the rows ``(a, b1, b2)`` of its stacked map
+    (:class:`_AffineLaws`).  ``screen`` lists, as plain floats
+    ``(a, b1, b2, floor)``, each distinct check column not proven to hold
+    at every state in X, and ``point`` the maps onto the free corners, as
+    plain floats ``(a, b1, b2, s)``, the corner being ``(a + b1*z1 + b2*z2) * s``.
+    """
+
+    block: tuple[np.ndarray, np.ndarray, np.ndarray]
+    screen: tuple[tuple[float, float, float, float], ...]
+    point: tuple[tuple[float, float, float, float], ...]
+
+
+class _LawTable(_AffineLaws):
+    """The affine laws of the tube program, whose parameter is a state in X, one per active set the kernel returned.
+
+    At most ``_MAX_LAWS`` are kept; on a full table a new law is still built
+    and answers at the state it was learned at, but is not stored.
+
+    The screen decides.  A law's screen holds every check column whose least
+    value over X does not clear the column's floor by a rounding margin,
     ``8*eps*(|a| + |b1|*max|z1| + |b2|*max|z2|)`` over X, which bounds the
     rounding both of that least value and of the column's evaluation at a
     state (Higham, Accuracy and Stability of Numerical Algorithms, 2002).
@@ -209,63 +241,102 @@ class _LawTable:
     plain floats by the same float operations as a pass over its block, so
     bit for bit the point of the first law whose full check holds.  The
     full check is not run; it is the reference the tests hold the screen
-    to.  Beyond X the screens prove nothing, so a state outside X is
-    neither looked up nor learned from (:func:`_solve_program`).  An
-    end-box parameter has no bounded domain, so chains have no screens.
-
-    A law answer carries no multipliers: those come only from a kernel run.
-
-    The table also keeps up to ``_MAX_LAWS`` of the Farkas rays the kernel
-    returned, ``y >= 0`` with ``G_free'y = 0``, which the kernel checked and
-    which do not depend on p.  They are consulted only after a law miss,
-    before the kernel runs: the first stored ray with
-    ``h'y < -_ROW_TOL*sum(y)`` on p's free right-hand sides h answers, a
-    certificate at p exactly as the kernel's own ray would be.
+    to.  A law answer carries no multipliers: those come only from a kernel
+    run.  Beyond X the screens prove nothing, so a state outside X is
+    neither looked up nor learned from (:func:`_solve_program`).
     """
 
-    def __init__(self, prog: "_CornerProgram", x_bounds: Optional[IntervalBox] = None):
-        free = ~prog.fixed
-        # data that overflows here is the kernel's to report, at its first run
-        with np.errstate(over="ignore"):
-            self.s = 1.0 / np.sqrt(2.0 * prog.d)
-            self.Gs = prog.G_free * self.s
-            self.w0 = -prog.q * self.s
-        # the free rows' right-hand sides are rhs @ (1, p)
-        self.rhs = np.column_stack([prog.h0[free], -prog.P[free]])
-        m, n = self.Gs.shape
-        # the least value of each check: the kernel's -_ROW_TOL on slacks, 0 on multipliers
-        self.floor = np.concatenate([np.full(m, -_ROW_TOL), np.zeros(m)])
+    def __init__(self, prog: "_CornerProgram", x_bounds: IntervalBox):
+        super().__init__(prog)
+        # the state box the parameter ranges over, one column per state coordinate
+        self.box = np.array([x_bounds.lo, x_bounds.hi])
+        # the same box as plain floats (lo1, hi1, lo2, hi2)
+        self.bounds = (x_bounds.lo[0], x_bounds.hi[0], x_bounds.lo[1], x_bounds.hi[1])
         self.laws: list[_Law] = []
-        # the stored laws' blocks, stack[:, i] the block of law i; np.empty
-        # leaves the slots of laws not yet learned unwritten
-        self.stack = np.empty((self.rhs.shape[1], _MAX_LAWS, 2 * m + n))
         # the active sets of the stored laws, as index bytes
         self.stored: set[bytes] = set()
-        # the stored rays, each row one ray on the free rows, and -_ROW_TOL*sum(y) of each
-        self.rays = np.empty((0, m))
-        self.ray_floor = np.empty(0)
-        self.box = self.bounds = None
-        if x_bounds is not None:
-            # the state box the parameter ranges over, one column per state coordinate
-            self.box = np.array([x_bounds.lo, x_bounds.hi])
-            # the same box as plain floats (lo1, hi1, lo2, hi2)
-            self.bounds = (x_bounds.lo[0], x_bounds.hi[0], x_bounds.lo[1], x_bounds.hi[1])
 
     def __len__(self) -> int:
         return len(self.laws)
 
     def covers(self, z1: float, z2: float) -> bool:
-        """Whether state z lies in X, where the tube's screens decide."""
+        """Whether state z lies in X, where the screens decide."""
         lo1, hi1, lo2, hi2 = self.bounds
         return lo1 <= z1 <= hi1 and lo2 <= z2 <= hi2
 
     def lookup(self, z1: float, z2: float):
-        """``(x, None)`` from the first stored tube law whose screen holds at state z in X, or None."""
+        """``(x, None)`` from the first stored law whose screen holds at state z in X, or None."""
         return _first_answer(self.laws, z1, z2)
 
+    def learn(self, y: np.ndarray, z1: float, z2: float):
+        """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at z in X or None."""
+        act = np.flatnonzero(y > 0.0)
+        key = act.tobytes()
+        if key in self.stored:
+            # stored, and it did not hold at z
+            return None
+        block = self._block(act)
+        n_checks = self.floor.size
+        a, b = block[0, :n_checks], block[1:, :n_checks]
+        # each column's least value over the state box, taken at the box corner that minimises it
+        least = a + np.minimum(b * self.box[0, :, None], b * self.box[1, :, None]).sum(axis=0)
+        # clear of the floor by the rounding margin, a column holds in floats all over X;
+        # a NaN or infinite column fails the test and is screened
+        margin = 8.0 * _EPS * (np.abs(a) + np.abs(self.box).max(axis=0) @ np.abs(b))
+        cols = np.flatnonzero(~(least >= self.floor + margin))
+        screen = tuple(dict.fromkeys(zip(*block[:, cols].tolist(), self.floor[cols].tolist())))
+        law = _Law(tuple(block), screen, tuple(zip(*block[:, n_checks:].tolist(), self.s.tolist())))
+        if len(self) < _MAX_LAWS:
+            self.stored.add(key)
+            self.laws.append(law)
+        return _first_answer((law,), z1, z2)
+
+
+class _ChainTable(_AffineLaws):
+    """The affine laws and Farkas rays of a chain program, whose parameter is the end boxes' eight corners.
+
+    An end-box parameter has no bounded domain to prove a screen over, so a
+    chain law decides by its full check.  A lookup evaluates every stored
+    law at p in one pass over their stacked blocks, elementwise and left to
+    right, ``((a + b1*p1) + b2*p2) + ...``, so a law's check values and
+    point are bit for bit the same at learn time, alone and inside a table
+    of any size; the first law, in the order they were learned, whose full
+    check holds answers.  A law answer carries no multipliers: those come
+    only from a kernel run.
+
+    The table also keeps Farkas rays the kernel returned, ``y >= 0`` with
+    ``G_free'y = 0``, which the kernel checked and which do not depend on
+    p.  They are consulted only after a law miss, before the kernel runs:
+    the first stored ray with ``h'y < -_ROW_TOL*sum(y)`` on p's free
+    right-hand sides h answers, a certificate at p exactly as the kernel's
+    own ray would be.
+
+    It stores at most ``_MAX_LAWS`` laws and as many rays, and no more than
+    ``_TABLE_BYTES`` of them together; a law that does not fit is still
+    built and answers at the p it was learned at.  Every program of N steps
+    on a problem shares one table, which may be filled from several
+    threads: each update publishes new arrays by one attribute assignment,
+    under a lock, and a reader loads each attribute once, so it sees only
+    whole laws and rays.
+    """
+
+    def __init__(self, prog: "_CornerProgram"):
+        super().__init__(prog)
+        m, n = self.G_free.shape
+        # the stored laws' blocks in the order learned, blocks[:, i] the block of law i
+        self.blocks = np.empty((self.rhs.shape[1], 0, 2 * m + n))
+        # the active sets of the stored laws, as index bytes
+        self.stored: set[bytes] = set()
+        # the stored rays, each row one ray on the free rows, and -_ROW_TOL*sum(y) of each
+        self.rays = (np.empty((0, m)), np.empty(0))
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self.blocks.shape[1]
+
     def check(self, p):
-        """``(x, None)`` from the first stored chain law whose full check holds at p, or None."""
-        return self._held(self.stack[:, : len(self)], p)
+        """``(x, None)`` from the first stored law whose full check holds at p, or None."""
+        return self._held(self.blocks, p)
 
     def _held(self, blocks, p):
         """``(x, None)`` from the first of blocks whose full check holds at p, or None.
@@ -288,56 +359,37 @@ class _LawTable:
         A right-hand side that is not finite, which the kernel refuses at its
         start, makes every product non-finite, and no ray answers.
         """
-        hy = self.rays @ h
-        held = (hy < self.ray_floor) & (hy > -_INF)
+        rays, floor = self.rays
+        hy = rays @ h
+        held = (hy < floor) & (hy > -_INF)
         if not held.any():
             return None
-        return self.rays[held.argmax()]
+        return rays[held.argmax()]
+
+    def _room(self, count: int, nbytes: int) -> bool:
+        """Whether an item of nbytes fits beside count stored items of its kind."""
+        return count < _MAX_LAWS and self.blocks.nbytes + self.rays[0].nbytes + nbytes <= _TABLE_BYTES
 
     def keep(self, ray: np.ndarray) -> None:
-        """Store a Farkas ray the kernel returned, unless the table holds ``_MAX_LAWS`` of them."""
-        if self.rays.shape[0] < _MAX_LAWS:
-            self.rays = np.vstack([self.rays, ray])
-            self.ray_floor = np.append(self.ray_floor, -_ROW_TOL * ray.sum())
+        """Store a Farkas ray the kernel returned, while there is room."""
+        with self._lock:
+            rays, floor = self.rays
+            if self._room(rays.shape[0], ray.nbytes):
+                self.rays = (np.vstack([rays, ray]), np.append(floor, -_ROW_TOL * ray.sum()))
 
     def learn(self, y: np.ndarray, p):
-        """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at p or None."""
+        """Store the law of the active set ``y > 0`` unless known or there is no room; its answer at p or None."""
         act = np.flatnonzero(y > 0.0)
         key = act.tobytes()
-        if key in self.stored:
-            # stored, and it did not hold at p
-            return None
-        GsA = self.Gs[act]
-        # the Gram system, one right-hand side for the constant and one per parameter
-        rhs = -self.rhs[act]
-        rhs[:, 0] += GsA @ self.w0
-        y_law = np.linalg.lstsq(GsA @ GsA.T, rhs, rcond=None)[0]
-        w_law = -GsA.T @ y_law
-        w_law[:, 0] += self.w0
-        full_y = np.zeros(self.rhs.shape)
-        full_y[act] = y_law
-        block = np.vstack([self.rhs - self.Gs @ w_law, full_y, w_law]).T
-        screen = point = None
-        if self.box is not None:
-            n_checks = self.floor.size
-            a, b = block[0, :n_checks], block[1:, :n_checks]
-            # each column's least value over the state box, taken at the box corner that minimises it
-            least = a + np.minimum(b * self.box[0, :, None], b * self.box[1, :, None]).sum(axis=0)
-            # clear of the floor by the rounding margin, a column holds in floats all over X;
-            # a NaN or infinite column fails the test and is screened
-            margin = 8.0 * _EPS * (np.abs(a) + np.abs(self.box).max(axis=0) @ np.abs(b))
-            cols = np.flatnonzero(~(least >= self.floor + margin))
-            screen = tuple(dict.fromkeys(zip(*block[:, cols].tolist(), self.floor[cols].tolist())))
-            point = tuple(zip(*block[:, n_checks:].tolist(), self.s.tolist()))
-        law = _Law(block, screen, point)
-        if len(self) < _MAX_LAWS:
-            self.stack[:, len(self)] = block
-            law = law._replace(block=self.stack[:, len(self)])
-            self.stored.add(key)
-            self.laws.append(law)
-        if screen is None:
-            return self._held(law.block[:, None], p)
-        return _first_answer((law,), *p)
+        with self._lock:
+            if key in self.stored:
+                # stored, and it did not hold at p
+                return None
+            block = self._block(act)
+            if self._room(len(self), block.nbytes):
+                self.blocks = np.concatenate([self.blocks, block[:, None]], axis=1)
+                self.stored.add(key)
+        return self._held(block[:, None], p)
 
 
 def _first_answer(laws, z1: float, z2: float):
@@ -365,10 +417,10 @@ class _CornerProgram(NamedTuple):
     ``h0 - (c1*z1 + c2*z2) >= -_FEAS_TOL``, and is empty otherwise.  ``lo``
     and ``hi`` are the state bounds at every free corner, as plain floats,
     onto which the read-back clips; no value is read from ``d`` and ``q``.
-    ``laws`` is the program's table of affine laws and Farkas rays
-    (:class:`_LawTable`), filled as it is solved: the tube's, with screens
-    on X, and each chain's, decided by full checks.  The invariant box has
-    None.
+    ``laws`` is the program's table, filled as it is solved: the tube's
+    affine laws, decided by screens on X (:class:`_LawTable`), or a chain's
+    laws and Farkas rays, decided by full checks (:class:`_ChainTable`).
+    The invariant box has None.
     """
 
     d: np.ndarray
@@ -383,7 +435,7 @@ class _CornerProgram(NamedTuple):
     fixed_z: tuple[tuple[float, float, float], ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    laws: Optional[_LawTable] = None
+    laws: Optional[_LawTable | _ChainTable] = None
 
 
 def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
@@ -422,8 +474,8 @@ def _stacked_steps(spec: ProblemSpec, n_steps: int) -> tuple[np.ndarray, np.ndar
 def _chain_stack(spec: ProblemSpec, n_steps: int) -> _CornerProgram:
     """The N-step tube program over its 4(N-1) free intermediate corners; p is the end boxes' corners.
 
-    It carries an empty table of laws and rays, shared by every chain of N
-    steps on the problem, which its solves fill.
+    It carries an empty table of laws and rays (:class:`_ChainTable`),
+    shared by every chain of N steps on the problem, which its solves fill.
     """
     rows, h0 = _stacked_steps(spec, n_steps)
     n_free = n_steps - 1
@@ -435,7 +487,7 @@ def _chain_stack(spec: ProblemSpec, n_steps: int) -> _CornerProgram:
         P=np.hstack([rows[:, :4], rows[:, -4:]]),
         h0=h0,
     )
-    return prog._replace(laws=_LawTable(prog))
+    return prog._replace(laws=_ChainTable(prog))
 
 
 def _solve_program(prog: _CornerProgram, p):
@@ -456,15 +508,17 @@ def _solve_program(prog: _CornerProgram, p):
     enters evaluated at p.  A program without a table (the invariant box)
     forms h, checks its fixed rows on it and runs the kernel.  A chain does
     the same, but first answers from the first stored law whose full check
-    holds at p.  The tube program, whose parameter is a state ``(z1, z2)``,
-    evaluates its fixed rows in plain floats, and at a state in X answers
-    from the first stored law whose screen holds there.  On a law miss,
-    :func:`_learned_answer` gives a stored ray's verdict or runs the kernel
-    cold and learns from it.  A state outside X, where the screens prove
-    nothing, goes to the kernel and is not learned from.
+    holds at p, and on a miss goes to :func:`_learned_answer`.  The tube
+    program, whose parameter is a state ``(z1, z2)``, evaluates its fixed
+    rows in plain floats.  At a state in X it answers from the first stored
+    law whose screen holds there; only on a miss does it form h, run the
+    kernel cold, learn the law of the active set the kernel returns, and
+    answer from that law if its screen holds, else from the kernel.  A
+    state outside X, where the screens prove nothing, goes to the kernel
+    and is not learned from.
     """
     laws = prog.laws
-    if laws is None or laws.box is None:
+    if not isinstance(laws, _LawTable):
         h = prog.h0 - prog.P @ p
         if prog.fixed_min < -_FEAS_TOL or min(h[prog.fixed_p].tolist(), default=_INF) < -_FEAS_TOL:
             return None, _worst_fixed_row(prog, h)
@@ -480,17 +534,21 @@ def _solve_program(prog: _CornerProgram, p):
         return _run_kernel(prog, prog.h0 - prog.P @ p)
     answer = laws.lookup(z1, z2)
     if answer is None:
-        answer = _learned_answer(prog, prog.h0 - prog.P @ p, p)
+        x, y = _run_kernel(prog, prog.h0 - prog.P @ p)
+        if x is not None:
+            answer = laws.learn(y, z1, z2)
+        if answer is None:
+            answer = x, y
     return answer
 
 
 def _learned_answer(prog: _CornerProgram, h: np.ndarray, p):
-    """The answer at p on a law miss, h being ``h0 - P @ p``: a stored ray's, else the kernel's.
+    """A chain's answer at p on a law miss, h being ``h0 - P @ p``: a stored ray's, else the kernel's.
 
     The first stored ray that certifies the free rows infeasible at p
-    answers.  Otherwise the kernel runs cold and its table keeps what it
+    answers.  Otherwise the kernel runs cold and the table keeps what it
     returns: the ray of an infeasible program, or the law of its active
-    set, which answers when its check holds at p.
+    set, which answers when its full check holds at p.
     """
     laws = prog.laws
     ray = laws.refute(h[~prog.fixed])

@@ -30,8 +30,9 @@ inequality rows only, and goes to the private dense dual active-set kernel
 :func:`_dual_active_set`, which is exact, ends in finitely many steps and
 returns either multipliers or a Farkas ray.  It always starts cold, at the
 unconstrained minimiser; the multi-step and tube MPC programs call it only
-when none of the affine laws and Farkas rays they have kept from earlier
-answers decides at their parameter.
+when none of the affine laws they have kept from earlier answers holds at
+their parameter, and a multi-step program only when none of the Farkas
+rays it has kept certifies it infeasible either.
 :func:`solve` and :class:`QpBuilder` remain as an independent reference
 solver: the tests assemble the original programs, edge controls included,
 through them.  Only they need scipy, which they import on first use, so

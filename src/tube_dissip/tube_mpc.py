@@ -16,8 +16,8 @@ problem and controller options and solved exactly by the dual active-set
 kernel of ``qp_solver``.  On each optimal active set the answer is affine
 in z, so the program keeps the affine law of every active set the kernel
 has returned for it (up to 64), as the chain programs of multi-step
-cost-to-travel values do, and a solve runs the kernel only when no stored
-law gives a KKT point at z (``cost_to_travel._LawTable``).  A solve that a law
+cost-to-travel values keep theirs, and a solve runs the kernel only when no
+stored law gives a KKT point at z (``cost_to_travel._LawTable``).  A solve that a law
 answers does only the arithmetic that depends on z, in plain floats.  It
 checks the rows with no free coefficient against the feasibility tolerance
 ``qp_solver._FEAS_TOL``: one comparison for those z does not enter, split
@@ -32,10 +32,7 @@ reference and never runs.  A law answer carries no multipliers: those come
 only from a kernel run.  The screens prove nothing beyond X, so a state
 outside X goes to the kernel and is not learned from; :func:`solve_tmpc`
 passes the program only states in X (see below).  The right-hand side
-``h0 - P @ z`` is formed only on a law miss.  Then a Farkas ray the kernel
-returned at an earlier state (up to 64 are kept) answers infeasible where
-it certifies the new right-hand side, and otherwise the kernel runs cold
-and the table keeps its law or ray.  The answer is read
+``h0 - P @ z`` is formed only when the kernel runs.  The answer is read
 back into boxes and edge controls, and priced, as those values are
 (``cost_to_travel._solve_tube``, which prices nothing, then
 ``cost_to_travel._tube_cost``): the objective is the stage costs of the
@@ -201,10 +198,10 @@ def _tube_program(
     Only the window and containment rows depend on the state.  Building the
     program runs no solve.
 
-    The program carries an empty table of affine laws and Farkas rays
-    (``laws``), which its solves fill; :func:`_controller` builds it once
-    per controller, and it is shared by every solve of the controller.  A
-    solve's answer does not depend on the order of earlier solves.
+    The program carries an empty table of affine laws (``laws``), which its
+    solves fill; :func:`_controller` builds it once per controller, and it
+    is shared by every solve of the controller.  A solve's answer does not
+    depend on the order of earlier solves.
     """
     n = cfg.horizon
     steps, h_steps = _stacked_steps(spec, n)

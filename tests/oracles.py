@@ -673,7 +673,7 @@ def law_full_check(laws, block, p) -> Optional[tuple[np.ndarray, np.ndarray]]:
     must give them bit for bit.
     """
     p = [float(v) for v in p]
-    m, n_checks = laws.Gs.shape[0], laws.floor.size
+    m, n_checks = laws.G_free.shape[0], laws.floor.size
 
     def at(cols):
         vals = block[0, cols].copy()

@@ -1,8 +1,11 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import pkgutil
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -249,7 +252,7 @@ def solved_chain(spec, a, c, n_steps, stack=None):
     if stack is None:
         stack = cost_to_travel._chain_stack(spec, n_steps)
     ends = np.array(a.corners() + c.corners())
-    real_held = cost_to_travel._LawTable._held
+    real_held = cost_to_travel._ChainTable._held
     answered = []
 
     def recording_held(laws, blocks, p):
@@ -260,7 +263,7 @@ def solved_chain(spec, a, c, n_steps, stack=None):
         return answer
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cost_to_travel._LawTable, "_held", recording_held)
+        patch.setattr(cost_to_travel._ChainTable, "_held", recording_held)
         h, x, y = oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends))
     if x is not None and y is None:
         x_law, y_law = oracles.law_full_check(stack.laws, answered[-1], ends)
@@ -437,7 +440,7 @@ class TestMultiStepValues:
 def fresh_chain(spec, n_steps):
     """The chain program of n_steps with an empty table of its own."""
     stack = cost_to_travel._chain_stack(spec, n_steps)
-    return stack._replace(laws=cost_to_travel._LawTable(stack))
+    return stack._replace(laws=cost_to_travel._ChainTable(stack))
 
 
 def chain_value(spec, prog, a, c, n_steps):
@@ -467,7 +470,7 @@ def row_patterns(m):
 
 def fill(laws, p, size, accept=lambda y: True):
     """Learn the laws of row_patterns that accept takes, at p, until the table holds size laws."""
-    patterns = row_patterns(laws.Gs.shape[0])
+    patterns = row_patterns(laws.G_free.shape[0])
     while len(laws) < size:
         y = next(patterns)
         if accept(y):
@@ -529,8 +532,9 @@ class TestChainLawTable:
             one_ray = fresh_chain(spec, n_steps)
             one_ray.laws.keep(refused[0][2])
             for prog in (shared, one_ray):
-                rays = np.zeros((prog.laws.rays.shape[0], free.size))
-                rays[:, free] = prog.laws.rays
+                stored, _ = prog.laws.rays
+                rays = np.zeros((stored.shape[0], free.size))
+                rays[:, free] = stored
                 with pytest.MonkeyPatch.context() as patch:
                     runs = oracles.count_kernel_runs(patch)
                     _, (h, x, y) = solved_chain(spec, a, c, n_steps, prog)
@@ -543,7 +547,7 @@ class TestChainLawTable:
                     assert runs
                     verdicts["no stored ray certifies"] += 1
         assert min(verdicts.values()) >= 5, verdicts
-        assert 0 < shared.laws.rays.shape[0] < len(refused)
+        assert 0 < shared.laws.rays[0].shape[0] < len(refused)
 
     def test_a_ray_refutes_only_where_the_kernel_would_accept_it(self, spec_name, n_steps):
         # a stored ray that certifies the ends refutes nothing once h'y is
@@ -584,22 +588,22 @@ class TestChainLawTable:
             chain = feasible_chain(spec, rng, n_steps)
             ends = np.array(chain[0].corners() + chain[-1].corners())
             _, y = cost_to_travel._run_kernel(stack, stack.h0 - stack.P @ ends)
-            alone = cost_to_travel._LawTable(stack)
+            alone = cost_to_travel._ChainTable(stack)
             at_learn = alone.learn(y, ends)
             assert at_learn is not None
-            x, _ = oracles.law_full_check(alone, alone.laws[0].block, ends)
+            x, _ = oracles.law_full_check(alone, alone.blocks[:, 0], ends)
             assert at_learn[0].tobytes() == x.tobytes()
             assert alone.check(ends)[0].tobytes() == x.tobytes()
-            first = cost_to_travel._LawTable(stack)
+            first = cost_to_travel._ChainTable(stack)
             first.learn(y, ends)
             fill(first, ends, 64)
             assert first.check(ends)[0].tobytes() == x.tobytes()
-            last = cost_to_travel._LawTable(stack)
+            last = cost_to_travel._ChainTable(stack)
 
             def fails_at_ends(pattern):
                 # a fresh table's law answers at ends exactly when its full check holds there
                 other = np.any((pattern > 0.0) != (y > 0.0))
-                return other and cost_to_travel._LawTable(stack).learn(pattern, ends) is None
+                return other and cost_to_travel._ChainTable(stack).learn(pattern, ends) is None
 
             fill(last, ends, 63, fails_at_ends)
             last.learn(y, ends)
@@ -622,6 +626,93 @@ class TestChainLawTable:
         cold = prog._replace(laws=None)
         for (a, c), got in zip(ends, warm):
             assert_cold_value(got, chain_value(spec, cold, a, c, n_steps))
+
+
+
+def test_threads_filling_one_table_store_whole_laws_once(spec):
+    # threads learn the same laws and keep rays, each in its own order, into
+    # one shared table while another thread looks laws up in it: every
+    # stored block is, bit for bit, the block of a law one thread learned,
+    # each learned law is stored once, and a lookup answers only from a
+    # whole law's full check
+    prog = fresh_chain(spec, 2)
+    laws = prog.laws
+    m = laws.G_free.shape[0]
+    chain = feasible_chain(spec, np.random.default_rng(5), 2)
+    ends = np.array(chain[0].corners() + chain[-1].corners())
+    _, y_opt = cost_to_travel._run_kernel(prog, prog.h0 - prog.P @ ends)
+    patterns = [y_opt, *itertools.islice(row_patterns(m), 47)]
+    want = {}
+    for y in patterns:
+        alone = cost_to_travel._ChainTable(prog)
+        alone.learn(y, ends)
+        want[np.flatnonzero(y > 0.0).tobytes()] = alone.blocks[:, 0]
+    # the points of the learned laws whose full check holds at the ends
+    answers = [oracles.law_full_check(laws, block, ends) for block in want.values()]
+    points = {answer[0].tobytes() for answer in answers if answer is not None}
+    assert points, "no learned law holds at the ends"
+    rays = np.random.default_rng(6).uniform(0.0, 1.0, (80, m))
+    done = threading.Event()
+    seen = []
+
+    def read():
+        while not done.is_set():
+            answer = laws.check(ends)
+            if answer is not None:
+                seen.append(answer[0].tobytes())
+
+    def write(seed):
+        order = np.random.default_rng(seed).permutation(len(patterns))
+        for i in order:
+            laws.learn(patterns[i], ends)
+            laws.keep(rays[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader = threading.Thread(target=read)
+        reader.start()
+        writers = [threading.Thread(target=write, args=(seed,)) for seed in range(4)]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join()
+        done.set()
+        reader.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(laws) == len(want) and laws.stored == set(want)
+    stored = sorted(laws.blocks[:, i].tobytes() for i in range(len(laws)))
+    assert stored == sorted(block.tobytes() for block in want.values())
+    assert set(seen) <= points
+    kept, floor = laws.rays
+    # four threads keep 48 rays each, so the table is full of them
+    assert kept.shape[0] == floor.size == cost_to_travel._MAX_LAWS
+    assert {ray.tobytes() for ray in kept} <= {ray.tobytes() for ray in rays[: len(patterns)]}
+    assert np.array_equal(floor, -qp_solver._ROW_TOL * kept.sum(axis=1))
+
+
+def test_a_long_chain_table_keeps_laws_and_rays_within_its_byte_budget(spec):
+    # at N = MAX_STEPS a law's block is about 214 KiB, so the table stores
+    # four laws and rays up to its byte budget; a law that does not fit
+    # still answers at the ends it was learned at, by its full check
+    prog = fresh_chain(spec, cost_to_travel.MAX_STEPS)
+    laws = prog.laws
+    m = laws.G_free.shape[0]
+    ends = np.array(IntervalBox.from_intervals((-1, 1), (-1, 1)).corners() * 2, dtype=float)
+    for y in itertools.islice(row_patterns(m), 10):
+        block = laws._block(np.flatnonzero(y > 0.0))
+        want = oracles.law_full_check(laws, block, ends)
+        got = laws.learn(y, ends)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+    for _ in range(100):
+        laws.keep(np.ones(m))
+    assert len(laws) == cost_to_travel._TABLE_BYTES // block.nbytes == 4
+    kept, _ = laws.rays
+    assert 0 < kept.shape[0] < cost_to_travel._MAX_LAWS
+    assert laws.blocks.nbytes + kept.nbytes <= cost_to_travel._TABLE_BYTES
 
 
 # ---------------------------------------------------------------------------
