@@ -11,15 +11,15 @@ One step is decided in closed form.  Longer tubes and the optimal invariant
 box minimise stage costs over the one-step rows with the edge controls
 eliminated (:func:`~tube_dissip.problem.transition_rows`), a strictly convex
 QP in box corners alone that the dual active-set kernel of ``qp_solver``
-solves exactly.  The chain program of each N and the tube MPC program of
-``tube_mpc`` keep a table of the affine laws of the active sets the kernel
-returned for them (:class:`_AffineLaws`) and run the kernel only when no
-stored law answers.  The tube's laws decide by screens proven on the state
-bounds X (:class:`_LawTable`).  A chain's decide by their full KKT check
-at the end boxes, and on a law miss a Farkas ray the kernel returned for
-the chain answers it infeasible where the ray certifies the new
-right-hand side (:class:`_ChainTable`).  The invariant box's program is
-solved once per problem and keeps no table.  These programs are read back
+solves exactly.  Every such corner program, the tube MPC program of
+``tube_mpc`` included, is answered by one path (:func:`_solve_program`):
+its fixed rows in plain floats, then a stored affine law, then a stored
+Farkas ray, then a cold kernel run whose ray or law the program's table
+keeps (:class:`_AffineLaws`, one store under one lock and one bound for
+every table).  The tube's laws decide by screens proven on the state
+bounds X (:class:`_LawTable`), a chain's by their full KKT check at the end
+boxes (:class:`_ChainTable`).  The invariant box's program is solved once
+per problem and keeps no table.  These programs are read back
 into boxes by one helper, :func:`_solve_tube`, in one plain-float pass
 over the corners: free corners are clipped onto the state bounds; a free
 box whose corners are in order is built without re-validation, any other
@@ -130,8 +130,7 @@ def eval_v(
             return CostToTravelResult(_INF)
         tube, witnesses = (a, b), (witness,)
     else:
-        ends = np.array(a.corners() + b.corners())
-        solved = _solve_tube(spec, _chain_stack(spec, n_steps), ends, [a], [b])
+        solved = _solve_tube(spec, _chain_stack(spec, n_steps), a.corners() + b.corners(), [a], [b])
         if solved is None:
             return CostToTravelResult(_INF)
         tube, witnesses = solved
@@ -149,31 +148,47 @@ def _tube_cost(spec: ProblemSpec, boxes, initial: float = 0.0) -> float:
     return cost
 
 
-# at most this many affine laws are kept per program, and as many Farkas rays per chain program
+# at most this many affine laws, and as many Farkas rays, are kept per program
 _MAX_LAWS = 64
 
-# the most bytes a chain program's table keeps in laws and rays: a full
-# table of _MAX_LAWS laws fits up to N = 5, and one at N = MAX_STEPS holds
-# four laws
+# the most bytes a program's table keeps in law blocks and rays: a full
+# table of _MAX_LAWS chain laws fits up to N = 5, and one at N = MAX_STEPS
+# holds four laws
 _TABLE_BYTES = 1 << 20
 
 
 class _AffineLaws:
-    """The affine law of any active set of a corner program, as one stacked map of its parameter p.
+    """The table of a corner program: the affine laws and Farkas rays of the kernel's answers.
 
     On an optimal active set A the minimiser and multipliers of a strictly
     convex QP are affine in its parameter p (Bemporad, Morari, Dua and
     Pistikopoulos, Automatica 2002).  In the kernel's variables ``w = x/s``,
     ``s = 1/sqrt(2d)``, with ``Gs = G_free*s`` and ``w0 = -q*s``, the
     multipliers of A solve the Gram system ``Gs_A Gs_A' y_A = Gs_A w0 - h_A(p)``
-    and ``w = w0 - Gs_A' y_A``.  A law is kept as one stacked affine map
+    and ``w = w0 - Gs_A' y_A``.  A law is built as one stacked affine map
     ``a + b1*p1 + b2*p2 + ...`` of p, its block of rows ``(a, b1, b2, ...)``,
     onto the slacks of the free rows, the multipliers (together its full
     check) and w (its point).  A law whose slacks are at least ``-_ROW_TOL``
     and whose multipliers are nonnegative at p gives a KKT point, the answer
-    the kernel would return.  The tables of the tube program
-    (:class:`_LawTable`) and of the chain programs (:class:`_ChainTable`)
-    build their laws here.
+    the kernel would return.  A law answer carries no multipliers: those
+    come only from a kernel run.
+
+    The table also keeps Farkas rays the kernel returned, ``y >= 0`` with
+    ``G_free'y = 0``, which the kernel checked and which do not depend on p:
+    the first stored ray with ``h'y < -_ROW_TOL*sum(y)`` on p's free
+    right-hand sides h certifies p infeasible, exactly as the kernel's own
+    ray would.
+
+    Every table stores alike.  It keeps at most ``_MAX_LAWS`` laws and as
+    many rays, and no more than ``_TABLE_BYTES`` of law blocks and rays
+    together; a law that does not fit is still built and answers at the p it
+    was learned at.  A table may be filled from several threads: each update
+    publishes new laws or rays by one attribute assignment, under a lock, so
+    each active set is stored once, and a reader loads each attribute once,
+    so it sees only whole laws and rays.  Each kind of table keeps its laws
+    in its own form, ``laws``, and decides by its own rule: ``_law`` gives
+    one law in that form, ``_with`` the stored laws and one more, and
+    ``_first`` the answer of the first of some laws that holds at p.
     """
 
     def __init__(self, prog: "_CornerProgram"):
@@ -189,6 +204,62 @@ class _AffineLaws:
         m = self.G_free.shape[0]
         # the least value of each check: the kernel's -_ROW_TOL on slacks, 0 on multipliers
         self.floor = np.concatenate([np.full(m, -_ROW_TOL), np.zeros(m)])
+        # the active sets of the stored laws, as index bytes
+        self.stored: set[bytes] = set()
+        # the stored rays, each row one ray on the free rows, and -_ROW_TOL*sum(y) of each
+        self.rays = (np.empty((0, m)), np.empty(0))
+        # the bytes of the stored laws' blocks and rays
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+    def lookup(self, p):
+        """``(x, None)`` from the first stored law that holds at p, or None."""
+        return self._first(self.laws, p)
+
+    def refute(self, h: np.ndarray):
+        """The first stored ray y with ``h'y < -_ROW_TOL*sum(y)`` on free right-hand sides h, or None.
+
+        A right-hand side that is not finite makes a product non-finite, or
+        NaN where the ray is 0, and that ray does not answer.
+        """
+        rays, floor = self.rays
+        with np.errstate(over="ignore", invalid="ignore"):
+            hy = rays @ h
+        held = (hy < floor) & (hy > -_INF)
+        if not held.any():
+            return None
+        return rays[held.argmax()]
+
+    def _room(self, count: int, nbytes: int) -> bool:
+        """Whether an item of nbytes fits beside count stored items of its kind."""
+        return count < _MAX_LAWS and self.nbytes + nbytes <= _TABLE_BYTES
+
+    def keep(self, ray: np.ndarray) -> None:
+        """Store a Farkas ray the kernel returned, while there is room."""
+        with self._lock:
+            rays, floor = self.rays
+            if self._room(rays.shape[0], ray.nbytes):
+                self.rays = (np.vstack([rays, ray]), np.append(floor, -_ROW_TOL * ray.sum()))
+                self.nbytes += ray.nbytes
+
+    def learn(self, y: np.ndarray, p):
+        """Store the law of the active set ``y > 0`` unless known or there is no room; its answer at p or None."""
+        act = np.flatnonzero(y > 0.0)
+        key = act.tobytes()
+        with self._lock:
+            if key in self.stored:
+                # stored, and it did not hold at p
+                return None
+            block = self._block(act)
+            law = self._law(block)
+            if self._room(len(self), block.nbytes):
+                self.laws = self._with(law)
+                self.stored.add(key)
+                self.nbytes += block.nbytes
+        return self._first(law, p)
 
     def _block(self, act: np.ndarray) -> np.ndarray:
         """The block ``(a, b1, b2, ...)`` of the law of active set act, one row per term."""
@@ -209,26 +280,23 @@ class _AffineLaws:
 class _Law(NamedTuple):
     """One affine law of a :class:`_LawTable`, as maps ``a + b1*z1 + b2*z2`` of the state z.
 
-    ``block`` holds the rows ``(a, b1, b2)`` of its stacked map
-    (:class:`_AffineLaws`).  ``screen`` lists, as plain floats
-    ``(a, b1, b2, floor)``, each distinct check column not proven to hold
-    at every state in X, and ``point`` the maps onto the free corners, as
-    plain floats ``(a, b1, b2, s)``, the corner being ``(a + b1*z1 + b2*z2) * s``.
+    ``block`` is its stacked map (:class:`_AffineLaws`), rows ``(a, b1, b2)``.
+    ``screen`` lists, as plain floats ``(a, b1, b2, floor)``, each distinct
+    check column not proven to hold at every state in X, and ``point`` the
+    maps onto the free corners, as plain floats ``(a, b1, b2, s)``, the
+    corner being ``(a + b1*z1 + b2*z2) * s``.
     """
 
-    block: tuple[np.ndarray, np.ndarray, np.ndarray]
+    block: np.ndarray
     screen: tuple[tuple[float, float, float, float], ...]
     point: tuple[tuple[float, float, float, float], ...]
 
 
 class _LawTable(_AffineLaws):
-    """The affine laws of the tube program, whose parameter is a state in X, one per active set the kernel returned.
+    """The table of the tube program, whose parameter is a state ``(z1, z2)``; its laws decide by screens on X.
 
-    At most ``_MAX_LAWS`` are kept; on a full table a new law is still built
-    and answers at the state it was learned at, but is not stored.
-
-    The screen decides.  A law's screen holds every check column whose least
-    value over X does not clear the column's floor by a rounding margin,
+    A law's screen holds every check column whose least value over the state
+    box X does not clear the column's floor by a rounding margin,
     ``8*eps*(|a| + |b1|*max|z1| + |b2|*max|z2|)`` over X, which bounds the
     rounding both of that least value and of the column's evaluation at a
     state (Higham, Accuracy and Stability of Numerical Algorithms, 2002).
@@ -236,14 +304,13 @@ class _LawTable(_AffineLaws):
     in X, so at a state in X a law's screen holds exactly when its full
     check does: the screen's half-planes are the law's region (point
     location in explicit MPC, Tøndel, Johansen and Bemporad, Automatica
-    2003).  A lookup answers from the first law, in the order they were
-    learned, whose screen holds, and computes only that law's corners, in
-    plain floats by the same float operations as a pass over its block, so
-    bit for bit the point of the first law whose full check holds.  The
-    full check is not run; it is the reference the tests hold the screen
-    to.  A law answer carries no multipliers: those come only from a kernel
-    run.  Beyond X the screens prove nothing, so a state outside X is
-    neither looked up nor learned from (:func:`_solve_program`).
+    2003).  The first law, in the order they were learned, whose screen
+    holds answers, and only that law's corners are computed, in plain floats
+    by the same float operations as a pass over its block, so bit for bit
+    the point of the first law whose full check holds.  The full check is
+    not run; it is the reference the tests hold the screen to.  Beyond X the
+    screens prove nothing, so no law answers at a state outside X, and none
+    is learned from one.
     """
 
     def __init__(self, prog: "_CornerProgram", x_bounds: IntervalBox):
@@ -252,30 +319,19 @@ class _LawTable(_AffineLaws):
         self.box = np.array([x_bounds.lo, x_bounds.hi])
         # the same box as plain floats (lo1, hi1, lo2, hi2)
         self.bounds = (x_bounds.lo[0], x_bounds.hi[0], x_bounds.lo[1], x_bounds.hi[1])
-        self.laws: list[_Law] = []
-        # the active sets of the stored laws, as index bytes
-        self.stored: set[bytes] = set()
+        self.laws: tuple[_Law, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.laws)
+    def learn(self, y: np.ndarray, p):
+        """As :meth:`_AffineLaws.learn` at a state p in X; a state outside X is not learned from and gets None."""
+        return super().learn(y, p) if self._covers(p) else None
 
-    def covers(self, z1: float, z2: float) -> bool:
-        """Whether state z lies in X, where the screens decide."""
+    def _covers(self, p) -> bool:
+        """Whether state p lies in X, where the screens decide."""
+        z1, z2 = p
         lo1, hi1, lo2, hi2 = self.bounds
         return lo1 <= z1 <= hi1 and lo2 <= z2 <= hi2
 
-    def lookup(self, z1: float, z2: float):
-        """``(x, None)`` from the first stored law whose screen holds at state z in X, or None."""
-        return _first_answer(self.laws, z1, z2)
-
-    def learn(self, y: np.ndarray, z1: float, z2: float):
-        """Store the law of the active set ``y > 0`` unless known or the table is full; its answer at z in X or None."""
-        act = np.flatnonzero(y > 0.0)
-        key = act.tobytes()
-        if key in self.stored:
-            # stored, and it did not hold at z
-            return None
-        block = self._block(act)
+    def _law(self, block: np.ndarray) -> tuple[_Law]:
         n_checks = self.floor.size
         a, b = block[0, :n_checks], block[1:, :n_checks]
         # each column's least value over the state box, taken at the box corner that minimises it
@@ -285,154 +341,91 @@ class _LawTable(_AffineLaws):
         margin = 8.0 * _EPS * (np.abs(a) + np.abs(self.box).max(axis=0) @ np.abs(b))
         cols = np.flatnonzero(~(least >= self.floor + margin))
         screen = tuple(dict.fromkeys(zip(*block[:, cols].tolist(), self.floor[cols].tolist())))
-        law = _Law(tuple(block), screen, tuple(zip(*block[:, n_checks:].tolist(), self.s.tolist())))
-        if len(self) < _MAX_LAWS:
-            self.stored.add(key)
-            self.laws.append(law)
-        return _first_answer((law,), z1, z2)
+        return (_Law(block, screen, tuple(zip(*block[:, n_checks:].tolist(), self.s.tolist()))),)
+
+    def _with(self, law: tuple[_Law]) -> tuple[_Law, ...]:
+        return self.laws + law
+
+    def _first(self, laws, p):
+        """``(x, None)`` from the first of laws whose screen holds at state p in X, x its corners as plain floats; or None."""
+        if not self._covers(p):
+            return None
+        z1, z2 = p
+        for law in laws:
+            for a, b1, b2, floor in law.screen:
+                # as a pass over the block computes it: (a + b1*z1) + b2*z2
+                if not a + b1 * z1 + b2 * z2 >= floor:
+                    break
+            else:
+                return [(a + b1 * z1 + b2 * z2) * s for a, b1, b2, s in law.point], None
+        return None
 
 
 class _ChainTable(_AffineLaws):
-    """The affine laws and Farkas rays of a chain program, whose parameter is the end boxes' eight corners.
+    """The table of a chain program, whose parameter is the end boxes' eight corners; its laws decide by their full check.
 
-    An end-box parameter has no bounded domain to prove a screen over, so a
-    chain law decides by its full check.  A lookup evaluates every stored
-    law at p in one pass over their stacked blocks, elementwise and left to
-    right, ``((a + b1*p1) + b2*p2) + ...``, so a law's check values and
+    An end-box parameter has no bounded domain to prove a screen over.  The
+    laws are kept as their blocks stacked ``(1 + len(p), laws, columns)``,
+    and every stored law is evaluated at p in one pass, elementwise and left
+    to right, ``((a + b1*p1) + b2*p2) + ...``, so a law's check values and
     point are bit for bit the same at learn time, alone and inside a table
     of any size; the first law, in the order they were learned, whose full
-    check holds answers.  A law answer carries no multipliers: those come
-    only from a kernel run.
-
-    The table also keeps Farkas rays the kernel returned, ``y >= 0`` with
-    ``G_free'y = 0``, which the kernel checked and which do not depend on
-    p.  They are consulted only after a law miss, before the kernel runs:
-    the first stored ray with ``h'y < -_ROW_TOL*sum(y)`` on p's free
-    right-hand sides h answers, a certificate at p exactly as the kernel's
-    own ray would be.
-
-    It stores at most ``_MAX_LAWS`` laws and as many rays, and no more than
-    ``_TABLE_BYTES`` of them together; a law that does not fit is still
-    built and answers at the p it was learned at.  Every program of N steps
-    on a problem shares one table, which may be filled from several
-    threads: each update publishes new arrays by one attribute assignment,
-    under a lock, and a reader loads each attribute once, so it sees only
-    whole laws and rays.
+    check holds answers.  Every program of N steps on a problem shares one
+    table.
     """
 
     def __init__(self, prog: "_CornerProgram"):
         super().__init__(prog)
         m, n = self.G_free.shape
-        # the stored laws' blocks in the order learned, blocks[:, i] the block of law i
-        self.blocks = np.empty((self.rhs.shape[1], 0, 2 * m + n))
-        # the active sets of the stored laws, as index bytes
-        self.stored: set[bytes] = set()
-        # the stored rays, each row one ray on the free rows, and -_ROW_TOL*sum(y) of each
-        self.rays = (np.empty((0, m)), np.empty(0))
-        self._lock = threading.Lock()
+        self.laws = np.empty((self.rhs.shape[1], 0, 2 * m + n))
 
-    def __len__(self) -> int:
-        return self.blocks.shape[1]
+    def _law(self, block: np.ndarray) -> np.ndarray:
+        return block[:, None]
 
-    def check(self, p):
-        """``(x, None)`` from the first stored law whose full check holds at p, or None."""
-        return self._held(self.blocks, p)
+    def _with(self, law: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.laws, law], axis=1)
 
-    def _held(self, blocks, p):
-        """``(x, None)`` from the first of blocks whose full check holds at p, or None.
-
-        blocks holds laws' blocks stacked as ``(1 + len(p), laws, columns)``.
-        """
-        # elementwise and left to right, so no law's values depend on the others
-        vals = blocks[0].copy()
-        for b, pk in zip(blocks[1:], p):
-            vals += b * pk
+    def _first(self, laws: np.ndarray, p):
+        """``(x, None)`` from the first of the stacked laws whose full check holds at p, or None."""
+        # elementwise and left to right, so no law's values depend on the others;
+        # a product that overflows makes a check NaN or infinite, and a NaN check fails
+        vals = laws[0].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b, pk in zip(laws[1:], p):
+                vals += b * pk
         n_checks = self.floor.size
         held = (vals[:, :n_checks] >= self.floor).all(axis=1)
         if not held.any():
             return None
         return vals[held.argmax(), n_checks:] * self.s, None
 
-    def refute(self, h: np.ndarray):
-        """The first stored ray y with ``h'y < -_ROW_TOL*sum(y)`` on free right-hand sides h, or None.
-
-        A right-hand side that is not finite, which the kernel refuses at its
-        start, makes every product non-finite, and no ray answers.
-        """
-        rays, floor = self.rays
-        hy = rays @ h
-        held = (hy < floor) & (hy > -_INF)
-        if not held.any():
-            return None
-        return rays[held.argmax()]
-
-    def _room(self, count: int, nbytes: int) -> bool:
-        """Whether an item of nbytes fits beside count stored items of its kind."""
-        return count < _MAX_LAWS and self.blocks.nbytes + self.rays[0].nbytes + nbytes <= _TABLE_BYTES
-
-    def keep(self, ray: np.ndarray) -> None:
-        """Store a Farkas ray the kernel returned, while there is room."""
-        with self._lock:
-            rays, floor = self.rays
-            if self._room(rays.shape[0], ray.nbytes):
-                self.rays = (np.vstack([rays, ray]), np.append(floor, -_ROW_TOL * ray.sum()))
-
-    def learn(self, y: np.ndarray, p):
-        """Store the law of the active set ``y > 0`` unless known or there is no room; its answer at p or None."""
-        act = np.flatnonzero(y > 0.0)
-        key = act.tobytes()
-        with self._lock:
-            if key in self.stored:
-                # stored, and it did not hold at p
-                return None
-            block = self._block(act)
-            if self._room(len(self), block.nbytes):
-                self.blocks = np.concatenate([self.blocks, block[:, None]], axis=1)
-                self.stored.add(key)
-        return self._held(block[:, None], p)
-
-
-def _first_answer(laws, z1: float, z2: float):
-    """``(x, None)`` from the first of laws whose screen holds at state z, x its corners as plain floats; or None."""
-    for law in laws:
-        for a, b1, b2, floor in law.screen:
-            # as a pass over the block computes it: (a + b1*z1) + b2*z2
-            if not a + b1 * z1 + b2 * z2 >= floor:
-                break
-        else:
-            return [(a + b1 * z1 + b2 * z2) * s for a, b1, b2, s in law.point], None
-    return None
-
 
 class _CornerProgram(NamedTuple):
     """``min sum(d*x**2 + q*x)`` over free box corners x, subject to ``G x <= h0 - P @ p``.
 
-    p is the program's parameter: the end boxes' corner vectors of a chain,
-    the measured state of a tube.  ``fixed`` marks the rows with no free
-    coefficient, and ``G_free`` holds the others.  The fixed rows are split
-    when the program is built: ``fixed_min`` is the least right-hand side of
-    those p does not enter (``+inf`` if none), and ``fixed_p`` indexes the
-    others; when p is a state, ``fixed_z`` holds those same rows as plain
-    floats ``(h0, c1, c2)``, the row holding at z when
-    ``h0 - (c1*z1 + c2*z2) >= -_FEAS_TOL``, and is empty otherwise.  ``lo``
-    and ``hi`` are the state bounds at every free corner, as plain floats,
-    onto which the read-back clips; no value is read from ``d`` and ``q``.
-    ``laws`` is the program's table, filled as it is solved: the tube's
-    affine laws, decided by screens on X (:class:`_LawTable`), or a chain's
-    laws and Farkas rays, decided by full checks (:class:`_ChainTable`).
-    The invariant box has None.
+    p is the program's parameter, a tuple of floats: the end boxes' corners
+    of a chain, the measured state of a tube.  ``fixed`` marks the rows with
+    no free coefficient, and ``G_free`` holds the others.  The fixed rows
+    are split when the program is built: ``fixed_min`` is the least
+    right-hand side of those p does not enter (``+inf`` if none), and
+    ``fixed_rows`` holds the others as plain floats ``(h0, ((k, c), ...))``,
+    one pair per nonzero coefficient ``c`` of ``p[k]``, the row holding at p
+    when ``h0 - sum(c*p[k]) >= -_FEAS_TOL``.  ``lo`` and ``hi`` are the
+    state bounds at every free corner, as plain floats, onto which the
+    read-back clips; no value is read from ``d`` and ``q``.  ``laws`` is the
+    program's table, filled as it is solved: the tube's laws, decided by
+    screens on X (:class:`_LawTable`), or a chain's, decided by full checks
+    (:class:`_ChainTable`).  The invariant box has None.
     """
 
     d: np.ndarray
     q: np.ndarray
-    G: np.ndarray
     P: np.ndarray
     h0: np.ndarray
     fixed: np.ndarray
     G_free: np.ndarray
     fixed_min: float
-    fixed_p: np.ndarray
-    fixed_z: tuple[tuple[float, float, float], ...]
+    fixed_rows: tuple[tuple[float, tuple[tuple[int, float], ...]], ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     laws: Optional[_LawTable | _ChainTable] = None
@@ -441,14 +434,15 @@ class _CornerProgram(NamedTuple):
 def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
     fixed = ~np.any(G != 0.0, axis=1)
     enters = np.any(P != 0.0, axis=1)
-    fixed_p = np.flatnonzero(fixed & enters)
     (lo1, lo2), (hi1, hi2) = spec.x_bounds.lo, spec.x_bounds.hi
     n_free = d.size // 4
     return _CornerProgram(
-        d, q, G, P, h0, fixed, G[~fixed],
+        d, q, P, h0, fixed, G[~fixed],
         fixed_min=float(np.min(h0[fixed & ~enters], initial=_INF)),
-        fixed_p=fixed_p,
-        fixed_z=tuple(zip(h0[fixed_p].tolist(), *P[fixed_p].T.tolist())) if P.shape[1] == 2 else (),
+        fixed_rows=tuple(
+            (h0[i].item(), tuple((k, P[i, k].item()) for k in np.flatnonzero(P[i]).tolist()))
+            for i in np.flatnonzero(fixed & enters)
+        ),
         lo=(lo1, lo1, lo2, lo2) * n_free,
         hi=(hi1, hi1, hi2, hi2) * n_free,
     )
@@ -503,58 +497,36 @@ def _solve_program(prog: _CornerProgram, p):
     ``G_free'y = 0`` and ``h'y < 0`` for their right-hand sides
     ``h = h0 - P @ p``: the kernel's, or one its table stored.
 
-    The fixed rows are checked first, as split when the program was built:
-    one comparison for the rows p does not enter, and only the rows it
-    enters evaluated at p.  A program without a table (the invariant box)
-    forms h, checks its fixed rows on it and runs the kernel.  A chain does
-    the same, but first answers from the first stored law whose full check
-    holds at p, and on a miss goes to :func:`_learned_answer`.  The tube
-    program, whose parameter is a state ``(z1, z2)``, evaluates its fixed
-    rows in plain floats.  At a state in X it answers from the first stored
-    law whose screen holds there; only on a miss does it form h, run the
-    kernel cold, learn the law of the active set the kernel returns, and
-    answer from that law if its screen holds, else from the kernel.  A
-    state outside X, where the screens prove nothing, goes to the kernel
-    and is not learned from.
+    Every program takes one path.  The fixed rows are checked first, as
+    split when the program was built: one comparison for the rows p does
+    not enter, and the rows it enters evaluated at p in plain floats.  Then
+    the first stored law that holds at p answers (:meth:`_AffineLaws.lookup`).
+    Only on a miss is h formed; the first stored ray that certifies it
+    answers, and otherwise the kernel runs cold, and the table keeps what it
+    returns: the ray of an infeasible program, or the law of its active set,
+    which answers when it holds at p.  The invariant box, which has no
+    table, skips the table's steps.  A right-hand side that overflows to
+    ``+inf`` is a row that always holds, and the kernel runs without it; one
+    of ``-inf`` or NaN makes the kernel raise SolverFailure.
     """
+    if prog.fixed_min < -_FEAS_TOL or _fixed_rows_fail(prog.fixed_rows, p):
+        return None, _worst_fixed_row(prog, p)
     laws = prog.laws
-    if not isinstance(laws, _LawTable):
-        h = prog.h0 - prog.P @ p
-        if prog.fixed_min < -_FEAS_TOL or min(h[prog.fixed_p].tolist(), default=_INF) < -_FEAS_TOL:
-            return None, _worst_fixed_row(prog, h)
-        if laws is None:
-            return _run_kernel(prog, h)
-        answer = laws.check(p)
-        return _learned_answer(prog, h, p) if answer is None else answer
-    z1, z2 = p
-    if prog.fixed_min < -_FEAS_TOL or _state_rows_fail(prog.fixed_z, z1, z2):
-        return None, _worst_fixed_row(prog, prog.h0 - prog.P @ p)
-    if not laws.covers(z1, z2):
-        # the screens decide only on X
-        return _run_kernel(prog, prog.h0 - prog.P @ p)
-    answer = laws.lookup(z1, z2)
-    if answer is None:
-        x, y = _run_kernel(prog, prog.h0 - prog.P @ p)
-        if x is not None:
-            answer = laws.learn(y, z1, z2)
-        if answer is None:
-            answer = x, y
-    return answer
-
-
-def _learned_answer(prog: _CornerProgram, h: np.ndarray, p):
-    """A chain's answer at p on a law miss, h being ``h0 - P @ p``: a stored ray's, else the kernel's.
-
-    The first stored ray that certifies the free rows infeasible at p
-    answers.  Otherwise the kernel runs cold and the table keeps what it
-    returns: the ray of an infeasible program, or the law of its active
-    set, which answers when its full check holds at p.
-    """
-    laws = prog.laws
-    ray = laws.refute(h[~prog.fixed])
+    answer = None if laws is None else laws.lookup(p)
+    if answer is not None:
+        return answer
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (prog.h0 - prog.P @ p)[~prog.fixed]
+    ray = None if laws is None else laws.refute(h)
     if ray is not None:
         return None, ray
-    x, y = _run_kernel(prog, h)
+    # a right-hand side that overflowed to +inf is a row that always holds
+    kept = h != _INF
+    x, y_kept = _dual_active_set(prog.d, prog.q, prog.G_free[kept], h[kept], _ROW_TOL)
+    y = np.zeros(h.size)
+    y[kept] = y_kept
+    if laws is None:
+        return x, y
     if x is None:
         laws.keep(y)
         return None, y
@@ -562,21 +534,22 @@ def _learned_answer(prog: _CornerProgram, h: np.ndarray, p):
     return (x, y) if answer is None else answer
 
 
-def _state_rows_fail(rows, z1: float, z2: float) -> bool:
-    """Whether a plain-float row ``(h0, c1, c2)`` of rows is violated at state z by more than ``_FEAS_TOL``."""
-    for h0, c1, c2 in rows:
-        if h0 - (c1 * z1 + c2 * z2) < -_FEAS_TOL:
+def _fixed_rows_fail(rows, p) -> bool:
+    """Whether a row ``(h0, ((k, c), ...))`` of rows is violated at p by more than ``_FEAS_TOL``."""
+    for h0, terms in rows:
+        lhs = 0.0
+        for k, c in terms:
+            lhs += c * p[k]
+        if h0 - lhs < -_FEAS_TOL:
             return True
     return False
 
 
-def _worst_fixed_row(prog: _CornerProgram, h: np.ndarray) -> int:
-    """The index of the fixed row with the least right-hand side in h, the first of ties."""
+def _worst_fixed_row(prog: _CornerProgram, p) -> int:
+    """The index of the fixed row with the least right-hand side at p, the first of ties."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = prog.h0 - prog.P @ p
     return int(np.where(prog.fixed, h, _INF).argmin())
-
-
-def _run_kernel(prog: _CornerProgram, h: np.ndarray):
-    return _dual_active_set(prog.d, prog.q, prog.G_free, h[~prog.fixed], _ROW_TOL)
 
 
 def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
@@ -652,7 +625,7 @@ def optimal_rci(spec: ProblemSpec) -> tuple[IntervalBox, float]:
         P=np.zeros((int(finite.sum()), 0)),
         h0=const[finite],
     )
-    solved = _solve_tube(spec, prog, np.zeros(0), [], [])
+    solved = _solve_tube(spec, prog, (), [], [])
     if solved is None:
         raise RciNotFound(
             "no robust control invariant interval box exists within the state "

@@ -31,8 +31,8 @@ inequality rows only, and goes to the private dense dual active-set kernel
 returns either multipliers or a Farkas ray.  It always starts cold, at the
 unconstrained minimiser; the multi-step and tube MPC programs call it only
 when none of the affine laws they have kept from earlier answers holds at
-their parameter, and a multi-step program only when none of the Farkas
-rays it has kept certifies it infeasible either.
+their parameter and none of the Farkas rays they have kept certifies it
+infeasible (``cost_to_travel._solve_program``).
 :func:`solve` and :class:`QpBuilder` remain as an independent reference
 solver: the tests assemble the original programs, edge controls included,
 through them.  Only they need scipy, which they import on first use, so

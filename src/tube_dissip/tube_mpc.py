@@ -12,27 +12,25 @@ the point box ``{z}``, so, like the edge controls of every step, it drops
 out through :func:`~tube_dissip.problem.transition_rows`.  What remains is a
 strictly convex QP in the corners of the first ``horizon`` boxes,
 ``min sum(d*x**2 + q*x)`` subject to ``G x <= h0 - P @ z``, built once per
-problem and controller options and solved exactly by the dual active-set
-kernel of ``qp_solver``.  On each optimal active set the answer is affine
-in z, so the program keeps the affine law of every active set the kernel
-has returned for it (up to 64), as the chain programs of multi-step
-cost-to-travel values keep theirs, and a solve runs the kernel only when no
-stored law gives a KKT point at z (``cost_to_travel._LawTable``).  A solve that a law
-answers does only the arithmetic that depends on z, in plain floats.  It
-checks the rows with no free coefficient against the feasibility tolerance
-``qp_solver._FEAS_TOL``: one comparison for those z does not enter, split
-off when the program is built, and the few it enters evaluated at z.  Then
-the screens decide.  A law's screen holds the few checks of its full KKT
-check that a rounding margin does not prove to hold at every state in the
-state bounds X, so at a state in X the screen holds exactly when the full
-check does.  The first law, in the order they were learned, whose screen
-holds answers, and only its corners are computed, bit for bit the point of
-the first law whose full check holds; the full check itself is the tests'
-reference and never runs.  A law answer carries no multipliers: those come
-only from a kernel run.  The screens prove nothing beyond X, so a state
-outside X goes to the kernel and is not learned from; :func:`solve_tmpc`
-passes the program only states in X (see below).  The right-hand side
-``h0 - P @ z`` is formed only when the kernel runs.  The answer is read
+problem and controller options.  It is answered by the one path of every
+corner program (``cost_to_travel._solve_program``): the rows with no free
+coefficient are checked in plain floats against the feasibility tolerance
+``qp_solver._FEAS_TOL``, then the first stored affine law that holds at z
+answers, and only on a miss does the dual active-set kernel of
+``qp_solver`` run, cold, its law or Farkas ray kept in the program's table
+(``cost_to_travel._LawTable``, up to 64 laws, under the lock and byte
+bound every table shares).  On each optimal active set the answer is
+affine in z, and the tube's laws decide by screens: a law's screen holds
+the few checks of its full KKT check that a rounding margin does not prove
+to hold at every state in the state bounds X, so at a state in X the
+screen holds exactly when the full check does.  The first law, in the
+order they were learned, whose screen holds answers, and only its corners
+are computed, bit for bit the point of the first law whose full check
+holds; the full check itself is the tests' reference and never runs.  A
+law answer carries no multipliers: those come only from a kernel run.  The
+screens prove nothing beyond X, so no law answers a state outside X and
+none is learned from one; :func:`solve_tmpc` passes the program only
+states in X (see below).  The answer is read
 back into boxes and edge controls, and priced, as those values are
 (``cost_to_travel._solve_tube``, which prices nothing, then
 ``cost_to_travel._tube_cost``): the objective is the stage costs of the
@@ -198,10 +196,10 @@ def _tube_program(
     Only the window and containment rows depend on the state.  Building the
     program runs no solve.
 
-    The program carries an empty table of affine laws (``laws``), which its
-    solves fill; :func:`_controller` builds it once per controller, and it
-    is shared by every solve of the controller.  A solve's answer does not
-    depend on the order of earlier solves.
+    The program carries an empty table of affine laws and Farkas rays
+    (``laws``), which its solves fill; :func:`_controller` builds it once
+    per controller, and it is shared by every solve of the controller.  A
+    solve's answer does not depend on the order of earlier solves.
     """
     n = cfg.horizon
     steps, h_steps = _stacked_steps(spec, n)

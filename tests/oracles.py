@@ -628,6 +628,19 @@ def chain_margin(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_steps: int
     return float(res.x[-1])
 
 
+def program_rows(prog) -> np.ndarray:
+    """Every row G of a corner program: its free rows ``G_free`` among zero rows at its fixed ones."""
+    G = np.zeros((prog.h0.size, prog.G_free.shape[1]))
+    G[~prog.fixed] = prog.G_free
+    return G
+
+
+def kernel_answer(prog, p):
+    """``(x, y)`` of a cold kernel run on a corner program's free rows at parameter p, with no table."""
+    h = prog.h0 - prog.P @ np.asarray(p, dtype=float)
+    return qp_solver._dual_active_set(prog.d, prog.q, prog.G_free, h[~prog.fixed], qp_solver._ROW_TOL)
+
+
 def program_answer(prog, p, answer) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """A corner program's answer ``(x, y)`` at parameter p, over all its rows: ``(h, x, y)``.
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import tube_dissip
-from tube_dissip import cost_to_travel, qp_solver
+from tube_dissip import cost_to_travel, qp_solver, tube_mpc
 from tube_dissip.cost_to_travel import (
     RciNotFound,
     eval_v,
@@ -23,6 +23,7 @@ from tube_dissip.interval_sets import IntervalBox, subset
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_witness
 from tube_dissip.qp_solver import _FEAS_TOL, QpStatus, SolverFailure, solve
 from tube_dissip.sampling import feasible_chain, random_box_within
+from tube_dissip.tube_mpc import TubeMpcConfig
 
 from . import oracles
 from .oracles import grid_rci_search, transition_feasible_oracle
@@ -251,19 +252,19 @@ def solved_chain(spec, a, c, n_steps, stack=None):
     """
     if stack is None:
         stack = cost_to_travel._chain_stack(spec, n_steps)
-    ends = np.array(a.corners() + c.corners())
-    real_held = cost_to_travel._ChainTable._held
+    ends = a.corners() + c.corners()
+    real_first = cost_to_travel._ChainTable._first
     answered = []
 
-    def recording_held(laws, blocks, p):
-        answer = real_held(laws, blocks, p)
+    def recording_first(laws, blocks, p):
+        answer = real_first(laws, blocks, p)
         if answer is not None:
             answered.append(next(blocks[:, i] for i in range(blocks.shape[1])
                                  if oracles.law_full_check(laws, blocks[:, i], p) is not None))
         return answer
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cost_to_travel._ChainTable, "_held", recording_held)
+        patch.setattr(cost_to_travel._ChainTable, "_first", recording_first)
         h, x, y = oracles.program_answer(stack, ends, cost_to_travel._solve_program(stack, ends))
     if x is not None and y is None:
         x_law, y_law = oracles.law_full_check(stack.laws, answered[-1], ends)
@@ -308,7 +309,7 @@ class TestMultiStepKernel:
         spec = SPECS[spec_name]
         a, c = data.draw(chain_ends(spec, n_steps))
         stack, (h, x, y) = solved_chain(spec, a, c, n_steps)
-        G = stack.G
+        G = oracles.program_rows(stack)
         res = eval_v(spec, a, c, n_steps)
         assert res.feasible == (x is not None)
         if x is not None:
@@ -369,8 +370,9 @@ class TestMultiStepValues:
             a, c = random_box_within(rng, OUTER), random_box_within(rng, OUTER)
             stack, (h, x, y) = solved_chain(spec, a, c, 2)
             if x is None:
-                assert oracles.farkas_ray_ok(stack.G, h, y)
-                kinds["fixed" if not np.any(stack.G[y > 0]) else "free"] += 1
+                G = oracles.program_rows(stack)
+                assert oracles.farkas_ray_ok(G, h, y)
+                kinds["fixed" if not np.any(G[y > 0]) else "free"] += 1
         assert min(kinds.values()) >= 10, kinds
 
     @pytest.mark.parametrize("n_steps", [2, 3])
@@ -398,6 +400,27 @@ class TestMultiStepValues:
         huge = ProblemSpec(cost_quad=(1e307,) * 4)
         with pytest.raises(SolverFailure, match=r"cost is not finite \(inf\)"):
             eval_v(huge, huge.x_bounds, huge.x_bounds, n_steps)
+
+    @pytest.mark.parametrize("n_steps, value", [(2, 3.600000000000002), (3, 3.373437499999958)])
+    def test_an_end_box_whose_corner_sums_overflow_is_answered(self, spec, n_steps, value):
+        # the target's corners are finite, but sums of them overflow, with no
+        # numpy warning, to right-hand sides of +inf: rows that always hold.
+        # The value is the one of the same target at 1e300, at the first
+        # call and at a second, which the table answers
+        a = box((-2, 1), (-4, 1))
+        prog = fresh_chain(spec, n_steps)
+        assert chain_value(spec, prog, a, box((-1e300, 1e300), (-1e300, 1e300)), n_steps).value == value
+        target = box((-1e308, 1e308), (-1e308, 1e308))
+        prog = fresh_chain(spec, n_steps)
+        with pytest.MonkeyPatch.context() as patch:
+            runs = oracles.count_kernel_runs(patch)
+            first = chain_value(spec, prog, a, target, n_steps)
+            n_runs = len(runs)
+            second = chain_value(spec, prog, a, target, n_steps)
+        assert n_runs > 0 and len(runs) == n_runs and len(prog.laws) == 1
+        for res in (first, second):
+            assert res.feasible and res.tube[-1] is target
+            assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_a_step_refused_by_the_one_step_rule_raises(self, spec, x_star, monkeypatch):
         # the kernel's minimiser meets every row, so this needs a broken rule
@@ -486,6 +509,7 @@ class TestChainLawTable:
         spec = SPECS[spec_name]
         prog = fresh_chain(spec, n_steps)
         free = ~prog.fixed
+        G = oracles.program_rows(prog)
         # one entry per optimal answer: whether the kernel ran for it
         kernel_ran = []
 
@@ -498,7 +522,7 @@ class TestChainLawTable:
             if x is not None:
                 # a KKT certificate, whether the answer came from a law or the kernel
                 assert np.all(y >= 0.0)
-                assert np.max(np.abs(2.0 * prog.d * x + prog.q + prog.G.T @ y)) <= 1e-12
+                assert np.max(np.abs(2.0 * prog.d * x + prog.q + G.T @ y)) <= 1e-12
                 slack = h[free] - prog.G_free @ x
                 assert np.min(slack) >= -qp_solver._ROW_TOL
                 assert np.max(np.abs(y[free] * slack)) <= 1e-10
@@ -527,6 +551,7 @@ class TestChainLawTable:
             if x is None and np.any(y[free]):
                 refused.append((a, c, y[free]))
         shared = fresh_chain(spec, n_steps)
+        G = oracles.program_rows(stack)
         verdicts = {"stored ray": 0, "no stored ray certifies": 0}
         for a, c, _ in refused:
             one_ray = fresh_chain(spec, n_steps)
@@ -538,8 +563,8 @@ class TestChainLawTable:
                 with pytest.MonkeyPatch.context() as patch:
                     runs = oracles.count_kernel_runs(patch)
                     _, (h, x, y) = solved_chain(spec, a, c, n_steps, prog)
-                assert x is None and oracles.farkas_ray_ok(prog.G, h, y)
-                certified = [oracles.farkas_ray_ok(prog.G, h, ray) for ray in rays]
+                assert x is None and oracles.farkas_ray_ok(G, h, y)
+                certified = [oracles.farkas_ray_ok(G, h, ray) for ray in rays]
                 if not runs:
                     assert any(ray.tobytes() == y.tobytes() and ok for ray, ok in zip(rays, certified))
                     verdicts["stored ray"] += 1
@@ -559,7 +584,7 @@ class TestChainLawTable:
         rng = np.random.default_rng(n_steps)
         for _ in range(300):
             a, c = random_box_within(rng, OUTER), random_box_within(rng, OUTER)
-            ends = np.array(a.corners() + c.corners())
+            ends = a.corners() + c.corners()
             x, y = cost_to_travel._solve_program(prog, ends)
             if x is None and not isinstance(y, int):
                 break
@@ -573,10 +598,14 @@ class TestChainLawTable:
         assert prog.laws.refute(near) is None
         for bad in (-INF, math.nan):
             broken = h.copy()
-            broken[np.flatnonzero(free)[np.argmax(y)]] = bad
+            row = np.flatnonzero(free)[np.argmax(y)]
+            broken[row] = bad
             assert prog.laws.refute(broken[free]) is None
+            # the same right-hand side, reached through the program's constant on that row
+            h0 = prog.h0.copy()
+            h0[row] = bad
             with pytest.raises(SolverFailure, match="start is not finite"):
-                cost_to_travel._learned_answer(prog, broken, ends)
+                cost_to_travel._solve_program(prog._replace(h0=h0), ends)
 
     def test_a_law_answers_alike_alone_and_in_a_table_of_any_size(self, spec_name, n_steps):
         # a law's point at p is bit for bit its full check's, evaluated by
@@ -586,18 +615,18 @@ class TestChainLawTable:
         rng = np.random.default_rng(10 + n_steps)
         for _ in range(10):
             chain = feasible_chain(spec, rng, n_steps)
-            ends = np.array(chain[0].corners() + chain[-1].corners())
-            _, y = cost_to_travel._run_kernel(stack, stack.h0 - stack.P @ ends)
+            ends = chain[0].corners() + chain[-1].corners()
+            _, y = oracles.kernel_answer(stack, ends)
             alone = cost_to_travel._ChainTable(stack)
             at_learn = alone.learn(y, ends)
             assert at_learn is not None
-            x, _ = oracles.law_full_check(alone, alone.blocks[:, 0], ends)
+            x, _ = oracles.law_full_check(alone, alone.laws[:, 0], ends)
             assert at_learn[0].tobytes() == x.tobytes()
-            assert alone.check(ends)[0].tobytes() == x.tobytes()
+            assert alone.lookup(ends)[0].tobytes() == x.tobytes()
             first = cost_to_travel._ChainTable(stack)
             first.learn(y, ends)
             fill(first, ends, 64)
-            assert first.check(ends)[0].tobytes() == x.tobytes()
+            assert first.lookup(ends)[0].tobytes() == x.tobytes()
             last = cost_to_travel._ChainTable(stack)
 
             def fails_at_ends(pattern):
@@ -608,7 +637,7 @@ class TestChainLawTable:
             fill(last, ends, 63, fails_at_ends)
             last.learn(y, ends)
             assert len(first) == len(last) == 64
-            assert last.check(ends)[0].tobytes() == x.tobytes()
+            assert last.lookup(ends)[0].tobytes() == x.tobytes()
 
     def test_a_full_table_answers_misses_through_the_kernel(self, spec_name, n_steps):
         spec = SPECS[spec_name]
@@ -617,7 +646,7 @@ class TestChainLawTable:
         chains = [feasible_chain(spec, rng, n_steps) for _ in range(100)]
         ends = [(chain[0], chain[-1]) for chain in chains]
         ends += [(random_box_within(rng, OUTER), random_box_within(rng, OUTER)) for _ in range(50)]
-        fill(prog.laws, np.array(ends[0][0].corners() + ends[0][1].corners()), 64)
+        fill(prog.laws, ends[0][0].corners() + ends[0][1].corners(), 64)
         assert len(prog.laws) == cost_to_travel._MAX_LAWS == 64
         with pytest.MonkeyPatch.context() as patch:
             runs = oracles.count_kernel_runs(patch)
@@ -629,42 +658,68 @@ class TestChainLawTable:
 
 
 
-def test_threads_filling_one_table_store_whole_laws_once(spec):
+def fresh_tube(spec, cfg):
+    """The controller's tube program with an empty table of its own."""
+    prog = tube_mpc._controller(spec, cfg).prog
+    return prog._replace(laws=cost_to_travel._LawTable(prog, spec.x_bounds))
+
+
+def empty_table(spec, prog):
+    """A new empty table of the kind prog's is."""
+    if isinstance(prog.laws, cost_to_travel._LawTable):
+        return cost_to_travel._LawTable(prog, spec.x_bounds)
+    return cost_to_travel._ChainTable(prog)
+
+
+def stored_blocks(laws):
+    """The blocks of a table's stored laws, in the order learned."""
+    if isinstance(laws, cost_to_travel._LawTable):
+        return [law.block for law in laws.laws]
+    return [laws.laws[:, i] for i in range(len(laws))]
+
+
+@pytest.mark.parametrize("kind", ["chain", "tube"])
+def test_threads_filling_one_table_store_whole_laws_once(spec, kind):
     # threads learn the same laws and keep rays, each in its own order, into
     # one shared table while another thread looks laws up in it: every
     # stored block is, bit for bit, the block of a law one thread learned,
     # each learned law is stored once, and a lookup answers only from a
-    # whole law's full check
-    prog = fresh_chain(spec, 2)
+    # whole law's full check.  The chain's 48 laws all fit; of the tube's
+    # 80, the first 64 to arrive are stored
+    if kind == "chain":
+        prog = fresh_chain(spec, 2)
+        chain = feasible_chain(spec, np.random.default_rng(5), 2)
+        p, n_patterns = chain[0].corners() + chain[-1].corners(), 48
+    else:
+        prog = fresh_tube(spec, TubeMpcConfig())
+        p, n_patterns = (0.0, 0.0), 80
     laws = prog.laws
     m = laws.G_free.shape[0]
-    chain = feasible_chain(spec, np.random.default_rng(5), 2)
-    ends = np.array(chain[0].corners() + chain[-1].corners())
-    _, y_opt = cost_to_travel._run_kernel(prog, prog.h0 - prog.P @ ends)
-    patterns = [y_opt, *itertools.islice(row_patterns(m), 47)]
+    _, y_opt = oracles.kernel_answer(prog, p)
+    patterns = [y_opt, *itertools.islice(row_patterns(m), n_patterns - 1)]
     want = {}
     for y in patterns:
-        alone = cost_to_travel._ChainTable(prog)
-        alone.learn(y, ends)
-        want[np.flatnonzero(y > 0.0).tobytes()] = alone.blocks[:, 0]
-    # the points of the learned laws whose full check holds at the ends
-    answers = [oracles.law_full_check(laws, block, ends) for block in want.values()]
+        alone = empty_table(spec, prog)
+        alone.learn(y, p)
+        want[np.flatnonzero(y > 0.0).tobytes()] = stored_blocks(alone)[0]
+    # the points of the learned laws whose full check holds at p
+    answers = [oracles.law_full_check(laws, block, p) for block in want.values()]
     points = {answer[0].tobytes() for answer in answers if answer is not None}
-    assert points, "no learned law holds at the ends"
+    assert points, "no learned law holds at p"
     rays = np.random.default_rng(6).uniform(0.0, 1.0, (80, m))
     done = threading.Event()
     seen = []
 
     def read():
         while not done.is_set():
-            answer = laws.check(ends)
+            answer = laws.lookup(p)
             if answer is not None:
-                seen.append(answer[0].tobytes())
+                seen.append(np.asarray(answer[0]).tobytes())
 
     def write(seed):
         order = np.random.default_rng(seed).permutation(len(patterns))
         for i in order:
-            laws.learn(patterns[i], ends)
+            laws.learn(patterns[i], p)
             laws.keep(rays[i])
 
     interval = sys.getswitchinterval()
@@ -676,43 +731,62 @@ def test_threads_filling_one_table_store_whole_laws_once(spec):
         for thread in writers:
             thread.start()
         for thread in writers:
-            thread.join()
+            thread.join(timeout=120)
         done.set()
-        reader.join()
+        reader.join(timeout=120)
     finally:
+        done.set()
         sys.setswitchinterval(interval)
-    assert len(laws) == len(want) and laws.stored == set(want)
-    stored = sorted(laws.blocks[:, i].tobytes() for i in range(len(laws)))
-    assert stored == sorted(block.tobytes() for block in want.values())
+    assert not any(thread.is_alive() for thread in [reader, *writers])
+    assert len(laws) == min(len(want), cost_to_travel._MAX_LAWS) and laws.stored <= set(want)
+    blocks = stored_blocks(laws)
+    assert sorted(block.tobytes() for block in blocks) == sorted(want[key].tobytes() for key in laws.stored)
     assert set(seen) <= points
     kept, floor = laws.rays
-    # four threads keep 48 rays each, so the table is full of them
+    # four threads keep n_patterns rays each, so the table is full of them
     assert kept.shape[0] == floor.size == cost_to_travel._MAX_LAWS
     assert {ray.tobytes() for ray in kept} <= {ray.tobytes() for ray in rays[: len(patterns)]}
     assert np.array_equal(floor, -qp_solver._ROW_TOL * kept.sum(axis=1))
+    assert laws.nbytes == sum(block.nbytes for block in blocks) + kept.nbytes <= cost_to_travel._TABLE_BYTES
 
 
-def test_a_long_chain_table_keeps_laws_and_rays_within_its_byte_budget(spec):
-    # at N = MAX_STEPS a law's block is about 214 KiB, so the table stores
-    # four laws and rays up to its byte budget; a law that does not fit
-    # still answers at the ends it was learned at, by its full check
-    prog = fresh_chain(spec, cost_to_travel.MAX_STEPS)
+@pytest.mark.parametrize("kind", ["chain", "tube"])
+def test_a_long_table_keeps_laws_and_rays_within_its_byte_budget(spec, x_star, kind):
+    # at MAX_STEPS a chain law's block is about 214 KiB and a tube law's
+    # about 75 KiB, so a table stores the few laws, and then the rays, that
+    # fit its byte budget; a law that does not fit still answers at the
+    # parameter it was learned at, by its full check
+    if kind == "chain":
+        prog, p = fresh_chain(spec, cost_to_travel.MAX_STEPS), x_star.corners() * 2
+    else:
+        # a state where the kernel's active set has no multiplier at rounding level
+        prog, p = fresh_tube(spec, TubeMpcConfig(horizon=cost_to_travel.MAX_STEPS)), (-1.0, -2.0)
     laws = prog.laws
     m = laws.G_free.shape[0]
-    ends = np.array(IntervalBox.from_intervals((-1, 1), (-1, 1)).corners() * 2, dtype=float)
-    for y in itertools.islice(row_patterns(m), 10):
-        block = laws._block(np.flatnonzero(y > 0.0))
-        want = oracles.law_full_check(laws, block, ends)
-        got = laws.learn(y, ends)
+    law_bytes = laws._block(np.zeros(0, dtype=int)).nbytes
+    fits = cost_to_travel._TABLE_BYTES // law_bytes
+    assert fits == (4 if kind == "chain" else 14) < cost_to_travel._MAX_LAWS
+    for y in itertools.islice(row_patterns(m), fits + 2):
+        want = oracles.law_full_check(laws, laws._block(np.flatnonzero(y > 0.0)), p)
+        got = laws.learn(y, p)
         assert (got is None) == (want is None)
         if got is not None:
-            assert got[0].tobytes() == want[0].tobytes()
+            assert np.asarray(got[0]).tobytes() == want[0].tobytes()
+    assert len(laws) == fits
+    # the law of the kernel's own answer at p holds there: the full table
+    # does not store it, and it answers all the same
+    x, y = oracles.kernel_answer(prog, p)
+    want = oracles.law_full_check(laws, laws._block(np.flatnonzero(y > 0.0)), p)
+    got = laws.learn(y, p)
+    assert want is not None and np.asarray(got[0]).tobytes() == want[0].tobytes()
+    assert np.max(np.abs(np.asarray(got[0]) - x)) <= 1e-9
+    assert len(laws) == fits and np.flatnonzero(y > 0.0).tobytes() not in laws.stored
+    # rays fill what is left: 15 at the chain's 1,397 free rows, none at the tube's 1,423
     for _ in range(100):
         laws.keep(np.ones(m))
-    assert len(laws) == cost_to_travel._TABLE_BYTES // block.nbytes == 4
     kept, _ = laws.rays
-    assert 0 < kept.shape[0] < cost_to_travel._MAX_LAWS
-    assert laws.blocks.nbytes + kept.nbytes <= cost_to_travel._TABLE_BYTES
+    assert kept.shape[0] == (cost_to_travel._TABLE_BYTES - fits * law_bytes) // (8 * m) == (15 if kind == "chain" else 0)
+    assert laws.nbytes == fits * law_bytes + kept.nbytes <= cost_to_travel._TABLE_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,17 @@ from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
 from tube_dissip.problem import ConfigError, ProblemSpec, dynamics, transition_feasible, transition_witness
 from tube_dissip.qp_solver import _FEAS_TOL, QpStatus, SolverFailure, solve
+from tube_dissip.sampling import feasible_chain, random_box_within
 from tube_dissip.tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, sweep_feedback
 
 from .oracles import (
     assert_validated_read_back,
     count_kernel_runs,
+    farkas_ray_ok,
+    kernel_answer,
     law_full_check,
     program_answer,
+    program_rows,
     row_violations,
     tube_qp_reference,
 )
@@ -121,9 +125,9 @@ class TestSolveTmpc:
             x = x.copy()
             # the corners (b1, b2) of the tube's second box, of the chain's
             # middle box and of the invariant box
-            i = 4 if prog.G.shape[1] > 4 else 0
+            i = 4 if prog.G_free.shape[1] > 4 else 0
             x[i] = x[i + 1] + 5e-9
-            assert np.max(prog.G @ x - h) <= _FEAS_TOL
+            assert np.max(program_rows(prog) @ x - h) <= _FEAS_TOL
             seen.append(x)
             return x, answer[1]
 
@@ -174,9 +178,9 @@ class TestSolveTmpc:
         cfg = TubeMpcConfig(use_initial_cost=use_initial_cost)
         z = (5.0, -5.0)
         prog = tube_mpc._controller(spec, cfg).prog
-        n = prog.G.shape[1]
+        n = prog.G_free.shape[1]
         h = prog.h0 - prog.P @ z
-        feasible = linprog(np.zeros(n), A_ub=prog.G, b_ub=h, bounds=[(None, None)] * n, method="highs")
+        feasible = linprog(np.zeros(n), A_ub=program_rows(prog), b_ub=h, bounds=[(None, None)] * n, method="highs")
         assert feasible.status == 0
         try:
             sol = solve_tmpc(spec, cfg, z)
@@ -512,26 +516,36 @@ class TestObjective:
         assert states and runs == [] and calls == []
 
 
+def assert_fixed_row_verdict(prog, p) -> bool:
+    """Whether the fixed rows refuse p, checked against every fixed row at once; the refusal names the worst row."""
+    h = prog.h0 - prog.P @ np.array(p)
+    want = np.min(prog.h0[prog.fixed] - prog.P[prog.fixed] @ np.array(p)) < -_FEAS_TOL
+    x, y = cost_to_travel._solve_program(prog, p)
+    assert isinstance(y, int) == want, p
+    if want:
+        # the most violated fixed row, the first of ties
+        assert x is None and y == int(np.argmin(np.where(prog.fixed, h, np.inf))), p
+    return bool(want)
+
+
+# chain ends may lie anywhere in a box wider than X
+WIDE = IntervalBox(lo=(-6.0, -6.0), hi=(6.0, 6.0))
+
+
 class TestFixedRows:
     """The rows with no free coefficient, split when the program is built, decide as all of them together."""
 
     @pytest.mark.parametrize("table", ["laws", "no laws"])
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_split_check_is_the_check_of_every_fixed_row(self, spec, name, table):
-        # with a law table the rows the state enters are evaluated in plain
-        # floats, without one on the right-hand sides formed for the kernel
+        # the rows the state enters are evaluated in plain floats, with a
+        # law table or without one
         prog = tube_mpc._controller(spec, CONFIGS[name]).prog
         if table == "no laws":
             prog = prog._replace(laws=None)
         violated, violated_in_x = 0, 0
         for z in FIXED_ROW_STATES:
-            h = prog.h0 - prog.P @ np.array(z)
-            want = np.min(prog.h0[prog.fixed] - prog.P[prog.fixed] @ np.array(z)) < -_FEAS_TOL
-            x, y = cost_to_travel._solve_program(prog, z)
-            assert isinstance(y, int) == want, z
-            if want:
-                # the most violated fixed row, the first of ties
-                assert x is None and y == int(np.argmin(np.where(prog.fixed, h, np.inf))), z
+            if assert_fixed_row_verdict(prog, z):
                 violated += 1
                 violated_in_x += contains(spec.x_bounds, z)
         # states beyond the band fail the rows that keep z in X
@@ -539,7 +553,23 @@ class TestFixedRows:
         if name == "horizon_1":
             # the window rows on T depend on z2 and fail inside X
             assert violated_in_x > 0
-        assert prog.fixed_p.size > 0 and np.isfinite(prog.fixed_min)
+        assert prog.fixed_rows and np.isfinite(prog.fixed_min)
+
+    @pytest.mark.parametrize("table", ["laws", "no laws"])
+    @pytest.mark.parametrize("n_steps", [2, 3, 5])
+    def test_chain_check_is_the_check_of_every_fixed_row(self, spec, n_steps, table):
+        # the same plain-float rows decide a chain's end boxes, drawn over a
+        # box wider than X, and the ends of feasible chains
+        stack = cost_to_travel._chain_stack(spec, n_steps)
+        prog = stack._replace(laws=cost_to_travel._ChainTable(stack) if table == "laws" else None)
+        rng = np.random.default_rng(n_steps)
+        ends = [(random_box_within(rng, WIDE), random_box_within(rng, WIDE)) for _ in range(1000)]
+        ends += [(chain[0], chain[-1]) for chain in (feasible_chain(spec, rng, n_steps) for _ in range(100))]
+        verdicts = [assert_fixed_row_verdict(prog, a.corners() + c.corners()) for a, c in ends]
+        assert 100 < sum(verdicts) < len(ends) - 100
+        # at every N the rows the ends enter are those of the first and last steps
+        assert len(prog.fixed_rows) == len(cost_to_travel._chain_stack(spec, 2).fixed_rows)
+        assert all(1 <= len(terms) <= 2 for _, terms in prog.fixed_rows)
 
 
 def install_empty_table(monkeypatch, spec, cfg):
@@ -558,14 +588,14 @@ def record_answers(monkeypatch, prog):
     state and give its x bit for bit.
     """
     real_solve = cost_to_travel._solve_program
-    real_first = cost_to_travel._first_answer
+    real_first = cost_to_travel._LawTable._first
     runs = count_kernel_runs(monkeypatch)
     answered = []
     answers = []
 
-    def recording_first(laws, z1, z2):
+    def recording_first(table, laws, z):
         for law in laws:
-            answer = real_first((law,), z1, z2)
+            answer = real_first(table, (law,), z)
             if answer is not None:
                 answered.append(law)
                 return answer
@@ -586,7 +616,7 @@ def record_answers(monkeypatch, prog):
             answers.append((h, x, y, len(runs) > before))
         return answer
 
-    monkeypatch.setattr(cost_to_travel, "_first_answer", recording_first)
+    monkeypatch.setattr(cost_to_travel._LawTable, "_first", recording_first)
     monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
     return answers
 
@@ -606,12 +636,13 @@ class TestLawTable:
         states += [tuple(z) for z in rng.uniform(-5, 5, (2000, 2))]
         warm = [solve_tmpc(spec, cfg, z) for z in states]
         free = ~prog.fixed
+        G = program_rows(prog)
         for h, x, y, _ in answers:
             if x is None:
                 continue
             # a KKT certificate, whether the answer came from a law or the kernel
             assert np.all(y >= 0.0)
-            assert np.max(np.abs(2.0 * prog.d * x + prog.q + prog.G.T @ y)) <= 1e-12
+            assert np.max(np.abs(2.0 * prog.d * x + prog.q + G.T @ y)) <= 1e-12
             slack = h[free] - prog.G_free @ x
             assert np.min(slack) >= -KERNEL_TOL
             assert np.max(np.abs(y[free] * slack)) <= 1e-10
@@ -629,7 +660,7 @@ class TestLawTable:
         for i in range(2 * m - 1):
             y = np.zeros(m)
             y[i % m : i % m + 1 + i // m] = 1.0
-            laws.learn(y, 0.0, 0.0)
+            laws.learn(y, (0.0, 0.0))
         assert len(laws) == cost_to_travel._MAX_LAWS == 64
         answers = record_answers(monkeypatch, prog)
         warm = [solve_tmpc(spec, cfg_ic, z) for z in STATE_GRID]
@@ -662,7 +693,7 @@ class TestLawTable:
                 multipliers_only.append(z)
         assert rows_only and multipliers_only
         for z in rows_only + multipliers_only:
-            assert prog.laws.lookup(*z) is None, z
+            assert prog.laws.lookup(z) is None, z
         states = rows_only + multipliers_only
         warm = [solve_tmpc(spec, cfg_ic, z) for z in states]
         assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg_ic, states), 2)
@@ -746,7 +777,7 @@ class TestLawScreen:
         laws = learned_table(monkeypatch, spec, CONFIGS[name])
         firsts = set()
         for z in SCREEN_STATES_IN_X:
-            got = laws.lookup(*map(float, z))
+            got = laws.lookup(tuple(map(float, z)))
             first, want = reference_lookup(laws, z)
             firsts.add(first)
             assert (got is None) == (want is None), z
@@ -759,43 +790,53 @@ class TestLawScreen:
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_a_state_outside_x_goes_to_the_kernel(self, spec, name, monkeypatch):
-        # the screens prove nothing beyond X: there a learned table gives the
-        # answer of no table, bit for bit, and learns nothing; a state within
-        # _FEAS_TOL of X passes the fixed rows and runs the kernel, one
+        # the screens prove nothing beyond X: there no law answers and none
+        # is learned, so a learned table gives the answer of no table, bit
+        # for bit, but for a stored Farkas ray, which certifies any state; a
+        # state within _FEAS_TOL of X passes the fixed rows and goes on, one
         # farther out fails them
         laws = learned_table(monkeypatch, spec, CONFIGS[name])
         prog = tube_mpc._controller(spec, CONFIGS[name]).prog
         n_laws = len(laws)
         runs = count_kernel_runs(monkeypatch)
-        kernel_runs = 0
+        verdicts = {"optimal": 0, "fixed row": 0, "ray": 0}
         for z in [z for z, _ in WITHIN_THE_BAND] + BEYOND_THE_BAND + NEAR_X:
             assert not contains(spec.x_bounds, z)
+            before = len(runs)
             x, y = cost_to_travel._solve_program(prog, z)
+            kernel_ran = len(runs) > before
             want_x, want_y = cost_to_travel._solve_program(prog._replace(laws=None), z)
-            assert y is not None, z
-            if want_x is None:
-                assert x is None and type(y) is type(want_y), z
-            else:
+            if want_x is not None:
+                assert kernel_ran, z
                 assert_same_array(x, want_x, "x")
-            assert_same_array(np.asarray(y), np.asarray(want_y), "y")
-            kernel_runs += not isinstance(y, int)
+                assert_same_array(y, want_y, "y")
+                verdicts["optimal"] += 1
+            elif isinstance(want_y, int):
+                assert x is None and y == want_y and not kernel_ran, z
+                verdicts["fixed row"] += 1
+            else:
+                h, _, ray = program_answer(prog, z, (x, y))
+                assert x is None and farkas_ray_ok(program_rows(prog), h, ray), z
+                if kernel_ran:
+                    assert_same_array(y, want_y, "y")
+                verdicts["ray"] += 1
         assert len(laws) == n_laws
-        assert kernel_runs > 0 and len(runs) == 2 * kernel_runs
+        assert verdicts["fixed row"] > 0 and verdicts["ray"] > 0, verdicts
 
     def test_a_nan_column_is_screened_and_never_answers(self, spec, cfg_ic, monkeypatch):
         # a NaN in one inactive row's right-hand side makes that row's slack
         # column NaN: the margin test screens it, and it fails at every state
         prog = install_empty_table(monkeypatch, spec, cfg_ic)
         z = (-3.5, -4.0)
-        _, y = cost_to_travel._run_kernel(prog, prog.h0 - prog.P @ np.array(z))
-        assert prog.laws.learn(y, *z) is not None
+        _, y = kernel_answer(prog, z)
+        assert prog.laws.learn(y, z) is not None
         laws = cost_to_travel._LawTable(prog, spec.x_bounds)
         i = int(np.flatnonzero(y == 0.0)[0])
         laws.rhs[i, 0] = math.nan
-        assert laws.learn(y, *z) is None
+        assert laws.learn(y, z) is None
         (law,) = laws.laws
         assert any(math.isnan(a) for a, _, _, _ in law.screen)
-        assert all(laws.lookup(*map(float, z)) is None for z in SCREEN_STATES_IN_X)
+        assert all(laws.lookup(tuple(map(float, z))) is None for z in SCREEN_STATES_IN_X)
 
 
 @lru_cache(maxsize=None)
