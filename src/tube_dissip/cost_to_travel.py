@@ -36,6 +36,7 @@ over the returned tube but its last box, by one helper
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -151,9 +152,10 @@ def _tube_cost(spec: ProblemSpec, boxes, initial: float = 0.0) -> float:
 # at most this many affine laws, and as many Farkas rays, are kept per program
 _MAX_LAWS = 64
 
-# the most bytes a program's table keeps in law blocks and rays: a full
-# table of _MAX_LAWS chain laws fits up to N = 5, and one at N = MAX_STEPS
-# holds four laws
+# the most bytes a program's table keeps in laws and rays: a full table of
+# _MAX_LAWS chain laws fits up to N = 5, and one at N = MAX_STEPS holds
+# four laws; a full tube table fits up to horizon 16, and one at horizon
+# MAX_STEPS holds about 21 laws
 _TABLE_BYTES = 1 << 20
 
 
@@ -168,10 +170,12 @@ class _AffineLaws:
     and ``w = w0 - Gs_A' y_A``.  A law is built as one stacked affine map
     ``a + b1*p1 + b2*p2 + ...`` of p, its block of rows ``(a, b1, b2, ...)``,
     onto the slacks of the free rows, the multipliers (together its full
-    check) and w (its point).  A law whose slacks are at least ``-_ROW_TOL``
-    and whose multipliers are nonnegative at p gives a KKT point, the answer
-    the kernel would return.  A law answer carries no multipliers: those
-    come only from a kernel run.
+    check) and w (its point).  The table refers to its program and keeps
+    only ``s`` and the checks' floors of its own: ``Gs``, ``w0`` and the
+    right-hand sides are formed from the program when a law is built.  A law
+    whose slacks are at least ``-_ROW_TOL`` and whose multipliers are
+    nonnegative at p gives a KKT point, the answer the kernel would return.
+    A law answer carries no multipliers: those come only from a kernel run.
 
     The table also keeps Farkas rays the kernel returned, ``y >= 0`` with
     ``G_free'y = 0``, which the kernel checked and which do not depend on p:
@@ -180,35 +184,32 @@ class _AffineLaws:
     ray would.
 
     Every table stores alike.  It keeps at most ``_MAX_LAWS`` laws and as
-    many rays, and no more than ``_TABLE_BYTES`` of law blocks and rays
-    together; a law that does not fit is still built and answers at the p it
-    was learned at.  A table may be filled from several threads: each update
-    publishes new laws or rays by one attribute assignment, under a lock, so
-    each active set is stored once, and a reader loads each attribute once,
-    so it sees only whole laws and rays.  Each kind of table keeps its laws
+    many rays, and no more than ``_TABLE_BYTES`` of laws and rays together,
+    a law counted as what its table keeps of it (``_nbytes``); a law that
+    does not fit is still built and answers at the p it was learned at.  A
+    table may be filled from several threads: each update publishes new
+    laws or rays by one attribute assignment, under a lock, so each active
+    set is stored once, and a reader loads each attribute once, so it sees
+    only whole laws and rays.  Each kind of table keeps its laws
     in its own form, ``laws``, and decides by its own rule: ``_law`` gives
-    one law in that form, ``_with`` the stored laws and one more, and
-    ``_first`` the answer of the first of some laws that holds at p.
+    one law in that form, ``_nbytes`` its bytes, ``_with`` the stored laws
+    and one more, and ``_first`` the answer of the first of some laws that
+    holds at p.
     """
 
     def __init__(self, prog: "_CornerProgram"):
-        free = ~prog.fixed
+        self.prog = prog
         # data that overflows here is the kernel's to report, at its first run
         with np.errstate(over="ignore"):
             self.s = 1.0 / np.sqrt(2.0 * prog.d)
-            self.w0 = -prog.q * self.s
-        # the program's own rows, not a scaled copy: Gs is formed only when a law is built
-        self.G_free = prog.G_free
-        # the free rows' right-hand sides are rhs @ (1, p)
-        self.rhs = np.column_stack([prog.h0[free], -prog.P[free]])
-        m = self.G_free.shape[0]
+        m = prog.G_free.shape[0]
         # the least value of each check: the kernel's -_ROW_TOL on slacks, 0 on multipliers
         self.floor = np.concatenate([np.full(m, -_ROW_TOL), np.zeros(m)])
         # the active sets of the stored laws, as index bytes
         self.stored: set[bytes] = set()
         # the stored rays, each row one ray on the free rows, and -_ROW_TOL*sum(y) of each
         self.rays = (np.empty((0, m)), np.empty(0))
-        # the bytes of the stored laws' blocks and rays
+        # the bytes of the stored laws and rays
         self.nbytes = 0
         self._lock = threading.Lock()
 
@@ -255,39 +256,43 @@ class _AffineLaws:
                 return None
             block = self._block(act)
             law = self._law(block)
-            if self._room(len(self), block.nbytes):
+            nbytes = self._nbytes(law)
+            if self._room(len(self), nbytes):
                 self.laws = self._with(law)
                 self.stored.add(key)
-                self.nbytes += block.nbytes
+                self.nbytes += nbytes
         return self._first(law, p)
 
     def _block(self, act: np.ndarray) -> np.ndarray:
         """The block ``(a, b1, b2, ...)`` of the law of active set act, one row per term."""
+        prog = self.prog
+        # the free rows' right-hand sides are rhs @ (1, p)
+        rhs = np.column_stack([prog.h0, -prog.P])[~prog.fixed]
         with np.errstate(over="ignore"):
-            Gs = self.G_free * self.s
+            Gs = prog.G_free * self.s
+            w0 = -prog.q * self.s
         GsA = Gs[act]
         # the Gram system, one right-hand side for the constant and one per parameter
-        rhs = -self.rhs[act]
-        rhs[:, 0] += GsA @ self.w0
-        y_law = np.linalg.lstsq(GsA @ GsA.T, rhs, rcond=None)[0]
+        gram_rhs = -rhs[act]
+        gram_rhs[:, 0] += GsA @ w0
+        y_law = np.linalg.lstsq(GsA @ GsA.T, gram_rhs, rcond=None)[0]
         w_law = -GsA.T @ y_law
-        w_law[:, 0] += self.w0
-        full_y = np.zeros(self.rhs.shape)
+        w_law[:, 0] += w0
+        full_y = np.zeros(rhs.shape)
         full_y[act] = y_law
-        return np.ascontiguousarray(np.vstack([self.rhs - Gs @ w_law, full_y, w_law]).T)
+        return np.ascontiguousarray(np.vstack([rhs - Gs @ w_law, full_y, w_law]).T)
 
 
 class _Law(NamedTuple):
     """One affine law of a :class:`_LawTable`, as maps ``a + b1*z1 + b2*z2`` of the state z.
 
-    ``block`` is its stacked map (:class:`_AffineLaws`), rows ``(a, b1, b2)``.
-    ``screen`` lists, as plain floats ``(a, b1, b2, floor)``, each distinct
-    check column not proven to hold at every state in X, and ``point`` the
-    maps onto the free corners, as plain floats ``(a, b1, b2, s)``, the
-    corner being ``(a + b1*z1 + b2*z2) * s``.
+    It is what a lookup reads of the law's block (:class:`_AffineLaws`),
+    and no more.  ``screen`` lists, as plain floats ``(a, b1, b2, floor)``,
+    each distinct check column not proven to hold at every state in X, and
+    ``point`` the maps onto the free corners, as plain floats
+    ``(a, b1, b2, s)``, the corner being ``(a + b1*z1 + b2*z2) * s``.
     """
 
-    block: np.ndarray
     screen: tuple[tuple[float, float, float, float], ...]
     point: tuple[tuple[float, float, float, float], ...]
 
@@ -308,16 +313,14 @@ class _LawTable(_AffineLaws):
     holds answers, and only that law's corners are computed, in plain floats
     by the same float operations as a pass over its block, so bit for bit
     the point of the first law whose full check holds.  The full check is
-    not run; it is the reference the tests hold the screen to.  Beyond X the
-    screens prove nothing, so no law answers at a state outside X, and none
-    is learned from one.
+    not run, and the block it reads is not kept: it is the reference the
+    tests hold the screen to.  Beyond X the screens prove nothing, so no law
+    answers at a state outside X, and none is learned from one.
     """
 
     def __init__(self, prog: "_CornerProgram", x_bounds: IntervalBox):
         super().__init__(prog)
-        # the state box the parameter ranges over, one column per state coordinate
-        self.box = np.array([x_bounds.lo, x_bounds.hi])
-        # the same box as plain floats (lo1, hi1, lo2, hi2)
+        # the state box the parameter ranges over, as plain floats (lo1, hi1, lo2, hi2)
         self.bounds = (x_bounds.lo[0], x_bounds.hi[0], x_bounds.lo[1], x_bounds.hi[1])
         self.laws: tuple[_Law, ...] = ()
 
@@ -334,14 +337,21 @@ class _LawTable(_AffineLaws):
     def _law(self, block: np.ndarray) -> tuple[_Law]:
         n_checks = self.floor.size
         a, b = block[0, :n_checks], block[1:, :n_checks]
+        # the state box, one column per state coordinate
+        box = np.array(self.bounds).reshape(2, 2).T
         # each column's least value over the state box, taken at the box corner that minimises it
-        least = a + np.minimum(b * self.box[0, :, None], b * self.box[1, :, None]).sum(axis=0)
+        least = a + np.minimum(b * box[0, :, None], b * box[1, :, None]).sum(axis=0)
         # clear of the floor by the rounding margin, a column holds in floats all over X;
         # a NaN or infinite column fails the test and is screened
-        margin = 8.0 * _EPS * (np.abs(a) + np.abs(self.box).max(axis=0) @ np.abs(b))
+        margin = 8.0 * _EPS * (np.abs(a) + np.abs(box).max(axis=0) @ np.abs(b))
         cols = np.flatnonzero(~(least >= self.floor + margin))
         screen = tuple(dict.fromkeys(zip(*block[:, cols].tolist(), self.floor[cols].tolist())))
-        return (_Law(block, screen, tuple(zip(*block[:, n_checks:].tolist(), self.s.tolist()))),)
+        return (_Law(screen, tuple(zip(*block[:, n_checks:].tolist(), self.s.tolist()))),)
+
+    def _nbytes(self, law: tuple[_Law]) -> int:
+        """The bytes of a law's screen and point: the two tuples, the tuples in them and their floats."""
+        inner = [t for part in law[0] for t in part]
+        return sum(map(sys.getsizeof, [*law[0], *inner, *(v for t in inner for v in t)]))
 
     def _with(self, law: tuple[_Law]) -> tuple[_Law, ...]:
         return self.laws + law
@@ -376,11 +386,14 @@ class _ChainTable(_AffineLaws):
 
     def __init__(self, prog: "_CornerProgram"):
         super().__init__(prog)
-        m, n = self.G_free.shape
-        self.laws = np.empty((self.rhs.shape[1], 0, 2 * m + n))
+        # one row per term, one column per check and per free corner
+        self.laws = np.empty((1 + prog.P.shape[1], 0, self.floor.size + prog.d.size))
 
     def _law(self, block: np.ndarray) -> np.ndarray:
         return block[:, None]
+
+    def _nbytes(self, law: np.ndarray) -> int:
+        return law.nbytes
 
     def _with(self, law: np.ndarray) -> np.ndarray:
         return np.concatenate([self.laws, law], axis=1)
@@ -451,7 +464,7 @@ def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
 def _stacked_steps(spec: ProblemSpec, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``rows @ c <= h0`` of n_steps chained transitions, c the corners of their n_steps + 1 boxes.
 
-    Rows with an infinite constant (an unbounded U) always hold and are left out.
+    Each step holds one copy of the rows of :func:`transition_rows`.
     """
     src, tgt, const = transition_rows(spec)
     m = const.size
@@ -459,9 +472,7 @@ def _stacked_steps(spec: ProblemSpec, n_steps: int) -> tuple[np.ndarray, np.ndar
     for k in range(n_steps):
         rows[k * m : (k + 1) * m, 4 * k : 4 * k + 4] = src
         rows[k * m : (k + 1) * m, 4 * k + 4 : 4 * k + 8] = tgt
-    h0 = np.tile(const, n_steps)
-    finite = np.isfinite(h0)
-    return rows[finite], h0[finite]
+    return rows, np.tile(const, n_steps)
 
 
 @lru_cache(maxsize=64)
@@ -616,14 +627,13 @@ def optimal_rci(spec: ProblemSpec) -> tuple[IntervalBox, float]:
     per problem.
     """
     src, tgt, const = transition_rows(spec)
-    finite = np.isfinite(const)
     prog = _corner_program(
         spec,
         d=np.array(spec.cost_quad),
         q=np.array(spec.cost_linear),
-        G=(src + tgt)[finite],
-        P=np.zeros((int(finite.sum()), 0)),
-        h0=const[finite],
+        G=src + tgt,
+        P=np.zeros((const.size, 0)),
+        h0=const,
     )
     solved = _solve_tube(spec, prog, (), [], [])
     if solved is None:

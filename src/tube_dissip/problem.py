@@ -197,8 +197,9 @@ def transition_rows(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     exactly when every lower form of v1 is at most every upper form of v1,
     the same holds for v2, and every lower form of v1 minus every upper form
     of v2 is at most ``alpha*(a4 - a3)``.  The state-bound rows of a follow.
-    Repeated rows and rows without coefficients (``u_lo <= u_hi``) are left
-    out; an unbounded U leaves rows whose constant is ``+inf``.
+    Only rows that can fail are kept: repeated rows, rows without
+    coefficients (``u_lo <= u_hi``) and rows whose constant is ``+inf``
+    (those of an unbounded U) are left out, so every constant is finite.
     """
     al = spec.alpha
     xb = spec.x_bounds
@@ -232,7 +233,7 @@ def transition_rows(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     unique = {}
     for src, tgt, const in rows:
         key = (tuple(src), tuple(tgt), const)
-        if (np.any(src) or np.any(tgt)) and key not in unique:
+        if const != _INF and (np.any(src) or np.any(tgt)) and key not in unique:
             unique[key] = (src, tgt, const)
     src, tgt, const = zip(*unique.values())
     return np.array(src), np.array(tgt), np.array(const)

@@ -18,12 +18,13 @@ coefficient are checked in plain floats against the feasibility tolerance
 ``qp_solver._FEAS_TOL``, then the first stored affine law that holds at z
 answers, and only on a miss does the dual active-set kernel of
 ``qp_solver`` run, cold, its law or Farkas ray kept in the program's table
-(``cost_to_travel._LawTable``, up to 64 laws, under the lock and byte
-bound every table shares).  On each optimal active set the answer is
-affine in z, and the tube's laws decide by screens: a law's screen holds
-the few checks of its full KKT check that a rounding margin does not prove
-to hold at every state in the state bounds X, so at a state in X the
-screen holds exactly when the full check does.  The first law, in the
+(``cost_to_travel._LawTable``, up to 64 laws, each kept as its screen
+and point alone, under the lock and the byte bound every table shares,
+which counts those tuples and their floats).  On each optimal active set
+the answer is affine in z, and the tube's laws decide by screens: a law's
+screen holds the few checks of its full KKT check that a rounding margin
+does not prove to hold at every state in the state bounds X, so at a state
+in X the screen holds exactly when the full check does.  The first law, in the
 order they were learned, whose screen holds answers, and only its corners
 are computed, bit for bit the point of the first law whose full check
 holds; the full check itself is the tests' reference and never runs.  A
@@ -204,11 +205,8 @@ def _tube_program(
     n = cfg.horizon
     steps, h_steps = _stacked_steps(spec, n)
     src, tgt, const = transition_rows(spec)
-    finite = np.isfinite(const)
-    window = np.zeros((int(finite.sum()), 4 * (n + 1)))
-    window[:, 4:8] = tgt[finite]
-    inside = np.zeros((4, 4 * (n + 1)))
-    inside[:, :4] = _SIGNS
+    window = np.hstack([np.zeros((const.size, 4)), tgt, np.zeros((const.size, 4 * (n - 1)))])
+    inside = np.hstack([_SIGNS, np.zeros((4, 4 * n))])
     rows = np.vstack([steps, window, inside])
     q = np.tile(spec.cost_linear, n)
     if storage is not None:
@@ -220,8 +218,8 @@ def _tube_program(
         d=np.tile(spec.cost_quad, n),
         q=q,
         G=rows[:, :-4],
-        P=np.vstack([np.zeros((h_steps.size, 2)), src[finite] @ _POINT, -_SIGNS @ _POINT]),
-        h0=np.concatenate([h_steps, const[finite], np.zeros(4)]) - rows[:, -4:] @ terminal.corners(),
+        P=np.vstack([np.zeros((h_steps.size, 2)), src @ _POINT, -_SIGNS @ _POINT]),
+        h0=np.concatenate([h_steps, const, np.zeros(4)]) - rows[:, -4:] @ terminal.corners(),
     )
     return prog._replace(laws=_LawTable(prog, spec.x_bounds))
 

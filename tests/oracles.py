@@ -685,19 +685,20 @@ def law_full_check(laws, block, p) -> Optional[tuple[np.ndarray, np.ndarray]]:
     itself as ``((a + b1*p1) + b2*p2) + ...``, so the table's stacked pass
     must give them bit for bit.
     """
-    p = [float(v) for v in p]
-    m, n_checks = laws.G_free.shape[0], laws.floor.size
-
-    def at(cols):
-        vals = block[0, cols].copy()
-        for b, pk in zip(block[1:], p):
-            vals = vals + b[cols] * pk
-        return vals
-
-    vals = at(slice(None, n_checks))
+    m, n_checks = laws.prog.G_free.shape[0], laws.floor.size
+    vals = law_columns(block, slice(None, n_checks), p)
     if not np.all(vals >= laws.floor):
         return None
-    return at(slice(n_checks, None)) * laws.s, vals[m:]
+    return law_columns(block, slice(n_checks, None), p) * laws.s, vals[m:]
+
+
+def law_columns(block, cols, p) -> np.ndarray:
+    """The columns cols of a law's block at parameter p, each by itself as ``((a + b1*p1) + b2*p2) + ...``."""
+    vals = block[0, cols].copy()
+    for b, pk in zip(block[1:], p):
+        vals = vals + b[cols] * float(pk)
+    return vals
+
 
 
 def farkas_ray_ok(G: np.ndarray, h: np.ndarray, y: np.ndarray) -> bool:

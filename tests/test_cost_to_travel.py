@@ -493,7 +493,7 @@ def row_patterns(m):
 
 def fill(laws, p, size, accept=lambda y: True):
     """Learn the laws of row_patterns that accept takes, at p, until the table holds size laws."""
-    patterns = row_patterns(laws.G_free.shape[0])
+    patterns = row_patterns(laws.prog.G_free.shape[0])
     while len(laws) < size:
         y = next(patterns)
         if accept(y):
@@ -671,21 +671,47 @@ def empty_table(spec, prog):
     return cost_to_travel._ChainTable(prog)
 
 
-def stored_blocks(laws):
-    """The blocks of a table's stored laws, in the order learned."""
+def stored_laws(laws):
+    """A table's stored laws in the order learned, each as bytes: a chain law's block, a tube law's screen and point.
+
+    The repr of a float gives its bits back, so equal reprs are equal laws, bit for bit.
+    """
     if isinstance(laws, cost_to_travel._LawTable):
-        return [law.block for law in laws.laws]
-    return [laws.laws[:, i] for i in range(len(laws))]
+        return [repr(law).encode() for law in laws.laws]
+    return [laws.laws[:, i].tobytes() for i in range(len(laws))]
+
+
+def law_block(laws, key):
+    """The block of the law a table stores under key, rebuilt from that active set."""
+    return laws._block(np.frombuffer(key, dtype=np.intp))
+
+
+def kept_bytes(laws):
+    """The bytes a table keeps: its rays, and a chain law's block or a tube law's screen and point.
+
+    A tube law's size is its deep size: the two tuples, the tuples in them
+    and their floats, each object counted once.
+    """
+    rays, _ = laws.rays
+    if not isinstance(laws, cost_to_travel._LawTable):
+        return laws.laws.nbytes + rays.nbytes
+    objects = {}
+    for part in itertools.chain.from_iterable(laws.laws):
+        objects[id(part)] = part
+        for item in part:
+            objects[id(item)] = item
+            objects.update((id(v), v) for v in item)
+    return sum(map(sys.getsizeof, objects.values())) + rays.nbytes
 
 
 @pytest.mark.parametrize("kind", ["chain", "tube"])
 def test_threads_filling_one_table_store_whole_laws_once(spec, kind):
     # threads learn the same laws and keep rays, each in its own order, into
     # one shared table while another thread looks laws up in it: every
-    # stored block is, bit for bit, the block of a law one thread learned,
-    # each learned law is stored once, and a lookup answers only from a
-    # whole law's full check.  The chain's 48 laws all fit; of the tube's
-    # 80, the first 64 to arrive are stored
+    # stored law is, bit for bit, a law one thread learned, each learned
+    # law is stored once, and a lookup answers only from a whole law's full
+    # check.  The chain's laws all fit; of the tube's, the first 64 to
+    # arrive are stored
     if kind == "chain":
         prog = fresh_chain(spec, 2)
         chain = feasible_chain(spec, np.random.default_rng(5), 2)
@@ -694,16 +720,19 @@ def test_threads_filling_one_table_store_whole_laws_once(spec, kind):
         prog = fresh_tube(spec, TubeMpcConfig())
         p, n_patterns = (0.0, 0.0), 80
     laws = prog.laws
-    m = laws.G_free.shape[0]
+    m = laws.prog.G_free.shape[0]
     _, y_opt = oracles.kernel_answer(prog, p)
     patterns = [y_opt, *itertools.islice(row_patterns(m), n_patterns - 1)]
+    # each pattern's law as a table of its own stores it
     want = {}
     for y in patterns:
         alone = empty_table(spec, prog)
         alone.learn(y, p)
-        want[np.flatnonzero(y > 0.0).tobytes()] = stored_blocks(alone)[0]
+        (key,) = alone.stored
+        assert key == np.flatnonzero(y > 0.0).tobytes()
+        want[key] = stored_laws(alone)[0]
     # the points of the learned laws whose full check holds at p
-    answers = [oracles.law_full_check(laws, block, p) for block in want.values()]
+    answers = [oracles.law_full_check(laws, law_block(laws, key), p) for key in want]
     points = {answer[0].tobytes() for answer in answers if answer is not None}
     assert points, "no learned law holds at p"
     rays = np.random.default_rng(6).uniform(0.0, 1.0, (80, m))
@@ -739,54 +768,68 @@ def test_threads_filling_one_table_store_whole_laws_once(spec, kind):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in [reader, *writers])
     assert len(laws) == min(len(want), cost_to_travel._MAX_LAWS) and laws.stored <= set(want)
-    blocks = stored_blocks(laws)
-    assert sorted(block.tobytes() for block in blocks) == sorted(want[key].tobytes() for key in laws.stored)
+    assert sorted(stored_laws(laws)) == sorted(want[key] for key in laws.stored)
     assert set(seen) <= points
     kept, floor = laws.rays
     # four threads keep n_patterns rays each, so the table is full of them
     assert kept.shape[0] == floor.size == cost_to_travel._MAX_LAWS
     assert {ray.tobytes() for ray in kept} <= {ray.tobytes() for ray in rays[: len(patterns)]}
     assert np.array_equal(floor, -qp_solver._ROW_TOL * kept.sum(axis=1))
-    assert laws.nbytes == sum(block.nbytes for block in blocks) + kept.nbytes <= cost_to_travel._TABLE_BYTES
+    assert laws.nbytes == kept_bytes(laws) <= cost_to_travel._TABLE_BYTES
 
 
-@pytest.mark.parametrize("kind", ["chain", "tube"])
-def test_a_long_table_keeps_laws_and_rays_within_its_byte_budget(spec, x_star, kind):
-    # at MAX_STEPS a chain law's block is about 214 KiB and a tube law's
-    # about 75 KiB, so a table stores the few laws, and then the rays, that
-    # fit its byte budget; a law that does not fit still answers at the
+LONG_TABLES = [("chain", cost_to_travel.MAX_STEPS)] + [("tube", h) for h in (1, 2, 3, 8, 16, cost_to_travel.MAX_STEPS)]
+
+
+@pytest.mark.parametrize(("kind", "steps"), LONG_TABLES, ids=[f"{kind}-{steps}" for kind, steps in LONG_TABLES])
+def test_a_long_table_keeps_laws_and_rays_within_its_byte_budget(spec, x_star, kind, steps):
+    # a table stores laws until it holds _MAX_LAWS of them or the next one
+    # does not fit its byte budget, and then the rays that fit.  A chain law
+    # counts its block; a tube law, which keeps no block, counts the deep
+    # size of its screen and point.  At MAX_STEPS a chain law's block is
+    # about 214 KiB and a tube law holds about 48 KiB, so a table stores
+    # only a few laws.  A law that is not stored still answers at the
     # parameter it was learned at, by its full check
     if kind == "chain":
-        prog, p = fresh_chain(spec, cost_to_travel.MAX_STEPS), x_star.corners() * 2
+        prog, p = fresh_chain(spec, steps), x_star.corners() * 2
     else:
         # a state where the kernel's active set has no multiplier at rounding level
-        prog, p = fresh_tube(spec, TubeMpcConfig(horizon=cost_to_travel.MAX_STEPS)), (-1.0, -2.0)
+        prog, p = fresh_tube(spec, TubeMpcConfig(horizon=steps)), (-1.0, -2.0)
     laws = prog.laws
-    m = laws.G_free.shape[0]
-    law_bytes = laws._block(np.zeros(0, dtype=int)).nbytes
-    fits = cost_to_travel._TABLE_BYTES // law_bytes
-    assert fits == (4 if kind == "chain" else 14) < cost_to_travel._MAX_LAWS
-    for y in itertools.islice(row_patterns(m), fits + 2):
-        want = oracles.law_full_check(laws, laws._block(np.flatnonzero(y > 0.0)), p)
+    m = laws.prog.G_free.shape[0]
+    for y in row_patterns(m):
+        act = np.flatnonzero(y > 0.0)
+        want = oracles.law_full_check(laws, laws._block(act), p)
+        count = len(laws)
         got = laws.learn(y, p)
         assert (got is None) == (want is None)
         if got is not None:
             assert np.asarray(got[0]).tobytes() == want[0].tobytes()
-    assert len(laws) == fits
-    # the law of the kernel's own answer at p holds there: the full table
+        if len(laws) == count:
+            # the first law with no room
+            refused = laws._nbytes(laws._law(laws._block(act)))
+            break
+    assert laws.nbytes == kept_bytes(laws) <= cost_to_travel._TABLE_BYTES
+    if len(laws) < cost_to_travel._MAX_LAWS:
+        assert laws.nbytes + refused > cost_to_travel._TABLE_BYTES
+    sizes = {("chain", 64): 4, ("tube", 64): 21}
+    assert len(laws) == sizes.get((kind, steps), cost_to_travel._MAX_LAWS)
+    # the law of the kernel's own answer at p holds there: a full table
     # does not store it, and it answers all the same
     x, y = oracles.kernel_answer(prog, p)
-    want = oracles.law_full_check(laws, laws._block(np.flatnonzero(y > 0.0)), p)
+    act = np.flatnonzero(y > 0.0)
+    want = oracles.law_full_check(laws, laws._block(act), p)
     got = laws.learn(y, p)
     assert want is not None and np.asarray(got[0]).tobytes() == want[0].tobytes()
     assert np.max(np.abs(np.asarray(got[0]) - x)) <= 1e-9
-    assert len(laws) == fits and np.flatnonzero(y > 0.0).tobytes() not in laws.stored
-    # rays fill what is left: 15 at the chain's 1,397 free rows, none at the tube's 1,423
+    assert act.tobytes() not in laws.stored
+    # rays fill what is left, up to _MAX_LAWS of them
+    law_bytes = laws.nbytes
     for _ in range(100):
         laws.keep(np.ones(m))
     kept, _ = laws.rays
-    assert kept.shape[0] == (cost_to_travel._TABLE_BYTES - fits * law_bytes) // (8 * m) == (15 if kind == "chain" else 0)
-    assert laws.nbytes == fits * law_bytes + kept.nbytes <= cost_to_travel._TABLE_BYTES
+    assert kept.shape[0] == min(cost_to_travel._MAX_LAWS, (cost_to_travel._TABLE_BYTES - law_bytes) // (8 * m))
+    assert laws.nbytes == kept_bytes(laws) <= cost_to_travel._TABLE_BYTES
 
 
 # ---------------------------------------------------------------------------

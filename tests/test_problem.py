@@ -38,6 +38,8 @@ from .oracles import (
 INF = float("inf")
 NAN = float("nan")
 SPEC = ProblemSpec.default()
+# U unbounded on both sides, above and below
+UNBOUNDED_U = {"unbounded U": (-INF, INF), "U unbounded above": (-5.0, INF), "U unbounded below": (-INF, 5.0)}
 FEAS_TOL = _FEAS_TOL
 
 
@@ -432,12 +434,18 @@ class TestClosedFormDecision:
             # the row sums themselves round at about 1e-15
             assert max(row_violations(SPEC, a, b, witness)) <= FEAS_TOL + 1e-13
 
-    @pytest.mark.parametrize("spec", [SPEC, ProblemSpec(u_bounds=(-INF, INF))], ids=["bounded U", "unbounded U"])
+    @pytest.mark.parametrize(
+        "spec",
+        [SPEC, *(ProblemSpec(u_bounds=u) for u in UNBOUNDED_U.values())],
+        ids=["bounded U", *UNBOUNDED_U],
+    )
     @given(data=st.data())
     def test_eliminated_rows_agree_off_the_boundary(self, spec, data):
         a, b = data.draw(transition_pairs(spec))
         assume(abs(transition_margin(spec, a, b)) > 1e-7)
         src, tgt, const = transition_rows(spec)
+        # only rows that can fail are kept: an unbounded side of U leaves no constant of +inf
+        assert np.all(np.isfinite(const)) and np.all(np.any(src != 0.0, axis=1) | np.any(tgt != 0.0, axis=1))
         holds = bool(np.all(src @ a.corners() + tgt @ b.corners() <= const))
         assert holds == (transition_witness(spec, a, b) is not None)
 
