@@ -170,12 +170,13 @@ class _AffineLaws:
     and ``w = w0 - Gs_A' y_A``.  A law is built as one stacked affine map
     ``a + b1*p1 + b2*p2 + ...`` of p, its block of rows ``(a, b1, b2, ...)``,
     onto the slacks of the free rows, the multipliers (together its full
-    check) and w (its point).  The table refers to its program and keeps
-    only ``s`` and the checks' floors of its own: ``Gs``, ``w0`` and the
-    right-hand sides are formed from the program when a law is built.  A law
-    whose slacks are at least ``-_ROW_TOL`` and whose multipliers are
-    nonnegative at p gives a KKT point, the answer the kernel would return.
-    A law answer carries no multipliers: those come only from a kernel run.
+    check) and w (its point).  The table refers to its program and copies
+    none of it: ``Gs``, ``w0`` and the right-hand sides are formed from the
+    program when a law is built, and only ``s`` and the checks' floors,
+    which answers read, are kept.  A law whose slacks are at least
+    ``-_ROW_TOL`` and whose multipliers are nonnegative at p gives a KKT
+    point, the answer the kernel would return.  A law answer carries no
+    multipliers: those come only from a kernel run.
 
     The table also keeps Farkas rays the kernel returned, ``y >= 0`` with
     ``G_free'y = 0``, which the kernel checked and which do not depend on p:
@@ -190,11 +191,11 @@ class _AffineLaws:
     table may be filled from several threads: each update publishes new
     laws or rays by one attribute assignment, under a lock, so each active
     set is stored once, and a reader loads each attribute once, so it sees
-    only whole laws and rays.  Each kind of table keeps its laws
-    in its own form, ``laws``, and decides by its own rule: ``_law`` gives
-    one law in that form, ``_nbytes`` its bytes, ``_with`` the stored laws
-    and one more, and ``_first`` the answer of the first of some laws that
-    holds at p.
+    only whole laws and rays.  Each kind of table keeps its laws in its own
+    form, ``laws``, and decides by its own rule: ``_law`` gives one law in
+    that form, ``_nbytes`` its bytes, ``_with`` the stored laws and one
+    more, and ``_first`` the answer of the first of some laws that holds at
+    p.
     """
 
     def __init__(self, prog: "_CornerProgram"):
@@ -247,7 +248,13 @@ class _AffineLaws:
                 self.nbytes += ray.nbytes
 
     def learn(self, y: np.ndarray, p):
-        """Store the law of the active set ``y > 0`` unless known or there is no room; its answer at p or None."""
+        """Store the law of the active set ``y > 0`` unless known or there is no room; its answer at p or None.
+
+        A degenerate active row may get a multiplier below 0 at p when the
+        law recomputes it, and the law would then not hold where it was
+        learned: such rows are dropped, once, and the law of the rows left is
+        built and stored under their active set.
+        """
         act = np.flatnonzero(y > 0.0)
         key = act.tobytes()
         with self._lock:
@@ -255,6 +262,16 @@ class _AffineLaws:
                 # stored, and it did not hold at p
                 return None
             block = self._block(act)
+            y_act = block[:, self.prog.G_free.shape[0] + act]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the active rows' multipliers at p, summed left to right as the full check sums them
+                y_at = sum((b * pk for b, pk in zip(y_act[1:], p)), y_act[0])
+            if np.any(y_at < 0.0):
+                act = act[~(y_at < 0.0)]
+                key = act.tobytes()
+                if key in self.stored:
+                    return None
+                block = self._block(act)
             law = self._law(block)
             nbytes = self._nbytes(law)
             if self._room(len(self), nbytes):

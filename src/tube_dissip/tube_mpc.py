@@ -24,10 +24,10 @@ which counts those tuples and their floats).  On each optimal active set
 the answer is affine in z, and the tube's laws decide by screens: a law's
 screen holds the few checks of its full KKT check that a rounding margin
 does not prove to hold at every state in the state bounds X, so at a state
-in X the screen holds exactly when the full check does.  The first law, in the
-order they were learned, whose screen holds answers, and only its corners
-are computed, bit for bit the point of the first law whose full check
-holds; the full check itself is the tests' reference and never runs.  A
+in X the screen holds exactly when the full check does.  The first law, in
+the order they were learned, whose screen holds answers, and only its
+corners are computed, bit for bit the point of the first law whose full
+check holds; the full check itself is the tests' reference and never runs.  A
 law answer carries no multipliers: those come only from a kernel run.  The
 screens prove nothing beyond X, so no law answers a state outside X and
 none is learned from one; :func:`solve_tmpc` passes the program only

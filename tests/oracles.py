@@ -677,6 +677,20 @@ def count_kernel_runs(monkeypatch):
     return runs
 
 
+def row_patterns(m):
+    """Multipliers on single rows, then on runs of 2, 3, ... neighbouring rows, as the active sets of laws that fill a table.
+
+    A table stores a pattern's law less the rows it gives a negative
+    multiplier at the parameter it is learned at, so patterns share laws;
+    runs of rows give more distinct laws than pairs.
+    """
+    for size in range(1, m + 1):
+        for i in range(m - size + 1):
+            y = np.zeros(m)
+            y[i : i + size] = 1.0
+            yield y
+
+
 def law_full_check(laws, block, p) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """A law's ``(x, y)`` at parameter p by its full check, or None: the reference a law table is held to.
 
@@ -699,6 +713,12 @@ def law_columns(block, cols, p) -> np.ndarray:
         vals = vals + b[cols] * float(pk)
     return vals
 
+
+def law_active_set(laws, y, p) -> np.ndarray:
+    """The active set of the law ``laws.learn(y, p)`` builds: the rows ``y > 0`` less those its law gives a multiplier below 0 at p."""
+    act = np.flatnonzero(y > 0.0)
+    multipliers = law_columns(laws._block(act), laws.prog.G_free.shape[0] + act, p)
+    return act[~(multipliers < 0.0)]
 
 
 def farkas_ray_ok(G: np.ndarray, h: np.ndarray, y: np.ndarray) -> bool:

@@ -482,18 +482,9 @@ def assert_cold_value(got, want):
         assert max(abs(u - v) for u, v in pairs) <= 1e-12
 
 
-def row_patterns(m):
-    """Multipliers on single rows, then on pairs of rows, as the active sets of laws that fill a table."""
-    for gap in range(m):
-        for i in range(m - gap):
-            y = np.zeros(m)
-            y[[i, i + gap]] = 1.0
-            yield y
-
-
 def fill(laws, p, size, accept=lambda y: True):
     """Learn the laws of row_patterns that accept takes, at p, until the table holds size laws."""
-    patterns = row_patterns(laws.prog.G_free.shape[0])
+    patterns = oracles.row_patterns(laws.prog.G_free.shape[0])
     while len(laws) < size:
         y = next(patterns)
         if accept(y):
@@ -722,14 +713,14 @@ def test_threads_filling_one_table_store_whole_laws_once(spec, kind):
     laws = prog.laws
     m = laws.prog.G_free.shape[0]
     _, y_opt = oracles.kernel_answer(prog, p)
-    patterns = [y_opt, *itertools.islice(row_patterns(m), n_patterns - 1)]
-    # each pattern's law as a table of its own stores it
+    patterns = [y_opt, *itertools.islice(oracles.row_patterns(m), n_patterns - 1)]
+    # each pattern's law as a table of its own stores it, under its own active set
     want = {}
     for y in patterns:
         alone = empty_table(spec, prog)
         alone.learn(y, p)
         (key,) = alone.stored
-        assert key == np.flatnonzero(y > 0.0).tobytes()
+        assert key == oracles.law_active_set(laws, y, p).tobytes()
         want[key] = stored_laws(alone)[0]
     # the points of the learned laws whose full check holds at p
     answers = [oracles.law_full_check(laws, law_block(laws, key), p) for key in want]
@@ -778,11 +769,20 @@ def test_threads_filling_one_table_store_whole_laws_once(spec, kind):
     assert laws.nbytes == kept_bytes(laws) <= cost_to_travel._TABLE_BYTES
 
 
-LONG_TABLES = [("chain", cost_to_travel.MAX_STEPS)] + [("tube", h) for h in (1, 2, 3, 8, 16, cost_to_travel.MAX_STEPS)]
+# (table, steps or horizon, laws the patterns leave stored, rays that fit after them)
+LONG_TABLES = [
+    ("chain", 64, 4, 15),
+    ("tube", 1, 49, 64),
+    ("tube", 2, 64, 64),
+    ("tube", 3, 64, 64),
+    ("tube", 8, 64, 64),
+    ("tube", 16, 64, 30),
+    ("tube", 64, 21, 2),
+]
 
 
-@pytest.mark.parametrize(("kind", "steps"), LONG_TABLES, ids=[f"{kind}-{steps}" for kind, steps in LONG_TABLES])
-def test_a_long_table_keeps_laws_and_rays_within_its_byte_budget(spec, x_star, kind, steps):
+@pytest.mark.parametrize(("kind", "steps", "n_laws", "n_rays"), LONG_TABLES, ids=[f"{t[0]}-{t[1]}" for t in LONG_TABLES])
+def test_a_long_table_keeps_laws_and_rays_within_its_byte_budget(spec, x_star, kind, steps, n_laws, n_rays):
     # a table stores laws until it holds _MAX_LAWS of them or the next one
     # does not fit its byte budget, and then the rays that fit.  A chain law
     # counts its block; a tube law, which keeps no block, counts the deep
@@ -797,38 +797,45 @@ def test_a_long_table_keeps_laws_and_rays_within_its_byte_budget(spec, x_star, k
         prog, p = fresh_tube(spec, TubeMpcConfig(horizon=steps)), (-1.0, -2.0)
     laws = prog.laws
     m = laws.prog.G_free.shape[0]
-    for y in row_patterns(m):
-        act = np.flatnonzero(y > 0.0)
+    learned, refused = set(), None
+    for y in oracles.row_patterns(m):
+        act = oracles.law_active_set(laws, y, p)
+        known = act.tobytes() in laws.stored
         want = oracles.law_full_check(laws, laws._block(act), p)
         count = len(laws)
         got = laws.learn(y, p)
-        assert (got is None) == (want is None)
+        # learn takes a stored law not to hold at p, as a lookup came first
+        assert (got is None) == (known or want is None)
         if got is not None:
             assert np.asarray(got[0]).tobytes() == want[0].tobytes()
-        if len(laws) == count:
-            # the first law with no room
+        learned.add(act.tobytes())
+        if not known and len(laws) == count:
             refused = laws._nbytes(laws._law(laws._block(act)))
             break
     assert laws.nbytes == kept_bytes(laws) <= cost_to_travel._TABLE_BYTES
-    if len(laws) < cost_to_travel._MAX_LAWS:
+    if refused is None:
+        # at horizon 1 the patterns give fewer laws than a table holds: it
+        # stores every one, and below the kernel's too
+        assert laws.stored == learned
+    elif len(laws) < cost_to_travel._MAX_LAWS:
         assert laws.nbytes + refused > cost_to_travel._TABLE_BYTES
-    sizes = {("chain", 64): 4, ("tube", 64): 21}
-    assert len(laws) == sizes.get((kind, steps), cost_to_travel._MAX_LAWS)
+    assert len(laws) == n_laws
     # the law of the kernel's own answer at p holds there: a full table
     # does not store it, and it answers all the same
     x, y = oracles.kernel_answer(prog, p)
-    act = np.flatnonzero(y > 0.0)
+    act = oracles.law_active_set(laws, y, p)
     want = oracles.law_full_check(laws, laws._block(act), p)
     got = laws.learn(y, p)
     assert want is not None and np.asarray(got[0]).tobytes() == want[0].tobytes()
     assert np.max(np.abs(np.asarray(got[0]) - x)) <= 1e-9
-    assert act.tobytes() not in laws.stored
-    # rays fill what is left, up to _MAX_LAWS of them
+    assert (act.tobytes() in laws.stored) == (refused is None)
+    # rays fill what is left, up to _MAX_LAWS of them: 15 at the chain's
+    # 1,397 free rows, 2 at the horizon-64 tube's 1,423
     law_bytes = laws.nbytes
     for _ in range(100):
         laws.keep(np.ones(m))
     kept, _ = laws.rays
-    assert kept.shape[0] == min(cost_to_travel._MAX_LAWS, (cost_to_travel._TABLE_BYTES - law_bytes) // (8 * m))
+    assert kept.shape[0] == min(cost_to_travel._MAX_LAWS, (cost_to_travel._TABLE_BYTES - law_bytes) // (8 * m)) == n_rays
     assert laws.nbytes == kept_bytes(laws) <= cost_to_travel._TABLE_BYTES
 
 

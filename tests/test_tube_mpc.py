@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import math
 import os
@@ -23,9 +24,12 @@ from .oracles import (
     count_kernel_runs,
     farkas_ray_ok,
     kernel_answer,
+    law_active_set,
+    law_columns,
     law_full_check,
     program_answer,
     program_rows,
+    row_patterns,
     row_violations,
     tube_qp_reference,
 )
@@ -677,10 +681,11 @@ class TestLawTable:
         prog = install_empty_table(monkeypatch, spec, cfg_ic)
         laws = prog.laws
         m = prog.G_free.shape[0]
-        # the laws of single rows and of neighbouring pairs overfill the table
-        for i in range(2 * m - 1):
-            y = np.zeros(m)
-            y[i % m : i % m + 1 + i // m] = 1.0
+        # the laws of single rows and of runs of neighbouring rows overfill the table
+        patterns = row_patterns(m)
+        while len(laws) < cost_to_travel._MAX_LAWS:
+            laws.learn(next(patterns), (0.0, 0.0))
+        for y in itertools.islice(patterns, m):
             laws.learn(y, (0.0, 0.0))
         assert len(laws) == cost_to_travel._MAX_LAWS == 64
         answers = record_answers(monkeypatch, prog)
@@ -718,6 +723,29 @@ class TestLawTable:
         states = rows_only + multipliers_only
         warm = [solve_tmpc(spec, cfg_ic, z) for z in states]
         assert_cold_answers(states, warm, cold_solves(monkeypatch, spec, cfg_ic, states), 2)
+
+    def test_a_law_holds_where_it_was_learned(self, spec, monkeypatch):
+        # at horizon 64 the kernel's active set at (0, 0) holds a degenerate
+        # row whose multiplier its law recomputes just below 0 there; the
+        # table drops that row and stores the law of the rows left, which
+        # holds at (0, 0), so only the first of three solves runs the kernel
+        cfg = TubeMpcConfig(horizon=cost_to_travel.MAX_STEPS)
+        prog = install_empty_table(monkeypatch, spec, cfg)
+        z = (0.0, 0.0)
+        _, y = kernel_answer(prog, z)
+        runs = count_kernel_runs(monkeypatch)
+        solutions = [solve_tmpc(spec, cfg, z) for _ in range(3)]
+        assert len(runs) == 1 and len(prog.laws) == 1
+        assert solutions[0] == solutions[1] == solutions[2]
+        act = np.flatnonzero(y > 0.0)
+        multipliers = law_columns(prog.laws._block(act), prog.G_free.shape[0] + act, z)
+        assert -1e-12 < multipliers.min() < 0.0
+        kept = law_active_set(prog.laws, y, z)
+        assert 0 < kept.size < act.size and prog.laws.stored == {kept.tobytes()}
+        x_law, y_law = law_full_check(prog.laws, prog.laws._block(kept), z)
+        assert np.min(y_law) >= 0.0
+        corners = np.concatenate([box.corners() for box in solutions[0].tube[:-1]])
+        assert np.max(np.abs(corners - x_law)) <= 1e-9
 
 
 SCREEN_STATES = FINE_GRID + [tuple(z) for z in np.random.default_rng(13).uniform(-5, 5, (2000, 2))] + BEYOND_THE_BAND
