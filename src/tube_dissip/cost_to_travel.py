@@ -17,8 +17,9 @@ its fixed rows in plain floats, then a stored affine law, then a stored
 Farkas ray, then a cold kernel run whose ray or law the program's table
 keeps (:class:`_AffineLaws`, one store under one lock and one bound for
 every table).  The tube's laws decide by screens proven on the state
-bounds X (:class:`_LawTable`), a chain's by their full KKT check at the end
-boxes (:class:`_ChainTable`).  The invariant box's program is solved once
+bounds X, in plain floats (:class:`_LawTable`), a chain's by their full KKT
+check at the end boxes, every stored law in one stacked product
+(:class:`_ChainTable`).  The invariant box's program is solved once
 per problem and keeps no table.  These programs are read back
 into boxes by one helper, :func:`_solve_tube`, in one plain-float pass
 over the corners: free corners are clipped onto the state bounds; a free
@@ -168,15 +169,15 @@ class _AffineLaws:
     ``s = 1/sqrt(2d)``, with ``Gs = G_free*s`` and ``w0 = -q*s``, the
     multipliers of A solve the Gram system ``Gs_A Gs_A' y_A = Gs_A w0 - h_A(p)``
     and ``w = w0 - Gs_A' y_A``.  A law is built as one stacked affine map
-    ``a + b1*p1 + b2*p2 + ...`` of p, its block of rows ``(a, b1, b2, ...)``,
-    onto the slacks of the free rows, the multipliers (together its full
-    check) and w (its point).  The table refers to its program and copies
-    none of it: ``Gs``, ``w0`` and the right-hand sides are formed from the
-    program when a law is built, and only ``s`` and the checks' floors,
-    which answers read, are kept.  A law whose slacks are at least
-    ``-_ROW_TOL`` and whose multipliers are nonnegative at p gives a KKT
-    point, the answer the kernel would return.  A law answer carries no
-    multipliers: those come only from a kernel run.
+    ``a + b1*p1 + b2*p2 + ...`` of p, its block, with one row per value and
+    one column per term ``(a, b1, b2, ...)``, onto the slacks of the free
+    rows, the multipliers (together its full check) and w (its point).  The
+    table refers to its program and copies none of it: ``Gs``, ``w0`` and
+    the right-hand sides are formed from the program when a law is built,
+    and only ``s`` and the checks' floors, which answers read, are kept.  A
+    law whose slacks are at least ``-_ROW_TOL`` and whose multipliers are
+    nonnegative at p gives a KKT point, the answer the kernel would return.
+    A law answer carries no multipliers: those come only from a kernel run.
 
     The table also keeps Farkas rays the kernel returned, ``y >= 0`` with
     ``G_free'y = 0``, which the kernel checked and which do not depend on p:
@@ -194,8 +195,10 @@ class _AffineLaws:
     only whole laws and rays.  Each kind of table keeps its laws in its own
     form, ``laws``, and decides by its own rule: ``_law`` gives one law in
     that form, ``_nbytes`` its bytes, ``_with`` the stored laws and one
-    more, and ``_first`` the answer of the first of some laws that holds at
-    p.
+    more, ``_first`` the answer of the first of some laws that holds at p,
+    and ``_multipliers`` a law's active multipliers at p, evaluated as
+    ``_first`` evaluates that law, so that :meth:`learn` keeps a law that
+    holds where it was learned.
     """
 
     def __init__(self, prog: "_CornerProgram"):
@@ -251,9 +254,9 @@ class _AffineLaws:
         """Store the law of the active set ``y > 0`` unless known or there is no room; its answer at p or None.
 
         A degenerate active row may get a multiplier below 0 at p when the
-        law recomputes it, and the law would then not hold where it was
-        learned: such rows are dropped, once, and the law of the rows left is
-        built and stored under their active set.
+        law recomputes it, by the table's own evaluation, and the law would
+        then not hold where it was learned: such rows are dropped, once, and
+        the law of the rows left is built and stored under their active set.
         """
         act = np.flatnonzero(y > 0.0)
         key = act.tobytes()
@@ -262,10 +265,7 @@ class _AffineLaws:
                 # stored, and it did not hold at p
                 return None
             block = self._block(act)
-            y_act = block[:, self.prog.G_free.shape[0] + act]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # the active rows' multipliers at p, summed left to right as the full check sums them
-                y_at = sum((b * pk for b, pk in zip(y_act[1:], p)), y_act[0])
+            y_at = self._multipliers(block, act, p)
             if np.any(y_at < 0.0):
                 act = act[~(y_at < 0.0)]
                 key = act.tobytes()
@@ -281,7 +281,7 @@ class _AffineLaws:
         return self._first(law, p)
 
     def _block(self, act: np.ndarray) -> np.ndarray:
-        """The block ``(a, b1, b2, ...)`` of the law of active set act, one row per term."""
+        """The block of the law of active set act: one row per check and free corner, one column per term ``(a, b1, b2, ...)``."""
         prog = self.prog
         # the free rows' right-hand sides are rhs @ (1, p)
         rhs = np.column_stack([prog.h0, -prog.P])[~prog.fixed]
@@ -297,7 +297,7 @@ class _AffineLaws:
         w_law[:, 0] += w0
         full_y = np.zeros(rhs.shape)
         full_y[act] = y_law
-        return np.ascontiguousarray(np.vstack([rhs - Gs @ w_law, full_y, w_law]).T)
+        return np.vstack([rhs - Gs @ w_law, full_y, w_law])
 
 
 class _Law(NamedTuple):
@@ -353,7 +353,8 @@ class _LawTable(_AffineLaws):
 
     def _law(self, block: np.ndarray) -> tuple[_Law]:
         n_checks = self.floor.size
-        a, b = block[0, :n_checks], block[1:, :n_checks]
+        # b one contiguous row per state coordinate, so the margin's product takes one BLAS path
+        a, b = block[:n_checks, 0], np.ascontiguousarray(block[:n_checks, 1:].T)
         # the state box, one column per state coordinate
         box = np.array(self.bounds).reshape(2, 2).T
         # each column's least value over the state box, taken at the box corner that minimises it
@@ -362,8 +363,8 @@ class _LawTable(_AffineLaws):
         # a NaN or infinite column fails the test and is screened
         margin = 8.0 * _EPS * (np.abs(a) + np.abs(box).max(axis=0) @ np.abs(b))
         cols = np.flatnonzero(~(least >= self.floor + margin))
-        screen = tuple(dict.fromkeys(zip(*block[:, cols].tolist(), self.floor[cols].tolist())))
-        return (_Law(screen, tuple(zip(*block[:, n_checks:].tolist(), self.s.tolist()))),)
+        screen = tuple(dict.fromkeys(zip(*block[cols].T.tolist(), self.floor[cols].tolist())))
+        return (_Law(screen, tuple(zip(*block[n_checks:].T.tolist(), self.s.tolist()))),)
 
     def _nbytes(self, law: tuple[_Law]) -> int:
         """The bytes of a law's screen and point: the two tuples, the tuples in them and their floats."""
@@ -372,6 +373,12 @@ class _LawTable(_AffineLaws):
 
     def _with(self, law: tuple[_Law]) -> tuple[_Law, ...]:
         return self.laws + law
+
+    def _multipliers(self, block: np.ndarray, act: np.ndarray, p) -> np.ndarray:
+        """The multipliers of active set act at p by the law of block, left to right as its screen sums: ``(a + b1*z1) + b2*z2``."""
+        cols = block[self.prog.G_free.shape[0] + act]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sum((b * pk for b, pk in zip(cols.T[1:], p)), cols[:, 0])
 
     def _first(self, laws, p):
         """``(x, None)`` from the first of laws whose screen holds at state p in X, x its corners as plain floats; or None."""
@@ -392,42 +399,52 @@ class _ChainTable(_AffineLaws):
     """The table of a chain program, whose parameter is the end boxes' eight corners; its laws decide by their full check.
 
     An end-box parameter has no bounded domain to prove a screen over.  The
-    laws are kept as their blocks stacked ``(1 + len(p), laws, columns)``,
-    and every stored law is evaluated at p in one pass, elementwise and left
-    to right, ``((a + b1*p1) + b2*p2) + ...``, so a law's check values and
-    point are bit for bit the same at learn time, alone and inside a table
-    of any size; the first law, in the order they were learned, whose full
-    check holds answers.  Every program of N steps on a problem shares one
-    table.
+    laws are kept as their blocks in one C-contiguous stack, shaped
+    ``(laws, checks + corners, 1 + len(p))``, and every stored law is
+    evaluated at p by one product, ``laws @ (1, *p)``.  numpy computes it
+    as one matrix-vector product per law, each of the same shape, so a
+    law's check values and point are the same bits in a table of any size
+    as alone, a stack of one law, which is how :meth:`learn` evaluates it;
+    a flattened or transposed stack would take other BLAS paths, whose
+    bits depend on a row's position.  The first law, in the order they
+    were learned, whose full check holds answers.  Every program of N
+    steps on a problem shares one table.
     """
 
     def __init__(self, prog: "_CornerProgram"):
         super().__init__(prog)
-        # one row per term, one column per check and per free corner
-        self.laws = np.empty((1 + prog.P.shape[1], 0, self.floor.size + prog.d.size))
+        # one law per entry, one row per check and per free corner, one column per term
+        self.laws = np.empty((0, self.floor.size + prog.d.size, 1 + prog.P.shape[1]))
 
     def _law(self, block: np.ndarray) -> np.ndarray:
-        return block[:, None]
+        return block[None]
 
     def _nbytes(self, law: np.ndarray) -> int:
         return law.nbytes
 
     def _with(self, law: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.laws, law], axis=1)
+        return np.concatenate([self.laws, law])
+
+    def _multipliers(self, block: np.ndarray, act: np.ndarray, p) -> np.ndarray:
+        """The multipliers of active set act at p by the law of block, evaluated as a stack of that law alone."""
+        return self._values(self._law(block), p)[0, self.prog.G_free.shape[0] + act]
+
+    @staticmethod
+    def _values(laws: np.ndarray, p) -> np.ndarray:
+        """The stacked laws at p: one row per law, one column per check and free corner."""
+        # a product that overflows makes a check NaN or infinite, and a NaN check fails;
+        # a product can raise no other flag that matters, and "all" is the cheaper form
+        with np.errstate(all="ignore"):
+            return laws @ np.array((1.0, *p))
 
     def _first(self, laws: np.ndarray, p):
         """``(x, None)`` from the first of the stacked laws whose full check holds at p, or None."""
-        # elementwise and left to right, so no law's values depend on the others;
-        # a product that overflows makes a check NaN or infinite, and a NaN check fails
-        vals = laws[0].copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for b, pk in zip(laws[1:], p):
-                vals += b * pk
+        vals = self._values(laws, p)
         n_checks = self.floor.size
-        held = (vals[:, :n_checks] >= self.floor).all(axis=1)
-        if not held.any():
+        held = (vals[:, :n_checks] >= self.floor).all(axis=1).tolist()
+        if True not in held:
             return None
-        return vals[held.argmax(), n_checks:] * self.s, None
+        return vals[held.index(True), n_checks:] * self.s, None
 
 
 class _CornerProgram(NamedTuple):

@@ -192,36 +192,32 @@ def verify_separability(
     leaving a separable quadratic in the source corners (``a1 <= a2`` their
     one coupling) plus ``-(ell2 + ell3)*v1``, which an infinite end of U
     can also make unbounded.  The free targets are reported as ``b1 = b2``
-    and ``b4 = b3``.  A ray is given in the variables ``(a, b, v1)``.
+    and ``b4 = b3``.  A ray is given in the variables ``(a, b, v1)``: the
+    sign of ell1 on b1 and of ell4 on b4, 1 on b2 when ``ell2 > 0`` and -1
+    on b3 when ``ell3 < 0``; failing all of these, 1 on b2, b3 and v1
+    toward an infinite upper end of U, or -1 toward a lower one.  Every
+    other entry is +0.0.
     """
     _, v_star = optimal_rci(spec)
     ell = sf.linear_coeffs
     u_lo, u_hi = spec.u_bounds
     c_v = -ell[1] - ell[2]
 
-    ray = np.zeros(9)
-    ray[4], ray[7] = np.sign(ell[0]), np.sign(ell[3])
-    if ell[1] > 0.0:
-        ray[5] = 1.0
-    if ell[2] < 0.0:
-        ray[6] = -1.0
-    if not ray.any():
+    # the ray's entries on the targets b1..b4 and on v1, each zero one +0.0
+    r1 = math.copysign(1.0, ell[0]) if ell[0] else 0.0
+    r4 = math.copysign(1.0, ell[3]) if ell[3] else 0.0
+    r2 = 1.0 if ell[1] > 0.0 else 0.0
+    r3 = -1.0 if ell[2] < 0.0 else 0.0
+    rv = 0.0
+    if not (r1 or r2 or r3 or r4):
         # v1 carries b2 and b3 along its rows
         if c_v > 0.0 and u_lo == -_INF:
-            ray[5:7] = ray[8] = -1.0
+            r2 = r3 = rv = -1.0
         elif c_v < 0.0 and u_hi == _INF:
-            ray[5:7] = ray[8] = 1.0
-    if ray.any():
-        return SeparabilityReport(
-            qp_min_value=-_INF,
-            minimizer_a=None,
-            minimizer_b=None,
-            minimizer_v=None,
-            v_star=v_star,
-            gap=-_INF,
-            passed=False,
-            unbounded_ray=tuple(float(r) for r in ray),
-        )
+            r2 = r3 = rv = 1.0
+    if r1 or r2 or r3 or r4 or rv:
+        ray = (0.0, 0.0, 0.0, 0.0, r1, r2, r3, r4, rv)
+        return SeparabilityReport(-_INF, None, None, None, v_star, -_INF, False, ray)
 
     q, d = spec.cost_linear, spec.cost_quad
     # linear coefficients of the source corners once the targets are on their rows
@@ -239,15 +235,7 @@ def verify_separability(
     b = (v1, v1, b3, b3)
     qp_min = sum(d[i] * a[i] * a[i] + (q[i] + ell[i]) * a[i] - ell[i] * b[i] for i in range(4))
     gap = qp_min - v_star
-    return SeparabilityReport(
-        qp_min_value=qp_min,
-        minimizer_a=tuple(a),
-        minimizer_b=b,
-        minimizer_v=v1,
-        v_star=v_star,
-        gap=gap,
-        passed=bool(gap >= -_GAP_TOL),
-    )
+    return SeparabilityReport(qp_min, tuple(a), b, v1, v_star, gap, gap >= -_GAP_TOL)
 
 
 def check_strictness(

@@ -694,30 +694,45 @@ def row_patterns(m):
 def law_full_check(laws, block, p) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """A law's ``(x, y)`` at parameter p by its full check, or None: the reference a law table is held to.
 
-    ``block`` is the law's stacked map ``(a, b1, b2, ...)`` of a table
-    ``laws``.  The check and the point are evaluated apart, each column by
-    itself as ``((a + b1*p1) + b2*p2) + ...``, so the table's stacked pass
-    must give them bit for bit.
+    ``block`` is the law's affine map of a table ``laws``, one row per check
+    and free corner and one column per term ``(a, b1, b2, ...)``.  The law
+    is evaluated alone, by :func:`law_values`, so a table must give its
+    point bit for bit, whatever other laws it holds.
     """
     m, n_checks = laws.prog.G_free.shape[0], laws.floor.size
-    vals = law_columns(block, slice(None, n_checks), p)
-    if not np.all(vals >= laws.floor):
+    vals = law_values(laws, block, p)
+    if not np.all(vals[:n_checks] >= laws.floor):
         return None
-    return law_columns(block, slice(n_checks, None), p) * laws.s, vals[m:]
+    return vals[n_checks:] * laws.s, vals[m:n_checks]
 
 
-def law_columns(block, cols, p) -> np.ndarray:
-    """The columns cols of a law's block at parameter p, each by itself as ``((a + b1*p1) + b2*p2) + ...``."""
-    vals = block[0, cols].copy()
-    for b, pk in zip(block[1:], p):
-        vals = vals + b[cols] * float(pk)
-    return vals
+def law_values(laws, block, p) -> np.ndarray:
+    """Every row of a law's block at parameter p, as the table laws evaluates that law alone.
+
+    A tube law's rows are evaluated each by itself, left to right, as
+    ``((a + b1*p1) + b2*p2) + ...``.  A chain law is a stack of one law,
+    evaluated by one product ``block[None] @ (1, *p)``, which sums in its
+    own order: it must agree with the left-to-right sum within ``2*n*eps``
+    times the sum of the terms' magnitudes, for ``n = 1 + len(p)`` terms,
+    twice the difference the error bound of a dot product allows each sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002).
+    """
+    terms = np.array((1.0, *map(float, p)))
+    vals = block[:, 0].copy()
+    for b, pk in zip(block[:, 1:].T, terms[1:]):
+        vals = vals + b * pk
+    if not isinstance(laws, cost_to_travel._ChainTable):
+        return vals
+    product = (block[None] @ terms)[0]
+    bound = 2.0 * terms.size * np.finfo(float).eps * (np.abs(block) @ np.abs(terms))
+    assert np.all(np.abs(product - vals) <= bound)
+    return product
 
 
 def law_active_set(laws, y, p) -> np.ndarray:
     """The active set of the law ``laws.learn(y, p)`` builds: the rows ``y > 0`` less those its law gives a multiplier below 0 at p."""
     act = np.flatnonzero(y > 0.0)
-    multipliers = law_columns(laws._block(act), laws.prog.G_free.shape[0] + act, p)
+    multipliers = law_values(laws, laws._block(act), p)[laws.prog.G_free.shape[0] + act]
     return act[~(multipliers < 0.0)]
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +198,48 @@ class TestSeparabilityClosedForm:
             assert ray.shape == (9,)
             assert np.all(G @ ray <= 0.0)
             assert np.all(qp.H @ ray == 0.0) and qp.g @ ray < 0.0
+
+    def test_ray_follows_the_sign_rule_with_every_zero_positive(self, spec_name):
+        # every ell in {-1, -0.0, 0.0, 1}^4: the ray is the docstring's rule,
+        # written out here, and each of its zero entries is +0.0, whatever
+        # the sign of a zero coefficient; a bounded candidate reports its gap
+        # to V*, the oracle's, and passes by it
+        spec = SEPARABILITY_SPECS[spec_name]
+        u_lo, u_hi = spec.u_bounds
+        _, v_star = optimal_rci(spec)
+        verdicts = {"ray": 0, "bounded": 0}
+        for ell in itertools.product((-1.0, -0.0, 0.0, 1.0), repeat=4):
+            rep = verify_separability(spec, StorageFunction(offset=0.0, linear_coeffs=ell))
+            # in the variables (a1..a4, b1..b4, v1)
+            want = [0.0] * 9
+            for i in (0, 3):
+                if ell[i] != 0.0:
+                    want[4 + i] = 1.0 if ell[i] > 0.0 else -1.0
+            if ell[1] > 0.0:
+                want[5] = 1.0
+            if ell[2] < 0.0:
+                want[6] = -1.0
+            # the objective's term on v1 once b2 and b3 sit on their rows
+            slope = -(ell[1] + ell[2])
+            if not any(want) and slope < 0.0 and u_hi == INF:
+                want[5] = want[6] = want[8] = 1.0
+            if not any(want) and slope > 0.0 and u_lo == -INF:
+                want[5] = want[6] = want[8] = -1.0
+            if any(want):
+                verdicts["ray"] += 1
+                assert [r.hex() for r in rep.unbounded_ray] == [w.hex() for w in want], ell
+                assert all(math.copysign(1.0, r) == 1.0 for r in rep.unbounded_ray if r == 0.0)
+                assert rep.passed is False and rep.gap == rep.qp_min_value == -INF
+                assert rep.minimizer_a is rep.minimizer_b is rep.minimizer_v is None
+                continue
+            verdicts["bounded"] += 1
+            assert rep.unbounded_ray is None, ell
+            assert rep.gap == rep.qp_min_value - v_star
+            assert rep.passed is (rep.gap >= -1e-6)
+            sol = solve(separability_qp_reference(spec, ell))
+            assert sol.status is QpStatus.OPTIMAL
+            assert rep.gap == pytest.approx(sol.objective - v_star, abs=1e-9)
+        assert min(verdicts.values()) > 0, verdicts
 
 
 class TestStrictness:

@@ -25,8 +25,8 @@ from .oracles import (
     farkas_ray_ok,
     kernel_answer,
     law_active_set,
-    law_columns,
     law_full_check,
+    law_values,
     program_answer,
     program_rows,
     row_patterns,
@@ -738,7 +738,7 @@ class TestLawTable:
         assert len(runs) == 1 and len(prog.laws) == 1
         assert solutions[0] == solutions[1] == solutions[2]
         act = np.flatnonzero(y > 0.0)
-        multipliers = law_columns(prog.laws._block(act), prog.G_free.shape[0] + act, z)
+        multipliers = law_values(prog.laws, prog.laws._block(act), z)[prog.G_free.shape[0] + act]
         assert -1e-12 < multipliers.min() < 0.0
         kept = law_active_set(prog.laws, y, z)
         assert 0 < kept.size < act.size and prog.laws.stored == {kept.tobytes()}
@@ -789,7 +789,7 @@ class TestLawScreen:
         laws = learned_table(monkeypatch, spec, CONFIGS[name])
         assert len(laws) > 1
         for law in laws.laws:
-            columns = set(zip(*law_block(laws, law)[:, : laws.floor.size].tolist(), laws.floor.tolist()))
+            columns = set(zip(*law_block(laws, law)[: laws.floor.size].T.tolist(), laws.floor.tolist()))
             assert set(law.screen) <= columns
             assert len(set(law.screen)) == len(law.screen)
             assert len(law.screen) < laws.floor.size // 4
