@@ -23,6 +23,7 @@ from .dissipativity import StorageFunction, eval_storage, verify_separability
 from .interval_sets import IntervalBox, boxes_intersect, contains
 from .problem import ProblemSpec, dynamics, stage_cost
 from .sampling import (
+    _Draws,
     feasible_chain,
     feasible_pair,
     monotone_cone_box,
@@ -200,7 +201,7 @@ def _candidate_boxes() -> list[IntervalBox]:
 
 
 def check_chain_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 200) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     candidates = _candidate_boxes()
     tol = 1e-6
     violations = []
@@ -239,7 +240,7 @@ def check_monotonicity(spec: ProblemSpec, seed: int, n_pairs: int = 500) -> Crit
     with nonpositive lower corners and nonnegative upper x2-corner; samples
     are drawn there.  The target-side inequality is unconditional.
     """
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     tol = 1e-6
     violations = 0
     finite_source = 0
@@ -284,7 +285,7 @@ def _cone_subbox(rng, outer: IntervalBox) -> IntervalBox:
 
 
 def check_dissipation_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 500) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     sf = StorageFunction.reference()
     _, v_star = optimal_rci(spec)
     tol = 1e-6

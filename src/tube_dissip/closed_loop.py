@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import eval_storage
 from .interval_sets import IntervalBox, boxes_intersect, contains, hausdorff, subset
-from .problem import ProblemSpec, dynamics
+from .problem import ConfigError, ProblemSpec, dynamics
+from .sampling import _Draws
 from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
 
 __all__ = [
@@ -164,9 +163,13 @@ def simulate(
     (which carries no action).  Controller infeasibility at any state
     truncates the trace with an explicit failure marker.
     """
+    try:
+        y1, y2 = y0
+    except (TypeError, ValueError):
+        raise ConfigError(f"y0 must be two numbers, got {y0!r}") from None
+    y0 = y = (float(y1), float(y2))
     x_star, _ = optimal_rci(spec)
-    rng = np.random.default_rng(policy.seed) if isinstance(policy, UniformRandomPolicy) else None
-    y = (float(y0[0]), float(y0[1]))
+    rng = _Draws(policy.seed) if isinstance(policy, UniformRandomPolicy) else None
     records: list[TraceStep] = []
     failure = None
     # the adversarial lookahead has already solved at the state it picks
@@ -198,7 +201,7 @@ def simulate(
         sol = next_sol
 
     return SimulationTrace(
-        y0=(float(y0[0]), float(y0[1])),
+        y0=y0,
         policy=policy.describe(),
         steps=tuple(records),
         failure_step=failure,
@@ -211,7 +214,7 @@ def _draw_disturbance(spec, cfg, policy, rng, k, y, u) -> tuple[float, Optional[
         sign = policy.signs[k % len(policy.signs)]
         return (spec.w_hi if sign > 0 else spec.w_lo), None
     if isinstance(policy, UniformRandomPolicy):
-        return float(rng.uniform(spec.w_lo, spec.w_hi)), None
+        return rng.uniform(spec.w_lo, spec.w_hi), None
     if isinstance(policy, AdversarialPolicy):
         x_star, _ = optimal_rci(spec)
         best_w, best_sol = spec.w_lo, None

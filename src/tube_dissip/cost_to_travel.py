@@ -122,8 +122,11 @@ def eval_v(
     for the same problem and N, in any thread.  A tube is
     priced by :func:`_tube_cost`, and its ``aux_controls`` are the
     :func:`transition_witness` pairs of its steps.  ``n_steps`` runs from 1
-    to :data:`MAX_STEPS`.
+    to :data:`MAX_STEPS`; any other value, a non-integer or a bool included,
+    raises ValueError.
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
     if n_steps == 1:
@@ -457,9 +460,8 @@ class _CornerProgram(NamedTuple):
     right-hand side of those p does not enter (``+inf`` if none), and
     ``fixed_rows`` holds the others as plain floats ``(h0, ((k, c), ...))``,
     one pair per nonzero coefficient ``c`` of ``p[k]``, the row holding at p
-    when ``h0 - sum(c*p[k]) >= -_FEAS_TOL``.  ``lo`` and ``hi`` are the
-    state bounds at every free corner, as plain floats, onto which the
-    read-back clips; no value is read from ``d`` and ``q``.  ``laws`` is the
+    when ``h0 - sum(c*p[k]) >= -_FEAS_TOL``.  No value is read from ``d``
+    and ``q``.  ``laws`` is the
     program's table, filled as it is solved: the tube's laws, decided by
     screens on X (:class:`_LawTable`), or a chain's, decided by full checks
     (:class:`_ChainTable`).  The invariant box has None.
@@ -473,16 +475,12 @@ class _CornerProgram(NamedTuple):
     G_free: np.ndarray
     fixed_min: float
     fixed_rows: tuple[tuple[float, tuple[tuple[int, float], ...]], ...]
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
     laws: Optional[_LawTable | _ChainTable] = None
 
 
 def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
     fixed = ~np.any(G != 0.0, axis=1)
     enters = np.any(P != 0.0, axis=1)
-    (lo1, lo2), (hi1, hi2) = spec.x_bounds.lo, spec.x_bounds.hi
-    n_free = d.size // 4
     return _CornerProgram(
         d, q, P, h0, fixed, G[~fixed],
         fixed_min=float(np.min(h0[fixed & ~enters], initial=_INF)),
@@ -490,8 +488,6 @@ def _corner_program(spec: ProblemSpec, d, q, G, P, h0) -> _CornerProgram:
             (h0[i].item(), tuple((k, P[i, k].item()) for k in np.flatnonzero(P[i]).tolist()))
             for i in np.flatnonzero(fixed & enters)
         ),
-        lo=(lo1, lo1, lo2, lo2) * n_free,
-        hi=(hi1, hi1, hi2, hi2) * n_free,
     )
 
 
@@ -604,7 +600,8 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
     state bounds and its corners in order, but only to within the kernel's
     rounding guard; clipped onto the bounds, it passes exact inclusion tests
     such as the storage form's domain.  The read-back is one pass over the
-    corners in plain floats, the clip included; it gives the bits of
+    free boxes in plain floats, each clipped onto the spec's state bounds as
+    it is built; the clip gives the bits of
     ``np.minimum(np.maximum(x, lo), hi)``, ties and NaN included.  A free
     box whose clipped corners are in order is built without re-validation
     (they are finite after the clip, and a NaN fails the order test); any
@@ -621,15 +618,21 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
         return None
     if isinstance(x, np.ndarray):
         x = x.tolist()
-    corners = []
-    for c, lo, hi in zip(x, prog.lo, prog.hi):
-        # as np.maximum then np.minimum: a tie takes the bound, and a NaN passes
-        c = lo if c <= lo else c
-        corners.append(hi if c >= hi else c)
+    (lo1, lo2), (hi1, hi2) = spec.x_bounds.lo, spec.x_bounds.hi
     boxes = [*head]
     quads = [*map(IntervalBox.corners, head)]
-    for k in range(0, len(corners), 4):
-        quad = a1, a2, a3, a4 = corners[k : k + 4]
+    for k in range(0, len(x), 4):
+        a1, a2, a3, a4 = x[k : k + 4]
+        # as np.maximum then np.minimum: a tie takes the bound, and a NaN passes
+        a1 = lo1 if a1 <= lo1 else a1
+        a1 = hi1 if a1 >= hi1 else a1
+        a2 = lo1 if a2 <= lo1 else a2
+        a2 = hi1 if a2 >= hi1 else a2
+        a3 = lo2 if a3 <= lo2 else a3
+        a3 = hi2 if a3 >= hi2 else a3
+        a4 = lo2 if a4 <= lo2 else a4
+        a4 = hi2 if a4 >= hi2 else a4
+        quad = (a1, a2, a3, a4)
         if a1 <= a2 and a3 <= a4:
             box = IntervalBox._trusted((a1, a3), (a2, a4))
         else:

@@ -20,12 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .cost_to_travel import eval_v, optimal_rci
 from .interval_sets import IntervalBox, _is_real, hausdorff, subset
 from .problem import ProblemSpec
-from .sampling import feasible_pair
+from .sampling import _Draws, feasible_pair
 
 __all__ = [
     "StorageFunction",
@@ -253,7 +251,7 @@ def check_strictness(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x_star, v_star = optimal_rci(spec)
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     min_margin = _INF
     n_nonpos = 0
     worst = None

@@ -12,10 +12,11 @@ documented convention of this package; see README.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,19 @@ class IntervalBox:
     hi: tuple[float, float]
 
     def __post_init__(self):
-        lo = (float(self.lo[0]), float(self.lo[1]))
-        hi = (float(self.hi[0]), float(self.hi[1]))
+        lo = lo1, lo2 = (float(self.lo[0]), float(self.lo[1]))
+        hi = hi1, hi2 = (float(self.hi[0]), float(self.hi[1]))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        for i in range(2):
-            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
-                raise ValueError(f"box corners must be finite, got lo={lo} hi={hi}")
-            if lo[i] > hi[i]:
-                raise ValueError(f"empty interval in dimension {i}: [{lo[i]}, {hi[i]}]")
+        # dimension by dimension, finiteness first; NaN and +-inf fail -inf < c < inf
+        if not (-_INF < lo1 < _INF and -_INF < hi1 < _INF):
+            raise ValueError(f"box corners must be finite, got lo={lo} hi={hi}")
+        if lo1 > hi1:
+            raise ValueError(f"empty interval in dimension 0: [{lo1}, {hi1}]")
+        if not (-_INF < lo2 < _INF and -_INF < hi2 < _INF):
+            raise ValueError(f"box corners must be finite, got lo={lo} hi={hi}")
+        if lo2 > hi2:
+            raise ValueError(f"empty interval in dimension 1: [{lo2}, {hi2}]")
 
     @classmethod
     def from_corners(cls, a: Sequence[float], snap_tol: float = 0.0) -> "IntervalBox":
@@ -44,7 +49,7 @@ class IntervalBox:
         floating-point optimizer output) to a degenerate interval; inversions
         beyond the tolerance still raise.
         """
-        a1, a2, a3, a4 = (float(v) for v in a)
+        a1, a2, a3, a4 = map(float, a)
         if snap_tol > 0.0:
             if a2 < a1 <= a2 + snap_tol:
                 a1 = a2 = 0.5 * (a1 + a2)

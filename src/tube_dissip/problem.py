@@ -267,23 +267,39 @@ def transition_witness(
 
 
 def _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4):
-    """:func:`transition_witness` on plain floats: a spec's ``_step`` constants and the corners of a and b."""
+    """:func:`transition_witness` on plain floats: a spec's ``_step`` constants and the corners of a and b.
+
+    Each ``max`` and ``min`` of the rule is written out as conditional
+    expressions over its arguments in the builtin's order: an argument
+    replaces the running value only when it is strictly greater (strictly
+    less for ``min``), so a tie or a NaN keeps the earlier argument, as the
+    builtins do.  The answer is the builtins' to the bit, at under half
+    their cost per call.  ``max(b1, u_lo, t)`` is ``max(max(b1, u_lo), t)``
+    by that rule, so v1's low end extends v2's, and v2's high end extends
+    v1's.
+    """
     al, u_lo, u_hi, w_lo, w_hi, x1_lo, x1_hi, x2_lo, x2_hi = step
-    v1_lo = max(b1, u_lo, b3 - al * a3 - w_lo)
-    v1_hi = min(b2, u_hi)
-    v2_lo = max(b1, u_lo)
-    v2_hi = min(b2, u_hi, b4 - al * a4 - w_hi)
-    slack = max(
-        0.0,
-        0.5 * (v1_lo - v1_hi),
-        0.5 * (v2_lo - v2_hi),
-        # (v1_lo - s) - (v2_hi + s) <= alpha*(a4 - a3 + s)
-        (v1_lo - v2_hi - al * (a4 - a3)) / (2.0 + al),
-        x1_lo - a1,
-        a2 - x1_hi,
-        x2_lo - a3,
-        a4 - x2_hi,
-    )
+    v2_lo = u_lo if u_lo > b1 else b1
+    t = b3 - al * a3 - w_lo
+    v1_lo = t if t > v2_lo else v2_lo
+    v1_hi = u_hi if u_hi < b2 else b2
+    t = b4 - al * a4 - w_hi
+    v2_hi = t if t < v1_hi else v1_hi
+    t = 0.5 * (v1_lo - v1_hi)
+    slack = t if t > 0.0 else 0.0
+    t = 0.5 * (v2_lo - v2_hi)
+    slack = t if t > slack else slack
+    # (v1_lo - s) - (v2_hi + s) <= alpha*(a4 - a3 + s)
+    t = (v1_lo - v2_hi - al * (a4 - a3)) / (2.0 + al)
+    slack = t if t > slack else slack
+    t = x1_lo - a1
+    slack = t if t > slack else slack
+    t = a2 - x1_hi
+    slack = t if t > slack else slack
+    t = x2_lo - a3
+    slack = t if t > slack else slack
+    t = a4 - x2_hi
+    slack = t if t > slack else slack
     if slack > _FEAS_TOL:
         return None
     return (v1_lo - slack, v2_hi + slack)

@@ -5,10 +5,19 @@ target window, so acceptance rates stay high; every constructed pair is a
 genuine transition by the row encoding (callers may still re-verify it with
 :func:`~tube_dissip.problem.transition_feasible`, or through the reference
 QP solver when the point of the test is that solver).
+
+Every sampler takes, as ``rng``, an object with numpy's
+``Generator.uniform(low, high, size)``: a caller's ``np.random.Generator``,
+which it reads one draw at a time as it always has, or the library's own
+:class:`_Draws`.  The generators the library creates for itself (the
+acceptance battery, ``check_strictness`` and the random disturbance policy)
+are ``_Draws``: they take the same doubles from the same seeded stream,
+fetched in blocks, so every seeded answer is unchanged to the bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -27,6 +36,44 @@ __all__ = [
 
 # the draws of source boxes a constructive sampler makes before it gives up
 _MAX_TRIES = 50
+
+# the doubles _Draws fetches from its generator per numpy call
+_BLOCK = 256
+
+
+class _Draws:
+    """``np.random.default_rng(seed)``'s uniform draws, fetched 256 doubles per numpy call.
+
+    ``uniform(lo, hi, size)`` is numpy's ``Generator.uniform`` for scalar
+    bounds: ``lo + (hi - lo) * u`` for each next double u of the stream,
+    the formula of numpy's ``random_uniform``, and ``rng.random(n)`` gives
+    the same doubles as n single draws.  So its draws equal the generator's
+    bit for bit, and it raises what numpy raises, in numpy's order:
+    OverflowError when ``hi - lo`` is not finite, then ValueError when it
+    has its sign bit set.  A scalar draw is a float; one with ``size`` is a
+    list of ``size`` floats.  It builds its own generator from the seed, so
+    it never reads ahead in a generator a caller goes on to use.
+    """
+
+    __slots__ = ("_random", "_block")
+
+    def __init__(self, seed):
+        self._random = np.random.default_rng(seed).random
+        # the doubles fetched but not yet drawn, the next one last
+        self._block: list[float] = []
+
+    def uniform(self, lo=0.0, hi=1.0, size=None):
+        span = hi - lo
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if span <= 0.0 and math.copysign(1.0, span) < 0.0:
+            raise ValueError("high - low < 0")
+        if size is not None:
+            return [self.uniform(lo, hi) for _ in range(size)]
+        block = self._block
+        if not block:
+            block += self._random(_BLOCK)[::-1].tolist()
+        return lo + span * block.pop()
 
 
 def _sorted_pair(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:

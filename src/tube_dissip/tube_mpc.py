@@ -250,8 +250,12 @@ def solve_tmpc(
     cfg: TubeMpcConfig,
     z: Sequence[float],
 ) -> TubeSolution:
-    """Solve the horizon problem at measured state z and extract the control."""
-    z1, z2 = float(z[0]), float(z[1])
+    """Solve the horizon problem at measured state z, a pair of numbers, and extract the control."""
+    try:
+        z1, z2 = z
+    except (TypeError, ValueError):
+        raise ConfigError(f"state must be two numbers, got {z!r}") from None
+    z1, z2 = float(z1), float(z2)
     if not (math.isfinite(z1) and math.isfinite(z2)):
         raise ConfigError(f"state must be finite, got {tuple(z)}")
     terminal, storage, self_successor, prog = _controller(spec, cfg)

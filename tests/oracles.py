@@ -215,6 +215,28 @@ def interpolated_control(a: IntervalBox, v1: float, v2: float, x2: float) -> flo
     return v1 + (v2 - v1) * t
 
 
+def step_witness_reference(step, a1, a2, a3, a4, b1, b2, b3, b4):
+    """The one-step rule of ``problem._step_witness`` in its builtin ``max``/``min`` form."""
+    al, u_lo, u_hi, w_lo, w_hi, x1_lo, x1_hi, x2_lo, x2_hi = step
+    v1_lo = max(b1, u_lo, b3 - al * a3 - w_lo)
+    v1_hi = min(b2, u_hi)
+    v2_lo = max(b1, u_lo)
+    v2_hi = min(b2, u_hi, b4 - al * a4 - w_hi)
+    slack = max(
+        0.0,
+        0.5 * (v1_lo - v1_hi),
+        0.5 * (v2_lo - v2_hi),
+        (v1_lo - v2_hi - al * (a4 - a3)) / (2.0 + al),
+        x1_lo - a1,
+        a2 - x1_hi,
+        x2_lo - a3,
+        a4 - x2_hi,
+    )
+    if slack > qp_solver._FEAS_TOL:
+        return None
+    return (v1_lo - slack, v2_hi + slack)
+
+
 def transition_feasible_oracle(spec: ProblemSpec, a: IntervalBox, b: IntervalBox) -> bool:
     return transition_margin(spec, a, b) >= 0.0
 

@@ -13,7 +13,7 @@ from tube_dissip.closed_loop import (
     simulate,
 )
 from tube_dissip.interval_sets import IntervalBox, boxes_intersect, contains, hausdorff
-from tube_dissip.problem import dynamics
+from tube_dissip.problem import ConfigError, dynamics
 from tube_dissip.tube_mpc import solve_tmpc
 
 
@@ -72,6 +72,11 @@ class TestSimulate:
         assert a == b
         c = simulate(spec, cfg_ic, (1.0, 1.0), 5, UniformRandomPolicy(seed=4))
         assert c != a
+
+    @pytest.mark.parametrize("y0", [(1.0, 2.0, 3.0), (1.0,), 1.0])
+    def test_start_that_is_not_two_numbers_rejected(self, spec, cfg_ic, y0):
+        with pytest.raises(ConfigError, match="y0 must be two numbers"):
+            simulate(spec, cfg_ic, y0, 2, ExtremePolicy(signs=(1,)))
 
     def test_failure_marker_outside_bounds(self, spec, cfg_ic):
         trace = simulate(spec, cfg_ic, (9.0, 0.0), 3, ExtremePolicy(signs=(1,)))

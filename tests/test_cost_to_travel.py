@@ -106,6 +106,17 @@ class TestEvalV:
         with pytest.raises(ValueError, match=f"between 1 and {cost_to_travel.MAX_STEPS}"):
             eval_v(spec, x_star, x_star, n_steps)
 
+    @pytest.mark.parametrize("n_steps", [2.0, True, 1.5, "2", None])
+    def test_step_count_that_is_not_an_integer_rejected(self, spec, x_star, n_steps):
+        # after a solve at N = 2, 2.0 would find its cached program, and
+        # True would read as N = 1
+        eval_v(spec, x_star, x_star, 2)
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            eval_v(spec, x_star, x_star, n_steps)
+
+    def test_numpy_integer_step_count_accepted(self, spec, x_star):
+        assert eval_v(spec, x_star, x_star, np.int64(2)) == eval_v(spec, x_star, x_star, 2)
+
     def test_json_round_trip(self, spec, x_star):
         res = eval_v(spec, x_star, x_star, 2)
         obj = json.loads(json.dumps(res.to_json_dict()))

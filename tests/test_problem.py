@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tube_dissip.interval_sets import IntervalBox, subset
 from tube_dissip.problem import (
     ConfigError,
     ProblemSpec,
+    _step_witness,
     dynamics,
     is_rci,
     stage_cost,
@@ -29,6 +31,7 @@ from .oracles import (
     build_g_block,
     interpolated_control,
     row_violations,
+    step_witness_reference,
     transition_feasible_oracle,
     transition_feasible_qp,
     transition_feasible_rows,
@@ -448,6 +451,42 @@ class TestClosedFormDecision:
         assert np.all(np.isfinite(const)) and np.all(np.any(src != 0.0, axis=1) | np.any(tgt != 0.0, axis=1))
         holds = bool(np.all(src @ a.corners() + tgt @ b.corners() <= const))
         assert holds == (transition_witness(spec, a, b) is not None)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SPEC,
+            ProblemSpec(u_bounds=(-INF, INF)),
+            ProblemSpec(alpha=0.8),
+            # signed zeros tie with the bounds of U and W
+            ProblemSpec(u_bounds=(-0.0, 0.0), w_bounds=(0.0, 0.0)),
+        ],
+        ids=["default", "unbounded U", "alpha 0.8", "U and W zero"],
+    )
+    def test_rule_is_its_builtin_form_to_the_bit(self, spec):
+        # the rule writes each max and min as conditional expressions; ties,
+        # signed zeros, infinities and NaN must pick what the builtins pick
+        rng = np.random.default_rng(12)
+        special = np.array([0.0, -0.0, INF, -INF, NAN, 5.0, -5.0, 1.0, -1.0])
+        shape = (20_000, 8)
+        kind = rng.uniform(size=shape)
+        corners = rng.uniform(-6.0, 6.0, size=shape)
+        # small integers tie with the bounds and with each other
+        corners = np.where(kind < 0.4, rng.integers(-6, 7, size=shape), corners)
+        corners = np.where(kind < 0.2, special[rng.integers(special.size, size=shape)], corners)
+
+        def bits(witness):
+            return None if witness is None else struct.pack("<2d", *witness)
+
+        quads = corners.tolist()
+        for a, b in (feasible_pair(spec, rng) for _ in range(2_000)):
+            quads.append([*a.corners(), *b.corners()])
+        accepted = 0
+        for quad in quads:
+            got = _step_witness(spec._step, *quad)
+            assert bits(got) == bits(step_witness_reference(spec._step, *quad)), quad
+            accepted += got is not None
+        assert 2_000 <= accepted < len(quads)
 
     def test_witness_is_exact_on_feasible_pairs(self, rng):
         for _ in range(200):

@@ -158,6 +158,13 @@ class TestSolveTmpc:
         with pytest.raises(ConfigError, match="finite"):
             solve_tmpc(spec, cfg_ic, z)
 
+    @pytest.mark.parametrize("z", [(1.0, 2.0, 3.0), (1.0,), (), 1.0, None])
+    def test_state_that_is_not_two_numbers_rejected(self, spec, cfg_ic, z):
+        with pytest.raises(ConfigError, match="state must be two numbers"):
+            solve_tmpc(spec, cfg_ic, z)
+        with pytest.raises(ConfigError, match="state must be two numbers"):
+            sweep_feedback(spec, cfg_ic, [(0.0, 0.0), z])
+
     def test_json_round_trip(self, spec, cfg_ic):
         sol = solve_tmpc(spec, cfg_ic, (1.0, 1.0))
         obj = json.loads(json.dumps(sol.to_json_dict()))
