@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import eval_storage
-from .interval_sets import IntervalBox, boxes_intersect, contains, hausdorff, subset
+from .interval_sets import IntervalBox, _is_real, boxes_intersect, contains, hausdorff, subset
 from .problem import ConfigError, ProblemSpec, dynamics
 from .sampling import _Draws
 from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
@@ -167,6 +167,8 @@ def simulate(
         y1, y2 = y0
     except (TypeError, ValueError):
         raise ConfigError(f"y0 must be two numbers, got {y0!r}") from None
+    if not (_is_real(y1) and _is_real(y2)):
+        raise ConfigError(f"y0 must be two numbers, got {y0!r}")
     y0 = y = (float(y1), float(y2))
     x_star, _ = optimal_rci(spec)
     rng = _Draws(policy.seed) if isinstance(policy, UniformRandomPolicy) else None

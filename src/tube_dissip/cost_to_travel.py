@@ -22,11 +22,12 @@ check at the end boxes, every stored law in one stacked product
 (:class:`_ChainTable`).  The invariant box's program is solved once
 per problem and keeps no table.  These programs are read back
 into boxes by one helper, :func:`_solve_tube`, in one plain-float pass
-over the corners: free corners are clipped onto the state bounds; a free
-box whose corners are in order is built without re-validation, any other
-through ``IntervalBox.from_corners``, which snaps an inversion within the
-feasibility tolerance ``qp_solver._FEAS_TOL``; and
-every step of the tube is decided by the one core of the one-step rule
+over the boxes: each free box is clipped onto the state bounds and built
+in one loop, without re-validation when its corners are in order, and
+otherwise through ``IntervalBox.from_corners``, which snaps an inversion
+within the feasibility tolerance ``qp_solver._FEAS_TOL``; and every step
+of the tube is decided in the same pass, on the corners of the box before
+it carried in locals, by the one core of the one-step rule
 (:func:`~tube_dissip.problem.transition_witness`), on constants the
 ``ProblemSpec`` computed when it was built.  The read-back prices nothing:
 at every N, a value is the sum of :func:`~tube_dissip.problem.stage_cost`
@@ -135,7 +136,7 @@ def eval_v(
             return CostToTravelResult(_INF)
         tube, witnesses = (a, b), (witness,)
     else:
-        solved = _solve_tube(spec, _chain_stack(spec, n_steps), a.corners() + b.corners(), [a], [b])
+        solved = _solve_tube(spec, _chain_stack(spec, n_steps), a.corners() + b.corners(), (a,), (b,))
         if solved is None:
             return CostToTravelResult(_INF)
         tube, witnesses = solved
@@ -385,16 +386,18 @@ class _LawTable(_AffineLaws):
 
     def _first(self, laws, p):
         """``(x, None)`` from the first of laws whose screen holds at state p in X, x its corners as plain floats; or None."""
-        if not self._covers(p):
-            return None
         z1, z2 = p
-        for law in laws:
-            for a, b1, b2, floor in law.screen:
+        lo1, hi1, lo2, hi2 = self.bounds
+        # as _covers: a state outside X gets no answer
+        if not (lo1 <= z1 <= hi1 and lo2 <= z2 <= hi2):
+            return None
+        for screen, point in laws:
+            for a, b1, b2, floor in screen:
                 # as a pass over the block computes it: (a + b1*z1) + b2*z2
                 if not a + b1 * z1 + b2 * z2 >= floor:
                     break
             else:
-                return [(a + b1 * z1 + b2 * z2) * s for a, b1, b2, s in law.point], None
+                return [(a + b1 * z1 + b2 * z2) * s for a, b1, b2, s in point], None
         return None
 
 
@@ -593,36 +596,46 @@ def _worst_fixed_row(prog: _CornerProgram, p) -> int:
     return int(np.where(prog.fixed, h, _INF).argmin())
 
 
-def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
+def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: tuple):
     """A corner program's answer at p as ``(head + free boxes + tail, step witnesses)``, or None.
 
+    ``head`` and ``tail`` are tuples of boxes, ``head`` of at most one.
     Every free box is the source of a step, so its rows keep it within the
     state bounds and its corners in order, but only to within the kernel's
     rounding guard; clipped onto the bounds, it passes exact inclusion tests
     such as the storage form's domain.  The read-back is one pass over the
-    free boxes in plain floats, each clipped onto the spec's state bounds as
-    it is built; the clip gives the bits of
+    boxes in plain floats.  Each free box is clipped onto the spec's state
+    bounds and built in one loop; the clip gives the bits of
     ``np.minimum(np.maximum(x, lo), hi)``, ties and NaN included.  A free
     box whose clipped corners are in order is built without re-validation
     (they are finite after the clip, and a NaN fails the order test); any
     other goes through
     :meth:`~tube_dissip.interval_sets.IntervalBox.from_corners`, which snaps
-    an inversion within ``_FEAS_TOL`` and raises ValueError beyond it.  Each
-    step is then decided by the one-step rule of
+    an inversion within ``_FEAS_TOL`` and raises ValueError beyond it.  Every
+    step is decided by the one-step rule of
     :func:`~tube_dissip.problem.transition_witness` on the spec's constants
-    and those corners; a refused step raises SolverFailure.  It prices
-    nothing: callers price the boxes by :func:`_tube_cost`.
+    and the corners of its two boxes, the previous box's carried in locals;
+    a refused step raises SolverFailure once every box is built, so a box
+    that raises ValueError comes first.  It prices nothing: callers price
+    the boxes by :func:`_tube_cost`.
     """
     x, _ = _solve_program(prog, p)
     if x is None:
         return None
     if isinstance(x, np.ndarray):
         x = x.tolist()
-    (lo1, lo2), (hi1, hi2) = spec.x_bounds.lo, spec.x_bounds.hi
+    step = spec._step
+    lo1, hi1, lo2, hi2 = step[5:]
+    # looked up on the class at each call, where a test may replace it
+    trusted = IntervalBox._trusted
     boxes = [*head]
-    quads = [*map(IntervalBox.corners, head)]
-    for k in range(0, len(x), 4):
-        a1, a2, a3, a4 = x[k : k + 4]
+    witnesses = []
+    if head:
+        # the corners of the box before the next, (c1, c2, c3, c4)
+        (box,) = head
+        (c1, c3), (c2, c4) = box.lo, box.hi
+    it = iter(x)
+    for a1, a2, a3, a4 in zip(it, it, it, it):
         # as np.maximum then np.minimum: a tie takes the bound, and a NaN passes
         a1 = lo1 if a1 <= lo1 else a1
         a1 = hi1 if a1 >= hi1 else a1
@@ -632,23 +645,23 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head, tail):
         a3 = hi2 if a3 >= hi2 else a3
         a4 = lo2 if a4 <= lo2 else a4
         a4 = hi2 if a4 >= hi2 else a4
-        quad = (a1, a2, a3, a4)
         if a1 <= a2 and a3 <= a4:
-            box = IntervalBox._trusted((a1, a3), (a2, a4))
+            box = trusted((a1, a3), (a2, a4))
         else:
-            box = IntervalBox.from_corners(quad, snap_tol=_FEAS_TOL)
-            quad = box.corners()
+            box = IntervalBox.from_corners((a1, a2, a3, a4), snap_tol=_FEAS_TOL)
+            (a1, a3), (a2, a4) = box.lo, box.hi
+        if boxes:
+            witnesses.append(_step_witness(step, c1, c2, c3, c4, a1, a2, a3, a4))
         boxes.append(box)
-        quads.append(quad)
-    boxes += tail
-    quads += map(IntervalBox.corners, tail)
-    step = spec._step
-    witnesses = []
-    for (a1, a2, a3, a4), (b1, b2, b3, b4) in zip(quads, quads[1:]):
-        witness = _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4)
-        if witness is None:
-            raise SolverFailure("a step of the minimising tube is not a transition")
-        witnesses.append(witness)
+        c1, c2, c3, c4 = a1, a2, a3, a4
+    for box in tail:
+        (a1, a3), (a2, a4) = box.lo, box.hi
+        if boxes:
+            witnesses.append(_step_witness(step, c1, c2, c3, c4, a1, a2, a3, a4))
+        boxes.append(box)
+        c1, c2, c3, c4 = a1, a2, a3, a4
+    if None in witnesses:
+        raise SolverFailure("a step of the minimising tube is not a transition")
     return tuple(boxes), tuple(witnesses)
 
 
@@ -672,7 +685,7 @@ def optimal_rci(spec: ProblemSpec) -> tuple[IntervalBox, float]:
         P=np.zeros((const.size, 0)),
         h0=const,
     )
-    solved = _solve_tube(spec, prog, (), [], [])
+    solved = _solve_tube(spec, prog, (), (), ())
     if solved is None:
         raise RciNotFound(
             "no robust control invariant interval box exists within the state "

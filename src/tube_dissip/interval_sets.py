@@ -19,16 +19,30 @@ from typing import Sequence
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalBox:
-    """A compact box ``[lo[0], hi[0]] x [lo[1], hi[1]]`` in R^2."""
+    """A compact box ``[lo[0], hi[0]] x [lo[1], hi[1]]`` in R^2.
+
+    Each side is a pair of real numbers, stored as floats; a bool or a
+    string is not a real number.  Boxes are slotted: they carry no
+    ``__dict__``, so ``vars(box)`` raises TypeError.
+    """
 
     lo: tuple[float, float]
     hi: tuple[float, float]
 
     def __post_init__(self):
-        lo = lo1, lo2 = (float(self.lo[0]), float(self.lo[1]))
-        hi = hi1, hi2 = (float(self.hi[0]), float(self.hi[1]))
+        try:
+            lo1, lo2 = self.lo
+            hi1, hi2 = self.hi
+        except (TypeError, ValueError):
+            raise ValueError(f"each side of a box is two numbers, got lo={self.lo!r} hi={self.hi!r}") from None
+        # a float entry passes as it is; only another is type-checked
+        if not (isinstance(lo1, float) and isinstance(lo2, float) and isinstance(hi1, float) and isinstance(hi2, float)):
+            if not (_is_real(lo1) and _is_real(lo2) and _is_real(hi1) and _is_real(hi2)):
+                raise ValueError(f"each side of a box is two numbers, got lo={self.lo!r} hi={self.hi!r}")
+        lo = lo1, lo2 = (float(lo1), float(lo2))
+        hi = hi1, hi2 = (float(hi1), float(hi2))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         # dimension by dimension, finiteness first; NaN and +-inf fail -inf < c < inf
@@ -45,10 +59,12 @@ class IntervalBox:
     def from_corners(cls, a: Sequence[float], snap_tol: float = 0.0) -> "IntervalBox":
         """Build a box from its corner vector ``(a1, a2, a3, a4)``.
 
-        ``snap_tol`` collapses sub-tolerance corner inversions (as produced by
-        floating-point optimizer output) to a degenerate interval; inversions
-        beyond the tolerance still raise.
+        ``snap_tol``, a number ``>= 0``, collapses sub-tolerance corner
+        inversions (as produced by floating-point optimizer output) to a
+        degenerate interval; inversions beyond the tolerance still raise.
         """
+        if not snap_tol >= 0.0:
+            raise ValueError(f"snap_tol must be a number >= 0, got {snap_tol!r}")
         a1, a2, a3, a4 = map(float, a)
         if snap_tol > 0.0:
             if a2 < a1 <= a2 + snap_tol:
@@ -61,9 +77,8 @@ class IntervalBox:
     def _trusted(cls, lo: tuple[float, float], hi: tuple[float, float]) -> "IntervalBox":
         """A box from float corner pairs the caller knows to be finite and in order, built without the checks."""
         box = object.__new__(cls)
-        fields = box.__dict__
-        fields["lo"] = lo
-        fields["hi"] = hi
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
         return box
 
     @classmethod

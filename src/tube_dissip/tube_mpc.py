@@ -71,7 +71,7 @@ from .cost_to_travel import (
     optimal_rci,
 )
 from .dissipativity import StorageFunction, eval_storage
-from .interval_sets import IntervalBox, subset
+from .interval_sets import IntervalBox, _is_real, subset
 from .problem import ConfigError, ProblemSpec, is_rci, transition_rows
 from .qp_solver import _FEAS_TOL, QpStatus, SolverFailure
 
@@ -169,11 +169,22 @@ def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optio
 
 
 def _window(spec: ProblemSpec, b: IntervalBox, z2: float) -> tuple[float, float]:
-    """The window ``(lo, hi)`` of the module docstring: controls taking second coordinate z2 into b."""
-    al, u_lo, u_hi, w_lo, w_hi, _, _, _, _ = spec._step
+    """The window ``(lo, hi)`` of the module docstring: controls taking second coordinate z2 into b.
+
+    Each ``max`` and ``min`` is written out as conditional expressions in
+    the builtin's order, as in :func:`~tube_dissip.problem._step_witness`:
+    an argument replaces the running value only when it is strictly greater
+    (strictly less for ``min``), so a tie, a NaN or a signed zero keeps the
+    earlier argument.
+    """
+    al, u_lo, u_hi, w_lo, w_hi = spec._step[:5]
     (b1, b3), (b2, b4) = b.lo, b.hi
-    lo = max(b1, b3 - al * z2 - w_lo, u_lo)
-    hi = min(b2, b4 - al * z2 - w_hi, u_hi)
+    t = b3 - al * z2 - w_lo
+    lo = t if t > b1 else b1
+    lo = u_lo if u_lo > lo else lo
+    t = b4 - al * z2 - w_hi
+    hi = t if t < b2 else b2
+    hi = u_hi if u_hi < hi else hi
     return lo, hi
 
 
@@ -250,11 +261,23 @@ def solve_tmpc(
     cfg: TubeMpcConfig,
     z: Sequence[float],
 ) -> TubeSolution:
-    """Solve the horizon problem at measured state z, a pair of numbers, and extract the control."""
+    """Solve the horizon problem at measured state z, a pair of numbers, and extract the control.
+
+    A float coordinate, ``np.float64`` included, is taken as it is; any
+    other must be a real number, and a bool or a string raises ConfigError.
+    The state is then tested against the state bounds, clamped onto them,
+    and passed to the tube program, whose answer is read back into boxes
+    and edge controls in one pass (``cost_to_travel._solve_tube``), every
+    step decided on the corners carried in locals; the clamp, the window
+    and ``u0`` are written as conditional expressions in the builtins'
+    order, so their bits are those of ``max`` and ``min``.
+    """
     try:
         z1, z2 = z
     except (TypeError, ValueError):
         raise ConfigError(f"state must be two numbers, got {z!r}") from None
+    if not (isinstance(z1, float) and isinstance(z2, float)) and not (_is_real(z1) and _is_real(z2)):
+        raise ConfigError(f"state must be two numbers, got {z!r}")
     z1, z2 = float(z1), float(z2)
     if not (math.isfinite(z1) and math.isfinite(z2)):
         raise ConfigError(f"state must be finite, got {tuple(z)}")
@@ -267,14 +290,19 @@ def solve_tmpc(
         )
 
     # the first box lies within the state bounds, so no tube holds a state
-    # beyond them; one within _FEAS_TOL of them is read as on them
-    xb = spec.x_bounds
-    if max(xb.lo[0] - z1, z1 - xb.hi[0], xb.lo[1] - z2, z2 - xb.hi[1]) > _FEAS_TOL:
+    # beyond them; one within _FEAS_TOL of them is read as on them.  z and
+    # the bounds are finite, so no difference is NaN, and the test is the
+    # max of the four differences against _FEAS_TOL
+    x1_lo, x1_hi, x2_lo, x2_hi = spec._step[5:]
+    if x1_lo - z1 > _FEAS_TOL or z1 - x1_hi > _FEAS_TOL or x2_lo - z2 > _FEAS_TOL or z2 - x2_hi > _FEAS_TOL:
         return TubeSolution(QpStatus.INFEASIBLE)
-    z1 = min(max(z1, xb.lo[0]), xb.hi[0])
-    z2 = min(max(z2, xb.lo[1]), xb.hi[1])
+    # min(max(z, lo), hi)
+    z1 = x1_lo if x1_lo > z1 else z1
+    z1 = x1_hi if x1_hi < z1 else z1
+    z2 = x2_lo if x2_lo > z2 else z2
+    z2 = x2_hi if x2_hi < z2 else z2
 
-    solved = _solve_tube(spec, prog, (z1, z2), [], [terminal])
+    solved = _solve_tube(spec, prog, (z1, z2), (), (terminal,))
     if solved is None:
         return TubeSolution(QpStatus.INFEASIBLE)
     tube, edge_controls = solved
@@ -286,9 +314,11 @@ def solve_tmpc(
         if lo - hi > _FEAS_TOL:
             raise SolverFailure("empty control window for the optimal tube")
         lo = hi = 0.5 * (lo + hi)
-    u0_val = min(max(0.0, lo), hi)
+    # min(max(0.0, lo), hi)
+    u0 = lo if lo > 0.0 else 0.0
+    u0 = hi if hi < u0 else u0
 
-    return TubeSolution(QpStatus.OPTIMAL, tube, float(u0_val), objective, (float(lo), float(hi)), edge_controls)
+    return TubeSolution(QpStatus.OPTIMAL, tube, u0, objective, (lo, hi), edge_controls)
 
 
 def sweep_feedback(

@@ -22,7 +22,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import linprog, nnls
 
-from tube_dissip import cost_to_travel, qp_solver
+from tube_dissip import cost_to_travel, qp_solver, tube_mpc
+from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_witness
 from tube_dissip.qp_solver import QpBuilder, QpProblem, QpSolution, QpStatus, solve
@@ -847,8 +848,91 @@ def assert_validated_read_back(spec: ProblemSpec, tube, witnesses) -> None:
     """
     for b in tube:
         want = IntervalBox.from_corners(b.corners(), snap_tol=qp_solver._FEAS_TOL)
-        assert type(b) is IntervalBox and vars(b).keys() == {"lo", "hi"}
+        # a slotted box has no __dict__, so its only fields are the two slots, both set
+        assert type(b) is IntervalBox and not hasattr(b, "__dict__") and IntervalBox.__slots__ == ("lo", "hi")
         assert all(type(c) is float for c in b.corners()), b
         assert repr((b.lo, b.hi)) == repr((want.lo, want.hi)), b
     steps = zip(tube[:-1], tube[1:])
     assert tuple(witnesses) == tuple(transition_witness(spec, a, b) for a, b in steps)
+
+
+def read_back_reference(spec: ProblemSpec, x, head, tail):
+    """``cost_to_travel._solve_tube``'s read-back of a program answer x, written the plain way.
+
+    The free corners are clipped as ``np.minimum(np.maximum(x, lo), hi)``,
+    every free box is built by ``IntervalBox.from_corners`` with the snap at
+    ``_FEAS_TOL``, the corner quads of all boxes are listed and each step is
+    decided by :func:`step_witness_reference` on consecutive quads.
+    """
+    if x is None:
+        return None
+    xb = spec.x_bounds
+    n_free = len(x) // 4
+    lo = np.tile([xb.lo[0], xb.lo[0], xb.lo[1], xb.lo[1]], n_free)
+    hi = np.tile([xb.hi[0], xb.hi[0], xb.hi[1], xb.hi[1]], n_free)
+    clipped = np.minimum(np.maximum(np.asarray(x, dtype=float), lo), hi).tolist()
+    boxes = list(head)
+    for k in range(0, len(clipped), 4):
+        boxes.append(IntervalBox.from_corners(clipped[k : k + 4], snap_tol=qp_solver._FEAS_TOL))
+    boxes += tail
+    quads = [b.corners() for b in boxes]
+    witnesses = []
+    for a, b in zip(quads, quads[1:]):
+        witness = step_witness_reference(spec._step, *a, *b)
+        if witness is None:
+            raise qp_solver.SolverFailure("a step of the minimising tube is not a transition")
+        witnesses.append(witness)
+    return tuple(boxes), tuple(witnesses)
+
+
+def window_reference(spec: ProblemSpec, b: IntervalBox, z2: float) -> tuple[float, float]:
+    """``tube_mpc._window`` in its builtin ``max``/``min`` form."""
+    al, u_lo, u_hi, w_lo, w_hi = spec._step[:5]
+    lo = max(b.lo[0], b.lo[1] - al * z2 - w_lo, u_lo)
+    hi = min(b.hi[0], b.hi[1] - al * z2 - w_hi, u_hi)
+    return lo, hi
+
+
+def state_in_bounds_reference(spec: ProblemSpec, z) -> Optional[tuple[float, float]]:
+    """The state ``solve_tmpc`` solves at for z, by builtin ``max``/``min``; None beyond the band."""
+    z1, z2 = float(z[0]), float(z[1])
+    xb = spec.x_bounds
+    if max(xb.lo[0] - z1, z1 - xb.hi[0], xb.lo[1] - z2, z2 - xb.hi[1]) > qp_solver._FEAS_TOL:
+        return None
+    return min(max(z1, xb.lo[0]), xb.hi[0]), min(max(z2, xb.lo[1]), xb.hi[1])
+
+
+def solve_tmpc_reference(spec: ProblemSpec, cfg, z, x):
+    """The ``TubeSolution`` fields of ``solve_tmpc`` at z, from the program answer x the solve got, the plain way.
+
+    ``(status, tube, u0, objective, u0_interval, edge_controls)``: the
+    read-back of :func:`read_back_reference`, the cost by
+    ``cost_to_travel._tube_cost``, the window of :func:`window_reference`,
+    and ``u0 = min(max(0.0, lo), hi)``.
+    """
+    state = state_in_bounds_reference(spec, z)
+    controller = tube_mpc._controller(spec, cfg)
+    solved = None if state is None else read_back_reference(spec, x, (), (controller.terminal,))
+    if solved is None:
+        return (QpStatus.INFEASIBLE, None, None, None, None, None)
+    tube, edge_controls = solved
+    storage = controller.storage
+    initial = 0.0 if storage is None else eval_storage(storage, spec, tube[0])
+    objective = cost_to_travel._tube_cost(spec, tube[:-1], initial)
+    lo, hi = window_reference(spec, tube[1], state[1])
+    if lo > hi:
+        if lo - hi > qp_solver._FEAS_TOL:
+            raise qp_solver.SolverFailure("empty control window for the optimal tube")
+        lo = hi = 0.5 * (lo + hi)
+    return (QpStatus.OPTIMAL, tube, min(max(0.0, lo), hi), objective, (lo, hi), edge_controls)
+
+
+def float_bits(value):
+    """value with every float in it, nested in tuples, lists and boxes, as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, IntervalBox):
+        return ("box", float_bits(value.lo), float_bits(value.hi))
+    if isinstance(value, (tuple, list)):
+        return tuple(float_bits(v) for v in value)
+    return value

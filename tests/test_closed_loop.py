@@ -73,7 +73,7 @@ class TestSimulate:
         c = simulate(spec, cfg_ic, (1.0, 1.0), 5, UniformRandomPolicy(seed=4))
         assert c != a
 
-    @pytest.mark.parametrize("y0", [(1.0, 2.0, 3.0), (1.0,), 1.0])
+    @pytest.mark.parametrize("y0", [(1.0, 2.0, 3.0), (1.0,), 1.0, ("1", "0"), (True, 0.0), (0.0, False)])
     def test_start_that_is_not_two_numbers_rejected(self, spec, cfg_ic, y0):
         with pytest.raises(ConfigError, match="y0 must be two numbers"):
             simulate(spec, cfg_ic, y0, 2, ExtremePolicy(signs=(1,)))

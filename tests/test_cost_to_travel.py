@@ -912,6 +912,37 @@ class TestReadBack:
                 oracles.assert_validated_read_back(spec, res.tube, res.aux_controls)
         assert feasible >= 140
 
+    @pytest.mark.parametrize("n_steps", [2, 3])
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    def test_chains_have_the_reference_bits(self, spec_name, n_steps, monkeypatch):
+        # the read-back of each program answer, bit for bit the plain-way read-back of the same answer
+        spec = SPECS[spec_name]
+        real_solve = cost_to_travel._solve_program
+        answers = []
+
+        def recording_solve(prog, p):
+            answer = real_solve(prog, p)
+            answers.append(answer[0])
+            return answer
+
+        monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
+        rng = np.random.default_rng(36 + n_steps)
+        ends = [feasible_chain(spec, rng, n_steps)[:: n_steps] for _ in range(100)]
+        ends += [(random_box_within(rng, spec.x_bounds), random_box_within(rng, OUTER)) for _ in range(100)]
+        feasible = 0
+        for a, b in ends:
+            res = eval_v(spec, a, b, n_steps)
+            (x,) = answers
+            answers.clear()
+            want = oracles.read_back_reference(spec, x, (a,), (b,))
+            if want is None:
+                assert res.tube is None and res.value == math.inf
+                continue
+            feasible += 1
+            assert oracles.float_bits((res.tube, res.aux_controls)) == oracles.float_bits(want)
+            assert res.value.hex() == cost_to_travel._tube_cost(spec, want[0][:-1]).hex()
+        assert feasible >= 100
+
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
     def test_invariant_box_reads_back_as_validated(self, spec_name):
         spec = SPECS[spec_name]

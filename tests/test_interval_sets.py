@@ -1,4 +1,7 @@
+import copy
 import json
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -44,6 +47,46 @@ class TestIntervalBox:
         assert b.lo[0] == b.hi[0]
         with pytest.raises(ValueError):
             IntervalBox.from_corners((1.1, 1.0, 0.0, 2.0), snap_tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [((0, 0, 50), (1, 1, -50)), ((0.0,), (1.0,)), ((0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, (1.0, 1.0)), (None, None)],
+    )
+    def test_side_that_is_not_a_pair_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="two numbers"):
+            IntervalBox(lo, hi)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [((True, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, True)), (("0", "0"), ("1", "1")), ((0.0, 0.0), (1.0, "1"))],
+    )
+    def test_side_of_bools_or_strings_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="two numbers"):
+            IntervalBox(lo, hi)
+
+    def test_real_numbers_stored_as_floats(self):
+        b = IntervalBox((0, np.float64(-1.5)), (np.int64(2), 3.0))
+        assert b == IntervalBox((0.0, -1.5), (2.0, 3.0))
+        assert all(type(c) is float for c in b.corners())
+
+    @pytest.mark.parametrize("snap_tol", [-1.0, -1e-300, math.nan])
+    def test_snap_tol_not_at_least_zero_rejected(self, snap_tol):
+        with pytest.raises(ValueError, match="snap_tol"):
+            IntervalBox.from_corners((0.0, 1.0, 0.0, 1.0), snap_tol=snap_tol)
+
+    @pytest.mark.parametrize("copy_box", [lambda b: pickle.loads(pickle.dumps(b)), copy.deepcopy, copy.copy])
+    def test_slotted_box_copies_hashes_and_compares(self, copy_box):
+        a = box((-1.25, 0.5), (-4.0, 0.125))
+        back = copy_box(a)
+        assert type(back) is IntervalBox and back == a and hash(back) == hash(a) == hash(((-1.25, -4.0), (0.5, 0.125)))
+        assert repr(back) == repr(a) and back.corners() == a.corners()
+        assert back != box((-1.25, 0.5), (-4.0, 0.25)) and {a: 1}[back] == 1
+        # slotted: no __dict__, so vars() refuses it, and a frozen box refuses a new value
+        assert IntervalBox.__slots__ == ("lo", "hi")
+        with pytest.raises(TypeError):
+            vars(back)
+        with pytest.raises(AttributeError):
+            back.lo = (0.0, 0.0)
 
     def test_json_round_trip(self):
         a = box((-1.5, 2.0), (0.0, 3.25))

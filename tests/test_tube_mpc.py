@@ -23,6 +23,7 @@ from .oracles import (
     assert_validated_read_back,
     count_kernel_runs,
     farkas_ray_ok,
+    float_bits,
     kernel_answer,
     law_active_set,
     law_full_check,
@@ -31,7 +32,10 @@ from .oracles import (
     program_rows,
     row_patterns,
     row_violations,
+    solve_tmpc_reference,
+    state_in_bounds_reference,
     tube_qp_reference,
+    window_reference,
 )
 
 INF = float("inf")
@@ -158,12 +162,20 @@ class TestSolveTmpc:
         with pytest.raises(ConfigError, match="finite"):
             solve_tmpc(spec, cfg_ic, z)
 
-    @pytest.mark.parametrize("z", [(1.0, 2.0, 3.0), (1.0,), (), 1.0, None])
+    @pytest.mark.parametrize(
+        "z",
+        [(1.0, 2.0, 3.0), (1.0,), (), 1.0, None,
+         ("1", "0"), (True, 0.0), (0.0, False), (b"1", 0.0), (None, 0.0), (1j, 0.0)],
+    )
     def test_state_that_is_not_two_numbers_rejected(self, spec, cfg_ic, z):
         with pytest.raises(ConfigError, match="state must be two numbers"):
             solve_tmpc(spec, cfg_ic, z)
         with pytest.raises(ConfigError, match="state must be two numbers"):
             sweep_feedback(spec, cfg_ic, [(0.0, 0.0), z])
+
+    @pytest.mark.parametrize("z", [(1, -2), (np.float64(1.0), np.float64(-2.0)), (np.int64(1), -2.0), np.array([1.0, -2.0])])
+    def test_state_of_real_numbers_solved_as_floats(self, spec, cfg_ic, z):
+        assert solve_tmpc(spec, cfg_ic, z) == solve_tmpc(spec, cfg_ic, (1.0, -2.0))
 
     def test_json_round_trip(self, spec, cfg_ic):
         sol = solve_tmpc(spec, cfg_ic, (1.0, 1.0))
@@ -203,18 +215,19 @@ class TestSolveTmpc:
 
 
 def record_solves(monkeypatch, spec, cfg):
-    """Patch the solve step; the returned list gets the state of each solve of the controller's program."""
+    """Patch the solve step; the returned list gets ``(state, x)`` of each solve of the controller's program, x its answer."""
     controller = tube_mpc._controller(spec, cfg).prog
     real_solve = cost_to_travel._solve_program
-    states = []
+    solves = []
 
     def recording_solve(prog, z):
+        answer = real_solve(prog, z)
         if prog is controller:
-            states.append(tuple(z))
-        return real_solve(prog, z)
+            solves.append((tuple(z), answer[0]))
+        return answer
 
     monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
-    return states
+    return solves
 
 
 # states within _FEAS_TOL of the state bounds, and the states on them they are read as
@@ -240,7 +253,7 @@ class TestStateBounds:
         solve_tmpc(spec, cfg_ic, (0.0, 0.0))
         sol = solve_tmpc(spec, cfg_ic, z)
         assert sol.status is QpStatus.INFEASIBLE and sol.tube is None
-        assert solves == [(0.0, 0.0)]
+        assert [z for z, _ in solves] == [(0.0, 0.0)]
 
     @pytest.mark.parametrize("z, on_x", WITHIN_THE_BAND)
     def test_within_the_band_solved_on_the_bounds(self, spec, cfg_ic, z, on_x):
@@ -475,6 +488,85 @@ class TestReadBack:
                 assert_validated_read_back(spec, sol.tube, sol.edge_controls)
         # every state for horizons 2 and 3; at horizon 1 about two in five
         assert feasible >= len(states) // 3
+
+
+# the 41 x 41 grid over [-5.2, 5.2]^2, beyond the state bounds too, and 300 seeded states
+LEAN_STATES = [(z1, z2) for z1 in np.linspace(-5.2, 5.2, 41) for z2 in np.linspace(-5.2, 5.2, 41)] + [
+    tuple(z) for z in np.random.default_rng(36).uniform(-5.2, 5.2, (300, 2))
+]
+
+
+class TestLeanPass:
+    """Every solve has the bits of the plain-way read-back, window and clamps, from the program answer it got."""
+
+    @staticmethod
+    def assert_reference_bits(monkeypatch, spec, cfg):
+        solves = record_solves(monkeypatch, spec, cfg)
+        feasible = 0
+        for z in LEAN_STATES:
+            sol = solve_tmpc(spec, cfg, z)
+            state = state_in_bounds_reference(spec, z)
+            if state is None:
+                assert not solves and sol.status is QpStatus.INFEASIBLE, z
+                continue
+            ((p, x),) = solves
+            solves.clear()
+            assert float_bits(p) == float_bits(state), z
+            want = solve_tmpc_reference(spec, cfg, z, x)
+            got = (sol.status, sol.tube, sol.u0, sol.objective, sol.u0_interval, sol.edge_controls)
+            assert float_bits(got) == float_bits(want), z
+            feasible += sol.feasible
+        return feasible
+
+    @pytest.mark.parametrize("use_initial_cost", [True, False])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 8])
+    def test_solves_have_the_reference_bits(self, spec, monkeypatch, horizon, use_initial_cost):
+        cfg = TubeMpcConfig(horizon=horizon, use_initial_cost=use_initial_cost)
+        # every state within the bounds for horizons 2 and up; at horizon 1 about two in five
+        assert self.assert_reference_bits(monkeypatch, spec, cfg) >= len(LEAN_STATES) // 3
+
+    @pytest.mark.parametrize("changes", [{"u_bounds": (-INF, INF)}, {"alpha": 0.8}], ids=["unbounded U", "alpha 0.8"])
+    def test_other_problems_have_the_reference_bits(self, monkeypatch, changes):
+        assert self.assert_reference_bits(monkeypatch, ProblemSpec(**changes), TubeMpcConfig()) > 0
+
+    def test_window_ties_and_signed_zeros_keep_the_earlier_argument(self):
+        # every corner, control and disturbance bound a signed zero: a >= for a > gives another sign
+        for *zeros, z2 in itertools.product(*[[0.0, -0.0]] * 8, [0.0, -0.0, math.nan]):
+            b1, b2, b3, b4, u_lo, u_hi, w_lo, w_hi = zeros
+            changed = ProblemSpec(u_bounds=(u_lo, u_hi), w_bounds=(w_lo, w_hi))
+            b = IntervalBox((b1, b3), (b2, b4))
+            assert float_bits(tube_mpc._window(changed, b, z2)) == float_bits(window_reference(changed, b, z2)), (zeros, z2)
+
+    @pytest.mark.parametrize(
+        "window",
+        [(-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.0),
+         (-2.0, -1.0), (1.0, 2.0), (0.5 * _FEAS_TOL, -0.0), (0.0, -0.5 * _FEAS_TOL)],
+    )
+    def test_u0_clamp_ties_and_signed_zeros_keep_the_earlier_argument(self, spec, cfg_ic, monkeypatch, window):
+        monkeypatch.setattr(tube_mpc, "_window", lambda spec, b, z2: window)
+        sol = solve_tmpc(spec, cfg_ic, (0.0, 0.0))
+        lo, hi = window
+        if lo > hi:
+            lo = hi = 0.5 * (lo + hi)
+        assert float_bits((sol.u0, sol.u0_interval)) == float_bits((min(max(0.0, lo), hi), (lo, hi)))
+
+    @pytest.mark.parametrize("bound", [0.0, -0.0])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_state_clamp_ties_and_signed_zeros_keep_the_state(self, monkeypatch, side, bound):
+        # states clamped onto bounds with a zero corner, and an invariant terminal box within them:
+        # the default x* for the upper corner, its mirror image for the lower
+        if side == "hi":
+            x_bounds, terminal = IntervalBox((-5.0, -5.0), (bound, bound)), IntervalBox((-1.0, -4.0), (-1.0, bound))
+        else:
+            x_bounds, terminal = IntervalBox((bound, bound), (5.0, 5.0)), IntervalBox((1.0, bound), (1.0, 4.0))
+        changed = ProblemSpec(x_bounds=x_bounds)
+        cfg = TubeMpcConfig(terminal_set=terminal)
+        solves = record_solves(monkeypatch, changed, cfg)
+        for z in itertools.product([0.0, -0.0], repeat=2):
+            solve_tmpc(changed, cfg, z)
+            ((p, _),) = solves
+            solves.clear()
+            assert float_bits(p) == float_bits(state_in_bounds_reference(changed, z)), z
 
 
 class TestObjective:
