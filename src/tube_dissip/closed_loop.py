@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import eval_storage
-from .interval_sets import IntervalBox, _is_real, boxes_intersect, contains, hausdorff, subset
+from .interval_sets import IntervalBox, _is_integer, _is_real, boxes_intersect, contains, hausdorff, subset
 from .problem import ConfigError, ProblemSpec, dynamics
 from .sampling import _Draws
 from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
@@ -47,8 +47,9 @@ class ExtremePolicy:
     signs: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        if not self.signs or any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be a nonempty sequence of +1/-1")
+        # a bool equals 1 or 0, so each sign must be an integer first
+        if not self.signs or not all(_is_integer(s) and s in (-1, 1) for s in self.signs):
+            raise ConfigError(f"signs must be a nonempty sequence of +1/-1, got {self.signs!r}")
 
     def describe(self) -> str:
         return "extreme:" + "".join("+" if s > 0 else "-" for s in self.signs)
@@ -59,6 +60,10 @@ class UniformRandomPolicy:
     """Independent uniform draws from the disturbance interval."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def describe(self) -> str:
         return f"random:{self.seed}"
@@ -161,8 +166,12 @@ def simulate(
 
     The trace records one entry per visited state, including the final one
     (which carries no action).  Controller infeasibility at any state
-    truncates the trace with an explicit failure marker.
+    truncates the trace with an explicit failure marker.  ``steps`` is a
+    non-negative integer, ``np.integer`` included; a bool or any other
+    value raises ConfigError.
     """
+    if not (_is_integer(steps) and steps >= 0):
+        raise ConfigError(f"steps must be a non-negative integer, got {steps!r}")
     try:
         y1, y2 = y0
     except (TypeError, ValueError):

@@ -37,6 +37,7 @@ over the returned tube but its last box, by one helper
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -328,15 +329,35 @@ class _LawTable(_AffineLaws):
     state (Higham, Accuracy and Stability of Numerical Algorithms, 2002).
     Every other column is then at least its floor, in floats, at every state
     in X, so at a state in X a law's screen holds exactly when its full
-    check does: the screen's half-planes are the law's region (point
-    location in explicit MPC, Tøndel, Johansen and Bemporad, Automatica
-    2003).  The first law, in the order they were learned, whose screen
-    holds answers, and only that law's corners are computed, in plain floats
-    by the same float operations as a pass over its block, so bit for bit
-    the point of the first law whose full check holds.  The full check is
-    not run, and the block it reads is not kept: it is the reference the
-    tests hold the screen to.  Beyond X the screens prove nothing, so no law
-    answers at a state outside X, and none is learned from one.
+    check does: the screen's half-planes are the law's region.  The first
+    law, in the order they were learned, whose screen holds answers, and
+    only that law's corners are computed, in plain floats by the same float
+    operations as a pass over its block, so bit for bit the point of the
+    first law whose full check holds.  The full check is not run, and the
+    block it reads is not kept: it is the reference the tests hold the
+    screen to.  Beyond X the screens prove nothing, so no law answers at a
+    state outside X, and none is learned from one.
+
+    A lookup locates the state first (point location in explicit MPC,
+    Tøndel, Johansen and Bemporad, Automatica 2003): X is cut into a fixed
+    grid of ``_GRID`` by ``_GRID`` cells (one cell along a side of zero
+    width), each proven over an interval a little wider than itself
+    (:func:`_grid_side`), and ``cells`` lists, for each cell, the laws that
+    can hold in it, in the order they were learned.  A law is left out of a
+    cell when one of its screen's checks, at its largest value over the
+    cell plus the rounding margin, is below its floor: the law then fails
+    at every state of the cell, in floats.  A listed law is an entry
+    ``_Law(cell_screen, point)`` sharing the law's point and check tuples,
+    whose screen drops the checks whose least value over the cell less the
+    margin clears the floor, the rule above applied over the cell; a check
+    whose bound is NaN or infinite is neither dropped nor used to leave a
+    law out.  Every cell where a law's whole screen is proved shares one
+    entry with no check.  The first entry of a state's cell whose screen
+    holds is so the first law whose screen holds, and a lookup answers as a
+    walk over every law would, bit for bit.  The index holds at most
+    ``_GRID**2 * _MAX_LAWS`` entries, each no longer than its law's screen;
+    it is built beside the laws, under the lock, and published by one
+    assignment, and the byte bound counts the laws alone.
     """
 
     def __init__(self, prog: "_CornerProgram", x_bounds: IntervalBox):
@@ -344,6 +365,29 @@ class _LawTable(_AffineLaws):
         # the state box the parameter ranges over, as plain floats (lo1, hi1, lo2, hi2)
         self.bounds = (x_bounds.lo[0], x_bounds.hi[0], x_bounds.lo[1], x_bounds.hi[1])
         self.laws: tuple[_Law, ...] = ()
+        lo1, hi1, lo2, hi2 = self.bounds
+        (k1, side1), (k2, side2) = _grid_side(lo1, hi1), _grid_side(lo2, hi2)
+        # a coordinate's cell index is int((z - lo) * k)
+        self.scale = (k1, k2)
+        # the ends (lo, hi) of the cells' intervals along each side, one row per cell
+        self._ends = (np.array(side1), np.array(side2))
+        # (max|z1|, max|z2|) over X, which the rounding margin reads
+        self._reach = np.array((max(abs(lo1), abs(hi1)), max(abs(lo2), abs(hi2))))
+        # the entries of each cell, one row of cells per index of z1; the
+        # index past the last, which only a state on the upper bound can
+        # reach, repeats the last cell (see _grid_side)
+        row = ((),) * (len(side2) + 1)
+        self.cells = (row,) * (len(side1) + 1)
+
+    def lookup(self, p):
+        """``(x, None)`` from the first stored law whose screen holds at state p, found through p's cell; or None, as at every state outside X."""
+        z1, z2 = p
+        lo1, hi1, lo2, hi2 = self.bounds
+        # the screens decide only in X
+        if not (lo1 <= z1 <= hi1 and lo2 <= z2 <= hi2):
+            return None
+        k1, k2 = self.scale
+        return self._first(self.cells[int((z1 - lo1) * k1)][int((z2 - lo2) * k2)], p)
 
     def learn(self, y: np.ndarray, p):
         """As :meth:`_AffineLaws.learn` at a state p in X; a state outside X is not learned from and gets None."""
@@ -365,7 +409,7 @@ class _LawTable(_AffineLaws):
         least = a + np.minimum(b * box[0, :, None], b * box[1, :, None]).sum(axis=0)
         # clear of the floor by the rounding margin, a column holds in floats all over X;
         # a NaN or infinite column fails the test and is screened
-        margin = 8.0 * _EPS * (np.abs(a) + np.abs(box).max(axis=0) @ np.abs(b))
+        margin = 8.0 * _EPS * (np.abs(a) + self._reach @ np.abs(b))
         cols = np.flatnonzero(~(least >= self.floor + margin))
         screen = tuple(dict.fromkeys(zip(*block[cols].T.tolist(), self.floor[cols].tolist())))
         return (_Law(screen, tuple(zip(*block[n_checks:].T.tolist(), self.s.tolist()))),)
@@ -376,7 +420,48 @@ class _LawTable(_AffineLaws):
         return sum(map(sys.getsizeof, [*law[0], *inner, *(v for t in inner for v in t)]))
 
     def _with(self, law: tuple[_Law]) -> tuple[_Law, ...]:
+        """The stored laws and law, once the cells with law's entries added are published."""
+        rows = [list(row) for row in self.cells[:-1]]
+        for i, j, entry in self._entries(law[0]):
+            rows[i][j] += (entry,)
+        for row in rows:
+            row[-1] = row[-2]
+        cells = tuple(map(tuple, rows))
+        self.cells = cells + cells[-1:]
         return self.laws + law
+
+    def _entries(self, law: _Law) -> list[tuple[int, int, _Law]]:
+        """``(i, j, entry)`` for each cell (i, j) where law can hold, entry the law with the cell's screen."""
+        screen, point = law
+        ends1, ends2 = self._ends
+        n1, n2 = ends1.shape[0], ends2.shape[0]
+        if not screen:
+            return [(i, j, law) for i in range(n1) for j in range(n2)]
+        checks = np.array(screen)
+        a, b1, b2, floor = checks.T
+        margin = 8.0 * _EPS * (np.abs(a) + np.abs(checks[:, 1:3]) @ self._reach)
+        with np.errstate(all="ignore"):
+            # each check's terms at the ends of each cell's interval, one row per cell
+            t1 = ends1[:, :, None] * b1
+            t2 = ends2[:, :, None] * b2
+            # over each cell, each check's least value less the margin and its largest plus the margin
+            least = (np.minimum(t1[:, 0], t1[:, 1]) + (a - margin))[:, None] + np.minimum(t2[:, 0], t2[:, 1])
+            most = (np.maximum(t1[:, 0], t1[:, 1]) + (a + margin))[:, None] + np.maximum(t2[:, 0], t2[:, 1])
+            # a NaN or infinite bound proves nothing either way; a sum that
+            # overflows is taken as one
+            finite = np.isfinite(least + most)
+            fails = (finite & (most < floor)).any(axis=2).ravel()
+            kept = ~(finite & (least >= floor)).reshape(n1 * n2, len(screen))
+        can_hold = np.flatnonzero(~fails)
+        entries: dict[tuple[bool, ...], _Law] = {}
+        out = []
+        for cell, keep in zip(can_hold.tolist(), kept[can_hold].tolist()):
+            key = tuple(keep)
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = _Law(tuple(itertools.compress(screen, keep)), point)
+            out.append((*divmod(cell, n2), entry))
+        return out
 
     def _multipliers(self, block: np.ndarray, act: np.ndarray, p) -> np.ndarray:
         """The multipliers of active set act at p by the law of block, left to right as its screen sums: ``(a + b1*z1) + b2*z2``."""
@@ -387,10 +472,6 @@ class _LawTable(_AffineLaws):
     def _first(self, laws, p):
         """``(x, None)`` from the first of laws whose screen holds at state p in X, x its corners as plain floats; or None."""
         z1, z2 = p
-        lo1, hi1, lo2, hi2 = self.bounds
-        # as _covers: a state outside X gets no answer
-        if not (lo1 <= z1 <= hi1 and lo2 <= z2 <= hi2):
-            return None
         for screen, point in laws:
             for a, b1, b2, floor in screen:
                 # as a pass over the block computes it: (a + b1*z1) + b2*z2
@@ -399,6 +480,34 @@ class _LawTable(_AffineLaws):
             else:
                 return [(a + b1 * z1 + b2 * z2) * s for a, b1, b2, s in point], None
         return None
+
+
+# the cells of the tube table's grid along each side of X of nonzero width
+_GRID = 8
+
+
+def _grid_side(lo: float, hi: float) -> tuple[float, list[tuple[float, float]]]:
+    """One side ``[lo, hi]`` of X as grid cells: the scale k, and each cell's interval within ``[lo, hi]``.
+
+    A coordinate z in ``[lo, hi]`` maps to cell ``int((z - lo) * k)``, with
+    ``k = n / (hi - lo)`` for n cells of width ``w = (hi - lo) / n``; a side
+    of zero width, or one so narrow that k overflows, is one cell, with
+    ``k = 0``.  The three roundings of the map, and those of the width and
+    of k, each relative to at most ``hi - lo``, put every float z that maps
+    to cell i within ``2.5*eps*(hi - lo)`` of ``[lo + i*w, lo + (i+1)*w]``,
+    and computing those two ends errs by at most ``1.5*eps*(|lo| + |hi|)``:
+    widened by ``8*eps*(|lo| + |hi|)``, twice their sum, and clipped to
+    ``[lo, hi]``, where a lookup has put z, the cell's interval holds every
+    float z that maps to it.  Rounding up, the map gives ``z = hi`` at most
+    the index n, one past the last cell, which the table makes that cell.
+    """
+    width = hi - lo
+    n = _GRID if width > 0.0 and math.isfinite(_GRID / width) else 1
+    if n == 1:
+        return 0.0, [(lo, hi)]
+    w = width / n
+    slack = 8.0 * _EPS * (abs(lo) + abs(hi))
+    return n / width, [(max(lo, lo + i * w - slack), min(hi, lo + (i + 1) * w + slack)) for i in range(n)]
 
 
 class _ChainTable(_AffineLaws):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cost_to_travel import eval_v, optimal_rci
-from .interval_sets import IntervalBox, _is_real, hausdorff, subset
-from .problem import ProblemSpec
+from .interval_sets import IntervalBox, _is_integer, _is_real, hausdorff, subset
+from .problem import ConfigError, ProblemSpec
 from .sampling import _Draws, feasible_pair
 
 __all__ = [
@@ -246,10 +246,12 @@ def check_strictness(
 
     Pairs within ``_EXCLUSION_TOL`` (Hausdorff) of the stationary pair at the
     optimal invariant box are excluded; there the margin is zero by
-    definition.  Deterministic for a fixed seed.
+    definition.  Deterministic for a fixed seed.  ``n_samples`` is a
+    positive integer, ``np.integer`` included; a bool or any other value
+    raises ConfigError.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if not (_is_integer(n_samples) and n_samples >= 1):
+        raise ConfigError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     x_star, v_star = optimal_rci(spec)
     rng = _Draws(seed)
     min_margin = _INF

@@ -112,6 +112,11 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """True for an integer, ``np.integer`` included, and false for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_pair(value) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == 2
 
@@ -141,11 +146,17 @@ def subset(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
 
 
 def contains(a: IntervalBox, z: Sequence[float], tol: float = 0.0) -> bool:
-    """True iff the point ``z`` lies in the box ``A`` (within ``tol``)."""
-    return (
-        a.lo[0] - tol <= z[0] <= a.hi[0] + tol
-        and a.lo[1] - tol <= z[1] <= a.hi[1] + tol
-    )
+    """True iff the point ``z``, two real numbers, lies in the box ``A`` (within ``tol``); ConfigError for any other z."""
+    try:
+        z1, z2 = z
+    except (TypeError, ValueError):
+        z1 = z2 = None
+    if not (_is_real(z1) and _is_real(z2)):
+        # problem imports this module, so its error is imported where it is raised
+        from .problem import ConfigError
+
+        raise ConfigError(f"a point is two numbers, got {z!r}")
+    return a.lo[0] - tol <= z1 <= a.hi[0] + tol and a.lo[1] - tol <= z2 <= a.hi[1] + tol
 
 
 def boxes_intersect(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:

@@ -27,7 +27,14 @@ does not prove to hold at every state in the state bounds X, so at a state
 in X the screen holds exactly when the full check does.  The first law, in
 the order they were learned, whose screen holds answers, and only its
 corners are computed, bit for bit the point of the first law whose full
-check holds; the full check itself is the tests' reference and never runs.  A
+check holds; the full check itself is the tests' reference and never runs.
+That law is found through z's cell in a fixed grid of 8 x 8 cells over X:
+a cell lists, in learned order, the laws that can hold in it, those
+with no screen check that the same margin proves to fail all over the
+cell, each kept with the checks of its screen the margin does not prove
+to hold over the cell, so the first listed law whose checks hold is the
+first law whose screen holds.  The cells hold at most 64 entries each, one per
+stored law, and the byte bound counts the laws alone.  A
 law answer carries no multipliers: those come only from a kernel run.  The
 screens prove nothing beyond X, so no law answers a state outside X and
 none is learned from one; :func:`solve_tmpc` passes the program only
@@ -96,6 +103,12 @@ class TubeMpcConfig:
     inside the terminal box exists exactly when one ending on it does, at
     the same cost.  ``horizon`` is an integer from 1 to
     :data:`~tube_dissip.cost_to_travel.MAX_STEPS`.
+
+    Every solve looks its controller up by the config's hash, so that is
+    computed once, as the dataclass would derive it from the fields; it is
+    not a field, so ``==``, ``repr`` and ``dataclasses.asdict`` are
+    unchanged.  ``hash(None)`` can differ between processes, so a pickled
+    config is rebuilt from its fields, and its hash with them.
     """
 
     horizon: int = 2
@@ -110,6 +123,13 @@ class TubeMpcConfig:
             raise ConfigError(f"horizon must be between 1 and {MAX_STEPS}, got {self.horizon}")
         if not isinstance(self.use_initial_cost, bool):
             raise ConfigError(f"use_initial_cost must be true or false, got {self.use_initial_cost!r}")
+        object.__setattr__(self, "_hash", hash((self.horizon, self.use_initial_cost, self.terminal_set, self.storage)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return TubeMpcConfig, (self.horizon, self.use_initial_cost, self.terminal_set, self.storage)
 
 
 @dataclass(frozen=True, slots=True)

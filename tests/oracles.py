@@ -714,6 +714,20 @@ def row_patterns(m):
             yield y
 
 
+def walk_lookup(table, z):
+    """A tube table's answer at state z by a walk over every stored law, each on its screen over X, in learned order.
+
+    This is the lookup before the table located states in its cells: None
+    outside X, and ``table._first(table.laws, z)`` in X.  A table's cells
+    must answer as it does, bit for bit.
+    """
+    z1, z2 = z
+    lo1, hi1, lo2, hi2 = table.bounds
+    if not (lo1 <= z1 <= hi1 and lo2 <= z2 <= hi2):
+        return None
+    return table._first(table.laws, z)
+
+
 def law_full_check(laws, block, p) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """A law's ``(x, y)`` at parameter p by its full check, or None: the reference a law table is held to.
 

@@ -33,6 +33,21 @@ class TestPolicies:
         assert UniformRandomPolicy(seed=7).describe() == "random:7"
         assert AdversarialPolicy().describe() == "adversarial"
 
+    def test_a_sign_is_an_integer(self):
+        # True equals 1, and was taken as the sign +1
+        with pytest.raises(ConfigError, match="signs"):
+            ExtremePolicy(signs=(True,))
+        assert ExtremePolicy(signs=(np.int64(-1),)).describe() == "extreme:-"
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1, "1"])
+    def test_a_seed_is_a_non_negative_integer(self, seed):
+        # 2.5 and True built a policy, which described itself as random:True
+        with pytest.raises(ConfigError, match="seed"):
+            UniformRandomPolicy(seed=seed)
+
+    def test_a_numpy_integer_seed_is_a_seed(self):
+        assert UniformRandomPolicy(seed=np.int64(7)).describe() == "random:7"
+
 
 class TestSimulate:
     def test_adversarial_lookahead_solve_reused(self, spec, cfg_ic, monkeypatch):
@@ -53,6 +68,17 @@ class TestSimulate:
         assert len(calls) == 2 * steps + 1
         for s in trace.steps:
             assert s.tube == solve_tmpc(spec, cfg_ic, s.y).tube
+
+    @pytest.mark.parametrize("steps", [-3, True, 2.5, "2", None])
+    def test_steps_is_a_non_negative_integer(self, spec, cfg_ic, steps):
+        # range() took -3 as no step and True as one, and 2.5 raised TypeError
+        with pytest.raises(ConfigError, match="steps"):
+            simulate(spec, cfg_ic, (2.0, 3.0), steps, ExtremePolicy(signs=(1,)))
+
+    def test_numpy_integer_steps(self, spec, cfg_ic):
+        trace = simulate(spec, cfg_ic, (2.0, 3.0), np.int64(2), ExtremePolicy(signs=(1,)))
+        assert trace == simulate(spec, cfg_ic, (2.0, 3.0), 2, ExtremePolicy(signs=(1,)))
+        assert len(trace.steps) == 3
 
     def test_dynamics_recorded_exactly(self, spec, cfg_ic):
         trace = simulate(spec, cfg_ic, (2.0, 3.0), 4, ExtremePolicy(signs=(1, -1)))

@@ -16,7 +16,7 @@ from tube_dissip.dissipativity import (
     verify_separability,
 )
 from tube_dissip.interval_sets import IntervalBox
-from tube_dissip.problem import ProblemSpec, stage_cost
+from tube_dissip.problem import ConfigError, ProblemSpec, stage_cost
 from tube_dissip.qp_solver import QpStatus, solve
 from tube_dissip.sampling import feasible_pair
 
@@ -280,6 +280,14 @@ class TestStrictness:
     def test_sample_count_validated(self, spec, reference_storage):
         with pytest.raises(ValueError):
             check_strictness(spec, reference_storage, n_samples=0, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [2.5, True, "3"])
+    def test_sample_count_is_an_integer(self, spec, reference_storage, n_samples):
+        # 2.5 ran, and reported n_samples 2.5
+        with pytest.raises(ConfigError, match="n_samples"):
+            check_strictness(spec, reference_storage, n_samples=n_samples, seed=1)
+        summary = check_strictness(spec, reference_storage, n_samples=np.int64(3), seed=1)
+        assert summary == check_strictness(spec, reference_storage, n_samples=3, seed=1)
 
 
 class TestDissipationBridge:

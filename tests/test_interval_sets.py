@@ -13,6 +13,7 @@ from tube_dissip.interval_sets import (
     hausdorff,
     subset,
 )
+from tube_dissip.problem import ConfigError
 
 from .oracles import hausdorff_sampled
 
@@ -171,6 +172,15 @@ class TestSubsetContains:
         assert contains(X_STAR, (-1, -2))
         assert not contains(X_STAR, (-2, -2))
         assert contains(box((0, 1), (0, 1)), (0, 0))
+
+    @pytest.mark.parametrize(
+        "z", [(0.0, 0.0, 99.0), (0.0,), 0.0, (True, 0.0), ("0", 0.0)], ids=["three", "one", "number", "bool", "string"]
+    )
+    def test_contains_takes_a_point_of_two_numbers(self, z):
+        # a third coordinate was ignored, and the point reported inside; a
+        # bool was taken as a number, and a string raised TypeError
+        with pytest.raises(ConfigError, match="a point is two numbers"):
+            contains(box((0, 1), (0, 1)), z)
 
 
 class TestIntersection:

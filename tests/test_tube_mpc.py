@@ -1,8 +1,11 @@
+import copy
+import dataclasses
 import inspect
 import itertools
 import json
 import math
 import os
+import pickle
 import sys
 from functools import lru_cache
 
@@ -35,6 +38,7 @@ from .oracles import (
     solve_tmpc_reference,
     state_in_bounds_reference,
     tube_qp_reference,
+    walk_lookup,
     window_reference,
 )
 
@@ -679,22 +683,26 @@ class TestFixedRows:
 
 
 def law_block(laws, law):
-    """The block a law of the tube table laws was formed from, which the law itself does not keep."""
-    return laws.formed[id(law)][1]
+    """The block a law of the tube table laws was formed from, which the law itself does not keep.
+
+    law is a stored law or one of its cell entries, which share its point tuple.
+    """
+    return laws.formed[id(law.point)][1]
 
 
 def install_empty_table(monkeypatch, spec, cfg):
     """The controller's program with an empty law table, made the controller's program.
 
     From here on each tube table records, in its ``formed``, the block of
-    every law it forms, by the law's id, beside the law, which it keeps so
-    that no id is reused: :func:`law_block` reads them.
+    every law it forms, by the id of the law's point tuple, which the law's
+    cell entries share, beside the law, which it keeps so that no id is
+    reused: :func:`law_block` reads them.
     """
     real_law = cost_to_travel._LawTable._law
 
     def recording_law(table, block):
         law = real_law(table, block)
-        vars(table).setdefault("formed", {})[id(law[0])] = (law[0], block)
+        vars(table).setdefault("formed", {})[id(law[0].point)] = (law[0], block)
         return law
 
     monkeypatch.setattr(cost_to_travel._LawTable, "_law", recording_law)
@@ -989,6 +997,166 @@ class TestLawScreen:
         assert all(laws.lookup(tuple(map(float, z))) is None for z in SCREEN_STATES_IN_X)
 
 
+# the problems of TestLawIndex beside the default: each tube table is the
+# default controller's unless named
+INDEX_PROBLEMS = {
+    "alpha_0.8": (ProblemSpec(alpha=0.8), TubeMpcConfig()),
+    "u_unbounded": (ProblemSpec(u_bounds=(-INF, INF)), TubeMpcConfig()),
+    # X off the origin, so the cells are not symmetric about it
+    "x_off_origin": (ProblemSpec(x_bounds=box((-3, 7), (-6, 2))), TubeMpcConfig()),
+    # a side of zero width is one cell
+    "z1_side_of_zero_width": (
+        ProblemSpec(x_bounds=box((-2, -2), (-5, 5)), w_bounds=(-0.5, 0.5)),
+        TubeMpcConfig(use_initial_cost=False),
+    ),
+    "z2_side_of_zero_width": (ProblemSpec(x_bounds=box((-5, 5), (-2, -2)), w_bounds=(0.0, 0.0)), TubeMpcConfig()),
+}
+
+
+def index_states(spec):
+    """States in X, and states just outside it, to hold a tube table's cells to.
+
+    First the 21 x 21 grid over X (``FINE_GRID`` on the default X) and
+    2,000 seeded states in X; then every corner of the 8 x 8 cells, states
+    along every cell edge and X's corners, each with its neighbouring floats
+    on either side, and draws from X widened by 0.3 on every side, split
+    into those in X and those outside it.
+    """
+    (lo1, lo2), (hi1, hi2) = spec.x_bounds.lo, spec.x_bounds.hi
+    rng = np.random.default_rng(31)
+    inside = [(z1, z2) for z1 in np.linspace(lo1, hi1, 21) for z2 in np.linspace(lo2, hi2, 21)]
+    inside += [tuple(z) for z in rng.uniform((lo1, lo2), (hi1, hi2), (2000, 2))]
+    edges1 = [lo1 + i * (hi1 - lo1) / 8 for i in range(9)]
+    edges2 = [lo2 + j * (hi2 - lo2) / 8 for j in range(9)]
+    on_edges = [(e1, e2) for e1 in edges1 for e2 in edges2]
+    on_edges += [(e1, z2) for e1 in edges1 for z2 in rng.uniform(lo2, hi2, 8)]
+    on_edges += [(z1, e2) for e2 in edges2 for z1 in rng.uniform(lo1, hi1, 8)]
+    ulps = (-INF, None, INF)
+    states = list(itertools.product((lo1, hi1), (lo2, hi2)))
+    for z1, z2 in map(lambda z: tuple(map(float, z)), on_edges + states):
+        for d1, d2 in itertools.product(ulps, ulps):
+            states.append((z1 if d1 is None else math.nextafter(z1, d1), z2 if d2 is None else math.nextafter(z2, d2)))
+    states += [tuple(z) for z in rng.uniform((lo1 - 0.3, lo2 - 0.3), (hi1 + 0.3, hi2 + 0.3), (400, 2))]
+    inside += [z for z in states if contains(spec.x_bounds, z)]
+    outside = [z for z in states if not contains(spec.x_bounds, z)]
+    return [tuple(map(float, z)) for z in inside], [tuple(map(float, z)) for z in outside]
+
+
+def index_table(spec, cfg, states):
+    """A fresh table of the controller's program, filled by its solves at states in X."""
+    prog = tube_mpc._controller(spec, cfg).prog
+    table = cost_to_travel._LawTable(prog, spec.x_bounds)
+    prog = prog._replace(laws=table)
+    for z in states:
+        cost_to_travel._solve_program(prog, z)
+    return table
+
+
+def located_lookup(table, z):
+    """``table.lookup(z)``, and the laws it scanned: the entries of z's cell, or None when it scanned none."""
+    scanned = []
+    real_first = table._first
+
+    def recording_first(laws, p):
+        scanned.append(laws)
+        return real_first(laws, p)
+
+    table._first = recording_first
+    try:
+        answer = table.lookup(z)
+    finally:
+        del table._first
+    assert len(scanned) <= 1
+    return answer, (scanned[0] if scanned else None)
+
+
+def first_holding(table, laws, z):
+    """The first of laws whose screen holds at z, or None."""
+    return next((law for law in laws if table._first((law,), z) is not None), None)
+
+
+class TestLawIndex:
+    """The tube table's cells answer as a walk over every stored law's screen on X, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(CONFIGS) + list(INDEX_PROBLEMS))
+    def test_the_cells_answer_as_the_walk(self, name):
+        spec, cfg = INDEX_PROBLEMS.get(name, (ProblemSpec.default(), CONFIGS.get(name)))
+        inside, outside = index_states(spec)
+        table = index_table(spec, cfg, inside)
+        assert len(table) >= 3
+        answered = set()
+        for z in inside:
+            got, cell = located_lookup(table, z)
+            want = walk_lookup(table, z)
+            assert (got is None) == (want is None), z
+            first = first_holding(table, cell, z)
+            walked = first_holding(table, table.laws, z)
+            assert (first is None) == (walked is None), z
+            if want is not None:
+                x, y = got
+                assert y is None and [c.hex() for c in x] == [c.hex() for c in want[0]], z
+                assert first.point is walked.point, z
+                answered.add(id(walked.point))
+            # a law is listed in the cell of every state where its screen holds
+            listed = {id(entry.point) for entry in cell}
+            for law in table.laws:
+                if table._first((law,), z) is not None:
+                    assert id(law.point) in listed, z
+        for z in outside:
+            assert located_lookup(table, z) == (None, None) and walk_lookup(table, z) is None, z
+        # answers come from several laws, but for the single law of a narrow problem
+        assert len(answered) > 1 or len(table) == len(answered) == 1
+
+    def test_a_check_that_vanishes_on_a_cell_edge(self, spec):
+        # made-up laws whose one check is 0 on a cell edge, z1 >= 0, z2 >= 0
+        # and z1 <= 0, each with its own corners: a float beside the edge
+        # maps into the cell across it, where only the cells' widening and
+        # margin keep the check.  Each law answers exactly where the walk
+        # says, on both sides of the edge
+        prog = tube_mpc._controller(spec, TubeMpcConfig()).prog
+        table = cost_to_travel._LawTable(prog, spec.x_bounds)
+        checks = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, -1.0, 0.0, 0.0)]
+        for k, check in enumerate(checks):
+            law = cost_to_travel._Law((check,), ((float(k), 0.0, 0.0, 1.0),))
+            table.laws = table._with((law,))
+        tiny = math.nextafter(0.0, 1.0)
+        near_zero = [-1e-300, -tiny, -0.0, 0.0, tiny, 1e-300]
+        states = [(z1, z2) for z1 in near_zero for z2 in near_zero + [-3.0, 3.0]]
+        states += [(z2, z1) for z1, z2 in states]
+        answers = set()
+        for z in states:
+            got, want = table.lookup(z), walk_lookup(table, z)
+            assert got == want, z
+            answers.add(got[0][0])
+        assert answers == {0.0, 1.0, 2.0}
+
+    @pytest.mark.parametrize("name", ["default", "x_off_origin"])
+    def test_entries_share_their_law(self, name):
+        # an entry keeps its law's point and some of its checks, the same
+        # objects, in its screen's order; every cell where no check is left
+        # holds one shared entry, and a cell lists its laws in learned order
+        spec, cfg = INDEX_PROBLEMS.get(name, (ProblemSpec.default(), TubeMpcConfig()))
+        inside, _ = index_states(spec)
+        table = index_table(spec, cfg, inside)
+        order = {id(law.point): i for i, law in enumerate(table.laws)}
+        cells = [cell for row in table.cells for cell in row]
+        assert len(table.cells) == len(table.cells[0]) == cost_to_travel._GRID + 1
+        proved = {}
+        for cell in cells:
+            positions = [order[id(entry.point)] for entry in cell]
+            assert positions == sorted(set(positions))
+            for entry in cell:
+                law = table.laws[order[id(entry.point)]]
+                assert entry.point is law.point
+                at = [next(i for i, check in enumerate(law.screen) if check is c) for c in entry.screen]
+                assert at == sorted(set(at))
+                if not entry.screen:
+                    assert proved.setdefault(id(law.point), entry) is entry
+        assert proved
+        # fewer entries than laws, per cell, on the whole
+        assert sum(map(len, cells)) < len(cells) * len(table) // 2
+
+
 @lru_cache(maxsize=None)
 def admm_tube(horizon: int, use_initial_cost: bool, containment: bool, z):
     """The ADMM oracle's answer for a default-instance controller: status, objective and corners.
@@ -1143,6 +1311,24 @@ class TestConfig:
             solve_tmpc(spec, cfg, (0.0, 0.0))
             solve_tmpc(spec, cfg, (1.0, 0.0))
         assert len(caught) == 2 and all(w.filename == __file__ for w in caught)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"horizon": 3, "use_initial_cost": False}, {"terminal_set": box((-1, -1), (-4, 0))}],
+        ids=["default", "horizon_3", "terminal_set"],
+    )
+    def test_hash_is_computed_once(self, kwargs, reference_storage):
+        # the dataclass's hash of the fields, kept when the config is built;
+        # equality, repr, the fields and copies are unchanged
+        cfg = TubeMpcConfig(**kwargs, storage=reference_storage)
+        fields = (cfg.horizon, cfg.use_initial_cost, cfg.terminal_set, cfg.storage)
+        assert hash(cfg) == vars(cfg)["_hash"] == hash(fields)
+        assert TubeMpcConfig.__hash__.__qualname__ == "TubeMpcConfig.__hash__"
+        assert [f.name for f in dataclasses.fields(cfg)] == ["horizon", "use_initial_cost", "terminal_set", "storage"]
+        assert repr(cfg).startswith(f"TubeMpcConfig(horizon={cfg.horizon}, use_initial_cost=")
+        for back in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), dataclasses.replace(cfg)):
+            assert back == cfg and hash(back) == hash(cfg) and repr(back) == repr(cfg)
+        assert cfg != dataclasses.replace(cfg, horizon=cfg.horizon + 1)
 
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ConfigError):
