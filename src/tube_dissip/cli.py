@@ -244,7 +244,10 @@ def _cmd_simulate(run: RunConfig, args) -> int:
     columns = ["k", "y1", "y2", "u", "w", "Y_a1", "Y_a2", "Y_a3", "Y_a4", "dH", "lyapunov"]
     if args.fig2:
         # bundled demonstration preset: the two corner starts under the
-        # adversarial policy
+        # adversarial policy, which no flag may change
+        for flag, value in (("--y0", args.y0), ("--policy", args.policy)):
+            if value is not None:
+                raise ConfigError(f"{flag} cannot be given with --fig2, which fixes the starts and the policy")
         rows = []
         ok = True
         for y0 in ((5.0, -5.0), (-5.0, 5.0)):
@@ -259,7 +262,7 @@ def _cmd_simulate(run: RunConfig, args) -> int:
     if args.y0 is None:
         print("error: --y0 is required without --fig2", file=sys.stderr)
         return 2
-    policy = _parse_policy(args.policy, run.seed)
+    policy = _parse_policy("adversarial" if args.policy is None else args.policy, run.seed)
     trace = simulate(run.spec, run.controller, _parse_point(args.y0), args.steps, policy)
     _write_output(_csv(trace.csv_rows(), columns), args.output)
     return 0 if trace.failure_step is None else 1
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="closed-loop simulation (CSV trace)")
     p.add_argument("--y0", help="initial state 'x1,x2'")
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--policy", default="adversarial", help="adversarial | random | extreme:+-+")
+    p.add_argument("--policy", help="adversarial (default) | random | extreme:+-+")
     p.add_argument("--fig2", action="store_true", help="run the two bundled corner-start demonstrations")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_simulate)

@@ -267,10 +267,21 @@ def check_enclosure_stability(trace: SimulationTrace, spec: ProblemSpec) -> Encl
     invariant box and later separates from it witnesses instability
     regardless of the rest of the trace; the disjoint steps are listed in the
     report.  Without absorption the verdict distinguishes a monotonically
-    decreasing distance from an outright increase.
+    decreasing distance from an outright increase.  A trace that failed
+    before its first step, as at an infeasible start, is ``unstable``; only
+    an empty trace without a failure raises ValueError.
     """
     if not trace.steps:
-        raise ValueError("empty trace")
+        if trace.failure_step is None:
+            raise ValueError("empty trace")
+        return EnclosureStabilityReport(
+            containment_ok=True,
+            absorbed=False,
+            absorption_step=None,
+            verdict="unstable",
+            disjoint_steps=(),
+            escaped_terminal=False,
+        )
     x_star, _ = optimal_rci(spec)
     tol = _ENCLOSURE_TOL
 

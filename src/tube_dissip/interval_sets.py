@@ -135,8 +135,23 @@ def hausdorff(a: IntervalBox, b: IntervalBox) -> float:
     )
 
 
+def _check_tol(tol) -> None:
+    """ConfigError unless tol is a real number at least 0; NaN and a bool are not.
+
+    Callers test ``type(tol) is float and tol >= 0.0`` first, so a float
+    tolerance at least 0, the default included, does not get here.
+    """
+    if not (_is_real(tol) and tol >= 0.0):
+        # problem imports this module, so its error is imported where it is raised
+        from .problem import ConfigError
+
+        raise ConfigError(f"tol must be a real number >= 0, got {tol!r}")
+
+
 def subset(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
-    """True iff ``A`` is contained in ``B`` (componentwise, within ``tol``)."""
+    """True iff ``A`` is contained in ``B`` (componentwise, within ``tol``, a real number >= 0)."""
+    if not (type(tol) is float and tol >= 0.0):
+        _check_tol(tol)
     return (
         b.lo[0] - tol <= a.lo[0]
         and b.lo[1] - tol <= a.lo[1]
@@ -146,7 +161,12 @@ def subset(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
 
 
 def contains(a: IntervalBox, z: Sequence[float], tol: float = 0.0) -> bool:
-    """True iff the point ``z``, two real numbers, lies in the box ``A`` (within ``tol``); ConfigError for any other z."""
+    """True iff the point ``z``, two real numbers, lies in the box ``A`` (within ``tol``, a real number >= 0).
+
+    ConfigError for any other z or tol.
+    """
+    if not (type(tol) is float and tol >= 0.0):
+        _check_tol(tol)
     try:
         z1, z2 = z
     except (TypeError, ValueError):
@@ -160,7 +180,9 @@ def contains(a: IntervalBox, z: Sequence[float], tol: float = 0.0) -> bool:
 
 
 def boxes_intersect(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
-    """True iff the boxes share a point (within ``tol``): no gap between them is wider than ``tol``."""
+    """True iff the boxes share a point (within ``tol``, a real number >= 0): no gap between them is wider than ``tol``."""
+    if not (type(tol) is float and tol >= 0.0):
+        _check_tol(tol)
     return (
         a.lo[0] <= b.hi[0] + tol
         and b.lo[0] <= a.hi[0] + tol

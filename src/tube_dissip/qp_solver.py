@@ -33,10 +33,12 @@ unconstrained minimiser; the multi-step and tube MPC programs call it only
 when none of the affine laws they have kept from earlier answers holds at
 their parameter and none of the Farkas rays they have kept certifies it
 infeasible (``cost_to_travel._solve_program``).
-:func:`solve` and :class:`QpBuilder` remain as an independent reference
-solver: the tests assemble the original programs, edge controls included,
-through them.  Only they need scipy, which they import on first use, so
-importing the package does not load it.
+:class:`QpBuilder` assembles the original programs, edge controls
+included, for the tests, which check each library answer on its program
+by a KKT residual and an LP margin, not against :func:`solve`.  :func:`solve`
+is kept only for its own tests and for the names the benchmark's tracer
+binds, until it is deleted.  Only it needs scipy, which it imports on first
+use, so importing the package does not load it.
 
 Neither method has settings.  Every row check of the library, :func:`solve`
 included, reads ``_FEAS_TOL``; the library runs the kernel at ``_ROW_TOL``.
@@ -327,7 +329,7 @@ def _active_masks(rows: _RowForm, z, y, slack_tol, dual_tol):
 
 def _try_polish(H, g, rows: _RowForm, low, upp):
     """Solve the KKT system of one active set; None if it does not verify."""
-    from scipy.optimize import nnls  # only the ADMM reference solver needs scipy
+    from scipy.optimize import nnls  # only the ADMM solver needs scipy
 
     A, l, u, eq = rows.A, rows.l, rows.u, rows.pinned
     n = H.shape[0]
@@ -379,7 +381,7 @@ def _try_polish(H, g, rows: _RowForm, low, upp):
 
 
 def _factor(H, A, rho):
-    import scipy.linalg as sla  # only the ADMM reference solver needs scipy
+    import scipy.linalg as sla  # only the ADMM solver needs scipy
 
     n = H.shape[0]
     m = A.shape[0]
@@ -393,7 +395,7 @@ def _factor(H, A, rho):
 
 def solve(qp: QpProblem) -> QpSolution:
     """Solve a dense convex QP, returning a KKT-certified solution."""
-    from scipy.linalg.lapack import dgetrs  # only the ADMM reference solver needs scipy
+    from scipy.linalg.lapack import dgetrs  # only the ADMM solver needs scipy
 
     rows = _RowForm(qp)
     n, m = qp.n, rows.m

@@ -3,13 +3,15 @@
 These deliberately avoid the code paths they check: the Hausdorff oracle
 samples one box densely and measures exact point-to-box distances, the
 transition oracle eliminates the control pointwise in the x2 coordinate, the
-transition QP oracle hands the edge-control rows of ``build_g_block`` to the
-ADMM solver, the invariant-box oracle is a coarse-to-fine grid search over
-corner vectors, the ADMM reference is that solver's iteration written out
-the plain way, and the cost-to-travel, tube and separability QP references
-assemble the original programs, edge controls and applied control included,
-through ``QpBuilder`` for that solver.  ``interpolated_control`` turns a
-step's two edge controls into a control for every state of its source box.
+invariant-box oracle is a coarse-to-fine grid search over corner vectors,
+the ADMM reference is that solver's iteration written out the plain way, and
+the cost-to-travel, tube and separability QP references assemble the
+original programs, edge controls and applied control included, through
+``QpBuilder``.  No second solver checks a library answer: an optimum, lifted
+into its original program, must pass :func:`kkt_residual`, and an infeasible
+verdict must leave the program a margin below 0 by :func:`program_margin`.
+``interpolated_control`` turns a step's two edge controls into a control for
+every state of its source box.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from tube_dissip import cost_to_travel, qp_solver, tube_mpc
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_witness
-from tube_dissip.qp_solver import QpBuilder, QpProblem, QpSolution, QpStatus, solve
+from tube_dissip.qp_solver import QpBuilder, QpProblem, QpSolution, QpStatus
 
 
 _INF = float("inf")
@@ -240,25 +242,6 @@ def step_witness_reference(step, a1, a2, a3, a4, b1, b2, b3, b4):
 
 def transition_feasible_oracle(spec: ProblemSpec, a: IntervalBox, b: IntervalBox) -> bool:
     return transition_margin(spec, a, b) >= 0.0
-
-
-def transition_feasible_qp(
-    spec: ProblemSpec,
-    a: IntervalBox,
-    b: IntervalBox,
-) -> bool:
-    """Decide "b reachable from a" as a feasibility QP in the two edge controls.
-
-    The rows of ``build_g_block`` with a and b fixed go to the QP solver;
-    a solve that neither finds a point nor certifies infeasibility fails
-    the calling test.
-    """
-    builder = QpBuilder()
-    v = builder.new_vars(2)
-    build_g_block(spec, a.corners(), b.corners(), v).install(builder)
-    sol = solve(builder.build())
-    assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE), sol.status
-    return sol.status is QpStatus.OPTIMAL
 
 
 def row_violations(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, v) -> list[float]:
@@ -618,15 +601,17 @@ def eval_v_qp_reference(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_ste
     return builder.build()
 
 
-def chain_margin(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_steps: int) -> float:
-    """Signed feasibility margin of the N-step program of ``eval_v_qp_reference``, by LP.
+def program_margin(qp: QpProblem) -> float:
+    """Signed feasibility margin of an assembled program, by LP.
 
-    The largest t such that every row and bound of that program, edge
-    controls included, holds with room t in its own coefficients (t is capped
-    at 1).  Positive means an N-step tube exists, negative that none does, by
-    that much; magnitudes near zero are boundary cases.
+    The largest t such that every row and bound of the program holds with
+    room t in its own coefficients (t is capped at 1).  Positive means the
+    program has a feasible point, negative that it has none, by that much.
+    A feasible program whose rows pin a variable has margin 0, such as the
+    default tube program at every feasible state, as its terminal box is a
+    segment, and a chain whose ends leave a step no room.  So an infeasible verdict is
+    checked by a margin below 0, which no feasible program has.
     """
-    qp = eval_v_qp_reference(spec, a, b, n_steps)
     rows, rhs = [], []
     for mat, vec, signs in ((qp.Ain, qp.bin, (1.0,)), (qp.Aeq, qp.beq, (1.0, -1.0))):
         if mat is not None:
@@ -649,6 +634,23 @@ def chain_margin(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, n_steps: int
     res = linprog(c, A_ub=A_t, b_ub=h[keep], bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return float(res.x[-1])
+
+
+def lifted_chain(res) -> np.ndarray:
+    """An ``eval_v`` answer as a point of :func:`eval_v_qp_reference`: its middle corners, then each step's edge controls."""
+    corners = [c for box in res.tube[1:-1] for c in box.corners()]
+    return np.array(corners + [v for pair in res.aux_controls for v in pair])
+
+
+def lifted_tube(sol, horizon: int, containment: bool) -> np.ndarray:
+    """A ``solve_tmpc`` answer as a point of :func:`tube_qp_reference`.
+
+    Its first ``horizon`` boxes' corners, with ``containment`` the terminal
+    box's as the last free box, then each step's edge controls and u0.
+    """
+    boxes = sol.tube[: horizon + 1] if containment else sol.tube[:horizon]
+    corners = [c for box in boxes for c in box.corners()]
+    return np.array(corners + [v for pair in sol.edge_controls for v in pair] + [sol.u0])
 
 
 def program_rows(prog) -> np.ndarray:

@@ -196,6 +196,29 @@ class TestSimulate:
             if int(fields["k"]) >= 2:
                 assert abs(float(fields["dH"])) <= 1e-9
 
+    def test_demo_preset_with_no_feasible_start_is_a_negative_verdict(self, capsys, tmp_path):
+        # both corner starts are infeasible at horizon 1: each trace fails at
+        # step 0 with no rows, and the run exits 1 with the header alone on
+        # stdout and nothing on stderr
+        config = config_file(tmp_path, {"controller": {"horizon": 1}})
+        code, out, err = run_cli(capsys, "--config", config, "simulate", "--fig2")
+        assert code == 1
+        assert out == "y0,k,y1,y2,u,w,Y_a1,Y_a2,Y_a3,Y_a4,dH,lyapunov\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("flags", [
+        ("--y0=1,2",),
+        ("--policy", "random"),
+        ("--policy", "adversarial"),
+        ("--y0=1,2", "--policy", "random"),
+    ])
+    def test_demo_preset_refuses_a_start_or_a_policy(self, capsys, flags):
+        # the preset fixes the starts and the policy, so neither is a flag of it
+        code, out, err = run_cli(capsys, "simulate", "--fig2", *flags)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "--fig2" in err
+
     def test_missing_y0_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--steps", "2")
         assert code == 2

@@ -14,7 +14,7 @@ from tube_dissip.closed_loop import (
 )
 from tube_dissip.interval_sets import IntervalBox, boxes_intersect, contains, hausdorff
 from tube_dissip.problem import ConfigError, dynamics
-from tube_dissip.tube_mpc import solve_tmpc
+from tube_dissip.tube_mpc import TubeMpcConfig, solve_tmpc
 
 
 def box(ix, iy):
@@ -225,3 +225,15 @@ class TestEnclosureStability:
 
         with pytest.raises(ValueError):
             check_enclosure_stability(SimulationTrace(y0=(0, 0), policy="x", steps=()), spec)
+
+    def test_trace_failed_at_its_start_is_unstable(self, spec):
+        # both corner starts are infeasible at horizon 1, so each trace
+        # fails at step 0 with no steps; that is a verdict, not an error
+        cfg = TubeMpcConfig(horizon=1)
+        for y0 in ((5.0, -5.0), (-5.0, 5.0)):
+            trace = simulate(spec, cfg, y0, 10, AdversarialPolicy())
+            assert trace.steps == () and trace.failure_step == 0
+            report = check_enclosure_stability(trace, spec)
+            assert report.verdict == "unstable" and not report.stable
+            assert not report.absorbed and report.absorption_step is None
+            assert report.containment_ok and report.disjoint_steps == () and not report.escaped_terminal

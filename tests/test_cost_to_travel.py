@@ -21,7 +21,7 @@ from tube_dissip.cost_to_travel import (
 )
 from tube_dissip.interval_sets import IntervalBox, subset
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_witness
-from tube_dissip.qp_solver import _FEAS_TOL, QpStatus, SolverFailure, solve
+from tube_dissip.qp_solver import _FEAS_TOL, SolverFailure
 from tube_dissip.sampling import feasible_chain, random_box_within
 from tube_dissip.tube_mpc import TubeMpcConfig
 
@@ -288,17 +288,20 @@ def solved_chain(spec, a, c, n_steps, stack=None):
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
 class TestMultiStepKernel:
     @given(data=st.data())
-    def test_agrees_with_admm_on_the_edge_control_program(self, spec_name, n_steps, data):
+    def test_answer_passes_the_edge_control_programs_check(self, spec_name, n_steps, data):
+        # an optimum, its middle corners and edge controls lifted into the
+        # original program, passes its KKT check with the same value; an
+        # infeasible verdict has a margin below 0 on that program
         spec = SPECS[spec_name]
         a, c = data.draw(chain_ends(spec, n_steps))
         res = eval_v(spec, a, c, n_steps)
-        sol = solve(oracles.eval_v_qp_reference(spec, a, c, n_steps))
-        assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
-        if res.feasible != (sol.status is QpStatus.OPTIMAL):
-            # the verdicts may differ only within the boundary band
-            assert abs(oracles.chain_margin(spec, a, c, n_steps)) <= 1e-7
-        elif res.feasible:
-            assert res.value == pytest.approx(sol.objective, abs=1e-6)
+        qp = oracles.eval_v_qp_reference(spec, a, c, n_steps)
+        if not res.feasible:
+            assert oracles.program_margin(qp) < 0.0
+            return
+        x = oracles.lifted_chain(res)
+        assert oracles.kkt_residual(qp, x) <= 1e-8
+        assert res.value == pytest.approx(qp.objective_value(x), abs=1e-8)
 
     @given(data=st.data())
     def test_every_step_is_a_transition(self, spec_name, n_steps, data):
@@ -439,8 +442,10 @@ class TestMultiStepValues:
             eval_v(spec, x_star, x_star, 2)
 
     def test_cost_to_travel_holds_no_qp_machinery(self):
-        # the ADMM solver and its assembly serve the tests only: no module of
-        # the package but qp_solver binds them, cost_to_travel included
+        # the ADMM solver and its assembly are kept only for their own tests
+        # and for the names the benchmark's tracer binds, until they are
+        # deleted: no module of the package but qp_solver binds them,
+        # cost_to_travel included
         names = ("solve", "QpBuilder", "QpProblem", "build_g_block")
         modules = [tube_dissip] + [
             importlib.import_module(f"tube_dissip.{info.name}")

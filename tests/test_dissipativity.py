@@ -17,7 +17,6 @@ from tube_dissip.dissipativity import (
 )
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ConfigError, ProblemSpec, stage_cost
-from tube_dissip.qp_solver import QpStatus, solve
 from tube_dissip.sampling import feasible_pair
 
 from .oracles import inequality_rows, kkt_residual, relaxed_certificate_grid_min, separability_qp_reference
@@ -154,43 +153,38 @@ def random_candidate(rng) -> StorageFunction:
 
 @pytest.mark.parametrize("spec_name", sorted(SEPARABILITY_SPECS))
 class TestSeparabilityClosedForm:
-    """The closed form against the relaxed program assembled through QpBuilder and solved by ADMM."""
+    """The closed form checked on the relaxed program assembled through QpBuilder.
 
-    def test_agrees_with_the_admm_oracle(self, spec_name, rng):
-        spec = SEPARABILITY_SPECS[spec_name]
-        verdicts = {True: 0, False: 0}
-        for _ in range(150):
-            sf = random_candidate(rng)
-            rep = verify_separability(spec, sf)
-            sol = solve(separability_qp_reference(spec, sf.linear_coeffs))
-            assert sol.status in (QpStatus.OPTIMAL, QpStatus.UNBOUNDED)
-            bounded = sol.status is QpStatus.OPTIMAL
-            assert (rep.unbounded_ray is None) == bounded
-            verdicts[bounded] += 1
-            if bounded:
-                assert rep.qp_min_value == pytest.approx(sol.objective, abs=1e-9)
-                assert rep.gap == pytest.approx(sol.objective - rep.v_star, abs=1e-9)
-        assert min(verdicts.values()) >= 30, verdicts
+    A bounded verdict's minimiser passes the program's KKT check, and an
+    unbounded verdict's ray keeps every row and lowers the objective, so each
+    proves its verdict.
+    """
 
     def test_minimiser_passes_kkt(self, spec_name, rng):
         spec = SEPARABILITY_SPECS[spec_name]
-        for _ in range(100):
+        checked = 0
+        for _ in range(150):
             sf = random_candidate(rng)
             rep = verify_separability(spec, sf)
             if rep.unbounded_ray is not None:
                 continue
+            checked += 1
             qp = separability_qp_reference(spec, sf.linear_coeffs)
             x = np.array(rep.minimizer_a + rep.minimizer_b + (rep.minimizer_v,))
             assert kkt_residual(qp, x) <= 1e-12
             assert qp.objective_value(x) == pytest.approx(rep.qp_min_value, abs=1e-12)
+            assert rep.gap == rep.qp_min_value - rep.v_star
+        assert checked >= 30, checked
 
     def test_ray_keeps_every_row_and_lowers_the_objective(self, spec_name, rng):
         spec = SEPARABILITY_SPECS[spec_name]
-        for _ in range(100):
+        checked = 0
+        for _ in range(150):
             sf = random_candidate(rng)
             rep = verify_separability(spec, sf)
             if rep.unbounded_ray is None:
                 continue
+            checked += 1
             assert not rep.passed and rep.qp_min_value == -INF
             qp = separability_qp_reference(spec, sf.linear_coeffs)
             G, _ = inequality_rows(qp)
@@ -198,6 +192,7 @@ class TestSeparabilityClosedForm:
             assert ray.shape == (9,)
             assert np.all(G @ ray <= 0.0)
             assert np.all(qp.H @ ray == 0.0) and qp.g @ ray < 0.0
+        assert checked >= 30, checked
 
     def test_ray_follows_the_sign_rule_with_every_zero_positive(self, spec_name):
         # every ell in {-1, -0.0, 0.0, 1}^4: the ray is the docstring's rule,
@@ -236,9 +231,10 @@ class TestSeparabilityClosedForm:
             assert rep.unbounded_ray is None, ell
             assert rep.gap == rep.qp_min_value - v_star
             assert rep.passed is (rep.gap >= -1e-6)
-            sol = solve(separability_qp_reference(spec, ell))
-            assert sol.status is QpStatus.OPTIMAL
-            assert rep.gap == pytest.approx(sol.objective - v_star, abs=1e-9)
+            qp = separability_qp_reference(spec, ell)
+            x = np.array(rep.minimizer_a + rep.minimizer_b + (rep.minimizer_v,))
+            assert kkt_residual(qp, x) <= 1e-8
+            assert rep.gap == pytest.approx(qp.objective_value(x) - v_star, abs=1e-9)
         assert min(verdicts.values()) > 0, verdicts
 
 

@@ -205,3 +205,27 @@ class TestIntersection:
         for x, y in ((a, other), (other, a)):
             assert not boxes_intersect(x, y) and not boxes_intersect(x, y, tol=5e-10)
             assert boxes_intersect(x, y, tol=2e-9)
+
+
+PREDICATES = {
+    "subset": lambda tol: subset(X_STAR, X_STAR, tol=tol),
+    "contains": lambda tol: contains(X_STAR, (-1.0, -2.0), tol=tol),
+    "boxes_intersect": lambda tol: boxes_intersect(X_STAR, X_STAR, tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATES))
+class TestTolerance:
+    # a negative or NaN tol answered False, a bool was taken as 0 or 1, and
+    # a string raised TypeError; each is refused at entry now
+    @pytest.mark.parametrize(
+        "tol", [-1.0, -1e-300, math.nan, True, False, "1", None, np.float64(-1.0), np.float64(math.nan)],
+        ids=["negative", "tiny negative", "nan", "true", "false", "string", "none", "np negative", "np nan"],
+    )
+    def test_tolerance_that_is_not_a_real_number_at_least_zero_rejected(self, name, tol):
+        with pytest.raises(ConfigError, match="tol must be a real number >= 0"):
+            PREDICATES[name](tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0, 1e-9, 1, np.float64(1e-9), np.int64(0)])
+    def test_real_tolerance_at_least_zero_accepted(self, name, tol):
+        assert PREDICATES[name](tol)

@@ -234,20 +234,23 @@ class TestDualActiveSet:
         np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-14)
         assert oracles.separable_kkt_residual(d, q, G, h, x, y) <= 1e-14
 
-    def test_random_problems_agree_with_admm(self, rng):
-        verdicts = set()
+    def test_random_problems_pass_the_programs_check(self, rng):
+        # a minimiser passes the KKT check with multipliers of its own and
+        # with the ones NNLS finds; an infeasible verdict, on the problems
+        # built infeasible only, carries a Farkas ray and the program has a
+        # margin below 0 by LP
         for k in range(40):
-            d, q, G, h = separable_problem(rng, infeasible=k % 2 == 1)
+            infeasible = k % 2 == 1
+            d, q, G, h = separable_problem(rng, infeasible=infeasible)
             x, y = dual_active_set(d, q, G, h)
-            ref = solve(QpProblem(H=np.diag(2.0 * d), g=q, Ain=G, bin=h))
-            verdicts.add(ref.status)
-            if ref.status is QpStatus.INFEASIBLE:
-                assert x is None and oracles.farkas_ray_ok(G, h, y)
+            qp = QpProblem(H=np.diag(2.0 * d), g=q, Ain=G, bin=h)
+            assert (x is None) == infeasible
+            if x is None:
+                assert oracles.farkas_ray_ok(G, h, y)
+                assert oracles.program_margin(qp) < 0.0
             else:
-                assert ref.status is QpStatus.OPTIMAL
-                np.testing.assert_allclose(x, ref.x, atol=1e-6)
+                assert oracles.kkt_residual(qp, x) <= 1e-8
                 assert oracles.separable_kkt_residual(d, q, G, h, x, y) <= 1e-12
-        assert verdicts == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
 
     def test_iteration_cap_raises_with_the_data(self, rng, monkeypatch):
         d, q, G, h = separable_problem(rng)

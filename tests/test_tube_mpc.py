@@ -7,7 +7,6 @@ import math
 import os
 import pickle
 import sys
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox, contains, subset
 from tube_dissip.problem import ConfigError, ProblemSpec, dynamics, transition_feasible, transition_witness
-from tube_dissip.qp_solver import _FEAS_TOL, QpStatus, SolverFailure, solve
+from tube_dissip.qp_solver import _FEAS_TOL, QpStatus, SolverFailure
 from tube_dissip.sampling import feasible_chain, random_box_within
 from tube_dissip.tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, sweep_feedback
 
@@ -28,10 +27,13 @@ from .oracles import (
     farkas_ray_ok,
     float_bits,
     kernel_answer,
+    kkt_residual,
     law_active_set,
     law_full_check,
     law_values,
+    lifted_tube,
     program_answer,
+    program_margin,
     program_rows,
     row_patterns,
     row_violations,
@@ -1157,46 +1159,46 @@ class TestLawIndex:
         assert sum(map(len, cells)) < len(cells) * len(table) // 2
 
 
-@lru_cache(maxsize=None)
-def admm_tube(horizon: int, use_initial_cost: bool, containment: bool, z):
-    """The ADMM oracle's answer for a default-instance controller: status, objective and corners.
-
-    With ``containment`` the oracle's last box is free inside the terminal
-    box, otherwise it is the terminal box.
-    """
-    spec = ProblemSpec.default()
-    cfg = TubeMpcConfig(horizon=horizon, use_initial_cost=use_initial_cost)
+def tube_program(spec, cfg, z, containment: bool):
+    """The original tube program of a controller at state z, edge controls and u0 included."""
     terminal, storage, _, _ = tube_mpc._controller(spec, cfg)
-    sol = solve(tube_qp_reference(spec, terminal, storage, cfg, z, containment))
-    assert sol.status in (QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
+    return tube_qp_reference(spec, terminal, storage, cfg, z, containment)
+
+
+def assert_answers_its_program(sol, qp, horizon: int, containment: bool) -> None:
+    """A solve's answer checked on its original program qp.
+
+    An optimum, lifted into qp, passes the KKT check with the same objective;
+    an infeasible verdict has a margin below 0, which no feasible program has.
+    """
     if sol.status is QpStatus.INFEASIBLE:
-        return sol.status, None, None
-    return sol.status, sol.objective, sol.x[: 4 * horizon]
+        assert program_margin(qp) < 0.0
+        return
+    assert sol.status is QpStatus.OPTIMAL
+    x = lifted_tube(sol, horizon, containment)
+    assert kkt_residual(qp, x) <= 1e-8
+    assert sol.objective == pytest.approx(qp.objective_value(x), abs=1e-8)
 
 
-class TestAgainstAdmm:
-    """The kernel's tube program against the original one, edge controls and u0 included, solved by ADMM."""
+class TestOnTheOriginalProgram:
+    """The kernel's tube answer checked on the original program, edge controls and u0 included."""
 
     @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_agrees_with_the_admm_oracle(self, spec, name):
+    def test_answer_passes_the_original_programs_check(self, spec, name):
         cfg = CONFIGS[name]
         n = cfg.horizon
         terminal = tube_mpc._controller(spec, cfg).terminal
         statuses = set()
         for z, on_x in ORACLE_STATES:
             sol = solve_tmpc(spec, cfg, z)
-            status, objective, corners = admm_tube(n, cfg.use_initial_cost, False, on_x)
-            statuses.add(status)
-            assert sol.status is status
-            if status is QpStatus.INFEASIBLE:
+            statuses.add(sol.status)
+            assert_answers_its_program(sol, tube_program(spec, cfg, on_x, False), n, False)
+            if sol.status is QpStatus.INFEASIBLE:
                 continue
-            assert sol.objective == pytest.approx(objective, abs=1e-8)
-            got = np.concatenate([box.corners() for box in sol.tube[:n]])
-            assert np.max(np.abs(got - corners)) <= 1e-8
             assert sol.tube[-1] == terminal
             assert all(subset(box, spec.x_bounds) for box in sol.tube[:n])
-            # the window of controls taking z into the oracle's second box
-            b1, b2, b3, b4 = corners[4:8] if n > 1 else terminal.corners()
+            # the window of controls taking z into the second box
+            b1, b2, b3, b4 = sol.tube[1].corners()
             lo = max(b1, b3 - spec.alpha * on_x[1] - spec.w_lo, spec.u_lo)
             hi = min(b2, b4 - spec.alpha * on_x[1] - spec.w_hi, spec.u_hi)
             assert np.allclose(sol.u0_interval, (lo, hi), rtol=0.0, atol=1e-8)
@@ -1206,19 +1208,16 @@ class TestAgainstAdmm:
         assert statuses == ({QpStatus.OPTIMAL, QpStatus.INFEASIBLE} if n == 1 else {QpStatus.OPTIMAL})
 
     @pytest.mark.parametrize("name", ["default", "horizon_1"], ids=["containment", "horizon_1_containment"])
-    def test_containment_oracle_gives_the_same_answer(self, spec, name):
+    def test_answer_passes_the_containment_programs_check(self, spec, name):
         # the original containment program, a last box free inside the
         # terminal box, has the verdict, value and free boxes of the program
-        # whose last box is the terminal box, the one the controller solves
+        # whose last box is the terminal box, the one the controller solves:
+        # its answer, with the terminal box as the last free box, is optimal
+        # there, and where it is infeasible so is the containment program
         cfg = CONFIGS[name]
-        n = cfg.horizon
         for z in STATE_GRID + [on_x for _, on_x in WITHIN_THE_BAND]:
-            status, objective, corners = admm_tube(n, cfg.use_initial_cost, True, z)
-            want = admm_tube(n, cfg.use_initial_cost, False, z)
-            assert status is want[0]
-            if status is QpStatus.OPTIMAL:
-                assert objective == pytest.approx(want[1], abs=1e-8)
-                assert np.max(np.abs(corners - want[2])) <= 1e-8
+            sol = solve_tmpc(spec, cfg, z)
+            assert_answers_its_program(sol, tube_program(spec, cfg, z, True), cfg.horizon, True)
 
 
 class TestHatchedRegionStructure:
