@@ -135,23 +135,26 @@ def hausdorff(a: IntervalBox, b: IntervalBox) -> float:
     )
 
 
-def _check_tol(tol) -> None:
-    """ConfigError unless tol is a real number at least 0; NaN and a bool are not.
+def _check_tol(tol) -> float:
+    """tol as a float; ConfigError unless it is a real number at least 0, which NaN and a bool are not.
 
     Callers test ``type(tol) is float and tol >= 0.0`` first, so a float
-    tolerance at least 0, the default included, does not get here.
+    tolerance at least 0, the default included, does not get here.  Any
+    other number is taken as a float, so that a comparison with it gives a
+    bool, not ``numpy.bool_``.
     """
     if not (_is_real(tol) and tol >= 0.0):
         # problem imports this module, so its error is imported where it is raised
         from .problem import ConfigError
 
         raise ConfigError(f"tol must be a real number >= 0, got {tol!r}")
+    return float(tol)
 
 
 def subset(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
     """True iff ``A`` is contained in ``B`` (componentwise, within ``tol``, a real number >= 0)."""
     if not (type(tol) is float and tol >= 0.0):
-        _check_tol(tol)
+        tol = _check_tol(tol)
     return (
         b.lo[0] - tol <= a.lo[0]
         and b.lo[1] - tol <= a.lo[1]
@@ -166,23 +169,26 @@ def contains(a: IntervalBox, z: Sequence[float], tol: float = 0.0) -> bool:
     ConfigError for any other z or tol.
     """
     if not (type(tol) is float and tol >= 0.0):
-        _check_tol(tol)
+        tol = _check_tol(tol)
     try:
         z1, z2 = z
     except (TypeError, ValueError):
         z1 = z2 = None
-    if not (_is_real(z1) and _is_real(z2)):
-        # problem imports this module, so its error is imported where it is raised
-        from .problem import ConfigError
+    if not (type(z1) is float and type(z2) is float):
+        if not (_is_real(z1) and _is_real(z2)):
+            # problem imports this module, so its error is imported where it is raised
+            from .problem import ConfigError
 
-        raise ConfigError(f"a point is two numbers, got {z!r}")
+            raise ConfigError(f"a point is two numbers, got {z!r}")
+        # a numpy scalar compares to a numpy bool
+        z1, z2 = float(z1), float(z2)
     return a.lo[0] - tol <= z1 <= a.hi[0] + tol and a.lo[1] - tol <= z2 <= a.hi[1] + tol
 
 
 def boxes_intersect(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
     """True iff the boxes share a point (within ``tol``, a real number >= 0): no gap between them is wider than ``tol``."""
     if not (type(tol) is float and tol >= 0.0):
-        _check_tol(tol)
+        tol = _check_tol(tol)
     return (
         a.lo[0] <= b.hi[0] + tol
         and b.lo[0] <= a.hi[0] + tol

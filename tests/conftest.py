@@ -51,24 +51,24 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture()
 def forbid_solver(monkeypatch):
-    """A call that makes ``qp_solver.solve`` fail the test wherever the package looks it up.
+    """A call that makes the kernel ``qp_solver._dual_active_set`` fail the test wherever the package looks it up.
 
-    Package modules import ``solve`` by name, so it is replaced in every
+    Package modules import the kernel by name, so it is replaced in every
     module that holds it; the call returns the names of those modules.
     """
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the QP solver was called")
+        raise AssertionError("the QP kernel was called")
 
     def install() -> list[str]:
-        solve = qp_solver.solve
+        kernel = qp_solver._dual_active_set
         modules = [tube_dissip] + [
             importlib.import_module(f"tube_dissip.{info.name}")
             for info in pkgutil.iter_modules(tube_dissip.__path__)
         ]
-        patched = [m.__name__ for m in modules if getattr(m, "solve", None) is solve]
+        patched = [m.__name__ for m in modules if getattr(m, "_dual_active_set", None) is kernel]
         for name in patched:
-            monkeypatch.setattr(importlib.import_module(name), "solve", forbidden)
+            monkeypatch.setattr(importlib.import_module(name), "_dual_active_set", forbidden)
         return patched
 
     return install

@@ -4,8 +4,7 @@ These deliberately avoid the code paths they check: the Hausdorff oracle
 samples one box densely and measures exact point-to-box distances, the
 transition oracle eliminates the control pointwise in the x2 coordinate, the
 invariant-box oracle is a coarse-to-fine grid search over corner vectors,
-the ADMM reference is that solver's iteration written out the plain way, and
-the cost-to-travel, tube and separability QP references assemble the
+and the cost-to-travel, tube and separability QP references assemble the
 original programs, edge controls and applied control included, through
 ``QpBuilder``.  No second solver checks a library answer: an optimum, lifted
 into its original program, must pass :func:`kkt_residual`, and an infeasible
@@ -21,14 +20,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.optimize import linprog, nnls
 
 from tube_dissip import cost_to_travel, qp_solver, tube_mpc
 from tube_dissip.dissipativity import eval_storage
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_witness
-from tube_dissip.qp_solver import QpBuilder, QpProblem, QpSolution, QpStatus
+from tube_dissip.qp_solver import QpBuilder, QpProblem, QpStatus
 
 
 _INF = float("inf")
@@ -256,7 +254,7 @@ def row_violations(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, v) -> list
 def transition_feasible_rows(spec: ProblemSpec, a: IntervalBox, b: IntervalBox, tol: float) -> bool:
     """True iff some edge controls violate no row of ``build_g_block`` by more than tol.
 
-    This is the QP solver's acceptance rule, applied row by row.  The rows
+    This is the library's one-step acceptance rule, applied row by row.  The rows
     are read off the block with the edge controls as variable slots 0 and 1:
     rows in one control bound it, the one row in both couples them, and rows
     in neither are checked as constants.
@@ -366,165 +364,6 @@ def relaxed_certificate_grid_min(spec: ProblemSpec, linear_coeffs, step: float =
     a4 = a_axis
     f4 = (q[3] + ell[3]) * a4 + d[3] * a4**2
     return best_tail + best12 + float(np.min(f4))
-
-
-def _reference_polish(H, g, A, l, u, z, y, slack_tol, dual_tol, feas_tol):
-    """One polish attempt: active set from (z, y), KKT solve, NNLS multipliers."""
-    n = H.shape[0]
-    m = A.shape[0]
-    eq = (u - l) < 1e-14
-    labs = np.where(np.isfinite(l), np.abs(l), 0.0)
-    uabs = np.where(np.isfinite(u), np.abs(u), 0.0)
-    low = (~eq) & ((y < -dual_tol) | (z - l < slack_tol * (1.0 + labs))) & np.isfinite(l)
-    upp = (~eq) & ((y > dual_tol) | (u - z < slack_tol * (1.0 + uabs))) & np.isfinite(u)
-    both = low & upp
-    low &= ~(both & (y >= 0))
-    upp &= ~(both & (y < 0))
-    act = np.where(low | upp | eq)[0]
-    k = act.size
-    b_act = np.where(eq[act] | upp[act], u[act], l[act])
-    Aa = A[act]
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = Aa.T
-    kkt[n:, :n] = Aa
-    sol_vec, *_ = np.linalg.lstsq(kkt, np.concatenate([-g, b_act]), rcond=None)
-    xp = sol_vec[:n]
-    if not np.all(np.isfinite(xp)):
-        return None
-    Ax = A @ xp
-    if max(np.max(Ax - u, initial=0.0), np.max(l - Ax, initial=0.0)) > feas_tol:
-        return None
-    if k and np.max(np.abs(Aa @ xp - b_act)) > 10 * feas_tol:
-        return None
-    if k:
-        sign = np.where(upp[act], 1.0, np.where(eq[act], 1.0, -1.0))
-        cols = Aa.T * sign
-        eq_act = eq[act]
-        if np.any(eq_act):
-            cols = np.hstack([cols, -Aa.T[:, eq_act]])
-        mu_nn, _ = nnls(cols, -(H @ xp + g))
-        y_act = sign * mu_nn[:k]
-        if np.any(eq_act):
-            y_act[eq_act] -= mu_nn[k:]
-        stat = float(np.max(np.abs(H @ xp + g + Aa.T @ y_act), initial=0.0))
-    else:
-        y_act = np.zeros(0)
-        stat = float(np.max(np.abs(H @ xp + g), initial=0.0))
-    if stat > feas_tol:
-        return None
-    y_full = np.zeros(m)
-    y_full[act] = y_act
-    return xp, y_full
-
-
-def admm_reference(qp: QpProblem) -> QpSolution:
-    """The solver's ADMM loop without its shortcuts, as an exactness oracle.
-
-    Same iteration, fixed parameters, check cadence, polish tiers and rho
-    updates as ``qp_solver.solve``, but every step is spelled out:
-    ``scipy.linalg.lu_solve`` with its input checks in place of LAPACK
-    ``getrs``, ``np.clip`` in place of ``np.minimum(np.maximum(...))``, and
-    the step differences formed at every iteration.  ``solve`` must match it
-    bitwise.
-    """
-    rows = qp_solver._RowForm(qp)
-    n, m = qp.n, rows.m
-    A, l, u = rows.A, rows.l, rows.u
-    if m == 0:
-        return qp_solver._solve_unconstrained(qp)
-    zero_rows = ~np.any(A != 0.0, axis=1)
-    bad = zero_rows & ((l > qp_solver._FEAS_TOL) | (u < -qp_solver._FEAS_TOL))
-    if np.any(bad):
-        i = int(np.where(bad)[0][0])
-        ray = np.zeros(m)
-        ray[i] = 1.0 if u[i] < 0 else -1.0
-        lam, mu, mu_lb, mu_ub = rows.split_multipliers(ray, n)
-        return QpSolution(
-            status=QpStatus.INFEASIBLE,
-            infeasibility_certificate={"eq": lam, "ineq": mu, "lb": mu_lb, "ub": mu_ub},
-        )
-
-    def factor(rho):
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = qp.H + qp_solver._SIGMA * np.eye(n)
-        kkt[:n, n:] = A.T
-        kkt[n:, :n] = A
-        kkt[n:, n:] = -np.diag(1.0 / rho)
-        return sla.lu_factor(kkt)
-
-    rho = np.where(rows.eq_mask, qp_solver._RHO_EQ_SCALE * qp_solver._RHO, qp_solver._RHO)
-    lu = factor(rho)
-    x = np.zeros(n)
-    z = np.clip(A @ x, l, u)
-    y = np.zeros(m)
-    check_every = min(qp_solver._CHECK_EVERY, 10) if n + m < 40 else qp_solver._CHECK_EVERY
-    sig, alph = qp_solver._SIGMA, qp_solver._ALPHA
-
-    for it in range(1, qp_solver._STEP_LIMIT + 1):
-        sol_vec = sla.lu_solve(lu, np.concatenate([sig * x - qp.g, z - y / rho]))
-        x_t = sol_vec[:n]
-        nu = sol_vec[n:]
-        z_t = z + (nu - y) / rho
-        x_new = alph * x_t + (1.0 - alph) * x
-        z_rel = alph * z_t + (1.0 - alph) * z
-        z_new = np.clip(z_rel + y / rho, l, u)
-        y_new = y + rho * (z_rel - z_new)
-        dx = x_new - x
-        dy = y_new - y
-        x, z, y = x_new, z_new, y_new
-
-        if it % check_every and it != qp_solver._STEP_LIMIT:
-            continue
-
-        r_prim = float(np.max(np.abs(A @ x - z), initial=0.0))
-        r_dual = float(np.max(np.abs(qp.H @ x + qp.g + A.T @ y), initial=0.0))
-
-        if r_prim < qp_solver._POLISH_GATE_PRIM and r_dual < qp_solver._POLISH_GATE_DUAL:
-            for st, dt in ((1e-6, 1e-6), (1e-5, 1e-7), (1e-4, 1e-5)):
-                pol = _reference_polish(qp.H, qp.g, A, l, u, z, y, st, dt, qp_solver._FEAS_TOL)
-                if pol is None:
-                    continue
-                xp, yp = pol
-                lam, mu, mu_lb, mu_ub = rows.split_multipliers(yp, n)
-                res = qp_solver._kkt_residual(qp, xp, lam, mu, mu_lb, mu_ub)
-                if res <= qp_solver._KKT_TOL:
-                    return QpSolution(
-                        status=QpStatus.OPTIMAL, x=xp, objective=qp.objective_value(xp),
-                        eq_multipliers=lam, ineq_multipliers=mu, lb_multipliers=mu_lb,
-                        ub_multipliers=mu_ub, kkt_residual=res, iterations=it, polished=True,
-                    )
-
-        if r_prim < qp_solver._FEAS_TOL and r_dual < qp_solver._KKT_TOL:
-            lam, mu, mu_lb, mu_ub = rows.split_multipliers(y, n)
-            res = qp_solver._kkt_residual(qp, x, lam, mu, mu_lb, mu_ub)
-            if res <= 10 * qp_solver._KKT_TOL:
-                return QpSolution(
-                    status=QpStatus.OPTIMAL, x=x.copy(), objective=qp.objective_value(x),
-                    eq_multipliers=lam, ineq_multipliers=mu, lb_multipliers=mu_lb,
-                    ub_multipliers=mu_ub, kkt_residual=res, iterations=it,
-                )
-
-        cert = qp_solver._primal_infeasibility_cert(A, l, u, dy, qp_solver._CERT_TOL)
-        if cert is not None:
-            lam, mu, mu_lb, mu_ub = rows.split_multipliers(cert, n)
-            return QpSolution(
-                status=QpStatus.INFEASIBLE,
-                iterations=it,
-                infeasibility_certificate={"eq": lam, "ineq": mu, "lb": mu_lb, "ub": mu_ub},
-            )
-        ray = qp_solver._dual_infeasibility_cert(qp.H, qp.g, A, l, u, dx, qp_solver._CERT_TOL)
-        if ray is not None:
-            return QpSolution(status=QpStatus.UNBOUNDED, iterations=it, unbounded_ray=ray)
-
-        if it % 100 == 0 and it < qp_solver._STEP_LIMIT // 2:
-            ratio = r_prim / max(r_dual, 1e-12)
-            if ratio > 5.0 or ratio < 0.2:
-                scale = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
-                rho = np.where(rows.eq_mask, rho, np.clip(rho * scale, 1e-4, 1e4))
-                lu = factor(rho)
-
-    return QpSolution(status=QpStatus.MAX_ITERATIONS, x=x.copy(), iterations=qp_solver._STEP_LIMIT)
 
 
 def tube_qp_reference(spec: ProblemSpec, terminal: IntervalBox, storage, cfg, z, containment: bool) -> QpProblem:

@@ -20,7 +20,7 @@ from tube_dissip.cost_to_travel import (
     optimal_rci,
 )
 from tube_dissip.interval_sets import IntervalBox, subset
-from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_witness
+from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_rows, transition_witness
 from tube_dissip.qp_solver import _FEAS_TOL, SolverFailure
 from tube_dissip.sampling import feasible_chain, random_box_within
 from tube_dissip.tube_mpc import TubeMpcConfig
@@ -345,6 +345,27 @@ class TestMultiStepKernel:
 
 
 class TestMultiStepValues:
+    @pytest.mark.parametrize("a, c", [
+        (box((-1, -1), (-4, -4)), box((-1, -1), (-1, 2))),
+        (box((-1, 0), (-4, -4)), box((-1, -1), (-1, 2))),
+        (box((-1, 1), (-4, -4)), box((-1, -1), (-1, 5))),
+    ], ids=["segments", "source of x1-width 1", "source of x1-width 2"])
+    def test_row_14_binds_and_the_answer_passes_the_programs_check(self, spec, a, c):
+        # row 14, b3 - alpha*a4 <= w_lo + u_hi, binds only for a high target
+        # lower x2-corner over a low source upper x2-corner, which no drawn
+        # chain reaches: here on the first step, from a source at x2 = -4
+        src, tgt, const = transition_rows(spec)
+        assert src[14].tolist() == [0.0, 0.0, 0.0, -spec.alpha] and tgt[14].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert const[14] == spec.w_lo + spec.u_hi
+        res = eval_v(spec, a, c, 2)
+        assert res.feasible
+        slack = const[14] - src[14] @ a.corners() - tgt[14] @ res.tube[1].corners()
+        assert abs(slack) <= 1e-12
+        qp = oracles.eval_v_qp_reference(spec, a, c, 2)
+        x = oracles.lifted_chain(res)
+        assert oracles.kkt_residual(qp, x) <= 1e-8
+        assert res.value == pytest.approx(qp.objective_value(x), abs=1e-8)
+
     def test_fixed_rows_are_checked_at_feas_tol(self, spec, x_star):
         # the source's lower x1-corner below the state bound by 0.5 and by
         # 2 _FEAS_TOL is refused, by 0.5 _FEAS_TOL accepted
@@ -442,10 +463,12 @@ class TestMultiStepValues:
             eval_v(spec, x_star, x_star, 2)
 
     def test_cost_to_travel_holds_no_qp_machinery(self):
-        # the ADMM solver and its assembly are kept only for their own tests
-        # and for the names the benchmark's tracer binds, until they are
-        # deleted: no module of the package but qp_solver binds them,
+        # the dense program assembly is kept only for the tests and, with the
+        # name solve, which raises, for the names the benchmark's tracer
+        # binds: no module of the package but qp_solver binds them,
         # cost_to_travel included
+        with pytest.raises(NotImplementedError):
+            qp_solver.solve(None)
         names = ("solve", "QpBuilder", "QpProblem", "build_g_block")
         modules = [tube_dissip] + [
             importlib.import_module(f"tube_dissip.{info.name}")
@@ -456,10 +479,8 @@ class TestMultiStepValues:
             if module is not qp_solver:
                 assert [name for name in names if hasattr(module, name)] == [], module.__name__
 
-    def test_multi_step_paths_call_no_solver(self, spec, x_star, rng, forbid_solver):
+    def test_multi_step_values_and_optimal_rci(self, spec, x_star, rng):
         chains = {n: feasible_chain(spec, rng, n) for n in (2, 3)}
-        patched = forbid_solver()
-        assert patched == ["tube_dissip.qp_solver"]
         unreachable = box((0, 1), (0, 1))
         for n, chain in chains.items():
             assert eval_v(spec, chain[0], chain[n], n).feasible

@@ -229,3 +229,24 @@ class TestTolerance:
     @pytest.mark.parametrize("tol", [0.0, -0.0, 1e-9, 1, np.float64(1e-9), np.int64(0)])
     def test_real_tolerance_at_least_zero_accepted(self, name, tol):
         assert PREDICATES[name](tol)
+
+    @pytest.mark.parametrize(
+        "tol", [0.0, 1, np.int64(0), np.float32(0), np.float64(0.1)], ids=["float", "int", "np int", "np float32", "np float64"]
+    )
+    def test_answer_is_a_bool_whatever_the_tolerance_type(self, name, tol):
+        # a numpy tolerance gave numpy.bool_, which is not True and which
+        # json.dumps refuses
+        got = PREDICATES[name](tol)
+        assert got is True and json.dumps(got) == "true"
+
+
+@pytest.mark.parametrize("z, inside", [
+    ((np.float64(-1.0), np.float64(-2.0)), True),
+    ((np.float64(-2.0), -2.0), False),
+    ((-1.0, np.int64(-2)), True),
+    (np.array([-1.0, 1.0]), False),
+], ids=["np float64", "np float64 outside", "np int", "np array"])
+def test_contains_answers_a_bool_for_a_numpy_point(z, inside):
+    # a point of numpy scalars gave numpy.bool_ at the default tolerance too
+    got = contains(X_STAR, z)
+    assert got is inside and json.dumps(got) == json.dumps(inside)

@@ -498,7 +498,7 @@ class TestClosedFormDecision:
         optimal_rci(spec)
         _controller(spec, cfg_ic)
         patched = forbid_solver()
-        assert patched == ["tube_dissip.qp_solver"]
+        assert patched == ["tube_dissip.cost_to_travel", "tube_dissip.qp_solver"]
         unreachable = box((0, 1), (0, 1))
         assert transition_feasible(spec, x_star, x_star)
         assert not transition_feasible(spec, unreachable, unreachable)

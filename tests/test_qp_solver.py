@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,81 +10,11 @@ from scipy.optimize import linprog
 
 import tube_dissip
 from tube_dissip import qp_solver
-from tube_dissip.dissipativity import StorageFunction
-from tube_dissip.qp_solver import (
-    QpBuilder,
-    QpProblem,
-    QpSolution,
-    QpStatus,
-    SolverFailure,
-    solve,
-    verify_kkt,
-)
-from tube_dissip.sampling import feasible_chain, random_box_within
-from tube_dissip.tube_mpc import TubeMpcConfig, _controller
+from tube_dissip.qp_solver import QpBuilder, QpProblem, SolverFailure
 
 from . import oracles
-from .oracles import admm_reference
 
 INF = float("inf")
-
-
-def qp_1d_bound() -> QpProblem:
-    # min x^2 s.t. x >= 1
-    return QpProblem(H=[[2.0]], g=[0.0], lb=[1.0], ub=[INF])
-
-
-class TestSolveBasics:
-    def test_bound_constrained_scalar(self):
-        sol = solve(qp_1d_bound())
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
-        assert sol.objective == pytest.approx(1.0, abs=1e-9)
-
-    def test_row_constrained_scalar(self):
-        qp = QpProblem(H=[[2.0]], g=[0.0], Ain=[[-1.0]], bin=[-1.0])
-        sol = solve(qp)
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_unconstrained_quadratic(self):
-        sol = solve(QpProblem(H=[[2.0]], g=[-4.0], c0=3.0))
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
-        assert sol.objective == pytest.approx(-1.0, abs=1e-9)
-
-    def test_equality_constrained(self):
-        # min x1^2 + x2^2 s.t. x1 + x2 = 2 -> (1, 1)
-        qp = QpProblem(H=2 * np.eye(2), g=np.zeros(2), Aeq=[[1.0, 1.0]], beq=[2.0])
-        sol = solve(qp)
-        assert sol.status is QpStatus.OPTIMAL
-        np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-9)
-        assert sol.eq_multipliers[0] == pytest.approx(-2.0, abs=1e-7)
-
-    def test_infeasible_detection(self):
-        qp = QpProblem(H=np.zeros((1, 1)), g=[0.0], Ain=[[1.0], [-1.0]], bin=[0.0, -1.0])
-        sol = solve(qp)
-        assert sol.status is QpStatus.INFEASIBLE
-        cert = sol.infeasibility_certificate
-        mu = cert["ineq"]
-        assert np.all(mu >= -1e-12)
-        # Farkas: combined row is void while the combined bound is negative
-        assert abs(mu @ np.array([[1.0], [-1.0]])) <= 1e-8
-        assert mu @ np.array([0.0, -1.0]) < 0
-
-    def test_unbounded_detection(self):
-        qp = QpProblem(H=np.zeros((2, 2)), g=[0.0, -1.0], Ain=[[1.0, 0.0]], bin=[1.0], lb=[0.0, -INF])
-        sol = solve(qp)
-        assert sol.status is QpStatus.UNBOUNDED
-        ray = sol.unbounded_ray
-        assert ray is not None and ray[1] > 0
-
-    def test_constant_row_infeasibility(self):
-        builder = QpBuilder()
-        builder.new_var()
-        builder.add_row({}, 1.0, INF)  # 0 >= 1, no variables involved
-        sol = solve(builder.build())
-        assert sol.status is QpStatus.INFEASIBLE
 
 
 class TestValidation:
@@ -128,52 +57,11 @@ class TestValidation:
 
     @pytest.mark.filterwarnings("error")
     def test_vacuous_infinities_accepted(self):
+        # the rows they bound always hold, so the free minimiser 0 is optimal
         qp = QpProblem(H=[[2.0]], g=[0.0], Ain=[[1.0], [-1.0]], bin=[INF, 1.0],
                        lb=[-INF], ub=[INF])
-        sol = solve(qp)
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
-
-
-class TestCertificates:
-    def test_verify_kkt_on_solution(self):
-        sol = solve(qp_1d_bound())
-        assert verify_kkt(qp_1d_bound(), sol, 1e-6)
-
-    def test_verify_kkt_rejects_perturbed_primal(self):
-        qp = qp_1d_bound()
-        sol = solve(qp)
-        wrong = replace(sol, x=sol.x + 1e-3)
-        assert not verify_kkt(qp, wrong, 1e-10)
-
-    def test_verify_kkt_unconstrained_origin(self):
-        qp = QpProblem(H=[[2.0]], g=[0.0])
-        sol = solve(qp)
-        assert sol.x[0] == pytest.approx(0.0, abs=1e-12)
-        assert verify_kkt(qp, sol, 1e-12)
-
-    def test_verify_kkt_requires_optimal_status(self):
-        with pytest.raises(ValueError):
-            verify_kkt(qp_1d_bound(), QpSolution(status=QpStatus.INFEASIBLE), 1e-8)
-
-
-def random_qp(rng, n=6, m=8, strictly_convex=True) -> QpProblem:
-    M = rng.normal(size=(n, n))
-    H = M.T @ M + (1.0 if strictly_convex else 0.0) * np.eye(n)
-    H = 0.5 * (H + H.T)
-    g = rng.normal(size=n)
-    Ain = rng.normal(size=(m, n))
-    x0 = rng.normal(size=n)
-    bin_ = Ain @ x0 + rng.uniform(0.1, 1.0, size=m)  # x0 strictly feasible
-    return QpProblem(H=H, g=g, Ain=Ain, bin=bin_, lb=np.full(n, -10.0), ub=np.full(n, 10.0))
-
-
-def random_lp(rng, n=4, m=7) -> QpProblem:
-    g = rng.normal(size=n)
-    Ain = rng.normal(size=(m, n))
-    bin_ = Ain @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=m)  # feasible
-    return QpProblem(H=np.zeros((n, n)), g=g, Ain=Ain, bin=bin_,
-                     lb=np.full(n, -5.0), ub=np.full(n, 5.0))
+        assert qp.bin[0] == INF and qp.lb[0] == -INF and qp.ub[0] == INF
+        assert oracles.kkt_residual(qp, np.zeros(1)) == 0.0
 
 
 def separable_problem(rng, n=5, m=12, infeasible=False):
@@ -346,7 +234,7 @@ class TestDualActiveSet:
 
 
 def test_importing_the_package_does_not_load_scipy():
-    # only the ADMM reference solver needs scipy, and it imports it on use
+    # numpy is the package's only dependency at run time
     code = (
         "import sys, tube_dissip, tube_dissip.cli, tube_dissip.acceptance; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -357,72 +245,10 @@ def test_importing_the_package_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
-class TestRandomProblems:
-    def test_random_strictly_convex_soundness(self, rng):
-        for _ in range(40):
-            qp = random_qp(rng)
-            sol = solve(qp)
-            assert sol.status is QpStatus.OPTIMAL
-            assert verify_kkt(qp, sol, 1e-6)
-            assert sol.kkt_residual <= 1e-6
-
-    def test_random_lps_match_reference_solver(self, rng):
-        for _ in range(30):
-            qp = random_lp(rng)
-            ref = linprog(qp.g, A_ub=qp.Ain, b_ub=qp.bin, bounds=[(-5, 5)] * qp.n, method="highs")
-            sol = solve(qp)
-            assert ref.status == 0 and sol.status is QpStatus.OPTIMAL
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
-
-    def test_objective_formula(self, rng):
-        for _ in range(10):
-            qp = random_qp(rng)
-            qp = replace_c0(qp, 1.75)
-            sol = solve(qp)
-            explicit = 0.5 * sol.x @ qp.H @ sol.x + qp.g @ sol.x + qp.c0
-            assert sol.objective == pytest.approx(explicit, abs=1e-9)
-
-    def test_infeasible_stays_infeasible_under_tightening(self, rng):
-        qp = QpProblem(H=np.zeros((1, 1)), g=[0.0], Ain=[[1.0], [-1.0]], bin=[0.0, -1.0])
-        for delta in (0.0, 0.5, 2.0):
-            tightened = QpProblem(
-                H=qp.H, g=qp.g, Ain=qp.Ain, bin=np.asarray(qp.bin) - delta
-            )
-            assert solve(tightened).status is QpStatus.INFEASIBLE
-
-
-def replace_c0(qp: QpProblem, c0: float) -> QpProblem:
-    return QpProblem(H=qp.H, g=qp.g, c0=c0, Aeq=qp.Aeq, beq=qp.beq,
-                     Ain=qp.Ain, bin=qp.bin, lb=qp.lb, ub=qp.ub)
-
-
-class TestDegenerate:
-    def test_semidefinite_flat_direction(self):
-        # x2 enters neither the cost nor any constraint; any value is optimal
-        qp = QpProblem(
-            H=np.diag([2.0, 0.0]),
-            g=[-2.0, 0.0],
-            Ain=[[1.0, 0.0]],
-            bin=[5.0],
-        )
-        sol = solve(qp)
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.x[0] == pytest.approx(1.0, abs=1e-8)
-
-    def test_degenerate_equality_pinning(self):
-        # equality-pinned variable plus a redundant pair of active rows
-        builder = QpBuilder()
-        x = builder.new_var()
-        y = builder.new_var()
-        builder.add_row({x: 1.0}, 2.0, 2.0)
-        builder.add_row({x: 1.0, y: 1.0}, -INF, 3.0)
-        builder.add_row({y: 1.0}, -INF, 1.0)
-        builder.add_quad(y, 1.0)
-        builder.add_lin(y, -4.0)  # pushes y up against both rows at once
-        sol = solve(builder.build())
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.x[x] == pytest.approx(2.0, abs=1e-8)
-        assert sol.x[y] == pytest.approx(1.0, abs=1e-8)
+def test_no_source_file_names_scipy():
+    # scipy is a dependency of the tests and the benchmark only
+    src = Path(tube_dissip.__file__).resolve().parents[1]
+    assert [str(path.relative_to(src)) for path in sorted(src.rglob("*.py")) if "scipy" in path.read_text()] == []
 
 
 class TestBuilder:
@@ -432,16 +258,19 @@ class TestBuilder:
         builder.bound(x, -1.0, INF)
         builder.bound(x, -INF, 2.0)
         builder.add_lin(x, 1.0)
-        sol = solve(builder.build())
-        assert sol.x[x] == pytest.approx(-1.0, abs=1e-9)
+        qp = builder.build()
+        assert qp.lb.tolist() == [-1.0] and qp.ub.tolist() == [2.0]
+        assert qp.Ain is None and qp.Aeq is None and qp.g.tolist() == [1.0]
 
     def test_conflicting_bounds_become_certified_infeasibility(self):
         builder = QpBuilder()
         x = builder.new_var()
         builder.bound(x, 1.0, INF)
         builder.bound(x, -INF, 0.0)
-        sol = solve(builder.build())
-        assert sol.status is QpStatus.INFEASIBLE
+        qp = builder.build()
+        assert qp.lb is None and qp.ub is None
+        assert qp.Ain.tolist() == [[1.0], [-1.0]] and qp.bin.tolist() == [0.0, -1.0]
+        assert oracles.program_margin(qp) < 0.0
 
     def test_two_sided_row_splits(self):
         builder = QpBuilder()
@@ -459,74 +288,3 @@ class TestBuilder:
         builder.add_row({x: 1.0, y: -1.0}, 0.5, 0.5)
         qp = builder.build()
         assert qp.Aeq.shape == (1, 2)
-
-
-def tube_qps(spec):
-    # a 7x7 grid over the state bounds for both controllers, and two states
-    # within them from which one step cannot reach the invariant box
-    grid = [(z1, z2) for z1 in np.linspace(-5, 5, 7) for z2 in np.linspace(-5, 5, 7)]
-    cfgs = (TubeMpcConfig(use_initial_cost=True), TubeMpcConfig(use_initial_cost=False))
-    states = [(cfg, z) for cfg in cfgs for z in grid]
-    states += [(TubeMpcConfig(horizon=1), z) for z in ((0.0, 4.0), (-2.0, -4.5))]
-    return [oracles.tube_qp_reference(spec, *_controller(spec, cfg)[:2], cfg, z, False) for cfg, z in states]
-
-
-def eval_v2_qps(spec, rng, count=25):
-    # the two-step programs of feasible chains and of random pairs
-    qps = []
-    for _ in range(count):
-        chain = feasible_chain(spec, rng, 2)
-        qps.append(oracles.eval_v_qp_reference(spec, chain[0], chain[2], 2))
-        a = random_box_within(rng, spec.x_bounds)
-        b = random_box_within(rng, spec.x_bounds)
-        qps.append(oracles.eval_v_qp_reference(spec, a, b, 2))
-    return qps
-
-
-def separability_qps(spec, rng, count=20):
-    coeffs = [StorageFunction.reference().linear_coeffs]
-    coeffs += [tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=4)) for _ in range(count)]
-    return [oracles.separability_qp_reference(spec, ell) for ell in coeffs]
-
-
-def assert_matches_reference(qp: QpProblem):
-    got = solve(qp)
-    want = admm_reference(qp)
-    assert got.status is want.status
-    assert got.iterations == want.iterations
-    assert got.polished == want.polished
-    if want.x is None:
-        assert got.x is None
-    else:
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.objective == want.objective
-
-
-class TestExactness:
-    """``solve`` follows the plain ADMM iteration bit for bit."""
-
-    def test_random_qps_and_lps(self, rng):
-        for _ in range(30):
-            assert_matches_reference(random_qp(rng))
-            assert_matches_reference(random_lp(rng))
-            assert_matches_reference(random_qp(rng, strictly_convex=False))
-
-    def test_tube_qps_on_a_state_grid(self, spec):
-        qps = tube_qps(spec)
-        assert len(qps) == 100
-        assert {sol.status for sol in map(solve, qps)} == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
-        for qp in qps:
-            assert_matches_reference(qp)
-
-    def test_separability_qps(self, spec, rng):
-        qps = separability_qps(spec, rng)
-        assert {sol.status for sol in map(solve, qps)} == {QpStatus.OPTIMAL, QpStatus.UNBOUNDED}
-        for qp in qps:
-            assert_matches_reference(qp)
-
-    def test_two_step_cost_to_travel_qps(self, spec, rng):
-        qps = eval_v2_qps(spec, rng)
-        assert len(qps) == 50
-        for qp in qps:
-            assert_matches_reference(qp)
-
