@@ -20,7 +20,7 @@ from .closed_loop import (
 )
 from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import StorageFunction, eval_storage, verify_separability
-from .interval_sets import IntervalBox, boxes_intersect, contains
+from .interval_sets import IntervalBox, _point, _seed, boxes_intersect, contains
 from .problem import ProblemSpec, dynamics, stage_cost
 from .sampling import (
     _Draws,
@@ -50,8 +50,8 @@ class CriterionResult:
 
 
 def reference_feedback_law(z) -> float:
-    """Closed-form piecewise feedback of the default instance with initial cost."""
-    z2 = z[1]
+    """Closed-form piecewise feedback of the default instance with initial cost, at the point z (ConfigError for any other)."""
+    _, z2 = _point(z, "z must be two numbers")
     if -5.0 <= z2 <= -4.0:
         return -0.5 * z2 - 3.0
     if -4.0 <= z2 <= 0.0:
@@ -308,6 +308,8 @@ def check_dissipation_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 50
 
 
 def run_acceptance(seed: int = 0, spec: ProblemSpec | None = None) -> list[CriterionResult]:
+    """The battery at a seed, a non-negative integer (ConfigError for any other), on spec or the default instance."""
+    seed = _seed(seed)
     spec = spec if spec is not None else ProblemSpec.default()
     return [
         check_optimal_rci(spec),

@@ -41,9 +41,9 @@ from .closed_loop import (
     check_enclosure_stability,
     simulate,
 )
-from .cost_to_travel import MAX_STEPS, RciNotFound, eval_v, optimal_rci
+from .cost_to_travel import RciNotFound, eval_v, optimal_rci
 from .dissipativity import StorageFunction, check_strictness, verify_separability
-from .interval_sets import IntervalBox
+from .interval_sets import IntervalBox, _seed
 from .problem import ConfigError, ProblemSpec
 from .qp_solver import SolverFailure
 from .tube_mpc import TubeMpcConfig, solve_tmpc, sweep_feedback
@@ -85,10 +85,6 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 class RunConfig:
     """Problem, controller and seed shared by commands."""
 
@@ -116,7 +112,7 @@ class RunConfig:
         if "storage" in ctrl and ctrl["storage"] is not None:
             try:
                 kwargs["storage"] = StorageFunction.from_json_dict(ctrl["storage"])
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"controller.storage: {exc}") from exc
         if "terminal_set" in ctrl and ctrl["terminal_set"] is not None:
             try:
@@ -124,9 +120,7 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"controller.terminal_set: {exc}") from exc
         self.controller = TubeMpcConfig(**kwargs)
-        self.seed = obj.get("seed", DEFAULT_SEED)
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        self.seed = _seed(obj.get("seed", DEFAULT_SEED))
 
     @classmethod
     def load(cls, path: Optional[str]) -> "RunConfig":
@@ -158,7 +152,7 @@ def _parse_point(text: str) -> tuple[float, float]:
 def _parse_box(text: str) -> IntervalBox:
     try:
         return IntervalBox.from_json_obj(json.loads(text))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"expected a box like [[lo1,hi1],[lo2,hi2]], got {text!r}: {exc}") from exc
 
 
@@ -185,18 +179,12 @@ def _cmd_rci(run: RunConfig, args) -> int:
 
 
 def _cmd_eval_v(run: RunConfig, args) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
-    if args.n > MAX_STEPS:
-        raise ConfigError(f"--n must be at most {MAX_STEPS}, got {args.n}")
     result = eval_v(run.spec, _parse_box(args.a), _parse_box(args.b), args.n)
     _write_output(json.dumps(result.to_json_dict()), args.output)
     return 0 if result.feasible else 1
 
 
 def _cmd_check_storage(run: RunConfig, args) -> int:
-    if args.strictness < 0:
-        raise ConfigError(f"--strictness must be >= 0, got {args.strictness}")
     sf = run.controller.storage if run.controller.storage is not None else StorageFunction.reference()
     report = verify_separability(run.spec, sf)
     if args.strictness:
@@ -239,8 +227,6 @@ def _cmd_sweep(run: RunConfig, args) -> int:
 
 
 def _cmd_simulate(run: RunConfig, args) -> int:
-    if args.steps < 0:
-        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     columns = ["k", "y1", "y2", "u", "w", "Y_a1", "Y_a2", "Y_a3", "Y_a4", "dH", "lyapunov"]
     if args.fig2:
         # bundled demonstration preset: the two corner starts under the
@@ -260,8 +246,7 @@ def _cmd_simulate(run: RunConfig, args) -> int:
         _write_output(_csv(rows, ["y0"] + columns), args.output)
         return 0 if ok else 1
     if args.y0 is None:
-        print("error: --y0 is required without --fig2", file=sys.stderr)
-        return 2
+        raise ConfigError("--y0 is required without --fig2")
     policy = _parse_policy("adversarial" if args.policy is None else args.policy, run.seed)
     trace = simulate(run.spec, run.controller, _parse_point(args.y0), args.steps, policy)
     _write_output(_csv(trace.csv_rows(), columns), args.output)

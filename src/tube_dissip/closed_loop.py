@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Union
 
 from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import eval_storage
-from .interval_sets import IntervalBox, _is_integer, _is_real, boxes_intersect, contains, hausdorff, subset
-from .problem import ConfigError, ProblemSpec, dynamics
+from .interval_sets import ConfigError, IntervalBox, _count, _point, _seed, boxes_intersect, contains, hausdorff, subset
+from .problem import ProblemSpec, dynamics
 from .sampling import _Draws
 from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
 
@@ -48,7 +48,11 @@ class ExtremePolicy:
 
     def __post_init__(self):
         # a bool equals 1 or 0, so each sign must be an integer first
-        if not self.signs or not all(_is_integer(s) and s in (-1, 1) for s in self.signs):
+        try:
+            signs = tuple(_count(s, "a sign", -1, 1) for s in self.signs)
+        except (TypeError, ConfigError):
+            signs = ()
+        if not signs or 0 in signs:
             raise ConfigError(f"signs must be a nonempty sequence of +1/-1, got {self.signs!r}")
 
     def describe(self) -> str:
@@ -62,8 +66,7 @@ class UniformRandomPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     def describe(self) -> str:
         return f"random:{self.seed}"
@@ -170,15 +173,8 @@ def simulate(
     non-negative integer, ``np.integer`` included; a bool or any other
     value raises ConfigError.
     """
-    if not (_is_integer(steps) and steps >= 0):
-        raise ConfigError(f"steps must be a non-negative integer, got {steps!r}")
-    try:
-        y1, y2 = y0
-    except (TypeError, ValueError):
-        raise ConfigError(f"y0 must be two numbers, got {y0!r}") from None
-    if not (_is_real(y1) and _is_real(y2)):
-        raise ConfigError(f"y0 must be two numbers, got {y0!r}")
-    y0 = y = (float(y1), float(y2))
+    steps = _count(steps, "steps", 0)
+    y0 = y = _point(y0, "y0 must be two numbers")
     x_star, _ = optimal_rci(spec)
     rng = _Draws(policy.seed) if isinstance(policy, UniformRandomPolicy) else None
     records: list[TraceStep] = []

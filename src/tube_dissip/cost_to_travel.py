@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .interval_sets import IntervalBox
+from .interval_sets import IntervalBox, _count
 from .problem import ProblemSpec, _step_witness, stage_cost, transition_rows, transition_witness
 from .qp_solver import _FEAS_TOL, _ROW_TOL, SolverFailure, _dual_active_set
 
@@ -125,12 +125,10 @@ def eval_v(
     priced by :func:`_tube_cost`, and its ``aux_controls`` are the
     :func:`transition_witness` pairs of its steps.  ``n_steps`` runs from 1
     to :data:`MAX_STEPS`; any other value, a non-integer or a bool included,
-    raises ValueError.
+    raises ConfigError, a ValueError.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    if not 1 <= n_steps <= MAX_STEPS:
-        raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
+    if not (type(n_steps) is int and 1 <= n_steps <= MAX_STEPS):
+        n_steps = _count(n_steps, "n_steps", 1, MAX_STEPS)
     if n_steps == 1:
         witness = transition_witness(spec, a, b)
         if witness is None:

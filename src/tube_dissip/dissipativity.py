@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cost_to_travel import eval_v, optimal_rci
-from .interval_sets import IntervalBox, _is_integer, _is_real, hausdorff, subset
-from .problem import ConfigError, ProblemSpec
+from .interval_sets import ConfigError, IntervalBox, _count, _point, _real, _seed, hausdorff, subset
+from .problem import ProblemSpec
 from .sampling import _Draws, feasible_pair
 
 __all__ = [
@@ -56,17 +56,16 @@ class StorageFunction:
     outside_value: float = 0.0
 
     def __post_init__(self):
-        # float() would pass strings such as "NaN" through to a plausible report
-        coeffs = tuple(self.linear_coeffs)
-        if len(coeffs) != 4:
-            raise ValueError("linear_coeffs must have length 4")
-        if not all(_is_real(v) and math.isfinite(v) for v in (self.offset, *coeffs)):
-            raise ValueError(f"offset and linear_coeffs must be finite numbers, got {self.offset!r}, {coeffs!r}")
-        if not _is_real(self.outside_value) or math.isnan(self.outside_value):
-            raise ValueError(f"outside_value must be a number, got {self.outside_value!r}")
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "linear_coeffs", tuple(float(c) for c in coeffs))
-        object.__setattr__(self, "outside_value", float(self.outside_value))
+        offset = _real(self.offset, "offset must be a finite number")
+        coeffs = _point(self.linear_coeffs, "linear_coeffs must be four finite numbers", 4)
+        outside = _real(self.outside_value, "outside_value must be a number")
+        if not all(math.isfinite(v) for v in (offset, *coeffs)):
+            raise ConfigError(f"offset and linear_coeffs must be finite numbers, got {self.offset!r}, {self.linear_coeffs!r}")
+        if math.isnan(outside):
+            raise ConfigError(f"outside_value must be a number, got {self.outside_value!r}")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "linear_coeffs", coeffs)
+        object.__setattr__(self, "outside_value", outside)
 
     @classmethod
     def reference(cls) -> "StorageFunction":
@@ -90,7 +89,7 @@ class StorageFunction:
             raise ValueError(f"unknown storage keys: {sorted(unknown)}")
         return cls(
             offset=obj.get("offset", 0.0),
-            linear_coeffs=tuple(obj.get("linear", (0.0, 0.0, 0.0, 0.0))),
+            linear_coeffs=obj.get("linear", (0.0, 0.0, 0.0, 0.0)),
             outside_value=obj.get("outside_value", 0.0),
         )
 
@@ -247,13 +246,12 @@ def check_strictness(
     Pairs within ``_EXCLUSION_TOL`` (Hausdorff) of the stationary pair at the
     optimal invariant box are excluded; there the margin is zero by
     definition.  Deterministic for a fixed seed.  ``n_samples`` is a
-    positive integer, ``np.integer`` included; a bool or any other value
-    raises ConfigError.
+    positive integer and ``seed`` a non-negative one, ``np.integer``
+    included; a bool, None or any other value raises ConfigError.
     """
-    if not (_is_integer(n_samples) and n_samples >= 1):
-        raise ConfigError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    n_samples = _count(n_samples, "n_samples", 1)
+    rng = _Draws(_seed(seed))
     x_star, v_star = optimal_rci(spec)
-    rng = _Draws(seed)
     min_margin = _INF
     n_nonpos = 0
     worst = None

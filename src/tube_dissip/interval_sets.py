@@ -19,13 +19,67 @@ from typing import Sequence
 _INF = float("inf")
 
 
+class ConfigError(ValueError):
+    """Malformed problem or run configuration."""
+
+
+# The entry rule of each kind of scalar argument, for every module; callers
+# add their own range test, and hot paths let floats pass before the rule.
+
+
+def _real(value, message: str) -> float:
+    """value as a float, or ConfigError unless it is a ``numbers.Real``, not a bool, whose float does not overflow."""
+    try:
+        if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{message}, got {value!r}")
+
+
+def _point(value, message: str, size: int = 2) -> tuple[float, ...]:
+    """value as a tuple of floats, or ConfigError unless it is exactly ``size`` real numbers."""
+    try:
+        if len(value) == size:
+            point = tuple(value)
+            for v in point:
+                if type(v) is not float:
+                    return tuple([_real(v, message) for v in point])
+            return point
+    except (TypeError, ConfigError):
+        pass
+    raise ConfigError(f"{message}, got {value!r}")
+
+
+def _count(value, what: str, lo: int, hi: int | None = None) -> int:
+    """value as an int, or ConfigError unless it is an integer, ``np.integer`` included but not a bool, from lo to hi."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    kind = f"an integer between {lo} and {hi}" if hi is not None else "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
+    raise ConfigError(f"{what} must be {kind}, got {value!r}")
+
+
+def _seed(value) -> int:
+    """value as an int, or ConfigError unless it is a non-negative integer, which None is not."""
+    return _count(value, "seed", 0)
+
+
+def _tol(value, what: str = "tol") -> float:
+    """value as a float, or ConfigError unless it is a real number at least 0, which NaN is not."""
+    message = f"{what} must be a real number >= 0"
+    x = _real(value, message)
+    if x >= 0.0:
+        return x
+    raise ConfigError(f"{message}, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class IntervalBox:
     """A compact box ``[lo[0], hi[0]] x [lo[1], hi[1]]`` in R^2.
 
-    Each side is a pair of real numbers, stored as floats; a bool or a
-    string is not a real number.  Boxes are slotted: they carry no
-    ``__dict__``, so ``vars(box)`` raises TypeError.
+    Each side is a point, two real numbers, stored as floats; any other
+    side raises ConfigError, a ValueError.  Boxes are slotted: they carry
+    no ``__dict__``, so ``vars(box)`` raises TypeError.
     """
 
     lo: tuple[float, float]
@@ -36,13 +90,14 @@ class IntervalBox:
             lo1, lo2 = self.lo
             hi1, hi2 = self.hi
         except (TypeError, ValueError):
-            raise ValueError(f"each side of a box is two numbers, got lo={self.lo!r} hi={self.hi!r}") from None
-        # a float entry passes as it is; only another is type-checked
-        if not (isinstance(lo1, float) and isinstance(lo2, float) and isinstance(hi1, float) and isinstance(hi2, float)):
-            if not (_is_real(lo1) and _is_real(lo2) and _is_real(hi1) and _is_real(hi2)):
-                raise ValueError(f"each side of a box is two numbers, got lo={self.lo!r} hi={self.hi!r}")
-        lo = lo1, lo2 = (float(lo1), float(lo2))
-        hi = hi1, hi2 = (float(hi1), float(hi2))
+            lo1 = None
+        # sides of floats pass as they are; only another side takes the point rule
+        if isinstance(lo1, float) and isinstance(lo2, float) and isinstance(hi1, float) and isinstance(hi2, float):
+            lo = lo1, lo2 = (float(lo1), float(lo2))
+            hi = hi1, hi2 = (float(hi1), float(hi2))
+        else:
+            lo = lo1, lo2 = _point(self.lo, "each side of a box is two numbers")
+            hi = hi1, hi2 = _point(self.hi, "each side of a box is two numbers")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         # dimension by dimension, finiteness first; NaN and +-inf fail -inf < c < inf
@@ -57,15 +112,15 @@ class IntervalBox:
 
     @classmethod
     def from_corners(cls, a: Sequence[float], snap_tol: float = 0.0) -> "IntervalBox":
-        """Build a box from its corner vector ``(a1, a2, a3, a4)``.
+        """Build a box from its corner vector ``(a1, a2, a3, a4)``, four real numbers.
 
-        ``snap_tol``, a number ``>= 0``, collapses sub-tolerance corner
-        inversions (as produced by floating-point optimizer output) to a
-        degenerate interval; inversions beyond the tolerance still raise.
+        ``snap_tol``, a tolerance, collapses sub-tolerance corner inversions
+        (as produced by floating-point optimizer output) to a degenerate
+        interval; inversions beyond the tolerance still raise.
         """
-        if not snap_tol >= 0.0:
-            raise ValueError(f"snap_tol must be a number >= 0, got {snap_tol!r}")
-        a1, a2, a3, a4 = map(float, a)
+        if not (type(snap_tol) is float and snap_tol >= 0.0):
+            snap_tol = _tol(snap_tol, "snap_tol")
+        a1, a2, a3, a4 = _point(a, "a corner vector is four numbers", 4)
         if snap_tol > 0.0:
             if a2 < a1 <= a2 + snap_tol:
                 a1 = a2 = 0.5 * (a1 + a2)
@@ -83,8 +138,10 @@ class IntervalBox:
 
     @classmethod
     def from_intervals(cls, ix: Sequence[float], iy: Sequence[float]) -> "IntervalBox":
-        """Build a box from per-dimension intervals ``[lo, hi]``."""
-        return cls(lo=(float(ix[0]), float(iy[0])), hi=(float(ix[1]), float(iy[1])))
+        """Build a box from per-dimension intervals ``[lo, hi]``, each two real numbers."""
+        lo1, hi1 = _point(ix, "each interval of a box is two numbers")
+        lo2, hi2 = _point(iy, "each interval of a box is two numbers")
+        return cls(lo=(lo1, lo2), hi=(hi1, hi2))
 
     def corners(self) -> tuple[float, float, float, float]:
         """Corner vector ``(a1, a2, a3, a4) = (lo1, hi1, lo2, hi2)``."""
@@ -97,28 +154,13 @@ class IntervalBox:
     @classmethod
     def from_json_obj(cls, obj: Sequence[Sequence[float]]) -> "IntervalBox":
         """Build a box from its JSON form; anything but two intervals of two real numbers raises ValueError."""
-        if not (_is_pair(obj) and all(_is_pair(iv) and all(_is_real(v) for v in iv) for iv in obj)):
-            raise ValueError(f"a box is two intervals [lo, hi] of numbers, got {obj!r}")
-        ix, iy = obj
-        return cls.from_intervals(ix, iy)
+        if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
+            raise ConfigError(f"a box is two intervals [lo, hi] of numbers, got {obj!r}")
+        return cls.from_intervals(*obj)
 
     def __repr__(self) -> str:
         a1, a2, a3, a4 = self.corners()
         return f"IntervalBox([{a1}, {a2}] x [{a3}, {a4}])"
-
-
-def _is_real(value) -> bool:
-    """True for a real number, and false for a bool or a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    """True for an integer, ``np.integer`` included, and false for a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_pair(value) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) == 2
 
 
 def hausdorff(a: IntervalBox, b: IntervalBox) -> float:
@@ -135,26 +177,10 @@ def hausdorff(a: IntervalBox, b: IntervalBox) -> float:
     )
 
 
-def _check_tol(tol) -> float:
-    """tol as a float; ConfigError unless it is a real number at least 0, which NaN and a bool are not.
-
-    Callers test ``type(tol) is float and tol >= 0.0`` first, so a float
-    tolerance at least 0, the default included, does not get here.  Any
-    other number is taken as a float, so that a comparison with it gives a
-    bool, not ``numpy.bool_``.
-    """
-    if not (_is_real(tol) and tol >= 0.0):
-        # problem imports this module, so its error is imported where it is raised
-        from .problem import ConfigError
-
-        raise ConfigError(f"tol must be a real number >= 0, got {tol!r}")
-    return float(tol)
-
-
 def subset(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
     """True iff ``A`` is contained in ``B`` (componentwise, within ``tol``, a real number >= 0)."""
     if not (type(tol) is float and tol >= 0.0):
-        tol = _check_tol(tol)
+        tol = _tol(tol)
     return (
         b.lo[0] - tol <= a.lo[0]
         and b.lo[1] - tol <= a.lo[1]
@@ -169,26 +195,16 @@ def contains(a: IntervalBox, z: Sequence[float], tol: float = 0.0) -> bool:
     ConfigError for any other z or tol.
     """
     if not (type(tol) is float and tol >= 0.0):
-        tol = _check_tol(tol)
-    try:
-        z1, z2 = z
-    except (TypeError, ValueError):
-        z1 = z2 = None
-    if not (type(z1) is float and type(z2) is float):
-        if not (_is_real(z1) and _is_real(z2)):
-            # problem imports this module, so its error is imported where it is raised
-            from .problem import ConfigError
-
-            raise ConfigError(f"a point is two numbers, got {z!r}")
-        # a numpy scalar compares to a numpy bool
-        z1, z2 = float(z1), float(z2)
+        tol = _tol(tol)
+    # a numpy scalar would compare to a numpy bool
+    z1, z2 = _point(z, "a point is two numbers")
     return a.lo[0] - tol <= z1 <= a.hi[0] + tol and a.lo[1] - tol <= z2 <= a.hi[1] + tol
 
 
 def boxes_intersect(a: IntervalBox, b: IntervalBox, tol: float = 0.0) -> bool:
     """True iff the boxes share a point (within ``tol``, a real number >= 0): no gap between them is wider than ``tol``."""
     if not (type(tol) is float and tol >= 0.0):
-        tol = _check_tol(tol)
+        tol = _tol(tol)
     return (
         a.lo[0] <= b.hi[0] + tol
         and b.lo[0] <= a.hi[0] + tol

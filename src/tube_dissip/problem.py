@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval_sets import IntervalBox, _is_real, subset
+from .interval_sets import ConfigError, IntervalBox, _point, _real, subset
 from .qp_solver import _FEAS_TOL
 
 __all__ = [
@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-
-class ConfigError(ValueError):
-    """Malformed problem or run configuration."""
 
 
 @dataclass(frozen=True)
@@ -71,16 +67,14 @@ class ProblemSpec:
     cost_quad: tuple[float, float, float, float] = (0.15, 0.05, 0.1, 0.05)
 
     def __post_init__(self):
-        if not _is_real(self.alpha):
-            raise ConfigError(f"alpha must be a number, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha must be a number"))
         for name, size in (("u_bounds", 2), ("w_bounds", 2), ("cost_linear", 4), ("cost_quad", 4)):
-            value = getattr(self, name)
+            message = f"{name} must be a list of {size} numbers other than NaN"
+            value = _point(getattr(self, name), message, size)
             # NaN passes every ordered comparison below, and max/min drop it
-            real = isinstance(value, (list, tuple)) and all(_is_real(v) and not math.isnan(v) for v in value)
-            if not (real and len(value) == size):
-                raise ConfigError(f"{name} must be a list of {size} numbers other than NaN, got {value!r}")
-            object.__setattr__(self, name, tuple(float(v) for v in value))
+            if any(math.isnan(v) for v in value):
+                raise ConfigError(f"{message}, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if not math.isfinite(self.alpha) or self.alpha <= 0.0:
             # the edge-control encoding interpolates controls monotonically in
             # x2, which requires a positive dynamics coefficient
@@ -178,8 +172,10 @@ def stage_cost(spec: ProblemSpec, a: IntervalBox) -> float:
 
 
 def dynamics(spec: ProblemSpec, x: Sequence[float], u: float, w: float) -> tuple[float, float]:
-    """One step of the underlying point dynamics."""
-    return (u, spec.alpha * x[1] + u + w)
+    """One step of the underlying point dynamics from the point x, under real numbers u and w; ConfigError for any other."""
+    _, x2 = _point(x, "x must be two numbers")
+    u = _real(u, "u must be a number")
+    return (u, spec.alpha * x2 + u + _real(w, "w must be a number"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 The constructive samplers draw the edge controls first and then a compatible
 target window, so acceptance rates stay high; every constructed pair is a
 genuine transition by the row encoding (callers may still re-verify it with
-:func:`~tube_dissip.problem.transition_feasible`, or through the reference
-QP solver when the point of the test is that solver).
+:func:`~tube_dissip.problem.transition_feasible`).
 
 Every sampler takes, as ``rng``, an object with numpy's
 ``Generator.uniform(low, high, size)``: a caller's ``np.random.Generator``,
@@ -22,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .interval_sets import IntervalBox
+from .interval_sets import IntervalBox, _count
 from .problem import ProblemSpec
 
 __all__ = [
@@ -159,7 +158,8 @@ def feasible_pair(spec: ProblemSpec, rng: np.random.Generator) -> tuple[Interval
 
 
 def feasible_chain(spec: ProblemSpec, rng: np.random.Generator, length: int) -> list[IntervalBox]:
-    """A chain A0 -> A1 -> ... of the given length (number of steps)."""
+    """A chain A0 -> A1 -> ... of the given length, a non-negative integer number of steps (ConfigError for any other)."""
+    length = _count(length, "length", 0)
     for _ in range(_MAX_TRIES):
         chain = [random_box_within(rng, spec.x_bounds)]
         ok = True

@@ -78,8 +78,8 @@ from .cost_to_travel import (
     optimal_rci,
 )
 from .dissipativity import StorageFunction, eval_storage
-from .interval_sets import IntervalBox, _is_real, subset
-from .problem import ConfigError, ProblemSpec, is_rci, transition_rows
+from .interval_sets import ConfigError, IntervalBox, _count, _point, subset
+from .problem import ProblemSpec, is_rci, transition_rows
 from .qp_solver import _FEAS_TOL, QpStatus, SolverFailure
 
 __all__ = [
@@ -102,7 +102,9 @@ class TubeMpcConfig:
     and reachability only grows with the target box, so a tube ending
     inside the terminal box exists exactly when one ending on it does, at
     the same cost.  ``horizon`` is an integer from 1 to
-    :data:`~tube_dissip.cost_to_travel.MAX_STEPS`.
+    :data:`~tube_dissip.cost_to_travel.MAX_STEPS`, ``terminal_set`` None or
+    an ``IntervalBox`` and ``storage`` None or a ``StorageFunction``; any
+    other value raises ConfigError.
 
     Every solve looks its controller up by the config's hash, so that is
     computed once, as the dataclass would derive it from the fields; it is
@@ -117,12 +119,14 @@ class TubeMpcConfig:
     storage: Optional[StorageFunction] = None
 
     def __post_init__(self):
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
-            raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
-        if not 1 <= self.horizon <= MAX_STEPS:
-            raise ConfigError(f"horizon must be between 1 and {MAX_STEPS}, got {self.horizon}")
+        object.__setattr__(self, "horizon", _count(self.horizon, "horizon", 1, MAX_STEPS))
         if not isinstance(self.use_initial_cost, bool):
             raise ConfigError(f"use_initial_cost must be true or false, got {self.use_initial_cost!r}")
+        # before the hash, which a list would fail; a bool would fail the first solve
+        if not (self.terminal_set is None or isinstance(self.terminal_set, IntervalBox)):
+            raise ConfigError(f"terminal_set must be an IntervalBox or None, got {self.terminal_set!r}")
+        if not (self.storage is None or isinstance(self.storage, StorageFunction)):
+            raise ConfigError(f"storage must be a StorageFunction or None, got {self.storage!r}")
         object.__setattr__(self, "_hash", hash((self.horizon, self.use_initial_cost, self.terminal_set, self.storage)))
 
     def __hash__(self) -> int:
@@ -295,10 +299,12 @@ def solve_tmpc(
     try:
         z1, z2 = z
     except (TypeError, ValueError):
-        raise ConfigError(f"state must be two numbers, got {z!r}") from None
-    if not (isinstance(z1, float) and isinstance(z2, float)) and not (_is_real(z1) and _is_real(z2)):
-        raise ConfigError(f"state must be two numbers, got {z!r}")
-    z1, z2 = float(z1), float(z2)
+        z1 = None
+    # a state of floats, np.float64 included, passes as it is; only another takes the point rule
+    if isinstance(z1, float) and isinstance(z2, float):
+        z1, z2 = float(z1), float(z2)
+    else:
+        z1, z2 = _point(z, "state must be two numbers")
     if not (math.isfinite(z1) and math.isfinite(z2)):
         raise ConfigError(f"state must be finite, got {tuple(z)}")
     terminal, storage, self_successor, prog = _controller(spec, cfg)

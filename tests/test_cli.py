@@ -68,7 +68,7 @@ class TestEvalV:
         )
         assert code == 2
         assert out == ""
-        assert err.strip().splitlines() == ["error: --n must be >= 1, got 0"]
+        assert err.strip().splitlines() == ["error: n_steps must be an integer between 1 and 64, got 0"]
 
     def test_step_count_beyond_the_cap_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -76,7 +76,7 @@ class TestEvalV:
         )
         assert code == 2
         assert out == ""
-        assert err.strip().splitlines() == ["error: --n must be at most 64, got 100000"]
+        assert err.strip().splitlines() == ["error: n_steps must be an integer between 1 and 64, got 100000"]
 
     def test_malformed_box_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval-v", "--a", "oops", "--b", "[[0,1],[0,1]]")
@@ -596,6 +596,48 @@ class TestConfig:
         assert err == "error: unknown config keys: ['tolerances']\n"
 
 
+BIG = 10**400  # 401 digits; its float overflows
+
+
+class TestBadInput:
+    # (exit code, argv, config or None): 2 for overflowing bounds and ints
+    # whose float overflows, the removed tolerances and output sections, a
+    # problem given as a path and a controller section verify-all does not
+    # read; 1 for a cost whose kernel start overflows and one whose
+    # minimising tube's cost does
+    CASES = [
+        (2, ("verify-all",), {"problem": {"x_bounds": [[-1e308, 1e308], [-5, 5]]}}),
+        (2, ("rci",), {"tolerances": {"feas_tol": 1e10}}),
+        (2, ("rci",), {"tolerances": {"max_iter": 1}}),
+        (2, ("rci",), {"output": {"path": "out.json"}}),
+        (2, ("rci",), {"problem": "problem.json"}),
+        (2, ("verify-all",), {"controller": {}}),
+        (1, ("rci",), {"problem": {"cost_linear": [1e308, 1e308, 1e308, 1e308]}}),
+        (1, ("rci",), {"problem": {"cost_quad": [8e307, 8e307, 8e307, 8e307]}}),
+        (2, ("rci",), {"problem": {"alpha": BIG}}),
+        (2, ("rci",), {"problem": {"u_bounds": [-BIG, 5]}}),
+        (2, ("rci",), {"problem": {"x_bounds": [[-BIG, 5], [-5, 5]]}}),
+        (2, ("rci",), {"problem": {"cost_quad": [0.15, 0.05, 0.1, BIG]}}),
+        (2, ("check-storage",), {"controller": {"storage": {"offset": BIG, "linear": [0, -1.6, 1.6, 0]}}}),
+        (2, ("check-storage",), {"controller": {"storage": {"offset": 16, "linear": [0, -BIG, 1.6, 0]}}}),
+        (2, ("eval-v", "--a", f"[[0,{BIG}],[0,1]]", "--b", "[[0,1],[0,1]]"), None),
+        (2, ("eval-v", "--a", "[[0,1],[0,1]]", "--b", f"[[0,1],[-{BIG},1]]", "--n", "2"), None),
+    ]
+
+    @pytest.mark.parametrize("code, argv, config", CASES, ids=[
+        f"{code} {' '.join(argv)} {json.dumps(config)}".replace(str(BIG), "BIG") for code, argv, config in CASES
+    ])
+    def test_exit_code_and_one_error_line(self, capsys, tmp_path, code, argv, config):
+        # an exception out of main, a traceback at the command line, fails the test
+        if config is not None:
+            argv = ("--config", config_file(tmp_path, config), *argv)
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and err.endswith("\n")
+        assert "Traceback" not in err
+
+
 class TestVerifyAll:
     def test_table_and_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "verify-all")
@@ -637,8 +679,8 @@ class TestVerifyAll:
 
 
 INF, NAN = float("inf"), float("nan")
-# values of the wrong type for any field
-WRONG_TYPES = st.sampled_from(["1", None, True, [], {}])
+# values of the wrong type for any field; the float of 10**400 overflows
+WRONG_TYPES = st.sampled_from(["1", None, True, [], {}, 10**400, -10**400])
 
 
 def pair(lo, hi):
@@ -742,6 +784,11 @@ class TestConfigBoundary:
     # a start -q/sqrt(2d) that overflows, from the problem's cost and from the storage form
     @example(config={"problem": {"cost_linear": [1e308, 1e308, 1e308, 1e308]}}, argv=("rci",))
     @example(config={"controller": {"storage": {"offset": 0, "linear": [0, -1e308, 1e308, 0]}}}, argv=("control", "--z=5,-5"))
+    # ints whose float overflows, in a number, a pair, a box and the storage form
+    @example(config={"problem": {"alpha": 10**400}}, argv=("rci",))
+    @example(config={"problem": {"u_bounds": [-10**400, 5]}}, argv=("control", "--z=5,-5"))
+    @example(config={"problem": {"x_bounds": [[-10**400, 5], [-5, 5]]}}, argv=("rci",))
+    @example(config={"controller": {"storage": {"offset": 10**400, "linear": [0, -1.6, 1.6, 0]}}}, argv=("check-storage",))
     # a feasible step whose stage cost overflows: a domain failure, not a verdict of infeasibility
     @example(
         config={"problem": {"cost_quad": [1e308, 1e308, 1e308, 1e308]}},

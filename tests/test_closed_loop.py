@@ -39,6 +39,12 @@ class TestPolicies:
             ExtremePolicy(signs=(True,))
         assert ExtremePolicy(signs=(np.int64(-1),)).describe() == "extreme:-"
 
+    @pytest.mark.parametrize("signs", [3, None, (1.0,), (0,), (1, 10**400)])
+    def test_signs_that_are_not_a_sequence_of_signs_rejected(self, signs):
+        # a number and None raised TypeError
+        with pytest.raises(ConfigError, match="signs"):
+            ExtremePolicy(signs=signs)
+
     @pytest.mark.parametrize("seed", [2.5, True, -1, "1"])
     def test_a_seed_is_a_non_negative_integer(self, seed):
         # 2.5 and True built a policy, which described itself as random:True
@@ -99,7 +105,7 @@ class TestSimulate:
         c = simulate(spec, cfg_ic, (1.0, 1.0), 5, UniformRandomPolicy(seed=4))
         assert c != a
 
-    @pytest.mark.parametrize("y0", [(1.0, 2.0, 3.0), (1.0,), 1.0, ("1", "0"), (True, 0.0), (0.0, False)])
+    @pytest.mark.parametrize("y0", [(1.0, 2.0, 3.0), (1.0,), 1.0, ("1", "0"), (True, 0.0), (0.0, False), (0.0, 10**400)])
     def test_start_that_is_not_two_numbers_rejected(self, spec, cfg_ic, y0):
         with pytest.raises(ConfigError, match="y0 must be two numbers"):
             simulate(spec, cfg_ic, y0, 2, ExtremePolicy(signs=(1,)))

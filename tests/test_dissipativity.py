@@ -60,6 +60,17 @@ class TestEvalStorage:
             assert res.status == 0
             assert storage_min_on_domain(spec, sf) == pytest.approx(sf.offset + res.fun, abs=1e-9)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"offset": 10**400, "linear_coeffs": (0.0, 0.0, 0.0, 0.0)},
+        {"offset": 0.0, "linear_coeffs": (0.0, -10**400, 0.0, 0.0)},
+        {"offset": 0.0, "linear_coeffs": (0.0, 0.0, 0.0, 0.0), "outside_value": 10**400},
+        {"offset": 0.0, "linear_coeffs": 3},
+    ], ids=["offset", "linear_coeffs", "outside_value", "coefficients not a sequence"])
+    def test_values_that_are_not_real_numbers_rejected(self, kwargs):
+        # an int whose float overflows raised OverflowError, and a number of coefficients TypeError
+        with pytest.raises(ConfigError):
+            StorageFunction(**kwargs)
+
     def test_json_round_trip(self, reference_storage):
         back = StorageFunction.from_json_dict(json.loads(json.dumps(reference_storage.to_json_dict())))
         assert back == reference_storage
@@ -284,6 +295,13 @@ class TestStrictness:
             check_strictness(spec, reference_storage, n_samples=n_samples, seed=1)
         summary = check_strictness(spec, reference_storage, n_samples=np.int64(3), seed=1)
         assert summary == check_strictness(spec, reference_storage, n_samples=3, seed=1)
+
+
+    @pytest.mark.parametrize("seed", [None, True, (1, 2, 3), -1, 2.5, "1"])
+    def test_seed_is_a_non_negative_integer(self, spec, reference_storage, seed):
+        # None drew from the operating system's entropy, and True and (1, 2, 3) seeded a generator
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            check_strictness(spec, reference_storage, n_samples=3, seed=seed)
 
 
 class TestDissipationBridge:

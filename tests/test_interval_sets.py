@@ -59,18 +59,29 @@ class TestIntervalBox:
 
     @pytest.mark.parametrize(
         "lo, hi",
-        [((True, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, True)), (("0", "0"), ("1", "1")), ((0.0, 0.0), (1.0, "1"))],
+        [((True, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, True)), (("0", "0"), ("1", "1")), ((0.0, 0.0), (1.0, "1")),
+         # an int whose float overflows raised OverflowError
+         ((-10**400, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, 10**400))],
     )
     def test_side_of_bools_or_strings_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="two numbers"):
             IntervalBox(lo, hi)
+
+    @pytest.mark.parametrize("ix, iy", [((1, 2, 3), (0, 1)), ((0, 1), (0,)), (0, (0, 1)), ((0, 10**400), (0, 1))])
+    def test_from_intervals_takes_two_numbers_per_interval(self, ix, iy):
+        # a third entry was dropped, and a corner beyond the float range raised OverflowError
+        with pytest.raises(ConfigError, match="each interval of a box is two numbers"):
+            IntervalBox.from_intervals(ix, iy)
 
     def test_real_numbers_stored_as_floats(self):
         b = IntervalBox((0, np.float64(-1.5)), (np.int64(2), 3.0))
         assert b == IntervalBox((0.0, -1.5), (2.0, 3.0))
         assert all(type(c) is float for c in b.corners())
 
-    @pytest.mark.parametrize("snap_tol", [-1.0, -1e-300, math.nan])
+    # True was taken as 1, and None and 10**400 raised TypeError and OverflowError
+    @pytest.mark.parametrize(
+        "snap_tol", [-1.0, -1e-300, math.nan, True, None, 10**400], ids=["-1", "tiny", "nan", "true", "none", "huge"]
+    )
     def test_snap_tol_not_at_least_zero_rejected(self, snap_tol):
         with pytest.raises(ValueError, match="snap_tol"):
             IntervalBox.from_corners((0.0, 1.0, 0.0, 1.0), snap_tol=snap_tol)
@@ -174,7 +185,8 @@ class TestSubsetContains:
         assert contains(box((0, 1), (0, 1)), (0, 0))
 
     @pytest.mark.parametrize(
-        "z", [(0.0, 0.0, 99.0), (0.0,), 0.0, (True, 0.0), ("0", 0.0)], ids=["three", "one", "number", "bool", "string"]
+        "z", [(0.0, 0.0, 99.0), (0.0,), 0.0, (True, 0.0), ("0", 0.0), (10**400, 0.0)],
+        ids=["three", "one", "number", "bool", "string", "beyond the float range"],
     )
     def test_contains_takes_a_point_of_two_numbers(self, z):
         # a third coordinate was ignored, and the point reported inside; a
@@ -219,8 +231,8 @@ class TestTolerance:
     # a negative or NaN tol answered False, a bool was taken as 0 or 1, and
     # a string raised TypeError; each is refused at entry now
     @pytest.mark.parametrize(
-        "tol", [-1.0, -1e-300, math.nan, True, False, "1", None, np.float64(-1.0), np.float64(math.nan)],
-        ids=["negative", "tiny negative", "nan", "true", "false", "string", "none", "np negative", "np nan"],
+        "tol", [-1.0, -1e-300, math.nan, True, False, "1", None, np.float64(-1.0), np.float64(math.nan), 10**400, -10**400],
+        ids=["negative", "tiny negative", "nan", "true", "false", "string", "none", "np negative", "np nan", "huge", "huge negative"],
     )
     def test_tolerance_that_is_not_a_real_number_at_least_zero_rejected(self, name, tol):
         with pytest.raises(ConfigError, match="tol must be a real number >= 0"):

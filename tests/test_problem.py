@@ -83,6 +83,21 @@ class TestProblemSpec:
         with pytest.raises(ConfigError):
             ProblemSpec(u_bounds=u_bounds)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": 10**400},
+        {"u_bounds": (-10**400, 5.0)},
+        {"w_bounds": (-1.0, 10**400)},
+        {"cost_linear": (0.0, 10**400, 0.0, 0.0)},
+        {"cost_quad": (0.15, 0.05, 0.1, 10**400)},
+        {"u_bounds": (-5.0, 5.0, 7.0)},
+        {"cost_quad": 0.1},
+    ], ids=["alpha", "u_bounds", "w_bounds", "cost_linear", "cost_quad", "three bounds", "one cost"])
+    def test_values_that_are_not_real_numbers_rejected(self, kwargs):
+        # an int whose float overflows raised OverflowError
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=name):
+            ProblemSpec(**kwargs)
+
     def test_unbounded_control_interval_accepted(self):
         assert ProblemSpec(u_bounds=(-INF, INF)).u_bounds == (-INF, INF)
 

@@ -171,7 +171,7 @@ class TestSolveTmpc:
     @pytest.mark.parametrize(
         "z",
         [(1.0, 2.0, 3.0), (1.0,), (), 1.0, None,
-         ("1", "0"), (True, 0.0), (0.0, False), (b"1", 0.0), (None, 0.0), (1j, 0.0)],
+         ("1", "0"), (True, 0.0), (0.0, False), (b"1", 0.0), (None, 0.0), (1j, 0.0), (10**400, 0.0), (0.0, -10**400)],
     )
     def test_state_that_is_not_two_numbers_rejected(self, spec, cfg_ic, z):
         with pytest.raises(ConfigError, match="state must be two numbers"):
@@ -1328,6 +1328,19 @@ class TestConfig:
         for back in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), dataclasses.replace(cfg)):
             assert back == cfg and hash(back) == hash(cfg) and repr(back) == repr(cfg)
         assert cfg != dataclasses.replace(cfg, horizon=cfg.horizon + 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"terminal_set": True},
+        {"terminal_set": []},
+        {"terminal_set": [[-1, -1], [-4, 0]]},
+        {"storage": True},
+        {"storage": {"offset": 16, "linear": [0, -1.6, 1.6, 0]}},
+    ], ids=["terminal true", "terminal list", "terminal json", "storage true", "storage json"])
+    def test_terminal_set_and_storage_of_another_type_rejected(self, kwargs):
+        # True was accepted until the first solve raised AttributeError, and a list raised TypeError at the hash
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            TubeMpcConfig(**kwargs)
 
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ConfigError):
