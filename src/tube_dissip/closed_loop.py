@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import eval_storage
-from .interval_sets import ConfigError, IntervalBox, _count, _point, _seed, boxes_intersect, contains, hausdorff, subset
+from .interval_sets import ConfigError, IntervalBox, _SEQUENCES, _count, _point, _seed, boxes_intersect, contains, hausdorff, subset
 from .problem import ProblemSpec, dynamics
 from .sampling import _Draws
 from .tube_mpc import TubeMpcConfig, TubeSolution, solve_tmpc, _controller
@@ -38,22 +38,31 @@ __all__ = [
 ]
 
 _INF = float("inf")
+# the most steps of one simulation: the trace keeps every step, about 1.0 to
+# 1.6 KB each, so a count of 10**10 would fill memory long before it ended;
+# this many take at most about 160 MB and half a minute of solves
+MAX_TRACE_STEPS = 100_000
 
 
 @dataclass(frozen=True)
 class ExtremePolicy:
-    """Cycles through a fixed sign pattern of extreme disturbances."""
+    """Cycles through a fixed sign pattern of extreme disturbances.
+
+    ``signs`` is a nonempty tuple, list or array of +1 and -1, kept as a
+    tuple of ints.
+    """
 
     signs: tuple[int, ...] = (1,)
 
     def __post_init__(self):
         # a bool equals 1 or 0, so each sign must be an integer first
         try:
-            signs = tuple(_count(s, "a sign", -1, 1) for s in self.signs)
-        except (TypeError, ConfigError):
+            signs = tuple(_count(s, "a sign", -1, 1) for s in self.signs) if isinstance(self.signs, _SEQUENCES) else ()
+        except ConfigError:
             signs = ()
         if not signs or 0 in signs:
             raise ConfigError(f"signs must be a nonempty sequence of +1/-1, got {self.signs!r}")
+        object.__setattr__(self, "signs", signs)
 
     def describe(self) -> str:
         return "extreme:" + "".join("+" if s > 0 else "-" for s in self.signs)
@@ -169,11 +178,11 @@ def simulate(
 
     The trace records one entry per visited state, including the final one
     (which carries no action).  Controller infeasibility at any state
-    truncates the trace with an explicit failure marker.  ``steps`` is a
-    non-negative integer, ``np.integer`` included; a bool or any other
-    value raises ConfigError.
+    truncates the trace with an explicit failure marker.  ``steps`` is an
+    integer from 0 to :data:`MAX_TRACE_STEPS`, ``np.integer`` included; a
+    bool or any other value raises ConfigError before the first solve.
     """
-    steps = _count(steps, "steps", 0)
+    steps = _count(steps, "steps", 0, MAX_TRACE_STEPS)
     y0 = y = _point(y0, "y0 must be two numbers")
     x_star, _ = optimal_rci(spec)
     rng = _Draws(policy.seed) if isinstance(policy, UniformRandomPolicy) else None

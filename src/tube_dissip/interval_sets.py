@@ -16,6 +16,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 _INF = float("inf")
 
 
@@ -25,6 +27,10 @@ class ConfigError(ValueError):
 
 # The entry rule of each kind of scalar argument, for every module; callers
 # add their own range test, and hot paths let floats pass before the rule.
+
+# the containers of a point and of any other sequence argument; a str,
+# bytes, mapping or set is none, whatever its length
+_SEQUENCES = (tuple, list, np.ndarray)
 
 
 def _real(value, message: str) -> float:
@@ -38,9 +44,9 @@ def _real(value, message: str) -> float:
 
 
 def _point(value, message: str, size: int = 2) -> tuple[float, ...]:
-    """value as a tuple of floats, or ConfigError unless it is exactly ``size`` real numbers."""
+    """value as a tuple of floats, or ConfigError unless it is a tuple, list or array of exactly ``size`` real numbers."""
     try:
-        if len(value) == size:
+        if isinstance(value, _SEQUENCES) and len(value) == size:
             point = tuple(value)
             for v in point:
                 if type(v) is not float:
@@ -91,8 +97,11 @@ class IntervalBox:
             hi1, hi2 = self.hi
         except (TypeError, ValueError):
             lo1 = None
-        # sides of floats pass as they are; only another side takes the point rule
-        if isinstance(lo1, float) and isinstance(lo2, float) and isinstance(hi1, float) and isinstance(hi2, float):
+        # sides that are sequences of floats pass as they are; any other side takes the point rule
+        if (
+            isinstance(self.lo, _SEQUENCES) and isinstance(self.hi, _SEQUENCES)
+            and isinstance(lo1, float) and isinstance(lo2, float) and isinstance(hi1, float) and isinstance(hi2, float)
+        ):
             lo = lo1, lo2 = (float(lo1), float(lo2))
             hi = hi1, hi2 = (float(hi1), float(hi2))
         else:

@@ -78,7 +78,7 @@ from .cost_to_travel import (
     optimal_rci,
 )
 from .dissipativity import StorageFunction, eval_storage
-from .interval_sets import ConfigError, IntervalBox, _count, _point, subset
+from .interval_sets import ConfigError, IntervalBox, _SEQUENCES, _count, _point, subset
 from .problem import ProblemSpec, is_rci, transition_rows
 from .qp_solver import _FEAS_TOL, QpStatus, SolverFailure
 
@@ -287,8 +287,10 @@ def solve_tmpc(
 ) -> TubeSolution:
     """Solve the horizon problem at measured state z, a pair of numbers, and extract the control.
 
-    A float coordinate, ``np.float64`` included, is taken as it is; any
-    other must be a real number, and a bool or a string raises ConfigError.
+    z is a tuple, list or array; a str, bytes, mapping or set raises
+    ConfigError.  A float coordinate, ``np.float64`` included, is taken as
+    it is; any other must be a real number, and a bool or a string raises
+    ConfigError.
     The state is then tested against the state bounds, clamped onto them,
     and passed to the tube program, whose answer is read back into boxes
     and edge controls in one pass (``cost_to_travel._solve_tube``), every
@@ -300,8 +302,8 @@ def solve_tmpc(
         z1, z2 = z
     except (TypeError, ValueError):
         z1 = None
-    # a state of floats, np.float64 included, passes as it is; only another takes the point rule
-    if isinstance(z1, float) and isinstance(z2, float):
+    # a sequence of floats, np.float64 included, passes as it is; any other state takes the point rule
+    if isinstance(z, _SEQUENCES) and isinstance(z1, float) and isinstance(z2, float):
         z1, z2 = float(z1), float(z2)
     else:
         z1, z2 = _point(z, "state must be two numbers")

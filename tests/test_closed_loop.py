@@ -39,11 +39,18 @@ class TestPolicies:
             ExtremePolicy(signs=(True,))
         assert ExtremePolicy(signs=(np.int64(-1),)).describe() == "extreme:-"
 
-    @pytest.mark.parametrize("signs", [3, None, (1.0,), (0,), (1, 10**400)])
+    # bytes, a mapping and a set of signs were read as the signs they hold
+    @pytest.mark.parametrize("signs", [3, None, (1.0,), (0,), (1, 10**400), b"\x01", {1: "+"}, {1, -1}, "+-"])
     def test_signs_that_are_not_a_sequence_of_signs_rejected(self, signs):
         # a number and None raised TypeError
         with pytest.raises(ConfigError, match="signs"):
             ExtremePolicy(signs=signs)
+
+    @pytest.mark.parametrize("signs", [[1, -1], np.array([1, -1]), (np.int64(1), -1)])
+    def test_signs_kept_as_a_tuple_of_ints(self, signs):
+        # an array was kept as it was given, and == between two such policies raised ValueError
+        policy = ExtremePolicy(signs=signs)
+        assert policy == ExtremePolicy(signs=(1, -1)) and type(policy.signs[0]) is int
 
     @pytest.mark.parametrize("seed", [2.5, True, -1, "1"])
     def test_a_seed_is_a_non_negative_integer(self, seed):
@@ -80,6 +87,17 @@ class TestSimulate:
         # range() took -3 as no step and True as one, and 2.5 raised TypeError
         with pytest.raises(ConfigError, match="steps"):
             simulate(spec, cfg_ic, (2.0, 3.0), steps, ExtremePolicy(signs=(1,)))
+
+    @pytest.mark.parametrize("steps", [closed_loop.MAX_TRACE_STEPS + 1, 10**10, np.int64(10**10)])
+    def test_steps_beyond_the_cap_rejected_before_the_first_solve(self, spec, cfg_ic, monkeypatch, steps):
+        # the trace keeps every step, so 10**10 of them would fill memory
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the controller was solved")
+
+        monkeypatch.setattr(closed_loop, "solve_tmpc", forbidden)
+        monkeypatch.setattr(closed_loop, "optimal_rci", forbidden)
+        with pytest.raises(ConfigError, match=f"steps must be an integer between 0 and {closed_loop.MAX_TRACE_STEPS}"):
+            simulate(spec, cfg_ic, (2.0, 3.0), steps, AdversarialPolicy())
 
     def test_numpy_integer_steps(self, spec, cfg_ic):
         trace = simulate(spec, cfg_ic, (2.0, 3.0), np.int64(2), ExtremePolicy(signs=(1,)))

@@ -5,7 +5,8 @@ it independently:
 
 - real: a Python or numpy int or float, not a bool, whose float does not
   overflow (``10**400``'s does);
-- point: a tuple, list or 1-d array of exactly two (or four) reals;
+- point: a tuple, list or 1-d array of exactly two (or four) reals; a str,
+  bytes, mapping or set of that length is none;
 - count: a Python or numpy int, not a bool, within the callable's range;
 - seed: a count of at least 0;
 - tol: a real at least 0, which NaN is not.
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 import tube_dissip
 from tube_dissip import interval_sets, problem, tube_mpc
 from tube_dissip.acceptance import run_acceptance, reference_feedback_law
-from tube_dissip.closed_loop import ExtremePolicy, UniformRandomPolicy, simulate
+from tube_dissip.closed_loop import MAX_TRACE_STEPS, ExtremePolicy, UniformRandomPolicy, simulate
 from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.dissipativity import StorageFunction, check_strictness
 from tube_dissip.interval_sets import ConfigError, IntervalBox, boxes_intersect, contains, subset
@@ -64,9 +65,11 @@ small_scalars = st.sampled_from([v for v in SCALARS if v is not BIG])
 
 
 def sequences(size: int):
-    """Values for a point of size reals: wrong lengths, tuples, lists and arrays, and every scalar."""
+    """Values for a point of size reals: wrong lengths, tuples, lists and arrays, every scalar, and containers of size that are no point."""
+    floats = [float(i + 1) for i in range(size)]
     return st.one_of(
         scalars,
+        st.sampled_from(["1" * size, b"\x01" * size, bytearray(size), dict.fromkeys(floats, 0.5), set(floats), frozenset(floats)]),
         st.lists(st.sampled_from([0, 1, -1, 0.5, 2.0, -0.0, np.float64(0.5), np.int64(2)]), min_size=size, max_size=size),
         st.lists(scalars, min_size=size - 1, max_size=size + 1).map(tuple),
         st.lists(scalars, min_size=size, max_size=size),
@@ -234,7 +237,7 @@ CONTRACT = [
     Row("ExtremePolicy", "signs", "nonempty sequence of counts, each -1 or 1",
         st.one_of(sequences(2), st.lists(st.sampled_from([1, -1, np.int64(-1), 0, True, 1.0, BIG]), max_size=3).map(tuple)),
         lambda v: ExtremePolicy(signs=v),
-        lambda v: s if isinstance(v, (tuple, list)) and v and all(count(x, -1, 1) in (-1, 1) for x in v) and (s := tuple(map(int, v))) else None,
+        lambda v: s if isinstance(v, (tuple, list, np.ndarray)) and len(v) and all(count(x, -1, 1) in (-1, 1) for x in v) and (s := tuple(map(int, v))) else None,
         lambda s, policy: policy.describe() == "extreme:" + "".join("+" if x > 0 else "-" for x in s)),
     Row("UniformRandomPolicy", "seed", "seed", scalars,
         lambda v: UniformRandomPolicy(seed=v), count,
@@ -242,8 +245,8 @@ CONTRACT = [
     Row("simulate", "y0", "point, finite", sequences(2),
         lambda v: simulate(SPEC, CFG, v, 2, ExtremePolicy(signs=(1, -1))), lambda v: p if finite(p := point(v)) else None,
         lambda p, trace: trace.y0 == p and len(trace.steps) <= 3 and in_enclosures(trace)),
-    Row("simulate", "steps", "count >= 0", small_scalars,
-        lambda v: simulate(SPEC, CFG, (2.0, 3.0), v, ExtremePolicy(signs=(1,))), count,
+    Row("simulate", "steps", "count from 0 to MAX_TRACE_STEPS", scalars,
+        lambda v: simulate(SPEC, CFG, (2.0, 3.0), v, ExtremePolicy(signs=(1,))), lambda v: count(v, 0, MAX_TRACE_STEPS),
         lambda n, trace: len(trace.steps) == n + 1 and in_enclosures(trace)),
     Row("feasible_chain", "length", "count >= 0", small_scalars,
         lambda v: feasible_chain(SPEC, np.random.default_rng(0), v), count,

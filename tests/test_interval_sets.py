@@ -51,7 +51,10 @@ class TestIntervalBox:
 
     @pytest.mark.parametrize(
         "lo, hi",
-        [((0, 0, 50), (1, 1, -50)), ((0.0,), (1.0,)), ((0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, (1.0, 1.0)), (None, None)],
+        [((0, 0, 50), (1, 1, -50)), ((0.0,), (1.0,)), ((0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, (1.0, 1.0)), (None, None),
+         # two floats as the keys of a mapping or the members of a set, and bytes, were read as a side
+         ({-1.0: 0, -2.0: 0}, (1.0, 1.0)), ((0.0, 0.0), {1.0: 1.0, 2.0: 1.0}), ((-1.0, -1.0), {1.0, 2.0}),
+         (b"\x00\x00", b"\x01\x01"), ("00", "11")],
     )
     def test_side_that_is_not_a_pair_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="two numbers"):
