@@ -179,11 +179,17 @@ def simulate(
     The trace records one entry per visited state, including the final one
     (which carries no action).  Controller infeasibility at any state
     truncates the trace with an explicit failure marker.  ``steps`` is an
-    integer from 0 to :data:`MAX_TRACE_STEPS`, ``np.integer`` included; a
-    bool or any other value raises ConfigError before the first solve.
+    integer from 0 to :data:`MAX_TRACE_STEPS`, ``np.integer`` included but
+    not a bool, and ``policy`` an ``ExtremePolicy``, ``UniformRandomPolicy``
+    or ``AdversarialPolicy``; any other value of either raises ConfigError
+    before the first solve.
     """
     steps = _count(steps, "steps", 0, MAX_TRACE_STEPS)
     y0 = y = _point(y0, "y0 must be two numbers")
+    if not isinstance(policy, DisturbancePolicy):
+        raise ConfigError(
+            f"policy must be an ExtremePolicy, UniformRandomPolicy or AdversarialPolicy, got {policy!r}"
+        )
     x_star, _ = optimal_rci(spec)
     rng = _Draws(policy.seed) if isinstance(policy, UniformRandomPolicy) else None
     records: list[TraceStep] = []
@@ -231,18 +237,17 @@ def _draw_disturbance(spec, cfg, policy, rng, k, y, u) -> tuple[float, Optional[
         return (spec.w_hi if sign > 0 else spec.w_lo), None
     if isinstance(policy, UniformRandomPolicy):
         return rng.uniform(spec.w_lo, spec.w_hi), None
-    if isinstance(policy, AdversarialPolicy):
-        x_star, _ = optimal_rci(spec)
-        best_w, best_sol = spec.w_lo, None
-        best_d = -_INF
-        for w in (spec.w_lo, spec.w_hi):
-            y_next = dynamics(spec, y, u, w)
-            nxt = solve_tmpc(spec, cfg, y_next)
-            d = hausdorff(nxt.tube[0], x_star) if nxt.feasible else _INF
-            if d > best_d:
-                best_d, best_w, best_sol = d, w, nxt
-        return best_w, best_sol
-    raise TypeError(f"unknown policy {policy!r}")
+    # an AdversarialPolicy, the one kind left: simulate checked the kind at entry
+    x_star, _ = optimal_rci(spec)
+    best_w, best_sol = spec.w_lo, None
+    best_d = -_INF
+    for w in (spec.w_lo, spec.w_hi):
+        y_next = dynamics(spec, y, u, w)
+        nxt = solve_tmpc(spec, cfg, y_next)
+        d = hausdorff(nxt.tube[0], x_star) if nxt.feasible else _INF
+        if d > best_d:
+            best_d, best_w, best_sol = d, w, nxt
+    return best_w, best_sol
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ deliberately not state-constrained, matching the constraint indexing of the
 underlying tube problem (the receding-horizon layer constrains its terminal
 set separately).
 
-One step is decided in closed form.  Longer tubes and the optimal invariant
-box minimise stage costs over the one-step rows with the edge controls
-eliminated (:func:`~tube_dissip.problem.transition_rows`), a strictly convex
-QP in box corners alone that the dual active-set kernel of ``qp_solver``
-solves exactly.  Every such corner program, the tube MPC program of
+One step is decided in closed form, as each step of a longer tube is: by
+the one core of the one-step rule (:func:`~tube_dissip.problem._step_witness`)
+on the eight corners of A and B, then priced by the stage cost of A.
+Longer tubes and the optimal invariant box minimise stage costs over the
+one-step rows with the edge controls eliminated
+(:func:`~tube_dissip.problem.transition_rows`), a strictly convex QP in box
+corners alone that the dual active-set kernel of ``qp_solver`` solves
+exactly.  Every such corner program, the tube MPC program of
 ``tube_mpc`` included, is answered by one path (:func:`_solve_program`):
 its fixed rows in plain floats, then a stored affine law, then a stored
 Farkas ray, then a cold kernel run whose ray or law the program's table
@@ -32,7 +35,11 @@ it carried in locals, by the one core of the one-step rule
 ``ProblemSpec`` computed when it was built.  The read-back prices nothing:
 at every N, a value is the sum of :func:`~tube_dissip.problem.stage_cost`
 over the returned tube but its last box, by one helper
-(:func:`_tube_cost`), and a sum that is not finite raises ``SolverFailure``.
+(:func:`_tube_cost`), and at N = 1 the stage cost of A alone, which has
+the same bits; a value that is not finite raises ``SolverFailure``, by one
+guard (:func:`_finite_cost`).  Every ``+inf`` value is one shared
+:class:`CostToTravelResult`, and a feasible one is set through its fields'
+slot setters, as ``IntervalBox._trusted`` sets a box.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .interval_sets import IntervalBox, _count
-from .problem import ProblemSpec, _step_witness, stage_cost, transition_rows, transition_witness
+from .problem import ProblemSpec, _step_witness, stage_cost, transition_rows
 from .qp_solver import _FEAS_TOL, _ROW_TOL, SolverFailure, _dual_active_set
 
 __all__ = [
@@ -81,6 +88,8 @@ class CostToTravelResult:
     boxes but the last (a sum that is not finite raises ``SolverFailure``),
     and ``aux_controls`` holds, for each step, the edge controls ``(v1, v2)``
     that :func:`~tube_dissip.problem.transition_witness` returns for it.
+    Every ``+inf`` answer is one shared result, which its frozen slots keep
+    unchanged, so callers compare values, not identity.
     """
 
     value: float
@@ -100,6 +109,16 @@ class CostToTravelResult:
         }
 
 
+# the answer of every infeasible pair, at any N
+_INFEASIBLE = CostToTravelResult(_INF)
+
+# the slot setters of a result's fields (their member descriptors' __set__),
+# which write past the frozen __setattr__; a feasible result is built by them
+_set_value = CostToTravelResult.value.__set__
+_set_tube = CostToTravelResult.tube.__set__
+_set_aux_controls = CostToTravelResult.aux_controls.__set__
+
+
 def eval_v(
     spec: ProblemSpec,
     a: IntervalBox,
@@ -109,8 +128,11 @@ def eval_v(
     """Minimal cost of an ``n_steps``-step tube from ``a`` to ``b``.
 
     One step costs ``L(a)`` whenever b is reachable from a, so ``n_steps == 1``
-    is decided in closed form by :func:`transition_witness`.  Longer tubes
-    minimise the stage costs of the free intermediate boxes over the rows of
+    is decided in closed form: the one-step rule of
+    :func:`~tube_dissip.problem.transition_witness` on the corners of a and
+    b, and, when it admits the step, ``stage_cost(spec, a)`` under the guard
+    every value shares (:func:`_finite_cost`).  Longer tubes minimise the
+    stage costs of the free intermediate boxes over the rows of
     :func:`transition_rows`, one copy per step, in which the edge controls
     are already eliminated.  Rows on the fixed end boxes only are checked
     against the feasibility tolerance; the rest form a small strictly
@@ -121,25 +143,35 @@ def eval_v(
     that certifies them infeasible, answers without a solve.  A law's point
     agrees with the method's own minimiser to rounding, not bit for bit, so
     the last bits of a value can depend on the values computed before it
-    for the same problem and N, in any thread.  A tube is
-    priced by :func:`_tube_cost`, and its ``aux_controls`` are the
-    :func:`transition_witness` pairs of its steps.  ``n_steps`` runs from 1
-    to :data:`MAX_STEPS`; any other value, a non-integer or a bool included,
-    raises ConfigError, a ValueError.
+    for the same problem and N, in any thread.  A tube is priced by
+    :func:`_tube_cost`, and its ``aux_controls`` are the
+    :func:`~tube_dissip.problem.transition_witness` pairs of its steps.
+    Every ``+inf`` answer is the one shared result ``_INFEASIBLE``.
+    ``n_steps`` runs from 1 to :data:`MAX_STEPS`; any other value, a
+    non-integer or a bool included, raises ConfigError, a ValueError.
     """
     if not (type(n_steps) is int and 1 <= n_steps <= MAX_STEPS):
         n_steps = _count(n_steps, "n_steps", 1, MAX_STEPS)
     if n_steps == 1:
-        witness = transition_witness(spec, a, b)
+        (a1, a3), (a2, a4) = a.lo, a.hi
+        (b1, b3), (b2, b4) = b.lo, b.hi
+        witness = _step_witness(spec._step, a1, a2, a3, a4, b1, b2, b3, b4)
         if witness is None:
-            return CostToTravelResult(_INF)
+            return _INFEASIBLE
+        # a stage cost is never -0.0, so it has the bits of _tube_cost's 0.0 + it
+        value = _finite_cost(stage_cost(spec, a))
         tube, witnesses = (a, b), (witness,)
     else:
         solved = _solve_tube(spec, _chain_stack(spec, n_steps), a.corners() + b.corners(), (a,), (b,))
         if solved is None:
-            return CostToTravelResult(_INF)
+            return _INFEASIBLE
         tube, witnesses = solved
-    return CostToTravelResult(_tube_cost(spec, tube[:-1]), tube, witnesses)
+        value = _tube_cost(spec, tube[:-1])
+    result = object.__new__(CostToTravelResult)
+    _set_value(result, value)
+    _set_tube(result, tube)
+    _set_aux_controls(result, witnesses)
+    return result
 
 
 def _tube_cost(spec: ProblemSpec, boxes, initial: float = 0.0) -> float:
@@ -147,7 +179,11 @@ def _tube_cost(spec: ProblemSpec, boxes, initial: float = 0.0) -> float:
     cost = 0.0
     for box in boxes:
         cost += stage_cost(spec, box)
-    cost += initial
+    return _finite_cost(cost + initial)
+
+
+def _finite_cost(cost: float) -> float:
+    """cost, the guard of every value and objective: SolverFailure if it is not finite."""
     if not math.isfinite(cost):
         raise SolverFailure(f"the minimising tube's cost is not finite ({cost})")
     return cost

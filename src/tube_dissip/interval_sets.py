@@ -139,10 +139,14 @@ class IntervalBox:
 
     @classmethod
     def _trusted(cls, lo: tuple[float, float], hi: tuple[float, float]) -> "IntervalBox":
-        """A box from float corner pairs the caller knows to be finite and in order, built without the checks."""
+        """A box from float corner pairs the caller knows to be finite and in order, built without the checks.
+
+        It is set through its fields' slot setters, as a trusted frozen
+        record of the package is (``cost_to_travel.eval_v``'s results too).
+        """
         box = object.__new__(cls)
-        object.__setattr__(box, "lo", lo)
-        object.__setattr__(box, "hi", hi)
+        _set_lo(box, lo)
+        _set_hi(box, hi)
         return box
 
     @classmethod
@@ -170,6 +174,11 @@ class IntervalBox:
     def __repr__(self) -> str:
         a1, a2, a3, a4 = self.corners()
         return f"IntervalBox([{a1}, {a2}] x [{a3}, {a4}])"
+
+
+# the slot setters of a box's fields (their member descriptors' __set__),
+# which write past the frozen __setattr__
+_set_lo, _set_hi = IntervalBox.lo.__set__, IntervalBox.hi.__set__
 
 
 def hausdorff(a: IntervalBox, b: IntervalBox) -> float:

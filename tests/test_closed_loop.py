@@ -99,6 +99,18 @@ class TestSimulate:
         with pytest.raises(ConfigError, match=f"steps must be an integer between 0 and {closed_loop.MAX_TRACE_STEPS}"):
             simulate(spec, cfg_ic, (2.0, 3.0), steps, AdversarialPolicy())
 
+    @pytest.mark.parametrize("steps", [0, 2])
+    @pytest.mark.parametrize("policy", ["adversarial", None, 3])
+    def test_a_policy_of_another_kind_rejected_before_the_first_solve(self, spec, cfg_ic, monkeypatch, steps, policy):
+        # at 2 steps one solve ran before a TypeError, and at 0 the trace's
+        # policy.describe() raised AttributeError
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the controller was solved")
+
+        monkeypatch.setattr(closed_loop, "solve_tmpc", forbidden)
+        with pytest.raises(ConfigError, match="policy must be an ExtremePolicy, UniformRandomPolicy or AdversarialPolicy"):
+            simulate(spec, cfg_ic, (0.0, 0.0), steps, policy)
+
     def test_numpy_integer_steps(self, spec, cfg_ic):
         trace = simulate(spec, cfg_ic, (2.0, 3.0), np.int64(2), ExtremePolicy(signs=(1,)))
         assert trace == simulate(spec, cfg_ic, (2.0, 3.0), 2, ExtremePolicy(signs=(1,)))

@@ -14,8 +14,9 @@ it independently:
 Every row names ConfigError, a ValueError, as its exception.  A callable may
 add its own range or finiteness test, which its row states.  Box-, storage-, spec-, config-,
 policy-, trace- and generator-typed arguments are out of scope here: boxes
-have their tests in ``test_interval_sets``, and ``OUT_OF_SCOPE`` lists each
-public callable whose arguments are all of those types.
+have their tests in ``test_interval_sets``, ``simulate`` type-checks its
+policy at entry, tested in ``test_closed_loop``, and ``OUT_OF_SCOPE`` lists
+each public callable whose arguments are all of those types.
 """
 
 import importlib

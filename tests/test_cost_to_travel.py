@@ -4,17 +4,19 @@ import itertools
 import json
 import math
 import pkgutil
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import tube_dissip
 from tube_dissip import cost_to_travel, qp_solver, tube_mpc
 from tube_dissip.cost_to_travel import (
+    CostToTravelResult,
     RciNotFound,
     eval_v,
     optimal_rci,
@@ -22,7 +24,7 @@ from tube_dissip.cost_to_travel import (
 from tube_dissip.interval_sets import IntervalBox, subset
 from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_rows, transition_witness
 from tube_dissip.qp_solver import _FEAS_TOL, SolverFailure
-from tube_dissip.sampling import feasible_chain, random_box_within
+from tube_dissip.sampling import feasible_chain, feasible_pair, random_box_within
 from tube_dissip.tube_mpc import TubeMpcConfig
 
 from . import oracles
@@ -126,6 +128,99 @@ class TestEvalV:
         infeasible = eval_v(spec, box((0, 1), (0, 1)), box((0, 1), (0, 1)), 1)
         obj = json.loads(json.dumps(infeasible.to_json_dict()))
         assert obj == {"feasible": False, "value": None, "tube": None, "aux_controls": None}
+
+
+# corners that stress the one-step rule: signed zeros, X's bounds and points
+# within X; then points just beyond X and far beyond it
+ONE_STEP_COORDS_IN_X = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([-5.0, 5.0, -1.0, -4.0, 5e-324, -5e-324]),
+    st.floats(-5.0, 5.0),
+)
+ONE_STEP_COORDS = st.one_of(ONE_STEP_COORDS_IN_X, st.floats(-7.0, 7.0), st.floats(-1e300, 1e300))
+# cost coefficients: the default's, and ones whose stage cost overflows to
+# +-inf, or to NaN where a linear and a quadratic term overflow apart
+ONE_STEP_COSTS = st.one_of(
+    st.just(((0.0, 2.0, 0.0, 0.0), (0.15, 0.05, 0.1, 0.05))),
+    st.just(((-1e308,) * 4, (1e308,) * 4)),
+    st.tuples(
+        st.tuples(*[st.sampled_from([0.0, -0.0, 2.0, -1.5, 1e308, -1e308])] * 4),
+        st.tuples(*[st.sampled_from([0.05, 0.15, 1e307, 1e308])] * 4),
+    ),
+)
+
+
+# a target that every box within X reaches in one step
+WIDE_TARGET = box((-5.0, 5.0), (-1e3, 1e3))
+
+
+@st.composite
+def one_step_case(draw):
+    """A spec and a box pair (a, b): a target drawn alone, one wide enough to reach from any box in X, or a sampled transition."""
+    cost_linear, cost_quad = draw(ONE_STEP_COSTS)
+    spec = ProblemSpec(cost_linear=cost_linear, cost_quad=cost_quad)
+
+    def side(coords):
+        lo = draw(coords)
+        # a degenerate side one time in three
+        hi = lo if draw(st.integers(0, 2)) == 0 else draw(coords)
+        return tuple(sorted((lo, hi)))
+
+    kind = draw(st.sampled_from(["drawn", "wide", "sampled"]))
+    if kind == "sampled":
+        a, b = feasible_pair(spec, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    elif kind == "wide":
+        a = box(side(ONE_STEP_COORDS_IN_X), side(ONE_STEP_COORDS_IN_X))
+        b = WIDE_TARGET
+    else:
+        a = box(side(ONE_STEP_COORDS), side(ONE_STEP_COORDS))
+        b = box(side(ONE_STEP_COORDS), side(ONE_STEP_COORDS))
+    return spec, a, b
+
+
+class TestOneStepValue:
+    @given(one_step_case())
+    # sources beyond X on one side of one dimension, each refused by the
+    # state-bound row of that side alone, and one with signed zeros
+    @example((ProblemSpec(), box((-6.0, 0.0), (0.0, 1.0)), WIDE_TARGET))
+    @example((ProblemSpec(), box((0.0, 6.0), (0.0, 1.0)), WIDE_TARGET))
+    @example((ProblemSpec(), box((0.0, 1.0), (-6.0, 0.0)), WIDE_TARGET))
+    @example((ProblemSpec(), box((0.0, 1.0), (0.0, 6.0)), WIDE_TARGET))
+    @example((ProblemSpec(), box((-0.0, 0.0), (-0.0, -0.0)), WIDE_TARGET))
+    def test_a_one_step_value_is_the_one_step_rules_bit_for_bit(self, case):
+        spec, a, b = case
+        default = ProblemSpec()
+        shared = eval_v(default, box((0, 1), (0, 1)), box((0, 1), (0, 1.5)), 1)
+        assert shared.value == INF and shared.tube is None and shared.aux_controls is None
+        witness = transition_witness(spec, a, b)
+        if witness is None:
+            # every +inf answer, at N = 1 and N = 2, is one object
+            assert eval_v(spec, a, b, 1) is shared
+            two = eval_v(default, a, b, 2)
+            assert two is shared or two.feasible
+            for name in ("value", "tube", "aux_controls"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(shared, name, 0.0)
+            assert shared.value == INF and shared.tube is None and shared.aux_controls is None
+            return
+        cost = stage_cost(spec, a)
+        if not math.isfinite(cost):
+            with pytest.raises(SolverFailure, match=re.escape(f"the minimising tube's cost is not finite ({cost})")):
+                eval_v(spec, a, b, 1)
+            return
+        res = eval_v(spec, a, b, 1)
+        # the rule's own bits, and those of the sum from 0.0 that priced it before
+        assert res.value.hex() == cost.hex() == ((0.0 + cost) + 0.0).hex()
+        assert res.tube[0] is a and res.tube[1] is b and len(res.tube) == 2
+        (got,) = res.aux_controls
+        assert [v.hex() for v in got] == [v.hex() for v in witness]
+        # a record set through its slots is the constructor's, field by field:
+        # a field either class gains and the slot setters miss fails here
+        for built, made in (
+            (res, CostToTravelResult(res.value, res.tube, res.aux_controls)),
+            (IntervalBox._trusted(a.lo, a.hi), IntervalBox(a.lo, a.hi)),
+        ):
+            assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
 
 
 class TestOptimalRci:
