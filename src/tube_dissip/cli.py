@@ -42,12 +42,11 @@ from .closed_loop import (
     simulate,
 )
 from .cost_to_travel import RciNotFound, eval_v, optimal_rci
-from .dissipativity import StorageFunction, check_strictness, verify_separability
-from .interval_sets import IntervalBox, _seed
+from .dissipativity import check_strictness, verify_separability
+from .interval_sets import IntervalBox, _count, _section, _seed
 from .problem import ConfigError, ProblemSpec
 from .qp_solver import SolverFailure
-from .tube_mpc import TubeMpcConfig, solve_tmpc, sweep_feedback
-from dataclasses import replace
+from .tube_mpc import TubeMpcConfig, _storage, solve_tmpc, sweep_feedback
 
 DEFAULT_SEED = 0
 # the most points per axis of a sweep grid: about a million solves, and the
@@ -86,40 +85,14 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
 
 
 class RunConfig:
-    """Problem, controller and seed shared by commands."""
+    """Problem, controller and seed shared by commands, each section read by the record it builds."""
 
     KNOWN_KEYS = {"problem", "controller", "seed"}
-    CONTROLLER_KEYS = {"horizon", "use_initial_cost", "storage", "terminal_set"}
 
     def __init__(self, obj: dict):
-        if not isinstance(obj, dict):
-            raise ConfigError(f"a run configuration is a JSON object, got {obj!r}")
-        self.sections = set(obj)
-        unknown = self.sections - self.KNOWN_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        self.sections = set(_section(obj, self.KNOWN_KEYS, "a run configuration is a JSON object", "unknown config keys"))
         self.spec = ProblemSpec.from_json_dict(obj.get("problem", {}))
-        ctrl = obj.get("controller", {})
-        if not isinstance(ctrl, dict):
-            raise ConfigError(f"controller must be a JSON object, got {ctrl!r}")
-        unknown = set(ctrl) - self.CONTROLLER_KEYS
-        if unknown:
-            raise ConfigError(f"unknown controller config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key in ("horizon", "use_initial_cost"):
-            if key in ctrl:
-                kwargs[key] = ctrl[key]
-        if "storage" in ctrl and ctrl["storage"] is not None:
-            try:
-                kwargs["storage"] = StorageFunction.from_json_dict(ctrl["storage"])
-            except ValueError as exc:
-                raise ConfigError(f"controller.storage: {exc}") from exc
-        if "terminal_set" in ctrl and ctrl["terminal_set"] is not None:
-            try:
-                kwargs["terminal_set"] = IntervalBox.from_json_obj(ctrl["terminal_set"])
-            except ValueError as exc:
-                raise ConfigError(f"controller.terminal_set: {exc}") from exc
-        self.controller = TubeMpcConfig(**kwargs)
+        self.controller = TubeMpcConfig.from_json_dict(obj.get("controller", {}))
         self.seed = _seed(obj.get("seed", DEFAULT_SEED))
 
     @classmethod
@@ -185,12 +158,12 @@ def _cmd_eval_v(run: RunConfig, args) -> int:
 
 
 def _cmd_check_storage(run: RunConfig, args) -> int:
-    sf = run.controller.storage if run.controller.storage is not None else StorageFunction.reference()
+    sf = _storage(run.controller)
     report = verify_separability(run.spec, sf)
+    strictness = None
     if args.strictness:
-        strict = check_strictness(run.spec, sf, args.strictness, seed=run.seed)
-        report = replace(report, strictness=strict)
-    _write_output(json.dumps(report.to_json_dict()), args.output)
+        strictness = check_strictness(run.spec, sf, args.strictness, seed=run.seed).to_json_dict()
+    _write_output(json.dumps({**report.to_json_dict(), "strictness": strictness}), args.output)
     return 0 if report.passed else 1
 
 
@@ -201,16 +174,9 @@ def _cmd_control(run: RunConfig, args) -> int:
 
 
 def _cmd_sweep(run: RunConfig, args) -> int:
-    if args.grid < 1:
-        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-    if args.grid > MAX_GRID:
-        raise ConfigError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
+    n = _count(args.grid, "--grid", 1, MAX_GRID)
     xb = run.spec.x_bounds
-    grid = [
-        (z1, z2)
-        for z1 in np.linspace(xb.lo[0], xb.hi[0], args.grid)
-        for z2 in np.linspace(xb.lo[1], xb.hi[1], args.grid)
-    ]
+    grid = [(z1, z2) for z1 in np.linspace(xb.lo[0], xb.hi[0], n) for z2 in np.linspace(xb.lo[1], xb.hi[1], n)]
     points = sweep_feedback(run.spec, run.controller, grid)
     rows = [
         {

@@ -1,15 +1,17 @@
 """Storage functions and separability certificates for the transition system.
 
 A storage candidate is affine in the corner vector on boxes inside the state
-bounds and constant outside.  Separability of the one-step cost-to-travel
+bounds X and 0 outside.  Separability of the one-step cost-to-travel
 function with respect to such a candidate W means
 
     V(A, B, 1) - V* >= W(B) - W(A)    for all boxes A, B,
 
-which is certified here by minimizing ``L(a) + W(a) - W(b)`` over a relaxed
-superset of the one-step transition constraints: if even the relaxed minimum
-reaches V*, the inequality holds on the full domain.  The relaxed program and
-the storage minimum over the domain both have closed forms.  Strictness
+which is certified here for every target B within X by minimizing
+``L(a) + W(a) - W(b)`` over a relaxed superset of the one-step transition
+constraints: if even the relaxed minimum reaches V*, the inequality holds
+on every such pair.  A target beyond X, where W is 0, is not certified (see
+:func:`verify_separability`).  The relaxed program and the storage minimum
+over the domain both have closed forms.  Strictness
 (uniqueness of the minimizing pair) is probed by seeded sampling, not
 certified; the relaxed program is degenerate in several target coordinates.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cost_to_travel import eval_v, optimal_rci
-from .interval_sets import ConfigError, IntervalBox, _count, _point, _real, _seed, hausdorff, subset
+from .interval_sets import ConfigError, IntervalBox, _count, _point, _real, _section, _seed, hausdorff, subset
 from .problem import ProblemSpec
 from .sampling import _Draws, feasible_pair
 
@@ -48,24 +50,19 @@ class StorageFunction:
     """Affine-in-corners storage candidate with a domain indicator.
 
     Evaluates to ``offset + linear_coeffs . corners(A)`` when A lies within
-    the state bounds and to ``outside_value`` otherwise.
+    the state bounds and to 0 otherwise.
     """
 
     offset: float
     linear_coeffs: tuple[float, float, float, float]
-    outside_value: float = 0.0
 
     def __post_init__(self):
         offset = _real(self.offset, "offset must be a finite number")
         coeffs = _point(self.linear_coeffs, "linear_coeffs must be four finite numbers", 4)
-        outside = _real(self.outside_value, "outside_value must be a number")
         if not all(math.isfinite(v) for v in (offset, *coeffs)):
             raise ConfigError(f"offset and linear_coeffs must be finite numbers, got {self.offset!r}, {self.linear_coeffs!r}")
-        if math.isnan(outside):
-            raise ConfigError(f"outside_value must be a number, got {self.outside_value!r}")
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "linear_coeffs", coeffs)
-        object.__setattr__(self, "outside_value", outside)
 
     @classmethod
     def reference(cls) -> "StorageFunction":
@@ -73,30 +70,18 @@ class StorageFunction:
         return cls(offset=16.0, linear_coeffs=(0.0, -1.6, 1.6, 0.0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "linear": list(self.linear_coeffs),
-            "outside_value": self.outside_value,
-        }
+        return {"offset": self.offset, "linear": list(self.linear_coeffs)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StorageFunction":
-        if not isinstance(obj, dict):
-            raise ValueError(f"a storage candidate is a JSON object, got {obj!r}")
-        known = {"offset", "linear", "outside_value"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown storage keys: {sorted(unknown)}")
-        return cls(
-            offset=obj.get("offset", 0.0),
-            linear_coeffs=obj.get("linear", (0.0, 0.0, 0.0, 0.0)),
-            outside_value=obj.get("outside_value", 0.0),
-        )
+        """A candidate from its JSON form, ``offset`` and ``linear``, each 0 when absent; ConfigError for any other key or value."""
+        fields = _section(obj, {"offset", "linear"}, "a storage candidate is a JSON object", "unknown storage keys")
+        return cls(offset=fields.get("offset", 0.0), linear_coeffs=fields.get("linear", (0.0, 0.0, 0.0, 0.0)))
 
 
 def eval_storage(sf: StorageFunction, spec: ProblemSpec, a: IntervalBox) -> float:
     if not subset(a, spec.x_bounds):
-        return sf.outside_value
+        return 0.0
     c1, c2, c3, c4 = a.corners()
     l1, l2, l3, l4 = sf.linear_coeffs
     # the sum from 0.0, left to right, as sum() over the four terms gives it
@@ -109,8 +94,8 @@ def storage_min_on_domain(spec: ProblemSpec, sf: StorageFunction) -> float:
     In each dimension the corners ``lo <= a <= b <= hi`` of a box within the
     bounds' interval ``[lo, hi]`` form a triangle, and a linear form takes
     its minimum at one of its vertices ``(lo, lo)``, ``(lo, hi)``,
-    ``(hi, hi)``.  Nonnegativity of the storage candidate on its domain is
-    ``min >= 0`` together with a nonnegative outside value.
+    ``(hi, hi)``.  The storage candidate is nonnegative exactly when this
+    minimum is, since it is 0 beyond the bounds.
     """
     xb = spec.x_bounds
     total = sf.offset
@@ -151,7 +136,6 @@ class SeparabilityReport:
     gap: float
     passed: bool
     unbounded_ray: Optional[tuple[float, ...]] = None
-    strictness: Optional[StrictnessSummary] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,7 +147,6 @@ class SeparabilityReport:
             "gap": None if math.isinf(self.gap) else self.gap,
             "passed": self.passed,
             "unbounded": self.unbounded_ray is not None,
-            "strictness": None if self.strictness is None else self.strictness.to_json_dict(),
         }
 
 
@@ -180,7 +163,10 @@ def verify_separability(
         b3 <= alpha*a3 + v1 + w_lo,   v1 <= b2,   a1 <= a2,   v1 in U.
 
     The relaxed feasible set contains every true transition pair, so a
-    minimum of at least V* proves the inequality everywhere.  Its solution
+    minimum of at least V* proves the inequality on every pair whose target
+    lies within the state bounds X, where W is affine.  A target beyond X,
+    where W is 0, needs ``L(a) + W(a) >= V*`` over every box A within X, since
+    each has a successor beyond X; that is not checked here.  Its solution
     is in closed form.  The targets enter linearly: b1 and b4 are free, b2
     only bounded below and b3 only above, so the program is unbounded when
     ``ell1 != 0``, ``ell4 != 0``, ``ell2 > 0`` or ``ell3 < 0``, and such a

@@ -79,6 +79,29 @@ def _tol(value, what: str = "tol") -> float:
     raise ConfigError(f"{message}, got {value!r}")
 
 
+def _section(obj, known, what: str, unknown: str, nested=None, path: str = "") -> dict:
+    """The keys and values of a config section, its nested sections read; ConfigError unless obj is a JSON object whose keys are all known.
+
+    ``what`` and ``unknown`` are the section's own texts for a value that is
+    no object and for unknown keys.  ``nested`` maps a key to the reader of
+    its value, whose ValueError is raised again as ConfigError behind the
+    value's path, ``path`` followed by the key.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what}, got {obj!r}")
+    extra = set(obj) - set(known)
+    if extra:
+        raise ConfigError(f"{unknown}: {sorted(extra)}")
+    fields = dict(obj)
+    for key, read in (nested or {}).items():
+        if key in fields:
+            try:
+                fields[key] = read(fields[key])
+            except ValueError as exc:
+                raise ConfigError(f"{path}{key}: {exc}") from exc
+    return fields
+
+
 @dataclass(frozen=True, slots=True)
 class IntervalBox:
     """A compact box ``[lo[0], hi[0]] x [lo[1], hi[1]]`` in R^2.

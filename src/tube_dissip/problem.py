@@ -28,12 +28,12 @@ cost-to-travel, invariant-box and tube MPC programs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .interval_sets import ConfigError, IntervalBox, _point, _real, subset
+from .interval_sets import ConfigError, IntervalBox, _point, _real, _section, subset
 from .qp_solver import _FEAS_TOL
 
 __all__ = [
@@ -101,8 +101,8 @@ class ProblemSpec:
         # unpacks them, and the hash dataclass would derive from the fields.
         # Neither is a field, so ==, repr and the JSON form are unchanged.
         object.__setattr__(self, "_step", (self.alpha, *self.u_bounds, *self.w_bounds, x1_lo, x1_hi, x2_lo, x2_hi))
-        fields = (self.alpha, self.x_bounds, self.u_bounds, self.w_bounds, self.cost_linear, self.cost_quad)
-        object.__setattr__(self, "_hash", hash(fields))
+        values = (self.alpha, self.x_bounds, self.u_bounds, self.w_bounds, self.cost_linear, self.cost_quad)
+        object.__setattr__(self, "_hash", hash(values))
 
     def __hash__(self) -> int:
         return self._hash
@@ -139,22 +139,10 @@ class ProblemSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ProblemSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"a problem is a JSON object, got {obj!r}")
-        known = {"alpha", "x_bounds", "u_bounds", "w_bounds", "cost_linear", "cost_quad"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown problem config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "x_bounds" in obj:
-            try:
-                kwargs["x_bounds"] = IntervalBox.from_json_obj(obj["x_bounds"])
-            except ValueError as exc:
-                raise ConfigError(f"x_bounds: {exc}") from exc
-        for key in ("alpha", "u_bounds", "w_bounds", "cost_linear", "cost_quad"):
-            if key in obj:
-                kwargs[key] = obj[key]
-        return cls(**kwargs)
+        """A problem from its JSON section, whose keys are the fields, each optional; ConfigError for any other key or value."""
+        known = [f.name for f in fields(cls)]
+        return cls(**_section(obj, known, "a problem is a JSON object", "unknown problem config keys",
+                              {"x_bounds": IntervalBox.from_json_obj}))
 
 
 def stage_cost(spec: ProblemSpec, a: IntervalBox) -> float:

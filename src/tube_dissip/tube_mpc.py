@@ -13,32 +13,11 @@ out through :func:`~tube_dissip.problem.transition_rows`.  What remains is a
 strictly convex QP in the corners of the first ``horizon`` boxes,
 ``min sum(d*x**2 + q*x)`` subject to ``G x <= h0 - P @ z``, built once per
 problem and controller options.  It is answered by the one path of every
-corner program (``cost_to_travel._solve_program``): the rows with no free
-coefficient are checked in plain floats against the feasibility tolerance
-``qp_solver._FEAS_TOL``, then the first stored affine law that holds at z
-answers, and only on a miss does the dual active-set kernel of
-``qp_solver`` run, cold, its law or Farkas ray kept in the program's table
-(``cost_to_travel._LawTable``, up to 64 laws, each kept as its screen
-and point alone, under the lock and the byte bound every table shares,
-which counts those tuples and their floats).  On each optimal active set
-the answer is affine in z, and the tube's laws decide by screens: a law's
-screen holds the few checks of its full KKT check that a rounding margin
-does not prove to hold at every state in the state bounds X, so at a state
-in X the screen holds exactly when the full check does.  The first law, in
-the order they were learned, whose screen holds answers, and only its
-corners are computed, bit for bit the point of the first law whose full
-check holds; the full check itself is the tests' reference and never runs.
-That law is found through z's cell in a fixed grid of 8 x 8 cells over X:
-a cell lists, in learned order, the laws that can hold in it, those
-with no screen check that the same margin proves to fail all over the
-cell, each kept with the checks of its screen the margin does not prove
-to hold over the cell, so the first listed law whose checks hold is the
-first law whose screen holds.  The cells hold at most 64 entries each, one per
-stored law, and the byte bound counts the laws alone.  A
-law answer carries no multipliers: those come only from a kernel run.  The
-screens prove nothing beyond X, so no law answers a state outside X and
-none is learned from one; :func:`solve_tmpc` passes the program only
-states in X (see below).  The answer is read
+corner program (``cost_to_travel._solve_program``) and its table of affine
+laws and Farkas rays, ``cost_to_travel._LawTable``, whose docstring says how
+laws are stored, screened and looked up.  The screens are proven on the
+state bounds X alone, so :func:`solve_tmpc` passes the program only states
+in X (see below).  The answer is read
 back into boxes and edge controls, and priced, as those values are
 (``cost_to_travel._solve_tube``, which prices nothing, then
 ``cost_to_travel._tube_cost``): the objective is the stage costs of the
@@ -61,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -78,7 +57,7 @@ from .cost_to_travel import (
     optimal_rci,
 )
 from .dissipativity import StorageFunction, eval_storage
-from .interval_sets import ConfigError, IntervalBox, _SEQUENCES, _count, _point, subset
+from .interval_sets import ConfigError, IntervalBox, _SEQUENCES, _count, _point, _section, subset
 from .problem import ProblemSpec, is_rci, transition_rows
 from .qp_solver import _FEAS_TOL, QpStatus, SolverFailure
 
@@ -135,6 +114,21 @@ class TubeMpcConfig:
     def __reduce__(self):
         return TubeMpcConfig, (self.horizon, self.use_initial_cost, self.terminal_set, self.storage)
 
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "TubeMpcConfig":
+        """A controller from its JSON section, whose keys are the fields, each optional; ConfigError for any other key or value.
+
+        ``storage`` is a candidate's JSON form and ``terminal_set`` a box's,
+        or null for the default.
+        """
+        nested = {
+            "storage": lambda v: None if v is None else StorageFunction.from_json_dict(v),
+            "terminal_set": lambda v: None if v is None else IntervalBox.from_json_obj(v),
+        }
+        known = [f.name for f in fields(cls)]
+        return cls(**_section(obj, known, "controller must be a JSON object", "unknown controller config keys",
+                              nested, "controller."))
+
 
 @dataclass(frozen=True, slots=True)
 class TubeSolution:
@@ -186,10 +180,13 @@ def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optio
         terminal, _ = optimal_rci(spec)
     if not subset(terminal, spec.x_bounds):
         raise ConfigError("terminal_set must lie within the state bounds")
-    storage = None
-    if cfg.use_initial_cost:
-        storage = cfg.storage if cfg.storage is not None else StorageFunction.reference()
+    storage = _storage(cfg) if cfg.use_initial_cost else None
     return terminal, storage, is_rci(spec, terminal)
+
+
+def _storage(cfg: TubeMpcConfig) -> StorageFunction:
+    """The controller's storage form: its ``storage``, or the reference candidate when that is None."""
+    return StorageFunction.reference() if cfg.storage is None else cfg.storage
 
 
 def _window(spec: ProblemSpec, b: IntervalBox, z2: float) -> tuple[float, float]:

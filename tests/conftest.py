@@ -17,6 +17,13 @@ from tube_dissip.tube_mpc import TubeMpcConfig
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=150)
 settings.load_profile("tier1")
 
+# every module of the package, imported before any test module: Hypothesis
+# also draws literal constants from the package modules in sys.modules, so
+# a run of some of the tests draws the examples that the whole suite draws
+MODULES = [tube_dissip] + [
+    importlib.import_module(f"tube_dissip.{info.name}") for info in pkgutil.iter_modules(tube_dissip.__path__)
+]
+
 
 @pytest.fixture(scope="session")
 def spec() -> ProblemSpec:
@@ -62,11 +69,7 @@ def forbid_solver(monkeypatch):
 
     def install() -> list[str]:
         kernel = qp_solver._dual_active_set
-        modules = [tube_dissip] + [
-            importlib.import_module(f"tube_dissip.{info.name}")
-            for info in pkgutil.iter_modules(tube_dissip.__path__)
-        ]
-        patched = [m.__name__ for m in modules if getattr(m, "_dual_active_set", None) is kernel]
+        patched = [m.__name__ for m in MODULES if getattr(m, "_dual_active_set", None) is kernel]
         for name in patched:
             monkeypatch.setattr(importlib.import_module(name), "_dual_active_set", forbidden)
         return patched

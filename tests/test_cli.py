@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -14,10 +15,11 @@ from tube_dissip import cli, cost_to_travel, qp_solver, tube_mpc
 from tube_dissip.acceptance import CriterionResult
 from tube_dissip.cli import MAX_GRID, main
 from tube_dissip.closed_loop import MAX_TRACE_STEPS
-from tube_dissip.interval_sets import IntervalBox
+from tube_dissip.dissipativity import StorageFunction
+from tube_dissip.interval_sets import ConfigError, IntervalBox
 from tube_dissip.problem import ProblemSpec, is_rci, transition_feasible
 from tube_dissip.qp_solver import QpStatus
-from tube_dissip.tube_mpc import TubeSolution
+from tube_dissip.tube_mpc import TubeMpcConfig, TubeSolution
 
 
 def run_cli(capsys, *argv):
@@ -185,8 +187,9 @@ CONTRACT = [
     *[(None, (*start, "--steps", str(steps)), 2, "",
        f"error: steps must be an integer between 0 and {MAX_TRACE_STEPS}, got {steps}\n")
       for start, steps in [(("simulate", "--y0=0,0"), MAX_TRACE_STEPS + 1), (("simulate", "--fig2"), 10**10)]],
+    *[(None, ("sweep", "--grid", grid), 2, "", f"error: --grid must be an integer between 1 and {MAX_GRID}, got {grid}\n")
+      for grid in ["0", "-3"]],
     *[(None, argv, 2, "", Error("")) for argv in [
-        ("sweep", "--grid", "0"), ("sweep", "--grid", "-3"),
         ("check-storage", "--strictness", "-2"), ("simulate", "--y0=0,0", "--steps", "-1"),
     ]],
     # a file that cannot be read or written: a directory, or one in a missing directory
@@ -231,6 +234,9 @@ CONTRACT = [
         {"offset": BIG, "linear": [0, -1.6, 1.6, 0]},
         {"offset": 16, "linear": [0, -BIG, 1.6, 0]},
     ]],
+    # W is 0 beyond the state bounds, which no key sets
+    ({"controller": {"storage": {"offset": 16, "linear": [0, -1.6, 1.6, 0], "outside_value": 1000}}}, ("check-storage",), 2, "",
+     "error: controller.storage: unknown storage keys: ['outside_value']\n"),
     *[({"controller": {"terminal_set": box}}, ("control", "--z=0,0"), 2, "", Error("")) for box in [
         [[0, 1], [0]], [[1, 0], [0, 1]], [[0, 1, 2], [0, 1]],
     ]],
@@ -289,6 +295,22 @@ def test_the_command_line_contract(capsys, tmp_path, monkeypatch, config, argv, 
     assert sorted(os.listdir()) == ([] if config is None else ["run.json"])
 
 
+# the rows whose config errs in its controller section alone, with the stderr each pins
+CONTROLLER_ROWS = [
+    (config["controller"], stderr) for config, argv, code, _, stderr in CONTRACT
+    if isinstance(config, dict) and set(config) == {"controller"} and code == 2 and argv != ("verify-all",)
+]
+
+
+@pytest.mark.parametrize("section, stderr", CONTROLLER_ROWS, ids=[json.dumps(row[0]).replace(str(BIG), "BIG") for row in CONTROLLER_ROWS])
+def test_each_bad_controller_section_is_refused_by_its_reader(section, stderr):
+    # the library's reader of a controller section raises what the command line prints
+    assert len(CONTROLLER_ROWS) == 19
+    with pytest.raises(ConfigError) as info:
+        TubeMpcConfig.from_json_dict(section)
+    assert stderr_holds(f"error: {info.value}\n", stderr)
+
+
 class TestRci:
     def test_prints_invariant_box_and_value(self, capsys):
         code, out, _ = run_cli(capsys, "rci")
@@ -317,6 +339,11 @@ class TestCheckStorage:
         rep = json.loads(out)
         assert rep["passed"] is True and abs(rep["gap"]) <= 1e-8
         assert rep["qp_min_value"] == pytest.approx(-0.2, abs=1e-8) and rep["strictness"] is None
+        # the report's fields, then the sampled margins, with or without them
+        keys = ["qp_min_value", "minimizer_a", "minimizer_b", "minimizer_v", "v_star", "gap", "passed", "unbounded", "strictness"]
+        assert list(rep) == keys
+        _, out, _ = run_cli(capsys, "check-storage", "--strictness", "2")
+        assert list(json.loads(out)) == keys
 
     def test_bad_storage_fails_with_exit_one(self, capsys, tmp_path):
         # the candidate is the controller's storage, its initial cost
@@ -374,7 +401,7 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--grid", str(grid))
         assert code == 2
         assert out == ""
-        assert err == f"error: --grid must be at most {MAX_GRID}, got {grid}\n"
+        assert err == f"error: --grid must be an integer between 1 and {MAX_GRID}, got {grid}\n"
 
 
 class TestSimulate:
@@ -432,8 +459,13 @@ class TestConfig:
         path.write_text(block)
         code, out, err = run_cli(capsys, "--config", str(path), "rci")
         assert (code, err) == (0, "")
-        assert set(json.loads(block)) == cli.RunConfig.KNOWN_KEYS
         assert run_cli(capsys, "rci") == (0, out, "")
+        # and it names every key of every section, so it shows the whole schema
+        config = json.loads(block)
+        assert set(config) == cli.RunConfig.KNOWN_KEYS
+        assert set(config["problem"]) == set(ProblemSpec().to_json_dict())
+        assert set(config["controller"]) == {f.name for f in dataclasses.fields(TubeMpcConfig)}
+        assert set(config["controller"]["storage"]) == set(StorageFunction.reference().to_json_dict())
 
     @pytest.mark.parametrize("argv", [
         ("check-storage", "--strictness", "20"),

@@ -216,10 +216,6 @@ CONTRACT = [
     Row("StorageFunction", "linear_coeffs", "point of 4, finite", sequences(4),
         lambda v: StorageFunction(offset=16.0, linear_coeffs=v), lambda v: p if finite(p := point(v, 4)) else None,
         lambda p, sf: sf.linear_coeffs == p),
-    Row("StorageFunction", "outside_value", "real, not NaN", scalars,
-        lambda v: StorageFunction(offset=16.0, linear_coeffs=(0.0, -1.6, 1.6, 0.0), outside_value=v),
-        lambda v: x if (x := real(v)) is not None and not math.isnan(x) else None,
-        lambda x, sf: sf.outside_value == x),
     Row("check_strictness", "n_samples", "count >= 1", small_scalars,
         lambda v: check_strictness(SPEC, STORAGE, v, seed=0), lambda v: count(v, 1),
         lambda n, summary: strictness_accepted(summary, n)),
@@ -264,7 +260,7 @@ CONTRACT = [
 # record the library builds and returns, or an exception
 OUT_OF_SCOPE = {
     "IntervalBox", "IntervalBox.from_intervals", "IntervalBox.from_json_obj", "hausdorff",
-    "ProblemSpec.from_json_dict", "StorageFunction.from_json_dict",
+    "ProblemSpec.from_json_dict", "StorageFunction.from_json_dict", "TubeMpcConfig.from_json_dict",
     "optimal_rci", "is_rci", "stage_cost", "transition_feasible", "transition_witness", "transition_rows",
     "eval_storage", "verify_separability", "storage_min_on_domain", "rotated_cost", "check_enclosure_stability",
     "random_box_within", "random_superbox", "monotone_cone_box", "successor_box", "feasible_pair",

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ class TestEvalStorage:
     def test_zero_at_full_state_box(self, spec, reference_storage):
         assert eval_storage(reference_storage, spec, spec.x_bounds) == pytest.approx(0.0, abs=1e-12)
 
-    def test_outside_value_used_beyond_bounds(self, spec, reference_storage):
+    def test_zero_beyond_bounds(self, spec, reference_storage):
         outside = box((-6, 0), (0, 1))
         assert eval_storage(reference_storage, spec, outside) == 0.0
 
@@ -63,17 +62,28 @@ class TestEvalStorage:
     @pytest.mark.parametrize("kwargs", [
         {"offset": 10**400, "linear_coeffs": (0.0, 0.0, 0.0, 0.0)},
         {"offset": 0.0, "linear_coeffs": (0.0, -10**400, 0.0, 0.0)},
-        {"offset": 0.0, "linear_coeffs": (0.0, 0.0, 0.0, 0.0), "outside_value": 10**400},
         {"offset": 0.0, "linear_coeffs": 3},
-    ], ids=["offset", "linear_coeffs", "outside_value", "coefficients not a sequence"])
+    ], ids=["offset", "linear_coeffs", "coefficients not a sequence"])
     def test_values_that_are_not_real_numbers_rejected(self, kwargs):
         # an int whose float overflows raised OverflowError, and a number of coefficients TypeError
         with pytest.raises(ConfigError):
             StorageFunction(**kwargs)
 
     def test_json_round_trip(self, reference_storage):
-        back = StorageFunction.from_json_dict(json.loads(json.dumps(reference_storage.to_json_dict())))
-        assert back == reference_storage
+        obj = json.loads(json.dumps(reference_storage.to_json_dict()))
+        assert obj == {"offset": 16.0, "linear": [0.0, -1.6, 1.6, 0.0]}
+        assert StorageFunction.from_json_dict(obj) == reference_storage
+        assert StorageFunction.from_json_dict({}) == StorageFunction(0.0, (0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("obj, message", [
+        ([16, [0, -1.6, 1.6, 0]], "a storage candidate is a JSON object, got [16, [0, -1.6, 1.6, 0]]"),
+        ({"offset": 16, "outside_value": 0}, "unknown storage keys: ['outside_value']"),
+        ({"offset": 16, "linear": [0, 0, 0]}, "linear_coeffs must be four finite numbers, got [0, 0, 0]"),
+    ], ids=["not an object", "unknown key", "three coefficients"])
+    def test_json_form_errors_are_config_errors(self, obj, message):
+        with pytest.raises(ConfigError) as info:
+            StorageFunction.from_json_dict(obj)
+        assert str(info.value) == message
 
 
 class TestVerifySeparability:
@@ -127,14 +137,15 @@ class TestVerifySeparability:
 
     def test_report_json_round_trip(self, spec, reference_storage):
         rep = verify_separability(spec, reference_storage)
-        strict = check_strictness(spec, reference_storage, n_samples=5, seed=0)
-        obj = json.loads(json.dumps(replace(rep, strictness=strict).to_json_dict()))
+        obj = json.loads(json.dumps(rep.to_json_dict()))
         assert obj["passed"] is rep.passed is True and obj["unbounded"] is False
         assert obj["qp_min_value"] == rep.qp_min_value and obj["v_star"] == rep.v_star and obj["gap"] == rep.gap
         assert tuple(obj["minimizer_a"]) == rep.minimizer_a and tuple(obj["minimizer_b"]) == rep.minimizer_b
         assert obj["minimizer_v"] == rep.minimizer_v
-        worst = tuple(IntervalBox.from_json_obj(b) for b in obj["strictness"]["worst_pair"])
-        assert worst == strict.worst_pair and obj["strictness"]["min_margin"] == strict.min_margin
+        strict = check_strictness(spec, reference_storage, n_samples=5, seed=0)
+        obj = json.loads(json.dumps(strict.to_json_dict()))
+        worst = tuple(IntervalBox.from_json_obj(b) for b in obj["worst_pair"])
+        assert worst == strict.worst_pair and obj["min_margin"] == strict.min_margin
         # an unbounded candidate's infinite minimum and gap are written as null
         unbounded = StorageFunction(offset=0.0, linear_coeffs=(0.0, 0.0, 0.0, 1.0))
         obj = json.loads(json.dumps(verify_separability(spec, unbounded).to_json_dict()))
@@ -314,3 +325,20 @@ class TestDissipationBridge:
             a, b = feasible_pair(spec, rng)
             lhs = eval_storage(reference_storage, spec, b) - eval_storage(reference_storage, spec, a)
             assert lhs <= stage_cost(spec, a) - v_star + 1e-6
+
+    def test_reference_storage_holds_on_targets_beyond_bounds(self, spec, reference_storage, x_star):
+        # W is 0 beyond X and every box in X has a successor beyond it, so
+        # there the inequality asks L(A) + W(A) >= V* of every box A in X; by
+        # brute force over the boxes with corners on a 0.5 grid, which holds
+        # the minimizer {-1} x [-5, 0]
+        _, v_star = optimal_rci(spec)
+        c = np.linspace(-5.0, 5.0, 21)
+        a1, a2, a3, a4 = np.meshgrid(c, c, c, c, indexing="ij", sparse=True)
+        q, d = spec.cost_linear, spec.cost_quad
+        lw = sum(q[i] * x + d[i] * x * x for i, x in enumerate((a1, a2, a3, a4)))
+        lw = lw + reference_storage.offset + sum(reference_storage.linear_coeffs[i] * x for i, x in enumerate((a1, a2, a3, a4)))
+        least = np.min(np.where((a1 <= a2) & (a3 <= a4), lw, INF))
+        assert least == pytest.approx(10.3, abs=1e-12) and least >= v_star
+        beyond = box((-1, 20), (-6, 20))
+        gap = eval_v(spec, x_star, beyond, 1).value - v_star
+        assert gap >= eval_storage(reference_storage, spec, beyond) - eval_storage(reference_storage, spec, x_star)
