@@ -23,20 +23,17 @@ every table).  The tube's laws decide by screens proven on the state
 bounds X, in plain floats (:class:`_LawTable`), a chain's by their full KKT
 check at the end boxes, every stored law in one stacked product
 (:class:`_ChainTable`).  The invariant box's program is solved once
-per problem and keeps no table.  These programs are read back
-into boxes by one helper, :func:`_solve_tube`, in one plain-float pass
-over the boxes: each free box is clipped onto the state bounds and built
-in one loop, without re-validation when its corners are in order, and
-otherwise through ``IntervalBox.from_corners``, which snaps an inversion
-within the feasibility tolerance ``qp_solver._FEAS_TOL``; and every step
-of the tube is decided in the same pass, on the corners of the box before
-it carried in locals, by the one core of the one-step rule
-(:func:`~tube_dissip.problem.transition_witness`), on constants the
-``ProblemSpec`` computed when it was built.  The read-back prices nothing:
-at every N, a value is the sum of :func:`~tube_dissip.problem.stage_cost`
-over the returned tube but its last box, by one helper
-(:func:`_tube_cost`), and at N = 1 the stage cost of A alone, which has
-the same bits; a value that is not finite raises ``SolverFailure``, by one
+per problem and keeps no table.  These programs are read back into
+boxes, decided and priced by one helper, :func:`_solve_tube`, in one
+plain-float pass that visits each box once: each free box is clipped onto
+the state bounds and built without re-validation when its corners are in
+order, and otherwise through ``IntervalBox.from_corners``, which snaps an
+inversion within ``qp_solver._FEAS_TOL``; each step is decided by the one
+core of the one-step rule (:func:`~tube_dissip.problem.transition_witness`)
+on the corners carried in locals, and each box but the last is priced by
+the one core of :func:`~tube_dissip.problem.stage_cost`, left to right
+from 0.0.  At N = 1 a value is the stage cost of A alone, which has the
+same bits.  A value that is not finite raises ``SolverFailure``, by one
 guard (:func:`_finite_cost`).  Every ``+inf`` value is one shared
 :class:`CostToTravelResult`, and a feasible one is set through its fields'
 slot setters, as ``IntervalBox._trusted`` sets a box.
@@ -55,7 +52,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .interval_sets import IntervalBox, _count
-from .problem import ProblemSpec, _step_witness, stage_cost, transition_rows
+from .problem import ProblemSpec, _stage_cost, _step_witness, transition_rows
 from .qp_solver import _FEAS_TOL, _ROW_TOL, SolverFailure, _dual_active_set
 
 __all__ = [
@@ -143,8 +140,8 @@ def eval_v(
     that certifies them infeasible, answers without a solve.  A law's point
     agrees with the method's own minimiser to rounding, not bit for bit, so
     the last bits of a value can depend on the values computed before it
-    for the same problem and N, in any thread.  A tube is priced by
-    :func:`_tube_cost`, and its ``aux_controls`` are the
+    for the same problem and N, in any thread.  A tube is priced as it is
+    read back (:func:`_solve_tube`), and its ``aux_controls`` are the
     :func:`~tube_dissip.problem.transition_witness` pairs of its steps.
     Every ``+inf`` answer is the one shared result ``_INFEASIBLE``.
     ``n_steps`` runs from 1 to :data:`MAX_STEPS`; any other value, a
@@ -158,28 +155,19 @@ def eval_v(
         witness = _step_witness(spec._step, a1, a2, a3, a4, b1, b2, b3, b4)
         if witness is None:
             return _INFEASIBLE
-        # a stage cost is never -0.0, so it has the bits of _tube_cost's 0.0 + it
-        value = _finite_cost(stage_cost(spec, a))
+        # a stage cost is never -0.0, so it has the bits of the read-back's 0.0 + it
+        cost = _stage_cost(spec.cost_linear, spec.cost_quad, a1, a2, a3, a4)
         tube, witnesses = (a, b), (witness,)
     else:
         solved = _solve_tube(spec, _chain_stack(spec, n_steps), a.corners() + b.corners(), (a,), (b,))
         if solved is None:
             return _INFEASIBLE
-        tube, witnesses = solved
-        value = _tube_cost(spec, tube[:-1])
+        tube, witnesses, cost = solved
     result = object.__new__(CostToTravelResult)
-    _set_value(result, value)
+    _set_value(result, _finite_cost(cost))
     _set_tube(result, tube)
     _set_aux_controls(result, witnesses)
     return result
-
-
-def _tube_cost(spec: ProblemSpec, boxes, initial: float = 0.0) -> float:
-    """The stage costs of boxes summed left to right from 0.0, plus ``initial``; SolverFailure if not finite."""
-    cost = 0.0
-    for box in boxes:
-        cost += stage_cost(spec, box)
-    return _finite_cost(cost + initial)
 
 
 def _finite_cost(cost: float) -> float:
@@ -740,27 +728,26 @@ def _worst_fixed_row(prog: _CornerProgram, p) -> int:
 
 
 def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: tuple):
-    """A corner program's answer at p as ``(head + free boxes + tail, step witnesses)``, or None.
+    """A corner program's answer at p as ``(head + free boxes + tail, step witnesses, cost)``, or None.
 
-    ``head`` and ``tail`` are tuples of boxes, ``head`` of at most one.
+    ``head`` and ``tail`` are tuples of boxes, ``head`` of at most one.  One
+    pass in plain floats reads the answer back, decides it and prices it.
     Every free box is the source of a step, so its rows keep it within the
     state bounds and its corners in order, but only to within the kernel's
-    rounding guard; clipped onto the bounds, it passes exact inclusion tests
-    such as the storage form's domain.  The read-back is one pass over the
-    boxes in plain floats.  Each free box is clipped onto the spec's state
-    bounds and built in one loop; the clip gives the bits of
-    ``np.minimum(np.maximum(x, lo), hi)``, ties and NaN included.  A free
+    rounding guard; it is clipped onto the bounds, with the bits of
+    ``np.minimum(np.maximum(x, lo), hi)``, ties and NaN included, so it
+    passes exact inclusion tests such as the storage form's domain.  A free
     box whose clipped corners are in order is built without re-validation
-    (they are finite after the clip, and a NaN fails the order test); any
-    other goes through
+    (a NaN fails the order test); any other goes through
     :meth:`~tube_dissip.interval_sets.IntervalBox.from_corners`, which snaps
-    an inversion within ``_FEAS_TOL`` and raises ValueError beyond it.  Every
-    step is decided by the one-step rule of
-    :func:`~tube_dissip.problem.transition_witness` on the spec's constants
-    and the corners of its two boxes, the previous box's carried in locals;
-    a refused step raises SolverFailure once every box is built, so a box
-    that raises ValueError comes first.  It prices nothing: callers price
-    the boxes by :func:`_tube_cost`.
+    an inversion within ``_FEAS_TOL`` and raises ValueError beyond it.  Each
+    step is decided by the one core of the one-step rule on the corners of
+    its two boxes, the previous box's carried in locals; a refused step
+    raises SolverFailure once every box is built, so a box that raises
+    ValueError comes first.  ``cost`` is the stage costs of the head and
+    free boxes, not the tail's, summed left to right from 0.0 by the one
+    core of :func:`~tube_dissip.problem.stage_cost`; callers guard it
+    (:func:`_finite_cost`).
     """
     x, _ = _solve_program(prog, p)
     if x is None:
@@ -769,14 +756,17 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: t
         x = x.tolist()
     step = spec._step
     lo1, hi1, lo2, hi2 = step[5:]
+    q, d = spec.cost_linear, spec.cost_quad
     # looked up on the class at each call, where a test may replace it
     trusted = IntervalBox._trusted
     boxes = [*head]
     witnesses = []
+    cost = 0.0
     if head:
         # the corners of the box before the next, (c1, c2, c3, c4)
         (box,) = head
         (c1, c3), (c2, c4) = box.lo, box.hi
+        cost += _stage_cost(q, d, c1, c2, c3, c4)
     it = iter(x)
     for a1, a2, a3, a4 in zip(it, it, it, it):
         # as np.maximum then np.minimum: a tie takes the bound, and a NaN passes
@@ -796,6 +786,7 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: t
         if boxes:
             witnesses.append(_step_witness(step, c1, c2, c3, c4, a1, a2, a3, a4))
         boxes.append(box)
+        cost += _stage_cost(q, d, a1, a2, a3, a4)
         c1, c2, c3, c4 = a1, a2, a3, a4
     for box in tail:
         (a1, a3), (a2, a4) = box.lo, box.hi
@@ -805,7 +796,7 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: t
         c1, c2, c3, c4 = a1, a2, a3, a4
     if None in witnesses:
         raise SolverFailure("a step of the minimising tube is not a transition")
-    return tuple(boxes), tuple(witnesses)
+    return tuple(boxes), tuple(witnesses), cost
 
 
 @lru_cache(maxsize=64)
@@ -816,8 +807,8 @@ def optimal_rci(spec: ProblemSpec) -> tuple[IntervalBox, float]:
     hold with a as source and target, that is ``(src + tgt) @ a <= const``.
     Minimising the stage cost over them is a parameter-free corner program
     with one free box, solved by the same dual active-set method as
-    :func:`eval_v`, and priced by :func:`_tube_cost`.  Answers are cached
-    per problem.
+    :func:`eval_v`, and priced by its read-back (:func:`_solve_tube`).
+    Answers are cached per problem.
     """
     src, tgt, const = transition_rows(spec)
     prog = _corner_program(
@@ -834,5 +825,5 @@ def optimal_rci(spec: ProblemSpec) -> tuple[IntervalBox, float]:
             "no robust control invariant interval box exists within the state "
             "bounds (the self-transition problem is infeasible)"
         )
-    (box,), _ = solved
-    return box, _tube_cost(spec, (box,))
+    (box,), _, cost = solved
+    return box, _finite_cost(cost)

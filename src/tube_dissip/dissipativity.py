@@ -82,7 +82,11 @@ class StorageFunction:
 def eval_storage(sf: StorageFunction, spec: ProblemSpec, a: IntervalBox) -> float:
     if not subset(a, spec.x_bounds):
         return 0.0
-    c1, c2, c3, c4 = a.corners()
+    return _storage_value(sf, *a.corners())
+
+
+def _storage_value(sf: StorageFunction, c1, c2, c3, c4) -> float:
+    """:func:`eval_storage` on the corners of a box within the state bounds, as plain floats."""
     l1, l2, l3, l4 = sf.linear_coeffs
     # the sum from 0.0, left to right, as sum() over the four terms gives it
     return sf.offset + ((((0.0 + l1 * c1) + l2 * c2) + l3 * c3) + l4 * c4)

@@ -148,8 +148,13 @@ class ProblemSpec:
 def stage_cost(spec: ProblemSpec, a: IntervalBox) -> float:
     """Stage cost of a box, evaluated on its corner vector."""
     (c1, c3), (c2, c4) = a.lo, a.hi
-    q1, q2, q3, q4 = spec.cost_linear
-    d1, d2, d3, d4 = spec.cost_quad
+    return _stage_cost(spec.cost_linear, spec.cost_quad, c1, c2, c3, c4)
+
+
+def _stage_cost(q, d, c1, c2, c3, c4) -> float:
+    """:func:`stage_cost` on plain floats: a spec's ``cost_linear`` and ``cost_quad`` and a box's corners."""
+    q1, q2, q3, q4 = q
+    d1, d2, d3, d4 = d
     # the corners' terms, summed in corner order
     return (
         (q1 * c1 + d1 * c1 * c1)

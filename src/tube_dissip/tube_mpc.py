@@ -17,15 +17,14 @@ corner program (``cost_to_travel._solve_program``) and its table of affine
 laws and Farkas rays, ``cost_to_travel._LawTable``, whose docstring says how
 laws are stored, screened and looked up.  The screens are proven on the
 state bounds X alone, so :func:`solve_tmpc` passes the program only states
-in X (see below).  The answer is read
-back into boxes and edge controls, and priced, as those values are
-(``cost_to_travel._solve_tube``, which prices nothing, then
-``cost_to_travel._tube_cost``): the objective is the stage costs of the
-first ``horizon`` boxes summed left to right, plus the storage form W(Y_0)
-of the first box when there is an initial cost, and one that is not finite
-raises ``SolverFailure``.  A solve that a law answers makes no numpy call.
-A terminal box that is not its own successor is accepted, with a warning at
-every solve.
+in X (see below).  The answer is read back into boxes and edge controls,
+and priced, in the one pass of those values (``cost_to_travel._solve_tube``):
+the objective is the stage costs of the first ``horizon`` boxes summed left
+to right, plus the storage form W(Y_0) of the first box when there is an
+initial cost, and one that is not finite raises ``SolverFailure``.  A solve
+that a law answers makes no numpy call, and its record is set through its
+slot setters.  A terminal box that is not its own successor is accepted,
+with a warning at every solve.
 
 The cost does not depend on ``u0``, so it is reported in closed form from
 the optimal tube: the window ``[lo, hi]`` clamped towards zero as
@@ -50,13 +49,13 @@ from .cost_to_travel import (
     MAX_STEPS,
     _corner_program,
     _CornerProgram,
+    _finite_cost,
     _LawTable,
     _solve_tube,
     _stacked_steps,
-    _tube_cost,
     optimal_rci,
 )
-from .dissipativity import StorageFunction, eval_storage
+from .dissipativity import StorageFunction, _storage_value
 from .interval_sets import ConfigError, IntervalBox, _SEQUENCES, _count, _point, _section, subset
 from .problem import ProblemSpec, is_rci, transition_rows
 from .qp_solver import _FEAS_TOL, QpStatus, SolverFailure
@@ -173,6 +172,18 @@ class SweepPoint:
     u0_interval: Optional[tuple[float, float]]
 
 
+# the answer of every state without a tube
+_INFEASIBLE = TubeSolution(QpStatus.INFEASIBLE)
+# the slot setters of each record's fields, which write past the frozen
+# __setattr__, as cost_to_travel's do; a feasible solution and every sweep point are set by them
+_set_status, _set_tube, _set_u0, _set_objective, _set_u0_interval, _set_edge_controls = (
+    getattr(TubeSolution, name).__set__ for name in TubeSolution.__slots__
+)
+_set_z, _set_point_status, _set_point_u0, _set_point_objective, _set_point_u0_interval = (
+    getattr(SweepPoint, name).__set__ for name in SweepPoint.__slots__
+)
+
+
 def _resolved(spec: ProblemSpec, cfg: TubeMpcConfig) -> tuple[IntervalBox, Optional[StorageFunction], bool]:
     """The controller's terminal box T, its storage form or None, and whether T is its own successor."""
     terminal = cfg.terminal_set
@@ -235,9 +246,12 @@ def _tube_program(
     solve's answer can depend, in its last bits, on the order of earlier
     solves: at a degenerate optimum the kernel's active set depends on its
     path, and the table keeps whichever valid law of a region it meets
-    first.  Over 1,000 uniform states (seed 1) at horizon 8, solved in three
-    orders in fresh controllers, 244 objectives differ in their bits, by up
-    to 2.3e-13.  ROADMAP item 15 plans one canonical law per region.
+    first.  Over 1,000 uniform states (seed 1), solved in six orders (as
+    given, reversed, sorted and the shuffles of numpy's ``default_rng(0)``
+    to ``(2)``) in fresh controllers, 244 whole answers differ at horizon 8,
+    and 276 without the initial cost, objectives by up to 3.1e-13; more
+    orders find more (README).  ROADMAP item 15 plans one canonical law
+    per region.
     """
     n = cfg.horizon
     steps, h_steps = _stacked_steps(spec, n)
@@ -287,13 +301,10 @@ def solve_tmpc(
     z is a tuple, list or array; a str, bytes, mapping or set raises
     ConfigError.  A float coordinate, ``np.float64`` included, is taken as
     it is; any other must be a real number, and a bool or a string raises
-    ConfigError.
-    The state is then tested against the state bounds, clamped onto them,
-    and passed to the tube program, whose answer is read back into boxes
-    and edge controls in one pass (``cost_to_travel._solve_tube``), every
-    step decided on the corners carried in locals; the clamp, the window
-    and ``u0`` are written as conditional expressions in the builtins'
-    order, so their bits are those of ``max`` and ``min``.
+    ConfigError.  The state is then tested against the state bounds,
+    clamped onto them and solved; the clamp, the window and ``u0`` are
+    written as conditional expressions in the builtins' order, so their
+    bits are those of ``max`` and ``min``.
     """
     try:
         z1, z2 = z
@@ -305,7 +316,7 @@ def solve_tmpc(
     else:
         z1, z2 = _point(z, "state must be two numbers")
     if not (math.isfinite(z1) and math.isfinite(z2)):
-        raise ConfigError(f"state must be finite, got {tuple(z)}")
+        raise ConfigError(f"state must be finite, got {(z1, z2)}")
     terminal, storage, self_successor, prog = _controller(spec, cfg)
     if not self_successor:
         warnings.warn(
@@ -320,7 +331,7 @@ def solve_tmpc(
     # max of the four differences against _FEAS_TOL
     x1_lo, x1_hi, x2_lo, x2_hi = spec._step[5:]
     if x1_lo - z1 > _FEAS_TOL or z1 - x1_hi > _FEAS_TOL or x2_lo - z2 > _FEAS_TOL or z2 - x2_hi > _FEAS_TOL:
-        return TubeSolution(QpStatus.INFEASIBLE)
+        return _INFEASIBLE
     # min(max(z, lo), hi)
     z1 = x1_lo if x1_lo > z1 else z1
     z1 = x1_hi if x1_hi < z1 else z1
@@ -329,10 +340,13 @@ def solve_tmpc(
 
     solved = _solve_tube(spec, prog, (z1, z2), (), (terminal,))
     if solved is None:
-        return TubeSolution(QpStatus.INFEASIBLE)
-    tube, edge_controls = solved
-    # the read-back clips the first box into X, where W is the storage form's affine value
-    objective = _tube_cost(spec, tube[:-1], 0.0 if storage is None else eval_storage(storage, spec, tube[0]))
+        return _INFEASIBLE
+    tube, edge_controls, cost = solved
+    if storage is not None:
+        # the read-back clips the first box into X, where W is the storage form's affine value
+        (c1, c3), (c2, c4) = tube[0].lo, tube[0].hi
+        cost += _storage_value(storage, c1, c2, c3, c4)
+    objective = _finite_cost(cost)
 
     lo, hi = _window(spec, tube[1], z2)
     if lo > hi:
@@ -343,7 +357,14 @@ def solve_tmpc(
     u0 = lo if lo > 0.0 else 0.0
     u0 = hi if hi < u0 else u0
 
-    return TubeSolution(QpStatus.OPTIMAL, tube, u0, objective, (lo, hi), edge_controls)
+    sol = object.__new__(TubeSolution)
+    _set_status(sol, QpStatus.OPTIMAL)
+    _set_tube(sol, tube)
+    _set_u0(sol, u0)
+    _set_objective(sol, objective)
+    _set_u0_interval(sol, (lo, hi))
+    _set_edge_controls(sol, edge_controls)
+    return sol
 
 
 def sweep_feedback(
@@ -351,9 +372,19 @@ def sweep_feedback(
     cfg: TubeMpcConfig,
     grid: Sequence[Sequence[float]],
 ) -> list[SweepPoint]:
-    """Pointwise controller evaluation over a grid; never aborts on infeasible points."""
+    """Pointwise controller evaluation over a grid, an iterable of states, else ConfigError; never aborts on infeasible points."""
+    try:
+        states = iter(grid)
+    except TypeError:
+        raise ConfigError(f"grid must be an iterable of states, got {grid!r}") from None
     points = []
-    for z in grid:
+    for z in states:
         sol = solve_tmpc(spec, cfg, z)
-        points.append(SweepPoint((float(z[0]), float(z[1])), sol.status, sol.u0, sol.objective, sol.u0_interval))
+        point = object.__new__(SweepPoint)
+        _set_z(point, (float(z[0]), float(z[1])))
+        _set_point_status(point, sol.status)
+        _set_point_u0(point, sol.u0)
+        _set_point_objective(point, sol.objective)
+        _set_point_u0_interval(point, sol.u0_interval)
+        points.append(point)
     return points

@@ -757,12 +757,29 @@ def state_in_bounds_reference(spec: ProblemSpec, z) -> Optional[tuple[float, flo
     return min(max(z1, xb.lo[0]), xb.hi[0]), min(max(z2, xb.lo[1]), xb.hi[1])
 
 
+def tube_cost_reference(spec: ProblemSpec, tube, storage=None) -> float:
+    """The price of a tube, the plain way: the stage cost of each box but the last, plus W of the first.
+
+    ``problem.stage_cost`` of each box is summed left to right from 0.0,
+    then ``eval_storage`` of the first box is added when there is a storage
+    form; a price that is not finite raises SolverFailure.
+    """
+    cost = 0.0
+    for box in tube[:-1]:
+        cost += stage_cost(spec, box)
+    if storage is not None:
+        cost += eval_storage(storage, spec, tube[0])
+    if not math.isfinite(cost):
+        raise qp_solver.SolverFailure(f"the minimising tube's cost is not finite ({cost})")
+    return cost
+
+
 def solve_tmpc_reference(spec: ProblemSpec, cfg, z, x):
     """The ``TubeSolution`` fields of ``solve_tmpc`` at z, from the program answer x the solve got, the plain way.
 
     ``(status, tube, u0, objective, u0_interval, edge_controls)``: the
     read-back of :func:`read_back_reference`, the cost by
-    ``cost_to_travel._tube_cost``, the window of :func:`window_reference`,
+    :func:`tube_cost_reference`, the window of :func:`window_reference`,
     and ``u0 = min(max(0.0, lo), hi)``.
     """
     state = state_in_bounds_reference(spec, z)
@@ -771,9 +788,7 @@ def solve_tmpc_reference(spec: ProblemSpec, cfg, z, x):
     if solved is None:
         return (QpStatus.INFEASIBLE, None, None, None, None, None)
     tube, edge_controls = solved
-    storage = controller.storage
-    initial = 0.0 if storage is None else eval_storage(storage, spec, tube[0])
-    objective = cost_to_travel._tube_cost(spec, tube[:-1], initial)
+    objective = tube_cost_reference(spec, tube, controller.storage)
     lo, hi = window_reference(spec, tube[1], state[1])
     if lo > hi:
         if lo - hi > qp_solver._FEAS_TOL:

@@ -104,6 +104,14 @@ def count(v, lo: int = 0, hi: float = INF):
     return int(v)
 
 
+def grid(v):
+    """v as a list of points, or None unless it is a tuple or list of finite points."""
+    if not isinstance(v, (tuple, list)):
+        return None
+    zs = [point(z) for z in v]
+    return zs if all(finite(z) for z in zs) else None
+
+
 def tol(v):
     x = real(v)
     return x if x is not None and x >= 0.0 else None
@@ -231,6 +239,11 @@ CONTRACT = [
     Row("sweep_feedback", "grid", "points, finite", sequences(2),
         lambda v: sweep_feedback(SPEC, CFG, [v]), lambda v: p if finite(p := point(v)) else None,
         lambda z, points: points[0].z == z and points[0].status is solve_tmpc(SPEC, CFG, z).status),
+    # the grid itself: a scalar, None or another object that is not iterable is refused before any solve
+    Row("sweep_feedback", "grid as a whole", "tuple or list of points, finite",
+        st.one_of(scalars, st.lists(sequences(2), max_size=2), st.lists(sequences(2), max_size=2).map(tuple)),
+        lambda v: sweep_feedback(SPEC, CFG, v), grid,
+        lambda zs, points: [p.z for p in points] == zs and all(p.status is solve_tmpc(SPEC, CFG, p.z).status for p in points)),
     Row("ExtremePolicy", "signs", "nonempty sequence of counts, each -1 or 1",
         st.one_of(sequences(2), st.lists(st.sampled_from([1, -1, np.int64(-1), 0, True, 1.0, BIG]), max_size=3).map(tuple)),
         lambda v: ExtremePolicy(signs=v),

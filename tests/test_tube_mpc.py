@@ -165,8 +165,13 @@ class TestSolveTmpc:
 
     @pytest.mark.parametrize("z", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
     def test_non_finite_state_rejected(self, spec, cfg_ic, z):
-        with pytest.raises(ConfigError, match="finite"):
-            solve_tmpc(spec, cfg_ic, z)
+        # a tuple, a list and an array state are each named by the floats they were read as
+        messages = []
+        for state in (z, list(z), np.array(z)):
+            with pytest.raises(ConfigError) as info:
+                solve_tmpc(spec, cfg_ic, state)
+            messages.append(str(info.value))
+        assert messages == [f"state must be finite, got {z}"] * 3
 
     @pytest.mark.parametrize(
         "z",
@@ -1277,7 +1282,7 @@ class TestMuFeedback:
         lo, hi = tube_mpc._window(spec, x_star, 4.0)
         assert lo - hi > 1e-8
         tube = (box((-5, 5), (-5, 5)), x_star)
-        monkeypatch.setattr(tube_mpc, "_solve_tube", lambda *args: (tube, ((0.0, 0.0),)))
+        monkeypatch.setattr(tube_mpc, "_solve_tube", lambda *args: (tube, ((0.0, 0.0),), 0.0))
         with pytest.raises(SolverFailure, match="empty control window"):
             solve_tmpc(spec, cfg_ic, (3.0, 4.0))
 
@@ -1294,6 +1299,51 @@ class TestSweep:
         assert points[0].status is QpStatus.OPTIMAL
         assert points[1].status is QpStatus.INFEASIBLE
         assert points[1].u0 is None
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_each_point_has_the_bits_of_its_solve(self, spec, name):
+        # the sweep and the solves each run on a fresh controller, in the
+        # same order, as an answer's last bits may depend on earlier solves
+        cfg = CONFIGS[name]
+        tube_mpc._controller.cache_clear()
+        points = sweep_feedback(spec, cfg, FINE_GRID)
+        tube_mpc._controller.cache_clear()
+        solves = [solve_tmpc(spec, cfg, z) for z in FINE_GRID]
+        assert len(points) == len(FINE_GRID)
+        for z, point, sol in zip(FINE_GRID, points, solves):
+            # the grid's np.float64 coordinates, as exact floats
+            assert type(point.z) is tuple and [type(c) for c in point.z] == [float, float], z
+            assert float_bits(point.z) == float_bits((float(z[0]), float(z[1]))), z
+            got = (point.status, point.u0, point.objective, point.u0_interval)
+            assert float_bits(got) == float_bits((sol.status, sol.u0, sol.objective, sol.u0_interval)), z
+        assert any(point.status is QpStatus.OPTIMAL for point in points)
+
+
+class TestSharedInfeasible:
+    """Every state without a tube gets one shared answer, which its frozen slots keep unchanged."""
+
+    def test_beyond_the_band_and_refuted_share_one_answer(self, spec, cfg_ic, monkeypatch):
+        beyond = solve_tmpc(spec, cfg_ic, (5.5, 0.0))
+        # at horizon 1 a fixed row refuses (5, 5); with U = [-2, 2] the kernel does, at horizon 2
+        by_row = solve_tmpc(spec, TubeMpcConfig(horizon=1), (5.0, 5.0))
+        narrow = ProblemSpec(u_bounds=(-2.0, 2.0))
+        # its terminal box is found by a kernel run of its own
+        tube_mpc._controller(narrow, cfg_ic)
+        runs = count_kernel_runs(monkeypatch)
+        (by_kernel,) = cold_solves(monkeypatch, narrow, cfg_ic, [(5.0, 5.0)])
+        assert len(runs) == 1
+        assert beyond is by_row is by_kernel and beyond.status is QpStatus.INFEASIBLE
+
+    def test_the_shared_answer_is_frozen(self, spec, cfg_ic):
+        sol = solve_tmpc(spec, cfg_ic, (5.5, 0.0))
+        for field in dataclasses.fields(TubeSolution):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sol, field.name, 1.0)
+        assert sol.to_json_dict() == {
+            "status": "infeasible", "tube": None, "u0": None, "objective": None,
+            "u0_interval": None, "edge_controls": None,
+        }
+        assert sol == TubeSolution(QpStatus.INFEASIBLE)
 
 
 class TestConfig:
