@@ -49,7 +49,7 @@ from .qp_solver import SolverFailure
 from .tube_mpc import TubeMpcConfig, _storage, solve_tmpc, sweep_feedback
 
 DEFAULT_SEED = 0
-# the most points per axis of a sweep grid: about a million solves, and the
+# the most points per axis of a sweep grid: about a million states, and the
 # grid is a list of grid**2 states built before the first of them
 MAX_GRID = 1001
 

@@ -503,6 +503,32 @@ class _LawTable(_AffineLaws):
                 return [(a + b1 * z1 + b2 * z2) * s for a, b1, b2, s in point], None
         return None
 
+    def walk(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`lookup` over arrays of states in X: whether a stored law answers each, and its corners, one row per state.
+
+        Each state takes the first law, in the order they were learned,
+        whose whole screen holds, the walk a cell's entries are proven equal
+        to; each law is tried only at the states no earlier law answers.
+        Every check and corner is computed by :meth:`_first`'s float
+        operations, so a found row has the bits of lookup's x.  numpy's
+        overflow and invalid flags are the caller's to silence.
+        """
+        laws = self.laws
+        # each state's law, len(laws) for none, and the states no law has answered yet
+        first = np.full(z1.size, len(laws))
+        todo = np.arange(z1.size)
+        for j, (screen, _) in enumerate(laws):
+            if not todo.size:
+                break
+            a, b1, b2, floor = np.array(screen).reshape(-1, 4).T[..., None]
+            held = (a + b1 * z1[todo] + b2 * z2[todo] >= floor).all(axis=0)
+            first[todo[held]] = j
+            todo = todo[~held]
+        found = first < len(laws)
+        point = np.array([law.point for law in laws] or np.zeros((1, self.s.size, 4)))[np.where(found, first, 0)]
+        x = (point[..., 0] + point[..., 1] * z1[:, None] + point[..., 2] * z2[:, None]) * point[..., 3]
+        return found, x
+
 
 # the cells of the tube table's grid along each side of X of nonzero width
 _GRID = 8
@@ -720,6 +746,17 @@ def _fixed_rows_fail(rows, p) -> bool:
     return False
 
 
+def _fixed_rows_hold(prog: _CornerProgram, p) -> np.ndarray:
+    """Whether every fixed row holds at each parameter of p, a tuple of arrays, as :func:`_solve_program` decides it."""
+    held = np.full(p[0].shape, not prog.fixed_min < -_FEAS_TOL)
+    for h0, terms in prog.fixed_rows:
+        lhs = 0.0
+        for k, c in terms:
+            lhs += c * p[k]
+        held &= ~(h0 - lhs < -_FEAS_TOL)
+    return held
+
+
 def _worst_fixed_row(prog: _CornerProgram, p) -> int:
     """The index of the fixed row with the least right-hand side at p, the first of ties."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -797,6 +834,26 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: t
     if None in witnesses:
         raise SolverFailure("a step of the minimising tube is not a transition")
     return tuple(boxes), tuple(witnesses), cost
+
+
+def _read_back(step, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_solve_tube`'s free boxes over rows of corners x: ``(a1, a2, a3, a4)``, one column per box, and whether each row's boxes are built.
+
+    Each corner is clipped onto the state bounds as the pass clips it, and
+    every box is snapped as ``IntervalBox.from_corners`` snaps, which leaves
+    a box in order as it is; a row with a box still inverted or NaN is one
+    whose read-back raises ValueError.
+    """
+    lo1, hi1, lo2, hi2 = step[5:]
+    lo, hi = np.array([lo1, lo1, lo2, lo2]), np.array([hi1, hi1, hi2, hi2])
+    x = x.reshape(x.shape[0], -1, 4)
+    x = np.where(x <= lo, lo, x)
+    a = list(np.where(x >= hi, hi, x).transpose(2, 0, 1))
+    for i in (0, 2):
+        snap = (a[i + 1] < a[i]) & (a[i] <= a[i + 1] + _FEAS_TOL)
+        mid = 0.5 * (a[i] + a[i + 1])
+        a[i], a[i + 1] = np.where(snap, mid, a[i]), np.where(snap, mid, a[i + 1])
+    return (*a, ((a[0] <= a[1]) & (a[2] <= a[3])).all(axis=1))
 
 
 @lru_cache(maxsize=64)

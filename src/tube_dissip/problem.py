@@ -294,6 +294,23 @@ def _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4):
     return (v1_lo - slack, v2_hi + slack)
 
 
+def _step_slacks(step, a1, a2, a3, a4, b1, b2, b3, b4) -> np.ndarray:
+    """The ``slack`` of :func:`_step_witness` over arrays of corners, each comparison of its rule taken by ``np.where``."""
+    al, u_lo, u_hi, w_lo, w_hi, x1_lo, x1_hi, x2_lo, x2_hi = step
+    v2_lo = np.where(u_lo > b1, u_lo, b1)
+    t = b3 - al * a3 - w_lo
+    v1_lo = np.where(t > v2_lo, t, v2_lo)
+    v1_hi = np.where(u_hi < b2, u_hi, b2)
+    t = b4 - al * a4 - w_hi
+    v2_hi = np.where(t < v1_hi, t, v1_hi)
+    t = 0.5 * (v1_lo - v1_hi)
+    slack = np.where(t > 0.0, t, 0.0)
+    for t in (0.5 * (v2_lo - v2_hi), (v1_lo - v2_hi - al * (a4 - a3)) / (2.0 + al),
+              x1_lo - a1, a2 - x1_hi, x2_lo - a3, a4 - x2_hi):
+        slack = np.where(t > slack, t, slack)
+    return slack
+
+
 def transition_feasible(
     spec: ProblemSpec,
     a: IntervalBox,

@@ -33,6 +33,13 @@ tell forced values from tie-broken ones.  Only states within the state
 bounds have a tube: one beyond them by more than ``_FEAS_TOL`` is reported
 infeasible without a solve, and one within ``_FEAS_TOL`` of them is solved
 as the nearest state on them.
+
+A sweep (:func:`sweep_feedback`) reads every state before it solves any,
+then answers the states in blocks, in grid order: one numpy pass per block
+computes every state without a tube or answered by a stored law, by the
+same float operations as a solve, and the states it leaves are solved one
+at a time after it.  So every point has the bits of :func:`solve_tmpc` at
+its state, and the table learns what a solve of each state in turn would.
 """
 
 from __future__ import annotations
@@ -50,14 +57,16 @@ from .cost_to_travel import (
     _corner_program,
     _CornerProgram,
     _finite_cost,
+    _fixed_rows_hold,
     _LawTable,
+    _read_back,
     _solve_tube,
     _stacked_steps,
     optimal_rci,
 )
 from .dissipativity import StorageFunction, _storage_value
 from .interval_sets import ConfigError, IntervalBox, _SEQUENCES, _count, _point, _section, subset
-from .problem import ProblemSpec, is_rci, transition_rows
+from .problem import ProblemSpec, _stage_cost, _step_slacks, is_rci, transition_rows
 from .qp_solver import _FEAS_TOL, QpStatus, SolverFailure
 
 __all__ = [
@@ -172,8 +181,11 @@ class SweepPoint:
     u0_interval: Optional[tuple[float, float]]
 
 
-# the answer of every state without a tube
+# the answer of every state without a tube, and its sweep point's (status, u0, objective, u0_interval)
 _INFEASIBLE = TubeSolution(QpStatus.INFEASIBLE)
+_NO_TUBE = (QpStatus.INFEASIBLE, None, None, None)
+# the most states a sweep answers in one numpy pass
+_BLOCK = 1024
 # the slot setters of each record's fields, which write past the frozen
 # __setattr__, as cost_to_travel's do; a feasible solution and every sweep point are set by them
 _set_status, _set_tube, _set_u0, _set_objective, _set_u0_interval, _set_edge_controls = (
@@ -291,6 +303,22 @@ def _controller(spec: ProblemSpec, cfg: TubeMpcConfig) -> _Controller:
     return _Controller(terminal, storage, self_successor, _tube_program(spec, cfg, terminal, storage))
 
 
+def _state(z) -> tuple[float, float]:
+    """The state z as a pair of floats, by :func:`solve_tmpc`'s rule; ConfigError for any other value."""
+    try:
+        z1, z2 = z
+    except (TypeError, ValueError):
+        z1 = None
+    # a sequence of floats, np.float64 included, passes as it is; any other state takes the point rule
+    if isinstance(z, _SEQUENCES) and isinstance(z1, float) and isinstance(z2, float):
+        z1, z2 = float(z1), float(z2)
+    else:
+        z1, z2 = _point(z, "state must be two numbers")
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        raise ConfigError(f"state must be finite, got {(z1, z2)}")
+    return z1, z2
+
+
 def solve_tmpc(
     spec: ProblemSpec,
     cfg: TubeMpcConfig,
@@ -306,17 +334,7 @@ def solve_tmpc(
     written as conditional expressions in the builtins' order, so their
     bits are those of ``max`` and ``min``.
     """
-    try:
-        z1, z2 = z
-    except (TypeError, ValueError):
-        z1 = None
-    # a sequence of floats, np.float64 included, passes as it is; any other state takes the point rule
-    if isinstance(z, _SEQUENCES) and isinstance(z1, float) and isinstance(z2, float):
-        z1, z2 = float(z1), float(z2)
-    else:
-        z1, z2 = _point(z, "state must be two numbers")
-    if not (math.isfinite(z1) and math.isfinite(z2)):
-        raise ConfigError(f"state must be finite, got {(z1, z2)}")
+    z1, z2 = _state(z)
     terminal, storage, self_successor, prog = _controller(spec, cfg)
     if not self_successor:
         warnings.warn(
@@ -372,19 +390,100 @@ def sweep_feedback(
     cfg: TubeMpcConfig,
     grid: Sequence[Sequence[float]],
 ) -> list[SweepPoint]:
-    """Pointwise controller evaluation over a grid, an iterable of states, else ConfigError; never aborts on infeasible points."""
+    """:func:`solve_tmpc` at each state of grid, an iterable of states, as points in grid order; never aborts on infeasible points.
+
+    Every state is read by solve_tmpc's rule before the first solve, so a
+    grid that is not iterable, or any entry that is not a finite state,
+    raises ConfigError before any solve.  The states are then answered in
+    blocks of ``_BLOCK``, in grid order, each by one numpy pass
+    (:func:`_pass`) and then a solve of each state the pass leaves, one at
+    a time, in grid order.  The table only appends laws, so a state the
+    pass answers by a law is answered by that law at any point of the
+    block, and the table learns the same laws in the same order as a solve
+    of each state in turn: every point has the bits of solve_tmpc at its
+    state.  A controller whose terminal box is not its own successor solves
+    each state in turn, with its warning at each.
+    """
     try:
         states = iter(grid)
     except TypeError:
         raise ConfigError(f"grid must be an iterable of states, got {grid!r}") from None
+    states = [_state(z) for z in states]
     points = []
-    for z in states:
-        sol = solve_tmpc(spec, cfg, z)
-        point = object.__new__(SweepPoint)
-        _set_z(point, (float(z[0]), float(z[1])))
-        _set_point_status(point, sol.status)
-        _set_point_u0(point, sol.u0)
-        _set_point_objective(point, sol.objective)
-        _set_point_u0_interval(point, sol.u0_interval)
-        points.append(point)
+    for start in range(0, len(states), _BLOCK):
+        block = states[start : start + _BLOCK]
+        controller = _controller(spec, cfg)
+        answers = _pass(spec, controller, block) if controller.self_successor else [None] * len(block)
+        for z, answer in zip(block, answers):
+            if answer is None:
+                sol = solve_tmpc(spec, cfg, z)
+                answer = sol.status, sol.u0, sol.objective, sol.u0_interval
+            point = object.__new__(SweepPoint)
+            _set_z(point, z)
+            _set_point_status(point, answer[0])
+            _set_point_u0(point, answer[1])
+            _set_point_objective(point, answer[2])
+            _set_point_u0_interval(point, answer[3])
+            points.append(point)
     return points
+
+
+def _pass(spec: ProblemSpec, controller: _Controller, states: list) -> list:
+    """solve_tmpc's ``(status, u0, objective, u0_interval)`` at each state where it has no tube or a stored law answers; None at the others.
+
+    The states are float pairs.  Each step is solve_tmpc's, over arrays and
+    by the same float operations in the same order: the band test and the
+    clamp, the fixed rows, the first stored law whose whole screen holds
+    (``_LawTable.walk``), the read-back's clip and snap
+    (``cost_to_travel._read_back``), each step's one-step slack, the stage
+    costs summed left to right from 0.0, W(Y_0), the finite-cost guard and
+    the window; ``u0`` is clamped from the window in plain floats.  None
+    marks a state to solve: one no law answers, which a stored ray may
+    refute, or one whose read-back or window raises.
+    """
+    terminal, storage, _, prog = controller
+    al, u_lo, u_hi, w_lo, w_hi, x1_lo, x1_hi, x2_lo, x2_hi = step = spec._step
+    z1, z2 = np.array(states).T
+    with np.errstate(all="ignore"):
+        refused = (x1_lo - z1 > _FEAS_TOL) | (z1 - x1_hi > _FEAS_TOL)
+        refused |= (x2_lo - z2 > _FEAS_TOL) | (z2 - x2_hi > _FEAS_TOL)
+        z1 = np.where(x1_lo > z1, x1_lo, z1)
+        z1 = np.where(x1_hi < z1, x1_hi, z1)
+        z2 = np.where(x2_lo > z2, x2_lo, z2)
+        z2 = np.where(x2_hi < z2, x2_hi, z2)
+        refused |= ~_fixed_rows_hold(prog, (z1, z2))
+        found, x = prog.laws.walk(z1, z2)
+        a1, a2, a3, a4, held = _read_back(step, x)
+        # each free box's successor: the next free box, and T after the last
+        b1, b2, b3, b4 = (
+            np.column_stack([a[:, 1:], np.full(len(states), c)]) for a, c in zip((a1, a2, a3, a4), terminal.corners())
+        )
+        held &= ~(_step_slacks(step, a1, a2, a3, a4, b1, b2, b3, b4) > _FEAS_TOL).any(axis=1)
+        stage = _stage_cost(spec.cost_linear, spec.cost_quad, a1, a2, a3, a4)
+        cost = 0.0
+        for column in stage.T:
+            cost = cost + column
+        if storage is not None:
+            cost = cost + _storage_value(storage, a1[:, 0], a2[:, 0], a3[:, 0], a4[:, 0])
+        held &= np.isfinite(cost)
+        # the window on the second box, as _window and solve_tmpc take it
+        b1, b2, b3, b4 = b1[:, 0], b2[:, 0], b3[:, 0], b4[:, 0]
+        t = b3 - al * z2 - w_lo
+        lo = np.where(t > b1, t, b1)
+        lo = np.where(u_lo > lo, u_lo, lo)
+        t = b4 - al * z2 - w_hi
+        hi = np.where(t < b2, t, b2)
+        hi = np.where(u_hi < hi, u_hi, hi)
+        inverted = lo > hi
+        held &= ~(inverted & (lo - hi > _FEAS_TOL))
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.where(inverted, mid, lo), np.where(inverted, mid, hi)
+    answers = [None] * len(states)
+    for i in np.flatnonzero(refused).tolist():
+        answers[i] = _NO_TUBE
+    law = found & held & ~refused
+    for i, cost, lo, hi in zip(np.flatnonzero(law).tolist(), cost[law].tolist(), lo[law].tolist(), hi[law].tolist()):
+        # min(max(0.0, lo), hi) in plain floats, as solve_tmpc takes u0, which so shares lo's or hi's float
+        u0 = lo if lo > 0.0 else 0.0
+        answers[i] = (QpStatus.OPTIMAL, hi if hi < u0 else u0, cost, (lo, hi))
+    return answers

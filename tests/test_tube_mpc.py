@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,38 @@ CONFIGS = {
 }
 STATE_GRID = [(z1, z2) for z1 in np.linspace(-5, 5, 9) for z2 in np.linspace(-5, 5, 9)]
 FINE_GRID = [(z1, z2) for z1 in np.linspace(-5, 5, 21) for z2 in np.linspace(-5, 5, 21)]
+# a sweep's controllers, problems and grids, each grid a pair (prefix,
+# states) whose prefix is solved state by state first.  The fine grid's
+# table has learned its prefix, and its states end with a ring within 5e-9
+# of X; the long one starts from an empty table and spans three of the
+# sweep's blocks
+SWEEP_CONFIGS = {
+    **CONFIGS,
+    "horizon_8": TubeMpcConfig(horizon=8),
+    "not_self_successor": TubeMpcConfig(terminal_set=IntervalBox(lo=(-1.0, -4.0), hi=(-1.0, -1.0))),
+}
+SWEEP_PROBLEMS = {"default": ProblemSpec(), "narrow_u": ProblemSpec(u_bounds=(-2.0, 2.0))}
+SWEEP_GRIDS = {
+    "fine": (STATE_GRID, FINE_GRID + BEYOND_THE_BAND + [z for z, _ in WITHIN_THE_BAND] + [
+        z for t in np.linspace(-5, 5, 11) for z in ((5 + 5e-9, t), (-5 - 5e-9, t), (t, 5 + 5e-9), (t, -5 - 5e-9))
+    ]),
+    "long": ((), [(z1, z2) for z1 in np.linspace(-5.2, 5.2, 51) for z2 in np.linspace(-5.2, 5.2, 51)]),
+}
+# substitutes of a law's point, the maps (a, b1, b2, s) of its corners (a1, a2, a3, a4) box after box
+SUBSTITUTES = {
+    # the second box made X, which reaches no terminal box in one step
+    "step": lambda point: point[:4] + ((-5.0, 0.0, 0.0, 1.0), (5.0, 0.0, 0.0, 1.0)) * 2 + point[8:],
+    # the first box's lower corner 1e-9 below X, which the read-back clips onto it
+    "clipped": lambda point: ((-5.000000001, 0.0, 0.0, 1.0),) + point[1:],
+    # the first box's lower corner 1e-9 beyond its upper one, which the read-back snaps, and 1.0 beyond, which it refuses
+    "snapped": lambda point: ((point[1][0] + 1e-9 / point[1][3], *point[1][1:]),) + point[1:],
+    "inverted": lambda point: ((point[1][0] + 1.0 / point[1][3], *point[1][1:]),) + point[1:],
+    # at horizon 2, the boxes {-3.5} x [-2, 0] and {-1} x [-3, 0], whose steps hold but leave no control
+    # window at a state of second coordinate -3.9
+    "window": lambda point: tuple((c, 0.0, 0.0, 1.0) for c in (-3.5, -3.5, -2.0, 0.0, -1.0, -1.0, -3.0, 0.0)),
+}
+
+
 # (state, the state on the bounds it is solved as)
 ORACLE_STATES = [(z, z) for z in FINE_GRID] + WITHIN_THE_BAND
 
@@ -1300,23 +1333,166 @@ class TestSweep:
         assert points[1].status is QpStatus.INFEASIBLE
         assert points[1].u0 is None
 
-    @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_each_point_has_the_bits_of_its_solve(self, spec, name):
+    @pytest.mark.parametrize("grid", list(SWEEP_GRIDS))
+    @pytest.mark.parametrize("problem", list(SWEEP_PROBLEMS))
+    @pytest.mark.parametrize("name", list(SWEEP_CONFIGS))
+    def test_each_point_has_the_bits_of_its_solve(self, name, problem, grid):
         # the sweep and the solves each run on a fresh controller, in the
-        # same order, as an answer's last bits may depend on earlier solves
-        cfg = CONFIGS[name]
+        # same order, as an answer's last bits may depend on earlier solves;
+        # both leave the same laws and rays, and give the same warnings
+        spec, cfg, (prefix, states) = SWEEP_PROBLEMS[problem], SWEEP_CONFIGS[name], SWEEP_GRIDS[grid]
         tube_mpc._controller.cache_clear()
-        points = sweep_feedback(spec, cfg, FINE_GRID)
+        with warnings.catch_warnings(record=True) as sweep_warnings:
+            warnings.simplefilter("always")
+            for z in prefix:
+                solve_tmpc(spec, cfg, z)
+            points = sweep_feedback(spec, cfg, states)
+        swept = table_contents(spec, cfg)
         tube_mpc._controller.cache_clear()
-        solves = [solve_tmpc(spec, cfg, z) for z in FINE_GRID]
-        assert len(points) == len(FINE_GRID)
-        for z, point, sol in zip(FINE_GRID, points, solves):
+        with warnings.catch_warnings(record=True) as solve_warnings:
+            warnings.simplefilter("always")
+            solves = [solve_tmpc(spec, cfg, z) for z in [*prefix, *states]][len(prefix):]
+        assert table_contents(spec, cfg) == swept
+        assert [w.category for w in sweep_warnings] == [w.category for w in solve_warnings]
+        assert len(sweep_warnings) == (0 if name != "not_self_successor" else len(prefix) + len(states))
+        assert len(points) == len(states)
+        for z, point, sol in zip(states, points, solves):
             # the grid's np.float64 coordinates, as exact floats
             assert type(point.z) is tuple and [type(c) for c in point.z] == [float, float], z
             assert float_bits(point.z) == float_bits((float(z[0]), float(z[1]))), z
             got = (point.status, point.u0, point.objective, point.u0_interval)
             assert float_bits(got) == float_bits((sol.status, sol.u0, sol.objective, sol.u0_interval)), z
         assert any(point.status is QpStatus.OPTIMAL for point in points)
+
+    def test_the_narrow_problem_meets_stored_rays(self, monkeypatch):
+        # so its sweeps of the fine grid hold states that a stored ray refutes
+        real_refute = cost_to_travel._AffineLaws.refute
+        refuted = []
+
+        def recording_refute(table, h):
+            ray = real_refute(table, h)
+            refuted.append(ray is not None)
+            return ray
+
+        spec, cfg, (prefix, states) = SWEEP_PROBLEMS["narrow_u"], SWEEP_CONFIGS["default"], SWEEP_GRIDS["fine"]
+        tube_mpc._controller.cache_clear()
+        for z in prefix:
+            solve_tmpc(spec, cfg, z)
+        monkeypatch.setattr(cost_to_travel._AffineLaws, "refute", recording_refute)
+        sweep_feedback(spec, cfg, states)
+        assert any(refuted)
+
+    @pytest.mark.parametrize("bad", [(1.0, 2.0, 3.0), (float("nan"), 0.0), "ab"])
+    def test_a_bad_state_is_refused_before_any_solve(self, spec, bad, monkeypatch):
+        cfg = TubeMpcConfig(horizon=3)
+        tube_mpc._controller.cache_clear()
+        runs = count_kernel_runs(monkeypatch)
+        with pytest.raises(ConfigError, match="state must be"):
+            sweep_feedback(spec, cfg, [(5.0, -5.0), bad])
+        assert runs == [] and len(tube_mpc._controller(spec, cfg).prog.laws) == 0
+
+    @pytest.mark.parametrize("name", [name for name in SWEEP_CONFIGS if name != "not_self_successor"])
+    def test_a_filled_table_answers_a_whole_sweep_in_its_pass(self, spec, name, monkeypatch):
+        # on the default problem every state in X is feasible, so once the
+        # table has learned a grid, its states are answered by laws, the
+        # band or the fixed rows, and none is solved one at a time
+        cfg = SWEEP_CONFIGS[name]
+        tube_mpc._controller.cache_clear()
+        sweep_feedback(spec, cfg, SWEEP_GRIDS["fine"][1])
+        solved = record_sweep_solves(monkeypatch)
+        sweep_feedback(spec, cfg, SWEEP_GRIDS["fine"][1])
+        assert solved == []
+
+    @pytest.mark.parametrize("kind", list(SUBSTITUTES))
+    def test_a_substituted_law_reads_back_as_in_the_solves(self, spec, kind, monkeypatch):
+        # on a fresh table in place of the controller's, the first law's
+        # point is replaced, in the laws and in the cells; the states before
+        # the one it answers learn laws of their own first.  The sweep reads
+        # it back as the solves do, or raises the same error at the same
+        # state with the same laws learned
+        cfg = CONFIGS["default"]
+        first = (-3.5, -4.0)
+        states = [(4.0, 4.0), (0.0, 3.0), (3.0, -3.0), (-3.5, -3.9), first, (0.0, 0.0)]
+        outcomes = []
+        for sweep in (True, False):
+            table = install_empty_table(monkeypatch, spec, cfg).laws
+            solve_tmpc(spec, cfg, first)
+            (law,) = table.laws
+            point = SUBSTITUTES[kind](law.point)
+            table.laws = (law._replace(point=point),)
+            table.cells = tuple(
+                tuple(tuple(e._replace(point=point) if e.point is law.point else e for e in cell) for cell in row)
+                for row in table.cells
+            )
+            with monkeypatch.context() as patch:
+                solved = record_sweep_solves(patch)
+                try:
+                    if sweep:
+                        got = [(p.status, p.u0, p.objective, p.u0_interval) for p in sweep_feedback(spec, cfg, states)]
+                        swept = list(solved)
+                    else:
+                        sols = [tube_mpc.solve_tmpc(spec, cfg, z) for z in states]
+                        got = [(s.status, s.u0, s.objective, s.u0_interval) for s in sols]
+                except (SolverFailure, ValueError) as exc:
+                    got = (type(exc), str(exc), solved[-1])
+            outcomes.append((float_bits(got), table_contents(spec, cfg)))
+        assert outcomes[0] == outcomes[1]
+        assert len(table.laws) > 1
+        if kind in ERRORS:
+            assert outcomes[0][0][2] == float_bits((-3.5, -3.9))
+            assert outcomes[0][0][1].startswith(ERRORS[kind])
+        else:
+            # read back in the sweep's pass, not solved
+            assert (-3.5, -3.9) not in swept
+
+    def test_a_cost_that_is_not_finite_raises_where_the_solves_raise(self, spec, monkeypatch):
+        # a law answers the first state and W is made infinite: the solves
+        # raise at the first state, before the miss after it is solved
+        cfg = CONFIGS["default"]
+        states = [(-3.5, -3.9), (4.0, 4.0)]
+        real_value = tube_mpc._storage_value
+        raised = []
+        for sweep in (True, False):
+            install_empty_table(monkeypatch, spec, cfg)
+            solve_tmpc(spec, cfg, (-3.5, -4.0))
+            with monkeypatch.context() as patch:
+                solved = record_sweep_solves(patch)
+                patch.setattr(tube_mpc, "_storage_value", lambda *args: real_value(*args) * math.inf)
+                with pytest.raises(SolverFailure, match="not finite") as info:
+                    if sweep:
+                        sweep_feedback(spec, cfg, states)
+                    else:
+                        for z in states:
+                            tube_mpc.solve_tmpc(spec, cfg, z)
+            raised.append((str(info.value), solved[-1], table_contents(spec, cfg)))
+        assert raised[0] == raised[1] and raised[0][1] == states[0]
+
+
+# the start of the error a solve raises at a state the substituted law answers
+ERRORS = {
+    "step": "a step of the minimising tube is not a transition",
+    "inverted": "empty interval in dimension 0",
+    "window": "empty control window for the optimal tube",
+}
+
+
+def record_sweep_solves(patch):
+    """Patch ``tube_mpc.solve_tmpc``, which a sweep calls for each state its pass leaves, by patch, a monkeypatch; the returned list gets each state."""
+    real_solve = tube_mpc.solve_tmpc
+    solved = []
+
+    def recording_solve(spec, cfg, z):
+        solved.append(z)
+        return real_solve(spec, cfg, z)
+
+    patch.setattr(tube_mpc, "solve_tmpc", recording_solve)
+    return solved
+
+
+def table_contents(spec, cfg):
+    """The laws of the controller's table, in order, and its rays, as exact values."""
+    laws = tube_mpc._controller(spec, cfg).prog.laws
+    return repr([tuple(law) for law in laws.laws]), laws.rays[0].tobytes(), laws.rays[1].tobytes()
 
 
 class TestSharedInfeasible:
