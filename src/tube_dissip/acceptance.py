@@ -20,10 +20,12 @@ from .closed_loop import (
 )
 from .cost_to_travel import eval_v, optimal_rci
 from .dissipativity import StorageFunction, eval_storage, verify_separability
-from .interval_sets import IntervalBox, _point, _seed, boxes_intersect, contains
+from .interval_sets import ConfigError, IntervalBox, _point, _seed, boxes_intersect, contains
 from .problem import ProblemSpec, dynamics, stage_cost
 from .sampling import (
     _Draws,
+    _GaveUp,
+    _trusted_box,
     feasible_chain,
     feasible_pair,
     monotone_cone_box,
@@ -196,6 +198,11 @@ _CANDIDATE_X1 = ((-4.0, -1.0), (-1.0, -1.0), (-2.0, 0.0), (0.0, 3.0))
 _CANDIDATE_X2 = ((-4.0, 0.0), (-2.0, 2.0), (0.0, 4.0))
 
 
+def _undrawn(i: int, n: int, exc: Exception) -> str:
+    """The detail of a sampled criterion whose i-th of n samples could not be drawn, for the reason exc."""
+    return f"could not draw sample {i + 1} of {n}: {exc}"
+
+
 def _candidate_boxes() -> list[IntervalBox]:
     return [IntervalBox.from_intervals(ix, iy) for ix in _CANDIDATE_X1 for iy in _CANDIDATE_X2]
 
@@ -205,8 +212,13 @@ def check_chain_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 200) -> 
     candidates = _candidate_boxes()
     tol = 1e-6
     violations = []
-    for _ in range(n_pairs):
-        chain = feasible_chain(spec, rng, 2)
+    undrawn = None
+    for i in range(n_pairs):
+        try:
+            chain = feasible_chain(spec, rng, 2)
+        except _GaveUp as exc:
+            undrawn = _undrawn(i, n_pairs, exc)
+            break
         a, c = chain[0], chain[2]
         direct = eval_v(spec, a, c, 2)
         if math.isinf(direct.value):
@@ -226,8 +238,8 @@ def check_chain_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 200) -> 
     return CriterionResult(
         key="chain-inequality",
         title="two-leg bound and tightness at the extracted middle box",
-        passed=not violations,
-        detail=f"{n_pairs} chains x {len(candidates)} candidate middles, "
+        passed=not violations and undrawn is None,
+        detail=undrawn or f"{n_pairs} chains x {len(candidates)} candidate middles, "
         f"{len(violations)} violations (tol 1e-6)",
     )
 
@@ -238,14 +250,20 @@ def check_monotonicity(spec: ProblemSpec, seed: int, n_pairs: int = 500) -> Crit
     The source-side inequality needs the stage cost to be monotone under
     nesting, which for the default coefficients holds on the cone of boxes
     with nonpositive lower corners and nonnegative upper x2-corner; samples
-    are drawn there.  The target-side inequality is unconditional.
+    are drawn there, and state bounds that miss the cone fail the check.
+    The target-side inequality is unconditional.
     """
     rng = _Draws(seed)
     tol = 1e-6
     violations = 0
     finite_source = 0
+    undrawn = None
     for i in range(n_pairs):
-        outer = monotone_cone_box(rng, spec)
+        try:
+            outer = monotone_cone_box(rng, spec)
+        except ConfigError as exc:
+            undrawn = _undrawn(i, n_pairs, exc)
+            break
         inner = _cone_subbox(rng, outer)
         n_steps = 2 if i % 5 == 0 else 1
         if rng.uniform() < 0.7:
@@ -269,19 +287,19 @@ def check_monotonicity(spec: ProblemSpec, seed: int, n_pairs: int = 500) -> Crit
     return CriterionResult(
         key="monotonicity",
         title="value shrinks with the source box and grows with the target box",
-        passed=violations == 0,
-        detail=f"{n_pairs} nested samples ({finite_source} with finite widened-source value), "
+        passed=violations == 0 and undrawn is None,
+        detail=undrawn or f"{n_pairs} nested samples ({finite_source} with finite widened-source value), "
         f"{violations} violations (tol 1e-6)",
     )
 
 
 def _cone_subbox(rng, outer: IntervalBox) -> IntervalBox:
-    a1p, a2p, a3p, a4p = outer.corners()
+    (a1p, a3p), (a2p, a4p) = outer.lo, outer.hi
     a1 = rng.uniform(a1p, min(0.0, a2p))
     a2 = rng.uniform(a1, a2p)
     a3 = rng.uniform(a3p, min(0.0, a4p))
     a4 = rng.uniform(max(0.0, a3), a4p)
-    return IntervalBox.from_corners((a1, a2, a3, a4))
+    return _trusted_box(a1, a2, a3, a4) or IntervalBox.from_corners((a1, a2, a3, a4))
 
 
 def check_dissipation_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 500) -> CriterionResult:
@@ -291,8 +309,13 @@ def check_dissipation_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 50
     tol = 1e-6
     worst = -math.inf
     violations = 0
-    for _ in range(n_pairs):
-        a, b = feasible_pair(spec, rng)
+    undrawn = None
+    for i in range(n_pairs):
+        try:
+            a, b = feasible_pair(spec, rng)
+        except _GaveUp as exc:
+            undrawn = _undrawn(i, n_pairs, exc)
+            break
         lhs = eval_storage(sf, spec, b) - eval_storage(sf, spec, a)
         rhs = stage_cost(spec, a) - v_star
         if lhs > rhs + tol:
@@ -301,8 +324,8 @@ def check_dissipation_inequality(spec: ProblemSpec, seed: int, n_pairs: int = 50
     return CriterionResult(
         key="dissipation-inequality",
         title="storage increase bounded by stage cost above the optimum",
-        passed=violations == 0,
-        detail=f"{n_pairs} sampled transitions, worst slack {worst:.3e}, "
+        passed=violations == 0 and undrawn is None,
+        detail=undrawn or f"{n_pairs} sampled transitions, worst slack {worst:.3e}, "
         f"{violations} violations (tol 1e-6)",
     )
 

@@ -17,8 +17,10 @@ flag, print its usage line first); 1 on a domain failure.  That is either
 a negative verdict (an infeasible ``eval-v`` or ``control``, a failed
 ``check-storage``, a truncated or unstable ``simulate``, a failing
 ``verify-all``), written in full as the output with nothing on standard
-error, or a command that stops without an answer (no invariant box, or a
-solver that stops without one), with one ``error:`` line and no output.
+error, or a command that stops without an answer (no invariant box, a
+solver that stops without one, or strictness samples that cannot be
+drawn), with one ``error:`` line and no output.  ``verify-all`` always
+prints its table: a criterion whose samples cannot be drawn fails.
 The controller also warns on standard error of a terminal box that is not
 its own successor.
 """
@@ -46,6 +48,7 @@ from .dissipativity import check_strictness, verify_separability
 from .interval_sets import IntervalBox, _count, _section, _seed
 from .problem import ConfigError, ProblemSpec
 from .qp_solver import SolverFailure
+from .sampling import _GaveUp
 from .tube_mpc import TubeMpcConfig, _storage, solve_tmpc, sweep_feedback
 
 DEFAULT_SEED = 0
@@ -292,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RciNotFound, SolverFailure) as exc:
+    except (RciNotFound, SolverFailure, _GaveUp) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -237,7 +237,9 @@ def check_strictness(
     optimal invariant box are excluded; there the margin is zero by
     definition.  Deterministic for a fixed seed.  ``n_samples`` is a
     positive integer and ``seed`` a non-negative one, ``np.integer``
-    included; a bool, None or any other value raises ConfigError.
+    included; a bool, None or any other value raises ConfigError.  When
+    the pair sampler draws no feasible pair in its tries, its RuntimeError
+    is raised.
     """
     n_samples = _count(n_samples, "n_samples", 1)
     rng = _Draws(_seed(seed))

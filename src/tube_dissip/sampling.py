@@ -6,12 +6,17 @@ genuine transition by the row encoding (callers may still re-verify it with
 :func:`~tube_dissip.problem.transition_feasible`).
 
 Every sampler takes, as ``rng``, an object with numpy's
-``Generator.uniform(low, high, size)``: a caller's ``np.random.Generator``,
-which it reads one draw at a time as it always has, or the library's own
-:class:`_Draws`.  The generators the library creates for itself (the
-acceptance battery, ``check_strictness`` and the random disturbance policy)
-are ``_Draws``: they take the same doubles from the same seeded stream,
-fetched in blocks, so every seeded answer is unchanged to the bit.
+``Generator.uniform``, which it calls only as ``uniform(low, high)``, one
+double per call: a caller's ``np.random.Generator``, which it reads one draw
+at a time as it always has, or the library's own :class:`_Draws`.  The
+generators the library creates for itself (the acceptance battery,
+``check_strictness`` and the random disturbance policy) are ``_Draws``: they
+take the same doubles from the same seeded stream, fetched in blocks, so
+every seeded answer is unchanged to the bit.  A box whose four corners are
+floats, finite and in order is built trusted, as a read-back box is
+(``cost_to_travel._solve_tube``); any other, such as one of numpy scalars,
+ints or NaN from another generator, goes through the constructor the
+sampler names, which converts or refuses it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .interval_sets import IntervalBox, _count
+from .interval_sets import ConfigError, IntervalBox, _count
 from .problem import ProblemSpec
 
 __all__ = [
@@ -38,6 +43,12 @@ _MAX_TRIES = 50
 
 # the doubles _Draws fetches from its generator per numpy call
 _BLOCK = 256
+
+_INF = float("inf")
+
+
+class _GaveUp(RuntimeError):
+    """A constructive sampler drew ``_MAX_TRIES`` source boxes and none had a successor."""
 
 
 class _Draws:
@@ -63,36 +74,52 @@ class _Draws:
 
     def uniform(self, lo=0.0, hi=1.0, size=None):
         span = hi - lo
+        block = self._block
+        # the common case: one draw across a finite positive span
+        if 0.0 < span < _INF and size is None and block:
+            return lo + span * block.pop()
         if not math.isfinite(span):
             raise OverflowError("high - low range exceeds valid bounds")
         if span <= 0.0 and math.copysign(1.0, span) < 0.0:
             raise ValueError("high - low < 0")
         if size is not None:
             return [self.uniform(lo, hi) for _ in range(size)]
-        block = self._block
         if not block:
             block += self._random(_BLOCK)[::-1].tolist()
         return lo + span * block.pop()
 
 
 def _sorted_pair(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
-    x, y = rng.uniform(lo, hi, size=2)
+    # two scalar draws: the doubles of one size=2 draw, as floats
+    x = rng.uniform(lo, hi)
+    y = rng.uniform(lo, hi)
     return (x, y) if x <= y else (y, x)
 
 
+def _trusted_box(a1, a2, a3, a4) -> Optional[IntervalBox]:
+    """The box of corner vector ``(a1, a2, a3, a4)``, built without checks when its corners are floats, finite and in order; None otherwise."""
+    if type(a1) is type(a2) is type(a3) is type(a4) is float and -_INF < a1 <= a2 < _INF and -_INF < a3 <= a4 < _INF:
+        # looked up on the class at each call, where a test may replace it
+        return IntervalBox._trusted((a1, a3), (a2, a4))
+    return None
+
+
 def random_box_within(rng: np.random.Generator, outer: IntervalBox) -> IntervalBox:
-    i1 = _sorted_pair(rng, outer.lo[0], outer.hi[0])
-    i2 = _sorted_pair(rng, outer.lo[1], outer.hi[1])
-    return IntervalBox.from_intervals(i1, i2)
+    (lo1, lo2), (hi1, hi2) = outer.lo, outer.hi
+    a1, a2 = _sorted_pair(rng, lo1, hi1)
+    a3, a4 = _sorted_pair(rng, lo2, hi2)
+    return _trusted_box(a1, a2, a3, a4) or IntervalBox.from_intervals((a1, a2), (a3, a4))
 
 
 def random_superbox(rng: np.random.Generator, box: IntervalBox, outer: IntervalBox) -> IntervalBox:
     """A box nested between ``box`` and ``outer``."""
-    lo1 = rng.uniform(outer.lo[0], box.lo[0])
-    lo2 = rng.uniform(outer.lo[1], box.lo[1])
-    hi1 = rng.uniform(box.hi[0], outer.hi[0])
-    hi2 = rng.uniform(box.hi[1], outer.hi[1])
-    return IntervalBox(lo=(lo1, lo2), hi=(hi1, hi2))
+    (blo1, blo2), (bhi1, bhi2) = box.lo, box.hi
+    (olo1, olo2), (ohi1, ohi2) = outer.lo, outer.hi
+    lo1 = rng.uniform(olo1, blo1)
+    lo2 = rng.uniform(olo2, blo2)
+    hi1 = rng.uniform(bhi1, ohi1)
+    hi2 = rng.uniform(bhi2, ohi2)
+    return _trusted_box(lo1, hi1, lo2, hi2) or IntervalBox(lo=(lo1, lo2), hi=(hi1, hi2))
 
 
 def monotone_cone_box(rng: np.random.Generator, spec: ProblemSpec) -> IntervalBox:
@@ -100,14 +127,17 @@ def monotone_cone_box(rng: np.random.Generator, spec: ProblemSpec) -> IntervalBo
 
     For the default cost coefficients the stage cost is monotone under
     nesting only where the lower corners are nonpositive and the upper
-    x2-corner is nonnegative; growth properties are sampled there.
+    x2-corner is nonnegative; growth properties are sampled there.  State
+    bounds that miss that cone raise ConfigError before any draw.
     """
-    xb = spec.x_bounds
-    a1 = rng.uniform(xb.lo[0], min(0.0, xb.hi[0]))
-    a2 = rng.uniform(a1, xb.hi[0])
-    a3 = rng.uniform(xb.lo[1], min(0.0, xb.hi[1]))
-    a4 = rng.uniform(max(0.0, xb.lo[1]), xb.hi[1])
-    return IntervalBox.from_corners((a1, a2, a3, a4))
+    x1_lo, x1_hi, x2_lo, x2_hi = spec._step[5:]
+    if not (x1_lo <= 0.0 and x2_lo <= 0.0 <= x2_hi):
+        raise ConfigError(f"the state bounds miss the cone a1 <= 0, a3 <= 0 <= a4 of monotone boxes, got {spec.x_bounds!r}")
+    a1 = rng.uniform(x1_lo, min(0.0, x1_hi))
+    a2 = rng.uniform(a1, x1_hi)
+    a3 = rng.uniform(x2_lo, min(0.0, x2_hi))
+    a4 = rng.uniform(max(0.0, x2_lo), x2_hi)
+    return _trusted_box(a1, a2, a3, a4) or IntervalBox.from_corners((a1, a2, a3, a4))
 
 
 def successor_box(
@@ -120,31 +150,30 @@ def successor_box(
     Returns None when no admissible edge controls exist for the drawn
     intermediate choices; callers resample the source box.
     """
-    al = spec.alpha
-    xb = spec.x_bounds
-    a1, a2, a3, a4 = a.corners()
+    al, u_lo, u_hi, w_lo, w_hi, x1_lo, x1_hi, x2_lo, x2_hi = spec._step
+    a3, a4 = a.lo[1], a.hi[1]
 
-    v1_lo = max(spec.u_lo, xb.lo[1] - al * a3 - spec.w_lo, xb.lo[0])
-    v1_hi = min(spec.u_hi, xb.hi[0])
+    v1_lo = max(u_lo, x2_lo - al * a3 - w_lo, x1_lo)
+    v1_hi = min(u_hi, x1_hi)
     if v1_lo > v1_hi:
         return None
     v1 = rng.uniform(v1_lo, v1_hi)
 
-    v2_lo = max(spec.u_lo, v1 - al * (a4 - a3), xb.lo[0])
-    v2_hi = min(spec.u_hi, xb.hi[1] - al * a4 - spec.w_hi, xb.hi[0])
+    v2_lo = max(u_lo, v1 - al * (a4 - a3), x1_lo)
+    v2_hi = min(u_hi, x2_hi - al * a4 - w_hi, x1_hi)
     if v2_lo > v2_hi:
         return None
     v2 = rng.uniform(v2_lo, v2_hi)
 
-    b1 = rng.uniform(xb.lo[0], min(v1, v2))
-    b2 = rng.uniform(max(v1, v2), xb.hi[0])
-    b3_hi = al * a3 + v1 + spec.w_lo
-    b4_lo = al * a4 + v2 + spec.w_hi
-    b3 = rng.uniform(xb.lo[1], b3_hi)
-    b4 = rng.uniform(b4_lo, xb.hi[1])
+    b1 = rng.uniform(x1_lo, min(v1, v2))
+    b2 = rng.uniform(max(v1, v2), x1_hi)
+    b3_hi = al * a3 + v1 + w_lo
+    b4_lo = al * a4 + v2 + w_hi
+    b3 = rng.uniform(x2_lo, b3_hi)
+    b4 = rng.uniform(b4_lo, x2_hi)
     if b3 > b4:
         return None
-    return IntervalBox.from_corners((b1, b2, b3, b4))
+    return _trusted_box(b1, b2, b3, b4) or IntervalBox.from_corners((b1, b2, b3, b4))
 
 
 def feasible_pair(spec: ProblemSpec, rng: np.random.Generator) -> tuple[IntervalBox, IntervalBox]:
@@ -154,7 +183,7 @@ def feasible_pair(spec: ProblemSpec, rng: np.random.Generator) -> tuple[Interval
         b = successor_box(spec, rng, a)
         if b is not None:
             return a, b
-    raise RuntimeError("failed to sample a feasible transition pair")
+    raise _GaveUp("failed to sample a feasible transition pair")
 
 
 def feasible_chain(spec: ProblemSpec, rng: np.random.Generator, length: int) -> list[IntervalBox]:
@@ -171,4 +200,4 @@ def feasible_chain(spec: ProblemSpec, rng: np.random.Generator, length: int) -> 
             chain.append(nxt)
         if ok:
             return chain
-    raise RuntimeError("failed to sample a feasible chain")
+    raise _GaveUp("failed to sample a feasible chain")

@@ -22,6 +22,7 @@ from tube_dissip.acceptance import (
 from tube_dissip.cost_to_travel import eval_v
 from tube_dissip.interval_sets import IntervalBox
 from tube_dissip.problem import ProblemSpec
+from tube_dissip.qp_solver import SolverFailure
 
 SEED = int(os.environ.get("TUBE_DISSIP_SEED", "0"))
 
@@ -104,3 +105,34 @@ def test_instability_witness_on_a_truncated_trace_fails():
     result = check_instability_witness(spec)
     assert not result.passed
     assert result.detail == "trace from (-1, -2) ends at step 0: controller infeasible"
+
+
+# state bounds off the cone that monotone boxes are drawn from, and a
+# disturbance so wide that few boxes have a successor within the bounds
+OFF_CONE = ProblemSpec(x_bounds=IntervalBox(lo=(1.0, 1.0), hi=(5.0, 5.0)))
+WIDE_W = ProblemSpec(x_bounds=IntervalBox(lo=(-5.0, -2.05), hi=(5.0, 2.05)), w_bounds=(-2.0, 2.0))
+
+
+def test_criteria_whose_samples_cannot_be_drawn_fail_and_say_which():
+    cone = check_monotonicity(OFF_CONE, seed=2, n_pairs=5)
+    chain = check_chain_inequality(WIDE_W, seed=1, n_pairs=5)
+    pair = check_dissipation_inequality(WIDE_W, seed=3, n_pairs=5)
+    assert [r.passed for r in (cone, chain, pair)] == [False] * 3
+    assert cone.detail == (
+        "could not draw sample 1 of 5: the state bounds miss the cone a1 <= 0, a3 <= 0 <= a4 of monotone boxes, "
+        "got IntervalBox([1.0, 5.0] x [1.0, 5.0])"
+    )
+    assert chain.detail == "could not draw sample 1 of 5: failed to sample a feasible chain"
+    assert pair.detail == "could not draw sample 3 of 5: failed to sample a feasible transition pair"
+
+
+@pytest.mark.parametrize("patched", ["feasible_chain", "eval_v"])
+def test_a_solver_failure_beside_the_draws_is_not_a_failed_draw(accept_spec, monkeypatch, patched):
+    # only a sampler's give-up is caught; a RuntimeError of any other kind
+    # ends the battery as before
+    def fail(*args):
+        raise SolverFailure("stopped")
+
+    monkeypatch.setattr(acceptance, patched, fail)
+    with pytest.raises(SolverFailure, match="stopped"):
+        check_chain_inequality(accept_spec, seed=1, n_pairs=5)

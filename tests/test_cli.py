@@ -96,6 +96,8 @@ NO_BOX = "error: no robust control invariant interval box exists within the stat
 START_OVERFLOWS = "error: dual active-set kernel was given data whose start is not finite\n"
 COST_OVERFLOWS = "error: the minimising tube's cost is not finite (inf)\n"
 COST_LINEAR_1E308 = {"problem": {"cost_linear": [1e308] * 4}}
+# so wide a disturbance leaves few boxes a successor within the state bounds
+WIDE_W = {"problem": {"x_bounds": [[-5, 5], [-2.05, 2.05]], "w_bounds": [-2, 2]}}
 
 CONTRACT = [
     # answers: each exits 0 with nothing on stderr
@@ -138,12 +140,18 @@ CONTRACT = [
     ({"controller": {"horizon": 1}}, ("control", "--z=5,1"), 1, INFEASIBLE, ""),
     # both corner starts are infeasible at horizon 1: the header alone
     ({"controller": {"horizon": 1}}, ("simulate", "--fig2"), 1, "y0,k,y1,y2,u,w,Y_a1,Y_a2,Y_a3,Y_a4,dH,lyapunov\n", ""),
+    # a sampled criterion whose samples cannot be drawn fails in a full
+    # table: X misses the cone of monotone boxes, or no chain or pair is found
+    ({"problem": {"x_bounds": [[1, 5], [1, 5]]}}, ("verify-all",), 1, Last("2/8 criteria passed"), ""),
+    (WIDE_W, ("verify-all",), 1, Last("1/8 criteria passed"), ""),
 
     # domain failures without an answer: exit 1 and one error: line.  No box
     # within the state bounds absorbs disturbances this wide
     *[({"problem": {"w_bounds": [-10, 10]}}, argv, 1, "", NO_BOX) for argv in [
         ("rci",), ("control", "--z=0,0"), ("check-storage",), ("simulate", "--y0=0,0"), ("sweep",), ("verify-all",),
     ]],
+    # no transition pair is found to sample strictness on
+    (WIDE_W, ("check-storage", "--strictness", "20"), 1, "", "error: failed to sample a feasible transition pair\n"),
     # the start -q/sqrt(2d) of the kernel overflows, from the problem's cost
     # or from the storage form added to it
     (COST_LINEAR_1E308, ("rci",), 1, "", START_OVERFLOWS),
