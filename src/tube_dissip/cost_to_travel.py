@@ -9,9 +9,14 @@ set separately).
 
 One step is decided in closed form, as each step of a longer tube is: by
 the one core of the one-step rule (:func:`~tube_dissip.problem._step_witness`)
-on the eight corners of A and B, then priced by the stage cost of A.
-Longer tubes and the optimal invariant box minimise stage costs over the
-one-step rows with the edge controls eliminated
+on the eight corners of A and B, then priced by the stage cost of A.  Two
+steps are a closed form too, in plain floats: the two-step rule
+(:func:`~tube_dissip.problem._two_step_rows`) bounds each corner of the
+middle box and four differences of its corners, and the least stage cost
+within those bounds is found exactly (:func:`_two_step_box`), with no
+table, kernel or numpy call, so each value is bitwise a function of A and
+B.  Tubes of three or more steps and the optimal invariant box minimise
+stage costs over the one-step rows with the edge controls eliminated
 (:func:`~tube_dissip.problem.transition_rows`), a strictly convex QP in box
 corners alone that the dual active-set kernel of ``qp_solver`` solves
 exactly.  Every such corner program, the tube MPC program of
@@ -23,8 +28,9 @@ every table).  The tube's laws decide by screens proven on the state
 bounds X, in plain floats (:class:`_LawTable`), a chain's by their full KKT
 check at the end boxes, every stored law in one stacked product
 (:class:`_ChainTable`).  The invariant box's program is solved once
-per problem and keeps no table.  These programs are read back into
-boxes, decided and priced by one helper, :func:`_solve_tube`, in one
+per problem and keeps no table.  These programs' answers and the
+two-step middle box are read back into boxes, decided and priced by one
+helper, :func:`_read_tube`, in one
 plain-float pass that visits each box once: each free box is clipped onto
 the state bounds and built without re-validation when its corners are in
 order, and otherwise through ``IntervalBox.from_corners``, which snaps an
@@ -52,7 +58,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .interval_sets import IntervalBox, _count
-from .problem import ProblemSpec, _stage_cost, _step_witness, transition_rows
+from .problem import ProblemSpec, _stage_cost, _step_witness, _two_step_rows, transition_rows
 from .qp_solver import _FEAS_TOL, _ROW_TOL, SolverFailure, _dual_active_set
 
 __all__ = [
@@ -133,15 +139,21 @@ def eval_v(
     :func:`transition_rows`, one copy per step, in which the edge controls
     are already eliminated.  Rows on the fixed end boxes only are checked
     against the feasibility tolerance; the rest form a small strictly
-    convex QP, solved exactly by a dual active-set method.  The program of
-    each N is built once per problem and keeps a table of the affine laws
-    and Farkas rays the method returned for it (:class:`_ChainTable`): a
-    stored law whose full check holds at the end boxes, or a stored ray
-    that certifies them infeasible, answers without a solve.  A law's point
-    agrees with the method's own minimiser to rounding, not bit for bit, so
-    the last bits of a value can depend on the values computed before it
-    for the same problem and N, in any thread.  A tube is priced as it is
-    read back (:func:`_solve_tube`), and its ``aux_controls`` are the
+    convex QP.  At ``n_steps == 2`` that QP is solved in closed form: its
+    rows bound the middle box's corners and lower-minus-upper differences
+    of them (:func:`~tube_dissip.problem._two_step_rows`, which decides
+    feasibility by eight comparisons), and its minimiser is found exactly
+    by :func:`_two_step_box`, so the value is bitwise a function of a and
+    b.  Longer tubes are solved exactly by a dual active-set method.  The
+    program of each N is built once per problem and keeps a table of the
+    affine laws and Farkas rays the method returned for it
+    (:class:`_ChainTable`): a stored law whose full check holds at the end
+    boxes, or a stored ray that certifies them infeasible, answers without
+    a solve.  A law's point agrees with the method's own minimiser to
+    rounding, not bit for bit, so from three steps on the last bits of a
+    value can depend on the values computed before it for the same
+    problem and N, in any thread.  A tube is priced as it is read back
+    (:func:`_read_tube`), and its ``aux_controls`` are the
     :func:`~tube_dissip.problem.transition_witness` pairs of its steps.
     Every ``+inf`` answer is the one shared result ``_INFEASIBLE``.
     ``n_steps`` runs from 1 to :data:`MAX_STEPS`; any other value, a
@@ -158,6 +170,13 @@ def eval_v(
         # a stage cost is never -0.0, so it has the bits of the read-back's 0.0 + it
         cost = _stage_cost(spec.cost_linear, spec.cost_quad, a1, a2, a3, a4)
         tube, witnesses = (a, b), (witness,)
+    elif n_steps == 2:
+        (a1, a3), (a2, a4) = a.lo, a.hi
+        (b1, b3), (b2, b4) = b.lo, b.hi
+        rows = _two_step_rows(spec._step, a1, a2, a3, a4, b1, b2, b3, b4)
+        if rows is None:
+            return _INFEASIBLE
+        tube, witnesses, cost = _read_tube(spec, _two_step_box(spec.cost_linear, spec.cost_quad, *rows), (a,), (b,))
     else:
         solved = _solve_tube(spec, _chain_stack(spec, n_steps), a.corners() + b.corners(), (a,), (b,))
         if solved is None:
@@ -175,6 +194,122 @@ def _finite_cost(cost: float) -> float:
     if not math.isfinite(cost):
         raise SolverFailure(f"the minimising tube's cost is not finite ({cost})")
     return cost
+
+
+def _two_step_box(q, d, l1, u1, l2, u2, l3, u3, l4, u4, c14, c32, c34) -> tuple[float, float, float, float]:
+    """The middle box of least stage cost within the rows of :func:`~tube_dissip.problem._two_step_rows`, as its corners.
+
+    The cost ``sum(d*m**2 + q*m)`` is that of ``d*(m - r)**2`` with
+    ``r = -q/(2d)``, separable, and every difference row bounds a lower
+    corner a (m1 or m3) by an upper one b (m2 or m4): ``m_a <= m_b + c_ab``,
+    with ``c12 = 0``.  Given the uppers, each lower is
+    ``max(l_a, min(r_a, u_a, m2 + c_a2, m4 + c_a4))``, so the least cost is a
+    convex function F of (m2, m4) alone.  Lower a is capped through m2
+    where ``m4 - m2 >= e_a = c_a2 - c_a4`` and through m4 elsewhere: the two
+    lines ``m4 - m2 = e_a`` cut the plane into three strips, in each of
+    which each lower follows one upper, so F is separable there, each
+    upper a 1-D problem (:func:`_level`).  Each strip's separable function
+    is at most F everywhere and F on its strip, so a strip whose own
+    minimiser lies in it holds the optimum; and if the optimum lies in a
+    strip whose minimiser does not, it lies on that strip's edge, a line on
+    which F is again one 1-D problem.  The strips are tried from the one
+    where both lowers follow m2, then the middle one, then the one where
+    both follow m4, and the middle one's minimiser tells which side, or
+    which line, holds the optimum.  Each answer is so a function of the
+    rows alone.  The rows may be consistent only once relaxed by the
+    kernel's tolerance; the clips then leave each row violated by at most
+    that much.  SolverFailure if some ``r`` is not finite, as the kernel
+    refuses a start that is not.
+    """
+    q1, q2, q3, q4 = q
+    d1, d2, d3, d4 = d
+    # 0.0 - x, not -x: a corner without linear cost prefers 0.0, not -0.0
+    r1, r2, r3, r4 = 0.0 - q1 / (2.0 * d1), 0.0 - q2 / (2.0 * d2), 0.0 - q3 / (2.0 * d3), 0.0 - q4 / (2.0 * d4)
+    if not (-_INF < r1 < _INF and -_INF < r2 < _INF and -_INF < r3 < _INF and -_INF < r4 < _INF):
+        raise SolverFailure("the two-step program's unconstrained minimiser is not finite")
+    # each upper's range, with the floors of the lowers it caps
+    t = l3 - c32
+    lo2 = t if t > l2 else l2
+    lo2 = l1 if l1 > lo2 else lo2
+    t = l1 - c14
+    lo4 = t if t > l4 else l4
+    t = l3 - c34
+    lo4 = t if t > lo4 else lo4
+    # a lower's cap from its own bound, where it stops pulling its upper
+    z1 = u1 if u1 < r1 else r1
+    z3 = u3 if u3 < r3 else r3
+    e1, e3 = -c14, c32 - c34
+    e_lo, e_hi = (e1, e3) if e1 <= e3 else (e3, e1)
+    # both lowers follow m2
+    m2 = _level(d2, r2, lo2, u2, d1, r1, z1, d3, r3 - c32, z3 - c32)
+    m4 = lo4 if not r4 >= lo4 else r4
+    m4 = u4 if m4 > u4 else m4
+    line = None
+    if m4 - m2 < e_hi:
+        # the lower of the lesser e follows m2, the other m4
+        if e1 <= e3:
+            m2 = _level(d2, r2, lo2, u2, d1, r1, z1, 0.0, 0.0, -_INF)
+            m4 = _level(d4, r4, lo4, u4, d3, r3 - c34, z3 - c34, 0.0, 0.0, -_INF)
+        else:
+            m2 = _level(d2, r2, lo2, u2, d3, r3 - c32, z3 - c32, 0.0, 0.0, -_INF)
+            m4 = _level(d4, r4, lo4, u4, d1, r1 - c14, z1 - c14, 0.0, 0.0, -_INF)
+        s = m4 - m2
+        if s > e_hi:
+            line = e_hi
+        elif s < e_lo:
+            # both lowers follow m4
+            m2 = lo2 if not r2 >= lo2 else r2
+            m2 = u2 if m2 > u2 else m2
+            m4 = _level(d4, r4, lo4, u4, d1, r1 - c14, z1 - c14, d3, r3 - c34, z3 - c34)
+            if m4 - m2 > e_lo:
+                line = e_lo
+    if line is not None:
+        # m4 = m2 + line, each lower following the tighter of its caps
+        t = line + c14
+        o1 = t if t < 0.0 else 0.0
+        t = line + c34
+        o3 = t if t < c32 else c32
+        t = lo4 - line
+        lo = t if t > lo2 else lo2
+        t = u4 - line
+        hi = t if t < u2 else u2
+        w = d2 + d4
+        m2 = _level(w, (d2 * r2 + d4 * (r4 - line)) / w, lo, hi, d1, r1 - o1, z1 - o1, d3, r3 - o3, z3 - o3)
+        m4 = m2 + line
+    # each lower at its least cap, not below its floor
+    t = m4 + c14
+    t = t if t < m2 else m2
+    t = t if t < z1 else z1
+    m1 = l1 if not t >= l1 else t
+    t = m2 + c32
+    s = m4 + c34
+    t = s if s < t else t
+    t = t if t < z3 else z3
+    m3 = l3 if not t >= l3 else t
+    return m1, m2, m3, m4
+
+
+def _level(w, r, lo, hi, wx, rx, tx, wy, ry, ty) -> float:
+    """The t in [lo, hi] that minimises ``w*(t - r)**2 + wx*(min(t, tx) - rx)**2 + wy*(min(t, ty) - ry)**2``.
+
+    Each term of a lower follows t below its cap and stays there above it,
+    a cap at most its r, so the function is convex and piecewise
+    quadratic, with kinks at the caps.  On each piece the minimiser is the
+    weighted mean of the r's of the terms that follow t; the pieces are
+    tried from all terms following, the lesser cap first.  A term of weight
+    0 with cap ``-inf`` is none.  A NaN is clipped to ``lo``.
+    """
+    if tx > ty:
+        wx, rx, tx, wy, ry, ty = wy, ry, ty, wx, rx, tx
+    t = (w * r + wx * rx + wy * ry) / (w + wx + wy)
+    if not t < tx:
+        t = (w * r + wy * ry) / (w + wy)
+        if t < tx:
+            t = tx
+        elif not t < ty:
+            t = r if r > ty else ty
+    t = lo if not t >= lo else t
+    return hi if t > hi else t
 
 
 # at most this many affine laws, and as many Farkas rays, are kept per program
@@ -765,13 +900,25 @@ def _worst_fixed_row(prog: _CornerProgram, p) -> int:
 
 
 def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: tuple):
-    """A corner program's answer at p as ``(head + free boxes + tail, step witnesses, cost)``, or None.
+    """A corner program's answer at p as :func:`_read_tube` reads it back, or None when the program is infeasible."""
+    x, _ = _solve_program(prog, p)
+    if x is None:
+        return None
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    return _read_tube(spec, x, head, tail)
 
-    ``head`` and ``tail`` are tuples of boxes, ``head`` of at most one.  One
-    pass in plain floats reads the answer back, decides it and prices it.
+
+def _read_tube(spec: ProblemSpec, x, head: tuple, tail: tuple):
+    """The free box corners x as ``(head + free boxes + tail, step witnesses, cost)``.
+
+    ``head`` and ``tail`` are tuples of boxes, ``head`` of at most one, and
+    x a sequence of plain floats, four per free box.  One pass in plain
+    floats reads the answer back, decides it and prices it.
     Every free box is the source of a step, so its rows keep it within the
-    state bounds and its corners in order, but only to within the kernel's
-    rounding guard; it is clipped onto the bounds, with the bits of
+    state bounds and its corners in order, but only to within the rounding
+    guard ``_ROW_TOL`` of the kernel and of the two-step closed form; it is
+    clipped onto the bounds, with the bits of
     ``np.minimum(np.maximum(x, lo), hi)``, ties and NaN included, so it
     passes exact inclusion tests such as the storage form's domain.  A free
     box whose clipped corners are in order is built without re-validation
@@ -786,11 +933,6 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: t
     core of :func:`~tube_dissip.problem.stage_cost`; callers guard it
     (:func:`_finite_cost`).
     """
-    x, _ = _solve_program(prog, p)
-    if x is None:
-        return None
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
     step = spec._step
     lo1, hi1, lo2, hi2 = step[5:]
     q, d = spec.cost_linear, spec.cost_quad
@@ -837,7 +979,7 @@ def _solve_tube(spec: ProblemSpec, prog: _CornerProgram, p, head: tuple, tail: t
 
 
 def _read_back(step, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_solve_tube`'s free boxes over rows of corners x: ``(a1, a2, a3, a4)``, one column per box, and whether each row's boxes are built.
+    """:func:`_read_tube`'s free boxes over rows of corners x: ``(a1, a2, a3, a4)``, one column per box, and whether each row's boxes are built.
 
     Each corner is clipped onto the state bounds as the pass clips it, and
     every box is snapped as ``IntervalBox.from_corners`` snaps, which leaves

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .interval_sets import ConfigError, IntervalBox, _point, _real, _section, subset
-from .qp_solver import _FEAS_TOL
+from .qp_solver import _FEAS_TOL, _ROW_TOL
 
 __all__ = [
     "ProblemSpec",
@@ -74,6 +74,11 @@ class ProblemSpec:
             # NaN passes every ordered comparison below, and max/min drop it
             if any(math.isnan(v) for v in value):
                 raise ConfigError(f"{message}, got {getattr(self, name)!r}")
+            if name in ("u_bounds", "w_bounds"):
+                # an interval end of -0.0 reads as 0.0 (so does x_bounds's,
+                # below): seeded draws across an interval refuse a span of
+                # -0.0, and every answer is then the one of 0.0
+                value = tuple(v + 0.0 for v in value)
             object.__setattr__(self, name, value)
         if not math.isfinite(self.alpha) or self.alpha <= 0.0:
             # the edge-control encoding interpolates controls monotonically in
@@ -92,6 +97,8 @@ class ProblemSpec:
         if not isinstance(self.x_bounds, IntervalBox):
             raise ConfigError(f"x_bounds must be an IntervalBox, got {self.x_bounds!r}")
         (x1_lo, x2_lo), (x1_hi, x2_hi) = self.x_bounds.lo, self.x_bounds.hi
+        x1_lo, x2_lo, x1_hi, x2_hi = x1_lo + 0.0, x2_lo + 0.0, x1_hi + 0.0, x2_hi + 0.0
+        object.__setattr__(self, "x_bounds", IntervalBox((x1_lo, x2_lo), (x1_hi, x2_hi)))
         # draws across the bounds and the transition rows take hi - lo, so
         # no width may overflow to inf
         if not all(math.isfinite(w) for w in (x1_hi - x1_lo, x2_hi - x2_lo, self.w_hi - self.w_lo)):
@@ -292,6 +299,97 @@ def _step_witness(step, a1, a2, a3, a4, b1, b2, b3, b4):
     if slack > _FEAS_TOL:
         return None
     return (v1_lo - slack, v2_hi + slack)
+
+
+def _two_step_rows(step, a1, a2, a3, a4, b1, b2, b3, b4):
+    """The rows of a two-step chain from a to b on the corners m of its middle box, or None if no middle box exists.
+
+    The chain's rows are the one-step rule with the middle box M as a's
+    target and as b's source.  Its fixed rows, a within the state bounds
+    and b's own rows, hold within ``_FEAS_TOL``, decided as the stacked
+    program decides them, each in plain floats.  Every other row bounds one
+    corner of M, with coefficient 1 or alpha, or bounds a lower corner minus
+    an upper one (m1 or m3 minus m2 or m4).  Returned are the tightest such
+    bounds, ``(l1, u1, l2, u2, l3, u3, l4, u4, c14, c32, c34)`` with
+    ``l_i <= m_i <= u_i`` and ``m_a - m_b <= c_ab``; the fourth, m1 - m2 <= 0,
+    is M's own order.  With ``v_lo = max(b1, u_lo)`` and ``v_hi = min(b2, u_hi)``,
+    b's edge-control interval before its own x2 rows, they are
+
+        m1 in [x1_lo, u_hi],   m2 in [u_lo, x1_hi],
+        alpha*m3, alpha*m4 in [b3 - w_lo - v_hi, b4 - w_hi - v_lo],
+        m3 >= x2_lo,   m3 <= u_hi + alpha*a3 + w_lo,
+        m4 <= x2_hi,   m4 >= u_lo + alpha*a4 + w_hi,
+        m1 - m4 <= -(alpha*a4 + w_hi),   m3 - m2 <= alpha*a3 + w_lo,
+        m3 - m4 <= min(w_lo - w_hi, (v_hi - v_lo)/alpha),
+
+    the rows each of these dominates left out.  A bound that overflows is a
+    row that always holds (``+inf``) or one that never does (``-inf``).
+    Every difference row bounds a lower corner by an upper one, so the only
+    cycles of these rows are ``l_i <= u_i`` and ``l_a <= u_b + c_ab``: the rows
+    are consistent, when each is relaxed by the kernel's ``_ROW_TOL`` in its
+    own coefficients, exactly when those eight comparisons hold, as the
+    kernel's Farkas test would decide them.  A NaN, from overflowing data,
+    fails its comparison.
+    """
+    al, u_lo, u_hi, w_lo, w_hi, x1_lo, x1_hi, x2_lo, x2_hi = step
+    # the fixed rows as h0 - lhs >= -_FEAS_TOL, with the stacked program's
+    # operations; a box's order rows always hold, and a row whose constant
+    # is +inf is left out, as its +inf here never fails
+    if (
+        a1 - x1_lo < -_FEAS_TOL
+        or x1_hi - a2 < -_FEAS_TOL
+        or a3 - x2_lo < -_FEAS_TOL
+        or x2_hi - a4 < -_FEAS_TOL
+        or (u_hi - u_lo) - (al * a3 - al * a4) < -_FEAS_TOL
+        or u_hi - b1 < -_FEAS_TOL
+        or b2 - u_lo < -_FEAS_TOL
+        or (w_lo - w_hi) - (b3 - b4) < -_FEAS_TOL
+    ):
+        return None
+    tol = _ROW_TOL
+    v_lo = u_lo if u_lo > b1 else b1
+    v_hi = u_hi if u_hi < b2 else b2
+    s3 = al * a3 + w_lo
+    s4 = al * a4 + w_hi
+    # b's rows on alpha*m3 and alpha*m4, and on alpha*(m3 - m4)
+    k_lo = b3 - w_lo - v_hi
+    k_hi = b4 - w_hi - v_lo
+    k_gap = v_hi - v_lo
+    # each bound as the tighter of its rows, first exact, then each row relaxed by tol
+    lo34, hi34 = k_lo / al, k_hi / al
+    t = u_hi + s3
+    u3 = hi34 if hi34 < t else t
+    l3 = lo34 if lo34 > x2_lo else x2_lo
+    u4 = hi34 if hi34 < x2_hi else x2_hi
+    t = u_lo + s4
+    l4 = lo34 if lo34 > t else t
+    t = k_gap / al
+    c34 = w_lo - w_hi
+    c34 = t if t < c34 else c34
+    lo34, hi34 = (k_lo - tol) / al, (k_hi + tol) / al
+    t = u_hi + s3 + tol
+    u3r = hi34 if hi34 < t else t
+    t = x2_lo - tol
+    l3r = lo34 if lo34 > t else t
+    t = x2_hi + tol
+    u4r = hi34 if hi34 < t else t
+    t = u_lo + s4 - tol
+    l4r = lo34 if lo34 > t else t
+    t = (k_gap + tol) / al
+    c34r = w_lo - w_hi + tol
+    c34r = t if t < c34r else c34r
+    # l1 <= u2 + c12 is x1_lo <= x1_hi, which the state bounds hold
+    if not (
+        x1_lo - tol <= u_hi + tol
+        and u_lo - tol <= x1_hi + tol
+        and l3r <= u3r
+        and l4r <= u4r
+        and x1_lo - tol <= u4r + (tol - s4)
+        and l3r <= (x1_hi + tol) + (s3 + tol)
+        and l3r <= u4r + c34r
+    ):
+        return None
+    return x1_lo, u_hi, u_lo, x1_hi, l3, u3, l4, u4, -s4, s3, c34
 
 
 def _step_slacks(step, a1, a2, a3, a4, b1, b2, b3, b4) -> np.ndarray:

@@ -14,7 +14,7 @@ generators the library creates for itself (the acceptance battery,
 take the same doubles from the same seeded stream, fetched in blocks, so
 every seeded answer is unchanged to the bit.  A box whose four corners are
 floats, finite and in order is built trusted, as a read-back box is
-(``cost_to_travel._solve_tube``); any other, such as one of numpy scalars,
+(``cost_to_travel._read_tube``); any other, such as one of numpy scalars,
 ints or NaN from another generator, goes through the constructor the
 sampler names, which converts or refuses it.
 """

@@ -18,7 +18,7 @@ laws and Farkas rays, ``cost_to_travel._LawTable``, whose docstring says how
 laws are stored, screened and looked up.  The screens are proven on the
 state bounds X alone, so :func:`solve_tmpc` passes the program only states
 in X (see below).  The answer is read back into boxes and edge controls,
-and priced, in the one pass of those values (``cost_to_travel._solve_tube``):
+and priced, in the one pass of those values (``cost_to_travel._read_tube``):
 the objective is the stage costs of the first ``horizon`` boxes summed left
 to right, plus the storage form W(Y_0) of the first box when there is an
 initial cost, and one that is not finite raises ``SolverFailure``.  A solve

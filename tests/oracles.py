@@ -712,7 +712,7 @@ def assert_validated_read_back(spec: ProblemSpec, tube, witnesses) -> None:
 
 
 def read_back_reference(spec: ProblemSpec, x, head, tail):
-    """``cost_to_travel._solve_tube``'s read-back of a program answer x, written the plain way.
+    """``cost_to_travel._read_tube``'s read-back of an answer x, written the plain way.
 
     The free corners are clipped as ``np.minimum(np.maximum(x, lo), hi)``,
     every free box is built by ``IntervalBox.from_corners`` with the snap at
@@ -806,3 +806,44 @@ def float_bits(value):
     if isinstance(value, (tuple, list)):
         return tuple(float_bits(v) for v in value)
     return value
+
+
+# the specs and end pairs whose two-step answers are pinned: each seed's
+# sampled chains, pairs in X, and targets beyond X
+TWO_STEP_PINNED_SPECS = (ProblemSpec(), ProblemSpec(alpha=0.8), ProblemSpec(u_bounds=(-math.inf, math.inf)))
+_BEYOND_X = IntervalBox.from_intervals((-20.0, 20.0), (-20.0, 20.0))
+
+
+def two_step_pinned_pairs(spec: ProblemSpec) -> list[tuple[IntervalBox, IntervalBox]]:
+    from tube_dissip.sampling import feasible_chain, random_box_within
+
+    pairs = []
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        pairs += [tuple(feasible_chain(spec, rng, 2)[::2]) for _ in range(100)]
+        pairs += [(random_box_within(rng, spec.x_bounds), random_box_within(rng, spec.x_bounds)) for _ in range(100)]
+        pairs += [(random_box_within(rng, spec.x_bounds), random_box_within(rng, _BEYOND_X)) for _ in range(50)]
+    return pairs
+
+
+def two_step_digest(reverse: bool = False) -> str:
+    """The sha256 of the ``float.hex`` of every two-step answer on the pinned pairs: value, tube and ``aux_controls``.
+
+    With reverse, each spec's pairs are evaluated last to first, and their
+    answers hashed in the given order.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for spec in TWO_STEP_PINNED_SPECS:
+        pairs = two_step_pinned_pairs(spec)
+        order = range(len(pairs) - 1, -1, -1) if reverse else range(len(pairs))
+        answers = {i: cost_to_travel.eval_v(spec, *pairs[i], 2) for i in order}
+        for i in range(len(pairs)):
+            res = answers[i]
+            floats = [res.value]
+            if res.tube is not None:
+                floats += [c for box in res.tube for c in box.corners()]
+                floats += [v for pair in res.aux_controls for v in pair]
+            digest.update((" ".join(map(float.hex, floats)) + "\n").encode())
+    return digest.hexdigest()

@@ -95,6 +95,9 @@ INFEASIBLE = json.dumps(TubeSolution(status=QpStatus.INFEASIBLE).to_json_dict())
 NO_BOX = "error: no robust control invariant interval box exists within the state bounds (the self-transition problem is infeasible)\n"
 START_OVERFLOWS = "error: dual active-set kernel was given data whose start is not finite\n"
 COST_OVERFLOWS = "error: the minimising tube's cost is not finite (inf)\n"
+MINIMISER_OVERFLOWS = "error: the two-step program's unconstrained minimiser is not finite\n"
+# the largest float, whose sums with other corners overflow
+MAX_FLOAT = "1.7976931348623157e308"
 COST_LINEAR_1E308 = {"problem": {"cost_linear": [1e308] * 4}}
 # so wide a disturbance leaves few boxes a successor within the state bounds
 WIDE_W = {"problem": {"x_bounds": [[-5, 5], [-2.05, 2.05]], "w_bounds": [-2, 2]}}
@@ -114,9 +117,9 @@ CONTRACT = [
     ({"problem": {"x_bounds": [[-3, 7], [-6, 2]]}}, ("sweep",), 0, 442, ""),
     # the two Figure 2 episodes, a header and 22 rows
     (None, ("simulate", "--fig2"), 0, 23, ""),
-    # N=2 and N=3 values, which the chain programs' tables answer after the
-    # first solve, and a target whose corner sums overflow to +inf: those
-    # rows always hold, so the value is feasible
+    # an N=2 value, in closed form, an N=3 value, which the chain program's
+    # table answers after the first solve, and a target whose corner sums
+    # overflow to +inf: those rows always hold, so the value is feasible
     (None, EVAL_V_N2, 0, Fields(feasible=True), ""),
     (None, (*EVAL_V_N2[:-1], "3"), 0, Fields(feasible=True), ""),
     (None, ("eval-v", "--a", "[[-2,1],[-4,1]]", "--b", "[[-1e308,1e308],[-1e308,1e308]]", "--n", "2"), 0, Fields(feasible=True), ""),
@@ -129,6 +132,8 @@ CONTRACT = [
     ({"problem": {"u_bounds": [-np.inf, np.inf]}}, ("control", "--z=5,-5"), 0, Fields(status="optimal"), ""),
     # the cost's bound over the state bounds overflows, the cost does not
     ({"problem": {"cost_quad": [1e307] * 4}}, ("rci",), 0, Fields(v_star=2.5e307), ""),
+    # an interval end of -0.0 reads as 0.0: each answer is the one of 0.0
+    ({"problem": {"w_bounds": [0.0, -0.0]}}, ("simulate", "--y0=0,0", "--policy", "random"), 0, 12, ""),
 
     # negative verdicts: exit 1, the answer in full on stdout, nothing on stderr
     (None, ("eval-v", "--a", "[[0,1],[0,1]]", "--b", "[[0,1],[0,1]]"), 1,
@@ -144,6 +149,13 @@ CONTRACT = [
     # table: X misses the cone of monotone boxes, or no chain or pair is found
     ({"problem": {"x_bounds": [[1, 5], [1, 5]]}}, ("verify-all",), 1, Last("2/8 criteria passed"), ""),
     (WIDE_W, ("verify-all",), 1, Last("1/8 criteria passed"), ""),
+    # an interval end of -0.0 reads as 0.0: each answer is the one of 0.0
+    ({"problem": {"x_bounds": [[-5, 5], [-5, -0.0]]}}, ("verify-all",), 1, Last("6/8 criteria passed"), ""),
+    ({"problem": {"x_bounds": [[0.0, -0.0], [-5, 5]]}}, ("verify-all",), 1, Last("2/8 criteria passed"), ""),
+    ({"problem": {"u_bounds": [0.0, -0.0]}}, ("check-storage", "--strictness", "20"), 1, 1, ""),
+    # a target whose corner sums overflow to -inf: rows that never hold
+    (None, ("eval-v", "--a", "[[-2,1],[-4,1]]", "--b", f"[[-{MAX_FLOAT},-5],[-{MAX_FLOAT},-1e308]]", "--n", "2"), 1,
+     Fields(feasible=False), ""),
 
     # domain failures without an answer: exit 1 and one error: line.  No box
     # within the state bounds absorbs disturbances this wide
@@ -156,7 +168,7 @@ CONTRACT = [
     # or from the storage form added to it
     (COST_LINEAR_1E308, ("rci",), 1, "", START_OVERFLOWS),
     (COST_LINEAR_1E308, ("control", "--z=5,-5"), 1, "", START_OVERFLOWS),
-    (COST_LINEAR_1E308, (*EVAL_V_X_STAR, "--n", "2"), 1, "", START_OVERFLOWS),
+    (COST_LINEAR_1E308, (*EVAL_V_X_STAR, "--n", "2"), 1, "", MINIMISER_OVERFLOWS),
     ({"controller": {"storage": {"offset": 0, "linear": [0, -1e308, 1e308, 0]}}}, ("control", "--z=5,-5"), 1, "", START_OVERFLOWS),
     # at cost_quad 5e307 the kernel's scale 1/sqrt(2d) is about 1e-154, so
     # the scaled rows' squared norms sit near the bottom of the float range,

@@ -3,10 +3,13 @@ import importlib
 import itertools
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +25,23 @@ from tube_dissip.cost_to_travel import (
     optimal_rci,
 )
 from tube_dissip.interval_sets import IntervalBox, subset
-from tube_dissip.problem import ProblemSpec, stage_cost, transition_feasible, transition_rows, transition_witness
+from tube_dissip.problem import (
+    ProblemSpec,
+    _two_step_rows,
+    stage_cost,
+    transition_feasible,
+    transition_rows,
+    transition_witness,
+)
 from tube_dissip.qp_solver import _FEAS_TOL, SolverFailure
 from tube_dissip.sampling import feasible_chain, feasible_pair, random_box_within
 from tube_dissip.tube_mpc import TubeMpcConfig
 
 from . import oracles
 from .oracles import grid_rci_search, transition_feasible_oracle
+from .test_dissipativity import SEPARABILITY_SPECS
+from .test_mirror import INSTANCES as MIRROR_INSTANCES
+from .test_mirror import mirror_spec
 
 INF = float("inf")
 
@@ -471,8 +484,8 @@ class TestMultiStepValues:
             assert eval_v(spec, a, x_star, 2).feasible == feasible
 
     def test_vacuous_rows_are_dropped(self):
-        free = cost_to_travel._chain_stack(SPECS["unbounded U"], 2)
-        bounded = cost_to_travel._chain_stack(SPECS["bounded U"], 2)
+        free = cost_to_travel._chain_stack(SPECS["unbounded U"], 3)
+        bounded = cost_to_travel._chain_stack(SPECS["bounded U"], 3)
         assert np.all(np.isfinite(free.h0)) and free.h0.size < bounded.h0.size
 
     def test_iteration_cap_raises_with_the_reduced_program(self, spec, rng, monkeypatch):
@@ -497,7 +510,7 @@ class TestMultiStepValues:
         kinds = {"fixed": 0, "free": 0}
         for _ in range(200):
             a, c = random_box_within(rng, OUTER), random_box_within(rng, OUTER)
-            stack, (h, x, y) = solved_chain(spec, a, c, 2)
+            stack, (h, x, y) = solved_chain(spec, a, c, 3)
             if x is None:
                 G = oracles.program_rows(stack)
                 assert oracles.farkas_ray_ok(G, h, y)
@@ -530,12 +543,13 @@ class TestMultiStepValues:
         with pytest.raises(SolverFailure, match=r"cost is not finite \(inf\)"):
             eval_v(huge, huge.x_bounds, huge.x_bounds, n_steps)
 
-    @pytest.mark.parametrize("n_steps, value", [(2, 3.600000000000002), (3, 3.373437499999958)])
+    @pytest.mark.parametrize("n_steps, value", [(2, 3.6), (3, 3.373437499999958)])
     def test_an_end_box_whose_corner_sums_overflow_is_answered(self, spec, n_steps, value):
         # the target's corners are finite, but sums of them overflow, with no
-        # numpy warning, to right-hand sides of +inf: rows that always hold.
-        # The value is the one of the same target at 1e300, at the first
-        # call and at a second, which the table answers
+        # numpy warning, to bounds or right-hand sides of +inf: rows that
+        # always hold.  The value is the one of the same target at 1e300, at
+        # the first call and at a second, which at N = 3 the table answers;
+        # N = 2 is a closed form and runs no kernel
         a = box((-2, 1), (-4, 1))
         prog = fresh_chain(spec, n_steps)
         assert chain_value(spec, prog, a, box((-1e300, 1e300), (-1e300, 1e300)), n_steps).value == value
@@ -546,7 +560,10 @@ class TestMultiStepValues:
             first = chain_value(spec, prog, a, target, n_steps)
             n_runs = len(runs)
             second = chain_value(spec, prog, a, target, n_steps)
-        assert n_runs > 0 and len(runs) == n_runs and len(prog.laws) == 1
+        if n_steps == 2:
+            assert runs == [] and len(prog.laws) == 0
+        else:
+            assert n_runs > 0 and len(runs) == n_runs and len(prog.laws) == 1
         for res in (first, second):
             assert res.feasible and res.tube[-1] is target
             assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -622,7 +639,7 @@ def fill(laws, p, size, accept=lambda y: True):
             laws.learn(y, p)
 
 
-@pytest.mark.parametrize("n_steps", [2, 3])
+@pytest.mark.parametrize("n_steps", [3, 4])
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
 class TestChainLawTable:
     """Chain values answered from the affine laws and Farkas rays the kernel has returned."""
@@ -878,8 +895,8 @@ def test_threads_filling_one_table_store_whole_laws_once(spec, kind):
     # check.  The chain's laws all fit; of the tube's, the first 64 to
     # arrive are stored
     if kind == "chain":
-        prog = fresh_chain(spec, 2)
-        chain = feasible_chain(spec, np.random.default_rng(5), 2)
+        prog = fresh_chain(spec, 3)
+        chain = feasible_chain(spec, np.random.default_rng(5), 3)
         p, n_patterns = chain[0].corners() + chain[-1].corners(), 48
     else:
         prog = fresh_tube(spec, TubeMpcConfig())
@@ -1036,9 +1053,11 @@ class TestReadBack:
     @pytest.mark.parametrize("n_steps", [2, 3])
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
     def test_chains_have_the_reference_bits(self, spec_name, n_steps, monkeypatch):
-        # the read-back of each program answer, bit for bit the plain-way read-back of the same answer
+        # the read-back of each answer, a program's or the two-step closed
+        # form's, bit for bit the plain-way read-back of the same answer; the
+        # closed form is not called on a pair its rows refuse
         spec = SPECS[spec_name]
-        real_solve = cost_to_travel._solve_program
+        real_solve, real_box = cost_to_travel._solve_program, cost_to_travel._two_step_box
         answers = []
 
         def recording_solve(prog, p):
@@ -1046,14 +1065,19 @@ class TestReadBack:
             answers.append(answer[0])
             return answer
 
+        def recording_box(*args):
+            answers.append(np.array(real_box(*args)))
+            return tuple(answers[-1].tolist())
+
         monkeypatch.setattr(cost_to_travel, "_solve_program", recording_solve)
+        monkeypatch.setattr(cost_to_travel, "_two_step_box", recording_box)
         rng = np.random.default_rng(36 + n_steps)
         ends = [feasible_chain(spec, rng, n_steps)[:: n_steps] for _ in range(100)]
         ends += [(random_box_within(rng, spec.x_bounds), random_box_within(rng, OUTER)) for _ in range(100)]
         feasible = 0
         for a, b in ends:
             res = eval_v(spec, a, b, n_steps)
-            (x,) = answers
+            (x,) = answers or [None]
             answers.clear()
             want = oracles.read_back_reference(spec, x, (a,), (b,))
             if want is None:
@@ -1072,7 +1096,7 @@ class TestReadBack:
 
     @staticmethod
     def read_back(monkeypatch, spec, x, ends=()):
-        """``_solve_tube`` of the 2-step chain program answering x, between the boxes ends or alone, with box builds counted."""
+        """``_read_tube`` of the free corners x, between the boxes ends or alone, with box builds counted."""
         built = {"trusted": 0, "from_corners": 0}
         real_trusted, real_from_corners = IntervalBox._trusted, IntervalBox.from_corners
 
@@ -1087,10 +1111,8 @@ class TestReadBack:
 
         monkeypatch.setattr(IntervalBox, "_trusted", classmethod(trusted))
         monkeypatch.setattr(IntervalBox, "from_corners", classmethod(from_corners))
-        monkeypatch.setattr(cost_to_travel, "_solve_program", lambda prog, p: (np.array(x), None))
-        prog = cost_to_travel._chain_stack(spec, 2)
         try:
-            solved = cost_to_travel._solve_tube(spec, prog, None, ends[:1], ends[1:])
+            solved = cost_to_travel._read_tube(spec, x, ends[:1], ends[1:])
         except ValueError:
             assert built == {"trusted": 0, "from_corners": 1}
             raise
@@ -1141,3 +1163,148 @@ class TestReadBack:
         x[index] = math.nan
         with pytest.raises(ValueError, match="finite"):
             self.read_back(monkeypatch, spec, x)
+
+
+# ---------------------------------------------------------------------------
+# two steps in closed form, held to the cold N = 2 chain program
+
+TWO_STEP_SPECS = {
+    **{f"separability {name}": spec for name, spec in SEPARABILITY_SPECS.items()},
+    "alpha 0.8": ProblemSpec(alpha=0.8),
+    **{f"mirror {name}": mirror_spec(spec) for name, spec in MIRROR_INSTANCES.items()},
+}
+BEYOND_X = box((-20.0, 20.0), (-20.0, 20.0))
+
+
+def two_step_reference(spec, a, c):
+    """The cold N = 2 chain program at the ends a and c, read back: ``(tube, witnesses, cost)``, or None."""
+    prog = cost_to_travel._chain_stack(spec, 2)._replace(laws=None)
+    return cost_to_travel._solve_tube(spec, prog, a.corners() + c.corners(), (a,), (c,))
+
+
+def assert_reference_answer(spec, a, c):
+    """The closed form's status is the program's, its value within 1e-12 of it relative to ``max(1, |value|)``, its middle box within 1e-9."""
+    res = eval_v(spec, a, c, 2)
+    ref = two_step_reference(spec, a, c)
+    assert res.feasible == (ref is not None)
+    if ref is not None:
+        tube, _, cost = ref
+        assert abs(res.value - cost) <= 1e-12 * max(1.0, abs(cost))
+        assert max(abs(u - v) for u, v in zip(res.tube[1].corners(), tube[1].corners())) <= 1e-9
+    return res
+
+
+def program_bounds(spec, p):
+    """The free rows of the N = 2 program at p as the closed form's bounds, each row matched to one of its two patterns.
+
+    A row bounds one corner of the middle box, with coefficient 1 or alpha
+    and either sign, or a lower corner (m1 or m3) minus an upper one (m2
+    or m4), with coefficients ``(c, -c)``, c being 1 or alpha.  Returned
+    are ``(l1, u1, l2, u2, l3, u3, l4, u4, c14, c32, c34)`` and ``c12``.
+    """
+    prog = cost_to_travel._chain_stack(spec, 2)
+    h = (prog.h0 - prog.P @ np.array(p))[~prog.fixed]
+    lo, hi, gap = [-INF] * 4, [INF] * 4, {}
+    for g, bound in zip(prog.G_free.tolist(), h.tolist()):
+        nonzero = [j for j in range(4) if g[j] != 0.0]
+        if len(nonzero) == 1:
+            (j,) = nonzero
+            assert abs(g[j]) in (1.0, spec.alpha)
+            if g[j] > 0.0:
+                hi[j] = min(hi[j], bound / g[j])
+            else:
+                lo[j] = max(lo[j], bound / g[j])
+        else:
+            (a, b) = sorted(nonzero, key=lambda j: j % 2)
+            assert (a, b) in {(0, 1), (0, 3), (2, 1), (2, 3)}
+            assert g[a] == -g[b] and g[a] in (1.0, spec.alpha)
+            gap[a, b] = min(gap.get((a, b), INF), bound / g[a])
+    return (lo[0], hi[0], lo[1], hi[1], lo[2], hi[2], lo[3], hi[3], gap[0, 3], gap[2, 1], gap[2, 3]), gap[0, 1]
+
+
+@pytest.mark.parametrize("spec_name", sorted(TWO_STEP_SPECS))
+class TestTwoStepClosedForm:
+    def test_every_free_row_is_a_corner_bound_or_a_difference_bound(self, spec_name):
+        # the closed form's bounds are the program's rows, to rounding, on
+        # sampled chains and on pairs whose rows admit a middle box
+        spec = TWO_STEP_SPECS[spec_name]
+        rng = np.random.default_rng(7)
+        ends = [feasible_chain(spec, rng, 2)[::2] for _ in range(100)]
+        ends += [(random_box_within(rng, spec.x_bounds), random_box_within(rng, OUTER)) for _ in range(300)]
+        compared = 0
+        for a, c in ends:
+            p = a.corners() + c.corners()
+            rows = _two_step_rows(spec._step, *p)
+            want, c12 = program_bounds(spec, p)
+            assert c12 == 0.0
+            if rows is None:
+                continue
+            compared += 1
+            for got, bound in zip(rows, want):
+                assert got == bound or abs(got - bound) <= 1e-12 * max(1.0, abs(bound)), (got, bound)
+        assert compared >= 100
+
+    @given(data=st.data())
+    def test_answers_are_the_programs(self, spec_name, data):
+        # pairs of chain ends, of boxes in X and of targets beyond X
+        spec = TWO_STEP_SPECS[spec_name]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["chain", "in X", "beyond X"]))
+        if kind == "chain":
+            a, c = feasible_chain(spec, rng, 2)[::2]
+        else:
+            a = random_box_within(rng, spec.x_bounds)
+            c = random_box_within(rng, spec.x_bounds if kind == "in X" else BEYOND_X)
+        res = assert_reference_answer(spec, a, c)
+        assert res.feasible or kind != "chain"
+
+    def test_no_program_is_built_or_solved(self, spec_name, monkeypatch):
+        spec = TWO_STEP_SPECS[spec_name]
+        for name in ("_chain_stack", "_solve_program", "_dual_active_set"):
+            monkeypatch.setattr(cost_to_travel, name, None)
+        chain = feasible_chain(spec, np.random.default_rng(3), 2)
+        assert eval_v(spec, chain[0], chain[2], 2).feasible
+
+
+# the sha256 of the float.hex of every answer on oracles.two_step_pinned_pairs
+TWO_STEP_DIGEST = "a8bcac68154bba97169fa23115385565dc88087f49a67439a013884e5a7d588c"
+
+
+def test_two_step_answers_are_pinned():
+    # no table, no kernel and no BLAS product is on the path, so each answer
+    # is bitwise a function of its arguments: in any order and in a fresh
+    # process
+    assert oracles.two_step_digest() == TWO_STEP_DIGEST
+    assert oracles.two_step_digest(reverse=True) == TWO_STEP_DIGEST
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(tube_dissip.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "from tests import oracles; print(oracles.two_step_digest())"
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == TWO_STEP_DIGEST
+
+
+# corners of targets at and near the ends of the float range
+FAR_CORNERS = (-sys.float_info.max, -1e308, -5.0, 0.0, 5.0, 1e308, sys.float_info.max)
+FAR_SIDES = [(lo, hi) for lo in FAR_CORNERS for hi in FAR_CORNERS if lo <= hi]
+
+
+def test_targets_near_the_float_range_are_answered():
+    # the 784 ordered targets with corners in FAR_CORNERS, from one source:
+    # the program raises SolverFailure on 44 of them, on right-hand sides
+    # that overflow, and answers the others.  The closed form raises on
+    # none; it agrees with every answer of the program, and where the
+    # program raised it answers +inf or a tube whose steps pass the rule
+    spec = ProblemSpec()
+    a = box((-2, 1), (-4, 1))
+    raised = 0
+    for side1 in FAR_SIDES:
+        for side2 in FAR_SIDES:
+            c = box(side1, side2)
+            try:
+                assert_reference_answer(spec, a, c)
+            except SolverFailure:
+                raised += 1
+                res = eval_v(spec, a, c, 2)
+                assert not res.feasible or all(transition_feasible(spec, s, t) for s, t in zip(res.tube, res.tube[1:]))
+    assert len(FAR_SIDES) ** 2 == 784 and raised == 44

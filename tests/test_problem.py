@@ -61,6 +61,22 @@ class TestProblemSpec:
     def test_json_round_trip(self, spec):
         assert ProblemSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
 
+    @pytest.mark.parametrize("field, negative, positive", [
+        ("x_bounds", box((-5, 5), (-5, -0.0)), box((-5, 5), (-5, 0.0))),
+        ("x_bounds", box((0.0, -0.0), (-5, 5)), box((0.0, 0.0), (-5, 5))),
+        ("x_bounds", box((-0.0, -0.0), (-0.0, -0.0)), box((0.0, 0.0), (0.0, 0.0))),
+        ("u_bounds", (0.0, -0.0), (0.0, 0.0)),
+        ("w_bounds", (-0.0, 1.0), (0.0, 1.0)),
+    ])
+    def test_an_interval_end_of_negative_zero_reads_as_zero(self, field, negative, positive):
+        # seeded draws across a span of -0.0 raise, so the problem reads
+        # every interval end of -0.0 as 0.0, and is then, bit for bit, the
+        # problem written with 0.0
+        got, want = ProblemSpec(**{field: negative}), ProblemSpec(**{field: positive})
+        assert repr(got) == repr(want) and got == want and hash(got) == hash(want)
+        assert [v.hex() for v in got._step] == [v.hex() for v in want._step]
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="gamma"):
             ProblemSpec.from_json_dict({"gamma": 1.0})

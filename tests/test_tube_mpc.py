@@ -139,7 +139,7 @@ class TestSolveTmpc:
             h, x, _ = program_answer(prog, p, answer)
             x = x.copy()
             # the corners (b1, b2) of the tube's second box, of the chain's
-            # middle box and of the invariant box
+            # second free box and of the invariant box
             i = 4 if prog.G_free.shape[1] > 4 else 0
             x[i] = x[i + 1] + 5e-9
             assert np.max(program_rows(prog) @ x - h) <= _FEAS_TOL
@@ -156,10 +156,13 @@ class TestSolveTmpc:
         assert sol.u0_interval[0] == sol.u0_interval[1] == pytest.approx(-2.0, abs=1e-8)
 
         # x_star's first interval is the single point -1, so its self-chain
-        # has that middle interval, and so does the invariant box
+        # has that interval in every free box, and so does the invariant box.
+        # Two steps are a closed form, which calls no program; three are one
         result = eval_v(spec, x_star, x_star, 2)
+        assert len(seen) == 1 and result.feasible
+        result = eval_v(spec, x_star, x_star, 3)
         assert len(seen) == 2 and result.feasible
-        assert result.tube[1].lo[0] == result.tube[1].hi[0] == pytest.approx(-1.0, abs=1e-8)
+        assert result.tube[2].lo[0] == result.tube[2].hi[0] == pytest.approx(-1.0, abs=1e-8)
         box_, _ = cost_to_travel.optimal_rci.__wrapped__(spec)
         assert len(seen) == 3
         assert box_.lo[0] == box_.hi[0] == pytest.approx(-1.0, abs=1e-8)
